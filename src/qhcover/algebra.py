@@ -1,7 +1,8 @@
 """Finite-dimensional associative unital algebras over exact fields.
 
-An algebra is stored by structure constants c[i][j][k] (b_i b_j = sum_k
-c[i][j][k] b_k) together with the coordinates of the unit.  Structural
+An algebra is given by structure constants c[i][j][k] (b_i b_j = sum_k
+c[i][j][k] b_k), passed as a (dim^2 x dim) Mat whose row i*dim + j holds the
+coordinates of b_i b_j, together with the coordinates of the unit.  Structural
 analysis lives here: Jacobson radical, Wedderburn decomposition of the
 semisimple quotient, complete sets of primitive orthogonal idempotents,
 corner algebras eAe, centralizer algebras and direct products.
@@ -21,8 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 import sympy
 
-from .fields import Field, PrimeField, QQ, RationalField, as_fraction
-from .linalg import Mat, Subspace, lift_idempotent
+from .fields import Field, PrimeField, QQ, RationalField
+from .linalg import Mat, MatrixBasis, Subspace
 
 
 class AlgebraError(ValueError):
@@ -32,43 +33,39 @@ class AlgebraError(ValueError):
 class Algebra:
     """Associative unital algebra given by structure constants.
 
-    ``mult`` is an (n, n, n) int64 array over GF(p) or a nested tuple of
-    Fractions over QQ; ``one`` is a column Mat.  ``rep`` optionally holds a
-    faithful matrix representation (used by the radical computation when it
-    is smaller than the regular representation).
+    ``structure`` is the (n^2 x n) Mat of structure constants (row i*n + j:
+    coordinates of b_i b_j).  ``mult`` views the same constants as c[i][j][k]
+    for the product fast paths: an (n, n, n) int64 array over GF(p), nested
+    tuples of Fractions over QQ.  ``one`` is a column Mat.  ``rep``
+    optionally holds a faithful matrix representation (used by the radical
+    computation when it is smaller than the regular representation).
     """
 
     def __init__(
         self,
         field: Field,
         dim: int,
-        mult,
+        structure: Mat,
         one: Mat,
         provenance: str = "raw",
         rep: Optional[list[Mat]] = None,
     ):
         self.field = field
         self.dim = dim
+        if (structure.rows, structure.cols) != (dim * dim, dim):
+            raise AlgebraError(f"structure constants are {structure.rows}x{structure.cols}, not {dim * dim}x{dim}")
         if isinstance(field, PrimeField):
-            arr = np.asarray(mult, dtype=np.int64) % field.p
-            arr = np.ascontiguousarray(arr)
-            if arr.shape != (dim, dim, dim):
-                raise AlgebraError(f"structure tensor shape {arr.shape} != {(dim, dim, dim)}")
-            arr.setflags(write=False)
-            self.mult = arr
+            structure = Mat(field, np.ascontiguousarray(structure.data), copy=False)
+            self.mult = structure.data.reshape(dim, dim, dim)
         else:
-            self.mult = tuple(
-                tuple(tuple(as_fraction(x) for x in row) for row in plane) for plane in mult
-            )
-            if dim and (len(self.mult) != dim or any(len(p_) != dim for p_ in self.mult)):
-                raise AlgebraError("structure tensor shape mismatch")
+            self.mult = tuple(structure.data[i * dim : (i + 1) * dim] for i in range(dim))
+        self.structure = structure
         if one.rows != dim or one.cols != 1:
             raise AlgebraError("unit vector has wrong shape")
         self.one = one
         self.provenance = provenance
         self._rep = rep
         self._left_stack: Optional[np.ndarray] = None
-        self._right_stack: Optional[np.ndarray] = None
         self._radical: Optional[Subspace] = None
         self._prim: Optional[PrimitiveDecomposition] = None
         self._gens: Optional[list[int]] = None
@@ -76,12 +73,7 @@ class Algebra:
 
     # -- basic element arithmetic -----------------------------------------
     def basis_element(self, i: int) -> Mat:
-        v = Mat.zeros(self.field, self.dim, 1).mutable()
-        if isinstance(self.field, PrimeField):
-            v[i, 0] = 1
-        else:
-            v[i][0] = Fraction(1)
-        return Mat(self.field, v, copy=False)
+        return Mat.from_entries(self.field, self.dim, 1, {(i, 0): 1})
 
     def zero_element(self) -> Mat:
         return Mat.zeros(self.field, self.dim, 1)
@@ -150,13 +142,6 @@ class Algebra:
             return [Mat(self.field, stack[i], copy=False) for i in range(self.dim)]
         return [self.left_mult_matrix(self.basis_element(i)) for i in range(self.dim)]
 
-    def right_regular_action(self) -> list[Mat]:
-        if isinstance(self.field, PrimeField):
-            if self._right_stack is None:
-                self._right_stack = np.ascontiguousarray(np.transpose(self.mult, (1, 2, 0)))
-            return [Mat(self.field, self._right_stack[j], copy=False) for j in range(self.dim)]
-        return [self.right_mult_matrix(self.basis_element(j)) for j in range(self.dim)]
-
     def _left_regular_stack(self) -> np.ndarray:
         if self._left_stack is None:
             self._left_stack = np.ascontiguousarray(np.transpose(self.mult, (0, 2, 1)))
@@ -203,26 +188,15 @@ class Algebra:
             raise AlgebraError("unit axiom fails: x * one != x")
 
     def validate_associativity(self) -> None:
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            t1 = np.einsum("ijl,lkm->ijkm", self.mult, self.mult, optimize=True) % p
-            t2 = np.einsum("jkl,ilm->ijkm", self.mult, self.mult, optimize=True) % p
-            if not np.array_equal(t1, t2):
-                bad = np.argwhere(t1 != t2)[0]
-                i, j, k = int(bad[0]), int(bad[1]), int(bad[2])
-                raise AlgebraError(f"associativity fails at basis triple ({i}, {j}, {k})")
-            return
         n = self.dim
-        for i in range(n):
-            bi = self.basis_element(i)
-            for j in range(n):
-                bij = self.multiply(bi, self.basis_element(j))
-                for k in range(n):
-                    bk = self.basis_element(k)
-                    lhs = self.multiply(bij, bk)
-                    rhs = self.multiply(bi, self.multiply(self.basis_element(j), bk))
-                    if lhs != rhs:
-                        raise AlgebraError(f"associativity fails at basis triple ({i}, {j}, {k})")
+        ident = Mat.identity(self.field, n)
+        pairs = self.multiply_batches(ident, ident)  # column i*n + j: b_i b_j
+        # column i*n^2 + j*n + k of both: (b_i b_j) b_k and b_i (b_j b_k)
+        lhs, rhs = self.multiply_batches(pairs, ident), self.multiply_batches(ident, pairs)
+        if lhs != rhs:
+            bad = next(c for c in range(lhs.cols) if lhs.take_cols([c]) != rhs.take_cols([c]))
+            i, j, k = bad // (n * n), bad // n % n, bad % n
+            raise AlgebraError(f"associativity fails at basis triple ({i}, {j}, {k})")
 
     # -- radical ---------------------------------------------------------------
     def radical_subspace(self) -> Subspace:
@@ -241,13 +215,6 @@ class Algebra:
         if self._op_link is not None:
             self._op_link._radical = rad
         return rad
-
-    def radical_basis(self) -> list[Mat]:
-        rad = self.radical_subspace()
-        return [rad.basis.take_rows([i]).transpose() for i in range(rad.dim)]
-
-    def is_semisimple(self) -> bool:
-        return self.radical_subspace().dim == 0
 
     # -- primitive idempotents ---------------------------------------------------
     def primitive_idempotents(self) -> "PrimitiveDecomposition":
@@ -285,7 +252,15 @@ class PrimitiveDecomposition:
 
 
 def from_structure_constants(field: Field, dim: int, mult, one, provenance: str = "raw") -> Algebra:
-    """Build and exhaustively validate an algebra from raw structure data."""
+    """Build and exhaustively validate an algebra from raw structure data.
+
+    ``mult`` is the (dim^2 x dim) structure Mat or nested lists c[i][j][k].
+    """
+    if not isinstance(mult, Mat):
+        rows = [row for plane in mult for row in plane]
+        if len(mult) != dim or len(rows) != dim * dim:
+            raise AlgebraError(f"structure tensor is not {dim}x{dim}x{dim}")
+        mult = Mat(field, rows, cols=dim)
     one_mat = one if isinstance(one, Mat) else Mat.column(field, one)
     a = Algebra(field, dim, mult, one_mat, provenance=provenance)
     a.validate_unit()
@@ -297,15 +272,12 @@ def opposite(a: Algebra) -> Algebra:
     """Opposite algebra: c_op[i][j][k] = c[j][i][k]; caches are shared."""
     if a._op_link is not None:
         return a._op_link
-    if isinstance(a.field, PrimeField):
-        mult = np.transpose(a.mult, (1, 0, 2))
-    else:
-        n = a.dim
-        mult = [[[a.mult[j][i][k] for k in range(n)] for j in range(n)] for i in range(n)]
+    n = a.dim
+    mult = a.structure.take_rows([j * n + i for i in range(n) for j in range(n)])
     rep = None
     if a._rep is not None:
         rep = [m.transpose() for m in a._rep]
-    opp = Algebra(a.field, a.dim, mult, a.one, provenance=a.provenance, rep=rep)
+    opp = Algebra(a.field, n, mult, a.one, provenance=a.provenance, rep=rep)
     opp._op_link = a
     a._op_link = opp
     return opp
@@ -317,30 +289,23 @@ def direct_product(a: Algebra, b: Algebra) -> Algebra:
         raise AlgebraError("direct product of algebras over different fields")
     n, m = a.dim, b.dim
     field = a.field
-    if isinstance(field, PrimeField):
-        mult = np.zeros((n + m, n + m, n + m), dtype=np.int64)
-        mult[:n, :n, :n] = a.mult
-        mult[n:, n:, n:] = b.mult
-    else:
-        mult = [[[Fraction(0)] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    mult[i][j][k] = a.mult[i][j][k]
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    mult[n + i][n + j][n + k] = b.mult[i][j][k]
+    # rows of a's constants, then b's, then one zero row for the mixed products
+    blocks = Mat.block_diag(field, [a.structure, b.structure, Mat.zeros(field, 1, 0)])
+
+    def row(i: int, j: int) -> int:
+        if i < n and j < n:
+            return i * n + j
+        if i >= n and j >= n:
+            return n * n + (i - n) * m + (j - n)
+        return n * n + m * m
+
+    mult = blocks.take_rows([row(i, j) for i in range(n + m) for j in range(n + m)])
     one = Mat.vstack([a.one, b.one])
     rep = None
     if a._rep is not None and b._rep is not None:
-        za = Mat.zeros(field, a._rep[0].rows, b._rep[0].cols)
-        zb = Mat.zeros(field, b._rep[0].rows, a._rep[0].cols)
-        rep = [Mat.vstack([Mat.hstack([ra, za]), Mat.hstack([zb, Mat.zeros(field, b._rep[0].rows, b._rep[0].cols)])]) for ra in a._rep]
-        rep += [
-            Mat.vstack([Mat.hstack([Mat.zeros(field, a._rep[0].rows, a._rep[0].cols), za]), Mat.hstack([zb, rb])])
-            for rb in b._rep
-        ]
+        ra0, rb0 = a._rep[0], b._rep[0]
+        za, zb = Mat.zeros(field, ra0.rows, ra0.cols), Mat.zeros(field, rb0.rows, rb0.cols)
+        rep = [Mat.block_diag(field, [ra, zb]) for ra in a._rep] + [Mat.block_diag(field, [za, rb]) for rb in b._rep]
     return Algebra(field, n + m, mult, one, provenance="product", rep=rep)
 
 
@@ -356,16 +321,10 @@ def corner_algebra(a: Algebra, e: Mat) -> tuple[Algebra, Mat]:
     sub = Subspace.from_columns(proj_full)
     incl = sub.basis.transpose()  # columns form a basis of eAe
     m = sub.dim
-    field = a.field
-    # products of basis columns, re-expressed in corner coordinates
-    prods = a.multiply_batches(incl, incl)  # columns r-major pairs
-    coords = sub.coords(prods.transpose())
-    if coords is None:
+    # products of basis columns (r-major pairs), re-expressed in corner coordinates
+    mult = sub.coords(a.multiply_batches(incl, incl).transpose())
+    if mult is None:
         raise AlgebraError("corner product left the corner subspace")
-    if isinstance(field, PrimeField):
-        mult = coords.data.reshape(m, m, m)
-    else:
-        mult = [[[coords[r * m + s, k] for k in range(m)] for s in range(m)] for r in range(m)]
     one_coords = sub.coords(e.transpose())
     if one_coords is None:
         raise AlgebraError("corner unit is not in the corner subspace")
@@ -375,12 +334,9 @@ def corner_algebra(a: Algebra, e: Mat) -> tuple[Algebra, Mat]:
         img = Subspace.from_columns(rep_e)
         if img.dim:
             w = img.basis.transpose()  # columns: basis of e.V
-            wl = _left_inverse(w)
-            rep = []
-            for c in range(m):
-                elem = incl.take_cols([c])
-                rep.append(wl @ (_combine_rep(a, elem) @ w))
-    corner = Algebra(field, m, mult, one_coords.transpose(), provenance="corner", rep=rep)
+            wb = MatrixBasis([w.take_cols([j]) for j in range(w.cols)])
+            rep = [wb.flat_coords(_combine_rep(a, incl.take_cols([c])) @ w) for c in range(m)]
+    corner = Algebra(a.field, m, mult, one_coords.transpose(), provenance="corner", rep=rep)
     return corner, incl
 
 
@@ -394,87 +350,31 @@ def _combine_rep(a: Algebra, x: Mat) -> Mat:
     return acc
 
 
-def _left_inverse(w: Mat) -> Mat:
-    """Left inverse of a full-column-rank matrix, via pivot row selection."""
-    rows = _pivot_rows_of_columns(w)
-    inv = w.take_rows(rows).inv()
-    sel = Mat.zeros(w.field, w.cols, w.rows).mutable()
-    one = w.field.one()
-    for i, r in enumerate(rows):
-        if isinstance(sel, np.ndarray):
-            sel[i, r] = 1
-        else:
-            sel[i][r] = one
-    return inv @ Mat(w.field, sel, copy=False)
+def algebra_of_matrices(basis: MatrixBasis, provenance: str) -> Algebra:
+    """The algebra spanned by a basis of square matrices closed under products.
+
+    The identity must lie in the span; the basis is the faithful ``rep``.
+    """
+    one = basis.coords(Mat.identity(basis.field, basis.shape[0]))
+    return Algebra(basis.field, len(basis), basis.product_coords(), one, provenance=provenance, rep=basis.mats)
 
 
-def _pivot_rows_of_columns(w: Mat) -> list[int]:
-    """Row indices such that w restricted to them is invertible."""
-    red, piv = w.transpose().rref()
-    return piv
-
-
-def centralizer_algebra(generators: Sequence[Mat]) -> tuple[Algebra, Mat]:
+def centralizer_algebra(generators: Sequence[Mat]) -> tuple[Algebra, MatrixBasis]:
     """Algebra of matrices commuting with all generators on a common space.
 
-    Returns the abstract algebra plus the (t^2 x dim) flattening of its
-    matrix basis; the algebra's faithful ``rep`` is that matrix basis.
+    Returns the abstract algebra plus its matrix basis, which is also the
+    algebra's faithful ``rep``.
     """
     gens = list(generators)
     if not gens:
         raise AlgebraError("centralizer needs at least one generator (use identity)")
     t = gens[0].rows
-    field = gens[0].field
-    if isinstance(field, PrimeField):
-        blocks = []
-        ident = np.eye(t, dtype=np.int64)
-        for g in gens:
-            G = g.data
-            blocks.append((np.kron(G, ident) - np.kron(ident, G.T)) % field.p)
-        sys = Mat(field, np.vstack(blocks), copy=False)
-    else:
-        rows = []
-        for g in gens:
-            for i in range(t):
-                for j in range(t):
-                    # row for entry (i, j) of G M - M G, unknowns vec(M) row-major
-                    row = [Fraction(0)] * (t * t)
-                    for k in range(t):
-                        row[k * t + j] += g[i, k]
-                        row[i * t + k] -= g[k, j]
-                    rows.append(row)
-        sys = Mat(field, rows, cols=t * t)
-    basis_flat = sys.kernel()  # (t^2, dim) columns
-    n = basis_flat.cols
-    mats = [Mat(field, _unflatten(basis_flat.take_cols([c]), t), copy=False) for c in range(n)]
-    # structure constants: flatten(m_i @ m_j) expressed in the flat basis
-    rows_idx = _pivot_rows_of_columns(basis_flat)
-    square_inv = basis_flat.take_rows(rows_idx).inv()
-    if isinstance(field, PrimeField):
-        stack = np.stack([m.data for m in mats])  # (n, t, t)
-        prods = np.einsum("aij,bjk->abik", stack, stack, optimize=True) % field.p
-        flat = prods.reshape(n * n, t * t).T  # (t^2, n^2)
-        coords = (square_inv @ Mat(field, flat[rows_idx, :], copy=False)).data  # (n, n^2)
-        mult = np.ascontiguousarray(coords.T.reshape(n, n, n))
-    else:
-        mult = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for i_ in range(n):
-            for j_ in range(n):
-                pr = mats[i_] @ mats[j_]
-                flatv = Mat(field, [[pr[r // t, r % t]] for r in range(t * t)], cols=1)
-                coord = square_inv @ flatv.take_rows(rows_idx)
-                for k in range(n):
-                    mult[i_][j_][k] = coord[k, 0]
-    ident_flat = Mat(field, [[field.one() if (r // t == r % t) else field.zero()] for r in range(t * t)], cols=1)
-    one = square_inv @ ident_flat.take_rows(rows_idx)
-    alg = Algebra(field, n, mult, one, provenance="centralizer", rep=mats)
-    return alg, basis_flat
-
-
-def _unflatten(col: Mat, t: int):
-    if isinstance(col.field, PrimeField):
-        return col.data[:, 0].reshape(t, t)
-    return [[col[i * t + j, 0] for j in range(t)] for i in range(t)]
+    ident = Mat.identity(gens[0].field, t)
+    # rows: entries of G M - M G, unknowns vec(M) row-major
+    sys = Mat.vstack([g.kron(ident) - ident.kron(g.transpose()) for g in gens])
+    kernel = sys.kernel()  # (t^2, dim) columns
+    basis = MatrixBasis([kernel.take_cols([c]).reshape(t, t) for c in range(kernel.cols)])
+    return algebra_of_matrices(basis, "centralizer"), basis
 
 
 # ---------------------------------------------------------------------------
@@ -543,15 +443,25 @@ def _gamma_traces(zs: np.ndarray, p: int, layer: int) -> np.ndarray:
 
 
 def _batched_matrix_power_mod(zs: np.ndarray, e: int, mod: int) -> np.ndarray:
+    """zs[a]^e mod ``mod`` for a batch of m x m matrices.
+
+    Factors stay below ``mod``, so an int64 product is exact while
+    m * (mod - 1)^2 < 2^63.  Beyond that bound (at layer 1 already for
+    p > 55108 with m = 1) the products run on Python ints (object dtype).
+    """
     k, m, _ = zs.shape
-    result = np.broadcast_to(np.eye(m, dtype=np.int64), (k, m, m)).copy()
-    base = zs % mod
+    if m * (mod - 1) ** 2 < 2**63:
+        mul, dtype = (lambda x, y: np.einsum("aij,ajk->aik", x, y, optimize=True)), np.int64
+    else:
+        mul, dtype = np.matmul, object
+    result = np.broadcast_to(np.eye(m, dtype=np.int64), (k, m, m)).astype(dtype)
+    base = (zs % mod).astype(dtype)
     while e > 0:
         if e & 1:
-            result = np.einsum("aij,ajk->aik", result, base, optimize=True) % mod
+            result = mul(result, base) % mod
         e >>= 1
         if e:
-            base = np.einsum("aij,ajk->aik", base, base, optimize=True) % mod
+            base = mul(base, base) % mod
     return result
 
 
@@ -591,29 +501,19 @@ class QuotientAlgebra:
         self.sect = sect  # (n x s)
 
 
-def semisimple_quotient(a: Algebra) -> QuotientAlgebra:
-    rad = a.radical_subspace()
-    n, s = a.dim, a.dim - rad.dim
-    field = a.field
+def quotient_algebra(a: Algebra, ideal: Subspace) -> QuotientAlgebra:
+    """A/I for a two-sided ideal I given as a subspace of coordinate space."""
     # projection = quotient coordinates, section = non-pivot coordinate vectors
-    proj_m = rad.quotient_coords(Mat.identity(field, n)).transpose()
-    sect = Mat.zeros(field, n, s).mutable()
-    one_f = field.one()
-    for t, np_idx in enumerate(rad.nonpivots):
-        if isinstance(sect, np.ndarray):
-            sect[np_idx, t] = 1
-        else:
-            sect[np_idx][t] = one_f
-    sect_m = Mat(field, sect, copy=False)
-    prods = a.multiply_batches(sect_m, sect_m)  # (s*s) columns in A
-    coords = proj_m @ prods  # (s, s*s)
-    if isinstance(field, PrimeField):
-        mult = np.ascontiguousarray(coords.data.T.reshape(s, s, s))
-    else:
-        mult = [[[coords[k, r * s + c] for k in range(s)] for c in range(s)] for r in range(s)]
-    one = proj_m @ a.one
-    quot = Algebra(field, s, mult, one, provenance="quotient")
-    return QuotientAlgebra(a, quot, proj_m, sect_m)
+    ident = Mat.identity(a.field, a.dim)
+    proj = ideal.quotient_coords(ident).transpose()
+    sect = ident.take_cols(ideal.nonpivots)
+    mult = (proj @ a.multiply_batches(sect, sect)).transpose()  # row r*s + c: coords of sect_r sect_c
+    quot = Algebra(a.field, sect.cols, mult, proj @ a.one, provenance="quotient")
+    return QuotientAlgebra(a, quot, proj, sect)
+
+
+def semisimple_quotient(a: Algebra) -> QuotientAlgebra:
+    return quotient_algebra(a, a.radical_subspace())
 
 
 def center_basis(a: Algebra) -> Mat:
@@ -745,14 +645,15 @@ def _primitive_idempotent_in_simple_block(a: Algebra, rng: np.random.Generator) 
         if tries > 60:
             raise AlgebraError("failed to locate a minimal left ideal (block not split?)")
         ideal = _left_ideal(a, best_vec)
-        coeff = rng.integers(0, a.field.p, size=ideal.dim) if isinstance(a.field, PrimeField) else None
-        if coeff is None:
+        if isinstance(a.field, PrimeField):
+            coeff = rng.integers(0, a.field.p, size=ideal.dim)
+        else:
             coeff = rng.integers(-3, 4, size=ideal.dim)
         vec = Mat.zeros(a.field, d, 1)
         for i in range(ideal.dim):
             c = int(coeff[i])
             if c:
-                vec = vec + ideal.basis.take_rows([i]).transpose().scale(a.field.normalize(c) if isinstance(a.field, PrimeField) else Fraction(c))
+                vec = vec + ideal.basis.take_rows([i]).transpose().scale(c)
         candidates = [vec]
     ideal = _left_ideal(a, best_vec)
     # choose z in L with L z != 0, solve e z = z within L

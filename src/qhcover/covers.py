@@ -19,13 +19,10 @@ import numpy as np
 from .algebra import Algebra
 from .fields import PrimeField
 from .homology import DimValue, ext_dim
-from .linalg import Mat, Subspace
+from .linalg import Mat, MatrixBasis, Subspace
 from .modules import (
     Module,
     ModuleMap,
-    _flatten_maps,
-    _flatten_single,
-    _pivot_rows,
     direct_sum,
     dual,
     end_algebra_with_bimodule,
@@ -90,23 +87,6 @@ def schur_functor_image(p: Module, m: Module) -> Module:
     return hom_module_over_endop(p, m)[0]
 
 
-def schur_functor_map(p: Module, f: ModuleMap) -> ModuleMap:
-    """F_P on maps: postcomposition Hom(p, source) -> Hom(p, target)."""
-    src, src_basis = hom_module_over_endop(p, f.source)
-    tgt, tgt_basis = hom_module_over_endop(p, f.target)
-    field = p.algebra.field
-    if not src_basis or not tgt_basis:
-        return ModuleMap(src, tgt, Mat.zeros(field, tgt.dim, src.dim))
-    flat = _flatten_maps(tgt_basis)
-    rows_idx = _pivot_rows(flat)
-    sq = flat.take_rows(rows_idx).inv()
-    cols = []
-    for h in src_basis:
-        comp = f.matrix @ h.matrix
-        cols.append(sq @ _flatten_single(comp).take_rows(rows_idx))
-    return ModuleMap(src, tgt, Mat.hstack(cols))
-
-
 # ---------------------------------------------------------------------------
 # double centralizer
 # ---------------------------------------------------------------------------
@@ -118,10 +98,7 @@ def double_centralizer_check(q: Module) -> bool:
     b, bim, _ = end_algebra_with_bimodule(q)
     # the image of A lands in the commutant automatically; bijectivity is
     # injectivity of a -> rho_q(a) plus a dimension match with End_B(q)
-    cols = []
-    for i in range(a.dim):
-        cols.append(_flatten_single(q.action[i]))
-    flat = Mat.hstack(cols)
+    flat = Mat.hstack([g.reshape(q.dim * q.dim, 1) for g in q.action])
     injective = flat.rank() == a.dim
     commutant_dim = hom_space(bim.right, bim.right).dim
     return injective and commutant_dim == a.dim
@@ -130,18 +107,11 @@ def double_centralizer_check(q: Module) -> bool:
 def _right_a_action_on_hom(p: Module, fa_basis: list[ModuleMap]) -> list[Mat]:
     """Matrices of the right A-action on F_P(A) = Hom(p, A): (g . a) = R_a o g."""
     a = p.algebra
-    field = a.field
-    flat = _flatten_maps(fa_basis)
-    rows_idx = _pivot_rows(flat)
-    sq = flat.take_rows(rows_idx).inv()
+    hom_basis = MatrixBasis([g.matrix for g in fa_basis])
     out = []
     for i in range(a.dim):
         ra = a.right_mult_matrix(a.basis_element(i))
-        cols = []
-        for g in fa_basis:
-            comp = ra @ g.matrix
-            cols.append(sq @ _flatten_single(comp).take_rows(rows_idx))
-        out.append(Mat.hstack(cols))
+        out.append(hom_basis.coords_many([ra @ g.matrix for g in fa_basis]))
     return out
 
 
@@ -158,8 +128,7 @@ def cover_check(p: Module) -> tuple[bool, int]:
     end_dim = hom_space(fa, fa).dim
     # canonical map sends a to the right action of a on Hom(p, A)
     acts = _right_a_action_on_hom(p, fa_basis)
-    flat_cols = [_flatten_single(m) for m in acts]
-    injective = Mat.hstack(flat_cols).rank() == a.dim
+    injective = Mat.hstack([m.reshape(m.rows * m.cols, 1) for m in acts]).rank() == a.dim
     return (injective and end_dim == a.dim, end_dim)
 
 
@@ -170,31 +139,15 @@ def cover_check(p: Module) -> tuple[bool, int]:
 
 def _eta_matrix(p: Module, fa: Module, fa_basis: list[ModuleMap], m: Module):
     """eta_m: m -> Hom_B(F_P A, F_P m) as a matrix, plus dim Hom_B."""
-    a = p.algebra
-    field = a.field
     fm, fm_basis = hom_module_over_endop(p, m)
     homb = hom_space(fa, fm)
     if homb.dim == 0:
-        return Mat.zeros(field, 0, m.dim), 0
-    flat = _flatten_maps(homb.maps)
-    rows_idx = _pivot_rows(flat)
-    sq = flat.take_rows(rows_idx).inv()
-    fm_flat = _flatten_maps(fm_basis) if fm_basis else None
-    fm_rows = _pivot_rows(fm_flat) if fm_basis else []
-    fm_sq = fm_flat.take_rows(fm_rows).inv() if fm_basis else None
-    cols = []
-    for c in range(m.dim):
-        # eta(m_c): FA -> FM, g -> (x -> g(x) . m_c): as hom-coordinate matrix
-        img_cols = []
-        for g in fa_basis:
-            comp_cols = []
-            # f_{m_c} o g: p -> m, x -> rho_m(g(x)) m_c
-            gm = g.matrix  # (a.dim x p.dim)
-            mat = _module_elem_action(m, gm, c)
-            img_cols.append(fm_sq @ _flatten_single(mat).take_rows(fm_rows))
-        eta_mc = Mat.hstack(img_cols)  # (fm.dim x fa.dim)
-        cols.append(sq @ _flatten_single(eta_mc).take_rows(rows_idx))
-    return Mat.hstack(cols), homb.dim
+        return Mat.zeros(p.algebra.field, 0, m.dim), 0
+    homb_basis = MatrixBasis([f.matrix for f in homb.maps])
+    fm_hom_basis = MatrixBasis([f.matrix for f in fm_basis])
+    # eta(m_c): FA -> FM, g -> (x -> rho_m(g(x)) m_c), as a hom-coordinate matrix (fm.dim x fa.dim)
+    etas = [fm_hom_basis.coords_many([_module_elem_action(m, g.matrix, c) for g in fa_basis]) for c in range(m.dim)]
+    return homb_basis.coords_many(etas), homb.dim
 
 
 def _module_elem_action(m: Module, gm: Mat, c: int) -> Mat:
@@ -204,13 +157,7 @@ def _module_elem_action(m: Module, gm: Mat, c: int) -> Mat:
         stack = m.stack()  # (n, t, t)
         vecs = np.tensordot(stack[:, :, c], gm.data, axes=(0, 0)) % field.p  # (t, p.dim)
         return Mat(field, vecs, copy=False)
-    cols = []
-    for j in range(gm.cols):
-        x = gm.take_cols([j])  # element of A
-        mc = Mat.zeros(field, m.dim, 1).mutable()
-        mc[c][0] = field.one()
-        cols.append(m.act(x) @ Mat(field, mc, copy=False))
-    return Mat.hstack(cols)
+    return Mat.hstack([m.act(gm.take_cols([j])).take_cols([c]) for j in range(gm.cols)])
 
 
 def hn_dimension(qh: QHStructure, p: Module, cap: int = 10, random_checks: int = 0, seed: int = 11) -> CoverReport:
@@ -446,21 +393,7 @@ def wakamatsu_check(qh: QHStructure, q: Module, cap: int = 10) -> tuple[DimValue
 
 def module_over_quotient(m: Module, quot: Algebra, proj: Mat, sect: Mat) -> Module:
     """Transport a module killed by the ideal to a module over A/I."""
-    field = m.algebra.field
-    action = []
-    for c in range(quot.dim):
-        lift = sect @ _unit_col(field, quot.dim, c)
-        action.append(m.act(lift))
-    return Module(quot, action)
-
-
-def _unit_col(field, n: int, c: int) -> Mat:
-    v = Mat.zeros(field, n, 1).mutable()
-    if isinstance(v, np.ndarray):
-        v[c, 0] = 1
-    else:
-        v[c][0] = field.one()
-    return Mat(field, v, copy=False)
+    return Module(quot, [m.act(sect.take_cols([c])) for c in range(quot.dim)])
 
 
 def truncate_cover_check(qh: QHStructure, p: Module, lam_max: int, cap: int = 8) -> dict:

@@ -16,11 +16,9 @@ from dataclasses import dataclass, field as dc_field
 from math import comb
 from typing import Optional
 
-import numpy as np
-
 from .algebra import Algebra, centralizer_algebra
-from .fields import Field, PrimeField
-from .linalg import Mat, Subspace
+from .fields import Field
+from .linalg import Mat, MatrixBasis, Subspace
 from .modules import Module, top
 from .qh import QHStructure, WeightPoset, verify_split_qh
 from .quiver import Arrow, QuiverPresentation, from_quiver
@@ -184,12 +182,7 @@ def build_hecke(d: int, u, field: Field) -> HeckeGallery:
                 out[sig_s] = field.add(out.get(sig_s, field.zero()), c)
         return {k: v for k, v in out.items() if v != field.zero()}
 
-    if isinstance(field, PrimeField):
-        mult = np.zeros((n, n, n), dtype=np.int64)
-    else:
-        from fractions import Fraction
-
-        mult = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    entries = {}
     for j, tau in enumerate(perms):
         word = reduced_word(tau)
         for i, sigma in enumerate(perms):
@@ -197,13 +190,10 @@ def build_hecke(d: int, u, field: Field) -> HeckeGallery:
             for t in word:
                 vec = times_simple(vec, t)
             for rho, c in vec.items():
-                k = index[rho]
-                if isinstance(field, PrimeField):
-                    mult[i][j][k] = int(c)
-                else:
-                    mult[i][j][k] = c
+                entries[i * n + j, index[rho]] = c
     ident = tuple(range(d))
     one = [field.one() if p == ident else field.zero() for p in perms]
+    mult = Mat.from_entries(field, n * n, n, entries)
     alg = Algebra(field, n, mult, Mat.column(field, one), provenance="hecke")
     alg.validate_unit()
     q = field.mul(uinv, uinv)
@@ -239,19 +229,19 @@ def build_tensor_space(n: int, d: int, u, field: Field, hecke: Optional[HeckeGal
     t_dim = len(words)
     simple_action = []
     for t in range(d - 1):
-        mat = Mat.zeros(field, t_dim, t_dim).mutable()
+        entries = {}
         for col, w in enumerate(words):
             swapped = list(w)
             swapped[t], swapped[t + 1] = swapped[t + 1], swapped[t]
             swapped = tuple(swapped)
             if w[t] < w[t + 1]:
-                _add_entry(mat, index[swapped], col, field.one(), field)
+                entries[index[swapped], col] = field.one()
             elif w[t] == w[t + 1]:
-                _add_entry(mat, index[w], col, u, field)
+                entries[index[w], col] = u
             else:
-                _add_entry(mat, index[w], col, coeff, field)
-                _add_entry(mat, index[swapped], col, field.one(), field)
-        simple_action.append(Mat(field, mat, copy=False))
+                entries[index[w], col] = coeff
+                entries[index[swapped], col] = field.one()
+        simple_action.append(Mat.from_entries(field, t_dim, t_dim, entries))
     # right action matrices for every T_sigma: M_sigma = M_{s_k} ... M_{s_1}
     from .algebra import opposite
 
@@ -266,13 +256,6 @@ def build_tensor_space(n: int, d: int, u, field: Field, hecke: Optional[HeckeGal
         action.append(mat)
     module = Module(hop, action, name=f"V^({d})")
     return TensorSpaceGallery(n, d, hecke, module, words, simple_action)
-
-
-def _add_entry(buf, i, j, v, field):
-    if isinstance(buf, np.ndarray):
-        buf[i, j] = (buf[i, j] + int(v)) % field.p
-    else:
-        buf[i][j] = buf[i][j] + v
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +316,7 @@ class SchurGallery:
     tensor: TensorSpaceGallery
     algebra: Algebra
     tensor_module: Module  # V^(tensor d) as a left Schur-module
-    basis_flat: Mat
+    matrix_basis: MatrixBasis  # the algebra basis as tensor-space matrices
     weights: list[tuple[int, ...]]
     partitions: list[tuple[int, ...]]
     _xi: dict = dc_field(default_factory=dict)
@@ -344,18 +327,9 @@ class SchurGallery:
         """xi_lambda in algebra coordinates: projection onto the weight space."""
         lam = tuple(lam)
         if lam not in self._xi:
-            field = self.field
             t_dim = self.tensor_module.dim
-            diag = Mat.zeros(field, t_dim, t_dim).mutable()
-            for i, w in enumerate(self.tensor.words):
-                if weight_of(w, self.n) == lam:
-                    if isinstance(diag, np.ndarray):
-                        diag[i, i] = 1
-                    else:
-                        diag[i][i] = field.one()
-            dmat = Mat(field, diag, copy=False)
-            coords = _matrix_to_algebra_coords(self, dmat)
-            self._xi[lam] = coords
+            entries = {(i, i): 1 for i, w in enumerate(self.tensor.words) if weight_of(w, self.n) == lam}
+            self._xi[lam] = _matrix_to_algebra_coords(self, Mat.from_entries(self.field, t_dim, t_dim, entries))
         return self._xi[lam]
 
     def poset(self) -> WeightPoset:
@@ -371,29 +345,13 @@ class SchurGallery:
             self._qh = qh
         return self._qh
 
-    def label_index(self, lam: tuple[int, ...]) -> int:
-        return self.poset().labels.index(str(tuple(lam)))
-
 
 def _matrix_to_algebra_coords(schur: SchurGallery, mat: Mat) -> Mat:
-    flat = schur.basis_flat
-    rows_idx = flat.transpose().rref()[1]
-    sq = flat.take_rows(rows_idx).inv()
-    t_dim = schur.tensor_module.dim
-    field = schur.field
-    if isinstance(field, PrimeField):
-        col = Mat(field, mat.data.reshape(t_dim * t_dim, 1), copy=False)
-    else:
-        col = Mat(field, [[mat[r // t_dim, r % t_dim]] for r in range(t_dim * t_dim)], cols=1)
-    coords = sq @ col.take_rows(rows_idx)
+    coords = schur.matrix_basis.coords(mat)
     # confirm the matrix really lies in the algebra
-    if _coords_to_matrix(schur, coords) != mat:
+    if schur.tensor_module.act(coords) != mat:
         raise GalleryError("matrix does not lie in the Schur algebra")
     return coords
-
-
-def _coords_to_matrix(schur: SchurGallery, coords: Mat) -> Mat:
-    return schur.tensor_module.act(coords)
 
 
 def build_schur(n: int, d: int, u, field: Field, allow_large: bool = False) -> SchurGallery:
@@ -407,7 +365,7 @@ def build_schur(n: int, d: int, u, field: Field, allow_large: bool = False) -> S
     hecke = build_hecke(d, u, field)
     tensor = build_tensor_space(n, d, u, field, hecke=hecke, allow_large=allow_large)
     gens = tensor.simple_action if d > 1 else [Mat.identity(field, tensor.module.dim)]
-    alg, basis_flat = centralizer_algebra(gens)
+    alg, matrix_basis = centralizer_algebra(gens)
     expected = comb(n * n + d - 1, d)
     if alg.dim != expected:
         raise GalleryError(f"Schur dimension {alg.dim} != orbit count {expected}")
@@ -416,7 +374,7 @@ def build_schur(n: int, d: int, u, field: Field, allow_large: bool = False) -> S
     tensor_module = Module(alg, alg.rep_matrices(), name=f"V^({d})|S({n},{d})")
     weights = compositions(n, d)
     parts = partitions_at_most(n, d)
-    return SchurGallery(n, d, u, field, hecke, tensor, alg, tensor_module, basis_flat, weights, parts)
+    return SchurGallery(n, d, u, field, hecke, tensor, alg, tensor_module, matrix_basis, weights, parts)
 
 
 def _schur_poset(schur: SchurGallery) -> WeightPoset:
@@ -498,10 +456,7 @@ def schur_weyl_map(schur: SchurGallery) -> SchurWeylData:
 
     tensor_action = schur.tensor.module.action  # matrices of T_sigma (right action)
     end_dim = hom_space(schur.tensor_module, schur.tensor_module).dim
-    from .modules import _flatten_single
-
-    cols = [_flatten_single(m) for m in tensor_action]
-    flat = Mat.hstack(cols)
+    flat = Mat.hstack([m.reshape(m.rows * m.cols, 1) for m in tensor_action])
     image_dim = flat.rank()
     kernel = flat.kernel()
     return SchurWeylData(

@@ -11,7 +11,6 @@ Ext and Tor are computed in slice coordinates: Hom(A e, N) = e N and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .linalg import Mat, Subspace
 from .modules import (
@@ -63,9 +62,6 @@ class DimValue:
         if self.kind == "infinite":
             return 10**9
         return self.n
-
-    def comparable_exact(self) -> Optional[int]:
-        return self.n if self.kind == "exact" else None
 
     def to_json(self) -> dict:
         if self.kind == "infinite":

@@ -3,7 +3,9 @@
 GF(p) matrices live in int64 numpy arrays and route the hot operations
 (row reduction, products) through a compiled Cython kernel when available,
 with a pure-numpy fallback selected at import time.  QQ matrices use exact
-Fraction arithmetic; all QQ instances in this package are small.
+Fraction arithmetic; all QQ instances in this package are small.  Other
+modules stay off the storage: they build and reshape matrices through Mat's
+field-neutral operations and take coordinates through MatrixBasis.
 
 Everything here is deterministic: identical inputs give bit-identical
 outputs (leftmost pivot columns, topmost pivot rows).
@@ -116,11 +118,12 @@ class Mat:
         return Mat(field, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def from_rows(field: Field, rows: Sequence[Sequence]) -> "Mat":
-        n = len(rows)
-        if n == 0:
-            return Mat.zeros(field, 0, 0)
-        return Mat(field, rows)
+    def from_entries(field: Field, rows: int, cols: int, entries: dict) -> "Mat":
+        """Sparse constructor: ``entries`` maps (i, j) to a value; the rest is 0."""
+        buf = Mat.zeros(field, rows, cols).mutable()
+        for (i, j), v in entries.items():
+            _set_entry(buf, i, j, v)
+        return Mat(field, buf, copy=False, cols=cols)
 
     @staticmethod
     def column(field: Field, vec: Sequence) -> "Mat":
@@ -132,7 +135,7 @@ class Mat:
         field = mats[0].field
         if isinstance(field, PrimeField):
             return Mat(field, np.hstack([m.data for m in mats]), copy=False)
-        rows = [sum((list(m.data[i]) for m in mats), []) for i in range(mats[0].rows)]
+        rows = [[x for m in mats for x in m.data[i]] for i in range(mats[0].rows)]
         return Mat(field, rows, cols=sum(m.cols for m in mats))
 
     @staticmethod
@@ -168,11 +171,6 @@ class Mat:
     def mutable(self):
         if isinstance(self.field, PrimeField):
             return np.array(self.data, copy=True)
-        return [list(r) for r in self.data]
-
-    def row_list(self) -> list[list]:
-        if isinstance(self.field, PrimeField):
-            return self.data.tolist()
         return [list(r) for r in self.data]
 
     def col(self, j: int) -> list:
@@ -218,6 +216,23 @@ class Mat:
 
     def __neg__(self) -> "Mat":
         return self.scale(-1 if isinstance(self.field, RationalField) else self.field.p - 1)
+
+    def reshape(self, rows: int, cols: int) -> "Mat":
+        """The same entries read row-major into a rows x cols matrix."""
+        if rows * cols != self.rows * self.cols:
+            raise ValueError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
+        if isinstance(self.field, PrimeField):
+            return Mat(self.field, self.data.reshape(rows, cols), copy=False)
+        flat = [x for row in self.data for x in row]
+        return Mat(self.field, [flat[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
+
+    def kron(self, other: "Mat") -> "Mat":
+        """Kronecker product: with other r x c, entry (i*r + k, j*c + l) is self[i, j] * other[k, l]."""
+        f = self.field
+        if isinstance(f, PrimeField):
+            return Mat(f, np.kron(self.data, other.data) % f.p, copy=False)
+        rows = [[a * b for a in arow for b in brow] for arow in self.data for brow in other.data]
+        return Mat(f, rows, cols=self.cols * other.cols)
 
     def transpose(self) -> "Mat":
         if isinstance(self.field, PrimeField):
@@ -362,6 +377,60 @@ def lift_idempotent(e0: Mat, nil_bound: int) -> Mat:
     if e2 == e:
         return e
     raise ArithmeticError("idempotent lifting did not stabilize; defect not nilpotent?")
+
+
+class MatrixBasis:
+    """Coordinates with respect to a linearly independent family of matrices.
+
+    The matrices, all of one shape, are flattened row-major into the columns
+    of ``flat``.  Its pivot rows (leftmost pivots of the transposed rref) and
+    the inverse of the square block on those rows are computed once, so the
+    coordinates of a matrix in the span cost one small product.  Membership
+    is not checked.
+    """
+
+    def __init__(self, mats: Sequence[Mat]):
+        self.mats = list(mats)
+        self.field = self.mats[0].field
+        self.shape = (self.mats[0].rows, self.mats[0].cols)
+        self.flat = Mat.hstack([self._flatten(m) for m in self.mats])
+        self.rows = self.flat.transpose().rref()[1]
+        self.square_inv = self.flat.take_rows(self.rows).inv()
+
+    def __len__(self) -> int:
+        return len(self.mats)
+
+    def _flatten(self, m: Mat) -> Mat:
+        return m.reshape(self.shape[0] * self.shape[1], 1)
+
+    def flat_coords(self, flat: Mat) -> Mat:
+        """Coordinate columns of the columns of ``flat`` (flattened matrices)."""
+        return self.square_inv @ flat.take_rows(self.rows)
+
+    def coords(self, m: Mat) -> Mat:
+        """Coordinate column of one matrix of the span."""
+        return self.flat_coords(self._flatten(m))
+
+    def coords_many(self, mats: Sequence[Mat]) -> Mat:
+        """Coordinate columns of several matrices of the span, side by side."""
+        return self.flat_coords(Mat.hstack([self._flatten(m) for m in mats]))
+
+    def product_coords(self) -> Mat:
+        """Structure constants of a basis closed under products.
+
+        Row i*n + j holds the coordinates of mats[i] @ mats[j].
+        """
+        n, f = len(self.mats), self.field
+        if isinstance(f, PrimeField):
+            # one batched int64 product; entries stay below p, so each dot
+            # product is exact while (cols) * (p-1)^2 < 2^63 (PrimeField.MAX_P)
+            stack = np.stack([m.data for m in self.mats])
+            prods = np.einsum("aij,bjk->abik", stack, stack, optimize=True)
+            prods %= f.p
+            flat = prods.reshape(n * n, -1).T[self.rows, :]
+            del prods
+            return (self.square_inv @ Mat(f, flat, copy=False)).transpose()
+        return self.coords_many([a @ b for a in self.mats for b in self.mats]).transpose()
 
 
 class Subspace:

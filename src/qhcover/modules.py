@@ -14,16 +14,15 @@ independent oracle for the tests.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-import os
-
-from .algebra import Algebra, opposite
+from .algebra import Algebra, algebra_of_matrices, opposite
 from .fields import PrimeField
-from .linalg import Mat, Subspace
+from .linalg import Mat, MatrixBasis, Subspace
 
 _DEBUG_VALIDATE = bool(os.environ.get("QHCOVER_DEBUG"))
 
@@ -136,9 +135,6 @@ class ModuleMap:
         ker = self.matrix.kernel()
         return submodule(self.source, Subspace(self.matrix.field, self.source.dim, ker.transpose()))
 
-    def image_submodule(self) -> tuple[Module, "ModuleMap"]:
-        return submodule(self.target, Subspace.from_columns(self.matrix))
-
     def cokernel(self) -> tuple[Module, "ModuleMap"]:
         return quotient_module(self.target, Subspace.from_columns(self.matrix))
 
@@ -196,17 +192,10 @@ def submodule(m: Module, span: Subspace) -> tuple[Module, ModuleMap]:
 
 def quotient_module(m: Module, span: Subspace) -> tuple[Module, ModuleMap]:
     """Quotient by an invariant subspace, with its projection map."""
-    field = m.algebra.field
-    proj = span.quotient_coords(Mat.identity(field, m.dim)).transpose()  # (q x t)
-    sect = Mat.zeros(field, m.dim, span.quotient_dim()).mutable()
-    onef = field.one()
-    for t, np_idx in enumerate(span.nonpivots):
-        if isinstance(sect, np.ndarray):
-            sect[np_idx, t] = 1
-        else:
-            sect[np_idx][t] = onef
-    sect_m = Mat(field, sect, copy=False)
-    action = [proj @ (g @ sect_m) for g in m.action]
+    ident = Mat.identity(m.algebra.field, m.dim)
+    proj = span.quotient_coords(ident).transpose()  # (q x t)
+    sect = ident.take_cols(span.nonpivots)
+    action = [proj @ (g @ sect) for g in m.action]
     quot = Module(m.algebra, action)
     return quot, ModuleMap(m, quot, proj)
 
@@ -327,15 +316,8 @@ class ProjSum:
             gcoords = sub.coords(s.idem.transpose())
             if gcoords is None:
                 raise ModuleError("idempotent not in its own projective summand")
-            vec = Mat.zeros(field, self.module.dim, 1).mutable()
-            for i in range(s.dim):
-                v = gcoords[0, i]
-                if v != 0:
-                    if isinstance(vec, np.ndarray):
-                        vec[s.offset + i, 0] = int(v)
-                    else:
-                        vec[s.offset + i][0] = v
-            cols.append(Mat(field, vec, copy=False))
+            entries = {(s.offset + i, 0): gcoords[0, i] for i in range(s.dim)}
+            cols.append(Mat.from_entries(field, self.module.dim, 1, entries))
         return cols
 
 
@@ -361,13 +343,7 @@ def _indec_projective(a: Algebra, class_index: int) -> tuple[Module, Mat, Mat]:
                 raise ModuleError("projective summand is not invariant")
             action.append(coords.transpose())
     else:
-        action = []
-        for g in a.left_regular_action():
-            img = (g @ w).transpose()
-            coords = span.coords(img)
-            if coords is None:
-                raise ModuleError("projective summand is not invariant")
-            action.append(coords.transpose())
+        action = submodule(regular_module(a), span)[0].action
     mod = Module(a, action, name=f"P[{class_index}]")
     cache[class_index] = (mod, w, e)
     return cache[class_index]
@@ -582,36 +558,14 @@ def _extract_hom_matrices(pres: Presentation, n: Module, slices: list[Mat], sol:
 def hom_space_naive(m: Module, n: Module) -> list[Mat]:
     """Oracle: direct intertwiner solve over the algebra generators."""
     a = m.algebra
-    field = a.field
-    gens = a.generator_elements()
     t, s = n.dim, m.dim
     if t == 0 or s == 0:
         return []
-    rows = []
-    for g in gens:
-        gm, gn = m.act(g), n.act(g)
-        if isinstance(field, PrimeField):
-            block = (np.kron(np.eye(t, dtype=np.int64), gm.data.T) - np.kron(gn.data, np.eye(s, dtype=np.int64))) % field.p
-            rows.append(Mat(field, block, copy=False))
-        else:
-            block = [[Fraction(0)] * (t * s) for _ in range(t * s)]
-            for i in range(t):
-                for j in range(s):
-                    r = i * s + j
-                    for k in range(s):
-                        block[r][i * s + k] += gm[k, j]
-                    for k in range(t):
-                        block[r][k * s + j] -= gn[i, k]
-            rows.append(Mat(field, block, cols=t * s))
+    id_t, id_s = Mat.identity(a.field, t), Mat.identity(a.field, s)
+    # rows: entries of F rho_M(g) - rho_N(g) F, unknowns vec(F) row-major
+    rows = [id_t.kron(m.act(g).transpose()) - n.act(g).kron(id_s) for g in a.generator_elements()]
     ker = Mat.vstack(rows).kernel()
-    mats = []
-    for c in range(ker.cols):
-        col = ker.take_cols([c])
-        if isinstance(field, PrimeField):
-            mats.append(Mat(field, col.data[:, 0].reshape(t, s), copy=False))
-        else:
-            mats.append(Mat(field, [[col[i * s + j, 0] for j in range(s)] for i in range(t)], cols=s))
-    return mats
+    return [ker.take_cols([c]).reshape(t, s) for c in range(ker.cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -664,49 +618,10 @@ def corner_module(m: Module, e: Mat, corner: Algebra, corner_incl: Mat) -> Modul
 
 def endomorphism_algebra(m: Module) -> tuple[Algebra, list[ModuleMap]]:
     """End_A(M) with multiplication f * g = f o g, plus the basis maps."""
-    hs = hom_space(m, m)
-    basis = hs.maps
-    n = len(basis)
-    field = m.algebra.field
-    if n == 0:
+    basis = hom_space(m, m).maps
+    if not basis:
         raise ModuleError("endomorphism algebra of the zero module")
-    flat = _flatten_maps(basis, m.dim)
-    rows_idx = _pivot_rows(flat)
-    square_inv = flat.take_rows(rows_idx).inv()
-    if isinstance(field, PrimeField):
-        stack = np.stack([f.matrix.data for f in basis])
-        prods = np.einsum("aij,bjk->abik", stack, stack, optimize=True) % field.p
-        flatp = prods.reshape(n * n, m.dim * m.dim).T
-        coords = (square_inv @ Mat(field, flatp[rows_idx, :], copy=False)).data
-        mult = np.ascontiguousarray(coords.T.reshape(n, n, n))
-    else:
-        mult = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                pr = basis[i].matrix @ basis[j].matrix
-                col = Mat(field, [[pr[r // m.dim, r % m.dim]] for r in range(m.dim * m.dim)], cols=1)
-                coord = square_inv @ col.take_rows(rows_idx)
-                for k in range(n):
-                    mult[i][j][k] = coord[k, 0]
-    ident = Mat.identity(field, m.dim)
-    idcol = Mat(field, [[ident[r // m.dim, r % m.dim]] for r in range(m.dim * m.dim)], cols=1)
-    one = square_inv @ idcol.take_rows(rows_idx)
-    alg = Algebra(field, n, mult, one, provenance="endomorphism", rep=[f.matrix for f in basis])
-    return alg, basis
-
-
-def _flatten_maps(maps: list[ModuleMap], dim: int = 0) -> Mat:
-    field = maps[0].matrix.field
-    nr, nc = maps[0].matrix.rows, maps[0].matrix.cols
-    if isinstance(field, PrimeField):
-        return Mat(field, np.stack([f.matrix.data.reshape(nr * nc) for f in maps]).T, copy=False)
-    rows = [[f.matrix[r // nc, r % nc] for f in maps] for r in range(nr * nc)]
-    return Mat(field, rows, cols=len(maps))
-
-
-def _pivot_rows(mat: Mat) -> list[int]:
-    _, piv = mat.transpose().rref()
-    return piv
+    return algebra_of_matrices(MatrixBasis([f.matrix for f in basis]), "endomorphism"), basis
 
 
 def end_element_matrix(basis: list[ModuleMap], coords: Mat) -> Mat:
@@ -787,14 +702,10 @@ def _indec_isomorphic(m: Module, n: Module) -> Optional[ModuleMap]:
     if not fs or not gs:
         return None
     end, basis, rad = _local_end_radical(m)
-    flat = _flatten_maps(basis, m.dim)
-    rows_idx = _pivot_rows(flat)
-    square_inv = flat.take_rows(rows_idx).inv()
+    end_basis = MatrixBasis([f.matrix for f in basis])
     for f in fs:
         for g in gs:
-            comp = g.matrix @ f.matrix
-            col = _flatten_single(comp)
-            coords = square_inv @ col.take_rows(rows_idx)
+            coords = end_basis.coords(g.matrix @ f.matrix)
             if not rad.contains(coords.transpose()):
                 # g o f invertible in the local ring End(m), so f is injective
                 # and a dimension count makes it an isomorphism
@@ -802,14 +713,6 @@ def _indec_isomorphic(m: Module, n: Module) -> Optional[ModuleMap]:
                     return f
                 raise ModuleError("local-ring certificate disagrees with rank")
     return None
-
-
-def _flatten_single(mat: Mat) -> Mat:
-    field = mat.field
-    d = mat.rows
-    if isinstance(field, PrimeField):
-        return Mat(field, mat.data.reshape(d * mat.cols, 1), copy=False)
-    return Mat(field, [[mat[r // mat.cols, r % mat.cols]] for r in range(d * mat.cols)], cols=1)
 
 
 def _isomorphism_by_decomposition(m: Module, n: Module) -> Optional[ModuleMap]:
@@ -868,17 +771,8 @@ def hom_module_over_endop(q: Module, m: Module) -> tuple[Module, list[ModuleMap]
     field = q.algebra.field
     if hdim == 0:
         return Module(b, [Mat.zeros(field, 0, 0) for _ in range(b.dim)]), []
-    flat = _flatten_maps(hs.maps, m.dim)
-    rows_idx = _pivot_rows(flat)
-    square_inv = flat.take_rows(rows_idx).inv()
-    action = []
-    for f in end_basis:
-        cols = []
-        for h in hs.maps:
-            comp = h.matrix @ f.matrix  # h o f
-            col = _flatten_single(comp)
-            cols.append(square_inv @ col.take_rows(rows_idx))
-        action.append(Mat.hstack(cols))
+    hom_basis = MatrixBasis([h.matrix for h in hs.maps])
+    action = [hom_basis.coords_many([h.matrix @ f.matrix for h in hs.maps]) for f in end_basis]  # h o f
     return Module(b, action, name=f"Hom({q.name},{m.name})" if q.name or m.name else ""), hs.maps
 
 
@@ -1053,17 +947,8 @@ def hom_into_q_as_right_module(q: Module, m: Module) -> tuple[Module, list[Modul
     field = q.algebra.field
     if hdim == 0:
         return Module(bop, [Mat.zeros(field, 0, 0) for _ in range(bop.dim)]), []
-    flat = _flatten_maps(hs.maps)
-    rows_idx = _pivot_rows(flat)
-    square_inv = flat.take_rows(rows_idx).inv()
-    action = []
-    for f in end_basis:
-        cols = []
-        for h in hs.maps:
-            comp = f.matrix @ h.matrix  # f o h
-            col = _flatten_single(comp)
-            cols.append(square_inv @ col.take_rows(rows_idx))
-        action.append(Mat.hstack(cols))
+    hom_basis = MatrixBasis([h.matrix for h in hs.maps])
+    action = [hom_basis.coords_many([f.matrix @ h.matrix for h in hs.maps]) for f in end_basis]  # f o h
     return Module(bop, action), hs.maps
 
 
@@ -1074,12 +959,4 @@ def induced_map_on_hom_into_q(q: Module, f: ModuleMap, src_data, tgt_data) -> Ma
     field = q.algebra.field
     if not tgt_maps or not src_maps:
         return Mat.zeros(field, len(src_maps), len(tgt_maps))
-    flat = _flatten_maps(src_maps)
-    rows_idx = _pivot_rows(flat)
-    square_inv = flat.take_rows(rows_idx).inv()
-    cols = []
-    for h in tgt_maps:
-        comp = h.matrix @ f.matrix
-        col = _flatten_single(comp)
-        cols.append(square_inv @ col.take_rows(rows_idx))
-    return Mat.hstack(cols)
+    return MatrixBasis([h.matrix for h in src_maps]).coords_many([h.matrix @ f.matrix for h in tgt_maps])

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .algebra import Algebra, opposite
-from .fields import PrimeField
+from .algebra import Algebra, opposite, quotient_algebra
 from .homology import ext_dim
-from .linalg import Mat, Subspace
+from .linalg import Mat, MatrixBasis, Subspace
 from .modules import (
     Module,
     ModuleMap,
@@ -34,8 +33,6 @@ from .modules import (
     submodule,
     trace_submodule,
 )
-
-import numpy as np
 
 
 class QHError(ValueError):
@@ -151,17 +148,9 @@ class QHStructure:
         for e in self.poset.idempotents:
             if a.multiply(e, e) != e:
                 raise QHError("poset idempotent is not idempotent")
-            span = Subspace.from_columns(a.right_mult_matrix(e))
-            w = span.basis.transpose()
-            action = []
-            for g in a.left_regular_action():
-                img = (g @ w).transpose()
-                coords = span.coords(img)
-                if coords is None:
-                    raise QHError("projective subspace is not invariant")
-                action.append(coords.transpose())
-            self.projectives.append(Module(a, action))
-            self.proj_incls.append(w)
+            proj, incl = submodule(regular_module(a), Subspace.from_columns(a.right_mult_matrix(e)))
+            self.projectives.append(proj)
+            self.proj_incls.append(incl.matrix)
 
     def _build_standards(self) -> None:
         n = len(self.poset.labels)
@@ -312,16 +301,11 @@ def _universal_extension(qh: QHStructure, mu: int, x: Module, incl: Mat, e: int)
     # restriction Hom(P0, x) -> Hom(K, x); Ext^1 classes = cokernel representatives
     if homs_k.dim == 0:
         raise QHError("universal extension requested with no cocycles")
-    flat_k = _flatten_hom_basis(homs_k)
-    restricted = []
-    for f in homs_p.maps:
-        restricted.append(f.matrix @ kincl.matrix)
-    sub_rows = []
-    for rmat in restricted:
-        sub_rows.append(_flatten_matrix_row(rmat))
-    ambient = flat_k.rows  # flattened map space dimension
-    sub = Subspace(field, ambient, Mat.vstack(sub_rows) if sub_rows else Mat.zeros(field, 0, ambient))
-    reps_idx = _complement_indices(sub, flat_k)
+    ambient = x.dim * kmod.dim  # flattened map space dimension
+    # restrictions of Hom(P0, x) and the basis of Hom(K, x), as flattened rows
+    restricted = [(f.matrix @ kincl.matrix).reshape(1, ambient) for f in homs_p.maps]
+    sub = Subspace(field, ambient, Mat.vstack(restricted) if restricted else None)
+    reps_idx = _complement_indices(sub, Mat.vstack([f.matrix.reshape(1, ambient) for f in homs_k.maps]))
     if len(reps_idx) != e:
         raise QHError("cocycle count does not match Ext dimension")
     phis = [homs_k.maps[i] for i in reps_idx]
@@ -344,28 +328,15 @@ def _universal_extension(qh: QHStructure, mu: int, x: Module, incl: Mat, e: int)
     return x_new, newincl
 
 
-def _flatten_hom_basis(hs) -> Mat:
-    from .modules import _flatten_maps
-
-    return _flatten_maps(hs.maps)
-
-
-def _flatten_matrix_row(mat: Mat) -> Mat:
-    field = mat.field
-    if isinstance(field, PrimeField):
-        return Mat(field, mat.data.reshape(1, mat.rows * mat.cols), copy=False)
-    return Mat(field, [[mat[r // mat.cols, r % mat.cols] for r in range(mat.rows * mat.cols)]], cols=mat.rows * mat.cols)
-
-
-def _complement_indices(sub: Subspace, flat_basis: Mat) -> list[int]:
-    """Indices of basis columns spanning a complement of sub inside the span."""
+def _complement_indices(sub: Subspace, vectors: Mat) -> list[int]:
+    """Indices of row vectors spanning a complement of sub inside the span."""
     chosen = []
     current = sub
-    total_dim = Subspace(sub.field, sub.ambient, Mat.vstack([sub.basis, flat_basis.transpose()])).dim if flat_basis.cols else sub.dim
-    for j in range(flat_basis.cols):
+    total_dim = Subspace(sub.field, sub.ambient, Mat.vstack([sub.basis, vectors])).dim
+    for j in range(vectors.rows):
         if current.dim >= total_dim:
             break
-        v = flat_basis.take_cols([j]).transpose()
+        v = vectors.take_rows([j])
         if not current.contains(v):
             chosen.append(j)
             current = Subspace(sub.field, sub.ambient, Mat.vstack([current.basis, v]))
@@ -474,8 +445,6 @@ class RingelDual:
     """End(T)^op with the reversed poset; verified on construction."""
 
     def __init__(self, qh: QHStructure):
-        from .modules import _flatten_maps
-
         self.base = qh
         t, injs, projs = qh.characteristic_tilting_data()
         self.tilting = t
@@ -486,14 +455,8 @@ class RingelDual:
         if len(injs) == 1:
             idems = [b.one]
         else:
-            flat = _flatten_maps(basis)
-            rows_idx = _pivot_rows_of(flat)
-            sq = flat.take_rows(rows_idx).inv()
-            idems = []
-            for incl, proj in zip(injs, projs):
-                mat = incl.matrix @ proj.matrix
-                col = _flatten_col(mat)
-                idems.append(sq @ col.take_rows(rows_idx))
+            end_basis = MatrixBasis([f.matrix for f in basis])
+            idems = [end_basis.coords(incl.matrix @ proj.matrix) for incl, proj in zip(injs, projs)]
         reversed_pairs = [(j, i) for (i, j) in qh.poset.less]
         self.poset = WeightPoset(qh.poset.labels, reversed_pairs, idems)
         self.report, self.structure = verify_split_qh(b, self.poset)
@@ -504,17 +467,6 @@ class RingelDual:
             self.standard_dims_via_hom.append(hmod.dim)
 
 
-def _pivot_rows_of(mat: Mat) -> list[int]:
-    return mat.transpose().rref()[1]
-
-
-def _flatten_col(mat: Mat) -> Mat:
-    field = mat.field
-    if isinstance(field, PrimeField):
-        return Mat(field, mat.data.reshape(mat.rows * mat.cols, 1), copy=False)
-    return Mat(field, [[mat[r // mat.cols, r % mat.cols]] for r in range(mat.rows * mat.cols)], cols=1)
-
-
 def ringel_dual(qh: QHStructure) -> RingelDual:
     """R(A) = End(T)^op with its split quasi-hereditary structure, verified."""
     return RingelDual(qh)
@@ -523,30 +475,6 @@ def ringel_dual(qh: QHStructure) -> RingelDual:
 # ---------------------------------------------------------------------------
 # split heredity quotients
 # ---------------------------------------------------------------------------
-
-
-def quotient_algebra_by_ideal(a: Algebra, span: Subspace) -> tuple[Algebra, Mat, Mat]:
-    """A / I for a two-sided ideal span; returns (quotient, projection, section)."""
-    n, s = a.dim, a.dim - span.dim
-    field = a.field
-    proj = span.quotient_coords(Mat.identity(field, n)).transpose()
-    sect = Mat.zeros(field, n, s).mutable()
-    onef = field.one()
-    for t, np_idx in enumerate(span.nonpivots):
-        if isinstance(sect, np.ndarray):
-            sect[np_idx, t] = 1
-        else:
-            sect[np_idx][t] = onef
-    sect_m = Mat(field, sect, copy=False)
-    prods = a.multiply_batches(sect_m, sect_m)
-    coords = proj @ prods
-    if isinstance(field, PrimeField):
-        mult = np.ascontiguousarray(coords.data.T.reshape(s, s, s))
-    else:
-        mult = [[[coords[k, r * s + c] for k in range(s)] for c in range(s)] for r in range(s)]
-    one = proj @ a.one
-    quot = Algebra(field, s, mult, one, provenance="quotient")
-    return quot, proj, sect_m
 
 
 def split_heredity_quotient(qh: QHStructure, lam: int):
@@ -581,7 +509,8 @@ def split_heredity_quotient(qh: QHStructure, lam: int):
     mult_count = jmod.dim // qh.projectives[lam].dim
     if endj.radical_subspace().dim != 0 or endj.dim != mult_count * mult_count:
         raise QHError("End(J) is not a split matrix algebra")
-    quot, proj, sect = quotient_algebra_by_ideal(a, span)
+    quotient = quotient_algebra(a, span)
+    quot, proj = quotient.quotient, quotient.proj
     new_poset_idems = []
     for i in range(qh.label_count()):
         if i == lam:

@@ -9,11 +9,10 @@ modulo the relation ideal, computed degree by degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from .algebra import Algebra, AlgebraError
-from .fields import Field, PrimeField
-from .linalg import Mat, Subspace
 
-import numpy as np
+from .algebra import Algebra, AlgebraError
+from .fields import Field
+from .linalg import Mat, Subspace
 
 
 @dataclass(frozen=True)
@@ -140,16 +139,10 @@ def from_quiver(q: QuiverPresentation, field: Field, degree_cap: int = 64) -> Al
         for rel in rel_by_degree.get(degree, []):
             vec = {}
             for coeff, p in rel:
-                vec[index[p]] = field.normalize(coeff) if isinstance(field, PrimeField) else field.normalize(coeff)
+                vec[index[p]] = field.normalize(coeff)
             vectors.append(vec)
-        mat = Mat.zeros(field, len(vectors), len(nxt)).mutable()
-        for i, vec in enumerate(vectors):
-            for j, c in vec.items():
-                if isinstance(mat, np.ndarray):
-                    mat[i, j] = int(c)
-                else:
-                    mat[i][j] = c
-        ideal = Subspace(field, len(nxt), Mat(field, mat, copy=False, cols=len(nxt)))
+        entries = {(i, j): c for i, vec in enumerate(vectors) for j, c in vec.items()}
+        ideal = Subspace(field, len(nxt), Mat.from_entries(field, len(vectors), len(nxt), entries))
         alive = [p for j, p in enumerate(nxt) if j not in set(ideal.pivots)]
         paths.append(nxt)
         ideals.append(ideal)
@@ -176,13 +169,8 @@ def from_quiver(q: QuiverPresentation, field: Field, degree_cap: int = 64) -> Al
             return {}
         plist = paths[d]
         ideal = ideals[d]
-        j = plist.index(p)
-        row = Mat.zeros(field, 1, len(plist)).mutable()
-        if isinstance(row, np.ndarray):
-            row[0, j] = 1
-        else:
-            row[0][j] = field.one()
-        residue = ideal.reduce(Mat(field, row, copy=False, cols=len(plist)))
+        row = Mat.from_entries(field, 1, len(plist), {(0, plist.index(p)): 1})
+        residue = ideal.reduce(row)
         out = {}
         for jj, pp in enumerate(plist):
             c = residue[0, jj]
@@ -190,20 +178,12 @@ def from_quiver(q: QuiverPresentation, field: Field, degree_cap: int = 64) -> Al
                 out[pos[pp]] = c
         return out
 
-    # structure constants
-    if isinstance(field, PrimeField):
-        mult = np.zeros((n, n, n), dtype=np.int64)
-    else:
-        from fractions import Fraction
-
-        mult = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    # structure constants: row i*n + j holds the coordinates of b_i b_j
+    entries: dict[tuple[int, int], object] = {}
 
     def set_c(i, j, comb: dict[int, object]):
         for k, c in comb.items():
-            if isinstance(field, PrimeField):
-                mult[i][j][k] = int(c) % field.p
-            else:
-                mult[i][j][k] = c
+            entries[i * n + j, k] = c
 
     for i, p in enumerate(basis):
         di = basis_degree[i]
@@ -227,6 +207,7 @@ def from_quiver(q: QuiverPresentation, field: Field, degree_cap: int = 64) -> Al
     one = [0] * n
     for v in range(q.n_vertices):
         one[v] = 1
+    mult = Mat.from_entries(field, n * n, n, entries)
     alg = Algebra(field, n, mult, Mat.column(field, [field.normalize(x) for x in one]), provenance="quiver")
     alg.quiver_data = {
         "presentation": q,

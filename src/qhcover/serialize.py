@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .algebra import Algebra, from_structure_constants
-from .fields import Field, PrimeField, field_from_json, field_to_json
+from .fields import Field, field_from_json, field_to_json
 from .linalg import Mat
 from .modules import Module
 from .qh import WeightPoset
@@ -32,7 +32,7 @@ def algebra_to_json(a: Algebra) -> dict:
     for i in range(a.dim):
         for j in range(a.dim):
             for k in range(a.dim):
-                c = a.mult[i][j][k] if not isinstance(a.field, PrimeField) else int(a.mult[i, j, k])
+                c = a.structure[i * a.dim + j, k]
                 if c != 0:
                     triplets.append([i, j, k, _coeff_str(a.field, c)])
     return {
@@ -46,22 +46,13 @@ def algebra_to_json(a: Algebra) -> dict:
 def algebra_from_json(obj: dict) -> Algebra:
     field = field_from_json(obj["field"])
     dim = int(obj["dim"])
-    if isinstance(field, PrimeField):
-        import numpy as np
-
-        mult = np.zeros((dim, dim, dim), dtype=np.int64)
-    else:
-        from fractions import Fraction
-
-        mult = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    entries = {}
     for i, j, k, c in obj["mult"]:
-        val = field.parse(str(c))
-        if isinstance(field, PrimeField):
-            mult[i][j][k] = int(val)
-        else:
-            mult[i][j][k] = val
+        if not all(isinstance(x, int) and 0 <= x < dim for x in (i, j, k)):
+            raise SerializeError(f"structure constant index ({i}, {j}, {k}) out of range for dim {dim}")
+        entries[i * dim + j, k] = field.parse(str(c))
     one = [field.parse(str(c)) for c in obj["one"]]
-    return from_structure_constants(field, dim, mult, one)
+    return from_structure_constants(field, dim, Mat.from_entries(field, dim * dim, dim, entries), one)
 
 
 def quiver_from_json(obj: dict) -> QuiverPresentation:
@@ -116,14 +107,6 @@ def module_from_json(obj: dict, algebra: Algebra | None = None, base_dir: Path |
     mod = Module(algebra, action)
     mod.validate()
     return mod
-
-
-def poset_to_json(poset: WeightPoset, idempotent_indices: list[int]) -> dict:
-    return {
-        "labels": list(poset.labels),
-        "less_than": sorted(list(poset.less)),
-        "simple_of": idempotent_indices,
-    }
 
 
 def poset_from_json(obj: dict, algebra: Algebra) -> WeightPoset:

@@ -8,6 +8,7 @@ import pytest
 from qhcover.algebra import (
     Algebra,
     AlgebraError,
+    _batched_matrix_power_mod,
     centralizer_algebra,
     corner_algebra,
     direct_product,
@@ -197,6 +198,34 @@ def test_direct_product_dims():
 
 
 # -- radical --------------------------------------------------------------------
+
+
+def _power_mod_reference(z, e, mod):
+    """z^e mod ``mod`` by square-and-multiply on Python ints."""
+    m = len(z)
+
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(m)) % mod for j in range(m)] for i in range(m)]
+
+    result = [[int(i == j) for j in range(m)] for i in range(m)]
+    base = [[int(x) for x in row] for row in z]
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p", [3, 1009, 1048573])
+def test_p_power_chain_products_are_exact(p):
+    # layer 1 of the radical chain works modulo p^2; at the largest allowed
+    # prime, 3 * (p^2 - 1)^2 exceeds 2^63, so int64 products would wrap
+    mod = p * p
+    zs = np.random.default_rng(p).integers(0, mod, size=(3, 3, 3))
+    got = _batched_matrix_power_mod(zs, p, mod)
+    for z, g in zip(zs, got):
+        assert [[int(x) for x in row] for row in g] == _power_mod_reference(z, p, mod)
 
 
 def test_radical_semisimple_matrix_algebra():

@@ -105,6 +105,15 @@ def test_cli_input_error():
     assert rc == EXIT_INPUT
 
 
+@pytest.mark.parametrize("index", [[0, 2, 0], [0, 0, -1]])
+def test_cli_rejects_out_of_range_structure_constant(tmp_path, capsys, index):
+    bad = {"field": {"kind": "prime", "p": 3}, "dim": 2, "mult": [[0, 0, 0, "1"], index + ["1"]], "one": ["1", "0"]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["domdim", "--algebra", str(path)]) == EXIT_INPUT
+    assert "out of range" in capsys.readouterr().err
+
+
 def test_cli_gallery_manifest_and_file_inputs(tmp_path, capsys):
     rc = main(["gallery", "--gallery", "am", "--m", "2", "--p", "3", "--out", str(tmp_path)])
     assert rc == EXIT_OK

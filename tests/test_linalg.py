@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qhcover.fields import GF, QQ
 from qhcover.linalg import (
     Mat,
+    MatrixBasis,
     Subspace,
     gfp_backends,
     lift_idempotent,
@@ -151,3 +152,76 @@ def test_subspace_quotient_coords():
     w = Mat(F3, [[0, 1, 0]])
     q = s.quotient_coords(w)
     assert q.cols == 1 and not q.is_zero()
+
+
+# -- field-neutral primitives, on GF(3) and QQ ------------------------------------
+
+FIELDS = [pytest.param(F3, id="GF3"), pytest.param(QQ, id="QQ")]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_reshape_round_trip_row_major(field):
+    m = Mat(field, [[1, 2, 0], [Fraction(1, 2) if field == QQ else 2, 1, -1]])
+    flat = m.reshape(1, 6)
+    assert [flat[0, j] for j in range(6)] == [m[i, j] for i in range(2) for j in range(3)]
+    assert flat.reshape(2, 3) == m
+    assert m.reshape(3, 2).reshape(2, 3) == m
+    assert m.reshape(6, 1).transpose() == flat
+    with pytest.raises(ValueError):
+        m.reshape(4, 2)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_from_entries_equals_dense(field):
+    entries = {(0, 2): 2, (1, 0): 1, (2, 1): -1}
+    assert Mat.from_entries(field, 3, 3, entries) == Mat(field, [[0, 0, 2], [1, 0, 0], [0, -1, 0]])
+    assert Mat.from_entries(field, 2, 3, {}) == Mat.zeros(field, 2, 3)
+    assert Mat.from_entries(field, 0, 4, {}) == Mat.zeros(field, 0, 4)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_kron_matches_definition(field):
+    a = Mat(field, [[1, 2], [0, -1]])
+    b = Mat(field, [[1, 0, 2]])
+    k = a.kron(b)
+    assert (k.rows, k.cols) == (2, 6)
+    for i, j, r, c in itertools.product(range(2), range(2), range(1), range(3)):
+        assert k[i + r, j * 3 + c] == field.mul(a[i, j], b[r, c])
+
+
+def _independent_matrices(field, rng, count, rows, cols):
+    mats = []
+    while len(mats) < count:
+        cand = Mat(field, rng.integers(-2, 3, size=(rows, cols)))
+        flat = Mat.hstack([m.reshape(rows * cols, 1) for m in mats + [cand]])
+        if flat.rank() == len(mats) + 1:
+            mats.append(cand)
+    return mats
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_matrix_basis_coords_agree_with_solve(field):
+    rng = np.random.default_rng(3)
+    mats = _independent_matrices(field, rng, 4, 2, 3)
+    basis = MatrixBasis(mats)
+    flat = Mat.hstack([m.reshape(6, 1) for m in mats])
+    # pivot rows: leftmost pivots of the transposed family, as the callers chose them before
+    assert basis.rows == flat.transpose().rref()[1]
+    coeffs = Mat(field, rng.integers(-2, 3, size=(4, 3)))
+    targets = flat @ coeffs  # flattened combinations, one per column
+    assert basis.flat_coords(targets) == flat.solve(targets) == coeffs
+    as_mats = [targets.take_cols([c]).reshape(2, 3) for c in range(3)]
+    assert basis.coords(as_mats[1]) == coeffs.take_cols([1])
+    assert basis.coords_many(as_mats) == coeffs
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_matrix_basis_product_coords(field):
+    # upper triangular 2x2 matrices E11, E12, E22: closed under products
+    units = [{(0, 0): 1}, {(0, 1): 1}, {(1, 1): 1}]
+    basis = MatrixBasis([Mat.from_entries(field, 2, 2, u) for u in units])
+    structure = basis.product_coords()
+    assert (structure.rows, structure.cols) == (9, 3)
+    for i, j in itertools.product(range(3), repeat=2):
+        product = basis.mats[i] @ basis.mats[j]
+        assert structure.take_rows([i * 3 + j]).transpose() == basis.coords(product)
