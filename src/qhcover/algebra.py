@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-import sympy
 
 from .fields import Field, PrimeField, QQ, RationalField
 from .linalg import Mat, MatrixBasis, Subspace
@@ -528,6 +527,8 @@ def center_basis(a: Algebra) -> Mat:
 
 
 def _poly_to_sympy(coeffs: list, field: Field, x):
+    import sympy
+
     if isinstance(field, PrimeField):
         return sympy.Poly([int(c) for c in reversed(coeffs)], x, modulus=field.p)
     return sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], x, domain="QQ")
@@ -542,6 +543,8 @@ def _poly_coeffs_from_sympy(poly, field: Field) -> list:
 
 def central_primitive_idempotents(a: Algebra) -> list[Mat]:
     """Primitive central idempotents of a (semisimple, split or not) algebra."""
+    import sympy  # heavy; imported only here and in the _poly_* helpers
+
     x = sympy.Symbol("x")
     field = a.field
     blocks: list[Mat] = [a.one]
@@ -583,6 +586,8 @@ def central_primitive_idempotents(a: Algebra) -> list[Mat]:
 
 
 def _poly_invert(f, g, field: Field, x):
+    import sympy
+
     if isinstance(field, PrimeField):
         return sympy.Poly(sympy.invert(f.as_expr(), g.as_expr(), x, modulus=field.p), x, modulus=field.p)
     return sympy.Poly(sympy.invert(f.as_expr(), g.as_expr(), x), x, domain="QQ")

@@ -24,15 +24,14 @@ from .modules import (
     Module,
     ModuleMap,
     direct_sum,
-    dual,
     end_algebra_with_bimodule,
     hom_module_over_endop,
     hom_space,
     indecomposable_summands,
     is_isomorphic,
     quotient_module,
+    projective_cover_data,
     regular_module,
-    submodule,
 )
 from .qh import QHStructure, RingelDual, ringel_dual
 from .reldim import relative_codomdim, relative_domdim
@@ -233,10 +232,7 @@ def hn_dimension(qh: QHStructure, p: Module, cap: int = 10, random_checks: int =
 
 
 def _is_projective(p: Module) -> bool:
-    from .modules import projective_cover_data
-
-    pres = projective_cover_data(p)
-    return pres.cover.kernel().cols == 0
+    return projective_cover_data(p).syzygy[0].dim == 0
 
 
 def random_delta_filtered(qh: QHStructure, rng: np.random.Generator, layers: int = 3) -> Module:
@@ -257,15 +253,10 @@ def random_delta_filtered(qh: QHStructure, rng: np.random.Generator, layers: int
 
 def _random_extension(qh: QHStructure, lam: int, x: Module, rng: np.random.Generator) -> Module:
     """A pushout extension 0 -> x -> x' -> Delta(lam) -> 0 along a random cocycle."""
-    from .modules import projective_cover_data
-
-    a = qh.algebra
-    field = a.field
+    field = qh.algebra.field
     pres = projective_cover_data(qh.standards[lam])
     p0 = pres.p0.module
-    ker = pres.cover.kernel()
-    kspan = Subspace(field, p0.dim, ker.transpose())
-    kmod, kincl = submodule(p0, kspan)
+    kmod, kincl = pres.syzygy
     homs_k = hom_space(kmod, x)
     if homs_k.dim == 0:
         return direct_sum([x, qh.standards[lam]])[0]

@@ -194,6 +194,8 @@ def GF(p: int) -> PrimeField:
 def field_from_json(obj: dict) -> Field:
     kind = obj.get("kind")
     if kind == "prime":
+        if "p" not in obj:
+            raise ValueError("prime field JSON is missing the key 'p'")
         return GF(int(obj["p"]))
     if kind == "rationals":
         return QQ

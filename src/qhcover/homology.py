@@ -11,16 +11,19 @@ Ext and Tor are computed in slice coordinates: Hom(A e, N) = e N and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from .linalg import Mat, Subspace
+from .linalg import Mat
 from .modules import (
     Module,
     ModuleError,
+    Presentation,
     ProjSum,
+    _hom_values,
+    _slice_spans,
+    _tensor_induced_matrix,
     proj_sum,
     projective_cover_data,
-    right_slice,
-    submodule,
 )
 
 
@@ -84,17 +87,14 @@ class Resolution:
         self.kernels: list = []  # (kernel module, inclusion into P_i)
         self.terminated = False
         self.cap = 0  # largest length bound requested so far
-        self._build_step_zero()
+        self._append(projective_cover_data(module), None)
 
-    def _build_step_zero(self):
-        pres = projective_cover_data(self.module)
+    def _append(self, pres: Presentation, incl: Optional[Mat]) -> None:
+        """Add P_i = pres.p0, reaching P_{i-1} through ``incl`` (None at i = 0)."""
         self.steps.append(pres.p0)
-        self.diffs.append(pres.cover)
-        ker = pres.cover.kernel()
-        kspan = Subspace(self.module.algebra.field, pres.p0.dim, ker.transpose())
-        kmod, kincl = submodule(pres.p0.module, kspan)
-        self.kernels.append((kmod, kincl))
-        if kmod.dim == 0:
+        self.diffs.append(pres.cover if incl is None else incl @ pres.cover)
+        self.kernels.append(pres.syzygy)
+        if pres.syzygy[0].dim == 0:
             self.terminated = True
 
     def length(self) -> int:
@@ -105,15 +105,7 @@ class Resolution:
         self.cap = max(self.cap, length)
         while not self.terminated and self.length() < length:
             kmod, kincl = self.kernels[-1]
-            pres = projective_cover_data(kmod)
-            self.steps.append(pres.p0)
-            self.diffs.append(kincl.matrix @ pres.cover)
-            ker = pres.cover.kernel()
-            kspan = Subspace(self.module.algebra.field, pres.p0.dim, ker.transpose())
-            knext, kinext = submodule(pres.p0.module, kspan)
-            self.kernels.append((knext, kinext))
-            if knext.dim == 0:
-                self.terminated = True
+            self._append(projective_cover_data(kmod), kincl.matrix)
 
     def is_minimal(self) -> bool:
         """Verify im(d_{i+1}) lies inside rad(P_i)."""
@@ -154,16 +146,7 @@ def projective_dimension(m: Module, cap: int = 20) -> DimValue:
 # ---------------------------------------------------------------------------
 
 
-def _hom_slice_space(p: ProjSum, n: Module):
-    """Per-summand slice bases of Hom(P, N) = prod e_j N."""
-    out = []
-    for s in p.summands:
-        span = Subspace.from_columns(n.act(s.idem))
-        out.append(span)
-    return out
-
-
-def _hom_induced_matrix(p_from: ProjSum, p_to: ProjSum, d: Mat, n: Module, spans_from, spans_to) -> Mat:
+def _hom_induced_matrix(d: Mat, p_from: ProjSum, p_to: ProjSum, n: Module, spans_from, spans_to) -> Mat:
     """Matrix of Hom(P_to, N) -> Hom(P_from, N), phi -> phi o d.
 
     ``d`` maps P_from -> P_to; spans_* are slice spans of the two ends.
@@ -173,21 +156,8 @@ def _hom_induced_matrix(p_from: ProjSum, p_to: ProjSum, d: Mat, n: Module, spans
     cols_total = sum(sp.dim for sp in spans_to)
     if rows_total == 0 or cols_total == 0:
         return Mat.zeros(field, rows_total, cols_total)
-    gen_cols = p_from.generator_columns()
     blocks = []
-    for k, s1 in enumerate(p_from.summands):
-        u = d @ gen_cols[k]
-        row_blocks = []
-        for j, s0 in enumerate(p_to.summands):
-            spanj = spans_to[j]
-            if spanj.dim == 0:
-                row_blocks.append(Mat.zeros(field, n.dim, 0))
-                continue
-            uj = u.take_rows(range(s0.offset, s0.offset + s0.dim))
-            v = s0.incl @ uj
-            row_blocks.append(n.act(v) @ spanj.basis.transpose())
-        val = Mat.hstack(row_blocks)  # (n.dim x cols_total): phi(d(gen_k)) as fn of phi
-        spank = spans_from[k]
+    for val, spank in zip(_hom_values(d, p_from, p_to, n, spans_to), spans_from):
         coords = spank.coords(val.transpose())
         if coords is None:
             raise ModuleError("cochain value escaped its slice (internal error)")
@@ -210,7 +180,7 @@ def ext_space(m: Module, n: Module, degree: int, cap: int = 20) -> tuple[int, li
             return res.steps[i]
         return proj_sum(m.algebra, [])  # zero beyond a terminated resolution
 
-    spans = {i: _hom_slice_space(step(i), n) for i in range(max(degree - 1, 0), degree + 2)}
+    spans = {i: _slice_spans(n, step(i)) for i in range(max(degree - 1, 0), degree + 2)}
     dim_i = sum(sp.dim for sp in spans[degree])
     if dim_i == 0:
         return 0, []
@@ -219,10 +189,10 @@ def ext_space(m: Module, n: Module, degree: int, cap: int = 20) -> tuple[int, li
         img_rank = 0
     else:
         d_in = _diff(res, degree)
-        mat_in = _hom_induced_matrix(step(degree), step(degree - 1), d_in, n, spans[degree], spans[degree - 1])
+        mat_in = _hom_induced_matrix(d_in, step(degree), step(degree - 1), n, spans[degree], spans[degree - 1])
         img_rank = mat_in.rank()
     d_out = _diff(res, degree + 1)
-    mat_out = _hom_induced_matrix(step(degree + 1), step(degree), d_out, n, spans[degree + 1], spans[degree])
+    mat_out = _hom_induced_matrix(d_out, step(degree + 1), step(degree), n, spans[degree + 1], spans[degree])
     kermat = mat_out.kernel()
     ext_dim = kermat.cols - img_rank
     return ext_dim, [kermat.take_cols([c]) for c in range(kermat.cols)]
@@ -245,44 +215,6 @@ def ext_dim(m: Module, n: Module, degree: int, cap: int = 20) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _tensor_slice_spans(x: Module, p: ProjSum):
-    return [right_slice(x, s.idem)[1] for s in p.summands]
-
-
-def _tensor_induced_matrix(x: Module, p_from: ProjSum, p_to: ProjSum, d: Mat, spans_from, spans_to) -> Mat:
-    """Matrix of x tensor P_from -> x tensor P_to induced by d."""
-    field = x.algebra.field
-    rows_total = sum(sp.dim for sp in spans_to)
-    cols_total = sum(sp.dim for sp in spans_from)
-    if rows_total == 0 or cols_total == 0:
-        return Mat.zeros(field, rows_total, cols_total)
-    gen_cols = p_from.generator_columns()
-    col_blocks = []
-    for k, s1 in enumerate(p_from.summands):
-        u = d @ gen_cols[k]
-        spank = spans_from[k]
-        if spank.dim == 0:
-            continue
-        wk = spank.basis.transpose()
-        blocks = []
-        for j, s0 in enumerate(p_to.summands):
-            spanj = spans_to[j]
-            if spanj.dim == 0:
-                blocks.append(Mat.zeros(field, 0, wk.cols))
-                continue
-            uj = u.take_rows(range(s0.offset, s0.offset + s0.dim))
-            v = s0.incl @ uj
-            img = x.act(v) @ wk
-            coords = spanj.coords(img.transpose())
-            if coords is None:
-                raise ModuleError("chain value escaped its slice (internal error)")
-            blocks.append(coords.transpose())
-        col_blocks.append(Mat.vstack(blocks) if blocks else Mat.zeros(field, rows_total, wk.cols))
-    if not col_blocks:
-        return Mat.zeros(field, rows_total, 0)
-    return Mat.hstack(col_blocks)
-
-
 def tor_dim(x: Module, y: Module, degree: int, cap: int = 20) -> int:
     """dim Tor_i^B(x, y) where x is a right B-module given over opposite(B)."""
     if degree < 0:
@@ -302,14 +234,14 @@ def tor_dim(x: Module, y: Module, degree: int, cap: int = 20) -> int:
             return res.steps[i]
         return proj_sum(y.algebra, [])
 
-    spans = {i: _tensor_slice_spans(x, step(i)) for i in range(max(degree - 1, 0), degree + 2)}
+    spans = {i: _slice_spans(x, step(i)) for i in range(max(degree - 1, 0), degree + 2)}
     dim_i = sum(sp.dim for sp in spans[degree])
     if dim_i == 0:
         return 0
     if degree == 0:
         ker_dim = dim_i
     else:
-        mat_out = _tensor_induced_matrix(x, step(degree), step(degree - 1), _diff(res, degree), spans[degree], spans[degree - 1])
+        mat_out = _tensor_induced_matrix(x, _diff(res, degree), step(degree), step(degree - 1), spans[degree], spans[degree - 1])
         ker_dim = mat_out.kernel().cols
-    mat_in = _tensor_induced_matrix(x, step(degree + 1), step(degree), _diff(res, degree + 1), spans[degree + 1], spans[degree])
+    mat_in = _tensor_induced_matrix(x, _diff(res, degree + 1), step(degree + 1), step(degree), spans[degree + 1], spans[degree])
     return ker_dim - mat_in.rank()

@@ -369,15 +369,19 @@ def proj_sum(a: Algebra, class_indices: Sequence[int]) -> ProjSum:
 
 
 class Presentation:
-    """Projective presentation P1 -> P0 -> M -> 0 with a linear section of the cover."""
+    """Projective presentation P1 -> P0 -> M -> 0 with a linear section of the cover.
 
-    def __init__(self, module, p0: ProjSum, cover: Mat, section: Mat, p1: ProjSum, d1: Mat):
+    ``syzygy`` is the first syzygy ker(cover) as (module, inclusion into P0).
+    """
+
+    def __init__(self, module, p0: ProjSum, cover: Mat, section: Mat, p1: ProjSum, d1: Mat, syzygy: tuple):
         self.module = module
         self.p0 = p0
         self.cover = cover  # (M.dim x P0.dim), surjective
         self.section = section  # (P0.dim x M.dim), cover @ section = id
         self.p1 = p1
         self.d1 = d1  # (P0.dim x P1.dim), image = ker(cover)
+        self.syzygy: tuple[Module, ModuleMap] = syzygy
 
 
 def _top_class_generators(m: Module) -> list[tuple[int, Mat]]:
@@ -421,7 +425,7 @@ def projective_cover_data(m: Module) -> Presentation:
     if kcover.rank() != kmod.dim:
         raise ModuleError("syzygy cover is not surjective")
     d1 = kincl.matrix @ kcover
-    pres = Presentation(m, p0, cover, section, p1, d1)
+    pres = Presentation(m, p0, cover, section, p1, d1, (kmod, kincl))
     m._presentation = pres
     return pres
 
@@ -477,51 +481,54 @@ class HomSpace:
         return ModuleMap(self.source, self.target, acc)
 
 
-def _slice_basis(n: Module, e: Mat) -> Mat:
-    """Columns spanning e . N."""
-    return Subspace.from_columns(n.act(e)).basis.transpose()
+def _slice_spans(n: Module, p: ProjSum) -> list[Subspace]:
+    """The slices e_j . N of P's summands: Hom(P, N) is their product and,
+    for a right module N, N tensor P their sum."""
+    return [Subspace.from_columns(n.act(s.idem)) for s in p.summands]
 
 
-def _slice_block(n: Module, v: Mat, w: Mat) -> Mat:
-    """rho_N(v) @ w for an algebra element v and slice basis w."""
-    return n.act(v) @ w
+def _component(u: Mat, s: ProjSummand) -> Mat:
+    """The block of a column u of P on the summand s, as an element of A."""
+    return s.incl @ u.take_rows(range(s.offset, s.offset + s.dim))
+
+
+def _hom_values(d: Mat, p_from: ProjSum, p_to: ProjSum, n: Module, spans_to: list[Subspace]) -> list[Mat]:
+    """For each generator g_k of P_from, the (N.dim x total slice width)
+    block phi -> phi(d g_k) for phi in Hom(P_to, N) in slice coordinates.
+
+    ``d`` maps P_from -> P_to; zero-dimensional slices contribute no columns.
+    """
+    field = n.algebra.field
+    bases = [span.basis.transpose() for span in spans_to]
+    values = []
+    for g in p_from.generator_columns():
+        u = d @ g
+        blocks = []
+        for s, w in zip(p_to.summands, bases):
+            blocks.append(n.act(_component(u, s)) @ w if w.cols else Mat.zeros(field, n.dim, 0))
+        values.append(Mat.hstack(blocks))
+    return values
 
 
 def hom_space(m: Module, n: Module) -> HomSpace:
     """Basis of Hom_A(M, N) via a projective presentation of M."""
     if m.algebra is not n.algebra:
         raise ModuleError("hom_space: modules over different algebras")
-    a = m.algebra
-    field = a.field
     if m.dim == 0 or n.dim == 0:
         return HomSpace(m, n, [])
     pres = projective_cover_data(m)
-    slices = [_slice_basis(n, s.idem) for s in pres.p0.summands]
-    widths = [w.cols for w in slices]
-    total_w = sum(widths)
+    spans = _slice_spans(n, pres.p0)
+    total_w = sum(sp.dim for sp in spans)
     if total_w == 0:
         return HomSpace(m, n, [])
-    # constraints: for each generator of P1, evaluation of phi at d1(gen) vanishes
-    constraints = []
-    gen_cols = pres.p1.generator_columns()
-    for k, g in enumerate(gen_cols):
-        u = pres.d1 @ g  # column in P0
-        row_blocks = []
-        for s, w in zip(pres.p0.summands, slices):
-            uj = u.take_rows(range(s.offset, s.offset + s.dim))
-            v = s.incl @ uj  # element of A
-            row_blocks.append(_slice_block(n, v, w) if w.cols else Mat.zeros(field, n.dim, 0))
-        constraints.append(Mat.hstack(row_blocks))
-    if constraints:
-        sys = Mat.vstack(constraints)
-        sol = sys.kernel()  # (total_w x h)
-    else:
-        sol = Mat.identity(field, total_w)
-    maps = _extract_hom_matrices(pres, n, slices, sol)
+    # phi vanishes on d1(gen) for each generator of P1
+    values = _hom_values(pres.d1, pres.p1, pres.p0, n, spans)
+    sol = Mat.vstack(values).kernel() if values else Mat.identity(m.algebra.field, total_w)  # (total_w x h)
+    maps = _extract_hom_matrices(pres, n, spans, sol)
     return HomSpace(m, n, [ModuleMap(m, n, f) for f in maps])
 
 
-def _extract_hom_matrices(pres: Presentation, n: Module, slices: list[Mat], sol: Mat) -> list[Mat]:
+def _extract_hom_matrices(pres: Presentation, n: Module, spans: list[Subspace], sol: Mat) -> list[Mat]:
     """Convert slice-coordinate solutions into (N.dim x M.dim) matrices."""
     a = pres.module.algebra
     field = a.field
@@ -531,13 +538,13 @@ def _extract_hom_matrices(pres: Presentation, n: Module, slices: list[Mat], sol:
         return []
     out = [Mat.zeros(field, n.dim, m_dim) for _ in range(h)]
     offset = 0
-    for s, w in zip(pres.p0.summands, slices):
-        hw = w.cols
+    for s, span in zip(pres.p0.summands, spans):
+        hw = span.dim
         if hw == 0:
             continue
-        wsol = w @ sol.take_rows(range(offset, offset + hw))  # (n.dim x h): images of gen j
+        wsol = span.basis.transpose() @ sol.take_rows(range(offset, offset + hw))  # (n.dim x h): images of gen j
         # lifted section slice: element of A for each basis vector of M
-        lift = s.incl @ pres.section.take_rows(range(s.offset, s.offset + s.dim))  # (A.dim x m_dim)
+        lift = _component(pres.section, s)  # (A.dim x m_dim)
         if isinstance(field, PrimeField):
             stack = n.stack()
             y = np.einsum("aij,jh->aih", stack, wsol.data, optimize=True) % field.p
@@ -776,162 +783,82 @@ def hom_module_over_endop(q: Module, m: Module) -> tuple[Module, list[ModuleMap]
     return Module(b, action, name=f"Hom({q.name},{m.name})" if q.name or m.name else ""), hs.maps
 
 
-def right_slice(x: Module, e: Mat) -> tuple[Mat, Subspace]:
-    """x . e for a right module x (stored over B^op) and idempotent e of B."""
-    mat = x.act(e)
-    span = Subspace.from_columns(mat)
-    return span.basis.transpose(), span
-
-
-class TensorData:
-    """x tensor_B y computed from a projective presentation of y.
-
-    ``slice_maps`` realize x tensor B e_j = x.e_j; the tensor space is the
-    cokernel of ``relation_matrix`` inside the direct sum of the slices.
-    """
-
-    def __init__(self, dim: int, slice_info, relation_matrix: Mat, total_dim: int, module=None, proj=None):
-        self.dim = dim
-        self.slice_info = slice_info
-        self.relation_matrix = relation_matrix
-        self.total_dim = total_dim
-        self.module = module  # induced A-module when x is a bimodule
-        self.proj = proj
-
-
-def tensor_over(x: Module, y: Module, left_structure: Optional[Module] = None) -> TensorData:
-    """Balanced tensor product of a right B-module with a left B-module.
-
-    ``x`` must be the left opposite(B)-encoding of the right module.  When
-    ``left_structure`` carries a commuting left A-action on the same space
-    as x, the result includes the induced A-module.
-    """
-    bop = x.algebra
-    b = y.algebra
-    if opposite(b) is not bop:
-        raise ModuleError("tensor_over: algebras do not match (x over opposite(B), y over B)")
-    field = b.field
-    pres = projective_cover_data(y)
-    slices = []
-    offsets = []
-    total = 0
-    for s in pres.p0.summands:
-        w, span = right_slice(x, s.idem)
-        slices.append((w, span))
-        offsets.append(total)
-        total += span.dim
-    blocks_rows = []
-    gen_cols = pres.p1.generator_columns()
-    rel_cols = []
-    for k, s1 in enumerate(pres.p1.summands):
-        g = gen_cols[k]
-        u = pres.d1 @ g
-        wk, spank = right_slice(x, s1.idem)
-        if wk.cols == 0:
+def _tensor_induced_matrix(
+    x: Module, d: Mat, p_from: ProjSum, p_to: ProjSum, spans_from: list[Subspace], spans_to: list[Subspace]
+) -> Mat:
+    """Matrix of x tensor P_from -> x tensor P_to induced by d: P_from -> P_to."""
+    field = x.algebra.field
+    rows_total = sum(sp.dim for sp in spans_to)
+    cols_total = sum(sp.dim for sp in spans_from)
+    if rows_total == 0 or cols_total == 0:
+        return Mat.zeros(field, rows_total, cols_total)
+    gen_cols = p_from.generator_columns()
+    col_blocks = []
+    for k, spank in enumerate(spans_from):
+        if spank.dim == 0:
             continue
-        col_blocks = []
-        for j, s0 in enumerate(pres.p0.summands):
-            uj = u.take_rows(range(s0.offset, s0.offset + s0.dim))
-            v = s0.incl @ uj  # element of B
-            wj, spanj = slices[j]
+        u = d @ gen_cols[k]
+        wk = spank.basis.transpose()
+        blocks = []
+        for s0, spanj in zip(p_to.summands, spans_to):
             if spanj.dim == 0:
-                col_blocks.append(Mat.zeros(field, 0, wk.cols))
+                blocks.append(Mat.zeros(field, 0, wk.cols))
                 continue
-            img = x.act(v) @ wk  # x.f_k -> x.e_j, columns in x-space
-            coords = spanj.coords(img.transpose())
+            coords = spanj.coords((x.act(_component(u, s0)) @ wk).transpose())
             if coords is None:
-                raise ModuleError("tensor slice map left its target slice")
-            col_blocks.append(coords.transpose())
-        rel_cols.append(Mat.vstack(col_blocks) if col_blocks else Mat.zeros(field, total, wk.cols))
-    relation = Mat.hstack(rel_cols) if rel_cols else Mat.zeros(field, total, 0)
-    dim = total - relation.rank()
-    module = None
-    proj = None
-    if left_structure is not None:
-        # assemble the direct sum of slices as an A-module and take the cokernel
-        amods = []
-        for (w, span) in slices:
-            sub, _ = submodule(left_structure, span)
-            amods.append(sub)
-        if amods:
-            summod, injs, _ = direct_sum(amods) if len(amods) > 1 else (amods[0], None, None)
-            quot, projmap = quotient_module(summod, Subspace.from_columns(relation))
-            module = quot
-            proj = projmap
-        else:
-            module = zero_module(left_structure.algebra)
-    return TensorData(dim, slices, relation, total, module=module, proj=proj)
+                raise ModuleError("chain value escaped its slice (internal error)")
+            blocks.append(coords.transpose())
+        col_blocks.append(Mat.vstack(blocks))
+    return Mat.hstack(col_blocks)
+
+
+def tensor_over(x: Module, y: Module) -> int:
+    """dim of the balanced tensor product of a right B-module with a left B-module.
+
+    ``x`` must be the left opposite(B)-encoding of the right module.  The
+    tensor space is the cokernel of x tensor P1 -> x tensor P0 for a
+    presentation of y.
+    """
+    if opposite(y.algebra) is not x.algebra:
+        raise ModuleError("tensor_over: algebras do not match (x over opposite(B), y over B)")
+    pres = projective_cover_data(y)
+    spans = _slice_spans(x, pres.p0)
+    relation = _tensor_induced_matrix(x, pres.d1, pres.p1, pres.p0, _slice_spans(x, pres.p1), spans)
+    return sum(sp.dim for sp in spans) - relation.rank()
 
 
 class CounitData:
     """The counit chi_m: q tensor_B Hom_A(q, m) -> m, in presentation form."""
 
-    def __init__(self, surjective: bool, bijective: bool, b: Algebra, hom_module: Module, composite: Mat, relation_rank: int):
+    def __init__(self, surjective: bool, bijective: bool, b: Algebra, hom_module: Module):
         self.surjective = surjective
         self.bijective = bijective
         self.b = b
         self.hom_module = hom_module
-        self.composite = composite
-        self.relation_rank = relation_rank
 
 
 def counit_analysis(q: Module, m: Module) -> CounitData:
     """Surjectivity/bijectivity of the evaluation map q tensor_B Hom(q, m) -> m."""
-    b, bim, end_basis = end_algebra_with_bimodule(q)
-    field = q.algebra.field
+    b, bim, _ = end_algebra_with_bimodule(q)
     hmod, hom_basis = hom_module_over_endop(q, m)
     if hmod.dim == 0:
-        return CounitData(m.dim == 0, m.dim == 0, b, hmod, Mat.zeros(field, m.dim, 0), 0)
+        return CounitData(m.dim == 0, m.dim == 0, b, hmod)
     pres = projective_cover_data(hmod)
     x = bim.right  # q as left module over opposite(B)
-    slices = []
-    total = 0
-    comp_blocks = []
-    gen_cols0 = pres.p0.generator_columns()
-    for j, s in enumerate(pres.p0.summands):
-        w, span = right_slice(x, s.idem)
-        slices.append((w, span))
-        total += span.dim
-        hj = pres.cover @ gen_cols0[j]  # element of Hom(q,m) in hom-basis coords
-        hmat = Mat.zeros(field, m.dim, q.dim)
-        for kk in range(len(hom_basis)):
-            c = hj[kk, 0]
-            if c != 0:
-                hmat = hmat + hom_basis[kk].matrix.scale(c)
-        comp_blocks.append(hmat @ w)
-    composite = Mat.hstack(comp_blocks) if comp_blocks else Mat.zeros(field, m.dim, 0)
-    # relation image: q tensor (image of d1)
-    rel_rank = 0
-    rel_cols = []
-    gen_cols1 = pres.p1.generator_columns()
-    for k, s1 in enumerate(pres.p1.summands):
-        g = gen_cols1[k]
-        u = pres.d1 @ g
-        wk, spank = right_slice(x, s1.idem)
-        if wk.cols == 0:
-            continue
-        col_blocks = []
-        for j, s0 in enumerate(pres.p0.summands):
-            uj = u.take_rows(range(s0.offset, s0.offset + s0.dim))
-            v = s0.incl @ uj
-            wj, spanj = slices[j]
-            if spanj.dim == 0:
-                col_blocks.append(Mat.zeros(field, 0, wk.cols))
-                continue
-            img = x.act(v) @ wk
-            coords = spanj.coords(img.transpose())
-            if coords is None:
-                raise ModuleError("counit slice map left its target slice")
-            col_blocks.append(coords.transpose())
-        rel_cols.append(Mat.vstack(col_blocks))
-    relation = Mat.hstack(rel_cols) if rel_cols else Mat.zeros(field, total, 0)
+    spans = _slice_spans(x, pres.p0)
+    # evaluation on x tensor P0: the slice x.e_j goes to m through the image of generator j
+    composite = Mat.hstack(
+        [
+            end_element_matrix(hom_basis, pres.cover @ g) @ span.basis.transpose()
+            for g, span in zip(pres.p0.generator_columns(), spans)
+        ]
+    )
+    relation = _tensor_induced_matrix(x, pres.d1, pres.p1, pres.p0, _slice_spans(x, pres.p1), spans)
     if relation.cols and not (composite @ relation).is_zero():
         raise ModuleError("counit relations do not die under evaluation (internal error)")
-    rel_rank = relation.rank()
     surjective = composite.rank() == m.dim
-    ker_dim = composite.kernel().cols
-    bijective = surjective and (ker_dim == rel_rank)
-    return CounitData(surjective, bijective, b, hmod, composite, rel_rank)
+    bijective = surjective and composite.kernel().cols == relation.rank()
+    return CounitData(surjective, bijective, b, hmod)
 
 
 def hom_into_q_as_right_module(q: Module, m: Module) -> tuple[Module, list[ModuleMap]]:

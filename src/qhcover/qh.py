@@ -289,13 +289,10 @@ def _universal_extension(qh: QHStructure, mu: int, x: Module, incl: Mat, e: int)
     ``incl`` tracks the embedding of the original standard module; returns
     the new module and updated embedding matrix.
     """
-    a = qh.algebra
-    field = a.field
+    field = qh.algebra.field
     pres = projective_cover_data(qh.standards[mu])
     p0 = pres.p0.module
-    ker = pres.cover.kernel()
-    kspan = Subspace(field, p0.dim, ker.transpose())
-    kmod, kincl = submodule(p0, kspan)
+    kmod, kincl = pres.syzygy
     homs_k = hom_space(kmod, x)
     homs_p = hom_space(p0, x)
     # restriction Hom(P0, x) -> Hom(K, x); Ext^1 classes = cokernel representatives

@@ -27,6 +27,13 @@ def _coeff_str(field: Field, x) -> str:
     return field.to_str(x)
 
 
+def _get(obj, key: str, kind: str):
+    """obj[key], or a SerializeError naming the missing key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise SerializeError(f"{kind} JSON is missing the key {key!r}")
+    return obj[key]
+
+
 def algebra_to_json(a: Algebra) -> dict:
     triplets = []
     for i in range(a.dim):
@@ -44,14 +51,14 @@ def algebra_to_json(a: Algebra) -> dict:
 
 
 def algebra_from_json(obj: dict) -> Algebra:
-    field = field_from_json(obj["field"])
-    dim = int(obj["dim"])
+    field = field_from_json(_get(obj, "field", "algebra"))
+    dim = int(_get(obj, "dim", "algebra"))
     entries = {}
-    for i, j, k, c in obj["mult"]:
+    for i, j, k, c in _get(obj, "mult", "algebra"):
         if not all(isinstance(x, int) and 0 <= x < dim for x in (i, j, k)):
             raise SerializeError(f"structure constant index ({i}, {j}, {k}) out of range for dim {dim}")
         entries[i * dim + j, k] = field.parse(str(c))
-    one = [field.parse(str(c)) for c in obj["one"]]
+    one = [field.parse(str(c)) for c in _get(obj, "one", "algebra")]
     return from_structure_constants(field, dim, Mat.from_entries(field, dim * dim, dim, entries), one)
 
 
@@ -96,10 +103,12 @@ def module_from_json(obj: dict, algebra: Algebra | None = None, base_dir: Path |
         else:
             algebra = algebra_from_json(ref)
     field = algebra.field
-    dim = int(obj["dim"])
+    dim = int(_get(obj, "dim", "module"))
     action = []
-    for g in obj["action"]:
+    for g in _get(obj, "action", "module"):
         if g and not isinstance(g[0], list):  # flat row-major
+            if len(g) != dim * dim:
+                raise SerializeError(f"flat action matrix has {len(g)} entries, need dim^2 = {dim * dim}")
             rows = [[field.parse(str(g[i * dim + j])) for j in range(dim)] for i in range(dim)]
         else:
             rows = [[field.parse(str(x)) for x in row] for row in g]
@@ -110,10 +119,18 @@ def module_from_json(obj: dict, algebra: Algebra | None = None, base_dir: Path |
 
 
 def poset_from_json(obj: dict, algebra: Algebra) -> WeightPoset:
-    prim = algebra.primitive_idempotents()
-    idems = [prim.idempotents[int(k)] for k in obj["simple_of"]]
-    pairs = [tuple(p) for p in obj["less_than"]]
-    return WeightPoset([str(x) for x in obj["labels"]], pairs, idems)
+    labels = [str(x) for x in _get(obj, "labels", "poset")]
+    prim = algebra.primitive_idempotents().idempotents
+    simple_of = _get(obj, "simple_of", "poset")
+    for k in simple_of:
+        if not (isinstance(k, int) and 0 <= k < len(prim)):
+            raise SerializeError(f"simple_of index {k!r} out of range for {len(prim)} primitive idempotents")
+    pairs = []
+    for p in _get(obj, "less_than", "poset"):
+        if not (isinstance(p, list) and len(p) == 2 and all(isinstance(i, int) and 0 <= i < len(labels) for i in p)):
+            raise SerializeError(f"less_than entry {p!r} is not a pair of label indices below {len(labels)}")
+        pairs.append(tuple(p))
+    return WeightPoset(labels, pairs, [prim[k] for k in simple_of])
 
 
 def content_hash(obj) -> str:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qhcover.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main
+from qhcover.cli import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main
 from qhcover.fields import GF, QQ
 from qhcover.gallery import build_am
 from qhcover.serialize import (
@@ -114,6 +114,65 @@ def test_cli_rejects_out_of_range_structure_constant(tmp_path, capsys, index):
     assert "out of range" in capsys.readouterr().err
 
 
+def _am2_input_files(tmp_path, algebra=None, module=None, poset=None):
+    """A_2 over GF(3) as algebra, module (P(2)) and poset files, each optionally edited."""
+    g = build_am(2, F3)
+    blobs = {
+        "algebra.json": algebra_to_json(g.algebra),
+        "module.json": module_to_json(g.qh.projectives[1], algebra_ref="algebra.json"),
+        "poset.json": {"labels": ["1", "2"], "less_than": [[1, 0]], "simple_of": [0, 1]},
+    }
+    for name, edit in (("algebra.json", algebra), ("module.json", module), ("poset.json", poset)):
+        if edit is not None:
+            edit(blobs[name])
+        (tmp_path / name).write_text(json.dumps(blobs[name]))
+    return {name.split(".")[0]: str(tmp_path / name) for name in blobs}
+
+
+def _qh_verify_argv(files):
+    return ["qh-verify", "--algebra", files["algebra"], "--poset", files["poset"]]
+
+
+def _relcodomdim_argv(files):
+    return ["relcodomdim", "--algebra", files["algebra"], "--wrt", files["module"], "--module", files["module"], "--method", "mueller"]
+
+
+@pytest.mark.parametrize(
+    "simple_of, less_than",
+    [([0, 5], [[1, 0]]), ([0, -1], [[1, 0]]), ([0, 1], [[0, 7]])],
+    ids=["simple_of-too-large", "simple_of-negative", "less_than-too-large"],
+)
+def test_cli_rejects_out_of_range_poset_index(tmp_path, capsys, simple_of, less_than):
+    files = _am2_input_files(tmp_path, poset=lambda p: p.update(simple_of=simple_of, less_than=less_than))
+    assert main(_qh_verify_argv(files)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "out of range" in err or "not a pair of label indices" in err
+
+
+def _shorten_flat_action(blob):
+    blob["action"] = [sum(rows, [])[:-1] for rows in blob["action"]]
+
+
+@pytest.mark.parametrize(
+    "argv, edit, message",
+    [
+        (_qh_verify_argv, {"algebra": lambda a: a.pop("field")}, "'field'"),
+        (_qh_verify_argv, {"algebra": lambda a: a.pop("one")}, "'one'"),
+        (_qh_verify_argv, {"algebra": lambda a: a["field"].pop("p")}, "'p'"),
+        (_qh_verify_argv, {"poset": lambda p: p.pop("less_than")}, "'less_than'"),
+        (_relcodomdim_argv, {"module": lambda m: m.pop("dim")}, "'dim'"),
+        (_relcodomdim_argv, {"module": lambda m: m.pop("action")}, "'action'"),
+        (_relcodomdim_argv, {"module": _shorten_flat_action}, "entries, need dim^2"),
+    ],
+    ids=["algebra-field", "algebra-one", "field-p", "poset-less_than", "module-dim", "module-action", "module-short-flat-action"],
+)
+def test_cli_malformed_json_is_input_error(tmp_path, capsys, argv, edit, message):
+    files = _am2_input_files(tmp_path, **edit)
+    assert main(argv(files)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
 def test_cli_gallery_manifest_and_file_inputs(tmp_path, capsys):
     rc = main(["gallery", "--gallery", "am", "--m", "2", "--p", "3", "--out", str(tmp_path)])
     assert rc == EXIT_OK
@@ -134,11 +193,13 @@ def test_cli_qh_verify_schur(capsys):
 
 
 def test_cli_strict_inconclusive(capsys):
-    # tilting wrt tilting is Infinite (conclusive); use a cap-limited case instead:
-    # GF(2) dual numbers give AtLeast under a small cap through reldomdim? use
-    # the simplest: relcodomdim with cap 2 on a value >= 2 instance
-    rc = main(["relcodomdim", "--gallery", "am", "--m", "2", "--p", "3", "--wrt", "P(2)", "--module", "Nabla(1)", "--cap", "2", "--strict"])
-    assert rc in (EXIT_OK, 4)
+    # codomdim of Nabla(1) wrt P(2) reaches the cap 2: AtLeast(2), which only
+    # --strict turns into a nonzero exit
+    argv = ["relcodomdim", "--gallery", "am", "--m", "2", "--p", "3", "--wrt", "P(2)", "--module", "Nabla(1)", "--cap", "2"]
+    assert main(argv + ["--strict"]) == EXIT_INCONCLUSIVE
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert "AtLeast(2)" in capsys.readouterr().out
 
 
 def test_poset_json_roundtrip():

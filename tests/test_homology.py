@@ -74,6 +74,18 @@ def test_nonterminating_resolution_capped():
         assert res.steps[i].dim == 2
 
 
+def test_resolution_kernels_are_presentation_syzygies():
+    # every kernel of the resolution is the syzygy its presentation already built
+    from qhcover.modules import projective_cover_data
+
+    simple = top(regular_module(gf2_dual_numbers()))[0]
+    res = minimal_projective_resolution(simple, 3)
+    assert len(res.kernels) == 4
+    assert res.kernels[0] is projective_cover_data(simple).syzygy
+    for prev, nxt in zip(res.kernels, res.kernels[1:]):
+        assert nxt is projective_cover_data(prev[0]).syzygy
+
+
 def test_ext0_is_hom(a2_gf3):
     mods = indec_projectives(a2_gf3) + [top(p)[0] for p in indec_projectives(a2_gf3)]
     for m in mods:
@@ -121,8 +133,7 @@ def test_tor0_matches_tensor_dim(a2_gf3):
     s2 = top(p2)[0]
     b, bim, _ = end_algebra_with_bimodule(p2)
     h, _ = hom_module_over_endop(p2, s2)
-    td = tensor_over(bim.right, h)
-    assert tor_dim(bim.right, h, 0) == td.dim
+    assert tor_dim(bim.right, h, 0) == tensor_over(bim.right, h)
 
 
 def test_ext_tor_duality_random(a2_gf3):
