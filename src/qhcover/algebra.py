@@ -23,6 +23,7 @@ import numpy as np
 
 from .fields import Field, PrimeField, QQ, RationalField
 from .linalg import Mat, MatrixBasis, Subspace
+from .memo import memo, share
 
 
 class AlgebraError(ValueError):
@@ -64,11 +65,6 @@ class Algebra:
         self.one = one
         self.provenance = provenance
         self._rep = rep
-        self._left_stack: Optional[np.ndarray] = None
-        self._radical: Optional[Subspace] = None
-        self._prim: Optional[PrimitiveDecomposition] = None
-        self._gens: Optional[list[int]] = None
-        self._op_link: Optional["Algebra"] = None
 
     # -- basic element arithmetic -----------------------------------------
     def basis_element(self, i: int) -> Mat:
@@ -142,9 +138,7 @@ class Algebra:
         return [self.left_mult_matrix(self.basis_element(i)) for i in range(self.dim)]
 
     def _left_regular_stack(self) -> np.ndarray:
-        if self._left_stack is None:
-            self._left_stack = np.ascontiguousarray(np.transpose(self.mult, (0, 2, 1)))
-        return self._left_stack
+        return memo(self, "_left_stack", lambda: np.ascontiguousarray(np.transpose(self.mult, (0, 2, 1))))
 
     def rep_matrices(self) -> list[Mat]:
         """A faithful representation of the basis (left regular by default)."""
@@ -155,8 +149,9 @@ class Algebra:
     # -- generators ---------------------------------------------------------
     def generator_indices(self) -> list[int]:
         """Indices of a small basis subset generating A as unital algebra."""
-        if self._gens is not None:
-            return self._gens
+        return memo(self, "_gens", self._generator_indices)
+
+    def _generator_indices(self) -> list[int]:
         n = self.dim
         span = Subspace(self.field, n, self.one.transpose())
         gens: list[int] = []
@@ -172,7 +167,6 @@ class Algebra:
                 if newspan.dim == span.dim:
                     break
                 span = newspan
-        self._gens = gens
         return gens
 
     def generator_elements(self) -> list[Mat]:
@@ -200,32 +194,11 @@ class Algebra:
     # -- radical ---------------------------------------------------------------
     def radical_subspace(self) -> Subspace:
         """The Jacobson radical as a subspace of coordinate space (cached)."""
-        if self._radical is not None:
-            return self._radical
-        if self._op_link is not None and self._op_link._radical is not None:
-            self._radical = self._op_link._radical
-            return self._radical
-        if isinstance(self.field, RationalField):
-            rad = _radical_trace_form(self)
-        else:
-            rad = _radical_gfp_layers(self)
-        _assert_nilpotent_ideal(self, rad)
-        self._radical = rad
-        if self._op_link is not None:
-            self._op_link._radical = rad
-        return rad
+        return memo(self, "_radical", lambda: _radical(self))
 
     # -- primitive idempotents ---------------------------------------------------
     def primitive_idempotents(self) -> "PrimitiveDecomposition":
-        if self._prim is not None:
-            return self._prim
-        if self._op_link is not None and self._op_link._prim is not None:
-            self._prim = self._op_link._prim
-            return self._prim
-        self._prim = _primitive_idempotents(self)
-        if self._op_link is not None:
-            self._op_link._prim = self._prim
-        return self._prim
+        return memo(self, "_prim", lambda: _primitive_idempotents(self))
 
 
 class PrimitiveDecomposition:
@@ -268,9 +241,11 @@ def from_structure_constants(field: Field, dim: int, mult, one, provenance: str 
 
 
 def opposite(a: Algebra) -> Algebra:
-    """Opposite algebra: c_op[i][j][k] = c[j][i][k]; caches are shared."""
-    if a._op_link is not None:
-        return a._op_link
+    """Opposite algebra: c_op[i][j][k] = c[j][i][k], with opposite(opposite(a)) is a."""
+    return memo(a, "_op_link", lambda: _opposite(a))
+
+
+def _opposite(a: Algebra) -> Algebra:
     n = a.dim
     mult = a.structure.take_rows([j * n + i for i in range(n) for j in range(n)])
     rep = None
@@ -278,7 +253,10 @@ def opposite(a: Algebra) -> Algebra:
         rep = [m.transpose() for m in a._rep]
     opp = Algebra(a.field, n, mult, a.one, provenance=a.provenance, rep=rep)
     opp._op_link = a
-    a._op_link = opp
+    # A and A^op have one radical and one set of primitive idempotents,
+    # computed by whichever side asks first
+    share(a, opp, "_radical")
+    share(a, opp, "_prim")
     return opp
 
 
@@ -379,6 +357,12 @@ def centralizer_algebra(generators: Sequence[Mat]) -> tuple[Algebra, MatrixBasis
 # ---------------------------------------------------------------------------
 # radical computations
 # ---------------------------------------------------------------------------
+
+
+def _radical(a: Algebra) -> Subspace:
+    rad = _radical_trace_form(a) if isinstance(a.field, RationalField) else _radical_gfp_layers(a)
+    _assert_nilpotent_ideal(a, rad)
+    return rad
 
 
 def _radical_trace_form(a: Algebra) -> Subspace:

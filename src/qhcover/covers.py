@@ -20,6 +20,7 @@ from .algebra import Algebra
 from .fields import PrimeField
 from .homology import DimValue, ext_dim
 from .linalg import Mat, MatrixBasis, Subspace
+from .memo import memo
 from .modules import (
     Module,
     ModuleMap,
@@ -33,7 +34,7 @@ from .modules import (
     projective_cover_data,
     regular_module,
 )
-from .qh import QHStructure, RingelDual, ringel_dual
+from .qh import QHStructure, ringel_dual
 from .reldim import relative_codomdim, relative_domdim
 
 
@@ -311,14 +312,6 @@ class RingelCoverVerdict:
         }
 
 
-def _cached_ringel_dual(qh: QHStructure) -> RingelDual:
-    rd = getattr(qh, "_ringel_cache", None)
-    if rd is None:
-        rd = ringel_dual(qh)
-        qh._ringel_cache = rd
-    return rd
-
-
 def verify_ringel_cover_theorem(qh: QHStructure, q: Module, cap: int = 10, random_checks: int = 0) -> RingelCoverVerdict:
     """Check h = n - 2: cover quality of (R(A), Hom(T, q)) vs Q-codomdim T.
 
@@ -330,7 +323,7 @@ def verify_ringel_cover_theorem(qh: QHStructure, q: Module, cap: int = 10, rando
     _require_partial_tilting(qh, q)
     t = qh.characteristic_tilting()
     n = relative_codomdim(q, t, max(cap + 2, 4)).value
-    rd = _cached_ringel_dual(qh)
+    rd = memo(qh, "_ringel_dual", lambda: ringel_dual(qh))
     pq, _ = hom_module_over_endop(t, q)
     # sanity: End_{R(A)}(Hom(T, q))^op has the dimension of End_A(q)^op
     bq = hom_space(pq, pq).dim

@@ -107,11 +107,11 @@ class PrimeField(Field):
         return int(x) % self.p
 
     def parse(self, s: str):
-        s = s.strip()
-        if "/" in s:
-            num, den = s.split("/")
-            return self.normalize(int(num) * pow(int(den) % self.p, self.p - 2, self.p))
-        return self.normalize(int(s))
+        num, slash, den = s.strip().partition("/")
+        d = int(den) % self.p if slash else 1
+        if d == 0:
+            raise ValueError(f"coefficient {s!r} has a denominator divisible by {self.p}")
+        return self.normalize(int(num) * pow(d, self.p - 2, self.p))
 
     def to_str(self, x) -> str:
         return str(int(x) % self.p)
@@ -153,7 +153,10 @@ class RationalField(Field):
         return as_fraction(x)
 
     def parse(self, s: str):
-        return Fraction(s.strip())
+        try:
+            return Fraction(s.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {s!r} has denominator 0") from None
 
     def to_str(self, x) -> str:
         f = Fraction(x)

@@ -12,13 +12,14 @@ partitions of d with at most n parts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
 from .algebra import Algebra, centralizer_algebra
 from .fields import Field
 from .linalg import Mat, MatrixBasis, Subspace
+from .memo import memo
 from .modules import Module, top
 from .qh import QHStructure, WeightPoset, verify_split_qh
 from .quiver import Arrow, QuiverPresentation, from_quiver
@@ -319,31 +320,30 @@ class SchurGallery:
     matrix_basis: MatrixBasis  # the algebra basis as tensor-space matrices
     weights: list[tuple[int, ...]]
     partitions: list[tuple[int, ...]]
-    _xi: dict = dc_field(default_factory=dict)
-    _poset: Optional[WeightPoset] = None
-    _qh: Optional[QHStructure] = None
 
     def weight_idempotent(self, lam: tuple[int, ...]) -> Mat:
         """xi_lambda in algebra coordinates: projection onto the weight space."""
         lam = tuple(lam)
-        if lam not in self._xi:
-            t_dim = self.tensor_module.dim
-            entries = {(i, i): 1 for i, w in enumerate(self.tensor.words) if weight_of(w, self.n) == lam}
-            self._xi[lam] = _matrix_to_algebra_coords(self, Mat.from_entries(self.field, t_dim, t_dim, entries))
-        return self._xi[lam]
+        return memo(self, f"_xi{lam}", lambda: _weight_idempotent(self, lam))
 
     def poset(self) -> WeightPoset:
-        if self._poset is None:
-            self._poset = _schur_poset(self)
-        return self._poset
+        return memo(self, "_poset", lambda: _schur_poset(self))
 
     def qh(self) -> QHStructure:
-        if self._qh is None:
-            report, qh = verify_split_qh(self.algebra, self.poset())
-            if not report.passed:
-                raise GalleryError(f"Schur algebra failed verification: {report.first_failure()}")
-            self._qh = qh
-        return self._qh
+        return memo(self, "_qh", lambda: _verified_qh(self))
+
+
+def _weight_idempotent(schur: SchurGallery, lam: tuple[int, ...]) -> Mat:
+    t_dim = schur.tensor_module.dim
+    entries = {(i, i): 1 for i, w in enumerate(schur.tensor.words) if weight_of(w, schur.n) == lam}
+    return _matrix_to_algebra_coords(schur, Mat.from_entries(schur.field, t_dim, t_dim, entries))
+
+
+def _verified_qh(schur: SchurGallery) -> QHStructure:
+    report, qh = verify_split_qh(schur.algebra, schur.poset())
+    if not report.passed:
+        raise GalleryError(f"Schur algebra failed verification: {report.first_failure()}")
+    return qh
 
 
 def _matrix_to_algebra_coords(schur: SchurGallery, mat: Mat) -> Mat:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import Mat
+from .memo import memo
 from .modules import (
     Module,
     ModuleError,
@@ -122,10 +123,7 @@ def minimal_projective_resolution(m: Module, cap: int) -> Resolution:
     """Iterated projective covers, cached on the module and extended as needed."""
     if cap < 0:
         raise ValueError("resolution cap must be nonnegative")
-    res = getattr(m, "_resolution", None)
-    if res is None:
-        res = Resolution(m)
-        m._resolution = res
+    res = memo(m, "_resolution", lambda: Resolution(m))
     res.extend_to(cap)
     return res
 

@@ -14,7 +14,6 @@ independent oracle for the tests.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -23,8 +22,7 @@ import numpy as np
 from .algebra import Algebra, algebra_of_matrices, opposite
 from .fields import PrimeField
 from .linalg import Mat, MatrixBasis, Subspace
-
-_DEBUG_VALIDATE = bool(os.environ.get("QHCOVER_DEBUG"))
+from .memo import memo
 
 
 class ModuleError(ValueError):
@@ -34,30 +32,23 @@ class ModuleError(ValueError):
 class Module:
     """Left module over an Algebra: one action matrix per basis element."""
 
-    def __init__(self, algebra: Algebra, action: list[Mat], name: str = "", validate: bool = False):
+    def __init__(self, algebra: Algebra, action: list[Mat], name: str = ""):
         self.algebra = algebra
         self.action = action
         self.dim = action[0].rows if action else 0
         self.name = name
-        self._stack: Optional[np.ndarray] = None
-        self._presentation = None
-        self._dual: Optional[Module] = None
         if len(action) != algebra.dim:
             raise ModuleError("need one action matrix per algebra basis element")
         for m in action:
             if m.rows != self.dim or m.cols != self.dim:
                 raise ModuleError("action matrices must be square of the module dimension")
-        if validate:
-            self.validate()
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"Module(dim={self.dim}{tag})"
 
     def stack(self) -> np.ndarray:
-        if self._stack is None:
-            self._stack = np.stack([m.data for m in self.action])
-        return self._stack
+        return memo(self, "_stack", lambda: np.stack([m.data for m in self.action]))
 
     def act(self, x: Mat) -> Mat:
         """Action matrix of an algebra element (column vector of coords)."""
@@ -97,20 +88,14 @@ class Module:
 
 
 class ModuleMap:
-    """A-linear map stored as a (target.dim x source.dim) matrix.
+    """A-linear map stored as a (target.dim x source.dim) matrix."""
 
-    With QHCOVER_DEBUG set in the environment, every constructed map is
-    re-validated against the intertwining relations.
-    """
-
-    def __init__(self, source: Module, target: Module, matrix: Mat, validate: bool = False):
+    def __init__(self, source: Module, target: Module, matrix: Mat):
         if matrix.rows != target.dim or matrix.cols != source.dim:
             raise ModuleError(f"map shape {matrix.rows}x{matrix.cols} does not match modules")
         self.source = source
         self.target = target
         self.matrix = matrix
-        if validate or _DEBUG_VALIDATE:
-            self.validate()
 
     def validate(self) -> None:
         a = self.source.algebra
@@ -222,13 +207,14 @@ def direct_sum(mods: Sequence[Module], name: str = "") -> tuple[Module, list[Mod
 
 
 def dual(m: Module) -> Module:
-    """Standard duality: left module over the opposite algebra."""
-    if m._dual is None:
-        opp = opposite(m.algebra)
-        d = Module(opp, [g.transpose() for g in m.action], name=f"D({m.name})" if m.name else "")
-        d._dual = m
-        m._dual = d
-    return m._dual
+    """Standard duality: left module over the opposite algebra, with dual(dual(m)) is m."""
+    return memo(m, "_dual", lambda: _dual(m))
+
+
+def _dual(m: Module) -> Module:
+    d = Module(opposite(m.algebra), [g.transpose() for g in m.action], name=f"D({m.name})" if m.name else "")
+    d._dual = m
+    return d
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
@@ -323,12 +309,10 @@ class ProjSum:
 
 def _indec_projective(a: Algebra, class_index: int) -> tuple[Module, Mat, Mat]:
     """A e for the class representative idempotent; returns (module, incl, e)."""
-    cache = getattr(a, "_indec_proj_cache", None)
-    if cache is None:
-        cache = {}
-        a._indec_proj_cache = cache
-    if class_index in cache:
-        return cache[class_index]
+    return memo(a, f"_indec_projective{class_index}", lambda: _build_indec_projective(a, class_index))
+
+
+def _build_indec_projective(a: Algebra, class_index: int) -> tuple[Module, Mat, Mat]:
     prim = a.primitive_idempotents()
     e = prim.idempotents[prim.class_reps[class_index]]
     span = Subspace.from_columns(a.right_mult_matrix(e))  # A e
@@ -344,9 +328,7 @@ def _indec_projective(a: Algebra, class_index: int) -> tuple[Module, Mat, Mat]:
             action.append(coords.transpose())
     else:
         action = submodule(regular_module(a), span)[0].action
-    mod = Module(a, action, name=f"P[{class_index}]")
-    cache[class_index] = (mod, w, e)
-    return cache[class_index]
+    return Module(a, action, name=f"P[{class_index}]"), w, e
 
 
 def proj_sum(a: Algebra, class_indices: Sequence[int]) -> ProjSum:
@@ -405,29 +387,35 @@ def _independent_columns(mat: Mat) -> list[int]:
     return mat.rref()[1]
 
 
+def _cover(m: Module) -> tuple[ProjSum, Mat]:
+    """The minimal projective cover P0 -> M, one summand per basis vector of top(M) (cached)."""
+
+    def build():
+        gens = _top_class_generators(m)
+        p0 = proj_sum(m.algebra, [ci for ci, _ in gens])
+        cover = _evaluation_matrix(p0, m, [v for _, v in gens])
+        if cover.rank() != m.dim:
+            raise ModuleError("projective cover is not surjective (top computation broken)")
+        return p0, cover
+
+    return memo(m, "_cover", build)
+
+
 def projective_cover_data(m: Module) -> Presentation:
-    """Minimal cover plus first syzygy, cached on the module."""
-    if m._presentation is not None:
-        return m._presentation
-    a = m.algebra
-    gens = _top_class_generators(m)
-    p0 = proj_sum(a, [ci for ci, _ in gens])
-    cover = _evaluation_matrix(p0, m, [v for _, v in gens])
-    if cover.rank() != m.dim:
-        raise ModuleError("projective cover is not surjective (top computation broken)")
-    section = cover.solve(Mat.identity(a.field, m.dim))
-    ker = cover.kernel()
-    kspan = Subspace(a.field, p0.dim, ker.transpose())
-    kmod, kincl = submodule(p0.module, kspan)
-    kgens = _top_class_generators(kmod)
-    p1 = proj_sum(a, [ci for ci, _ in kgens])
-    kcover = _evaluation_matrix(p1, kmod, [v for _, v in kgens])
-    if kcover.rank() != kmod.dim:
-        raise ModuleError("syzygy cover is not surjective")
-    d1 = kincl.matrix @ kcover
-    pres = Presentation(m, p0, cover, section, p1, d1, (kmod, kincl))
-    m._presentation = pres
-    return pres
+    """Minimal cover plus first syzygy, cached on the module.
+
+    The syzygy's cover gives P1; its own syzygy waits until it is presented.
+    """
+    return memo(m, "_presentation", lambda: _presentation(m))
+
+
+def _presentation(m: Module) -> Presentation:
+    field = m.algebra.field
+    p0, cover = _cover(m)
+    section = cover.solve(Mat.identity(field, m.dim))
+    kmod, kincl = submodule(p0.module, Subspace(field, p0.dim, cover.kernel().transpose()))
+    p1, kcover = _cover(kmod)
+    return Presentation(m, p0, cover, section, p1, kincl.matrix @ kcover, (kmod, kincl))
 
 
 def _evaluation_matrix(p: ProjSum, n: Module, targets: list[Mat]) -> Mat:
@@ -759,15 +747,13 @@ def end_algebra_with_bimodule(q: Module) -> tuple[Algebra, Bimodule, list[Module
     The right B-action is encoded as a left module over opposite(B), which
     is the plain endomorphism algebra acting by application.
     """
-    cached = getattr(q, "_end_cache", None)
-    if cached is not None:
-        return cached
+    return memo(q, "_end_algebra", lambda: _end_algebra_with_bimodule(q))
+
+
+def _end_algebra_with_bimodule(q: Module) -> tuple[Algebra, Bimodule, list[ModuleMap]]:
     end, basis = endomorphism_algebra(q)
-    b = opposite(end)
     right = Module(end, [f.matrix for f in basis], name=f"{q.name}|B" if q.name else "")
-    bim = Bimodule(left=q, right=right)
-    q._end_cache = (b, bim, basis)
-    return q._end_cache
+    return opposite(end), Bimodule(left=q, right=right), basis
 
 
 def hom_module_over_endop(q: Module, m: Module) -> tuple[Module, list[ModuleMap]]:

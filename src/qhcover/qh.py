@@ -16,6 +16,7 @@ from typing import Optional
 from .algebra import Algebra, opposite, quotient_algebra
 from .homology import ext_dim
 from .linalg import Mat, MatrixBasis, Subspace
+from .memo import memo
 from .modules import (
     Module,
     ModuleMap,
@@ -132,12 +133,6 @@ class QHStructure:
         self.standards: list[Module] = []
         self.std_surjections: list[ModuleMap] = []
         self.std_kernels: list[Module] = []
-        self.costandards: list[Module] = []
-        self.injectives: list[Module] = []
-        self._opposite_structure: Optional["QHStructure"] = None
-        self._tiltings: Optional[list[Module]] = None
-        self._tilting_sequences = None
-        self._char_tilting: Optional[Module] = None
         self.verification: Optional[VerificationReport] = None
         self._build_projectives()
         self._build_standards()
@@ -176,25 +171,23 @@ class QHStructure:
 
     def opposite_structure(self) -> "QHStructure":
         """The same weights over A^op (used for costandards and injectives)."""
-        if self._opposite_structure is None:
-            aop = opposite(self.algebra)
-            pos = WeightPoset(self.poset.labels, list(self.poset.less), self.poset.idempotents)
-            self._opposite_structure = QHStructure(aop, pos)
-        return self._opposite_structure
+        return memo(self, "_opposite", self._build_opposite)
+
+    def _build_opposite(self) -> "QHStructure":
+        aop = opposite(self.algebra)
+        return QHStructure(aop, WeightPoset(self.poset.labels, list(self.poset.less), self.poset.idempotents))
 
     def costandard(self, lam: int) -> Module:
-        if not self.costandards:
-            ops = self.opposite_structure()
-            self.costandards = [dual(d) for d in ops.standards]
-            for i, c in enumerate(self.costandards):
-                c.name = f"Nabla({self.poset.labels[i]})"
-        return self.costandards[lam]
+        return memo(self, "_costandards", self._build_costandards)[lam]
+
+    def _build_costandards(self) -> list[Module]:
+        costandards = [dual(d) for d in self.opposite_structure().standards]
+        for label, c in zip(self.poset.labels, costandards):
+            c.name = f"Nabla({label})"
+        return costandards
 
     def injective(self, lam: int) -> Module:
-        if not self.injectives:
-            ops = self.opposite_structure()
-            self.injectives = [dual(p) for p in ops.projectives]
-        return self.injectives[lam]
+        return memo(self, "_injectives", lambda: [dual(p) for p in self.opposite_structure().projectives])[lam]
 
     def label_count(self) -> int:
         return len(self.poset.labels)
@@ -215,33 +208,26 @@ class QHStructure:
 
     # -- tilting ---------------------------------------------------------------
     def tiltings(self) -> list[Module]:
-        if self._tiltings is None:
-            self._build_tiltings()
-        return self._tiltings
+        return memo(self, "_tiltings", self._build_tiltings)[0]
 
     def tilting_sequences(self):
-        if self._tilting_sequences is None:
-            self._build_tiltings()
-        return self._tilting_sequences
+        return memo(self, "_tiltings", self._build_tiltings)[1]
 
     def characteristic_tilting(self) -> Module:
         return self.characteristic_tilting_data()[0]
 
     def characteristic_tilting_data(self):
         """(T, injections, projections) for the summand decomposition of T."""
-        if self._char_tilting is None:
-            parts = self.tiltings()
-            if len(parts) == 1:
-                ident = Mat.identity(self.algebra.field, parts[0].dim)
-                injs = [ModuleMap(parts[0], parts[0], ident)]
-                projs = [ModuleMap(parts[0], parts[0], ident)]
-                self._char_tilting = (parts[0], injs, projs)
-            else:
-                total, injs, projs = direct_sum(parts, name="T")
-                self._char_tilting = (total, injs, projs)
-        return self._char_tilting
+        return memo(self, "_char_tilting", self._build_char_tilting)
 
-    def _build_tiltings(self) -> None:
+    def _build_char_tilting(self):
+        parts = self.tiltings()
+        if len(parts) == 1:
+            ident = Mat.identity(self.algebra.field, parts[0].dim)
+            return parts[0], [ModuleMap(parts[0], parts[0], ident)], [ModuleMap(parts[0], parts[0], ident)]
+        return direct_sum(parts, name="T")
+
+    def _build_tiltings(self) -> tuple[list[Module], list]:
         tilts: list[Module] = []
         seqs = []
         budget = self.label_count() * max(self.algebra.dim, 1)
@@ -266,8 +252,7 @@ class QHStructure:
             tilt.name = f"T({self.poset.labels[lam]})"
             tilts.append(tilt)
             seqs.append(seq)
-        self._tiltings = tilts
-        self._tilting_sequences = seqs
+        return tilts, seqs
 
     def partial_tilting_combinations(self):
         """All nonempty summand combinations of the characteristic tilting module."""

@@ -20,6 +20,7 @@ from typing import Optional
 from .algebra import Algebra, opposite
 from .homology import DimValue, minimal_projective_resolution, tor_dim
 from .linalg import Mat
+from .memo import memo
 from .modules import (
     Module,
     ModuleMap,
@@ -116,13 +117,9 @@ def left_add_approximation(q: Module, m: Module) -> ModuleMap:
 
 
 def _indec_summand_list(q: Module) -> list[Module]:
-    cached = getattr(q, "_indec_parts", None)
-    if cached is None:
-        from .modules import indecomposable_summands
+    from .modules import indecomposable_summands
 
-        cached = [s for s, _, _ in indecomposable_summands(q)]
-        q._indec_parts = cached
-    return cached
+    return memo(q, "_indec_parts", lambda: [s for s, _, _ in indecomposable_summands(q)])
 
 
 def _split_off_add_q(m: Module, q: Module) -> Module:

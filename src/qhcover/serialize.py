@@ -27,10 +27,12 @@ def _coeff_str(field: Field, x) -> str:
     return field.to_str(x)
 
 
-def _get(obj, key: str, kind: str):
-    """obj[key], or a SerializeError naming the missing key."""
+def _get(obj, key: str, kind: str, want: type | None = None):
+    """obj[key], or a SerializeError naming the key if it is missing or not of type ``want``."""
     if not isinstance(obj, dict) or key not in obj:
         raise SerializeError(f"{kind} JSON is missing the key {key!r}")
+    if want is not None and type(obj[key]) is not want:
+        raise SerializeError(f"{kind} JSON key {key!r} must be of type {want.__name__}, not {obj[key]!r}")
     return obj[key]
 
 
@@ -51,14 +53,17 @@ def algebra_to_json(a: Algebra) -> dict:
 
 
 def algebra_from_json(obj: dict) -> Algebra:
-    field = field_from_json(_get(obj, "field", "algebra"))
-    dim = int(_get(obj, "dim", "algebra"))
+    field = field_from_json(_get(obj, "field", "algebra", dict))
+    dim = _get(obj, "dim", "algebra", int)
     entries = {}
-    for i, j, k, c in _get(obj, "mult", "algebra"):
+    for t in _get(obj, "mult", "algebra", list):
+        if not (isinstance(t, list) and len(t) == 4):
+            raise SerializeError(f"structure constant {t!r} is not [i, j, k, coefficient]")
+        i, j, k, c = t
         if not all(isinstance(x, int) and 0 <= x < dim for x in (i, j, k)):
             raise SerializeError(f"structure constant index ({i}, {j}, {k}) out of range for dim {dim}")
         entries[i * dim + j, k] = field.parse(str(c))
-    one = [field.parse(str(c)) for c in _get(obj, "one", "algebra")]
+    one = [field.parse(str(c)) for c in _get(obj, "one", "algebra", list)]
     return from_structure_constants(field, dim, Mat.from_entries(field, dim * dim, dim, entries), one)
 
 
@@ -103,30 +108,30 @@ def module_from_json(obj: dict, algebra: Algebra | None = None, base_dir: Path |
         else:
             algebra = algebra_from_json(ref)
     field = algebra.field
-    dim = int(_get(obj, "dim", "module"))
+    dim = _get(obj, "dim", "module", int)
     action = []
-    for g in _get(obj, "action", "module"):
-        if g and not isinstance(g[0], list):  # flat row-major
+    for g in _get(obj, "action", "module", list):
+        if isinstance(g, list) and g and not isinstance(g[0], list):  # flat row-major
             if len(g) != dim * dim:
                 raise SerializeError(f"flat action matrix has {len(g)} entries, need dim^2 = {dim * dim}")
-            rows = [[field.parse(str(g[i * dim + j])) for j in range(dim)] for i in range(dim)]
-        else:
-            rows = [[field.parse(str(x)) for x in row] for row in g]
-        action.append(Mat(field, rows, cols=dim))
+            g = [g[i * dim : (i + 1) * dim] for i in range(dim)]
+        if not (isinstance(g, list) and len(g) == dim and all(isinstance(row, list) and len(row) == dim for row in g)):
+            raise SerializeError(f"action matrix {g!r} is not {dim} rows of {dim} entries")
+        action.append(Mat(field, [[field.parse(str(x)) for x in row] for row in g], cols=dim))
     mod = Module(algebra, action)
     mod.validate()
     return mod
 
 
 def poset_from_json(obj: dict, algebra: Algebra) -> WeightPoset:
-    labels = [str(x) for x in _get(obj, "labels", "poset")]
+    labels = [str(x) for x in _get(obj, "labels", "poset", list)]
     prim = algebra.primitive_idempotents().idempotents
-    simple_of = _get(obj, "simple_of", "poset")
+    simple_of = _get(obj, "simple_of", "poset", list)
     for k in simple_of:
         if not (isinstance(k, int) and 0 <= k < len(prim)):
             raise SerializeError(f"simple_of index {k!r} out of range for {len(prim)} primitive idempotents")
     pairs = []
-    for p in _get(obj, "less_than", "poset"):
+    for p in _get(obj, "less_than", "poset", list):
         if not (isinstance(p, list) and len(p) == 2 and all(isinstance(i, int) and 0 <= i < len(labels) for i in p)):
             raise SerializeError(f"less_than entry {p!r} is not a pair of label indices below {len(labels)}")
         pairs.append(tuple(p))

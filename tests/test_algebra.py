@@ -374,3 +374,32 @@ def test_generators_small():
     a = group_algebra_s3(F3)
     gens = a.generator_indices()
     assert 1 <= len(gens) <= 3
+
+
+@pytest.mark.parametrize("order", ["a-before-opposite", "a-after-opposite", "op-first"])
+def test_opposite_pair_computes_radical_and_idempotents_once(monkeypatch, order):
+    from qhcover import algebra
+
+    calls = {"radical": [], "prim": []}
+    for name, key in (("_radical_gfp_layers", "radical"), ("_primitive_idempotents", "prim")):
+        original = getattr(algebra, name)
+
+        def counting(a, original=original, key=key):
+            calls[key].append(a)
+            return original(a)
+
+        monkeypatch.setattr(algebra, name, counting)
+    a = a2_quiver(F3)
+    if order == "a-before-opposite":
+        first = (a.radical_subspace(), a.primitive_idempotents())
+        opp = opposite(a)
+        second = (opp.radical_subspace(), opp.primitive_idempotents())
+    else:
+        opp = opposite(a)
+        x, y = (a, opp) if order == "a-after-opposite" else (opp, a)
+        first = (x.radical_subspace(), x.primitive_idempotents())
+        second = (y.radical_subspace(), y.primitive_idempotents())
+    assert first[0] is second[0] and first[1] is second[1]
+    for key in calls:
+        assert len([b for b in calls[key] if b is a or b is opp]) == 1
+    assert opposite(opposite(a)) is a and opposite(opposite(opp)) is opp

@@ -149,8 +149,23 @@ def test_cli_rejects_out_of_range_poset_index(tmp_path, capsys, simple_of, less_
     assert "out of range" in err or "not a pair of label indices" in err
 
 
+def _domdim_argv(files):
+    return ["domdim", "--algebra", files["algebra"]]
+
+
 def _shorten_flat_action(blob):
     blob["action"] = [sum(rows, [])[:-1] for rows in blob["action"]]
+
+
+def _first_coefficient(value, field=None):
+    """Edit: the first structure constant's coefficient becomes ``value`` (over ``field`` if given)."""
+
+    def edit(blob):
+        blob["mult"][0][3] = value
+        if field is not None:
+            blob["field"] = field
+
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -163,8 +178,21 @@ def _shorten_flat_action(blob):
         (_relcodomdim_argv, {"module": lambda m: m.pop("dim")}, "'dim'"),
         (_relcodomdim_argv, {"module": lambda m: m.pop("action")}, "'action'"),
         (_relcodomdim_argv, {"module": _shorten_flat_action}, "entries, need dim^2"),
+        (_domdim_argv, {"algebra": _first_coefficient("1/3")}, "'1/3'"),
+        (_domdim_argv, {"algebra": _first_coefficient("1/0", field={"kind": "rationals"})}, "'1/0'"),
+        (_domdim_argv, {"algebra": lambda a: a.update(mult=5)}, "'mult'"),
+        (_domdim_argv, {"algebra": lambda a: a.update(one=5)}, "'one'"),
+        (_domdim_argv, {"algebra": lambda a: a.update(field="GF3")}, "'GF3'"),
+        (_domdim_argv, {"algebra": lambda a: a.update(dim=1.5)}, "1.5"),
+        (_relcodomdim_argv, {"module": lambda m: m.update(action=5)}, "'action'"),
+        (_relcodomdim_argv, {"module": lambda m: m.update(action=[5])}, "action matrix 5"),
+        (_relcodomdim_argv, {"module": lambda m: m.update(dim=1.5)}, "1.5"),
     ],
-    ids=["algebra-field", "algebra-one", "field-p", "poset-less_than", "module-dim", "module-action", "module-short-flat-action"],
+    ids=[
+        "algebra-field", "algebra-one", "field-p", "poset-less_than", "module-dim", "module-action", "module-short-flat-action",
+        "coefficient-denominator-p", "coefficient-denominator-0-QQ", "algebra-mult-not-list", "algebra-one-not-list",
+        "algebra-field-not-object", "algebra-dim-float", "module-action-not-list", "module-action-entry-not-list", "module-dim-float",
+    ],
 )
 def test_cli_malformed_json_is_input_error(tmp_path, capsys, argv, edit, message):
     files = _am2_input_files(tmp_path, **edit)

@@ -155,3 +155,32 @@ def test_ext_additivity_on_sums(a2_gf3):
     for n in [p1, p2]:
         for i in range(3):
             assert ext_dim(both, n, i) == ext_dim(s1, n, i) + ext_dim(s2, n, i)
+
+
+def test_top_computed_once_per_module(monkeypatch):
+    # resolving to P5 presents the simple and its syzygies K1..K5 and covers
+    # K6: seven modules, each top computed once
+    from qhcover import modules
+
+    seen = []
+    original = modules._top_class_generators
+
+    def counting(m):
+        seen.append(m)
+        return original(m)
+
+    monkeypatch.setattr(modules, "_top_class_generators", counting)
+    simple = top(regular_module(gf2_dual_numbers()))[0]
+    res = minimal_projective_resolution(simple, 5)
+    assert res.length() == 5
+    assert len(seen) == 7
+    assert len({id(m) for m in seen}) == 7
+
+
+def test_resolution_extends_in_place():
+    simple = top(regular_module(gf2_dual_numbers()))[0]
+    short = minimal_projective_resolution(simple, 1)
+    first_steps = list(short.steps)
+    longer = minimal_projective_resolution(simple, 4)
+    assert longer is short
+    assert short.length() == 4 and short.steps[:2] == first_steps

@@ -225,3 +225,14 @@ def test_matrix_basis_product_coords(field):
     for i, j in itertools.product(range(3), repeat=2):
         product = basis.mats[i] @ basis.mats[j]
         assert structure.take_rows([i * 3 + j]).transpose() == basis.coords(product)
+
+
+def test_coefficient_parsing():
+    assert GF(3).parse(" -1/2 ") == 1 and GF(3).parse("4/5") == 2 and GF(5).parse("3") == 3
+    assert QQ.parse("-2/6") == Fraction(-1, 3)
+
+
+@pytest.mark.parametrize("field, text", [(GF(3), "1/3"), (GF(3), "2/3"), (GF(3), "1/0"), (QQ, "1/0")])
+def test_coefficient_with_zero_denominator_is_rejected(field, text):
+    with pytest.raises(ValueError, match=repr(text)):
+        field.parse(text)
