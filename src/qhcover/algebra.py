@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import Field, PrimeField, QQ, RationalField
-from .linalg import Mat, MatrixBasis, Subspace
+from .linalg import Mat, MatrixBasis, Subspace, matmul_mod
 from .memo import memo, share
 
 
@@ -34,9 +34,10 @@ class Algebra:
     """Associative unital algebra given by structure constants.
 
     ``structure`` is the (n^2 x n) Mat of structure constants (row i*n + j:
-    coordinates of b_i b_j).  ``mult`` views the same constants as c[i][j][k]
-    for the product fast paths: an (n, n, n) int64 array over GF(p), nested
-    tuples of Fractions over QQ.  ``one`` is a column Mat.  ``rep``
+    coordinates of b_i b_j).  ``mult`` views the same constants as c[i][j][k]:
+    an (n, n, n) int64 array over GF(p), nested tuples of Fractions over QQ
+    (the QQ product loops read it).  GF(p) products read the sparse form
+    ``_coo`` instead.  ``one`` is a column Mat.  ``rep``
     optionally holds a faithful matrix representation (used by the radical
     computation when it is smaller than the regular representation).
     """
@@ -79,9 +80,7 @@ class Algebra:
     def left_mult_matrix(self, x: Mat) -> Mat:
         """Matrix of left multiplication by x: (L_x)[k, j] = sum_i x_i c_ijk."""
         if isinstance(self.field, PrimeField):
-            xv = x.data[:, 0]
-            m = np.tensordot(xv, self.mult, axes=(0, 0)) % self.field.p  # (j, k)
-            return Mat(self.field, m.T, copy=False)
+            return Mat(self.field, self._contract(x.data.T, 0)[0].T, copy=False)
         n = self.dim
         out = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
@@ -99,9 +98,7 @@ class Algebra:
     def right_mult_matrix(self, y: Mat) -> Mat:
         """Matrix of right multiplication by y: (R_y)[k, i] = sum_j y_j c_ijk."""
         if isinstance(self.field, PrimeField):
-            yv = y.data[:, 0]
-            m = np.tensordot(self.mult, yv, axes=(1, 0)) % self.field.p  # (i, k)
-            return Mat(self.field, m.T, copy=False)
+            return Mat(self.field, self._contract(y.data.T, 1)[0].T, copy=False)
         n = self.dim
         out = [[Fraction(0)] * n for _ in range(n)]
         for j in range(n):
@@ -118,11 +115,17 @@ class Algebra:
     def multiply_batches(self, xs: Mat, ys: Mat) -> Mat:
         """All pairwise products of column sets: column (r*s) order r-major."""
         if isinstance(self.field, PrimeField):
-            X = xs.data.T  # (r, n)
-            Y = ys.data.T  # (s, n)
-            prod = np.einsum("ri,sj,ijk->rsk", X, Y, self.mult, optimize=True) % self.field.p
-            r, s, n = prod.shape
-            return Mat(self.field, prod.reshape(r * s, n).T, copy=False)
+            n, r, s, p = self.dim, xs.cols, ys.cols, self.field.p
+            # contract the constants with the smaller side, then one product
+            if r <= s:
+                t = self._contract(xs.data.T, 0)  # t[r, j, k] = (x_r b_j)_k
+                prod = matmul_mod(ys.data.T, t.transpose(1, 0, 2).reshape(n, r * n), p).reshape(s, r, n)
+                out = prod.transpose(2, 1, 0)
+            else:
+                t = self._contract(ys.data.T, 1)  # t[s, i, k] = (b_i y_s)_k
+                prod = matmul_mod(xs.data.T, t.transpose(1, 0, 2).reshape(n, s * n), p).reshape(r, s, n)
+                out = prod.transpose(2, 0, 1)
+            return Mat(self.field, out.reshape(n, r * s), copy=False)
         cols = []
         for r in range(xs.cols):
             lx = self.left_mult_matrix(xs.take_cols([r]))
@@ -136,6 +139,42 @@ class Algebra:
             stack = self._left_regular_stack()
             return [Mat(self.field, stack[i], copy=False) for i in range(self.dim)]
         return [self.left_mult_matrix(self.basis_element(i)) for i in range(self.dim)]
+
+    def _coo(self, side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """GF(p) structure constants as COO arrays sorted for one contraction.
+
+        Side 0 sums over i and keeps (j, k), side 1 sums over j and keeps
+        (i, k).  Returns (summed index, c_ijk, segment starts, kept index
+        j*n + k or i*n + k of each segment); the terms of one kept index are
+        contiguous.
+        """
+
+        def build():
+            n = self.dim
+            rows, k = np.nonzero(self.structure.data)
+            i, j = np.divmod(rows, n)
+            summed, kept = (i, j) if side == 0 else (j, i)
+            target = kept * n + k
+            order = np.argsort(target, kind="stable")
+            target = target[order]
+            starts = np.flatnonzero(np.diff(target, prepend=-1))
+            return summed[order], self.structure.data[rows, k][order], starts, target[starts]
+
+        return memo(self, f"_coo{side}", build)
+
+    def _contract(self, xs: np.ndarray, side: int) -> np.ndarray:
+        """Rows xs (r x n) against the structure constants, mod p, as (r, n, n):
+        side 0 gives t[r, j, k] = sum_i xs[r, i] c_ijk, side 1
+        t[r, i, k] = sum_j xs[r, j] c_ijk."""
+        summed, coeff, starts, target = self._coo(side)
+        n, r = self.dim, xs.shape[0]
+        # a segment sums at most n terms below p^2, exact in int64 while
+        # n * (p-1)^2 < 2^63: p <= PrimeField.MAX_P = 2^20 and the dense
+        # n^3 view ``mult`` keep n far below the 2^23 this allows
+        out = np.zeros((r, n * n), dtype=np.int64)
+        if starts.size:
+            out[:, target] = np.add.reduceat(xs[:, summed] * coeff, starts, axis=1) % self.field.p
+        return out.reshape(r, n, n)
 
     def _left_regular_stack(self) -> np.ndarray:
         return memo(self, "_left_stack", lambda: np.ascontiguousarray(np.transpose(self.mult, (0, 2, 1))))
@@ -389,7 +428,7 @@ def _radical_gfp_layers(a: Algebra) -> Subspace:
     p = a.field.p
     rep = a.rep_matrices()
     m = rep[0].rows
-    stack = np.stack([r.data for r in rep])  # (n, m, m)
+    stack = np.stack([r.data for r in rep]).reshape(len(rep), m * m)  # row b: vec(rep(b_b))
     n = a.dim
     level = 0
     while p**level < m:
@@ -399,52 +438,57 @@ def _radical_gfp_layers(a: Algebra) -> Subspace:
         if basis.shape[0] == 0:
             break
         r = basis.shape[0]
-        repbasis = np.tensordot(basis, stack, axes=(1, 0)) % p  # (r, m, m)
-        prods = np.einsum("aij,bjk->abik", repbasis, repbasis, optimize=True) % p
-        prods = prods.reshape(r * r, m, m)
-        gammas = _gamma_traces(prods, p, layer)  # (r*r,)
-        constraint = gammas.reshape(r, r)  # [x_index, y_index]
-        ker = Mat(a.field, constraint.T).kernel()  # constraints rows indexed by y
+        xs = matmul_mod(basis, stack, p).reshape(r, m, m)
+        if layer == 0:
+            # tr(X_a X_b) = vec(X_a) . vec(X_b^T)
+            constraint = matmul_mod(xs.reshape(r, m * m), xs.transpose(0, 2, 1).reshape(r, m * m).T, p)
+        else:
+            # block (a, b) of the (r*m x r*m) product is X_a X_b.  The form is
+            # symmetric: tr(z^(p^l)) mod p^(l+1) depends on z mod p only, and
+            # tr((XY)^e) = tr((YX)^e), so only the pairs a <= b are powered
+            pairs = matmul_mod(xs.reshape(r * m, m), xs.transpose(1, 0, 2).reshape(m, r * m), p).reshape(r, m, r, m)
+            ia, ib = np.triu_indices(r)
+            constraint = np.zeros((r, r), dtype=np.int64)
+            constraint[ia, ib] = constraint[ib, ia] = _gamma_traces(pairs[ia, :, ib, :], p, layer)
+        ker = Mat(a.field, constraint).kernel()
         if ker.cols == r:
             continue
-        basis = (ker.data.T @ basis) % p
+        basis = matmul_mod(ker.data.T, basis, p)
         red, piv = Mat(a.field, basis).rref()
         basis = red.data[: len(piv)]
     return Subspace(a.field, n, Mat(a.field, basis, copy=False, cols=n))
 
 
 def _gamma_traces(zs: np.ndarray, p: int, layer: int) -> np.ndarray:
-    """gamma_layer for a batch of reduced matrices (entries in [0, p))."""
-    if layer == 0:
-        return np.trace(zs, axis1=1, axis2=2) % p
-    mod = p ** (layer + 1)
-    power = _batched_matrix_power_mod(zs % mod, p**layer, mod)
-    traces = np.trace(power, axis1=1, axis2=2) % mod
-    if np.any(traces % (p**layer)):
+    """gamma_layer (layer >= 1) for a batch of reduced matrices (entries in [0, p)).
+
+    tr(z^e) is the sum of the entries of z^(e-1) * z^T, so the last product
+    is never formed.
+    """
+    mod, e = p ** (layer + 1), p**layer
+    power = _batched_matrix_power_mod(zs, e - 1, mod)
+    # each term is reduced below mod before m^2 of them are summed: exact in
+    # int64, since the power's own bound m * (mod-1)^2 < 2^63 implies
+    # m^2 * mod < 2^63 for m < 2^20 (beyond it the power holds Python ints)
+    traces = (power * zs.transpose(0, 2, 1) % mod).sum(axis=(1, 2)) % mod
+    if np.any(traces % e):
         raise AlgebraError("p-power trace not divisible; radical layering failed")
-    return (traces // (p**layer)) % p
+    return (traces // e) % p
 
 
 def _batched_matrix_power_mod(zs: np.ndarray, e: int, mod: int) -> np.ndarray:
-    """zs[a]^e mod ``mod`` for a batch of m x m matrices.
+    """zs[a]^e mod ``mod``, e >= 1, for a batch of m x m matrices with
+    entries in [0, mod).
 
-    Factors stay below ``mod``, so an int64 product is exact while
-    m * (mod - 1)^2 < 2^63.  Beyond that bound (at layer 1 already for
-    p > 55108 with m = 1) the products run on Python ints (object dtype).
+    Square-and-multiply from the highest bit, so no product with the
+    identity; ``matmul_mod`` keeps every product exact (Python ints beyond
+    its int64 bound).
     """
-    k, m, _ = zs.shape
-    if m * (mod - 1) ** 2 < 2**63:
-        mul, dtype = (lambda x, y: np.einsum("aij,ajk->aik", x, y, optimize=True)), np.int64
-    else:
-        mul, dtype = np.matmul, object
-    result = np.broadcast_to(np.eye(m, dtype=np.int64), (k, m, m)).astype(dtype)
-    base = (zs % mod).astype(dtype)
-    while e > 0:
-        if e & 1:
-            result = mul(result, base) % mod
-        e >>= 1
-        if e:
-            base = mul(base, base) % mod
+    result = zs
+    for bit in bin(e)[3:]:
+        result = matmul_mod(result, result, mod)
+        if bit == "1":
+            result = matmul_mod(result, zs, mod)
     return result
 
 

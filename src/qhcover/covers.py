@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import Algebra
 from .fields import PrimeField
 from .homology import DimValue, ext_dim
-from .linalg import Mat, MatrixBasis, Subspace
+from .linalg import Mat, MatrixBasis, Subspace, matmul_mod
 from .memo import memo
 from .modules import (
     Module,
@@ -154,8 +154,7 @@ def _module_elem_action(m: Module, gm: Mat, c: int) -> Mat:
     """Matrix p -> m of x -> rho_m(g(x)) . m_c, g given by its matrix gm."""
     field = m.algebra.field
     if isinstance(field, PrimeField):
-        stack = m.stack()  # (n, t, t)
-        vecs = np.tensordot(stack[:, :, c], gm.data, axes=(0, 0)) % field.p  # (t, p.dim)
+        vecs = matmul_mod(m.stack()[:, :, c].T, gm.data, field.p)  # (t, p.dim)
         return Mat(field, vecs, copy=False)
     return Mat.hstack([m.act(gm.take_cols([j])).take_cols([c]) for j in range(gm.cols)])
 

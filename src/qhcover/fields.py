@@ -86,8 +86,9 @@ class PrimeField(Field):
 
     kind = "prime"
 
-    # p is kept small so that int64 matrix products cannot overflow:
-    # accumulated dot products are bounded by dim * (p-1)^2.
+    # p is kept small so that matrix products stay on machine integers:
+    # accumulated dot products are bounded by dim * (p-1)^2, and
+    # linalg.matmul_mod picks float64, int64 or Python ints from that bound.
     MAX_P = 1 << 20
 
     def __init__(self, p: int):
@@ -108,10 +109,13 @@ class PrimeField(Field):
 
     def parse(self, s: str):
         num, slash, den = s.strip().partition("/")
-        d = int(den) % self.p if slash else 1
+        try:
+            num, d = int(num), int(den) % self.p if slash else 1
+        except ValueError:
+            raise ValueError(f"invalid coefficient {s!r}") from None
         if d == 0:
             raise ValueError(f"coefficient {s!r} has a denominator divisible by {self.p}")
-        return self.normalize(int(num) * pow(d, self.p - 2, self.p))
+        return self.normalize(num * pow(d, self.p - 2, self.p))
 
     def to_str(self, x) -> str:
         return str(int(x) % self.p)

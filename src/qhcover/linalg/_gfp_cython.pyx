@@ -1,5 +1,5 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""Compiled GF(p) kernels: row reduction and matrix product on int64 arrays.
+"""Compiled GF(p) row reduction on int64 arrays.
 
 Mirrors _gfp_numpy exactly (same pivot rule, same normalization) so the two
 backends are interchangeable; see benchmarks/bench_linalg.py for a speed
@@ -71,24 +71,3 @@ def rref_mod(a, long long p):
         r += 1
     return np.asarray(m), pivots
 
-
-def matmul_mod(a, b, long long p):
-    """Matrix product over GF(p); inputs must already be reduced mod p."""
-    cdef cnp.ndarray[cnp.int64_t, ndim=2] am = np.ascontiguousarray(a, dtype=np.int64)
-    cdef cnp.ndarray[cnp.int64_t, ndim=2] bm = np.ascontiguousarray(b, dtype=np.int64)
-    cdef Py_ssize_t n = am.shape[0]
-    cdef Py_ssize_t k = am.shape[1]
-    cdef Py_ssize_t m = bm.shape[1]
-    cdef cnp.ndarray[cnp.int64_t, ndim=2] out = np.zeros((n, m), dtype=np.int64)
-    cdef Py_ssize_t i, j, t
-    cdef long long acc, aval
-    for i in range(n):
-        for t in range(k):
-            aval = am[i, t]
-            if aval == 0:
-                continue
-            for j in range(m):
-                out[i, j] += aval * bm[t, j]
-        for j in range(m):
-            out[i, j] = out[i, j] % p
-    return np.asarray(out)

@@ -1,8 +1,9 @@
-"""Pure-numpy GF(p) kernels: reference fallback for the compiled extension.
+"""Pure-numpy GF(p) row reduction: fallback for the compiled extension.
 
 Both backends implement the exact same elimination (leftmost pivot column,
 topmost nonzero pivot row, pivot normalized to 1, full reduction above and
-below), so results are bit-identical whichever one is loaded.
+below), so results are bit-identical whichever one is loaded.  Products do
+not depend on the backend: they all go through ``linalg.matmul_mod``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,3 @@ def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         r += 1
     return a, pivots
 
-
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Matrix product over GF(p); inputs must already be reduced mod p."""
-    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import Algebra, algebra_of_matrices, opposite
 from .fields import PrimeField
-from .linalg import Mat, MatrixBasis, Subspace
+from .linalg import Mat, MatrixBasis, Subspace, matmul_mod
 from .memo import memo
 
 
@@ -54,8 +54,7 @@ class Module:
         """Action matrix of an algebra element (column vector of coords)."""
         f = self.algebra.field
         if isinstance(f, PrimeField):
-            out = np.tensordot(x.data[:, 0], self.stack(), axes=(0, 0)) % f.p
-            return Mat(f, out, copy=False)
+            return self.act_many(x)[0]
         acc = Mat.zeros(f, self.dim, self.dim)
         for i in range(self.algebra.dim):
             xi = x[i, 0]
@@ -66,21 +65,26 @@ class Module:
     def act_many(self, xs: Mat) -> list[Mat]:
         """Action matrices for several elements (columns of xs)."""
         f = self.algebra.field
-        if isinstance(f, PrimeField) and xs.cols:
-            out = np.einsum("ac,aij->cij", xs.data, self.stack(), optimize=True) % f.p
+        if isinstance(f, PrimeField):
+            stack = self.stack()
+            out = matmul_mod(xs.data.T, stack.reshape(len(stack), self.dim**2), f.p).reshape(xs.cols, self.dim, self.dim)
             return [Mat(f, out[c], copy=False) for c in range(xs.cols)]
         return [self.act(xs.take_cols([c])) for c in range(xs.cols)]
 
     def validate(self) -> None:
-        """Representation axioms, checked on a generating set."""
+        """Representation axioms: rho(1) = 1 and rho(g b) = rho(g) rho(b) for
+        every algebra generator g and basis element b.  This is complete: the
+        x with rho(x y) = rho(x) rho(y) for all y form a unital subalgebra,
+        and it contains the generators."""
         a = self.algebra
         ident = Mat.identity(a.field, self.dim)
         if self.act(a.one) != ident:
             raise ModuleError("unit does not act as identity")
-        gens = a.generator_elements()
-        for x in gens:
-            for y in gens:
-                if self.act(a.multiply(x, y)) != self.act(x) @ self.act(y):
+        for g in a.generator_elements():
+            rho_g = self.act(g)
+            # column b of L_g is g b_b
+            for b, rho_gb in enumerate(self.act_many(a.left_mult_matrix(g))):
+                if rho_gb != rho_g @ self.action[b]:
                     raise ModuleError("action is not multiplicative")
 
     def is_zero(self) -> bool:
@@ -318,8 +322,8 @@ def _build_indec_projective(a: Algebra, class_index: int) -> tuple[Module, Mat, 
     span = Subspace.from_columns(a.right_mult_matrix(e))  # A e
     w = span.basis.transpose()
     if isinstance(a.field, PrimeField):
-        stack = a._left_regular_stack()
-        imgs = np.einsum("aij,jd->aid", stack, w.data, optimize=True) % a.field.p
+        n = a.dim
+        imgs = matmul_mod(a._left_regular_stack().reshape(n * n, n), w.data, a.field.p).reshape(n, n, w.cols)
         action = []
         for i in range(a.dim):
             coords = span.coords(Mat(a.field, imgs[i].T, copy=False))
@@ -429,10 +433,10 @@ def _evaluation_matrix(p: ProjSum, n: Module, targets: list[Mat]) -> Mat:
         return Mat.zeros(field, n.dim, 0)
     blocks = []
     if isinstance(field, PrimeField):
-        stack = n.stack()
+        stack = n.stack().reshape(a.dim * n.dim, n.dim)
         for s, v in zip(p.summands, targets):
-            sv = np.tensordot(stack, v.data[:, 0], axes=(2, 0)) % field.p  # sv[a, i] = (rho(b_a) v)_i
-            blocks.append(Mat(field, (sv.T @ s.incl.data) % field.p, copy=False))
+            sv = matmul_mod(stack, v.data, field.p).reshape(a.dim, n.dim)  # sv[a, i] = (rho(b_a) v)_i
+            blocks.append(Mat(field, matmul_mod(sv.T, s.incl.data, field.p), copy=False))
     else:
         for s, v in zip(p.summands, targets):
             cols = []
@@ -534,9 +538,9 @@ def _extract_hom_matrices(pres: Presentation, n: Module, spans: list[Subspace], 
         # lifted section slice: element of A for each basis vector of M
         lift = _component(pres.section, s)  # (A.dim x m_dim)
         if isinstance(field, PrimeField):
-            stack = n.stack()
-            y = np.einsum("aij,jh->aih", stack, wsol.data, optimize=True) % field.p
-            f = np.einsum("aih,ac->hic", y, lift.data, optimize=True) % field.p
+            # y[a, i, t] = (rho(b_a) w_t)_i, then f[i, t, c] = sum_a y[a, i, t] lift[a, c]
+            y = matmul_mod(n.stack().reshape(a.dim * n.dim, n.dim), wsol.data, field.p)
+            f = matmul_mod(y.reshape(a.dim, n.dim * h).T, lift.data, field.p).reshape(n.dim, h, m_dim).transpose(1, 0, 2)
             for t in range(h):
                 out[t] = out[t] + Mat(field, f[t], copy=False)
         else:

@@ -2,7 +2,10 @@
 
 import pytest
 
+from qhcover.algebra import from_structure_constants
 from qhcover.fields import GF, QQ
+from qhcover.linalg import Mat
+from qhcover.modules import Module, regular_module
 from qhcover.quiver import Arrow, QuiverPresentation, from_quiver
 
 
@@ -26,6 +29,17 @@ def make_am_algebra(m, field):
         # b_i a_i = a_{i-1} b_{i-1}
         relations.append([(1, (b_idx(i), a_idx(i))), (-1, (a_idx(i - 1), b_idx(i - 1)))])
     return from_quiver(QuiverPresentation(m, arrows, relations), field)
+
+
+def broken_truncated_polynomial_module():
+    """GF(2)[x]/(x^4) on 1, x, x^2, x^3 and its regular action with rho(x^3)
+    replaced by 0: multiplicative on every pair of generators (x is the only
+    one), but rho(x * x^2) != rho(x) rho(x^2)."""
+    n = 4
+    mult = [[[int(i + j == k) for k in range(n)] for j in range(n)] for i in range(n)]
+    a = from_structure_constants(GF(2), n, mult, [1, 0, 0, 0])
+    action = regular_module(a).action[:3] + [Mat.zeros(a.field, n, n)]
+    return a, Module(a, action)
 
 
 @pytest.fixture(scope="session")

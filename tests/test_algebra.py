@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhcover.algebra import (
     Algebra,
@@ -17,6 +19,7 @@ from qhcover.algebra import (
     semisimple_quotient,
 )
 from qhcover.fields import GF, QQ
+from qhcover.gallery import build_am, build_schur
 from qhcover.linalg import Mat, Subspace
 from qhcover.quiver import Arrow, QuiverPresentation, arrow_ideal_dimension, from_quiver
 
@@ -228,6 +231,23 @@ def test_p_power_chain_products_are_exact(p):
         assert [[int(x) for x in row] for row in g] == _power_mod_reference(z, p, mod)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_p_power_trace_depends_on_residue_only(p):
+    # the radical chain powers the pairs a <= b only: tr(z^(p^l)) mod p^(l+1)
+    # is the same for any lift of z mod p, hence for XY and YX reduced mod p
+    rng = np.random.default_rng(p)
+    for layer, m in ((1, 4), (2, 3)):
+        mod, e = p ** (layer + 1), p**layer
+        x, y, lift = (rng.integers(0, bound, size=(20, m, m)) for bound in (p, p, mod))
+
+        def traces(z):
+            return np.trace(_batched_matrix_power_mod(z, e, mod), axis1=1, axis2=2) % mod
+
+        xy = np.matmul(x, y) % p
+        assert (traces(xy) == traces(np.matmul(y, x) % p)).all()
+        assert (traces(xy) == traces((xy + p * lift) % mod)).all()
+
+
 def test_radical_semisimple_matrix_algebra():
     assert matrix_algebra(F3, 2).radical_subspace().dim == 0
 
@@ -403,3 +423,55 @@ def test_opposite_pair_computes_radical_and_idempotents_once(monkeypatch, order)
     for key in calls:
         assert len([b for b in calls[key] if b is a or b is opp]) == 1
     assert opposite(opposite(a)) is a and opposite(opposite(opp)) is opp
+
+
+# -- sparse structure-constant products against a dense einsum -------------------
+
+
+def _assert_products_match_dense(a, xs, ys):
+    """left/right multiplication matrices and multiply_batches against einsum
+    over the dense (n, n, n) constants, on Python ints."""
+    p, c = a.field.p, a.mult.astype(object)
+    x, y = xs.data.astype(object), ys.data.astype(object)
+    n, r, s = a.dim, xs.cols, ys.cols
+    for col in range(r):
+        assert a.left_mult_matrix(xs.take_cols([col])).data.tolist() == (np.einsum("i,ijk->kj", x[:, col], c) % p).tolist()
+    for col in range(s):
+        assert a.right_mult_matrix(ys.take_cols([col])).data.tolist() == (np.einsum("j,ijk->ki", y[:, col], c) % p).tolist()
+    for left, right in ((x, y), (y, x)):  # both contraction orders: r <= s and r > s
+        want = np.einsum("ir,js,ijk->krs", left, right, c) % p
+        got = a.multiply_batches(Mat(a.field, left), Mat(a.field, right))
+        assert got.data.tolist() == want.reshape(n, left.shape[1] * right.shape[1]).tolist()
+
+
+@st.composite
+def _random_constants(draw):
+    p = draw(st.sampled_from([2, 3, 1048573]))
+    n = draw(st.integers(1, 5))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, p - 1))
+    mult = np.zeros((n, n, n), dtype=np.int64)
+    for i, j, k, v in draw(st.lists(cells, max_size=2 * n * n)):
+        mult[i, j, k] = v
+    coords = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    xs = draw(st.lists(coords, min_size=1, max_size=3))
+    ys = draw(st.lists(coords, min_size=1, max_size=4))
+    return p, n, mult, xs, ys
+
+
+@given(_random_constants())
+@settings(max_examples=80, deadline=None)
+def test_sparse_products_match_dense_on_random_constants(data):
+    # associativity plays no part in the contraction, so any constants do
+    p, n, mult, xs, ys = data
+    field = GF(p)
+    a = Algebra(field, n, Mat(field, mult.reshape(n * n, n)), Mat.column(field, [1] + [0] * (n - 1)))
+    _assert_products_match_dense(a, Mat(field, np.array(xs).T), Mat(field, np.array(ys).T))
+
+
+@pytest.mark.parametrize("p", [2, 3, 1048573])
+@pytest.mark.parametrize("build", [lambda f: build_am(3, f).algebra, lambda f: build_schur(2, 2, 1, f).algebra], ids=["A3", "S22"])
+def test_sparse_products_match_dense_on_gallery_algebras(build, p):
+    a = build(GF(p))
+    rng = np.random.default_rng(p)
+    xs, ys = rng.integers(0, p, size=(a.dim, 2)), rng.integers(0, p, size=(a.dim, 5))
+    _assert_products_match_dense(a, Mat(a.field, xs), Mat(a.field, ys))

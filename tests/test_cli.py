@@ -17,6 +17,8 @@ from qhcover.serialize import (
     quiver_from_json,
 )
 
+from conftest import broken_truncated_polynomial_module
+
 F3 = GF(3)
 
 
@@ -187,11 +189,13 @@ def _first_coefficient(value, field=None):
         (_relcodomdim_argv, {"module": lambda m: m.update(action=5)}, "'action'"),
         (_relcodomdim_argv, {"module": lambda m: m.update(action=[5])}, "action matrix 5"),
         (_relcodomdim_argv, {"module": lambda m: m.update(dim=1.5)}, "1.5"),
+        (_domdim_argv, {"algebra": _first_coefficient("1/2/3")}, "'1/2/3'"),
     ],
     ids=[
         "algebra-field", "algebra-one", "field-p", "poset-less_than", "module-dim", "module-action", "module-short-flat-action",
         "coefficient-denominator-p", "coefficient-denominator-0-QQ", "algebra-mult-not-list", "algebra-one-not-list",
         "algebra-field-not-object", "algebra-dim-float", "module-action-not-list", "module-action-entry-not-list", "module-dim-float",
+        "coefficient-two-slashes",
     ],
 )
 def test_cli_malformed_json_is_input_error(tmp_path, capsys, argv, edit, message):
@@ -199,6 +203,16 @@ def test_cli_malformed_json_is_input_error(tmp_path, capsys, argv, edit, message
     assert main(argv(files)) == EXIT_INPUT
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
+
+
+def test_cli_rejects_module_not_multiplicative(tmp_path, capsys):
+    a, bad = broken_truncated_polynomial_module()
+    (tmp_path / "algebra.json").write_text(json.dumps(algebra_to_json(a)))
+    (tmp_path / "module.json").write_text(json.dumps(module_to_json(bad, algebra_ref="algebra.json")))
+    files = {"algebra": str(tmp_path / "algebra.json"), "module": str(tmp_path / "module.json")}
+    assert main(_relcodomdim_argv(files)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "not multiplicative" in err and err.count("\n") == 1
 
 
 def test_cli_gallery_manifest_and_file_inputs(tmp_path, capsys):

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 
 from qhcover.fields import GF, QQ
 from qhcover.linalg import (
+    _BLAS_MIN_OPS,
     Mat,
     MatrixBasis,
     Subspace,
+    _product_dtype,
     gfp_backends,
     lift_idempotent,
     mat_kernel,
     mat_solve,
+    matmul_mod,
 )
 
 F3 = GF(3)
@@ -133,10 +136,52 @@ def test_backends_agree_bit_for_bit():
             red_ac, piv_ac = backends["active"].rref_mod(a, p)
             assert np.array_equal(red_np, red_ac) and list(piv_np) == list(piv_ac)
             b = rng.integers(0, p, size=(c, 4))
-            assert np.array_equal(
-                backends["numpy"].matmul_mod(a, b, p),
-                backends["active"].matmul_mod(a, b, p),
-            )
+            assert matmul_mod(a, b, p).tolist() == _matmul_reference(a, b, p)
+
+
+def _matmul_reference(a, b, mod):
+    """a @ b mod ``mod`` on Python ints."""
+    return [[sum(int(x) * int(y) for x, y in zip(row, col)) % mod for col in zip(*b)] for row in a]
+
+
+P_MAX = 1048573  # the largest prime below PrimeField.MAX_P
+
+
+def test_product_bounds_at_the_largest_prime():
+    # 8192 * (p-1)^2 < 2^53 <= 8193 * (p-1)^2, and (p^2 - 1)^2 >= 2^63
+    big = 10 * _BLAS_MIN_OPS
+    assert _product_dtype(8192, P_MAX, big) is np.float64
+    assert _product_dtype(8193, P_MAX, big) is np.int64
+    assert _product_dtype(1, P_MAX**2, big) is object
+
+
+@pytest.mark.parametrize("k", [8192, 8193])
+def test_products_at_the_largest_prime_are_exact(k):
+    # entries near p-1 push the dot products past 2^53 at k = 8193, where
+    # float64 would round them
+    rng = np.random.default_rng(k)
+    a = rng.integers(P_MAX - 3, P_MAX, size=(2, k))
+    b = rng.integers(P_MAX - 3, P_MAX, size=(k, 3))
+    assert a.size * b.shape[1] >= _BLAS_MIN_OPS
+    assert matmul_mod(a, b, P_MAX).tolist() == _matmul_reference(a, b, P_MAX)
+
+
+@pytest.mark.parametrize("cols, dtype", [(_BLAS_MIN_OPS // 100 - 1, np.int64), (_BLAS_MIN_OPS // 100, np.float64)])
+def test_products_on_both_sides_of_the_size_threshold(cols, dtype):
+    rng = np.random.default_rng(cols)
+    a, b = rng.integers(0, P_MAX, size=(1, 100)), rng.integers(0, P_MAX, size=(100, cols))
+    assert _product_dtype(100, P_MAX, a.size * cols) is dtype
+    assert matmul_mod(a, b, P_MAX).tolist() == _matmul_reference(a, b, P_MAX)
+
+
+@pytest.mark.parametrize("mod", [9, P_MAX, P_MAX**2])
+def test_batched_products_are_exact(mod):
+    # a stack of 30 x 30 products: float64 for small moduli, Python ints for p^2
+    rng = np.random.default_rng(mod % 1000)
+    a, b = rng.integers(0, mod, size=(4, 30, 30)), rng.integers(0, mod, size=(4, 30, 30))
+    got = matmul_mod(a, b, mod)
+    for x, y, g in zip(a, b, got):
+        assert [[int(v) for v in row] for row in g] == _matmul_reference(x, y, mod)
 
 
 def test_determinism_identical_inputs():
@@ -230,6 +275,9 @@ def test_matrix_basis_product_coords(field):
 def test_coefficient_parsing():
     assert GF(3).parse(" -1/2 ") == 1 and GF(3).parse("4/5") == 2 and GF(5).parse("3") == 3
     assert QQ.parse("-2/6") == Fraction(-1, 3)
+    for field in (GF(3), QQ):
+        with pytest.raises(ValueError, match="'1/2/3'"):
+            field.parse("1/2/3")
 
 
 @pytest.mark.parametrize("field, text", [(GF(3), "1/3"), (GF(3), "2/3"), (GF(3), "1/0"), (QQ, "1/0")])

@@ -9,6 +9,7 @@ from qhcover.fields import GF, QQ
 from qhcover.linalg import Mat, Subspace
 from qhcover.modules import (
     Module,
+    ModuleError,
     counit_analysis,
     direct_sum,
     dual,
@@ -31,6 +32,8 @@ from qhcover.modules import (
     trace_submodule,
     zero_module,
 )
+
+from conftest import broken_truncated_polynomial_module
 
 F3 = GF(3)
 
@@ -331,3 +334,11 @@ def test_is_isomorphic_finds_conjugated_modules(a2_gf3):
         conj = Module(a2_gf3, [g @ m @ ginv for m in base.action])
         iso = is_isomorphic(base, conj)
         assert iso is not None and iso.is_isomorphism()
+
+
+def test_validate_rejects_action_wrong_beyond_generator_pairs():
+    a, bad = broken_truncated_polynomial_module()
+    assert a.generator_indices() == [1]
+    regular_module(a).validate()
+    with pytest.raises(ModuleError, match="not multiplicative"):
+        bad.validate()
