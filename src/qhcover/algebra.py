@@ -126,18 +126,12 @@ class Algebra:
                 prod = matmul_mod(xs.data.T, t.transpose(1, 0, 2).reshape(n, s * n), p).reshape(r, s, n)
                 out = prod.transpose(2, 0, 1)
             return Mat(self.field, out.reshape(n, r * s), copy=False)
-        cols = []
-        for r in range(xs.cols):
-            lx = self.left_mult_matrix(xs.take_cols([r]))
-            for s in range(ys.cols):
-                cols.append(lx @ ys.take_cols([s]))
-        return Mat.hstack(cols) if cols else Mat.zeros(self.field, self.dim, 0)
+        if not xs.cols:
+            return Mat.zeros(self.field, self.dim, 0)
+        return Mat.hstack([self.left_mult_matrix(xs.take_cols([r])) @ ys for r in range(xs.cols)])
 
     def left_regular_action(self) -> list[Mat]:
         """Left multiplication matrices of the basis elements."""
-        if isinstance(self.field, PrimeField):
-            stack = self._left_regular_stack()
-            return [Mat(self.field, stack[i], copy=False) for i in range(self.dim)]
         return [self.left_mult_matrix(self.basis_element(i)) for i in range(self.dim)]
 
     def _coo(self, side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -175,9 +169,6 @@ class Algebra:
         if starts.size:
             out[:, target] = np.add.reduceat(xs[:, summed] * coeff, starts, axis=1) % self.field.p
         return out.reshape(r, n, n)
-
-    def _left_regular_stack(self) -> np.ndarray:
-        return memo(self, "_left_stack", lambda: np.ascontiguousarray(np.transpose(self.mult, (0, 2, 1))))
 
     def rep_matrices(self) -> list[Mat]:
         """A faithful representation of the basis (left regular by default)."""

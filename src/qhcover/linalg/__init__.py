@@ -1,12 +1,11 @@
 """Dense exact linear algebra over GF(p) and QQ.
 
 GF(p) matrices live in int64 numpy arrays.  Every GF(p) product goes
-through ``matmul_mod``, which runs large products exactly on float64 BLAS;
-row reduction uses a compiled Cython kernel when available, with a
-pure-numpy fallback selected at import time.  QQ matrices use exact
-Fraction arithmetic; all QQ instances in this package are small.  Other
-modules stay off the storage: they build and reshape matrices through Mat's
-field-neutral operations and take coordinates through MatrixBasis.
+through ``matmul_mod``, which runs large products exactly on float64 BLAS,
+and row reduction is one numpy routine, ``_rref_gfp``.  QQ matrices use
+exact Fraction arithmetic; all QQ instances in this package are small.
+Other modules stay off the storage: they build and reshape matrices through
+Mat's field-neutral operations and take coordinates through MatrixBasis.
 
 Everything here is deterministic: identical inputs give bit-identical
 outputs (leftmost pivot columns, topmost pivot rows).
@@ -21,24 +20,8 @@ import numpy as np
 
 from ..fields import Field, PrimeField, QQ, RationalField, as_fraction
 
-try:  # compiled kernel first, numpy fallback otherwise
-    from . import _gfp_cython as _gfp
-
-    GFP_BACKEND = "cython"
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _gfp_numpy as _gfp
-
-    GFP_BACKEND = "numpy"
-
-from . import _gfp_numpy
-
-
-def gfp_backends() -> dict:
-    """Expose both row-reduction backends (for tests and benchmarks)."""
-    out = {"numpy": _gfp_numpy, "active": _gfp}
-    if GFP_BACKEND == "cython":
-        out["cython"] = _gfp
-    return out
+# the GF(p) row reduction in use; the benchmark harness records it
+GFP_BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +74,44 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# QQ reference elimination (Fractions, same pivot rule as the GF(p) kernels)
+# row reduction
 # ---------------------------------------------------------------------------
+
+# Both eliminations follow one pivot rule: the leftmost column with a nonzero
+# entry at or below the current row, the topmost such row as pivot row, the
+# pivot scaled to 1, and the column cleared above and below.  They return the
+# reduced row echelon form and its pivot columns.
+
+
+def _rref_gfp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    # entries of ``a`` lie in [0, p); every intermediate (a pivot row times
+    # an inverse, a column entry times a pivot row, their difference) has
+    # absolute value below p^2 <= 2^40 for p <= PrimeField.MAX_P, so int64
+    # never wraps
+    a = a.copy()
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        if inv != 1:
+            a[r] = (a[r] * inv) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        nzrows = np.nonzero(col)[0]
+        if nzrows.size:
+            a[nzrows] = (a[nzrows] - np.outer(col[nzrows], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
 
 
 def _rref_qq(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -331,8 +350,8 @@ class Mat:
         if self.rows == 0 or self.cols == 0:
             return self, []
         if isinstance(self.field, PrimeField):
-            red, piv = _gfp.rref_mod(self.data, self.field.p)
-            return Mat(self.field, red, copy=False), list(piv)
+            red, piv = _rref_gfp(self.data, self.field.p)
+            return Mat(self.field, red, copy=False), piv
         red, piv = _rref_qq([list(r) for r in self.data])
         return Mat(self.field, red), piv
 
@@ -391,42 +410,6 @@ def _assign_block(buf, r0, c0, m: Mat):
         for i in range(m.rows):
             for j in range(m.cols):
                 buf[r0 + i][c0 + j] = m.data[i][j]
-
-
-# ---------------------------------------------------------------------------
-# top-level operations
-# ---------------------------------------------------------------------------
-
-
-def mat_kernel(m: Mat) -> Mat:
-    """Columns spanning {v : m v = 0}; count = cols - rank."""
-    return m.kernel()
-
-
-def mat_solve(a: Mat, b: Mat) -> Optional[Mat]:
-    """Deterministic solution of a x = b, or None when inconsistent."""
-    return a.solve(b)
-
-
-def lift_idempotent(e0: Mat, nil_bound: int) -> Mat:
-    """Lift an approximate idempotent along a nilpotent defect.
-
-    Iterates e <- 3e^2 - 2e^3, which squares the defect e^2 - e each step;
-    the caller guarantees the defect lies in a nilpotent ideal of index at
-    most ``nil_bound``.
-    """
-    if e0.rows != e0.cols:
-        raise ValueError("idempotent lifting needs a square matrix")
-    e = e0
-    for _ in range(2 * max(nil_bound, 1)):
-        e2 = e @ e
-        if e2 == e:
-            return e
-        e = (e2.scale(3)) - ((e2 @ e).scale(2))
-    e2 = e @ e
-    if e2 == e:
-        return e
-    raise ArithmeticError("idempotent lifting did not stabilize; defect not nilpotent?")
 
 
 class MatrixBasis:
@@ -533,6 +516,3 @@ class Subspace:
     def quotient_coords(self, vecs: Mat) -> Mat:
         """Canonical coordinates of row vectors in k^n / S."""
         return self.reduce(vecs).take_cols(self.nonpivots)
-
-    def quotient_dim(self) -> int:
-        return self.ambient - self.dim

@@ -321,17 +321,12 @@ def _build_indec_projective(a: Algebra, class_index: int) -> tuple[Module, Mat, 
     e = prim.idempotents[prim.class_reps[class_index]]
     span = Subspace.from_columns(a.right_mult_matrix(e))  # A e
     w = span.basis.transpose()
-    if isinstance(a.field, PrimeField):
-        n = a.dim
-        imgs = matmul_mod(a._left_regular_stack().reshape(n * n, n), w.data, a.field.p).reshape(n, n, w.cols)
-        action = []
-        for i in range(a.dim):
-            coords = span.coords(Mat(a.field, imgs[i].T, copy=False))
-            if coords is None:
-                raise ModuleError("projective summand is not invariant")
-            action.append(coords.transpose())
-    else:
-        action = submodule(regular_module(a), span)[0].action
+    d = w.cols
+    # row i*d + t: coordinates of b_i w_t in the basis w
+    coords = span.coords(a.multiply_batches(Mat.identity(a.field, a.dim), w).transpose())
+    if coords is None:
+        raise ModuleError("projective summand is not invariant")
+    action = [coords.take_rows(range(i * d, (i + 1) * d)).transpose() for i in range(a.dim)]
     return Module(a, action, name=f"P[{class_index}]"), w, e
 
 

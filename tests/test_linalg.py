@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhcover.algebra import _lift_idempotent_element, algebra_of_matrices
 from qhcover.fields import GF, QQ
 from qhcover.linalg import (
     _BLAS_MIN_OPS,
@@ -15,22 +16,19 @@ from qhcover.linalg import (
     MatrixBasis,
     Subspace,
     _product_dtype,
-    gfp_backends,
-    lift_idempotent,
-    mat_kernel,
-    mat_solve,
     matmul_mod,
 )
 
 F3 = GF(3)
+P_MAX = 1048573  # the largest prime below PrimeField.MAX_P
 
 
 def test_kernel_identity_empty():
-    assert mat_kernel(Mat.identity(F3, 3)).cols == 0
+    assert Mat.identity(F3, 3).kernel().cols == 0
 
 
 def test_kernel_zero_map_full():
-    k = mat_kernel(Mat.zeros(F3, 2, 3))
+    k = Mat.zeros(F3, 2, 3).kernel()
     assert k.cols == 3
     assert k == Mat.identity(F3, 3)
 
@@ -43,7 +41,7 @@ def test_kernel_gf3_matches_exhaustive_enumeration():
         for v in itertools.product(range(3), repeat=2)
         if all((sum(m[i, j] * v[j] for j in range(2))) % 3 == 0 for i in range(2))
     ]
-    k = mat_kernel(m)
+    k = m.kernel()
     assert k.cols == 1
     spanned = {tuple((c * k[0, 0] % 3, c * k[1, 0] % 3)) for c in range(3)}
     assert spanned == set(map(tuple, annihilated))
@@ -51,17 +49,17 @@ def test_kernel_gf3_matches_exhaustive_enumeration():
 
 def test_solve_identity_returns_rhs():
     b = Mat(F3, [[1, 2], [0, 1], [2, 2]])
-    assert mat_solve(Mat.identity(F3, 3), b) == b
+    assert Mat.identity(F3, 3).solve(b) == b
 
 
 def test_solve_unsolvable_returns_none():
-    assert mat_solve(Mat.zeros(F3, 2, 2), Mat(F3, [[1], [0]])) is None
+    assert Mat.zeros(F3, 2, 2).solve(Mat(F3, [[1], [0]])) is None
 
 
 def test_solve_gf3_exhaustive():
     # 2*2 = 4 = 1 mod 3; exhaustive check of the 1x1 case.
     a, b = Mat(F3, [[2]]), Mat(F3, [[1]])
-    x = mat_solve(a, b)
+    x = a.solve(b)
     assert x == Mat(F3, [[2]])
     assert [(2 * c) % 3 for c in range(3)].index(1) == 2
 
@@ -71,7 +69,7 @@ def test_rank_nullity_and_product_zero():
     for _ in range(40):
         r, c = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         m = Mat(F3, rng.integers(0, 3, size=(r, c)))
-        k = mat_kernel(m)
+        k = m.kernel()
         assert m.rank() + k.cols == c
         if k.cols:
             assert (m @ k).is_zero()
@@ -81,7 +79,7 @@ def test_rank_nullity_and_product_zero():
 @settings(max_examples=60, deadline=None)
 def test_qq_kernel_property(rows):
     m = Mat(QQ, rows)
-    k = mat_kernel(m)
+    k = m.kernel()
     assert m.rank() + k.cols == m.cols
     if k.cols:
         assert (m @ k).is_zero()
@@ -94,57 +92,92 @@ def test_solve_result_satisfies_equation():
         a = Mat(F3, rng.integers(0, 3, size=(r, c)))
         xs = Mat(F3, rng.integers(0, 3, size=(c, 2)))
         b = a @ xs
-        x = mat_solve(a, b)
+        x = a.solve(b)
         assert x is not None and (a @ x) == b
+
+
+def _lift_m2(field, entries, nil_bound):
+    """Idempotent lifting in the full matrix algebra M_2 on the unit
+    matrices, where the coordinates of a 2 x 2 matrix are its entries read
+    row-major."""
+    units = [Mat.from_entries(field, 2, 2, {(i, j): 1}) for i in range(2) for j in range(2)]
+    a = algebra_of_matrices(MatrixBasis(units), "M_2")
+    return _lift_idempotent_element(a, Mat(field, entries).reshape(4, 1), nil_bound).reshape(2, 2)
 
 
 def test_lift_idempotent_fixed_point_and_zero():
     e = Mat(QQ, [[1, 0], [0, 0]])
-    assert lift_idempotent(e, 3) == e
+    assert _lift_m2(QQ, e.data, 3) == e
     z = Mat.zeros(QQ, 2, 2)
-    assert lift_idempotent(z, 3) == z
+    assert _lift_m2(QQ, z.data, 3) == z
 
 
 def test_lift_idempotent_nilpotent_defect():
-    # Hand-run: e0 = [[1,1],[0,0]] is already idempotent; perturb to break it.
-    e0 = Mat(QQ, [[1, 1], [1, 0]])
-    # defect e0^2 - e0 = [[1,0],[0,1]] is NOT nilpotent; build a valid one instead
-    e0 = Mat(QQ, [[Fraction(1), Fraction(1, 2)], [Fraction(0), Fraction(0)]])
-    e = lift_idempotent(e0, 4)
+    e = _lift_m2(QQ, [[Fraction(1), Fraction(1, 2)], [Fraction(0), Fraction(0)]], 4)
     assert (e @ e) == e
     assert e[1, 0] == 0 and e[1, 1] == 0 and e[0, 0] == 1
+    # x^2 - x = [[0, 1], [0, 0]] is nilpotent; one step 3x^2 - 2x^3 gives 1
+    assert _lift_m2(QQ, [[1, 1], [0, 1]], 4) == Mat.identity(QQ, 2)
 
 
 def test_lift_idempotent_gfp_unipotent_block():
-    # e0 = [[1,1],[0,0]] over GF(3): idempotent already (fixed point).
-    e0 = Mat(F3, [[1, 1], [0, 0]])
-    assert lift_idempotent(e0, 4) == e0
-    # genuinely defective: e0 + nilpotent correction
-    e0 = Mat(F3, [[1, 0], [1, 0]])
-    e = lift_idempotent(e0, 4)
-    assert (e @ e) == e
+    # idempotent already (fixed points)
+    for e0 in ([[1, 1], [0, 0]], [[1, 0], [1, 0]]):
+        assert _lift_m2(F3, e0, 4) == Mat(F3, e0)
+    # unipotent: the defect [[0, 2], [0, 0]] is nilpotent
+    assert _lift_m2(F3, [[1, 2], [0, 1]], 4) == Mat.identity(F3, 2)
 
 
-def test_backends_agree_bit_for_bit():
-    backends = gfp_backends()
+def test_products_match_python_int_reference():
     rng = np.random.default_rng(5)
     for p in (2, 3, 7):
         for _ in range(25):
             r, c = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-            a = rng.integers(0, p, size=(r, c))
-            red_np, piv_np = backends["numpy"].rref_mod(a, p)
-            red_ac, piv_ac = backends["active"].rref_mod(a, p)
-            assert np.array_equal(red_np, red_ac) and list(piv_np) == list(piv_ac)
-            b = rng.integers(0, p, size=(c, 4))
+            a, b = rng.integers(0, p, size=(r, c)), rng.integers(0, p, size=(c, 4))
             assert matmul_mod(a, b, p).tolist() == _matmul_reference(a, b, p)
+
+
+def _rref_reference(rows, p):
+    """Gauss-Jordan mod p on Python ints: leftmost pivot column, topmost
+    nonzero pivot row, pivot scaled to 1, column cleared above and below."""
+    m = [[int(x) % p for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, P_MAX])
+def test_rref_matches_python_int_reference(p):
+    # uniform matrices, matrices with entries near p-1, and matrices of low
+    # rank, so that free columns and zero rows occur at every p
+    rng = np.random.default_rng(p)
+    for t in range(45):
+        r, c = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        if t % 3 == 2:
+            k = int(rng.integers(1, min(r, c) + 1))
+            rows = _matmul_reference(rng.integers(0, p, size=(r, k)), rng.integers(0, p, size=(k, c)), p)
+        else:
+            rows = rng.integers(max(p - 4, 0) if t % 3 else 0, p, size=(r, c)).tolist()
+        red, pivots = Mat(GF(p), rows).rref()
+        assert (red.data.tolist(), pivots) == _rref_reference(rows, p)
 
 
 def _matmul_reference(a, b, mod):
     """a @ b mod ``mod`` on Python ints."""
     return [[sum(int(x) * int(y) for x, y in zip(row, col)) % mod for col in zip(*b)] for row in a]
 
-
-P_MAX = 1048573  # the largest prime below PrimeField.MAX_P
 
 
 def test_product_bounds_at_the_largest_prime():
@@ -186,7 +219,7 @@ def test_batched_products_are_exact(mod):
 
 def test_determinism_identical_inputs():
     a = Mat(F3, [[1, 2, 0], [2, 1, 1]])
-    assert mat_kernel(a) == mat_kernel(Mat(F3, [[1, 2, 0], [2, 1, 1]]))
+    assert a.kernel() == Mat(F3, [[1, 2, 0], [2, 1, 1]]).kernel()
 
 
 def test_subspace_quotient_coords():
