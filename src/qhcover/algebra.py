@@ -741,6 +741,13 @@ def _corner_center_dim(block: Algebra) -> int:
 
 
 def _primitive_idempotents(a: Algebra) -> PrimitiveDecomposition:
+    # Local fast path.  _assert_nilpotent_ideal has certified J subset of rad A
+    # for the computed radical J; dim A/J = 1 makes A/J = k a field, so J is
+    # maximal and J = rad A.  A is then local, its only idempotents are 0 and
+    # 1, and the general path below would return exactly [1] (over either
+    # field).
+    if a.dim - a.radical_subspace().dim == 1:
+        return PrimitiveDecomposition([a.one], [0])
     rng = np.random.default_rng(20240 + a.dim)
     quot = semisimple_quotient(a)
     bar_idems, blocks = _primitive_set_semisimple(quot.quotient, rng)

@@ -611,7 +611,15 @@ def corner_module(m: Module, e: Mat, corner: Algebra, corner_incl: Mat) -> Modul
 
 
 def endomorphism_algebra(m: Module) -> tuple[Algebra, list[ModuleMap]]:
-    """End_A(M) with multiplication f * g = f o g, plus the basis maps."""
+    """End_A(M) with multiplication f * g = f o g, plus the basis maps.
+
+    Memoised on m, so every user of End(M) shares one algebra, one radical
+    and one set of primitive idempotents.
+    """
+    return memo(m, "_end", lambda: _endomorphism_algebra(m))
+
+
+def _endomorphism_algebra(m: Module) -> tuple[Algebra, list[ModuleMap]]:
     basis = hom_space(m, m).maps
     if not basis:
         raise ModuleError("endomorphism algebra of the zero module")
@@ -632,12 +640,17 @@ def indecomposable_summands(m: Module) -> list[tuple[Module, ModuleMap, ModuleMa
     """Split into indecomposables via idempotents of End(M).
 
     Returns (summand, inclusion, projection) triples with
-    sum of incl o proj = identity.
+    sum of incl o proj = identity.  An indecomposable m (End(M) local) is
+    returned as itself with identity maps, so its cached data is reused;
+    callers must not mutate a returned module.
     """
     if m.dim == 0:
         return []
     end, basis = endomorphism_algebra(m)
     prim = end.primitive_idempotents()
+    if len(prim) == 1:
+        ident = Mat.identity(m.algebra.field, m.dim)
+        return [(m, ModuleMap(m, m, ident), ModuleMap(m, m, ident))]
     out = []
     for e in prim.idempotents:
         mat = end_element_matrix(basis, e)
@@ -648,11 +661,6 @@ def indecomposable_summands(m: Module) -> list[tuple[Module, ModuleMap, ModuleMa
         proj = proj_mat.transpose()
         out.append((summand, incl, ModuleMap(m, summand, proj)))
     return out
-
-
-def _local_end_radical(m: Module) -> tuple[Algebra, list[ModuleMap], Subspace]:
-    end, basis = endomorphism_algebra(m)
-    return end, basis, end.radical_subspace()
 
 
 def is_isomorphic(m: Module, n: Module, seed: int = 1) -> Optional[ModuleMap]:
@@ -695,7 +703,8 @@ def _indec_isomorphic(m: Module, n: Module) -> Optional[ModuleMap]:
     gs = hom_space(n, m).maps
     if not fs or not gs:
         return None
-    end, basis, rad = _local_end_radical(m)
+    end, basis = endomorphism_algebra(m)
+    rad = end.radical_subspace()
     end_basis = MatrixBasis([f.matrix for f in basis])
     for f in fs:
         for g in gs:

@@ -338,6 +338,10 @@ def _extract_tilting_summand(qh: QHStructure, lam: int, x: Module, incl: Mat):
     if len(hits) != 1:
         raise QHError(f"expected exactly one summand containing Delta, found {len(hits)}")
     mod, inc, proj = parts[hits[0]]
+    if mod is qh.standards[lam]:
+        # no extension ran and Delta(lam) is its own summand: T(lam) gets an
+        # object of its own, so naming it does not rename Delta(lam)
+        mod = Module(x.algebra, x.action)
     # sequence data: Delta(lam) -> T(lam) with cokernel filtered by lower standards
     delta_map = ModuleMap(qh.standards[lam], mod, proj.matrix @ incl)
     if not delta_map.is_injective():

@@ -136,7 +136,7 @@ def _split_off_add_q(m: Module, q: Module) -> Module:
     q_parts = _indec_summand_list(q)
     keep = []
     for s, _, _ in indecomposable_summands(m):
-        if not any(s.dim == t.dim and is_isomorphic(s, t) is not None for t in q_parts):
+        if not any(is_isomorphic(s, t) is not None for t in q_parts):
             keep.append(s)
     if not keep:
         return zero_module(m.algebra)
@@ -229,7 +229,7 @@ def find_projective_injectives(a: Algebra) -> Module:
     keep = []
     for ci in range(prim.n_blocks):
         p = _indec_projective(a, ci)[0]
-        if any(p.dim == i.dim and is_isomorphic(p, i) is not None for i in injectives):
+        if any(is_isomorphic(p, i) is not None for i in injectives):
             keep.append(p)
     if not keep:
         return zero_module(a)

@@ -23,6 +23,8 @@ from qhcover.gallery import build_am, build_schur
 from qhcover.linalg import Mat, Subspace
 from qhcover.quiver import Arrow, QuiverPresentation, arrow_ideal_dimension, from_quiver
 
+from conftest import make_am_algebra
+
 F2, F3 = GF(2), GF(3)
 
 
@@ -333,6 +335,36 @@ def test_primitive_idempotents_qq_s3():
     # QQ S_3 = QQ x QQ x M_2(QQ): 1 + 1 + 2 primitive idempotents, 3 blocks
     assert prim.n_blocks == 3
     assert len(prim) == 4
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
+def test_local_algebra_skips_splitting(monkeypatch, field):
+    from qhcover import algebra
+    from qhcover.modules import _indec_projective, endomorphism_algebra
+
+    calls = {"split": [], "certify": []}
+    for name, key in (("_primitive_set_semisimple", "split"), ("_assert_nilpotent_ideal", "certify")):
+        original = getattr(algebra, name)
+
+        def counting(a, *args, original=original, key=key):
+            calls[key].append(a)
+            return original(a, *args)
+
+        monkeypatch.setattr(algebra, name, counting)
+    # non-local: A_3 still runs the general splitting
+    a3 = make_am_algebra(3, field)
+    prim = a3.primitive_idempotents()
+    assert len(prim) == 3 and prim.n_blocks == 3
+    assert len(calls["split"]) == 1
+    # local: k[x]/(x^2) and End(P(l)) never reach it
+    dual_numbers = from_structure_constants(field, 2, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0])
+    local = [dual_numbers] + [endomorphism_algebra(_indec_projective(a3, ci)[0])[0] for ci in range(3)]
+    for a in local:
+        prim = a.primitive_idempotents()
+        assert prim.idempotents == [a.one] and prim.block_of == [0]
+    assert len(calls["split"]) == 1
+    # the radical certificate still runs on every algebra
+    assert all(any(b is a for b in calls["certify"]) for a in [a3] + local)
 
 
 # -- corner algebras --------------------------------------------------------------

@@ -342,3 +342,24 @@ def test_validate_rejects_action_wrong_beyond_generator_pairs():
     regular_module(a).validate()
     with pytest.raises(ModuleError, match="not multiplicative"):
         bad.validate()
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
+def test_indecomposable_is_its_own_summand(field):
+    from qhcover.gallery import build_am
+
+    qh = build_am(3, field).qh
+    modules = qh.projectives + qh.standards + qh.tiltings()
+    for m in modules:
+        parts = indecomposable_summands(m)
+        assert len(parts) == 1
+        summand, incl, proj = parts[0]
+        ident = Mat.identity(field, m.dim)
+        assert summand is m and incl.matrix == ident and proj.matrix == ident
+    reg = regular_module(qh.algebra)
+    parts = indecomposable_summands(reg)
+    assert len(parts) == 3 and all(s is not reg for s, _, _ in parts)
+    total = Mat.zeros(field, reg.dim, reg.dim)
+    for _, incl, proj in parts:
+        total = total + (incl.matrix @ proj.matrix)
+    assert total == Mat.identity(field, reg.dim)

@@ -23,20 +23,21 @@ def am_poset(a, m):
     return WeightPoset([str(i + 1) for i in range(m)], pairs, [a.basis_element(v) for v in range(m)])
 
 
-@pytest.fixture(scope="module")
-def qh_a2():
-    a = make_am_algebra(2, F3)
-    report, qh = verify_split_qh(a, am_poset(a, 2))
+def _am_structure(m, field):
+    a = make_am_algebra(m, field)
+    report, qh = verify_split_qh(a, am_poset(a, m))
     assert report.passed
     return qh
+
+
+@pytest.fixture(scope="module")
+def qh_a2():
+    return _am_structure(2, F3)
 
 
 @pytest.fixture(scope="module")
 def qh_a3():
-    a = make_am_algebra(3, F3)
-    report, qh = verify_split_qh(a, am_poset(a, 3))
-    assert report.passed
-    return qh
+    return _am_structure(3, F3)
 
 
 def test_standard_modules_a2(qh_a2):
@@ -208,3 +209,31 @@ def test_schur_23_tilting_axioms():
     parts = qh.tiltings()
     for summand, _, _ in indecomposable_summands(s.tensor_module):
         assert any(summand.dim == p.dim and is_isomorphic(summand, p) is not None for p in parts)
+
+
+def _schur_23_structure():
+    from qhcover.gallery import build_schur
+
+    return build_schur(2, 3, 1, F3).qh()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _am_structure(2, F3),
+        lambda: _am_structure(3, F3),
+        lambda: _am_structure(2, QQ),
+        lambda: _am_structure(3, QQ),
+        _schur_23_structure,
+    ],
+    ids=["A2-GF3", "A3-GF3", "A2-QQ", "A3-QQ", "S23-GF3"],
+)
+def test_tiltings_do_not_rename_standards(build):
+    # T(l) = Delta(l) when no extension runs (l minimal); T(l) must still
+    # be an object of its own, so naming it leaves Delta(l) alone
+    qh = build()
+    tilts = qh.tiltings()
+    for lam, label in enumerate(qh.poset.labels):
+        assert qh.standards[lam].name == f"Delta({label})"
+        assert tilts[lam].name == f"T({label})"
+        assert tilts[lam] is not qh.standards[lam]

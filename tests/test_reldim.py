@@ -242,3 +242,31 @@ def test_methods_agree_over_qq(a2_qq):
             mv = relative_codomdim(q, m, 7).value
             cv, _ = codomdim_chain(q, m, 7)
             assert str(mv) == str(cv), (m.name, str(mv), str(cv))
+
+
+def test_end_algebra_built_once(monkeypatch):
+    from qhcover import algebra
+    from qhcover.algebra import opposite
+    from qhcover.modules import end_algebra_with_bimodule, endomorphism_algebra
+    from qhcover.qh import WeightPoset, verify_split_qh
+    from qhcover.reldim import _split_off_add_q
+
+    calls = []
+    original = algebra._primitive_idempotents
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(algebra, "_primitive_idempotents", counting)
+    a = make_am_algebra(2, F3)
+    _, qh = verify_split_qh(a, WeightPoset(["1", "2"], [(1, 0)], [a.basis_element(v) for v in range(2)]))
+    t = qh.characteristic_tilting()
+    s2 = top(qh.projectives[1])[0]  # = T(2), so the split-off is one cheap iso test
+    assert _split_off_add_q(s2, t).dim == 0
+    assert relative_codomdim(t, s2, cap=6).value.is_infinite()
+    end_t = endomorphism_algebra(t)
+    assert end_t is endomorphism_algebra(t)
+    assert end_algebra_with_bimodule(t)[0] is opposite(end_t[0])
+    # End(T) and End(T)^op share one idempotent slot: computed once in all
+    assert len([b for b in calls if b.provenance == "endomorphism" and b.dim == end_t[0].dim]) == 1
