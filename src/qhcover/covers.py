@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import Algebra
 from .fields import PrimeField
 from .homology import DimValue, ext_dim
-from .linalg import Mat, MatrixBasis, Subspace, matmul_mod
+from .linalg import Mat, MatrixBasis, Subspace
 from .memo import memo
 from .modules import (
     Module,
@@ -152,11 +152,8 @@ def _eta_matrix(p: Module, fa: Module, fa_basis: list[ModuleMap], m: Module):
 
 def _module_elem_action(m: Module, gm: Mat, c: int) -> Mat:
     """Matrix p -> m of x -> rho_m(g(x)) . m_c, g given by its matrix gm."""
-    field = m.algebra.field
-    if isinstance(field, PrimeField):
-        vecs = matmul_mod(m.stack()[:, :, c].T, gm.data, field.p)  # (t, p.dim)
-        return Mat(field, vecs, copy=False)
-    return Mat.hstack([m.act(gm.take_cols([j])).take_cols([c]) for j in range(gm.cols)])
+    # column a of the transposed reshape is rho(b_a) m_c
+    return m.stack().take_cols([c]).reshape(m.algebra.dim, m.dim).transpose() @ gm
 
 
 def hn_dimension(qh: QHStructure, p: Module, cap: int = 10, random_checks: int = 0, seed: int = 11) -> CoverReport:
@@ -376,7 +373,7 @@ def wakamatsu_check(qh: QHStructure, q: Module, cap: int = 10) -> tuple[DimValue
 
 def module_over_quotient(m: Module, quot: Algebra, proj: Mat, sect: Mat) -> Module:
     """Transport a module killed by the ideal to a module over A/I."""
-    return Module(quot, [m.act(sect.take_cols([c])) for c in range(quot.dim)])
+    return Module(quot, m.act_many(sect))
 
 
 def truncate_cover_check(qh: QHStructure, p: Module, lam_max: int, cap: int = 8) -> dict:

@@ -7,6 +7,11 @@ exact Fraction arithmetic; all QQ instances in this package are small.
 Other modules stay off the storage: they build and reshape matrices through
 Mat's field-neutral operations and take coordinates through MatrixBasis.
 
+The public constructor ``Mat(...)`` checks data from outside the program: it
+reduces GF(p) entries mod p and turns QQ entries into Fractions.  Results
+of the operations here skip those checks: they are built by ``_trusted``,
+which neither copies, reduces nor coerces.
+
 Everything here is deterministic: identical inputs give bit-identical
 outputs (leftmost pivot columns, topmost pivot rows).
 """
@@ -143,8 +148,14 @@ def _rref_qq(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
 class Mat:
     """Immutable dense matrix over a Field.
 
-    GF(p): ``data`` is an int64 ndarray with entries in [0, p).
+    GF(p): ``data`` is a read-only int64 ndarray with entries in [0, p).
     QQ:    ``data`` is a tuple of tuples of Fraction.
+
+    ``Mat(field, data)`` is for data from outside the program and checks it:
+    GF(p) entries are reduced mod p, QQ entries become Fractions, and data
+    that is not 2-dimensional or has ragged rows is rejected.  Every
+    operation below builds its result with ``_trusted`` instead, which skips
+    those checks because its data is already in that form.
     """
 
     __slots__ = ("field", "data", "rows", "cols")
@@ -177,14 +188,14 @@ class Mat:
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Mat":
         if isinstance(field, PrimeField):
-            return Mat(field, np.zeros((rows, cols), dtype=np.int64), copy=False)
-        return Mat(field, [[Fraction(0)] * cols for _ in range(rows)], cols=cols)
+            return _trusted(field, np.zeros((rows, cols), dtype=np.int64))
+        return _trusted(field, [[Fraction(0)] * cols for _ in range(rows)], cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
         if isinstance(field, PrimeField):
-            return Mat(field, np.eye(n, dtype=np.int64), copy=False)
-        return Mat(field, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+            return _trusted(field, np.eye(n, dtype=np.int64))
+        return _trusted(field, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def from_entries(field: Field, rows: int, cols: int, entries: dict) -> "Mat":
@@ -203,21 +214,17 @@ class Mat:
         mats = list(mats)
         field = mats[0].field
         if isinstance(field, PrimeField):
-            return Mat(field, np.hstack([m.data for m in mats]), copy=False)
+            return _trusted(field, np.hstack([m.data for m in mats]))
         rows = [[x for m in mats for x in m.data[i]] for i in range(mats[0].rows)]
-        return Mat(field, rows, cols=sum(m.cols for m in mats))
+        return _trusted(field, rows, sum(m.cols for m in mats))
 
     @staticmethod
     def vstack(mats: Sequence["Mat"]) -> "Mat":
         mats = list(mats)
         field = mats[0].field
         if isinstance(field, PrimeField):
-            return Mat(field, np.vstack([m.data for m in mats]), copy=False)
-        rows = [list(r) for m in mats for r in m.data]
-        cols = mats[0].cols
-        if not rows:
-            return Mat.zeros(field, 0, cols)
-        return Mat(field, rows)
+            return _trusted(field, np.vstack([m.data for m in mats]))
+        return _trusted(field, [r for m in mats for r in m.data], mats[0].cols)
 
     @staticmethod
     def block_diag(field: Field, mats: Sequence["Mat"]) -> "Mat":
@@ -229,23 +236,17 @@ class Mat:
             _assign_block(out, r, c, m)
             r += m.rows
             c += m.cols
-        return Mat(field, out, copy=False)
+        return _trusted(field, out, cols)
 
     # -- scalar access ---------------------------------------------------
     def __getitem__(self, rc):
         r, c = rc
-        x = self.data[r][c] if isinstance(self.field, RationalField) else self.data[r, c]
-        return x
+        return self.data[r][c] if isinstance(self.field, RationalField) else self.data[r, c]
 
     def mutable(self):
         if isinstance(self.field, PrimeField):
             return np.array(self.data, copy=True)
         return [list(r) for r in self.data]
-
-    def col(self, j: int) -> list:
-        if isinstance(self.field, PrimeField):
-            return self.data[:, j].tolist()
-        return [r[j] for r in self.data]
 
     # -- arithmetic -------------------------------------------------------
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -253,7 +254,9 @@ class Mat:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         f = self.field
         if isinstance(f, PrimeField):
-            return Mat(f, matmul_mod(self.data, other.data, f.p), copy=False)
+            # int64 (never object) for inner dimensions below 2^63 / (p-1)^2,
+            # at least 2^23 for p <= PrimeField.MAX_P
+            return _trusted(f, matmul_mod(self.data, other.data, f.p))
         out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
         for i, row in enumerate(self.data):
             for k, a in enumerate(row):
@@ -262,26 +265,26 @@ class Mat:
                     oi = out[i]
                     for j in range(other.cols):
                         oi[j] += a * brow[j]
-        return Mat(f, out, cols=other.cols)
+        return _trusted(f, out, other.cols)
 
     def __add__(self, other: "Mat") -> "Mat":
         f = self.field
         if isinstance(f, PrimeField):
-            return Mat(f, (self.data + other.data) % f.p, copy=False)
-        return Mat(f, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], cols=self.cols)
+            return _trusted(f, (self.data + other.data) % f.p)
+        return _trusted(f, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         f = self.field
         if isinstance(f, PrimeField):
-            return Mat(f, (self.data - other.data) % f.p, copy=False)
-        return Mat(f, [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], cols=self.cols)
+            return _trusted(f, (self.data - other.data) % f.p)
+        return _trusted(f, [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], self.cols)
 
     def scale(self, c) -> "Mat":
         f = self.field
         if isinstance(f, PrimeField):
-            return Mat(f, (self.data * (int(c) % f.p)) % f.p, copy=False)
-        c = Fraction(c)
-        return Mat(f, [[c * x for x in row] for row in self.data], cols=self.cols)
+            return _trusted(f, (self.data * (int(c) % f.p)) % f.p)
+        c = as_fraction(c)
+        return _trusted(f, [[c * x for x in row] for row in self.data], self.cols)
 
     def __neg__(self) -> "Mat":
         return self.scale(-1 if isinstance(self.field, RationalField) else self.field.p - 1)
@@ -291,36 +294,36 @@ class Mat:
         if rows * cols != self.rows * self.cols:
             raise ValueError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
         if isinstance(self.field, PrimeField):
-            return Mat(self.field, self.data.reshape(rows, cols), copy=False)
+            return _trusted(self.field, self.data.reshape(rows, cols))
         flat = [x for row in self.data for x in row]
-        return Mat(self.field, [flat[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
+        return _trusted(self.field, [flat[i * cols : (i + 1) * cols] for i in range(rows)], cols)
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product: with other r x c, entry (i*r + k, j*c + l) is self[i, j] * other[k, l]."""
         f = self.field
         if isinstance(f, PrimeField):
-            return Mat(f, np.kron(self.data, other.data) % f.p, copy=False)
+            return _trusted(f, np.kron(self.data, other.data) % f.p)
         rows = [[a * b for a in arow for b in brow] for arow in self.data for brow in other.data]
-        return Mat(f, rows, cols=self.cols * other.cols)
+        return _trusted(f, rows, self.cols * other.cols)
 
     def transpose(self) -> "Mat":
         if isinstance(self.field, PrimeField):
-            return Mat(self.field, self.data.T, copy=False)
+            return _trusted(self.field, self.data.T)
         if self.rows == 0:
-            return Mat(self.field, [[] for _ in range(self.cols)], cols=0)
-        return Mat(self.field, list(zip(*self.data)), cols=self.rows)
+            return _trusted(self.field, [()] * self.cols)
+        return _trusted(self.field, list(zip(*self.data)), self.rows)
 
     def take_rows(self, idx: Iterable[int]) -> "Mat":
         idx = list(idx)
         if isinstance(self.field, PrimeField):
-            return Mat(self.field, self.data[idx, :] if idx else np.zeros((0, self.cols), dtype=np.int64), copy=False)
-        return Mat(self.field, [self.data[i] for i in idx], cols=self.cols)
+            return _trusted(self.field, self.data[idx, :] if idx else np.zeros((0, self.cols), dtype=np.int64))
+        return _trusted(self.field, [self.data[i] for i in idx], self.cols)
 
     def take_cols(self, idx: Iterable[int]) -> "Mat":
         idx = list(idx)
         if isinstance(self.field, PrimeField):
-            return Mat(self.field, self.data[:, idx] if idx else np.zeros((self.rows, 0), dtype=np.int64), copy=False)
-        return Mat(self.field, [[row[j] for j in idx] for row in self.data], cols=len(idx))
+            return _trusted(self.field, self.data[:, idx] if idx else np.zeros((self.rows, 0), dtype=np.int64))
+        return _trusted(self.field, [[row[j] for j in idx] for row in self.data], len(idx))
 
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
@@ -351,9 +354,9 @@ class Mat:
             return self, []
         if isinstance(self.field, PrimeField):
             red, piv = _rref_gfp(self.data, self.field.p)
-            return Mat(self.field, red, copy=False), piv
+            return _trusted(self.field, red), piv
         red, piv = _rref_qq([list(r) for r in self.data])
-        return Mat(self.field, red), piv
+        return _trusted(self.field, red, self.cols), piv
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -368,7 +371,7 @@ class Mat:
             _set_entry(ker, fc, k, one)
             for i, pc in enumerate(pivots):
                 _set_entry(ker, pc, k, self.field.neg(red[i, fc]))
-        return Mat(self.field, ker, copy=False)
+        return _trusted(self.field, ker, len(free))
 
     def solve(self, b: "Mat") -> Optional["Mat"]:
         """Some x with self @ x == b, or None when inconsistent."""
@@ -382,7 +385,7 @@ class Mat:
         for i, pc in enumerate(pivots):
             for j in range(b.cols):
                 _set_entry(x, pc, j, red[i, self.cols + j])
-        return Mat(self.field, x, copy=False)
+        return _trusted(self.field, x, b.cols)
 
     def inv(self) -> "Mat":
         if self.rows != self.cols:
@@ -394,6 +397,26 @@ class Mat:
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
+
+
+def _trusted(field: Field, data, cols: int = 0) -> Mat:
+    """A Mat on data that linalg built: a reduced int64 array over GF(p), rows
+    of Fractions over QQ (``cols`` gives the width of zero rows).
+
+    Unlike ``Mat(...)`` nothing is copied, reduced or coerced: the array is
+    made read-only, and QQ rows are stored as tuples.
+    """
+    m = Mat.__new__(Mat)
+    m.field = field
+    if isinstance(field, PrimeField):
+        data.setflags(write=False)
+        m.rows, m.cols = data.shape
+    else:
+        data = tuple(map(tuple, data))
+        m.rows = len(data)
+        m.cols = len(data[0]) if data else cols
+    m.data = data
+    return m
 
 
 def _set_entry(buf, i, j, v):
@@ -462,7 +485,7 @@ class MatrixBasis:
             ri, rk = np.divmod(self.rows, u)
             flat = prods.reshape(n, t, n, u)[:, ri, :, rk].reshape(len(self.rows), n * n)
             del prods
-            return (self.square_inv @ Mat(f, flat, copy=False)).transpose()
+            return (self.square_inv @ _trusted(f, flat)).transpose()
         return self.coords_many([a @ b for a in self.mats for b in self.mats]).transpose()
 
 

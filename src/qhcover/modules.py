@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import Algebra, algebra_of_matrices, opposite
 from .fields import PrimeField
-from .linalg import Mat, MatrixBasis, Subspace, matmul_mod
+from .linalg import Mat, MatrixBasis, Subspace
 from .memo import memo
 
 
@@ -47,29 +47,22 @@ class Module:
         tag = f" {self.name!r}" if self.name else ""
         return f"Module(dim={self.dim}{tag})"
 
-    def stack(self) -> np.ndarray:
-        return memo(self, "_stack", lambda: np.stack([m.data for m in self.action]))
+    def stack(self) -> Mat:
+        """The action matrices stacked: rows a*dim .. (a+1)*dim hold rho(b_a) (cached)."""
+        return memo(self, "_stack", lambda: Mat.vstack(self.action))
+
+    def _flat_action(self) -> Mat:
+        """(A.dim x dim^2): row a is rho(b_a) read row-major (cached)."""
+        return memo(self, "_flat", lambda: self.stack().reshape(self.algebra.dim, self.dim * self.dim))
 
     def act(self, x: Mat) -> Mat:
         """Action matrix of an algebra element (column vector of coords)."""
-        f = self.algebra.field
-        if isinstance(f, PrimeField):
-            return self.act_many(x)[0]
-        acc = Mat.zeros(f, self.dim, self.dim)
-        for i in range(self.algebra.dim):
-            xi = x[i, 0]
-            if xi != 0:
-                acc = acc + self.action[i].scale(xi)
-        return acc
+        return (x.transpose() @ self._flat_action()).reshape(self.dim, self.dim)
 
     def act_many(self, xs: Mat) -> list[Mat]:
         """Action matrices for several elements (columns of xs)."""
-        f = self.algebra.field
-        if isinstance(f, PrimeField):
-            stack = self.stack()
-            out = matmul_mod(xs.data.T, stack.reshape(len(stack), self.dim**2), f.p).reshape(xs.cols, self.dim, self.dim)
-            return [Mat(f, out[c], copy=False) for c in range(xs.cols)]
-        return [self.act(xs.take_cols([c])) for c in range(xs.cols)]
+        flat = xs.transpose() @ self._flat_action()  # row c: rho(x_c) row-major
+        return [flat.take_rows([c]).reshape(self.dim, self.dim) for c in range(xs.cols)]
 
     def validate(self) -> None:
         """Representation axioms: rho(1) = 1 and rho(g b) = rho(g) rho(b) for
@@ -375,15 +368,11 @@ def _top_class_generators(m: Module) -> list[tuple[int, Mat]]:
         e = prim.idempotents[prim.class_reps[ci]]
         cols = m.act(e)  # columns e.(basis of M)
         top_coords = rad.quotient_coords(cols.transpose()).transpose()  # images in top
-        # pivot columns index vectors of e.M whose top images are independent
-        for j in _independent_columns(top_coords):
+        # the pivot columns index vectors of e.M whose top images are a
+        # maximal independent set
+        for j in top_coords.rref()[1]:
             out.append((ci, cols.take_cols([j])))
     return out
-
-
-def _independent_columns(mat: Mat) -> list[int]:
-    # the pivot columns of the rref are a maximal independent column set
-    return mat.rref()[1]
 
 
 def _cover(m: Module) -> tuple[ProjSum, Mat]:
@@ -423,23 +412,12 @@ def _evaluation_matrix(p: ProjSum, n: Module, targets: list[Mat]) -> Mat:
     On the summand A e_j the map is a e_j -> rho_N(a e_j) targets[j].
     """
     a = p.module.algebra
-    field = a.field
     if not p.summands:
-        return Mat.zeros(field, n.dim, 0)
-    blocks = []
-    if isinstance(field, PrimeField):
-        stack = n.stack().reshape(a.dim * n.dim, n.dim)
-        for s, v in zip(p.summands, targets):
-            sv = matmul_mod(stack, v.data, field.p).reshape(a.dim, n.dim)  # sv[a, i] = (rho(b_a) v)_i
-            blocks.append(Mat(field, matmul_mod(sv.T, s.incl.data, field.p), copy=False))
-    else:
-        for s, v in zip(p.summands, targets):
-            cols = []
-            for c in range(s.incl.cols):
-                x = s.incl.take_cols([c])
-                cols.append(n.act(x) @ v)
-            blocks.append(Mat.hstack(cols))
-    return Mat.hstack(blocks)
+        return Mat.zeros(a.field, n.dim, 0)
+    # (stack @ v) reshaped has row a = rho(b_a) v, so its transpose maps the
+    # coordinates of a in A to rho(a) v
+    stack = n.stack()
+    return Mat.hstack([(stack @ v).reshape(a.dim, n.dim).transpose() @ s.incl for s, v in zip(p.summands, targets)])
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +438,8 @@ class HomSpace:
         return len(self.maps)
 
     def combination(self, coeffs: Sequence) -> ModuleMap:
-        field = self.source.algebra.field
-        acc = Mat.zeros(field, self.target.dim, self.source.dim)
-        for c, f in zip(coeffs, self.maps):
-            if c != 0:
-                acc = acc + f.matrix.scale(c)
-        return ModuleMap(self.source, self.target, acc)
+        coords = Mat.column(self.source.algebra.field, coeffs)
+        return ModuleMap(self.source, self.target, end_element_matrix(self.maps, coords))
 
 
 def _slice_spans(n: Module, p: ProjSum) -> list[Subspace]:
@@ -516,37 +490,30 @@ def hom_space(m: Module, n: Module) -> HomSpace:
 
 
 def _extract_hom_matrices(pres: Presentation, n: Module, spans: list[Subspace], sol: Mat) -> list[Mat]:
-    """Convert slice-coordinate solutions into (N.dim x M.dim) matrices."""
+    """Convert slice-coordinate solutions into (N.dim x M.dim) matrices.
+
+    Solution t sends basis vector c of M to rho_N(lift_c) w_t, summed over
+    the summands of P0, where w_t is the value on the summand's generator and
+    lift_c the summand's component of the section.
+    """
     a = pres.module.algebra
-    field = a.field
-    m_dim = pres.module.dim
     h = sol.cols
     if h == 0:
         return []
-    out = [Mat.zeros(field, n.dim, m_dim) for _ in range(h)]
+    stack = n.stack()
+    values, lifts = [], []
     offset = 0
     for s, span in zip(pres.p0.summands, spans):
         hw = span.dim
         if hw == 0:
             continue
         wsol = span.basis.transpose() @ sol.take_rows(range(offset, offset + hw))  # (n.dim x h): images of gen j
-        # lifted section slice: element of A for each basis vector of M
-        lift = _component(pres.section, s)  # (A.dim x m_dim)
-        if isinstance(field, PrimeField):
-            # y[a, i, t] = (rho(b_a) w_t)_i, then f[i, t, c] = sum_a y[a, i, t] lift[a, c]
-            y = matmul_mod(n.stack().reshape(a.dim * n.dim, n.dim), wsol.data, field.p)
-            f = matmul_mod(y.reshape(a.dim, n.dim * h).T, lift.data, field.p).reshape(n.dim, h, m_dim).transpose(1, 0, 2)
-            for t in range(h):
-                out[t] = out[t] + Mat(field, f[t], copy=False)
-        else:
-            for t in range(h):
-                cols = []
-                wv = wsol.take_cols([t])
-                for c in range(m_dim):
-                    cols.append(n.act(lift.take_cols([c])) @ wv)
-                out[t] = out[t] + Mat.hstack(cols)
+        # column a, row i*h + t: (rho(b_a) w_t)_i
+        values.append((stack @ wsol).reshape(a.dim, n.dim * h).transpose())
+        lifts.append(_component(pres.section, s))  # (A.dim x M.dim)
         offset += hw
-    return out
+    f = Mat.hstack(values) @ Mat.vstack(lifts)  # row i*h + t: row i of map t
+    return [f.take_rows(range(t, n.dim * h, h)) for t in range(h)]
 
 
 def hom_space_naive(m: Module, n: Module) -> list[Mat]:
@@ -595,10 +562,8 @@ def corner_module(m: Module, e: Mat, corner: Algebra, corner_incl: Mat) -> Modul
     span = Subspace.from_columns(m.act(e))
     w = span.basis.transpose()
     action = []
-    for c in range(corner.dim):
-        x = corner_incl.take_cols([c])  # corner basis element as element of A
-        img = (m.act(x) @ w).transpose()
-        coords = span.coords(img)
+    for rho in m.act_many(corner_incl):  # the corner basis as elements of A
+        coords = span.coords((rho @ w).transpose())
         if coords is None:
             raise ModuleError("corner action left the corner subspace")
         action.append(coords.transpose())

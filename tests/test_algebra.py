@@ -367,6 +367,59 @@ def test_local_algebra_skips_splitting(monkeypatch, field):
     assert all(any(b is a for b in calls["certify"]) for a in [a3] + local)
 
 
+def two_cycle_radical_square_zero(field):
+    """Arrows a: 1 -> 2 and b: 2 -> 1 with ab = ba = 0: dim 4, rad = span(a, b)."""
+    return from_quiver(QuiverPresentation(2, [Arrow("a", 0, 1), Arrow("b", 1, 0)], [[(1, (1, 0))], [(1, (0, 1))]]), field)
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
+def test_radical_certificate_rejects_a_smaller_nilpotent_ideal(monkeypatch, field):
+    from qhcover import algebra
+
+    a = two_cycle_radical_square_zero(field)
+    prim = a.primitive_idempotents()
+    assert a.radical_subspace().dim == 2 and prim.block_of == [0, 1]
+    # J = 0 is a nilpotent ideal, and A itself passes for one split simple
+    # block with two idempotents: 4 = 2^2.  Only the equivalence of the two
+    # idempotents mod J (a b = 0) is missing.
+    for name in ("_radical_gfp_layers", "_radical_trace_form"):
+        monkeypatch.setattr(algebra, name, lambda alg: Subspace(alg.field, alg.dim))
+    with pytest.raises(AlgebraError, match="radical certificate"):
+        two_cycle_radical_square_zero(field).primitive_idempotents()
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
+@pytest.mark.parametrize("rows", [[0, 2], [0, 1]], ids=["first-column", "first-row"])
+def test_radical_certificate_tests_both_sides(monkeypatch, field, rows):
+    from qhcover import algebra
+
+    # in M_2(k) on E11, E12, E21, E22 the first column is a left ideal and
+    # the first row a right ideal; neither is two-sided
+    a = matrix_algebra(field, 2)
+    one_sided = Subspace(field, 4, Mat.identity(field, 4).take_rows(rows))
+    for name in ("_radical_gfp_layers", "_radical_trace_form"):
+        monkeypatch.setattr(algebra, name, lambda alg: one_sided)
+    with pytest.raises(AlgebraError, match="two-sided"):
+        a.radical_subspace()
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
+def test_radical_certificate_counts_the_blocks(monkeypatch, field):
+    from qhcover import algebra
+
+    # M_2(k) is one block with two idempotents; calling them two blocks
+    # leaves dim A/J = 4 against 1 + 1
+    original = algebra._primitive_set_semisimple
+
+    def two_blocks(a, rng):
+        idems, blocks = original(a, rng)
+        return idems, list(range(len(idems)))
+
+    monkeypatch.setattr(algebra, "_primitive_set_semisimple", two_blocks)
+    with pytest.raises(AlgebraError, match="radical certificate failed: dim A/J = 4, but the blocks give 2"):
+        matrix_algebra(field, 2).primitive_idempotents()
+
+
 # -- corner algebras --------------------------------------------------------------
 
 

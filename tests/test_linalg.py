@@ -1,7 +1,9 @@
 """Exact linear algebra kernels: examples, enumeration oracles, invariants."""
 
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,3 +319,98 @@ def test_coefficient_parsing():
 def test_coefficient_with_zero_denominator_is_rejected(field, text):
     with pytest.raises(ValueError, match=repr(text)):
         field.parse(text)
+
+
+# -- the constructor contract -------------------------------------------------------
+
+
+def test_public_constructor_reduces_and_coerces_outside_data():
+    m = Mat(GF(7), [[-1, 7], [8, -15]])
+    assert m.data.tolist() == [[6, 0], [1, 6]]
+    frozen = np.array([[9, -2]])
+    frozen.setflags(write=False)
+    assert Mat(GF(7), frozen, copy=False).data.tolist() == [[2, 5]]
+    assert frozen.tolist() == [[9, -2]]
+    q = Mat(QQ, [[1, "2/3"], [np.int64(-4), Fraction(np.int64(1), np.int64(2))]])
+    assert q.data == ((Fraction(1), Fraction(2, 3)), (Fraction(-4), Fraction(1, 2)))
+    assert all(type(x) is Fraction and type(x.numerator) is type(x.denominator) is int for row in q.data for x in row)
+
+
+def test_public_constructor_rejects_malformed_data():
+    with pytest.raises(ValueError, match="2-dimensional"):
+        Mat(F3, np.ones((2, 2, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="ragged"):
+        Mat(QQ, [[1, 2], [3]])
+
+
+def _operation_results(field):
+    """One result of every Mat-building operation of linalg."""
+    rng = np.random.default_rng(3)
+    a = Mat(field, rng.integers(-3, 4, size=(3, 4)))
+    b = Mat(field, rng.integers(-3, 4, size=(4, 3)))
+    sq = Mat(field, [[1, 2, 0], [0, 1, 0], [1, 0, 1]])
+    basis = MatrixBasis([Mat.identity(field, 2), Mat(field, [[0, 1], [0, 0]])])
+    return [
+        Mat.zeros(field, 2, 3),
+        Mat.identity(field, 3),
+        a @ b,
+        a + a,
+        a - a.scale(2),
+        a.scale(-1),
+        -a,
+        a.reshape(6, 2),
+        a.kron(b),
+        a.transpose(),
+        a.take_rows([2, 0]),
+        a.take_rows([]),
+        a.take_cols([3, 1]),
+        a.take_cols([]),
+        Mat.hstack([a, a]),
+        Mat.vstack([a, a]),
+        Mat.block_diag(field, [a, b]),
+        a.rref()[0],
+        a.kernel(),
+        sq.solve(a.take_cols([0, 1])),
+        sq.inv(),
+        Subspace(field, 4, a).basis,
+        Subspace(field, 4, a).quotient_coords(b.transpose()),
+        basis.coords(Mat(field, [[2, 5], [0, 2]])),
+        basis.product_coords(),
+    ]
+
+
+def test_gfp_operation_results_are_read_only_and_reduced():
+    p = 7
+    for m in _operation_results(GF(p)):
+        assert m.data.dtype == np.int64 and m.data.shape == (m.rows, m.cols)
+        assert not m.data.flags.writeable
+        assert m.data.size == 0 or (int(m.data.min()) >= 0 and int(m.data.max()) < p)
+
+
+def test_qq_operation_results_are_fraction_tuples():
+    for m in _operation_results(QQ):
+        assert type(m.data) is tuple and len(m.data) == m.rows
+        for row in m.data:
+            assert type(row) is tuple and len(row) == m.cols
+            assert all(type(x) is Fraction and type(x.numerator) is int for x in row)
+
+
+def test_storage_stays_behind_linalg():
+    # Matrix storage is private to linalg; algebra alone keeps its GF(p)
+    # sparse structure constants and radical chain on it.  Everywhere else a
+    # Mat is used through its operations only: no ``.data`` and no
+    # ``matmul_mod``.
+    import qhcover
+
+    package = Path(qhcover.__file__).parent
+    offences = []
+    for path in sorted(package.rglob("*.py")):
+        rel = path.relative_to(package)
+        if rel.parts[0] == "linalg" or rel.name == "algebra.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("data", "matmul_mod"):
+                offences.append(f"{rel}:{node.lineno} .{node.attr}")
+            if isinstance(node, ast.ImportFrom) and any(a.name == "matmul_mod" for a in node.names):
+                offences.append(f"{rel}:{node.lineno} imports matmul_mod")
+    assert offences == []

@@ -1,6 +1,8 @@
 """Module machinery: homs (vs the naive intertwiner oracle), duality,
 covers, envelopes, traces, corners, isomorphism testing, tensor/counit."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ from qhcover.modules import (
     zero_module,
 )
 
-from conftest import broken_truncated_polynomial_module
+from conftest import broken_truncated_polynomial_module, make_am_algebra
 
 F3 = GF(3)
 
@@ -69,8 +71,10 @@ def test_hom_regular_to_module_dim(a2_gf3):
         assert hom_space(reg, m).dim == m.dim
 
 
-def test_hom_matches_naive_oracle(a2_gf3):
-    mods = indec_projectives(a2_gf3) + simple_modules(a2_gf3) + [regular_module(a2_gf3)]
+@pytest.mark.parametrize("algebra", ["a2_gf3", "a2_qq"])
+def test_hom_matches_naive_oracle(algebra, request):
+    a = request.getfixturevalue(algebra)
+    mods = indec_projectives(a) + simple_modules(a) + [regular_module(a)]
     for m in mods:
         for n in mods:
             fast = hom_space(m, n)
@@ -78,6 +82,24 @@ def test_hom_matches_naive_oracle(a2_gf3):
             assert fast.dim == len(slow), (m, n)
             for f in fast.maps:
                 f.validate()
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
+def test_act_many_is_the_linear_extension_of_the_action(field):
+    a = make_am_algebra(3, field)
+    rng = np.random.default_rng(8)
+    xs = Mat(field, rng.integers(-4, 5, size=(a.dim, 5)))
+    for m in [regular_module(a)] + indec_projectives(a) + simple_modules(a):
+        got = m.act_many(xs)
+        assert len(got) == xs.cols and m.act_many(Mat.zeros(field, a.dim, 0)) == []
+        for c, rho in enumerate(got):
+            # sum_i x_i rho(b_i), entry by entry on Python numbers
+            want = [
+                [field.normalize(sum(Fraction(xs[i, c]) * Fraction(m.action[i][r, s]) for i in range(a.dim))) for s in range(m.dim)]
+                for r in range(m.dim)
+            ]
+            assert [[rho[r, s] for s in range(m.dim)] for r in range(m.dim)] == want
+            assert m.act(xs.take_cols([c])) == rho
 
 
 def test_hom_p1_p2_one_dimensional(a2_gf3):
