@@ -123,8 +123,10 @@ class Algebra:
         return Mat.hstack([self.left_mult_matrix(xs.take_cols([r])) @ ys for r in range(xs.cols)])
 
     def left_regular_action(self) -> list[Mat]:
-        """Left multiplication matrices of the basis elements."""
-        return [self.left_mult_matrix(self.basis_element(i)) for i in range(self.dim)]
+        """Left multiplication matrices of the basis elements: L_{b_i}[k, j]
+        = c_ijk is block i of ``structure`` transposed (a view over GF(p))."""
+        n = self.dim
+        return [self.structure.take_rows(range(i * n, (i + 1) * n)).transpose() for i in range(n)]
 
     def _coo(self, side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """GF(p) structure constants as COO arrays sorted for one contraction.
@@ -402,6 +404,16 @@ def _radical_trace_form(a: Algebra) -> Subspace:
     return Subspace(a.field, n, ker.transpose())
 
 
+# The pair products X_a X_b of the radical chain's layers >= 1 are formed in
+# row blocks of about this many entries (one row of a when a row alone holds
+# more).  2^20 entries are 8 MiB as int64; the block product, its float64
+# transient, the gathered pairs a <= b and the arrays of each power step are
+# each at most that size, so the chain stays within a few tens of MiB (39 MiB
+# traced on S_GF3(3,3), against 410 MiB for all r^2 pairs at once).  An
+# algebra whose r^2 m^2 pair entries fit runs as one block.
+_PAIR_BLOCK_ENTRIES = 2**20
+
+
 def _radical_gfp_layers(a: Algebra) -> Subspace:
     """GF(p): descending ideal chain from p-power trace functions.
 
@@ -429,13 +441,21 @@ def _radical_gfp_layers(a: Algebra) -> Subspace:
             # tr(X_a X_b) = vec(X_a) . vec(X_b^T)
             constraint = matmul_mod(xs.reshape(r, m * m), xs.transpose(0, 2, 1).reshape(r, m * m).T, p)
         else:
-            # block (a, b) of the (r*m x r*m) product is X_a X_b.  The form is
-            # symmetric: tr(z^(p^l)) mod p^(l+1) depends on z mod p only, and
-            # tr((XY)^e) = tr((YX)^e), so only the pairs a <= b are powered
-            pairs = matmul_mod(xs.reshape(r * m, m), xs.transpose(1, 0, 2).reshape(m, r * m), p).reshape(r, m, r, m)
-            ia, ib = np.triu_indices(r)
+            # The form is symmetric: tr(z^(p^l)) mod p^(l+1) depends on z mod
+            # p only, and tr((XY)^e) = tr((YX)^e), so only the pairs a <= b
+            # are powered.  Rows a in [a0, a1) go at a time: block (a, b) of
+            # the product of X_a0 .. X_a1 stacked with [X_a0 .. X_r] side by
+            # side is X_a X_b, and its traces are taken before the next rows.
             constraint = np.zeros((r, r), dtype=np.int64)
-            constraint[ia, ib] = constraint[ib, ia] = _gamma_traces(pairs[ia, :, ib, :], p, layer)
+            step = max(1, _PAIR_BLOCK_ENTRIES // (r * m * m))
+            for a0 in range(0, r, step):
+                a1 = min(a0 + step, r)
+                right = xs[a0:].transpose(1, 0, 2).reshape(m, (r - a0) * m)
+                pairs = matmul_mod(xs[a0:a1].reshape((a1 - a0) * m, m), right, p).reshape(a1 - a0, m, r - a0, m)
+                ia, ib = np.triu_indices(a1 - a0, m=r - a0)
+                zs = pairs[ia, :, ib, :]
+                del pairs
+                constraint[ia + a0, ib + a0] = constraint[ib + a0, ia + a0] = _gamma_traces(zs, p, layer)
         ker = Mat(a.field, constraint).kernel()
         if ker.cols == r:
             continue

@@ -314,6 +314,11 @@ class Mat:
         return _trusted(self.field, list(zip(*self.data)), self.rows)
 
     def take_rows(self, idx: Iterable[int]) -> "Mat":
+        """The rows ``idx`` in that order.  Over GF(p) a ``range`` with step
+        >= 1 gives a read-only view, which keeps all of ``self`` alive;
+        any other sequence gives a copy."""
+        if isinstance(self.field, PrimeField) and isinstance(idx, range) and idx.step > 0 and idx.start >= 0:
+            return _trusted(self.field, self.data[idx.start : idx.stop : idx.step])
         idx = list(idx)
         if isinstance(self.field, PrimeField):
             return _trusted(self.field, self.data[idx, :] if idx else np.zeros((0, self.cols), dtype=np.int64))
@@ -364,7 +369,18 @@ class Mat:
     def kernel(self) -> "Mat":
         """Basis of the right null space, as columns, echelon-normalized."""
         red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
+        pivot_set = set(pivots)
+        free = [c for c in range(self.cols) if c not in pivot_set]
+        if isinstance(self.field, PrimeField):
+            # column k: 1 in row free[k], minus red[i, free[k]] in row pivots[i];
+            # most kernels are of matrices with a few columns, and skipping
+            # the empty writes keeps those as cheap as an entry-by-entry loop
+            ker = np.zeros((self.cols, len(free)), dtype=np.int64)
+            if free:
+                ker[free, np.arange(len(free))] = 1
+                if pivots:
+                    ker[pivots] = (-red.data[: len(pivots), free]) % self.field.p
+            return _trusted(self.field, ker)
         ker = Mat.zeros(self.field, self.cols, len(free)).mutable()
         one = self.field.one()
         for k, fc in enumerate(free):
@@ -381,6 +397,10 @@ class Mat:
         red, pivots = aug.rref()
         if any(p >= self.cols for p in pivots):
             return None
+        if isinstance(self.field, PrimeField):
+            x = np.zeros((self.cols, b.cols), dtype=np.int64)
+            x[pivots] = red.data[: len(pivots), self.cols :]
+            return _trusted(self.field, x)
         x = Mat.zeros(self.field, self.cols, b.cols).mutable()
         for i, pc in enumerate(pivots):
             for j in range(b.cols):
@@ -476,17 +496,16 @@ class MatrixBasis:
 
         Row i*n + j holds the coordinates of mats[i] @ mats[j].
         """
-        n, f = len(self.mats), self.field
-        if isinstance(f, PrimeField):
-            # one GEMM over all pairs: block (a, b) of the (n*t x n*t) product
-            # of the stacked rows and the side-by-side columns is mats[a] @ mats[b]
-            (t, u), stack = self.shape, np.stack([m.data for m in self.mats])
-            prods = matmul_mod(stack.reshape(n * t, u), stack.transpose(1, 0, 2).reshape(u, n * u), f.p)
-            ri, rk = np.divmod(self.rows, u)
-            flat = prods.reshape(n, t, n, u)[:, ri, :, rk].reshape(len(self.rows), n * n)
-            del prods
-            return (self.square_inv @ _trusted(f, flat)).transpose()
-        return self.coords_many([a @ b for a in self.mats for b in self.mats]).transpose()
+        n, (t, u) = len(self.mats), self.shape
+        # Coordinates read only the pivot entries.  Entry (i, k) of
+        # mats[a] @ mats[b] is row i of mats[a] (rows i*u .. i*u+u of flat,
+        # transposed) times column k of mats[b] (rows k, k+u, .. of flat), so
+        # one n x n product gives that entry for every pair (a, b).
+        entries = [
+            (self.flat.take_rows(range(i * u, i * u + u)).transpose() @ self.flat.take_rows(range(k, t * u, u))).reshape(1, n * n)
+            for i, k in (divmod(r, u) for r in self.rows)
+        ]
+        return (self.square_inv @ Mat.vstack(entries)).transpose()
 
 
 class Subspace:
@@ -507,9 +526,12 @@ class Subspace:
             if vectors.cols != ambient:
                 raise ValueError("vector length does not match ambient dimension")
             red, piv = vectors.rref()
-            self.basis = red.take_rows(range(len(piv)))
+            # below full rank the leading rows are copied (a list, not a range):
+            # a view would keep all of ``red`` alive as long as the subspace
+            self.basis = red if len(piv) == red.rows else red.take_rows(list(range(len(piv))))
             self.pivots = piv
-        self.nonpivots = [c for c in range(ambient) if c not in set(self.pivots)]
+        pivot_set = set(self.pivots)
+        self.nonpivots = [c for c in range(ambient) if c not in pivot_set]
 
     @staticmethod
     def from_columns(m: Mat) -> "Subspace":

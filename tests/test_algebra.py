@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhcover import algebra as algebra_module
 from qhcover.algebra import (
     Algebra,
     AlgebraError,
@@ -290,6 +291,49 @@ def test_radical_qq_group_algebra():
 def test_radical_qq_quiver():
     a = a2_quiver(QQ)
     assert a.radical_subspace().dim == 3
+
+
+def truncated_polynomial_gf2(n):
+    """GF(2)[x]/(x^n) on 1, x, ..., x^(n-1)."""
+    mult = [[[int(i + j == k) for k in range(n)] for j in range(n)] for i in range(n)]
+    return from_structure_constants(F2, n, mult, [1] + [0] * (n - 1))
+
+
+BLOCKED_CHAIN_ALGEBRAS = [
+    pytest.param(lambda: build_schur(2, 2, 1, F2).algebra, id="S_GF2(2,2)"),
+    pytest.param(lambda: build_schur(2, 3, 1, F3).algebra, id="S_GF3(2,3)"),
+    pytest.param(lambda: make_am_algebra(3, F3), id="A3_GF3"),
+    pytest.param(lambda: truncated_polynomial_gf2(4), id="GF2[x]/(x^4)"),
+]
+
+
+@pytest.mark.parametrize("build", BLOCKED_CHAIN_ALGEBRAS)
+def test_radical_chain_in_one_row_blocks(monkeypatch, build):
+    batches = []
+    gamma_traces = algebra_module._gamma_traces
+
+    def counted(zs, p, layer):
+        batches.append(zs.shape[0])
+        return gamma_traces(zs, p, layer)
+
+    monkeypatch.setattr(algebra_module, "_gamma_traces", counted)
+    whole = algebra_module._radical_gfp_layers(build())
+    calls_whole = len(batches)
+    # a budget of one entry leaves one row of a per block
+    monkeypatch.setattr(algebra_module, "_PAIR_BLOCK_ENTRIES", 1)
+    batches.clear()
+    blocked = algebra_module._radical_gfp_layers(build())
+    assert (blocked.basis, blocked.pivots) == (whole.basis, whole.pivots)
+    assert len(batches) > calls_whole >= 1
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
+def test_left_regular_action_is_left_multiplication(field):
+    a = make_am_algebra(3, field)
+    action = a.left_regular_action()
+    assert action == [a.left_mult_matrix(a.basis_element(i)) for i in range(a.dim)]
+    if field == F3:
+        assert all(np.shares_memory(m.data, a.structure.data) for m in action)
 
 
 # -- primitive idempotents -------------------------------------------------------

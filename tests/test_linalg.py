@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhcover.algebra import _lift_idempotent_element, algebra_of_matrices
+from qhcover.algebra import _lift_idempotent_element, algebra_of_matrices, centralizer_algebra
 from qhcover.fields import GF, QQ
 from qhcover.linalg import (
     _BLAS_MIN_OPS,
@@ -64,6 +64,60 @@ def test_solve_gf3_exhaustive():
     x = a.solve(b)
     assert x == Mat(F3, [[2]])
     assert [(2 * c) % 3 for c in range(3)].index(1) == 2
+
+
+def _kernel_entry_by_entry(m):
+    """Reference kernel: column k holds 1 in row free[k] and -red[i, free[k]]
+    in row pivots[i], written one entry at a time."""
+    red, pivots = m.rref()
+    free = [c for c in range(m.cols) if c not in pivots]
+    ker = [[0] * len(free) for _ in range(m.cols)]
+    for k, fc in enumerate(free):
+        ker[fc][k] = 1
+        for i, pc in enumerate(pivots):
+            ker[pc][k] = -int(red[i, fc])
+    return Mat(m.field, ker, cols=len(free))
+
+
+def _solve_entry_by_entry(a, b):
+    red, pivots = Mat.hstack([a, b]).rref()
+    if any(pc >= a.cols for pc in pivots):
+        return None
+    x = [[0] * b.cols for _ in range(a.cols)]
+    for i, pc in enumerate(pivots):
+        for j in range(b.cols):
+            x[pc][j] = int(red[i, a.cols + j])
+    return Mat(a.field, x, cols=b.cols)
+
+
+def _matrix_of_rank_at_most(field, rng, rows, cols, rank):
+    left = Mat(field, rng.integers(0, field.p, size=(rows, rank)))
+    return left @ Mat(field, rng.integers(0, field.p, size=(rank, cols)))
+
+
+@pytest.mark.parametrize("p", [2, 3, P_MAX])
+def test_kernel_and_solve_match_entry_by_entry_form(p):
+    field, rng = GF(p), np.random.default_rng(p)
+    cases = [
+        Mat.zeros(field, 4, 6),  # rank 0: every column free
+        Mat.identity(field, 5),  # full rank, no free columns
+        Mat.vstack([Mat.identity(field, 4), Mat.zeros(field, 2, 4)]),  # no free columns, tall
+        Mat(field, rng.integers(0, p, size=(4, 7))),  # full row rank
+        _matrix_of_rank_at_most(field, rng, 3, 5, 2),
+        _matrix_of_rank_at_most(field, rng, 10, 12, 6),
+        _matrix_of_rank_at_most(field, rng, 60, 100, 40),
+    ]
+    assert cases[0].rank() == 0 and cases[1].rank() == 5 and cases[2].rank() == 4
+    for m in cases:
+        ker = m.kernel()
+        assert ker == _kernel_entry_by_entry(m)
+        assert (m @ ker).is_zero() and ker.cols == m.cols - m.rank()
+        x = Mat(field, rng.integers(0, p, size=(m.cols, 3)))
+        b = m @ x
+        assert m.solve(b) == _solve_entry_by_entry(m, b)
+        assert m @ m.solve(b) == b
+        unsolvable = b + Mat.identity(field, m.rows).take_cols([m.rows - 1] * 3)
+        assert m.solve(unsolvable) == _solve_entry_by_entry(m, unsolvable)
 
 
 def test_rank_nullity_and_product_zero():
@@ -305,6 +359,38 @@ def test_matrix_basis_product_coords(field):
     for i, j in itertools.product(range(3), repeat=2):
         product = basis.mats[i] @ basis.mats[j]
         assert structure.take_rows([i * 3 + j]).transpose() == basis.coords(product)
+
+
+def _full_matrix_basis(field, t):
+    return MatrixBasis([Mat.from_entries(field, t, t, {(i, j): 1}) for i in range(t) for j in range(t)])
+
+
+def _centralizer_basis(field, t, seed):
+    # a random matrix, and one with a repeated random block, whose centralizer is larger
+    rng = np.random.default_rng(seed)
+    g = Mat(field, rng.integers(0, 3, size=(t, t)))
+    r = Mat(field, rng.integers(0, 3, size=(2, 2)))
+    h = Mat.block_diag(field, [r, r, Mat(field, rng.integers(0, 3, size=(t - 4, t - 4)))])
+    return [centralizer_algebra([g])[1], centralizer_algebra([h])[1]]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(P_MAX), QQ], ids=["GF2", "GF3", "GFmax", "QQ"])
+def test_product_coords_match_coordinates_of_all_products(field):
+    bases = [_full_matrix_basis(field, t) for t in (1, 2, 3)]
+    bases += _centralizer_basis(field, 5, 11) + _centralizer_basis(field, 6, 12)
+    for basis in bases:
+        mats = basis.mats
+        expected = basis.coords_many([a @ b for a in mats for b in mats]).transpose()
+        assert basis.product_coords() == expected
+
+
+def test_take_rows_of_a_range_is_a_read_only_view():
+    m = Mat(GF(5), np.arange(24).reshape(6, 4))
+    for idx in (range(1, 4), range(0, 6, 2), range(3, 3)):
+        rows = m.take_rows(idx)
+        assert rows == m.take_rows(list(idx))
+        assert np.shares_memory(rows.data, m.data) or rows.rows == 0
+        assert not rows.data.flags.writeable
 
 
 def test_coefficient_parsing():

@@ -1,0 +1,29 @@
+"""Peak-memory guard for the README's headline algebra, S_GF3(3,3).
+
+Traced with tracemalloc, which numpy reports its arrays to.  The build forms
+structure constants from pivot entries only and the radical chain reduces
+its pair products block by block; forming all products at once took the
+build to 317 MiB and the radical to 447 MiB.
+"""
+
+import tracemalloc
+
+from qhcover.fields import GF
+from qhcover.gallery import build_schur
+
+LIMIT = 180 * 2**20
+
+
+def test_schur33_build_and_radical_stay_below_180_mib():
+    tracemalloc.start()
+    try:
+        schur = build_schur(3, 3, 1, GF(3))
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        radical = schur.algebra.radical_subspace()
+        radical_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (schur.algebra.dim, radical.dim) == (165, 106)
+    assert build_peak < LIMIT, f"build peak {build_peak / 2**20:.0f} MiB"
+    assert radical_peak < LIMIT, f"radical peak {radical_peak / 2**20:.0f} MiB"
