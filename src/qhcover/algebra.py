@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import Field, PrimeField, QQ, RationalField
-from .linalg import Mat, MatrixBasis, Subspace, matmul_mod
+from .linalg import _EXACT, Mat, MatrixBasis, Subspace, _reduce, matmul_mod
 from .memo import memo, share
 
 
@@ -35,7 +35,8 @@ class Algebra:
 
     ``structure`` is the (n^2 x n) Mat of structure constants (row i*n + j:
     coordinates of b_i b_j).  ``mult`` views the same constants as c[i][j][k]:
-    an (n, n, n) int64 array over GF(p), nested tuples of Fractions over QQ
+    an (n, n, n) float64 array of integers over GF(p), nested tuples of
+    Fractions over QQ
     (the QQ product loops read it).  GF(p) products read the sparse form
     ``_coo`` instead.  ``one`` is a column Mat.  ``rep``
     optionally holds a faithful matrix representation (used by the radical
@@ -56,7 +57,7 @@ class Algebra:
         if (structure.rows, structure.cols) != (dim * dim, dim):
             raise AlgebraError(f"structure constants are {structure.rows}x{structure.cols}, not {dim * dim}x{dim}")
         if isinstance(field, PrimeField):
-            structure = Mat(field, np.ascontiguousarray(structure.data), copy=False)
+            structure = Mat.from_reduced(field, np.ascontiguousarray(structure.data))
             self.mult = structure.data.reshape(dim, dim, dim)
         else:
             self.mult = tuple(structure.data[i * dim : (i + 1) * dim] for i in range(dim))
@@ -90,7 +91,7 @@ class Algebra:
         row r*n + j is x_r b_j (side 0) or b_j x_r (side 1)."""
         n, r = self.dim, xs.cols
         if isinstance(self.field, PrimeField):
-            return Mat(self.field, self._contract(xs.data.T, side).reshape(r * n, n), copy=False)
+            return Mat.from_reduced(self.field, self._contract(xs.data.T, side).reshape(r * n, n))
         out = [[Fraction(0)] * n for _ in range(r * n)]
         for c in range(r):
             for i in range(n):
@@ -102,7 +103,7 @@ class Algebra:
                     for k in range(n):
                         if row[k]:
                             target[k] += xi * row[k]
-        return Mat(self.field, out, cols=n)
+        return Mat.from_reduced(self.field, out, cols=n)
 
     def multiply_batches(self, xs: Mat, ys: Mat) -> Mat:
         """All pairwise products of column sets: column (r*s) order r-major."""
@@ -117,7 +118,7 @@ class Algebra:
                 t = self._contract(ys.data.T, 1)  # t[s, i, k] = (b_i y_s)_k
                 prod = matmul_mod(xs.data.T, t.transpose(1, 0, 2).reshape(n, s * n), p).reshape(r, s, n)
                 out = prod.transpose(2, 0, 1)
-            return Mat(self.field, out.reshape(n, r * s), copy=False)
+            return Mat.from_reduced(self.field, out.reshape(n, r * s))
         if not xs.cols:
             return Mat.zeros(self.field, self.dim, 0)
         return Mat.hstack([self.left_mult_matrix(xs.take_cols([r])) @ ys for r in range(xs.cols)])
@@ -139,6 +140,11 @@ class Algebra:
 
         def build():
             n = self.dim
+            # ``_contract`` sums at most n terms below (p-1)^2 per segment,
+            # inside _reduce's bound while n (p-1)^2 < 2^51: any n at p = 3,
+            # n <= 2048 near PrimeField.MAX_P (n^3 constants of 64 GiB)
+            if n * (self.field.p - 1) ** 2 >= _EXACT:
+                raise AlgebraError(f"dimension {n} is too large for exact products over GF({self.field.p})")
             rows, k = np.nonzero(self.structure.data)
             i, j = np.divmod(rows, n)
             summed, kept = (i, j) if side == 0 else (j, i)
@@ -156,12 +162,10 @@ class Algebra:
         t[r, i, k] = sum_j xs[r, j] c_ijk."""
         summed, coeff, starts, target = self._coo(side)
         n, r = self.dim, xs.shape[0]
-        # a segment sums at most n terms below p^2, exact in int64 while
-        # n * (p-1)^2 < 2^63: p <= PrimeField.MAX_P = 2^20 and the dense
-        # n^3 view ``mult`` keep n far below the 2^23 this allows
-        out = np.zeros((r, n * n), dtype=np.int64)
+        # a segment sums at most n terms below (p-1)^2, checked in ``_coo``
+        out = np.zeros((r, n * n))
         if starts.size:
-            out[:, target] = np.add.reduceat(xs[:, summed] * coeff, starts, axis=1) % self.field.p
+            out[:, target] = _reduce(np.add.reduceat(xs[:, summed] * coeff, starts, axis=1), self.field.p)
         return out.reshape(r, n, n)
 
     def rep_matrices(self) -> list[Mat]:
@@ -406,11 +410,12 @@ def _radical_trace_form(a: Algebra) -> Subspace:
 
 # The pair products X_a X_b of the radical chain's layers >= 1 are formed in
 # row blocks of about this many entries (one row of a when a row alone holds
-# more).  2^20 entries are 8 MiB as int64; the block product, its float64
-# transient, the gathered pairs a <= b and the arrays of each power step are
-# each at most that size, so the chain stays within a few tens of MiB (39 MiB
-# traced on S_GF3(3,3), against 410 MiB for all r^2 pairs at once).  An
-# algebra whose r^2 m^2 pair entries fit runs as one block.
+# more).  2^20 entries are 8 MiB as float64; the block product, the gathered
+# pairs a <= b and the arrays of each power step are each at most that size,
+# so the chain stays within a few tens of MiB (39 MiB traced on S_GF3(3,3),
+# against 410 MiB for all r^2 pairs at once).  An algebra whose r^2 m^2 pair
+# entries fit runs as one block.  The radical certificate forms its products
+# in blocks of the same size.
 _PAIR_BLOCK_ENTRIES = 2**20
 
 
@@ -431,7 +436,7 @@ def _radical_gfp_layers(a: Algebra) -> Subspace:
     level = 0
     while p**level < m:
         level += 1
-    basis = np.eye(n, dtype=np.int64)  # rows = current ideal basis in A-coords
+    basis = np.eye(n)  # rows = current ideal basis in A-coords
     for layer in range(level + 1):
         if basis.shape[0] == 0:
             break
@@ -446,7 +451,7 @@ def _radical_gfp_layers(a: Algebra) -> Subspace:
             # are powered.  Rows a in [a0, a1) go at a time: block (a, b) of
             # the product of X_a0 .. X_a1 stacked with [X_a0 .. X_r] side by
             # side is X_a X_b, and its traces are taken before the next rows.
-            constraint = np.zeros((r, r), dtype=np.int64)
+            constraint = np.zeros((r, r))
             step = max(1, _PAIR_BLOCK_ENTRIES // (r * m * m))
             for a0 in range(0, r, step):
                 a1 = min(a0 + step, r)
@@ -456,13 +461,13 @@ def _radical_gfp_layers(a: Algebra) -> Subspace:
                 zs = pairs[ia, :, ib, :]
                 del pairs
                 constraint[ia + a0, ib + a0] = constraint[ib + a0, ia + a0] = _gamma_traces(zs, p, layer)
-        ker = Mat(a.field, constraint).kernel()
+        ker = Mat.from_reduced(a.field, constraint).kernel()
         if ker.cols == r:
             continue
         basis = matmul_mod(ker.data.T, basis, p)
-        red, piv = Mat(a.field, basis).rref()
+        red, piv = Mat.from_reduced(a.field, basis).rref()
         basis = red.data[: len(piv)]
-    return Subspace(a.field, n, Mat(a.field, basis, copy=False, cols=n))
+    return Subspace(a.field, n, Mat.from_reduced(a.field, basis, cols=n))
 
 
 def _gamma_traces(zs: np.ndarray, p: int, layer: int) -> np.ndarray:
@@ -472,47 +477,82 @@ def _gamma_traces(zs: np.ndarray, p: int, layer: int) -> np.ndarray:
     is never formed.
     """
     mod, e = p ** (layer + 1), p**layer
+    zs = _exact_dtype(zs, mod)
     power = _batched_matrix_power_mod(zs, e - 1, mod)
-    # each term is reduced below mod before m^2 of them are summed: exact in
-    # int64, since the power's own bound m * (mod-1)^2 < 2^63 implies
-    # m^2 * mod < 2^63 for m < 2^20 (beyond it the power holds Python ints)
-    traces = (power * zs.transpose(0, 2, 1) % mod).sum(axis=(1, 2)) % mod
+
+    # a term is below (mod-1) (p-1), so a row of m terms sums below
+    # m (mod-1)^2, the bound that chose the dtype; the m reduced row sums
+    # add up below m * mod, inside the same bound
+    def reduce(x):
+        return _reduce(x, mod) if x.dtype == np.float64 else x % mod
+
+    traces = reduce(reduce((power * zs.transpose(0, 2, 1)).sum(axis=2)).sum(axis=1))
     if np.any(traces % e):
         raise AlgebraError("p-power trace not divisible; radical layering failed")
-    return (traces // e) % p
+    return traces // e  # below mod / e = p
+
+
+def _exact_dtype(zs: np.ndarray, mod: int) -> np.ndarray:
+    """A batch of m x m matrices with entries in [0, mod), in a dtype whose
+    products modulo ``mod`` are exact: float64 (through ``matmul_mod``, in
+    one chunk) while m (mod-1)^2 < 2^51, int64 while m (mod-1)^2 < 2^63,
+    Python ints beyond.  The wide ones serve the moduli p^(l+1) at large p."""
+    bound = zs.shape[-1] * (mod - 1) ** 2
+    if bound < _EXACT:
+        return zs.astype(np.float64, copy=False)
+    wide = zs.astype(np.int64)
+    return wide if bound < 2**63 else wide.astype(object)
 
 
 def _batched_matrix_power_mod(zs: np.ndarray, e: int, mod: int) -> np.ndarray:
     """zs[a]^e mod ``mod``, e >= 1, for a batch of m x m matrices with
-    entries in [0, mod).
+    entries in [0, mod), in the dtype ``_exact_dtype`` gives them.
 
     Square-and-multiply from the highest bit, so no product with the
-    identity; ``matmul_mod`` keeps every product exact (Python ints beyond
-    its int64 bound).
+    identity.
     """
+    zs = _exact_dtype(zs, mod)
     result = zs
     for bit in bin(e)[3:]:
-        result = matmul_mod(result, result, mod)
+        result = _matmul_exact(result, result, mod)
         if bit == "1":
-            result = matmul_mod(result, zs, mod)
+            result = _matmul_exact(result, zs, mod)
     return result
 
 
+def _matmul_exact(x: np.ndarray, y: np.ndarray, mod: int) -> np.ndarray:
+    """x @ y mod ``mod`` for batches in the dtype ``_exact_dtype`` gives them."""
+    return matmul_mod(x, y, mod) if x.dtype == np.float64 else np.matmul(x, y) % mod
+
+
 def _assert_nilpotent_ideal(a: Algebra, rad: Subspace) -> None:
-    """Certify the computed radical: a nilpotent two-sided ideal."""
+    """Certify the computed radical: a nilpotent two-sided ideal.
+
+    Products are formed for a block of columns at a time, about
+    _PAIR_BLOCK_ENTRIES entries, and tested or reduced to a span before the
+    next block is formed.
+    """
     if rad.dim == 0:
         return
+    step = max(1, _PAIR_BLOCK_ENTRIES // (a.dim * a.dim))
+
+    def blocks(cols: Mat):
+        return (cols.take_cols(range(c0, min(c0 + step, cols.cols))) for c0 in range(0, cols.cols, step))
+
     basis_cols = rad.basis.transpose()
     # two-sided ideal: every j b_i and every b_i j stays inside J
-    if not rad.contains(a._basis_products(basis_cols, 0)) or not rad.contains(a._basis_products(basis_cols, 1)):
-        raise AlgebraError("computed radical is not a two-sided ideal")
+    for block in blocks(basis_cols):
+        if not rad.contains(a._basis_products(block, 0)) or not rad.contains(a._basis_products(block, 1)):
+            raise AlgebraError("computed radical is not a two-sided ideal")
+    # nilpotent: J^(k+1), the span of the products of J^k with J, reaches 0
     current = basis_cols
     for _ in range(a.dim + 1):
-        nxt = a.multiply_batches(current, basis_cols)
-        sub = Subspace(a.field, a.dim, nxt.transpose())
-        if sub.dim == 0:
+        power = Subspace(a.field, a.dim)
+        for block in blocks(current):
+            power = Subspace(a.field, a.dim, Mat.vstack([power.basis, a.multiply_batches(block, basis_cols).transpose()]))
+        if power.dim == 0:
             return
-        current = sub.basis.transpose()
+        current = power.basis.transpose()
     raise AlgebraError("computed radical is not nilpotent")
 
 

@@ -86,9 +86,9 @@ class PrimeField(Field):
 
     kind = "prime"
 
-    # p is kept small so that matrix products stay on machine integers:
-    # accumulated dot products are bounded by dim * (p-1)^2, and
-    # linalg.matmul_mod picks float64, int64 or Python ints from that bound.
+    # p is kept small so that matrices stay exact in float64: a product of
+    # two reduced entries is below 2^40, and linalg.matmul_mod sums dot
+    # products in chunks of 2^51 / (p-1)^2 >= 2048 terms between reductions.
     MAX_P = 1 << 20
 
     def __init__(self, p: int):

@@ -1,16 +1,21 @@
 """Dense exact linear algebra over GF(p) and QQ.
 
-GF(p) matrices live in int64 numpy arrays.  Every GF(p) product goes
-through ``matmul_mod``, which runs large products exactly on float64 BLAS,
-and row reduction is one numpy routine, ``_rref_gfp``.  QQ matrices use
-exact Fraction arithmetic; all QQ instances in this package are small.
-Other modules stay off the storage: they build and reshape matrices through
-Mat's field-neutral operations and take coordinates through MatrixBasis.
+GF(p) matrices live in read-only float64 numpy arrays of integers in [0, p),
+as in FFLAS-FFPACK's ``Modular<double>`` (Dumas, Giorgi, Pernet, ACM TOMS
+35(3), 2008): products run on float64 BLAS with no conversion, and every
+reduction modulo p is one exact kernel, ``_reduce``.  Every GF(p) product
+goes through ``matmul_mod``, and row reduction is one numpy routine,
+``_rref_gfp``.  QQ matrices use exact Fraction arithmetic; all QQ instances
+in this package are small.  Other modules stay off the storage: they build
+and reshape matrices through Mat's field-neutral operations and take
+coordinates through MatrixBasis.
 
 The public constructor ``Mat(...)`` checks data from outside the program: it
-reduces GF(p) entries mod p and turns QQ entries into Fractions.  Results
-of the operations here skip those checks: they are built by ``_trusted``,
-which neither copies, reduces nor coerces.
+reduces GF(p) entries mod p as integers, before they become float64, and
+turns QQ entries into Fractions.  Results of the operations here skip those
+checks: they are built by ``_trusted`` (``Mat.from_reduced`` outside this
+module), which neither copies, reduces nor coerces.  Entries leave as Python
+ints (``Mat.__getitem__``), so nothing downstream prints a float.
 
 Everything here is deterministic: identical inputs give bit-identical
 outputs (leftmost pivot columns, topmost pivot rows).
@@ -30,52 +35,76 @@ GFP_BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
-# exact products modulo m
+# exact reduction and products modulo m
 # ---------------------------------------------------------------------------
 
-# With factors in [0, m) and inner dimension k, every partial sum of a dot
-# product is an integer of at most k * (m-1)^2.  float64 holds every integer
-# below 2^53 exactly, so a BLAS product followed by one reduction is exact
-# while k * (m-1)^2 < 2^53 (delayed reduction, as in FFLAS-FFPACK: Dumas,
-# Giorgi, Pernet, ACM TOMS 35(3), 2008); int64 is exact while
-# k * (m-1)^2 < 2^63.  Beyond both, the product runs on Python ints.
-_FLOAT64_EXACT = 2**53
-_INT64_EXACT = 2**63
-# Below about this many multiply-adds the float64 round trip costs more than
-# numpy's int64 loop (27x27x27: 25 us int64, 22 us float64; 12x12x12: 3.4 us
-# against 8.1 us, single-threaded OpenBLAS on a 2-core x86 VM).
-_BLAS_MIN_OPS = 20_000
+# float64 holds every integer below 2^53 exactly; ``_reduce`` is exact for
+# integers below 2^51, and every value it is given stays below that bound.
+_EXACT = 2**51
+# On at most this many entries one np.fmod call is cheaper than the five
+# ufuncs of the floor form; above it the floor form wins, by far on large
+# arrays, as fmod's cost grows with the quotient.  Measured crossover on a
+# 2-core x86 VM: about 256 entries at m = 3 and 81 (5.3 us either way);
+# about 120 at m = 1048573 with entries near m^2.  A 27225 x 27 array mod 3
+# takes 1.7 ms in the floor form and 27 ms in fmod.
+_FMOD_MAX_SIZE = 256
 
 
-def _product_dtype(k: int, mod: int, ops: int):
-    """The dtype in which a product with inner dimension k, factors in
-    [0, mod) and ``ops`` multiply-adds is computed exactly."""
-    bound = k * (mod - 1) ** 2
-    if bound < _FLOAT64_EXACT and ops >= _BLAS_MIN_OPS:
-        return np.float64
-    if bound < _INT64_EXACT:
-        return np.int64
-    return object
+def _reduce(x: np.ndarray, m: int) -> np.ndarray:
+    """x mod m, in place, for a float64 array of integers 0 <= x < 2^51.
+
+    The floor form x - floor((x + 0.5) * fl(1/m)) * m is exact with no
+    correction step.  Write x = q*m + r with 0 <= r < m.  x + 0.5 is exact
+    (x < 2^51).  fl(1/m) and the product each carry a relative error of at
+    most 2^-53, so the computed quotient differs from (x + 0.5)/m by less
+    than (x + 0.5)/m * (2^-52 + 2^-106) < 0.5/m, as x + 0.5 < 2^51.  The
+    exact quotient is q + (r + 0.5)/m, whose fractional part lies in
+    [0.5/m, 1 - 0.5/m]; so the computed one lies strictly between q and
+    q + 1, and its floor is q.  Then q*m <= x < 2^51 and x - q*m are exact.
+    fmod, used on small arrays, is exact on all doubles.  Neither form makes
+    a negative zero from nonnegative input.
+    """
+    # scalars meet float64 arrays as floats, here and in the callers: numpy
+    # resolves a Python int scalar on every ufunc call, about 0.7 us on
+    # small arrays
+    m = float(m)
+    if x.size <= _FMOD_MAX_SIZE:
+        return np.fmod(x, m, out=x)
+    q = x + 0.5
+    q *= 1.0 / m
+    np.floor(q, out=q)
+    q *= m
+    x -= q
+    return x
+
+
+def _chunk_length(m: int) -> int:
+    """The longest inner dimension K with K (m-1)^2 < 2^51: a dot product
+    of K entries in [0, m) then stays below ``_reduce``'s bound.  2048 at
+    m = 1048573, the largest prime below PrimeField.MAX_P."""
+    return (_EXACT - 1) // max(m - 1, 1) ** 2
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
-    """a @ b reduced mod ``mod``, as int64 (object beyond the int64 bound).
+    """a @ b reduced mod ``mod``, on float64 arrays of integers in [0, mod).
 
-    Entries must lie in [0, mod); a stack of matrices multiplies matrix by
-    matrix, as in ``np.matmul``.
+    The inner dimension runs in chunks of ``_chunk_length(mod)``, each
+    reduced once (delayed reduction); beyond one chunk the reduced chunks
+    are summed, below (number of chunks) * mod, and reduced again.  A stack
+    of matrices multiplies matrix by matrix, as in ``np.matmul``.  Moduli
+    with (mod-1)^2 >= 2^51 raise: only the radical chain's moduli p^(l+1)
+    are that wide, and it multiplies those on integers itself.
     """
     k = a.shape[-1]
-    dtype = _product_dtype(k, mod, a.size * b.shape[-1])
-    if dtype is np.float64:
-        af = a.astype(np.float64)
-        out = np.matmul(af, af if b is a else b.astype(np.float64))
-        np.fmod(out, mod, out=out)
-        return out.astype(np.int64)
-    if dtype is object:
-        return np.matmul(a.astype(object), b.astype(object)) % mod
-    out = np.matmul(a, b)
-    out %= mod
-    return out
+    if k * (mod - 1) ** 2 < _EXACT:
+        return _reduce(np.matmul(a, b), mod)
+    step = _chunk_length(mod)
+    if step < 1:
+        raise OverflowError(f"modulus {mod} is too wide for exact float64 products")
+    out = _reduce(np.matmul(a[..., :step], b[..., :step, :]), mod)
+    for s in range(step, k, step):
+        out += _reduce(np.matmul(a[..., s : s + step], b[..., s : s + step, :]), mod)
+    return _reduce(out, mod)
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +118,13 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
 
 
 def _rref_gfp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    # entries of ``a`` lie in [0, p); every intermediate (a pivot row times
-    # an inverse, a column entry times a pivot row, their difference) has
-    # absolute value below p^2 <= 2^40 for p <= PrimeField.MAX_P, so int64
-    # never wraps
+    # entries of ``a`` lie in [0, p); a pivot row times an inverse is below
+    # p^2, and the update a + c*(p - b) of a row by a column entry c and the
+    # pivot row b is nonnegative and below p^2 <= 2^40 for p <= PrimeField.MAX_P,
+    # inside ``_reduce``'s bound
     a = a.copy()
     rows, cols = a.shape
+    pf = float(p)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -106,14 +136,16 @@ def _rref_gfp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
+        row = a[r]  # a view: scaled in place
+        inv = pow(int(row[c]), p - 2, p)
         if inv != 1:
-            a[r] = (a[r] * inv) % p
+            row *= float(inv)
+            _reduce(row, p)
         col = a[:, c].copy()
         col[r] = 0
         nzrows = np.nonzero(col)[0]
         if nzrows.size:
-            a[nzrows] = (a[nzrows] - np.outer(col[nzrows], a[r])) % p
+            a[nzrows] = _reduce(a[nzrows] + np.outer(col[nzrows], pf - row), p)
         pivots.append(c)
         r += 1
     return a, pivots
@@ -148,31 +180,30 @@ def _rref_qq(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
 class Mat:
     """Immutable dense matrix over a Field.
 
-    GF(p): ``data`` is a read-only int64 ndarray with entries in [0, p).
+    GF(p): ``data`` is a read-only float64 ndarray holding integers in
+           [0, p); entries are read out as Python ints.
     QQ:    ``data`` is a tuple of tuples of Fraction.
 
     ``Mat(field, data)`` is for data from outside the program and checks it:
-    GF(p) entries are reduced mod p, QQ entries become Fractions, and data
-    that is not 2-dimensional or has ragged rows is rejected.  Every
-    operation below builds its result with ``_trusted`` instead, which skips
-    those checks because its data is already in that form.
+    GF(p) entries are reduced mod p as integers of any size into a new
+    array, QQ entries become Fractions, and data that is not 2-dimensional
+    or has ragged rows is rejected.  Every operation below builds its result
+    with ``_trusted`` instead, which skips those checks because its data is
+    already in that form; ``Mat.from_reduced`` is that entry point for the
+    callers outside this module that compute on the storage.
     """
 
     __slots__ = ("field", "data", "rows", "cols")
 
-    def __init__(self, field: Field, data, copy: bool = True, cols: Optional[int] = None):
+    def __init__(self, field: Field, data, cols: Optional[int] = None):
         self.field = field
         if isinstance(field, PrimeField):
-            arr = np.array(data, dtype=np.int64, copy=copy)
+            arr = _reduce_outside(data, field.p)
             if arr.ndim != 2:
                 if arr.size == 0:
                     arr = arr.reshape(0, cols or 0)
                 else:
                     raise ValueError("matrix data must be 2-dimensional")
-            if arr.flags.writeable:
-                arr %= field.p
-            elif arr.size and (int(arr.min()) < 0 or int(arr.max()) >= field.p):
-                arr = arr % field.p
             arr.setflags(write=False)
             self.data = arr
             self.rows, self.cols = arr.shape
@@ -186,24 +217,37 @@ class Mat:
 
     # -- constructors ----------------------------------------------------
     @staticmethod
+    def from_reduced(field: Field, data, cols: int = 0) -> "Mat":
+        """A Mat on data already in stored form, not copied, reduced or
+        coerced: over GF(p) a float64 array of integers in [0, p) (made
+        read-only), over QQ rows of Fractions (``cols`` gives the width of
+        zero rows)."""
+        if isinstance(field, PrimeField) and data.dtype != np.float64:
+            raise TypeError(f"GF(p) data must be float64, not {data.dtype}")
+        return _trusted(field, data, cols)
+
+    @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Mat":
         if isinstance(field, PrimeField):
-            return _trusted(field, np.zeros((rows, cols), dtype=np.int64))
+            return _trusted(field, np.zeros((rows, cols)))
         return _trusted(field, [[Fraction(0)] * cols for _ in range(rows)], cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
         if isinstance(field, PrimeField):
-            return _trusted(field, np.eye(n, dtype=np.int64))
+            return _trusted(field, np.eye(n))
         return _trusted(field, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def from_entries(field: Field, rows: int, cols: int, entries: dict) -> "Mat":
-        """Sparse constructor: ``entries`` maps (i, j) to a value; the rest is 0."""
+        """Sparse constructor: ``entries`` maps (i, j) to a value; the rest is 0.
+
+        Over GF(p) each value is reduced as a Python int before it is stored.
+        """
         buf = Mat.zeros(field, rows, cols).mutable()
         for (i, j), v in entries.items():
-            _set_entry(buf, i, j, v)
-        return Mat(field, buf, copy=False, cols=cols)
+            buf[i][j] = field.normalize(v)
+        return _trusted(field, buf, cols)
 
     @staticmethod
     def column(field: Field, vec: Sequence) -> "Mat":
@@ -241,7 +285,15 @@ class Mat:
     # -- scalar access ---------------------------------------------------
     def __getitem__(self, rc):
         r, c = rc
-        return self.data[r][c] if isinstance(self.field, RationalField) else self.data[r, c]
+        return self.data[r][c] if isinstance(self.field, RationalField) else int(self.data[r, c])
+
+    def nonzero_entries(self) -> list[tuple[int, int, object]]:
+        """(i, j, entry) for every nonzero entry in row-major order, as
+        Python ints (and Fractions over QQ)."""
+        if isinstance(self.field, PrimeField):
+            rows, cols = np.nonzero(self.data)
+            return list(zip(rows.tolist(), cols.tolist(), map(int, self.data[rows, cols].tolist())))
+        return [(i, j, x) for i, row in enumerate(self.data) for j, x in enumerate(row) if x != 0]
 
     def mutable(self):
         if isinstance(self.field, PrimeField):
@@ -254,8 +306,6 @@ class Mat:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         f = self.field
         if isinstance(f, PrimeField):
-            # int64 (never object) for inner dimensions below 2^63 / (p-1)^2,
-            # at least 2^23 for p <= PrimeField.MAX_P
             return _trusted(f, matmul_mod(self.data, other.data, f.p))
         out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
         for i, row in enumerate(self.data):
@@ -270,19 +320,21 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         f = self.field
         if isinstance(f, PrimeField):
-            return _trusted(f, (self.data + other.data) % f.p)
+            return _trusted(f, _reduce(self.data + other.data, f.p))
         return _trusted(f, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         f = self.field
         if isinstance(f, PrimeField):
-            return _trusted(f, (self.data - other.data) % f.p)
+            diff = float(f.p) - other.data
+            diff += self.data
+            return _trusted(f, _reduce(diff, f.p))
         return _trusted(f, [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], self.cols)
 
     def scale(self, c) -> "Mat":
         f = self.field
         if isinstance(f, PrimeField):
-            return _trusted(f, (self.data * (int(c) % f.p)) % f.p)
+            return _trusted(f, _reduce(self.data * float(f.normalize(c)), f.p))
         c = as_fraction(c)
         return _trusted(f, [[c * x for x in row] for row in self.data], self.cols)
 
@@ -302,7 +354,7 @@ class Mat:
         """Kronecker product: with other r x c, entry (i*r + k, j*c + l) is self[i, j] * other[k, l]."""
         f = self.field
         if isinstance(f, PrimeField):
-            return _trusted(f, np.kron(self.data, other.data) % f.p)
+            return _trusted(f, _reduce(np.kron(self.data, other.data), f.p))
         rows = [[a * b for a in arow for b in brow] for arow in self.data for brow in other.data]
         return _trusted(f, rows, self.cols * other.cols)
 
@@ -321,13 +373,13 @@ class Mat:
             return _trusted(self.field, self.data[idx.start : idx.stop : idx.step])
         idx = list(idx)
         if isinstance(self.field, PrimeField):
-            return _trusted(self.field, self.data[idx, :] if idx else np.zeros((0, self.cols), dtype=np.int64))
+            return _trusted(self.field, self.data[idx, :] if idx else np.zeros((0, self.cols)))
         return _trusted(self.field, [self.data[i] for i in idx], self.cols)
 
     def take_cols(self, idx: Iterable[int]) -> "Mat":
         idx = list(idx)
         if isinstance(self.field, PrimeField):
-            return _trusted(self.field, self.data[:, idx] if idx else np.zeros((self.rows, 0), dtype=np.int64))
+            return _trusted(self.field, self.data[:, idx] if idx else np.zeros((self.rows, 0)))
         return _trusted(self.field, [[row[j] for j in idx] for row in self.data], len(idx))
 
     # -- predicates -------------------------------------------------------
@@ -375,18 +427,18 @@ class Mat:
             # column k: 1 in row free[k], minus red[i, free[k]] in row pivots[i];
             # most kernels are of matrices with a few columns, and skipping
             # the empty writes keeps those as cheap as an entry-by-entry loop
-            ker = np.zeros((self.cols, len(free)), dtype=np.int64)
+            p = self.field.p
+            ker = np.zeros((self.cols, len(free)))
             if free:
                 ker[free, np.arange(len(free))] = 1
                 if pivots:
-                    ker[pivots] = (-red.data[: len(pivots), free]) % self.field.p
+                    ker[pivots] = _reduce(float(p) - red.data[: len(pivots), free], p)
             return _trusted(self.field, ker)
         ker = Mat.zeros(self.field, self.cols, len(free)).mutable()
-        one = self.field.one()
         for k, fc in enumerate(free):
-            _set_entry(ker, fc, k, one)
+            ker[fc][k] = Fraction(1)
             for i, pc in enumerate(pivots):
-                _set_entry(ker, pc, k, self.field.neg(red[i, fc]))
+                ker[pc][k] = -red[i, fc]
         return _trusted(self.field, ker, len(free))
 
     def solve(self, b: "Mat") -> Optional["Mat"]:
@@ -398,13 +450,13 @@ class Mat:
         if any(p >= self.cols for p in pivots):
             return None
         if isinstance(self.field, PrimeField):
-            x = np.zeros((self.cols, b.cols), dtype=np.int64)
+            x = np.zeros((self.cols, b.cols))
             x[pivots] = red.data[: len(pivots), self.cols :]
             return _trusted(self.field, x)
         x = Mat.zeros(self.field, self.cols, b.cols).mutable()
         for i, pc in enumerate(pivots):
             for j in range(b.cols):
-                _set_entry(x, pc, j, red[i, self.cols + j])
+                x[pc][j] = red[i, self.cols + j]
         return _trusted(self.field, x, b.cols)
 
     def inv(self) -> "Mat":
@@ -420,7 +472,7 @@ class Mat:
 
 
 def _trusted(field: Field, data, cols: int = 0) -> Mat:
-    """A Mat on data that linalg built: a reduced int64 array over GF(p), rows
+    """A Mat on data that linalg built: a reduced float64 array over GF(p), rows
     of Fractions over QQ (``cols`` gives the width of zero rows).
 
     Unlike ``Mat(...)`` nothing is copied, reduced or coerced: the array is
@@ -439,11 +491,24 @@ def _trusted(field: Field, data, cols: int = 0) -> Mat:
     return m
 
 
-def _set_entry(buf, i, j, v):
-    if isinstance(buf, np.ndarray):
-        buf[i, j] = int(v)
-    else:
-        buf[i][j] = v
+def _reduce_outside(data, p: int) -> np.ndarray:
+    """Outside data as a new float64 array of integers in [0, p).
+
+    Entries are reduced as integers before they become float64, so none is
+    rounded: machine integers in their own dtype, Python ints beyond int64
+    one by one.  Float data (a ``mutable()`` buffer) is truncated to
+    integers, as ``int`` does, and reduced exactly (fmod is exact).
+    """
+    if not isinstance(data, np.ndarray):
+        try:
+            data = np.array(data, dtype=np.int64)
+        except OverflowError:
+            data = np.array(data, dtype=object)
+    if data.dtype == object:
+        return np.frompyfunc(lambda x: int(x) % p, 1, 1)(data).astype(np.float64)
+    if data.dtype.kind == "f":
+        data = np.trunc(data)
+    return (data % p).astype(np.float64)
 
 
 def _assign_block(buf, r0, c0, m: Mat):

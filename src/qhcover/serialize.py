@@ -37,13 +37,8 @@ def _get(obj, key: str, kind: str, want: type | None = None):
 
 
 def algebra_to_json(a: Algebra) -> dict:
-    triplets = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                c = a.structure[i * a.dim + j, k]
-                if c != 0:
-                    triplets.append([i, j, k, _coeff_str(a.field, c)])
+    # row i*dim + j of the structure constants holds b_i b_j
+    triplets = [[r // a.dim, r % a.dim, k, _coeff_str(a.field, c)] for r, k, c in a.structure.nonzero_entries()]
     return {
         "field": field_to_json(a.field),
         "dim": a.dim,

@@ -230,7 +230,7 @@ def test_criterion_5_block_model(am_gf3):
 def _shift_idem(e: Mat, offset: int, total: int) -> Mat:
     v = Mat.zeros(F3, total, 1).mutable()
     v[offset : offset + e.rows, 0:1] = e.data
-    return Mat(F3, v, copy=False)
+    return Mat(F3, v)
 
 
 # -- criterion 6: Schur-Weyl kernel --------------------------------------------------

@@ -223,15 +223,30 @@ def _power_mod_reference(z, e, mod):
     return result
 
 
-@pytest.mark.parametrize("p", [3, 1009, 1048573])
+# layer 1 of the radical chain works modulo p^2: on float64 while
+# 3 (p^2 - 1)^2 < 2^51 (p = 3, 1009), on int64 while it is below 2^63
+# (p = 20011), and on Python ints at the largest allowed prime
+CHAIN_PRIMES = [3, 1009, 20011, 1048573]
+
+
+@pytest.mark.parametrize("p", CHAIN_PRIMES)
 def test_p_power_chain_products_are_exact(p):
-    # layer 1 of the radical chain works modulo p^2; at the largest allowed
-    # prime, 3 * (p^2 - 1)^2 exceeds 2^63, so int64 products would wrap
     mod = p * p
     zs = np.random.default_rng(p).integers(0, mod, size=(3, 3, 3))
-    got = _batched_matrix_power_mod(zs, p, mod)
+    got = _batched_matrix_power_mod(zs.astype(float), p, mod)  # the chain's float64 input
     for z, g in zip(zs, got):
         assert [[int(x) for x in row] for row in g] == _power_mod_reference(z, p, mod)
+
+
+@pytest.mark.parametrize("p", CHAIN_PRIMES)
+def test_gamma_traces_match_python_ints(p):
+    # gamma_1(z) = tr(z^p) / p mod p, for z mod p of trace 0 (so that
+    # tr(z^p) = tr(z)^p = 0 mod p), against square-and-multiply on Python ints
+    rng = np.random.default_rng(p)
+    zs = rng.integers(0, p, size=(4, 3, 3))
+    zs[:, 2, 2] = -(zs[:, 0, 0] + zs[:, 1, 1]) % p
+    want = [sum(_power_mod_reference(z, p, p * p)[i][i] for i in range(3)) % (p * p) // p for z in zs]
+    assert [int(t) for t in algebra_module._gamma_traces(zs.astype(float), p, 1)] == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -448,6 +463,44 @@ def test_radical_certificate_tests_both_sides(monkeypatch, field, rows):
 
 
 @pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
+def test_radical_certificate_in_one_column_blocks(monkeypatch, field):
+    from qhcover import algebra
+
+    # a budget of one entry leaves one column per block: the true radical
+    # still passes, and a one-sided or a non-nilpotent ideal still fails
+    a = make_am_algebra(3, field)
+    whole = algebra._radical(a)
+    monkeypatch.setattr(algebra, "_PAIR_BLOCK_ENTRIES", 1)
+    blocked = algebra._radical(make_am_algebra(3, field))
+    assert (blocked.basis, blocked.pivots) == (whole.basis, whole.pivots) and whole.dim > 1
+    # every radical basis vector is tested on both sides, one per block, and
+    # J^2 is formed from every one of them
+    blocks = []
+    basis_products, multiply_batches = Algebra._basis_products, Algebra.multiply_batches
+
+    def recorded_products(self, xs, side):
+        blocks.append((side, xs.cols))
+        return basis_products(self, xs, side)
+
+    def recorded_batches(self, xs, ys):
+        blocks.append(("power", xs.cols))
+        return multiply_batches(self, xs, ys)
+
+    monkeypatch.setattr(Algebra, "_basis_products", recorded_products)
+    monkeypatch.setattr(Algebra, "multiply_batches", recorded_batches)
+    algebra._assert_nilpotent_ideal(a, whole)
+    ideal_test = blocks[: blocks.index(("power", 1))]  # over QQ a power calls _basis_products too
+    for side in (0, 1):
+        assert [cols for s, cols in ideal_test if s == side] == [1] * whole.dim
+    assert [cols for s, cols in blocks if s == "power"][: whole.dim] == [1] * whole.dim
+    m2 = matrix_algebra(field, 2)
+    with pytest.raises(AlgebraError, match="two-sided"):
+        algebra._assert_nilpotent_ideal(m2, Subspace(field, 4, Mat.identity(field, 4).take_rows([2, 0])))
+    with pytest.raises(AlgebraError, match="not nilpotent"):
+        algebra._assert_nilpotent_ideal(m2, Subspace(field, 4, Mat.identity(field, 4)))
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
 def test_radical_certificate_counts_the_blocks(monkeypatch, field):
     from qhcover import algebra
 
@@ -560,8 +613,8 @@ def test_opposite_pair_computes_radical_and_idempotents_once(monkeypatch, order)
 def _assert_products_match_dense(a, xs, ys):
     """left/right multiplication matrices and multiply_batches against einsum
     over the dense (n, n, n) constants, on Python ints."""
-    p, c = a.field.p, a.mult.astype(object)
-    x, y = xs.data.astype(object), ys.data.astype(object)
+    p, c = a.field.p, a.mult.astype(np.int64).astype(object)
+    x, y = xs.data.astype(np.int64).astype(object), ys.data.astype(np.int64).astype(object)
     n, r, s = a.dim, xs.cols, ys.cols
     for col in range(r):
         assert a.left_mult_matrix(xs.take_cols([col])).data.tolist() == (np.einsum("i,ijk->kj", x[:, col], c) % p).tolist()

@@ -10,14 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhcover.algebra import _lift_idempotent_element, algebra_of_matrices, centralizer_algebra
+from qhcover.algebra import (
+    _exact_dtype,
+    _lift_idempotent_element,
+    _matmul_exact,
+    algebra_of_matrices,
+    centralizer_algebra,
+)
 from qhcover.fields import GF, QQ
 from qhcover.linalg import (
-    _BLAS_MIN_OPS,
+    _FMOD_MAX_SIZE,
     Mat,
     MatrixBasis,
     Subspace,
-    _product_dtype,
+    _chunk_length,
+    _reduce,
     matmul_mod,
 )
 
@@ -190,7 +197,7 @@ def test_products_match_python_int_reference():
         for _ in range(25):
             r, c = int(rng.integers(1, 9)), int(rng.integers(1, 9))
             a, b = rng.integers(0, p, size=(r, c)), rng.integers(0, p, size=(c, 4))
-            assert matmul_mod(a, b, p).tolist() == _matmul_reference(a, b, p)
+            assert matmul_mod(a.astype(float), b.astype(float), p).tolist() == _matmul_reference(a, b, p)
 
 
 def _rref_reference(rows, p):
@@ -236,41 +243,119 @@ def _matmul_reference(a, b, mod):
 
 
 
-def test_product_bounds_at_the_largest_prime():
-    # 8192 * (p-1)^2 < 2^53 <= 8193 * (p-1)^2, and (p^2 - 1)^2 >= 2^63
-    big = 10 * _BLAS_MIN_OPS
-    assert _product_dtype(8192, P_MAX, big) is np.float64
-    assert _product_dtype(8193, P_MAX, big) is np.int64
-    assert _product_dtype(1, P_MAX**2, big) is object
+def test_chunk_length_at_the_largest_prime():
+    # 2048 * (p-1)^2 < 2^51 <= 2049 * (p-1)^2: a chunk of 2048 terms stays
+    # inside _reduce's bound, and one more would leave it
+    assert _chunk_length(P_MAX) == 2048
+    assert 2048 * (P_MAX - 1) ** 2 < 2**51 <= 2049 * (P_MAX - 1) ** 2
 
 
-@pytest.mark.parametrize("k", [8192, 8193])
-def test_products_at_the_largest_prime_are_exact(k):
-    # entries near p-1 push the dot products past 2^53 at k = 8193, where
-    # float64 would round them
+@pytest.mark.parametrize("k", [2048, 2049, 4097, 8192, 8193, 16385])
+def test_products_at_the_largest_prime_are_exact(monkeypatch, k):
+    # one chunk, just past one chunk boundary, just past two; 8192 and 8193
+    # on both sides of 2^53 for an unchunked dot product, and 16385 far past
+    # it for a sum of unreduced chunks.  Entries near p-1 push every chunk's
+    # dot products close to 2^51.
     rng = np.random.default_rng(k)
     a = rng.integers(P_MAX - 3, P_MAX, size=(2, k))
     b = rng.integers(P_MAX - 3, P_MAX, size=(k, 3))
-    assert a.size * b.shape[1] >= _BLAS_MIN_OPS
-    assert matmul_mod(a, b, P_MAX).tolist() == _matmul_reference(a, b, P_MAX)
+    inner = []
+    matmul = np.matmul
+
+    def recorded(x, y):
+        inner.append(x.shape[-1])
+        return matmul(x, y)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    assert matmul_mod(a.astype(float), b.astype(float), P_MAX).tolist() == _matmul_reference(a, b, P_MAX)
+    assert inner == [2048] * (k // 2048) + ([k % 2048] if k % 2048 else [])
 
 
-@pytest.mark.parametrize("cols, dtype", [(_BLAS_MIN_OPS // 100 - 1, np.int64), (_BLAS_MIN_OPS // 100, np.float64)])
-def test_products_on_both_sides_of_the_size_threshold(cols, dtype):
+@pytest.mark.parametrize("cols, dtype", [(199, np.int64), (200, np.float64), (_FMOD_MAX_SIZE, np.int64), (_FMOD_MAX_SIZE + 1, np.float64)])
+def test_products_on_both_sides_of_the_size_threshold(monkeypatch, cols, dtype):
+    # a (1 x 100) @ (100 x cols) product at the largest prime.  199 and 200
+    # columns straddle 20000 multiply-adds, where products once switched
+    # between int64 and float64; now both are float64.  _FMOD_MAX_SIZE and
+    # one more straddle the cut-off where _reduce leaves np.fmod for the
+    # floor form on the product's cols entries.  The outside data comes in
+    # either dtype.
     rng = np.random.default_rng(cols)
     a, b = rng.integers(0, P_MAX, size=(1, 100)), rng.integers(0, P_MAX, size=(100, cols))
-    assert _product_dtype(100, P_MAX, a.size * cols) is dtype
-    assert matmul_mod(a, b, P_MAX).tolist() == _matmul_reference(a, b, P_MAX)
+    ma, mb = Mat(GF(P_MAX), a.astype(dtype)), Mat(GF(P_MAX), b.astype(dtype))
+    fmod_sizes = []
+    fmod = np.fmod
+
+    def recorded(x, *args, **kwargs):
+        fmod_sizes.append(x.size)
+        return fmod(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "fmod", recorded)
+    got = ma @ mb
+    assert got.data.dtype == np.float64
+    assert fmod_sizes == ([cols] if cols <= _FMOD_MAX_SIZE else [])
+    assert got.data.tolist() == _matmul_reference(a, b, P_MAX)
 
 
-@pytest.mark.parametrize("mod", [9, P_MAX, P_MAX**2])
+@pytest.mark.parametrize("mod", [9, 27, 81, P_MAX, P_MAX**2])
 def test_batched_products_are_exact(mod):
-    # a stack of 30 x 30 products: float64 for small moduli, Python ints for p^2
+    # a stack of 30 x 30 products in the radical chain's dtype for the
+    # modulus: float64 through matmul_mod for the chain moduli p^(l+1) = 9,
+    # 27, 81 and for p = P_MAX; Python ints for P_MAX^2, too wide for float64
     rng = np.random.default_rng(mod % 1000)
     a, b = rng.integers(0, mod, size=(4, 30, 30)), rng.integers(0, mod, size=(4, 30, 30))
-    got = matmul_mod(a, b, mod)
-    for x, y, g in zip(a, b, got):
-        assert [[int(v) for v in row] for row in g] == _matmul_reference(x, y, mod)
+    x, y = _exact_dtype(a, mod), _exact_dtype(b, mod)
+    assert x.dtype == y.dtype == (object if mod == P_MAX**2 else np.float64)
+    got = _matmul_exact(x, y, mod)
+    if mod < P_MAX**2:
+        assert got.tolist() == matmul_mod(a.astype(float), b.astype(float), mod).tolist()
+    for u, w, g in zip(a, b, got):
+        assert [[int(v) for v in row] for row in g] == _matmul_reference(u, w, mod)
+
+
+def test_products_refuse_moduli_too_wide_for_float64():
+    # (P_MAX^2 - 1)^2 >= 2^51: not even one term fits; the radical chain
+    # multiplies such moduli on integers itself
+    a = np.ones((2, 2))
+    with pytest.raises(OverflowError):
+        matmul_mod(a, a, P_MAX**2)
+
+
+# 49 = 7^2 (a radical-chain modulus) and the prime 107: without the + 0.5,
+# floor(x * fl(1/m)) falls one short at x = m (49 * fl(1/49) < 1)
+_REDUCE_MODULI = [2, 3, 5, 7, 9, 27, 49, 81, 107, P_MAX, 2**25 - 39, P_MAX**2 // 3]
+
+
+def _reduce_edge_cases(m):
+    """Integers below 2^51 with residues 0, 1, 2, m-2 and m-1, near 0, near
+    2^51 and in between; the multiples m * 2^k, whose quotients are powers
+    of two; and the 300 integers at each end of the range."""
+    xs = set(range(300)) | set(range(2**51 - 300, 2**51))
+    xs.update(m * 2**k for k in range(52))
+    for base in (0, 2**51 // 3, 2**51 // 2, 2**51 - 4 * m):
+        for q in range(base // m, base // m + 4):
+            xs.update(q * m + r for r in (0, 1, 2, m - 2, m - 1))
+    return sorted(x for x in xs if 0 <= x < 2**51)
+
+
+@pytest.mark.parametrize("m", _REDUCE_MODULI)
+def test_reduce_is_exact_at_the_edge_cases(m):
+    xs = _reduce_edge_cases(m)
+    assert len(xs) > _FMOD_MAX_SIZE  # the floor form
+    got = _reduce(np.array(xs, dtype=np.float64), m)
+    assert [int(v) for v in got] == [x % m for x in xs]
+    assert not np.signbit(got).any()
+
+
+@pytest.mark.parametrize("m", _REDUCE_MODULI)
+def test_reduce_on_both_sides_of_the_fmod_cut_off(m):
+    # small arrays take np.fmod, larger ones the floor form; both are exact
+    xs = _reduce_edge_cases(m)
+    for size in (1, _FMOD_MAX_SIZE, _FMOD_MAX_SIZE + 1):
+        for start in (0, len(xs) - size):
+            chunk = xs[start : start + size]
+            got = _reduce(np.array(chunk, dtype=np.float64), m)
+            assert [int(v) for v in got] == [x % m for x in chunk]
+            assert not np.signbit(got).any()
 
 
 def test_determinism_identical_inputs():
@@ -321,6 +406,16 @@ def test_kron_matches_definition(field):
     assert (k.rows, k.cols) == (2, 6)
     for i, j, r, c in itertools.product(range(2), range(2), range(1), range(3)):
         assert k[i + r, j * 3 + c] == field.mul(a[i, j], b[r, c])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_nonzero_entries_are_row_major_python_values(field):
+    m = Mat(field, [[0, 2, 0], [1, 0, -1]])
+    entries = m.nonzero_entries()
+    assert entries == [(i, j, m[i, j]) for i in range(2) for j in range(3) if m[i, j] != 0]
+    assert all(type(i) is type(j) is int and type(x) is (int if field == F3 else Fraction) for i, j, x in entries)
+    assert Mat.from_entries(field, 2, 3, {(i, j): x for i, j, x in entries}) == m
+    assert Mat.zeros(field, 2, 0).nonzero_entries() == []
 
 
 def _independent_matrices(field, rng, count, rows, cols):
@@ -415,11 +510,71 @@ def test_public_constructor_reduces_and_coerces_outside_data():
     assert m.data.tolist() == [[6, 0], [1, 6]]
     frozen = np.array([[9, -2]])
     frozen.setflags(write=False)
-    assert Mat(GF(7), frozen, copy=False).data.tolist() == [[2, 5]]
+    assert Mat(GF(7), frozen).data.tolist() == [[2, 5]]
     assert frozen.tolist() == [[9, -2]]
+    assert Mat(GF(7), np.array([[-1.0, 13.0]])).data.tolist() == [[6, 6]]
+    assert type(m[0, 0]) is int
     q = Mat(QQ, [[1, "2/3"], [np.int64(-4), Fraction(np.int64(1), np.int64(2))]])
     assert q.data == ((Fraction(1), Fraction(2, 3)), (Fraction(-4), Fraction(1, 2)))
     assert all(type(x) is Fraction and type(x.numerator) is type(x.denominator) is int for row in q.data for x in row)
+
+
+HUGE = [2**53 - 1, 2**53, 2**53 + 1, 2**62, 2**70]
+
+
+@pytest.mark.parametrize("p", [2, 3, P_MAX])
+def test_public_constructor_reduces_integers_of_any_size(p):
+    # entries are reduced as integers before they become float64; a float
+    # conversion first would round 2^53 + 1 and overflow at 2^70
+    values = HUGE + [-v for v in HUGE]
+    want = [v % p for v in values]
+    assert [Mat(GF(p), [[v]])[0, 0] for v in values] == want
+    assert [Mat.from_entries(GF(p), 1, 1, {(0, 0): v})[0, 0] for v in values] == want
+    assert Mat(GF(p), [values]).data.tolist() == [want]
+    entries = {(0, j): v for j, v in enumerate(values)}
+    assert Mat.from_entries(GF(p), 1, len(values), entries).data.tolist() == [want]
+
+
+def test_from_entries_does_not_round_past_2_to_the_53():
+    assert Mat.from_entries(GF(P_MAX), 1, 1, {(0, 0): 2**53 + 1})[0, 0] == (2**53 + 1) % P_MAX == 73729
+
+
+def _near_top(rng, p, rows, cols):
+    return rng.integers(max(p - 3, 0), p, size=(rows, cols)).tolist()
+
+
+def test_public_operations_match_python_ints_at_the_largest_prime():
+    p, field, rng = P_MAX, GF(P_MAX), np.random.default_rng(17)
+    a, b, c = _near_top(rng, p, 5, 7), _near_top(rng, p, 7, 4), _near_top(rng, p, 5, 7)
+    ma, mb, mc = Mat(field, a), Mat(field, b), Mat(field, c)
+    assert (ma @ mb).data.tolist() == _matmul_reference(a, b, p)
+    assert (ma + mc).data.tolist() == [[(x + y) % p for x, y in zip(r, s)] for r, s in zip(a, c)]
+    assert (ma - mc).data.tolist() == [[(x - y) % p for x, y in zip(r, s)] for r, s in zip(a, c)]
+    for k in (p - 1, -5, 2**70):
+        assert ma.scale(k).data.tolist() == [[x * k % p for x in r] for r in a]
+    assert ma.kron(mb).data.tolist() == [[x * y % p for x in ra for y in rb] for ra in a for rb in b]
+    # a rank-deficient matrix: rref, kernel and solve against Gauss-Jordan on Python ints
+    low = _matmul_reference(_near_top(rng, p, 6, 3), _near_top(rng, p, 3, 8), p)
+    red, pivots = _rref_reference(low, p)
+    assert (Mat(field, low).rref()[0].data.tolist(), Mat(field, low).rref()[1]) == (red, pivots)
+    free = [j for j in range(8) if j not in pivots]
+    ker = [[int(i == fc) for fc in free] for i in range(8)]
+    for i, pc in enumerate(pivots):
+        ker[pc] = [-red[i][fc] % p for fc in free]
+    assert Mat(field, low).kernel().data.tolist() == ker
+    rhs = _matmul_reference(low, _near_top(rng, p, 8, 2), p)
+    red_aug, piv_aug = _rref_reference([r + s for r, s in zip(low, rhs)], p)
+    x = [[0, 0] for _ in range(8)]
+    for i, pc in enumerate(piv_aug):
+        x[pc] = red_aug[i][8:]
+    assert Mat(field, low).solve(Mat(field, rhs)).data.tolist() == x
+    # an invertible matrix near p-1
+    sq = _near_top(rng, p, 6, 6)
+    while _rref_reference(sq, p)[1] != list(range(6)):
+        sq = _near_top(rng, p, 6, 6)
+    inv = Mat(field, sq).inv().data.tolist()
+    assert _matmul_reference(sq, inv, p) == [[int(i == j) for j in range(6)] for i in range(6)]
+    assert inv == [row[6:] for row in _rref_reference([r + [int(i == j) for j in range(6)] for i, r in enumerate(sq)], p)[0]]
 
 
 def test_public_constructor_rejects_malformed_data():
@@ -468,8 +623,9 @@ def _operation_results(field):
 def test_gfp_operation_results_are_read_only_and_reduced():
     p = 7
     for m in _operation_results(GF(p)):
-        assert m.data.dtype == np.int64 and m.data.shape == (m.rows, m.cols)
+        assert m.data.dtype == np.float64 and m.data.shape == (m.rows, m.cols)
         assert not m.data.flags.writeable
+        assert (m.data == np.floor(m.data)).all() and not np.signbit(m.data).any()
         assert m.data.size == 0 or (int(m.data.min()) >= 0 and int(m.data.max()) < p)
 
 
@@ -499,4 +655,35 @@ def test_storage_stays_behind_linalg():
                 offences.append(f"{rel}:{node.lineno} .{node.attr}")
             if isinstance(node, ast.ImportFrom) and any(a.name == "matmul_mod" for a in node.names):
                 offences.append(f"{rel}:{node.lineno} imports matmul_mod")
+    assert offences == []
+
+
+# Conversions and the fmod reduction belong to a few named places: the exact
+# reduction, the public constructor's integer reduction, and the radical
+# chain's wide-modulus helpers.  Anywhere else they would mean an
+# int64 <-> float64 round trip or a second reduction path.
+CONVERSION_SITES = {
+    "linalg/__init__.py": {"_reduce", "_reduce_outside"},
+    "algebra.py": {"_exact_dtype"},
+}
+
+
+def test_conversions_stay_in_their_named_places():
+    import qhcover
+
+    package = Path(qhcover.__file__).parent
+    offences = []
+
+    def visit(node, func, rel):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name if func is None else func
+        if isinstance(node, ast.Attribute) and node.attr in ("int64", "fmod", "astype"):
+            if func not in CONVERSION_SITES.get(str(rel), set()):
+                offences.append(f"{rel}:{node.lineno} .{node.attr} in {func}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func, rel)
+
+    for path in sorted(package.rglob("*.py")):
+        rel = path.relative_to(package).as_posix()
+        visit(ast.parse(path.read_text(), filename=str(path)), None, rel)
     assert offences == []
