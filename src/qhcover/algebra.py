@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import Field, PrimeField, QQ, RationalField
+from .fields import Field, PrimeField, RationalField
 from .linalg import _EXACT, Mat, MatrixBasis, Subspace, _reduce, matmul_mod
 from .memo import memo, share
 
@@ -34,13 +34,12 @@ class Algebra:
     """Associative unital algebra given by structure constants.
 
     ``structure`` is the (n^2 x n) Mat of structure constants (row i*n + j:
-    coordinates of b_i b_j).  ``mult`` views the same constants as c[i][j][k]:
-    an (n, n, n) float64 array of integers over GF(p), nested tuples of
-    Fractions over QQ
-    (the QQ product loops read it).  GF(p) products read the sparse form
-    ``_coo`` instead.  ``one`` is a column Mat.  ``rep``
-    optionally holds a faithful matrix representation (used by the radical
-    computation when it is smaller than the regular representation).
+    coordinates of b_i b_j).  ``mult`` is a read-only (n, n, n) view of its
+    stored array: c[i][j][k] over GF(p), the numerator of c[i][j][k] over
+    ``structure.den`` over QQ.  Products read the sparse form ``_coo``
+    instead.  ``one`` is a column Mat.  ``rep`` optionally holds a faithful
+    matrix representation (used by the radical computation when it is
+    smaller than the regular representation).
     """
 
     def __init__(
@@ -56,11 +55,8 @@ class Algebra:
         self.dim = dim
         if (structure.rows, structure.cols) != (dim * dim, dim):
             raise AlgebraError(f"structure constants are {structure.rows}x{structure.cols}, not {dim * dim}x{dim}")
-        if isinstance(field, PrimeField):
-            structure = Mat.from_reduced(field, np.ascontiguousarray(structure.data))
-            self.mult = structure.data.reshape(dim, dim, dim)
-        else:
-            self.mult = tuple(structure.data[i * dim : (i + 1) * dim] for i in range(dim))
+        structure = Mat.from_reduced(field, np.ascontiguousarray(structure.data), structure.den)
+        self.mult = structure.data.reshape(dim, dim, dim)
         self.structure = structure
         if one.rows != dim or one.cols != 1:
             raise AlgebraError("unit vector has wrong shape")
@@ -90,38 +86,22 @@ class Algebra:
         """The products of the columns x_r of xs with the basis, as rows:
         row r*n + j is x_r b_j (side 0) or b_j x_r (side 1)."""
         n, r = self.dim, xs.cols
-        if isinstance(self.field, PrimeField):
-            return Mat.from_reduced(self.field, self._contract(xs.data.T, side).reshape(r * n, n))
-        out = [[Fraction(0)] * n for _ in range(r * n)]
-        for c in range(r):
-            for i in range(n):
-                xi = xs[i, c]
-                if xi == 0:
-                    continue
-                for j in range(n):
-                    row, target = (self.mult[i][j] if side == 0 else self.mult[j][i]), out[c * n + j]
-                    for k in range(n):
-                        if row[k]:
-                            target[k] += xi * row[k]
-        return Mat.from_reduced(self.field, out, cols=n)
+        t = self._contract(xs.data.T, side)
+        return Mat.from_reduced(self.field, t.reshape(r * n, n), xs.den * self.structure.den)
 
     def multiply_batches(self, xs: Mat, ys: Mat) -> Mat:
         """All pairwise products of column sets: column (r*s) order r-major."""
-        if isinstance(self.field, PrimeField):
-            n, r, s, p = self.dim, xs.cols, ys.cols, self.field.p
-            # contract the constants with the smaller side, then one product
-            if r <= s:
-                t = self._contract(xs.data.T, 0)  # t[r, j, k] = (x_r b_j)_k
-                prod = matmul_mod(ys.data.T, t.transpose(1, 0, 2).reshape(n, r * n), p).reshape(s, r, n)
-                out = prod.transpose(2, 1, 0)
-            else:
-                t = self._contract(ys.data.T, 1)  # t[s, i, k] = (b_i y_s)_k
-                prod = matmul_mod(xs.data.T, t.transpose(1, 0, 2).reshape(n, s * n), p).reshape(r, s, n)
-                out = prod.transpose(2, 0, 1)
-            return Mat.from_reduced(self.field, out.reshape(n, r * s))
-        if not xs.cols:
-            return Mat.zeros(self.field, self.dim, 0)
-        return Mat.hstack([self.left_mult_matrix(xs.take_cols([r])) @ ys for r in range(xs.cols)])
+        n, r, s = self.dim, xs.cols, ys.cols
+        # contract the constants with the smaller side, then one product
+        if r <= s:
+            t = self._contract(xs.data.T, 0)  # t[r, j, k] = (x_r b_j)_k
+            prod = self._matmul(ys.data.T, t.transpose(1, 0, 2).reshape(n, r * n)).reshape(s, r, n)
+            out = prod.transpose(2, 1, 0)
+        else:
+            t = self._contract(ys.data.T, 1)  # t[s, i, k] = (b_i y_s)_k
+            prod = self._matmul(xs.data.T, t.transpose(1, 0, 2).reshape(n, s * n)).reshape(r, s, n)
+            out = prod.transpose(2, 0, 1)
+        return Mat.from_reduced(self.field, out.reshape(n, r * s), xs.den * ys.den * self.structure.den)
 
     def left_regular_action(self) -> list[Mat]:
         """Left multiplication matrices of the basis elements: L_{b_i}[k, j]
@@ -130,7 +110,7 @@ class Algebra:
         return [self.structure.take_rows(range(i * n, (i + 1) * n)).transpose() for i in range(n)]
 
     def _coo(self, side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """GF(p) structure constants as COO arrays sorted for one contraction.
+        """Stored structure constants as COO arrays sorted for one contraction.
 
         Side 0 sums over i and keeps (j, k), side 1 sums over j and keeps
         (i, k).  Returns (summed index, c_ijk, segment starts, kept index
@@ -140,10 +120,11 @@ class Algebra:
 
         def build():
             n = self.dim
-            # ``_contract`` sums at most n terms below (p-1)^2 per segment,
-            # inside _reduce's bound while n (p-1)^2 < 2^51: any n at p = 3,
-            # n <= 2048 near PrimeField.MAX_P (n^3 constants of 64 GiB)
-            if n * (self.field.p - 1) ** 2 >= _EXACT:
+            # over GF(p) ``_contract`` sums at most n terms below (p-1)^2 per
+            # segment, inside _reduce's bound while n (p-1)^2 < 2^51: any n
+            # at p = 3, n <= 2048 near PrimeField.MAX_P (n^3 constants of
+            # 64 GiB); Python ints over QQ have no bound
+            if isinstance(self.field, PrimeField) and n * (self.field.p - 1) ** 2 >= _EXACT:
                 raise AlgebraError(f"dimension {n} is too large for exact products over GF({self.field.p})")
             rows, k = np.nonzero(self.structure.data)
             i, j = np.divmod(rows, n)
@@ -157,16 +138,22 @@ class Algebra:
         return memo(self, f"_coo{side}", build)
 
     def _contract(self, xs: np.ndarray, side: int) -> np.ndarray:
-        """Rows xs (r x n) against the structure constants, mod p, as (r, n, n):
-        side 0 gives t[r, j, k] = sum_i xs[r, i] c_ijk, side 1
-        t[r, i, k] = sum_j xs[r, j] c_ijk."""
+        """Stored rows xs (r x n) against the stored structure constants, as
+        (r, n, n): side 0 gives t[r, j, k] = sum_i xs[r, i] c_ijk, side 1
+        t[r, i, k] = sum_j xs[r, j] c_ijk; reduced mod p over GF(p), over QQ
+        numerators over the product of the two denominators."""
         summed, coeff, starts, target = self._coo(side)
         n, r = self.dim, xs.shape[0]
-        # a segment sums at most n terms below (p-1)^2, checked in ``_coo``
-        out = np.zeros((r, n * n))
+        out = np.zeros((r, n * n), xs.dtype)
         if starts.size:
-            out[:, target] = _reduce(np.add.reduceat(xs[:, summed] * coeff, starts, axis=1), self.field.p)
+            sums = np.add.reduceat(xs[:, summed] * coeff, starts, axis=1)
+            # a segment sums at most n terms below (p-1)^2, checked in ``_coo``
+            out[:, target] = _reduce(sums, self.field.p) if isinstance(self.field, PrimeField) else sums
         return out.reshape(r, n, n)
+
+    def _matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b on stored arrays: mod p over GF(p), on Python ints over QQ."""
+        return matmul_mod(a, b, self.field.p) if isinstance(self.field, PrimeField) else a @ b
 
     def rep_matrices(self) -> list[Mat]:
         """A faithful representation of the basis (left regular by default)."""
@@ -394,18 +381,16 @@ def _radical(a: Algebra) -> Subspace:
 
 
 def _radical_trace_form(a: Algebra) -> Subspace:
-    """Characteristic zero: radical of the bilinear form tr(L_x L_y)."""
+    """Characteristic zero: radical of the bilinear form tr(L_x L_y).
+
+    tr(L_i L_j) = vec(L_i) . vec(L_j^T), so the Gram matrix is one product:
+    row i of the left factor is vec(L_i), and vec(L_j^T) = (c_jlk)_(l, k)
+    is row j of the structure constants read as an n x n^2 matrix.
+    """
     n = a.dim
-    left = a.left_regular_action()
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            prod = left[i] @ left[j]
-            tr = sum(prod[k, k] for k in range(n))
-            gram[i][j] = tr
-            gram[j][i] = tr
-    ker = Mat(QQ, gram, cols=n).kernel()
-    return Subspace(a.field, n, ker.transpose())
+    left = Mat.vstack([m.reshape(1, n * n) for m in a.left_regular_action()])
+    gram = left @ a.structure.reshape(n, n * n).transpose()
+    return Subspace(a.field, n, gram.kernel().transpose())
 
 
 # The pair products X_a X_b of the radical chain's layers >= 1 are formed in
@@ -467,7 +452,7 @@ def _radical_gfp_layers(a: Algebra) -> Subspace:
         basis = matmul_mod(ker.data.T, basis, p)
         red, piv = Mat.from_reduced(a.field, basis).rref()
         basis = red.data[: len(piv)]
-    return Subspace(a.field, n, Mat.from_reduced(a.field, basis, cols=n))
+    return Subspace(a.field, n, Mat.from_reduced(a.field, basis))
 
 
 def _gamma_traces(zs: np.ndarray, p: int, layer: int) -> np.ndarray:

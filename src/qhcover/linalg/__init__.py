@@ -1,21 +1,31 @@
 """Dense exact linear algebra over GF(p) and QQ.
 
-GF(p) matrices live in read-only float64 numpy arrays of integers in [0, p),
-as in FFLAS-FFPACK's ``Modular<double>`` (Dumas, Giorgi, Pernet, ACM TOMS
-35(3), 2008): products run on float64 BLAS with no conversion, and every
-reduction modulo p is one exact kernel, ``_reduce``.  Every GF(p) product
-goes through ``matmul_mod``, and row reduction is one numpy routine,
-``_rref_gfp``.  QQ matrices use exact Fraction arithmetic; all QQ instances
-in this package are small.  Other modules stay off the storage: they build
-and reshape matrices through Mat's field-neutral operations and take
+A matrix is a read-only 2-dimensional ndarray ``data`` and one positive
+integer ``den``; its entries are data / den.
+
+GF(p) matrices are float64 arrays of integers in [0, p) with den = 1, as in
+FFLAS-FFPACK's ``Modular<double>`` (Dumas, Giorgi, Pernet, ACM TOMS 35(3),
+2008): products run on float64 BLAS with no conversion, and every reduction
+modulo p is one exact kernel, ``_reduce``.  Every GF(p) product goes through
+``matmul_mod``, and row reduction is one numpy routine, ``_rref_gfp``.
+
+QQ matrices are object arrays of Python-int numerators over one common
+denominator, as in Sage's ``Matrix_rational_dense`` and FLINT's ``fmpq_mat``.
+The form is canonical: the gcd of den and all numerators is 1, so the zero
+matrix has den = 1 and equal matrices have equal storage.  Python ints do
+not overflow, so QQ arithmetic has no bound to check.  A product is one
+numerator product over den_a * den_b, and row reduction, ``_rref_qq``, is
+fraction-free on the numerators.  Other modules stay off the storage: they
+build and reshape matrices through Mat's field-neutral operations and take
 coordinates through MatrixBasis.
 
 The public constructor ``Mat(...)`` checks data from outside the program: it
 reduces GF(p) entries mod p as integers, before they become float64, and
-turns QQ entries into Fractions.  Results of the operations here skip those
-checks: they are built by ``_trusted`` (``Mat.from_reduced`` outside this
-module), which neither copies, reduces nor coerces.  Entries leave as Python
-ints (``Mat.__getitem__``), so nothing downstream prints a float.
+brings QQ entries to one denominator.  Results of the operations here skip
+those checks: they are built by ``_trusted`` and ``_canonical``
+(``Mat.from_reduced`` outside this module), which neither copy, reduce nor
+coerce.  Entries leave as Python ints over GF(p) and as Fractions over QQ
+(``Mat.__getitem__``), so nothing downstream prints a float.
 
 Everything here is deterministic: identical inputs give bit-identical
 outputs (leftmost pivot columns, topmost pivot rows).
@@ -23,12 +33,13 @@ outputs (leftmost pivot columns, topmost pivot rows).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..fields import Field, PrimeField, QQ, RationalField, as_fraction
+from ..fields import Field, PrimeField, RationalField, as_fraction
 
 # the GF(p) row reduction in use; the benchmark harness records it
 GFP_BACKEND = "numpy"
@@ -112,9 +123,10 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Both eliminations follow one pivot rule: the leftmost column with a nonzero
-# entry at or below the current row, the topmost such row as pivot row, the
-# pivot scaled to 1, and the column cleared above and below.  They return the
-# reduced row echelon form and its pivot columns.
+# entry at or below the current row, the topmost such row as pivot row, and
+# the column cleared above and below.  They return the reduced row echelon
+# form (pivots 1; over QQ as numerators over one denominator) and its pivot
+# columns.
 
 
 def _rref_gfp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -151,103 +163,137 @@ def _rref_gfp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def _rref_qq(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+def _rref_qq(a: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
+    """Fraction-free elimination on a QQ matrix's numerators (its common
+    denominator does not change the reduced form).
+
+    Rows are rescaled by nonzero integers, never divided into fractions: the
+    pivot row is made primitive (its content divided out) with a positive
+    pivot, and a row with entry f in the pivot column becomes piv * row -
+    f * pivot row, divided by its content when piv != 1 so that entries stay
+    small (content division, the alternative to Bareiss's exact division,
+    Math. Comp. 22, 1968).  Each pivot row ends as a multiple piv_i of its
+    reduced row, so the reduced form is the rows scaled to the common
+    denominator lcm(piv_i).  Returns those numerators, not yet canonical, the
+    denominator and the pivot columns.
+
+    The rows are Python lists: QQ matrices here are small (most below
+    10 x 10), where a list pass costs less than a numpy call on an object
+    array: replayed on the 3,885 eliminations of the ``cover_qq``
+    benchmark's solve (2-core x86 VM), the lists take about 55% of the time
+    of the same steps on object arrays.
+    """
+    m = a.tolist()
+    nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
+        m[r], m[pr] = m[pr], m[r]
+        row = m[r]
+        piv = row[c]
         if piv != 1:
-            m[r] = [x / piv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            g = math.gcd(*row) if piv != -1 else 1
+            g = g if piv > 0 else -g
+            if g != 1:
+                row = m[r] = [x // g for x in row]
+                piv = row[c]
+        for i, other in enumerate(m):
+            f = other[c]
+            if f and i != r:
+                if piv == 1:
+                    m[i] = [x - f * y for x, y in zip(other, row)]
+                else:
+                    new = [piv * x - f * y for x, y in zip(other, row)]
+                    g = math.gcd(*new)
+                    m[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-    return m, pivots
+    den = math.lcm(*(m[i][c] for i, c in enumerate(pivots)))
+    for i, c in enumerate(pivots):
+        if m[i][c] != den:
+            s = den // m[i][c]
+            m[i] = [x * s for x in m[i]]
+    return np.array(m, dtype=object), den, pivots
+
+
+# the storage dtype of each field kind
+_DTYPE = {"prime": np.float64, "rationals": object}
 
 
 class Mat:
-    """Immutable dense matrix over a Field.
+    """Immutable dense matrix over a Field: the entries are ``data / den``.
 
     GF(p): ``data`` is a read-only float64 ndarray holding integers in
-           [0, p); entries are read out as Python ints.
-    QQ:    ``data`` is a tuple of tuples of Fraction.
+           [0, p) and ``den`` is 1; entries are read out as Python ints.
+    QQ:    ``data`` is a read-only object ndarray of Python-int numerators
+           over the positive int ``den``, in canonical form (the gcd of den
+           and every numerator is 1); entries are read out as Fractions.
 
     ``Mat(field, data)`` is for data from outside the program and checks it:
     GF(p) entries are reduced mod p as integers of any size into a new
-    array, QQ entries become Fractions, and data that is not 2-dimensional
-    or has ragged rows is rejected.  Every operation below builds its result
-    with ``_trusted`` instead, which skips those checks because its data is
-    already in that form; ``Mat.from_reduced`` is that entry point for the
-    callers outside this module that compute on the storage.
+    array, QQ entries are brought to one denominator, and data that is not
+    2-dimensional or has ragged rows is rejected.  Every operation below
+    builds its result with ``_trusted`` or ``_canonical`` instead, which skip
+    those checks because their data is already in stored form;
+    ``Mat.from_reduced`` is that entry point for the callers outside this
+    module that compute on the storage.
     """
 
-    __slots__ = ("field", "data", "rows", "cols")
+    __slots__ = ("field", "data", "den", "rows", "cols")
 
     def __init__(self, field: Field, data, cols: Optional[int] = None):
         self.field = field
         if isinstance(field, PrimeField):
-            arr = _reduce_outside(data, field.p)
-            if arr.ndim != 2:
-                if arr.size == 0:
-                    arr = arr.reshape(0, cols or 0)
-                else:
-                    raise ValueError("matrix data must be 2-dimensional")
-            arr.setflags(write=False)
-            self.data = arr
-            self.rows, self.cols = arr.shape
+            arr, den = _reduce_outside(data, field.p), 1
         else:
-            rows = tuple(tuple(as_fraction(x) for x in row) for row in data)
-            self.rows = len(rows)
-            self.cols = len(rows[0]) if rows else (cols or 0)
-            if any(len(r) != self.cols for r in rows):
-                raise ValueError("ragged matrix data")
-            self.data = rows
+            arr, den = _rationals_outside(data)
+        if arr.ndim != 2:
+            if arr.size == 0:
+                arr = arr.reshape(0, cols or 0)
+            else:
+                raise ValueError("matrix data must be 2-dimensional")
+        arr.setflags(write=False)
+        self.data, self.den = arr, den
+        self.rows, self.cols = arr.shape
 
     # -- constructors ----------------------------------------------------
     @staticmethod
-    def from_reduced(field: Field, data, cols: int = 0) -> "Mat":
+    def from_reduced(field: Field, data: np.ndarray, den: int = 1) -> "Mat":
         """A Mat on data already in stored form, not copied, reduced or
-        coerced: over GF(p) a float64 array of integers in [0, p) (made
-        read-only), over QQ rows of Fractions (``cols`` gives the width of
-        zero rows)."""
-        if isinstance(field, PrimeField) and data.dtype != np.float64:
-            raise TypeError(f"GF(p) data must be float64, not {data.dtype}")
-        return _trusted(field, data, cols)
+        coerced (made read-only): over GF(p) a float64 array of integers in
+        [0, p), over QQ an object array of Python-int numerators over the
+        positive int ``den``, which is brought to canonical form here."""
+        if data.dtype != _DTYPE[field.kind]:
+            raise TypeError(f"{field} data must be {np.dtype(_DTYPE[field.kind])}, not {data.dtype}")
+        return _canonical(field, data, den)
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Mat":
-        if isinstance(field, PrimeField):
-            return _trusted(field, np.zeros((rows, cols)))
-        return _trusted(field, [[Fraction(0)] * cols for _ in range(rows)], cols)
+        return _trusted(field, np.zeros((rows, cols), _DTYPE[field.kind]))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
-        if isinstance(field, PrimeField):
-            return _trusted(field, np.eye(n))
-        return _trusted(field, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)], n)
+        return _trusted(field, np.eye(n, dtype=_DTYPE[field.kind]))
 
     @staticmethod
     def from_entries(field: Field, rows: int, cols: int, entries: dict) -> "Mat":
         """Sparse constructor: ``entries`` maps (i, j) to a value; the rest is 0.
 
-        Over GF(p) each value is reduced as a Python int before it is stored.
+        Each value is normalized as a Python int (GF(p), reduced before it is
+        stored) or a Fraction (QQ, brought to the common denominator).
         """
-        buf = Mat.zeros(field, rows, cols).mutable()
-        for (i, j), v in entries.items():
-            buf[i][j] = field.normalize(v)
-        return _trusted(field, buf, cols)
+        values = [(i, j, field.normalize(v)) for (i, j), v in entries.items()]
+        # a Python int is its own numerator over the denominator 1
+        den = math.lcm(*(v.denominator for _, _, v in values))
+        buf = np.zeros((rows, cols), _DTYPE[field.kind])
+        for i, j, v in values:
+            buf[i, j] = v.numerator * (den // v.denominator)
+        return _trusted(field, buf, den)
 
     @staticmethod
     def column(field: Field, vec: Sequence) -> "Mat":
@@ -256,49 +302,43 @@ class Mat:
     @staticmethod
     def hstack(mats: Sequence["Mat"]) -> "Mat":
         mats = list(mats)
-        field = mats[0].field
-        if isinstance(field, PrimeField):
-            return _trusted(field, np.hstack([m.data for m in mats]))
-        rows = [[x for m in mats for x in m.data[i]] for i in range(mats[0].rows)]
-        return _trusted(field, rows, sum(m.cols for m in mats))
+        den, parts = _over_common_den(mats)
+        # 2-dimensional parts: concatenate is hstack without its atleast_2d calls
+        return _trusted(mats[0].field, np.concatenate(parts, axis=1), den)
 
     @staticmethod
     def vstack(mats: Sequence["Mat"]) -> "Mat":
         mats = list(mats)
-        field = mats[0].field
-        if isinstance(field, PrimeField):
-            return _trusted(field, np.vstack([m.data for m in mats]))
-        return _trusted(field, [r for m in mats for r in m.data], mats[0].cols)
+        den, parts = _over_common_den(mats)
+        return _trusted(mats[0].field, np.concatenate(parts, axis=0), den)
 
     @staticmethod
     def block_diag(field: Field, mats: Sequence["Mat"]) -> "Mat":
-        rows = sum(m.rows for m in mats)
-        cols = sum(m.cols for m in mats)
-        out = Mat.zeros(field, rows, cols).mutable()
+        den, parts = _over_common_den(mats)
+        out = np.zeros((sum(m.rows for m in mats), sum(m.cols for m in mats)), _DTYPE[field.kind])
         r = c = 0
-        for m in mats:
-            _assign_block(out, r, c, m)
-            r += m.rows
-            c += m.cols
-        return _trusted(field, out, cols)
+        for part in parts:
+            out[r : r + part.shape[0], c : c + part.shape[1]] = part
+            r += part.shape[0]
+            c += part.shape[1]
+        return _trusted(field, out, den)
 
     # -- scalar access ---------------------------------------------------
     def __getitem__(self, rc):
         r, c = rc
-        return self.data[r][c] if isinstance(self.field, RationalField) else int(self.data[r, c])
+        return Fraction(self.data[r, c], self.den) if isinstance(self.field, RationalField) else int(self.data[r, c])
 
     def nonzero_entries(self) -> list[tuple[int, int, object]]:
         """(i, j, entry) for every nonzero entry in row-major order, as
         Python ints (and Fractions over QQ)."""
-        if isinstance(self.field, PrimeField):
-            rows, cols = np.nonzero(self.data)
-            return list(zip(rows.tolist(), cols.tolist(), map(int, self.data[rows, cols].tolist())))
-        return [(i, j, x) for i, row in enumerate(self.data) for j, x in enumerate(row) if x != 0]
+        rows, cols = np.nonzero(self.data)
+        values = self.data[rows, cols].tolist()
+        values = [Fraction(v, self.den) for v in values] if isinstance(self.field, RationalField) else map(int, values)
+        return list(zip(rows.tolist(), cols.tolist(), values))
 
-    def mutable(self):
-        if isinstance(self.field, PrimeField):
-            return np.array(self.data, copy=True)
-        return [list(r) for r in self.data]
+    def mutable(self) -> np.ndarray:
+        """A writable copy of ``data`` (over QQ the numerators over ``den``)."""
+        return np.array(self.data, copy=True)
 
     # -- arithmetic -------------------------------------------------------
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -307,21 +347,14 @@ class Mat:
         f = self.field
         if isinstance(f, PrimeField):
             return _trusted(f, matmul_mod(self.data, other.data, f.p))
-        out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.data):
-            for k, a in enumerate(row):
-                if a:
-                    brow = other.data[k]
-                    oi = out[i]
-                    for j in range(other.cols):
-                        oi[j] += a * brow[j]
-        return _trusted(f, out, other.cols)
+        return _canonical(f, self.data @ other.data, self.den * other.den)
 
     def __add__(self, other: "Mat") -> "Mat":
         f = self.field
         if isinstance(f, PrimeField):
             return _trusted(f, _reduce(self.data + other.data, f.p))
-        return _trusted(f, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], self.cols)
+        den, (x, y) = _over_common_den([self, other])
+        return _canonical(f, x + y, den)
 
     def __sub__(self, other: "Mat") -> "Mat":
         f = self.field
@@ -329,14 +362,15 @@ class Mat:
             diff = float(f.p) - other.data
             diff += self.data
             return _trusted(f, _reduce(diff, f.p))
-        return _trusted(f, [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], self.cols)
+        den, (x, y) = _over_common_den([self, other])
+        return _canonical(f, x - y, den)
 
     def scale(self, c) -> "Mat":
         f = self.field
         if isinstance(f, PrimeField):
             return _trusted(f, _reduce(self.data * float(f.normalize(c)), f.p))
         c = as_fraction(c)
-        return _trusted(f, [[c * x for x in row] for row in self.data], self.cols)
+        return _canonical(f, self.data * c.numerator, self.den * c.denominator)
 
     def __neg__(self) -> "Mat":
         return self.scale(-1 if isinstance(self.field, RationalField) else self.field.p - 1)
@@ -345,62 +379,46 @@ class Mat:
         """The same entries read row-major into a rows x cols matrix."""
         if rows * cols != self.rows * self.cols:
             raise ValueError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
-        if isinstance(self.field, PrimeField):
-            return _trusted(self.field, self.data.reshape(rows, cols))
-        flat = [x for row in self.data for x in row]
-        return _trusted(self.field, [flat[i * cols : (i + 1) * cols] for i in range(rows)], cols)
+        return _trusted(self.field, self.data.reshape(rows, cols), self.den)
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product: with other r x c, entry (i*r + k, j*c + l) is self[i, j] * other[k, l]."""
         f = self.field
         if isinstance(f, PrimeField):
             return _trusted(f, _reduce(np.kron(self.data, other.data), f.p))
-        rows = [[a * b for a in arow for b in brow] for arow in self.data for brow in other.data]
-        return _trusted(f, rows, self.cols * other.cols)
+        return _canonical(f, np.kron(self.data, other.data), self.den * other.den)
 
     def transpose(self) -> "Mat":
-        if isinstance(self.field, PrimeField):
-            return _trusted(self.field, self.data.T)
-        if self.rows == 0:
-            return _trusted(self.field, [()] * self.cols)
-        return _trusted(self.field, list(zip(*self.data)), self.rows)
+        return _trusted(self.field, self.data.T, self.den)
 
     def take_rows(self, idx: Iterable[int]) -> "Mat":
-        """The rows ``idx`` in that order.  Over GF(p) a ``range`` with step
-        >= 1 gives a read-only view, which keeps all of ``self`` alive;
-        any other sequence gives a copy."""
-        if isinstance(self.field, PrimeField) and isinstance(idx, range) and idx.step > 0 and idx.start >= 0:
-            return _trusted(self.field, self.data[idx.start : idx.stop : idx.step])
-        idx = list(idx)
-        if isinstance(self.field, PrimeField):
-            return _trusted(self.field, self.data[idx, :] if idx else np.zeros((0, self.cols)))
-        return _trusted(self.field, [self.data[i] for i in idx], self.cols)
+        """The rows ``idx`` in that order.  A ``range`` with step >= 1 gives
+        a read-only view, which keeps all of ``self`` alive (over QQ unless
+        the rows have a smaller denominator); any other sequence gives a
+        copy."""
+        if isinstance(idx, range) and idx.step > 0 and idx.start >= 0:
+            return _canonical(self.field, self.data[idx.start : idx.stop : idx.step], self.den)
+        return _canonical(self.field, self.data[list(idx)], self.den)
 
     def take_cols(self, idx: Iterable[int]) -> "Mat":
-        idx = list(idx)
-        if isinstance(self.field, PrimeField):
-            return _trusted(self.field, self.data[:, idx] if idx else np.zeros((self.rows, 0)))
-        return _trusted(self.field, [[row[j] for j in idx] for row in self.data], len(idx))
+        return _canonical(self.field, self.data[:, list(idx)], self.den)
 
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
-        if isinstance(self.field, PrimeField):
-            return not self.data.any()
-        return all(x == 0 for row in self.data for x in row)
+        return not self.data.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat) or self.field != other.field:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        if isinstance(self.field, PrimeField):
-            return bool(np.array_equal(self.data, other.data))
-        return self.data == other.data
+        # canonical storage: equal matrices have equal den and numerators
+        return self.den == other.den and bool(np.array_equal(self.data, other.data))
 
     def __hash__(self):
-        if isinstance(self.field, PrimeField):
-            return hash((self.field.key(), self.rows, self.cols, self.data.tobytes()))
-        return hash((self.field.key(), self.data))
+        # the bytes of an object array are pointers, not values
+        values = tuple(self.data.flat) if isinstance(self.field, RationalField) else self.data.tobytes()
+        return hash((self.field.key(), self.rows, self.cols, self.den, values))
 
     def __repr__(self) -> str:
         return f"Mat({self.field}, {self.rows}x{self.cols})"
@@ -412,8 +430,8 @@ class Mat:
         if isinstance(self.field, PrimeField):
             red, piv = _rref_gfp(self.data, self.field.p)
             return _trusted(self.field, red), piv
-        red, piv = _rref_qq([list(r) for r in self.data])
-        return _trusted(self.field, red, self.cols), piv
+        red, den, piv = _rref_qq(self.data)
+        return _canonical(self.field, red, den), piv
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -423,23 +441,19 @@ class Mat:
         red, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
-        if isinstance(self.field, PrimeField):
-            # column k: 1 in row free[k], minus red[i, free[k]] in row pivots[i];
-            # most kernels are of matrices with a few columns, and skipping
-            # the empty writes keeps those as cheap as an entry-by-entry loop
-            p = self.field.p
-            ker = np.zeros((self.cols, len(free)))
-            if free:
-                ker[free, np.arange(len(free))] = 1
-                if pivots:
-                    ker[pivots] = _reduce(float(p) - red.data[: len(pivots), free], p)
-            return _trusted(self.field, ker)
-        ker = Mat.zeros(self.field, self.cols, len(free)).mutable()
-        for k, fc in enumerate(free):
-            ker[fc][k] = Fraction(1)
-            for i, pc in enumerate(pivots):
-                ker[pc][k] = -red[i, fc]
-        return _trusted(self.field, ker, len(free))
+        # column k: 1 in row free[k], minus red[i, free[k]] in row pivots[i];
+        # most kernels are of matrices with a few columns, and skipping the
+        # empty writes keeps those as cheap as an entry-by-entry loop
+        ker = np.zeros((self.cols, len(free)), red.data.dtype)
+        if free:
+            ker[free, np.arange(len(free))] = red.den
+            if pivots:
+                block = red.data[: len(pivots), free]
+                if isinstance(self.field, PrimeField):
+                    ker[pivots] = _reduce(float(self.field.p) - block, self.field.p)
+                else:
+                    ker[pivots] = -block
+        return _canonical(self.field, ker, red.den)
 
     def solve(self, b: "Mat") -> Optional["Mat"]:
         """Some x with self @ x == b, or None when inconsistent."""
@@ -449,15 +463,9 @@ class Mat:
         red, pivots = aug.rref()
         if any(p >= self.cols for p in pivots):
             return None
-        if isinstance(self.field, PrimeField):
-            x = np.zeros((self.cols, b.cols))
-            x[pivots] = red.data[: len(pivots), self.cols :]
-            return _trusted(self.field, x)
-        x = Mat.zeros(self.field, self.cols, b.cols).mutable()
-        for i, pc in enumerate(pivots):
-            for j in range(b.cols):
-                x[pc][j] = red[i, self.cols + j]
-        return _trusted(self.field, x, b.cols)
+        x = np.zeros((self.cols, b.cols), red.data.dtype)
+        x[pivots] = red.data[: len(pivots), self.cols :]
+        return _canonical(self.field, x, red.den)
 
     def inv(self) -> "Mat":
         if self.rows != self.cols:
@@ -471,24 +479,42 @@ class Mat:
         return self.rows == self.cols and self.rank() == self.rows
 
 
-def _trusted(field: Field, data, cols: int = 0) -> Mat:
-    """A Mat on data that linalg built: a reduced float64 array over GF(p), rows
-    of Fractions over QQ (``cols`` gives the width of zero rows).
+def _trusted(field: Field, data: np.ndarray, den: int = 1) -> Mat:
+    """A Mat on data that linalg built, already in stored form: a reduced
+    float64 array over GF(p); over QQ numerators over ``den`` in canonical
+    form.
 
     Unlike ``Mat(...)`` nothing is copied, reduced or coerced: the array is
-    made read-only, and QQ rows are stored as tuples.
+    made read-only.
     """
     m = Mat.__new__(Mat)
     m.field = field
-    if isinstance(field, PrimeField):
-        data.setflags(write=False)
-        m.rows, m.cols = data.shape
-    else:
-        data = tuple(map(tuple, data))
-        m.rows = len(data)
-        m.cols = len(data[0]) if data else cols
-    m.data = data
+    data.setflags(write=False)
+    m.data, m.den = data, den
+    m.rows, m.cols = data.shape
     return m
+
+
+def _canonical(field: Field, data: np.ndarray, den: int) -> Mat:
+    """``_trusted`` on numerators over ``den`` that may share a factor with
+    it: the gcd of den and every numerator is divided out first.  A den of 1,
+    as over GF(p) and in every integral QQ product, is canonical already."""
+    if den != 1:
+        g = math.gcd(den, *data.flat)
+        if g != 1:
+            data, den = data // g, den // g
+    return _trusted(field, data, den)
+
+
+def _over_common_den(mats: Sequence[Mat]) -> tuple[int, list[np.ndarray]]:
+    """The lcm of the denominators of ``mats`` and their numerators over it.
+
+    Stacked side by side or on top, these are canonical: every prime power
+    of the lcm is that of some part's den, and that part has a numerator
+    prime to it, scaled by a cofactor prime to it.
+    """
+    den = math.lcm(*[m.den for m in mats])
+    return den, [m.data if m.den == den else m.data * (den // m.den) for m in mats]
 
 
 def _reduce_outside(data, p: int) -> np.ndarray:
@@ -511,13 +537,19 @@ def _reduce_outside(data, p: int) -> np.ndarray:
     return (data % p).astype(np.float64)
 
 
-def _assign_block(buf, r0, c0, m: Mat):
-    if isinstance(buf, np.ndarray):
-        buf[r0 : r0 + m.rows, c0 : c0 + m.cols] = m.data
-    else:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                buf[r0 + i][c0 + j] = m.data[i][j]
+def _rationals_outside(data) -> tuple[np.ndarray, int]:
+    """Outside rows of rationals as a new object array of Python-int
+    numerators over one denominator, in canonical form.
+
+    Each entry becomes a reduced Fraction; the denominator is the lcm of
+    theirs, which is canonical (every prime power of the lcm is that of some
+    entry's denominator, and that entry's numerator is prime to it).
+    """
+    rows = [[as_fraction(x) for x in row] for row in data]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("ragged matrix data")
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return np.array([[x.numerator * (den // x.denominator) for x in row] for row in rows], dtype=object), den
 
 
 class MatrixBasis:

@@ -20,7 +20,7 @@ from qhcover.algebra import (
     semisimple_quotient,
 )
 from qhcover.fields import GF, QQ
-from qhcover.gallery import build_am, build_schur
+from qhcover.gallery import build_am, build_hecke, build_schur
 from qhcover.linalg import Mat, Subspace
 from qhcover.quiver import Arrow, QuiverPresentation, arrow_ideal_dimension, from_quiver
 
@@ -340,6 +340,23 @@ def test_radical_chain_in_one_row_blocks(monkeypatch, build):
     blocked = algebra_module._radical_gfp_layers(build())
     assert (blocked.basis, blocked.pivots) == (whole.basis, whole.pivots)
     assert len(batches) > calls_whole >= 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda m=m: make_am_algebra(m, QQ) for m in (2, 3, 4)] + [lambda: build_hecke(3, "1/2", QQ).algebra],
+    ids=["A2", "A3", "A4", "H3_u=1/2"],
+)
+def test_trace_form_radical_matches_pairwise_traces(build):
+    # the Gram matrix as one product gives the radical the n(n+1)/2 traces
+    # tr(L_i L_j) give
+    a = build()
+    n, left = a.dim, a.left_regular_action()
+    gram = [[sum((left[i] @ left[j])[k, k] for k in range(n)) for j in range(n)] for i in range(n)]
+    want = Subspace(QQ, n, Mat(QQ, gram).kernel().transpose())
+    got = algebra_module._radical_trace_form(a)
+    assert (got.basis, got.pivots) == (want.basis, want.pivots)
+    assert got.dim == {5: 3, 9: 6, 13: 9, 6: 0}[n]
 
 
 @pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])

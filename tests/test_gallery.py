@@ -242,12 +242,53 @@ def test_dominance_order():
 
 
 def test_q_schur_generic_parameter():
-    # u = 2 over GF(5): q = 4; the q-Schur algebra is still split quasi-hereditary
-    from qhcover.fields import GF
-
+    # u = 2 over GF(5): q = u^-2 = 4 = -1, which is not generic: 1 + q = 0,
+    # so l = 2 and domdim S_q(2, 2) = 2(l - 1) = 2.  The q-Schur algebra is
+    # still split quasi-hereditary.
     s = build_schur(2, 2, "2", GF(5))
     assert s.algebra.dim == 10
     assert s.qh().verification.passed
+    assert str(classical_domdim(s.algebra, 8)[0].value) == "Exact(2)"
+
+
+# Fang and Koenig (Trans. AMS 363, 2011): for n >= d, domdim S_q(n, d) =
+# 2(l - 1), with q = u^-2 and l the least integer with 1 + q + ... +
+# q^(l-1) = 0 in the field (l = p at q = 1); it is infinite (S_q(n, d)
+# semisimple) when l > d.
+@pytest.mark.parametrize(
+    "n, d, u, p, want",
+    [
+        (2, 2, "2", 5, "Exact(2)"),  # q = 4 = -1: l = 2
+        (3, 2, "2", 5, "Exact(2)"),
+        (2, 2, "3", 7, "Infinite"),  # q = 1/9 = 4: 1 + 4 + 16 = 21, l = 3 > d
+        (2, 2, "1", 2, "Exact(2)"),  # q = 1: l = p = 2
+        (3, 2, "1", 3, "Infinite"),  # l = p = 3 > d
+    ],
+)
+def test_q_schur_dominant_dimension_is_fang_koenig(n, d, u, p, want):
+    s = build_schur(n, d, u, GF(p))
+    assert str(classical_domdim(s.algebra, 8)[0].value) == want
+
+
+# classical_domdim of one Z-form over QQ and GF(p), as computed: the zigzag
+# algebra A_3 has domdim 4 over every field; the Schur algebras S(2, d) are
+# semisimple over QQ and over GF(p) for p > d, and S(2, p) has domdim 2.
+_CHANGE_OF_RINGS = {
+    "A3": (lambda f: build_am(3, f).algebra, {"QQ": "Exact(4)", "GF2": "Exact(4)", "GF3": "Exact(4)", "GF5": "Exact(4)"}),
+    "S(2,2)": (lambda f: build_schur(2, 2, 1, f).algebra, {"QQ": "Infinite", "GF2": "Exact(2)", "GF3": "Infinite", "GF5": "Infinite"}),
+    "S(2,3)": (lambda f: build_schur(2, 3, 1, f).algebra, {"QQ": "Infinite", "GF2": "Infinite", "GF3": "Exact(2)", "GF5": "Infinite"}),
+}
+
+
+@pytest.mark.parametrize("name", list(_CHANGE_OF_RINGS))
+def test_domdim_across_fields(name):
+    build, want = _CHANGE_OF_RINGS[name]
+    fields = {"QQ": QQ, "GF2": GF(2), "GF3": GF(3), "GF5": GF(5)}
+    algebras = {key: build(f) for key, f in fields.items()}
+    assert {key: str(classical_domdim(a, 8)[0].value) for key, a in algebras.items()} == want
+    # the radical can only grow under reduction mod p (semicontinuity)
+    rad_qq = algebras["QQ"].radical_subspace().dim
+    assert all(a.radical_subspace().dim >= rad_qq for a in algebras.values())
 
 
 def test_hecke_u_string_parse():

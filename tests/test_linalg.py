@@ -2,6 +2,8 @@
 
 import ast
 import itertools
+import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from qhcover.algebra import (
     centralizer_algebra,
 )
 from qhcover.fields import GF, QQ
+from qhcover.gallery import build_hecke
 from qhcover.linalg import (
     _FMOD_MAX_SIZE,
     Mat,
@@ -515,8 +518,11 @@ def test_public_constructor_reduces_and_coerces_outside_data():
     assert Mat(GF(7), np.array([[-1.0, 13.0]])).data.tolist() == [[6, 6]]
     assert type(m[0, 0]) is int
     q = Mat(QQ, [[1, "2/3"], [np.int64(-4), Fraction(np.int64(1), np.int64(2))]])
-    assert q.data == ((Fraction(1), Fraction(2, 3)), (Fraction(-4), Fraction(1, 2)))
-    assert all(type(x) is Fraction and type(x.numerator) is type(x.denominator) is int for row in q.data for x in row)
+    assert (q.data.tolist(), q.den) == ([[6, 4], [-24, 3]], 6)
+    assert all(type(x) is int for x in q.data.flat)
+    entries = [q[i, j] for i in range(2) for j in range(2)]
+    assert entries == [Fraction(1), Fraction(2, 3), Fraction(-4), Fraction(1, 2)]
+    assert all(type(x) is Fraction and type(x.numerator) is type(x.denominator) is int for x in entries)
 
 
 HUGE = [2**53 - 1, 2**53, 2**53 + 1, 2**62, 2**70]
@@ -580,15 +586,17 @@ def test_public_operations_match_python_ints_at_the_largest_prime():
 def test_public_constructor_rejects_malformed_data():
     with pytest.raises(ValueError, match="2-dimensional"):
         Mat(F3, np.ones((2, 2, 2), dtype=np.int64))
-    with pytest.raises(ValueError, match="ragged"):
-        Mat(QQ, [[1, 2], [3]])
+    for ragged in ([[1, 2], [3]], [[1], [2, 3]], [[], [Fraction(1, 2)]]):
+        with pytest.raises(ValueError, match="ragged"):
+            Mat(QQ, ragged)
 
 
-def _operation_results(field):
-    """One result of every Mat-building operation of linalg."""
+def _operation_results(field, unit=1):
+    """One result of every Mat-building operation of linalg; over QQ the
+    random inputs are integers times ``unit``."""
     rng = np.random.default_rng(3)
-    a = Mat(field, rng.integers(-3, 4, size=(3, 4)))
-    b = Mat(field, rng.integers(-3, 4, size=(4, 3)))
+    a = Mat(field, rng.integers(-3, 4, size=(3, 4))).scale(unit)
+    b = Mat(field, rng.integers(-3, 4, size=(4, 3))).scale(unit)
     sq = Mat(field, [[1, 2, 0], [0, 1, 0], [1, 0, 1]])
     basis = MatrixBasis([Mat.identity(field, 2), Mat(field, [[0, 1], [0, 0]])])
     return [
@@ -629,12 +637,19 @@ def test_gfp_operation_results_are_read_only_and_reduced():
         assert m.data.size == 0 or (int(m.data.min()) >= 0 and int(m.data.max()) < p)
 
 
-def test_qq_operation_results_are_fraction_tuples():
-    for m in _operation_results(QQ):
-        assert type(m.data) is tuple and len(m.data) == m.rows
-        for row in m.data:
-            assert type(row) is tuple and len(row) == m.cols
-            assert all(type(x) is Fraction and type(x.numerator) is int for x in row)
+def _assert_canonical(m):
+    """QQ storage: read-only Python-int numerators over a positive int den
+    that shares no factor with all of them."""
+    assert m.data.dtype == object and m.data.shape == (m.rows, m.cols)
+    assert not m.data.flags.writeable
+    assert all(type(x) is int for x in m.data.flat)
+    assert type(m.den) is int and m.den > 0 and math.gcd(m.den, *m.data.flat) == 1
+
+
+@pytest.mark.parametrize("unit", [1, Fraction(2, 3), Fraction(-5, 12)], ids=["integers", "thirds", "twelfths"])
+def test_qq_operation_results_are_canonical(unit):
+    for m in _operation_results(QQ, unit):
+        _assert_canonical(m)
 
 
 def test_storage_stays_behind_linalg():
@@ -687,3 +702,190 @@ def test_conversions_stay_in_their_named_places():
         rel = path.relative_to(package).as_posix()
         visit(ast.parse(path.read_text(), filename=str(path)), None, rel)
     assert offences == []
+
+
+# -- QQ storage against Fraction arithmetic ------------------------------------------
+#
+# The reference below is the Fraction code QQ matrices ran on before they were
+# stored as numerators over one denominator: rows of Fractions, a product
+# loop, and Gauss-Jordan with the pivot scaled to 1.
+
+
+def _fractions(m):
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def _ref_matmul(a, b, cols):
+    out = [[Fraction(0)] * cols for _ in a]
+    for i, row in enumerate(a):
+        for k, x in enumerate(row):
+            if x:
+                for j in range(cols):
+                    out[i][j] += x * b[k][j]
+    return out
+
+
+def _ref_rref(rows):
+    m = [row[:] for row in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        if piv != 1:
+            m[r] = [x / piv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _ref_kernel(rows, ncols):
+    red, pivots = _ref_rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    ker = [[Fraction(0)] * len(free) for _ in range(ncols)]
+    for k, fc in enumerate(free):
+        ker[fc][k] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            ker[pc][k] = -red[i][fc]
+    return ker
+
+
+def _ref_solve(a, b, ncols):
+    red, pivots = _ref_rref([ra + rb for ra, rb in zip(a, b)])
+    if any(pc >= ncols for pc in pivots):
+        return None
+    x = [[Fraction(0)] * len(b[0]) for _ in range(ncols)]
+    for i, pc in enumerate(pivots):
+        x[pc] = red[i][ncols:]
+    return x
+
+
+# Past 2^53 float64 rounds, past 2^63 int64 overflows; Python ints do neither.
+_WIDE = [2**53 - 1, 2**53 + 1, 2**63 - 1, 2**63 + 7, 2**70 + 3]
+
+
+def _random_rationals(rng, rows, cols, kind):
+    """integral: entries in [-3, 3]; fractions: denominators up to 8;
+    wide: numerators and denominators around 2^53, 2^63 and 2^70."""
+
+    def entry():
+        if kind == "integral":
+            return Fraction(rng.randint(-3, 3))
+        if kind == "fractions":
+            return Fraction(rng.randint(-8, 8), rng.randint(1, 8))
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.choice(_WIDE) * rng.choice([-1, 1]) + rng.randint(-2, 2), rng.choice([1, 3] + _WIDE))
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("kind", ["integral", "fractions", "wide"])
+def test_qq_operations_match_the_fraction_reference(kind):
+    rng = random.Random(kind)
+    for _ in range(15):
+        r, k, c = rng.randint(1, 6), rng.randint(1, 4), rng.randint(1, 7)
+        a, a2 = _random_rationals(rng, r, c, kind), _random_rationals(rng, r, c, kind)
+        b = _random_rationals(rng, c, k, kind)
+        ma, ma2, mb = Mat(QQ, a), Mat(QQ, a2), Mat(QQ, b)
+        results = [ma @ mb, ma + ma2, ma - ma2, ma.kron(mb), ma.scale(Fraction(-3, 7))]
+        assert [_fractions(m) for m in results] == [
+            _ref_matmul(a, b, k),
+            [[x + y for x, y in zip(u, v)] for u, v in zip(a, a2)],
+            [[x - y for x, y in zip(u, v)] for u, v in zip(a, a2)],
+            [[x * y for x in u for y in v] for u in a for v in b],
+            [[x * Fraction(-3, 7) for x in u] for u in a],
+        ]
+        # a matrix of rank at most k, so that free columns and zero rows occur
+        low = _ref_matmul(_random_rationals(rng, r, k, kind), _random_rationals(rng, k, c, kind), c)
+        for rows in (a, low):
+            m = Mat(QQ, rows)
+            red, pivots = m.rref()
+            assert (_fractions(red), pivots) == _ref_rref(rows)
+            ker = m.kernel()
+            assert _fractions(ker) == _ref_kernel(rows, c)
+            rhs = _ref_matmul(rows, _random_rationals(rng, c, 2, kind), 2)
+            assert _fractions(m.solve(Mat(QQ, rhs))) == _ref_solve(rows, rhs, c)
+            if len(pivots) < r:
+                # y != 0 with y^T m = 0 is orthogonal to the column space
+                y = [row[:1] for row in _ref_kernel([list(col) for col in zip(*rows)], r)]
+                assert m.solve(Mat(QQ, y)) is None and _ref_solve(rows, y, c) is None
+            results += [red, ker]
+        sq = _random_rationals(rng, r, r, kind)
+        if _ref_rref(sq)[1] == list(range(r)):
+            ident = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+            inv = Mat(QQ, sq).inv()
+            assert _fractions(inv) == _ref_solve(sq, ident, r)
+            results.append(inv)
+        for m in results:
+            _assert_canonical(m)
+
+
+def test_hecke_products_match_the_fraction_reference():
+    # H(3) at u = 1/2: structure constants with denominators 2, 4 and 8
+    a = build_hecke(3, "1/2", QQ).algebra
+    n = a.dim
+    c = [[[a.structure[i * n + j, k] for k in range(n)] for j in range(n)] for i in range(n)]
+    assert a.structure.den == 8 and {x.denominator for plane in c for row in plane for x in row} == {1, 2, 4, 8}
+    rng = random.Random(5)
+    xs, ys = _random_rationals(rng, n, 3, "fractions"), _random_rationals(rng, n, 2, "fractions")
+    for col in range(3):
+        x = [row[col] for row in xs]
+        # the Fraction loops of the products before: (L_x)[k, j] = sum_i x_i c_ijk
+        left = [[sum(x[i] * c[i][j][k] for i in range(n)) for j in range(n)] for k in range(n)]
+        right = [[sum(x[j] * c[i][j][k] for j in range(n)) for i in range(n)] for k in range(n)]
+        xm = Mat(QQ, [[v] for v in x])
+        assert _fractions(a.left_mult_matrix(xm)) == left and _fractions(a.right_mult_matrix(xm)) == right
+    want = [[sum(xs[i][r] * ys[j][s] * c[i][j][k] for i in range(n) for j in range(n)) for r in range(3) for s in range(2)] for k in range(n)]
+    assert _fractions(a.multiply_batches(Mat(QQ, xs), Mat(QQ, ys))) == want
+    # the regular representation is multiplicative, by the reference product:
+    # L_i L_j = sum_k c_ijk L_k
+    regular = [_fractions(m) for m in a.left_regular_action()]
+    for i, j in itertools.product(range(n), repeat=2):
+        combo = [[sum(c[i][j][k] * regular[k][r][s] for k in range(n)) for s in range(n)] for r in range(n)]
+        assert _ref_matmul(regular[i], regular[j], n) == combo
+
+
+def test_qq_equal_matrices_are_stored_and_hashed_alike():
+    m = Mat(QQ, [[Fraction(1, 6), 2, Fraction(-3, 4)], [0, Fraction(5, 2), 7]])
+    zero = Mat.zeros(QQ, 1, 2)
+    pairs = [
+        (Mat(QQ, [[Fraction(2, 4)]]), Mat(QQ, [[Fraction(1, 2)]])),
+        (m.scale(2).scale(Fraction(1, 2)), m),
+        (m.scale(Fraction(2, 3)).scale(Fraction(3, 2)), m),
+        (Mat(QQ, m.data.tolist()).scale(Fraction(1, m.den)), m),
+        (m.kron(Mat.identity(QQ, 1)), m),
+        # zero matrices reached from different denominators
+        (Mat(QQ, [[Fraction(1, 3), Fraction(1, 5)]]) - Mat(QQ, [[Fraction(1, 3), Fraction(1, 5)]]), zero),
+        (Mat(QQ, [[Fraction(1, 7), 0]]).scale(0), zero),
+        (m.take_rows([0]).take_cols([0, 2]) @ Mat(QQ, [[0, 0], [0, 0]]), zero),
+        # sub-blocks, stacks and products with smaller denominators
+        (m.take_cols([1]), Mat(QQ, [[2], [Fraction(5, 2)]])),
+        (m.take_rows(range(1, 2)).take_cols([0, 2]), Mat(QQ, [[0, 7]])),
+        (Mat.hstack([Mat(QQ, [[Fraction(1, 2)]]), Mat(QQ, [[Fraction(1, 3)]])]), Mat(QQ, [[Fraction(3, 6), Fraction(2, 6)]])),
+        (Mat(QQ, [[Fraction(1, 2)]]) @ Mat(QQ, [[2]]), Mat.identity(QQ, 1)),
+    ]
+    for x, y in pairs:
+        _assert_canonical(x)
+        assert x == y and hash(x) == hash(y)
+        assert (x.data.tolist(), x.den) == (y.data.tolist(), y.den)
+    assert Mat(QQ, [[Fraction(1, 2)]]) != Mat(QQ, [[1]]) and Mat(QQ, [[Fraction(1, 2)]]) != Mat(QQ, [[Fraction(1, 4)]])
+
+
+def test_qq_hash_is_computed_from_values():
+    # equal numerators held by different int objects: the bytes of an object
+    # array are their addresses, so a hash of tobytes() would tell them apart
+    big = 10**30
+    x = Mat(QQ, [[big, Fraction(big + 1, 3)]])
+    y = Mat(QQ, [[big + 1, Fraction(big + 4, 3)]]) - Mat(QQ, [[1, 1]])
+    assert x.data[0, 0] is not y.data[0, 0]
+    assert x == y and hash(x) == hash(y) and {x: "found"}[y] == "found"
