@@ -12,10 +12,13 @@ tr(L_x L_y) (Dickson's criterion); over GF(p) a descending chain of ideals
 is computed from p-power trace functions evaluated on integer lifts of a
 faithful matrix representation, layer by layer, which is correct in small
 characteristic.  The result is certified: a nilpotent ideal, and A/J semisimple.
+A/J is split into blocks by roots in k of minimal polynomials of central
+elements and Lagrange idempotents, on one path for both fields.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -167,17 +170,19 @@ class Algebra:
         return memo(self, "_gens", self._generator_indices)
 
     def _generator_indices(self) -> list[int]:
+        # the subalgebra generated by S is the smallest subspace that holds 1
+        # and is closed under right multiplication by S, so each closure
+        # forms span x generators, not span x span
         n = self.dim
         span = Subspace(self.field, n, self.one.transpose())
         gens: list[int] = []
         while span.dim < n:
             new_idx = next(i for i in range(n) if not span.contains(self.basis_element(i).transpose()))
             gens.append(new_idx)
-            rows = Mat.vstack([span.basis, self.basis_element(new_idx).transpose()])
-            span = Subspace(self.field, n, rows)
+            gen_cols = Mat.identity(self.field, n).take_cols(gens)
+            span = Subspace(self.field, n, Mat.vstack([span.basis, self.basis_element(new_idx).transpose()]))
             while span.dim < n:
-                cols = span.basis.transpose()
-                prods = self.multiply_batches(cols, cols)
+                prods = self.multiply_batches(span.basis.transpose(), gen_cols)
                 newspan = Subspace(self.field, n, Mat.vstack([span.basis, prods.transpose()]))
                 if newspan.dim == span.dim:
                     break
@@ -582,27 +587,21 @@ def center_basis(a: Algebra) -> Mat:
     return Mat.vstack(rows).kernel()
 
 
-def _poly_to_sympy(coeffs: list, field: Field, x):
-    import sympy
-
-    if isinstance(field, PrimeField):
-        return sympy.Poly([int(c) for c in reversed(coeffs)], x, modulus=field.p)
-    return sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], x, domain="QQ")
-
-
-def _poly_coeffs_from_sympy(poly, field: Field) -> list:
-    cs = poly.all_coeffs()  # leading first
-    if isinstance(field, PrimeField):
-        return [int(c) % field.p for c in reversed(cs)]
-    return [Fraction(c.p, c.q) for c in reversed(cs)]
+_NOT_SPLIT = "field not splitting: simple block has a larger center (extend the base field)"
 
 
 def central_primitive_idempotents(a: Algebra) -> list[Mat]:
-    """Primitive central idempotents of a (semisimple, split or not) algebra."""
-    import sympy  # heavy; imported only here and in the _poly_* helpers
+    """Primitive central idempotents of a split semisimple algebra.
 
-    x = sympy.Symbol("x")
-    field = a.field
+    Each element z of a basis of the center splits the blocks eps found so
+    far.  z acts on each simple block by a scalar of k, so the minimal
+    polynomial of z eps in eps A eps has distinct roots l in k, and the part
+    of eps for l is the Lagrange interpolant prod_{m != l} (z eps - m eps) /
+    (l - m): no polynomial is factored (Eberly and Giesbrecht, J. Symbolic
+    Comput. 37, 2004).  Fewer roots than the degree mean a block with a
+    larger center.  The parts come in the order of ``_roots``, and so do the
+    primitive idempotents and the ``simple_of`` indices of reports.
+    """
     blocks: list[Mat] = [a.one]
     zc = center_basis(a)
     for c in range(zc.cols):
@@ -612,41 +611,66 @@ def central_primitive_idempotents(a: Algebra) -> list[Mat]:
             zeps = a.multiply(z, eps)
             # minimal polynomial of z*eps in the unital algebra eps*A*eps
             coeffs = _minimal_poly_in_corner(a, zeps, eps)
-            poly = _poly_to_sympy(coeffs, field, x)
-            factors = poly.factor_list()[1]
-            if len(factors) == 1 and factors[0][1] == 1:
+            if len(coeffs) == 2:
                 new_blocks.append(eps)
                 continue
-            for fac, mult_ in factors:
-                if mult_ != 1:
-                    raise AlgebraError("center not semisimple: repeated factor in minimal polynomial")
-                cofactor = poly.exquo(fac)
-                inv = _poly_invert(cofactor, fac, field, x)
-                g = (cofactor * inv).rem(poly)
-                e = _evaluate_poly_corner(a, _poly_coeffs_from_sympy(g, field), zeps, eps)
-                if e.is_zero():
-                    raise AlgebraError("central idempotent construction failed")
-                new_blocks.append(e)
+            roots = _roots(coeffs, a.field)
+            if len(roots) < len(coeffs) - 1:
+                raise AlgebraError(_NOT_SPLIT)
+            left = a.left_mult_matrix(zeps)
+            for lam in roots:
+                e, others = eps, [mu for mu in roots if mu != lam]
+                for mu in others:
+                    e = left @ e - e.scale(mu)
+                new_blocks.append(e.scale(a.field.inv(math.prod(lam - mu for mu in others))))
         blocks = new_blocks
-    total = a.zero_element()
     for i, e in enumerate(blocks):
-        if a.multiply(e, e) != e:
-            raise AlgebraError("central idempotent is not idempotent")
-        for j, f2 in enumerate(blocks):
-            if i != j and not a.multiply(e, f2).is_zero():
-                raise AlgebraError("central idempotents are not orthogonal")
-        total = total + e
-    if total != a.one:
+        if any(a.multiply(e, f) != (e if i == j else a.zero_element()) for j, f in enumerate(blocks)):
+            raise AlgebraError("central idempotents are not orthogonal idempotents")
+    if sum(blocks[1:], blocks[0]) != a.one:
         raise AlgebraError("central idempotents do not sum to one")
     return blocks
 
 
-def _poly_invert(f, g, field: Field, x):
-    import sympy
-
+def _roots(coeffs: list, field: Field) -> list:
+    """The distinct roots in k of a monic polynomial (coefficients lowest
+    first).  They come in the order in which sympy's factor list, used here
+    before, gave the factors x - l, so that reports keep their order: over
+    GF(p) by (-l) mod p, over QQ by (b, -a) for l = a/b in lowest terms."""
     if isinstance(field, PrimeField):
-        return sympy.Poly(sympy.invert(f.as_expr(), g.as_expr(), x, modulus=field.p), x, modulus=field.p)
-    return sympy.Poly(sympy.invert(f.as_expr(), g.as_expr(), x), x, domain="QQ")
+        # Horner on all of GF(p) at once: a value below p times x below p,
+        # plus a coefficient, stays below p^2 + p < 2^51 (p <= 2^20)
+        p = field.p
+        xs, vals = np.arange(p, dtype=np.float64), np.ones(p)
+        for c in reversed(coeffs[:-1]):
+            vals *= xs
+            vals += c
+            _reduce(vals, p)
+        return sorted((int(r) for r in np.flatnonzero(vals == 0)), key=lambda lam: -lam % p)
+    # over QQ y = den x makes the polynomial a monic g with integer
+    # coefficients, whose rational roots are integers; search down from
+    # Cauchy's bound, 1 + max |g_i| > |y| for every complex root y
+    den, deg = math.lcm(*(c.denominator for c in coeffs)), len(coeffs) - 1
+    g = [int(c * den ** (deg - i)) for i, c in enumerate(coeffs)]
+    found, y = [], 1 + max(abs(c) for c in g[:-1])
+    while len(g) > 1:
+        vals, der = [0], 0
+        for c in reversed(g):  # Horner: vals[1:-1] is g / (t - y), highest first
+            der = der * y + vals[-1]
+            vals.append(vals[-1] * y + c)
+        val = vals[-1]
+        if val == 0:
+            found.append(y)
+            g, y = vals[-2:0:-1], y - 1
+        elif val > 0 and der > 0:
+            # above the largest root of a g whose roots are real and simple,
+            # g and g' are positive and the Newton step y - g/g' stays at or
+            # above that root, and so does this integer step; so a g or g'
+            # that is not positive means g is no product of distinct t - r
+            y -= max(1, val // der)
+        else:
+            break
+    return sorted((Fraction(r, den) for r in found), key=lambda lam: (lam.denominator, -lam.numerator))
 
 
 def _minimal_poly_in_corner(a: Algebra, z: Mat, eps: Mat) -> list:
@@ -661,17 +685,6 @@ def _minimal_poly_in_corner(a: Algebra, z: Mat, eps: Mat) -> list:
             coeffs = [a.field.neg(sol[i, 0]) for i in range(len(vecs))]
             return coeffs + [a.field.one()]
         vecs.append(power)
-
-
-def _evaluate_poly_corner(a: Algebra, coeffs: list, z: Mat, eps: Mat) -> Mat:
-    acc = a.zero_element()
-    power = eps
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            acc = acc + power.scale(c)
-        if i + 1 < len(coeffs):
-            power = a.multiply(z, power)
-    return acc
 
 
 def _primitive_idempotent_in_simple_block(a: Algebra, rng: np.random.Generator) -> Mat:
@@ -749,32 +762,18 @@ def _primitive_set_semisimple(a: Algebra, rng: np.random.Generator) -> tuple[lis
     blocks: list[int] = []
     for b_id, eps in enumerate(centrals):
         block, incl = corner_algebra(a, eps)
-        if _corner_center_dim(block) != 1:
-            raise AlgebraError("field not splitting: simple block has a larger center (extend the base field)")
-        remaining = block
-        rem_incl = incl
+        if center_basis(block).cols != 1:
+            raise AlgebraError(_NOT_SPLIT)
         while True:
-            dim = remaining.dim
-            if dim == 0:
-                break
-            if dim == 1:
-                idems.append(rem_incl @ remaining.one)
-                blocks.append(b_id)
-                break
-            e = _primitive_idempotent_in_simple_block(remaining, rng)
-            idems.append(rem_incl @ e)
+            e = _primitive_idempotent_in_simple_block(block, rng)
+            idems.append(incl @ e)
             blocks.append(b_id)
-            f = remaining.one - e
+            f = block.one - e
             if f.is_zero():
                 break
-            sub, sub_incl = corner_algebra(remaining, f)
-            rem_incl = rem_incl @ sub_incl
-            remaining = sub
+            block, sub_incl = corner_algebra(block, f)
+            incl = incl @ sub_incl
     return idems, blocks
-
-
-def _corner_center_dim(block: Algebra) -> int:
-    return center_basis(block).cols
 
 
 def _primitive_idempotents(a: Algebra) -> PrimitiveDecomposition:

@@ -1,6 +1,7 @@
 """Algebra construction and structural analysis, checked against oracles."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qhcover.algebra import (
     Algebra,
     AlgebraError,
     _batched_matrix_power_mod,
+    central_primitive_idempotents,
     centralizer_algebra,
     corner_algebra,
     direct_product,
@@ -411,6 +413,77 @@ def test_primitive_idempotents_qq_s3():
     # QQ S_3 = QQ x QQ x M_2(QQ): 1 + 1 + 2 primitive idempotents, 3 blocks
     assert prim.n_blocks == 3
     assert len(prim) == 4
+
+
+# -- central idempotents: roots and Lagrange interpolants ---------------------------
+
+
+def poly_mul_linear(field, coeffs, root):
+    """coeffs (lowest first) times (x - root)."""
+    shifted = [field.zero()] + coeffs
+    return [field.add(s, field.neg(field.mul(root, c))) for s, c in zip(shifted, coeffs + [field.zero()])]
+
+
+def polynomial_algebra(field, coeffs):
+    """k[x]/(f) for a monic f (coefficients lowest first), on the basis 1, x, ..."""
+    d = len(coeffs) - 1
+    powers = [[field.one() if i == k else field.zero() for i in range(d)] for k in range(d)]
+    while len(powers) < 2 * d - 1:  # x^(k+1) = x * x^k, with x^d = -(f_0 + ... + f_(d-1) x^(d-1))
+        prev = powers[-1]
+        top = prev[-1]
+        powers.append([field.add(low, field.neg(field.mul(top, coeffs[i]))) for i, low in enumerate([field.zero()] + prev[:-1])])
+    mult = [[powers[i + j] for j in range(d)] for i in range(d)]
+    return from_structure_constants(field, d, mult, powers[0])
+
+
+def split_algebra(field, roots):
+    coeffs = [field.one()]
+    for lam in roots:
+        coeffs = poly_mul_linear(field, coeffs, field.normalize(lam))
+    return polynomial_algebra(field, coeffs)
+
+
+# The block orders are the ones the sympy factorisation gave (checked at the
+# version that still used it): over GF(p) by (-l) mod p, over QQ by (b, -a)
+# for l = a/b.  The primitive idempotents, and the poset JSON's simple_of
+# indices, follow this order.
+P_MAX = 1048573
+
+
+@pytest.mark.parametrize(
+    "field, roots, order",
+    [
+        (QQ, [Fraction(1, 2), 0, Fraction(-1, 3), 5, -3, 2], [5, 2, 0, -3, Fraction(1, 2), Fraction(-1, 3)]),
+        (QQ, [Fraction(7, 3), -999999, Fraction(-7, 3), 1000003], [1000003, -999999, Fraction(7, 3), Fraction(-7, 3)]),
+        (GF(5), [1, 2, 4, 0], [0, 4, 2, 1]),
+        (GF(P_MAX), [12345, 1, 0, P_MAX - 1], [0, P_MAX - 1, 12345, 1]),
+    ],
+    ids=["QQ", "QQ-large", "GF5", "GF1048573"],
+)
+def test_central_idempotents_are_lagrange_interpolants_in_factor_order(field, roots, order):
+    a = split_algebra(field, roots)
+    blocks = central_primitive_idempotents(a)
+    x = a.basis_element(1)
+    assert [next(lam for lam in roots if a.multiply(x, e) == e.scale(lam)) for e in blocks] == order
+    for lam, e in zip(order, blocks):
+        # prod_{m != l} (x - m) / (l - m), whose degree is below dim A
+        coeffs = [field.one()]
+        for mu in roots:
+            if mu != lam:
+                coeffs = poly_mul_linear(field, coeffs, field.normalize(mu))
+                coeffs = [field.mul(c, field.inv(field.normalize(lam - mu))) for c in coeffs]
+        assert e == Mat.column(field, coeffs)
+
+
+@pytest.mark.parametrize(
+    "field, coeffs",
+    [(QQ, [1, 0, 1]), (QQ, [-2, 0, 1]), (F3, [1, 0, 1]), (QQ, [2, -2, -1, 1]), (GF(5), [0, 3, 0, 1])],
+    ids=["QQ-x2+1", "QQ-x2-2", "GF3-x2+1", "QQ-(x-1)(x2-2)", "GF5-x(x2-2)"],
+)
+def test_field_not_splitting_raises(field, coeffs):
+    a = polynomial_algebra(field, [field.normalize(c) for c in coeffs])
+    with pytest.raises(AlgebraError, match="field not splitting"):
+        a.primitive_idempotents()
 
 
 @pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])

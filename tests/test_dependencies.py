@@ -1,0 +1,52 @@
+"""The package depends on numpy alone, and a run imports nothing else."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qhcover
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(qhcover.__file__).parent
+
+
+def test_package_imports_only_numpy_beyond_the_standard_library():
+    third_party = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            third_party.update(n.partition(".")[0] for n in names)
+    third_party -= set(sys.stdlib_module_names) | {"qhcover"}
+    assert third_party == {"numpy"}
+
+
+def test_pyproject_depends_on_numpy_only():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [dep.split(">")[0].split("=")[0].strip() for dep in project["dependencies"]] == ["numpy"]
+
+
+def test_splitting_runs_never_import_sympy():
+    # domdim over QQ and a qh structure over GF(3) both split semisimple
+    # quotients into blocks
+    script = (
+        "import sys\n"
+        "from qhcover import gallery, reldim\n"
+        "from qhcover.fields import GF, QQ\n"
+        "assert str(reldim.classical_domdim(gallery.build_am(3, QQ).algebra, 12)[0].value) == 'Exact(4)'\n"
+        "gallery.build_schur(2, 3, 1, GF(3)).qh()\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    # the child imports the package under test, wherever it was imported from
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
