@@ -7,11 +7,10 @@ analysis lives here: Jacobson radical, Wedderburn decomposition of the
 semisimple quotient, complete sets of primitive orthogonal idempotents,
 corner algebras eAe, centralizer algebras and direct products.
 
-Radical algorithms: over QQ the radical is the kernel of the trace form
-tr(L_x L_y) (Dickson's criterion); over GF(p) a descending chain of ideals
-is computed from p-power trace functions evaluated on integer lifts of a
-faithful matrix representation, layer by layer, which is correct in small
-characteristic.  The result is certified: a nilpotent ideal, and A/J semisimple.
+Radical: one descending chain of ideals for both fields on a faithful matrix
+representation, from the trace form (Dickson's criterion) and over GF(p)
+p-power trace functionals on integer lifts, correct in small characteristic.
+The result is certified: a nilpotent two-sided ideal, and A/J semisimple.
 A/J is split into blocks by roots in k of minimal polynomials of central
 elements and Lagrange idempotents, on one path for both fields.
 """
@@ -24,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import Field, PrimeField, RationalField
+from .fields import Field, PrimeField
 from .linalg import _EXACT, Mat, MatrixBasis, Subspace, _reduce, matmul_mod
 from .memo import memo, share
 
@@ -41,8 +40,9 @@ class Algebra:
     stored array: c[i][j][k] over GF(p), the numerator of c[i][j][k] over
     ``structure.den`` over QQ.  Products read the sparse form ``_coo``
     instead.  ``one`` is a column Mat.  ``rep`` optionally holds a faithful
-    matrix representation (used by the radical computation when it is
-    smaller than the regular representation).
+    matrix representation, one matrix per basis element, smaller than the
+    regular one; the radical chain and its certificate work on it, and the
+    certificate refuses a rep that is not faithful on the radical.
     """
 
     def __init__(
@@ -380,88 +380,70 @@ def centralizer_algebra(generators: Sequence[Mat]) -> tuple[Algebra, MatrixBasis
 
 
 def _radical(a: Algebra) -> Subspace:
-    rad = _radical_trace_form(a) if isinstance(a.field, RationalField) else _radical_gfp_layers(a)
+    rad = _radical_chain(a)
     _assert_nilpotent_ideal(a, rad)
     return rad
 
 
-def _radical_trace_form(a: Algebra) -> Subspace:
-    """Characteristic zero: radical of the bilinear form tr(L_x L_y).
+def _rep_stack(a: Algebra) -> tuple[Mat, int]:
+    """The rep matrices of the basis as the rows of an n x m^2 Mat (row b:
+    vec(rep(b_b)) row-major), and m."""
+    rep = a.rep_matrices()
+    m = rep[0].rows
+    return Mat.vstack([x.reshape(1, m * m) for x in rep]), m
 
-    tr(L_i L_j) = vec(L_i) . vec(L_j^T), so the Gram matrix is one product:
-    row i of the left factor is vec(L_i), and vec(L_j^T) = (c_jlk)_(l, k)
-    is row j of the structure constants read as an n x n^2 matrix.
+
+def _radical_chain(a: Algebra) -> Subspace:
+    """The radical as the last ideal of a descending chain A = I_-1 >= I_0 >= ...
+
+    I_l = {x in I_(l-1) : gamma_l(x y) = 0 for all y in A}, on a faithful
+    representation of dimension m: gamma_0 = tr, Dickson's trace form and the
+    only layer over QQ; over GF(p), gamma_l(z) = tr(lift(z)^(p^l)) / p^l mod
+    p for l = 1..ceil(log_p m) (Cohen, Ivanyos, Wales, "Finding the radical
+    of an algebra of linear transformations", J. Pure Appl. Algebra 117-118,
+    1997).  gamma_l is linear on the ideal I_(l-1), so its values on the
+    reduced basis z_k fix it: psi(v) = sum_k v[pivot_k] gamma_l(z_k) agrees
+    with gamma_l on I_(l-1), and the form psi(b_i b_j) is one product with
+    the structure constants.  x b_j stays in I_(l-1), so I_l is the kernel
+    of x -> (psi(x b_j))_j on I_(l-1).  The certificate that J = rad A is in
+    ``_radical`` and ``_primitive_idempotents``.
     """
-    n = a.dim
-    left = Mat.vstack([m.reshape(1, n * n) for m in a.left_regular_action()])
-    gram = left @ a.structure.reshape(n, n * n).transpose()
-    return Subspace(a.field, n, gram.kernel().transpose())
+    field, n = a.field, a.dim
+    stack, m = _rep_stack(a)
+
+    def form(psi: Mat) -> Mat:
+        return (a.structure @ psi).reshape(n, n)  # form[i, j] = psi(b_i b_j)
+
+    # layer 0: psi = tr on all of A, as vec(X) . vec(1_m) = tr X
+    traces = stack @ Mat.identity(field, m).reshape(m * m, 1)
+    ideal = Subspace(field, n, form(traces).transpose().kernel().transpose())
+    level = 0
+    while isinstance(field, PrimeField) and field.p**level < m:
+        level += 1
+    for layer in range(1, level + 1):
+        if ideal.dim == 0:
+            break
+        xs = (ideal.basis @ stack).data.reshape(ideal.dim, m, m)  # X_k = rep(z_k)
+        values = Mat.from_reduced(field, _gamma_traces(xs, field.p, layer).reshape(ideal.dim, 1))
+        psi = Mat.identity(field, n).take_cols(ideal.pivots) @ values
+        ker = (ideal.basis @ form(psi)).transpose().kernel()
+        if ker.cols < ideal.dim:
+            ideal = Subspace(field, n, ker.transpose() @ ideal.basis)
+    return ideal
 
 
-# The pair products X_a X_b of the radical chain's layers >= 1 are formed in
-# row blocks of about this many entries (one row of a when a row alone holds
-# more).  2^20 entries are 8 MiB as float64; the block product, the gathered
-# pairs a <= b and the arrays of each power step are each at most that size,
-# so the chain stays within a few tens of MiB (39 MiB traced on S_GF3(3,3),
-# against 410 MiB for all r^2 pairs at once).  An algebra whose r^2 m^2 pair
-# entries fit runs as one block.  The radical certificate forms its products
-# in blocks of the same size.
+# The radical certificate forms the products b_i j and j b_i for a block of
+# basis vectors j of J at a time, of about this many entries (one j when a
+# single one has more).  2^20 entries are 8 MiB as float64; the block and its
+# reduction by J stay within a few tens of MiB on S_GF3(3,3), against 102 MiB
+# for all products at once.  An algebra whose 2 dim(J) n^2 products fit
+# runs as one block.
 _PAIR_BLOCK_ENTRIES = 2**20
 
 
-def _radical_gfp_layers(a: Algebra) -> Subspace:
-    """GF(p): descending ideal chain from p-power trace functions.
-
-    Works on a faithful representation of dimension m; layer i constrains
-    with gamma_i(z) = tr(lift(z)^(p^i)) / p^i mod p, for i = 0..ceil(log_p m)
-    (Cohen, Ivanyos, Wales, "Finding the radical of an algebra of linear
-    transformations", J. Pure Appl. Algebra 117-118, 1997).  The certificate
-    that J = rad A is in ``_radical`` and ``_primitive_idempotents``.
-    """
-    p = a.field.p
-    rep = a.rep_matrices()
-    m = rep[0].rows
-    stack = np.stack([r.data for r in rep]).reshape(len(rep), m * m)  # row b: vec(rep(b_b))
-    n = a.dim
-    level = 0
-    while p**level < m:
-        level += 1
-    basis = np.eye(n)  # rows = current ideal basis in A-coords
-    for layer in range(level + 1):
-        if basis.shape[0] == 0:
-            break
-        r = basis.shape[0]
-        xs = matmul_mod(basis, stack, p).reshape(r, m, m)
-        if layer == 0:
-            # tr(X_a X_b) = vec(X_a) . vec(X_b^T)
-            constraint = matmul_mod(xs.reshape(r, m * m), xs.transpose(0, 2, 1).reshape(r, m * m).T, p)
-        else:
-            # The form is symmetric: tr(z^(p^l)) mod p^(l+1) depends on z mod
-            # p only, and tr((XY)^e) = tr((YX)^e), so only the pairs a <= b
-            # are powered.  Rows a in [a0, a1) go at a time: block (a, b) of
-            # the product of X_a0 .. X_a1 stacked with [X_a0 .. X_r] side by
-            # side is X_a X_b, and its traces are taken before the next rows.
-            constraint = np.zeros((r, r))
-            step = max(1, _PAIR_BLOCK_ENTRIES // (r * m * m))
-            for a0 in range(0, r, step):
-                a1 = min(a0 + step, r)
-                right = xs[a0:].transpose(1, 0, 2).reshape(m, (r - a0) * m)
-                pairs = matmul_mod(xs[a0:a1].reshape((a1 - a0) * m, m), right, p).reshape(a1 - a0, m, r - a0, m)
-                ia, ib = np.triu_indices(a1 - a0, m=r - a0)
-                zs = pairs[ia, :, ib, :]
-                del pairs
-                constraint[ia + a0, ib + a0] = constraint[ib + a0, ia + a0] = _gamma_traces(zs, p, layer)
-        ker = Mat.from_reduced(a.field, constraint).kernel()
-        if ker.cols == r:
-            continue
-        basis = matmul_mod(ker.data.T, basis, p)
-        red, piv = Mat.from_reduced(a.field, basis).rref()
-        basis = red.data[: len(piv)]
-    return Subspace(a.field, n, Mat.from_reduced(a.field, basis))
-
-
 def _gamma_traces(zs: np.ndarray, p: int, layer: int) -> np.ndarray:
-    """gamma_layer (layer >= 1) for a batch of reduced matrices (entries in [0, p)).
+    """gamma_layer (layer >= 1) for a batch of reduced matrices (entries in
+    [0, p)), as float64.
 
     tr(z^e) is the sum of the entries of z^(e-1) * z^T, so the last product
     is never formed.
@@ -479,7 +461,7 @@ def _gamma_traces(zs: np.ndarray, p: int, layer: int) -> np.ndarray:
     traces = reduce(reduce((power * zs.transpose(0, 2, 1)).sum(axis=2)).sum(axis=1))
     if np.any(traces % e):
         raise AlgebraError("p-power trace not divisible; radical layering failed")
-    return traces // e  # below mod / e = p
+    return np.array(traces // e, dtype=np.float64)  # below mod / e = p
 
 
 def _exact_dtype(zs: np.ndarray, mod: int) -> np.ndarray:
@@ -518,31 +500,37 @@ def _matmul_exact(x: np.ndarray, y: np.ndarray, mod: int) -> np.ndarray:
 def _assert_nilpotent_ideal(a: Algebra, rad: Subspace) -> None:
     """Certify the computed radical: a nilpotent two-sided ideal.
 
-    Products are formed for a block of columns at a time, about
-    _PAIR_BLOCK_ENTRIES entries, and tested or reduced to a span before the
-    next block is formed.
+    The products b_i j and j b_i are formed for a block of basis vectors j
+    of J at a time, about _PAIR_BLOCK_ENTRIES entries, and tested before the
+    next block is formed.  Nilpotency is read on the representation, checked
+    faithful on J (the rep matrices X_k of J's basis are independent): J^k
+    lies in J, so J^k = 0 exactly when rep(J)^k = 0, that is when the flag of
+    row spaces k^m >= k^m J >= k^m J^2 >= ... reaches 0, within m steps if
+    at all.
     """
     if rad.dim == 0:
         return
-    step = max(1, _PAIR_BLOCK_ENTRIES // (a.dim * a.dim))
-
-    def blocks(cols: Mat):
-        return (cols.take_cols(range(c0, min(c0 + step, cols.cols))) for c0 in range(0, cols.cols, step))
-
+    field, n, r = a.field, a.dim, rad.dim
+    step = max(1, _PAIR_BLOCK_ENTRIES // (n * n))
     basis_cols = rad.basis.transpose()
     # two-sided ideal: every j b_i and every b_i j stays inside J
-    for block in blocks(basis_cols):
+    for c0 in range(0, r, step):
+        block = basis_cols.take_cols(range(c0, min(c0 + step, r)))
         if not rad.contains(a._basis_products(block, 0)) or not rad.contains(a._basis_products(block, 1)):
             raise AlgebraError("computed radical is not a two-sided ideal")
-    # nilpotent: J^(k+1), the span of the products of J^k with J, reaches 0
-    current = basis_cols
-    for _ in range(a.dim + 1):
-        power = Subspace(a.field, a.dim)
-        for block in blocks(current):
-            power = Subspace(a.field, a.dim, Mat.vstack([power.basis, a.multiply_batches(block, basis_cols).transpose()]))
-        if power.dim == 0:
+    stack, m = _rep_stack(a)
+    xs = rad.basis @ stack  # row k: vec(X_k)
+    if xs.rank() < r:
+        raise AlgebraError("the representation is not faithful on the computed radical")
+    # side = [X_1 | ... | X_r], so that row i of flag @ side, read as r rows
+    # of length m, holds w_i X_1, ..., w_i X_r; the rows of all X_k span k^m J
+    side = Mat.from_reduced(field, xs.data.reshape(r, m, m).transpose(1, 0, 2).reshape(m, r * m), xs.den)
+    prods = xs.reshape(r * m, m)
+    for _ in range(m):
+        red, piv = prods.rref()
+        if not piv:
             return
-        current = power.basis.transpose()
+        prods = (red.take_rows(range(len(piv))) @ side).reshape(len(piv) * r, m)
     raise AlgebraError("computed radical is not nilpotent")
 
 

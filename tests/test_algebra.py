@@ -23,7 +23,7 @@ from qhcover.algebra import (
 )
 from qhcover.fields import GF, QQ
 from qhcover.gallery import build_am, build_hecke, build_schur
-from qhcover.linalg import Mat, Subspace
+from qhcover.linalg import Mat, Subspace, matmul_mod
 from qhcover.quiver import Arrow, QuiverPresentation, arrow_ideal_dimension, from_quiver
 
 from conftest import make_am_algebra
@@ -316,32 +316,75 @@ def truncated_polynomial_gf2(n):
     return from_structure_constants(F2, n, mult, [1] + [0] * (n - 1))
 
 
-BLOCKED_CHAIN_ALGEBRAS = [
+def pairwise_chain_radical(a):
+    """The radical chain as it was computed before gamma_l's linearity was
+    used: at layer l the form gamma_l(X_a X_b) (tr at l = 0) on every pair of
+    rep matrices of the current ideal's basis, and the next ideal its
+    kernel.  GF(p) only."""
+    p, rep, n = a.field.p, a.rep_matrices(), a.dim
+    m = rep[0].rows
+    stack = np.stack([x.data for x in rep]).reshape(n, m * m)
+    level = 0
+    while p**level < m:
+        level += 1
+    ideal = Subspace(a.field, n, Mat.identity(a.field, n))
+    for layer in range(level + 1):
+        r = ideal.dim
+        if r == 0:
+            break
+        xs = matmul_mod(ideal.basis.data, stack, p).reshape(r, m, m)
+        pairs = matmul_mod(xs[:, None], xs[None, :], p).reshape(r * r, m, m)  # X_a X_b
+        if layer == 0:
+            form = np.trace(pairs, axis1=1, axis2=2) % p
+        else:
+            form = algebra_module._gamma_traces(pairs, p, layer)
+        ker = Mat.from_reduced(a.field, form.reshape(r, r)).kernel()
+        ideal = Subspace(a.field, n, ker.transpose() @ ideal.basis)
+    return ideal
+
+
+CHAIN_ALGEBRAS = [
     pytest.param(lambda: build_schur(2, 2, 1, F2).algebra, id="S_GF2(2,2)"),
     pytest.param(lambda: build_schur(2, 3, 1, F3).algebra, id="S_GF3(2,3)"),
     pytest.param(lambda: make_am_algebra(3, F3), id="A3_GF3"),
     pytest.param(lambda: truncated_polynomial_gf2(4), id="GF2[x]/(x^4)"),
+    pytest.param(lambda: build_schur(3, 2, 1, F2).algebra, id="S_GF2(3,2)"),
+    pytest.param(lambda: build_schur(2, 4, 1, F2).algebra, id="S_GF2(2,4)"),
+    pytest.param(lambda: build_schur(2, 3, "2", GF(7)).algebra, id="S_q(2,3)_u=2_GF7"),
 ]
 
 
-@pytest.mark.parametrize("build", BLOCKED_CHAIN_ALGEBRAS)
-def test_radical_chain_in_one_row_blocks(monkeypatch, build):
+@pytest.mark.parametrize("build", CHAIN_ALGEBRAS)
+def test_radical_chain_matches_the_pairwise_chain(build):
+    a = build()
+    got, want = algebra_module._radical_chain(a), pairwise_chain_radical(a)
+    assert (got.basis, got.pivots) == (want.basis, want.pivots)
+
+
+@pytest.mark.parametrize(
+    "build", CHAIN_ALGEBRAS + [pytest.param(lambda: build_schur(3, 3, 1, F3).algebra, id="S_GF3(3,3)")]
+)
+def test_gamma_is_linear_on_the_previous_ideal(monkeypatch, build):
+    # the chain takes gamma_l on the r basis matrices of I_(l-1) only, as
+    # gamma_l is linear there (Cohen, Ivanyos, Wales): check it on random
+    # combinations of the batches it is given
     batches = []
     gamma_traces = algebra_module._gamma_traces
 
-    def counted(zs, p, layer):
-        batches.append(zs.shape[0])
+    def recorded(zs, p, layer):
+        batches.append((zs, p, layer))
         return gamma_traces(zs, p, layer)
 
-    monkeypatch.setattr(algebra_module, "_gamma_traces", counted)
-    whole = algebra_module._radical_gfp_layers(build())
-    calls_whole = len(batches)
-    # a budget of one entry leaves one row of a per block
-    monkeypatch.setattr(algebra_module, "_PAIR_BLOCK_ENTRIES", 1)
-    batches.clear()
-    blocked = algebra_module._radical_gfp_layers(build())
-    assert (blocked.basis, blocked.pivots) == (whole.basis, whole.pivots)
-    assert len(batches) > calls_whole >= 1
+    monkeypatch.setattr(algebra_module, "_gamma_traces", recorded)
+    algebra_module._radical_chain(build())
+    assert batches
+    rng = np.random.default_rng(13)
+    for zs, p, layer in batches:
+        cx, cy = rng.integers(0, p, size=(2, 8, len(zs)))
+        x, y = (np.einsum("ck,kij->cij", c, zs) % p for c in (cx, cy))
+        gx, gy, gsum = (gamma_traces(z, p, layer) for z in (x, y, (x + y) % p))
+        assert ((gx + gy) % p == gsum).all()
+        assert (gx == cx @ gamma_traces(zs, p, layer) % p).all()
 
 
 @pytest.mark.parametrize(
@@ -350,13 +393,14 @@ def test_radical_chain_in_one_row_blocks(monkeypatch, build):
     ids=["A2", "A3", "A4", "H3_u=1/2"],
 )
 def test_trace_form_radical_matches_pairwise_traces(build):
-    # the Gram matrix as one product gives the radical the n(n+1)/2 traces
-    # tr(L_i L_j) give
+    # the chain's layer 0 over QQ, the traces of the rep matrices put
+    # through the structure constants, gives the radical the n(n+1)/2
+    # traces tr(L_i L_j) give
     a = build()
     n, left = a.dim, a.left_regular_action()
     gram = [[sum((left[i] @ left[j])[k, k] for k in range(n)) for j in range(n)] for i in range(n)]
     want = Subspace(QQ, n, Mat(QQ, gram).kernel().transpose())
-    got = algebra_module._radical_trace_form(a)
+    got = algebra_module._radical_chain(a)
     assert (got.basis, got.pivots) == (want.basis, want.pivots)
     assert got.dim == {5: 3, 9: 6, 13: 9, 6: 0}[n]
 
@@ -531,8 +575,7 @@ def test_radical_certificate_rejects_a_smaller_nilpotent_ideal(monkeypatch, fiel
     # J = 0 is a nilpotent ideal, and A itself passes for one split simple
     # block with two idempotents: 4 = 2^2.  Only the equivalence of the two
     # idempotents mod J (a b = 0) is missing.
-    for name in ("_radical_gfp_layers", "_radical_trace_form"):
-        monkeypatch.setattr(algebra, name, lambda alg: Subspace(alg.field, alg.dim))
+    monkeypatch.setattr(algebra, "_radical_chain", lambda alg: Subspace(alg.field, alg.dim))
     with pytest.raises(AlgebraError, match="radical certificate"):
         two_cycle_radical_square_zero(field).primitive_idempotents()
 
@@ -546,8 +589,7 @@ def test_radical_certificate_tests_both_sides(monkeypatch, field, rows):
     # the first row a right ideal; neither is two-sided
     a = matrix_algebra(field, 2)
     one_sided = Subspace(field, 4, Mat.identity(field, 4).take_rows(rows))
-    for name in ("_radical_gfp_layers", "_radical_trace_form"):
-        monkeypatch.setattr(algebra, name, lambda alg: one_sided)
+    monkeypatch.setattr(algebra, "_radical_chain", lambda alg: one_sided)
     with pytest.raises(AlgebraError, match="two-sided"):
         a.radical_subspace()
 
@@ -563,31 +605,46 @@ def test_radical_certificate_in_one_column_blocks(monkeypatch, field):
     monkeypatch.setattr(algebra, "_PAIR_BLOCK_ENTRIES", 1)
     blocked = algebra._radical(make_am_algebra(3, field))
     assert (blocked.basis, blocked.pivots) == (whole.basis, whole.pivots) and whole.dim > 1
-    # every radical basis vector is tested on both sides, one per block, and
-    # J^2 is formed from every one of them
+    # every radical basis vector is tested on both sides, one per block
     blocks = []
-    basis_products, multiply_batches = Algebra._basis_products, Algebra.multiply_batches
+    basis_products = Algebra._basis_products
 
     def recorded_products(self, xs, side):
         blocks.append((side, xs.cols))
         return basis_products(self, xs, side)
 
-    def recorded_batches(self, xs, ys):
-        blocks.append(("power", xs.cols))
-        return multiply_batches(self, xs, ys)
-
     monkeypatch.setattr(Algebra, "_basis_products", recorded_products)
-    monkeypatch.setattr(Algebra, "multiply_batches", recorded_batches)
     algebra._assert_nilpotent_ideal(a, whole)
-    ideal_test = blocks[: blocks.index(("power", 1))]  # over QQ a power calls _basis_products too
-    for side in (0, 1):
-        assert [cols for s, cols in ideal_test if s == side] == [1] * whole.dim
-    assert [cols for s, cols in blocks if s == "power"][: whole.dim] == [1] * whole.dim
+    assert blocks == [(side, 1) for _ in range(whole.dim) for side in (0, 1)]
     m2 = matrix_algebra(field, 2)
     with pytest.raises(AlgebraError, match="two-sided"):
         algebra._assert_nilpotent_ideal(m2, Subspace(field, 4, Mat.identity(field, 4).take_rows([2, 0])))
     with pytest.raises(AlgebraError, match="not nilpotent"):
         algebra._assert_nilpotent_ideal(m2, Subspace(field, 4, Mat.identity(field, 4)))
+    # k x 0 in k x k is idempotent: the flag shrinks once, to k^2 e1, and
+    # then stays there
+    with pytest.raises(AlgebraError, match="not nilpotent"):
+        algebra._assert_nilpotent_ideal(two_points(field), Subspace(field, 2, Mat(field, [[1, 0]])))
+
+
+def two_points(field):
+    """k x k on its idempotents e1, e2."""
+    return from_structure_constants(field, 2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1])
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
+def test_radical_certificate_needs_a_faithful_rep(field):
+    # k x k with rep(e1) = [1], rep(e2) = [0]: a representation, but e2 acts
+    # as 0.  Its chain takes span(e2) for the radical, which is a two-sided
+    # ideal acting nilpotently on k^1, and A/J = k would make A local; the
+    # faithfulness check refuses it.
+    product = two_points(field)
+    a = Algebra(field, 2, product.structure, product.one, rep=[Mat(field, [[1]]), Mat(field, [[0]])])
+    assert algebra_module._radical_chain(a).dim == 1
+    with pytest.raises(AlgebraError, match="not faithful"):
+        a.radical_subspace()
+    # with the regular representation the radical is 0
+    assert product.radical_subspace().dim == 0
 
 
 @pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
@@ -673,7 +730,7 @@ def test_opposite_pair_computes_radical_and_idempotents_once(monkeypatch, order)
     from qhcover import algebra
 
     calls = {"radical": [], "prim": []}
-    for name, key in (("_radical_gfp_layers", "radical"), ("_primitive_idempotents", "prim")):
+    for name, key in (("_radical_chain", "radical"), ("_primitive_idempotents", "prim")):
         original = getattr(algebra, name)
 
         def counting(a, original=original, key=key):

@@ -263,6 +263,7 @@ def test_q_schur_generic_parameter():
         (2, 2, "3", 7, "Infinite"),  # q = 1/9 = 4: 1 + 4 + 16 = 21, l = 3 > d
         (2, 2, "1", 2, "Exact(2)"),  # q = 1: l = p = 2
         (3, 2, "1", 3, "Infinite"),  # l = p = 3 > d
+        (3, 3, "2", 7, "Exact(4)"),  # q = 1/4 = 2: 1 + 2 + 4 = 7, l = 3; chain layers 0-2
     ],
 )
 def test_q_schur_dominant_dimension_is_fang_koenig(n, d, u, p, want):

@@ -376,6 +376,38 @@ def test_subspace_quotient_coords():
     assert q.cols == 1 and not q.is_zero()
 
 
+def _random_rows(field, rng, rows, cols):
+    if field == QQ:
+        nums, dens = rng.integers(-3, 4, size=(rows, cols)), rng.integers(1, 4, size=(rows, cols))
+        return Mat(QQ, [[Fraction(int(a), int(b)) for a, b in zip(*row)] for row in zip(nums, dens)], cols=cols)
+    return Mat(field, rng.integers(0, field.p, size=(rows, cols)), cols=cols)
+
+
+@pytest.mark.parametrize("field", [GF(2), F3, GF(P_MAX), QQ], ids=["GF2", "GF3", "GF_PMAX", "QQ"])
+def test_subspace_queries_match_the_full_reduction(field):
+    # contains, coords and quotient_coords form only the non-pivot columns
+    # of the residue vecs - vecs[:, pivots] @ basis, whose pivot columns are
+    # 0 because the pivot block of the reduced basis is the identity
+    rng, n = np.random.default_rng(11), 7
+    spans = [None] + [_random_rows(field, rng, k, n) for k in (1, 3, 5, 6)]
+    spans.append(Mat.vstack([_random_rows(field, rng, 2, n), Mat.identity(field, n)]))
+    for spanning in spans:
+        s = Subspace(field, n, spanning)
+        inside = _random_rows(field, rng, 4, s.dim) @ s.basis if s.dim else Mat.zeros(field, 4, n)
+        batches = [inside, _random_rows(field, rng, 4, n), Mat.vstack([inside, _random_rows(field, rng, 1, n)])]
+        for vecs in batches:
+            residue = vecs - vecs.take_cols(s.pivots) @ s.basis
+            assert residue.take_cols(s.pivots).is_zero()
+            assert s.contains(vecs) == residue.is_zero()
+            assert s.quotient_coords(vecs) == residue.take_cols(s.nonpivots)
+            coords = s.coords(vecs)
+            assert (coords is not None) == residue.is_zero()
+            if coords is not None:
+                assert coords == vecs.take_cols(s.pivots) and coords @ s.basis == vecs
+        assert s.contains(inside)
+    assert [Subspace(field, n, m).dim for m in (spans[0], spans[-1])] == [0, n]
+
+
 # -- field-neutral primitives, on GF(3) and QQ ------------------------------------
 
 FIELDS = [pytest.param(F3, id="GF3"), pytest.param(QQ, id="QQ")]

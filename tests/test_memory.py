@@ -1,11 +1,11 @@
 """Peak-memory guard for the README's headline algebra, S_GF3(3,3).
 
 Traced with tracemalloc, which numpy reports its arrays to.  The build forms
-structure constants from pivot entries only and the radical chain reduces
-its pair products block by block; forming all products at once took the
-build to 317 MiB and the radical to 447 MiB.  The radical's certificate
-tests and reduces its products in blocks as well; formed all at once, they
-took it to 102 MiB.
+structure constants from pivot entries only; forming all products at once
+took it to 317 MiB.  The radical chain powers one rep matrix per basis
+vector of each ideal, not the pair products of the basis (447 MiB all at
+once, 31 MiB in blocks).  The radical's certificate tests its products in
+blocks; formed all at once, they took it to 102 MiB.
 """
 
 import tracemalloc
@@ -32,15 +32,28 @@ def test_schur33_build_and_radical_stay_below_180_mib():
     assert radical_peak < LIMIT, f"radical peak {radical_peak / 2**20:.0f} MiB"
 
 
-def test_schur33_radical_certificate_stays_below_51_mib():
-    # half the 102 MiB that the certificate took with all 17,490 products
-    # b_i j (and j b_i) formed at once; about 37 MiB in blocks
-    a = build_schur(3, 3, 1, GF(3)).algebra
-    radical = algebra_module._radical_gfp_layers(a)
+def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        algebra_module._assert_nilpotent_ideal(a, radical)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 51 * 2**20, f"certificate peak {peak / 2**20:.0f} MiB"
+
+
+def test_schur33_radical_chain_stays_below_8_mib():
+    # the chain holds the r rep matrices of one ideal basis and their powers:
+    # about 4 MiB, against 31 MiB when it powered the pair products X_a X_b
+    a = build_schur(3, 3, 1, GF(3)).algebra
+    peak = _traced_peak(lambda: algebra_module._radical_chain(a))
+    assert peak < 8 * 2**20, f"chain peak {peak / 2**20:.0f} MiB"
+
+
+def test_schur33_radical_certificate_stays_below_28_mib():
+    # 102 MiB with all 17,490 products b_i j (and j b_i) formed at once,
+    # 37 MiB in blocks with J^k formed inside A; about 22 MiB in blocks with
+    # nilpotency read on the 27-dimensional representation
+    a = build_schur(3, 3, 1, GF(3)).algebra
+    radical = algebra_module._radical_chain(a)
+    peak = _traced_peak(lambda: algebra_module._assert_nilpotent_ideal(a, radical))
+    assert peak < 28 * 2**20, f"certificate peak {peak / 2**20:.0f} MiB"
