@@ -203,7 +203,9 @@ def field_from_json(obj: dict) -> Field:
     if kind == "prime":
         if "p" not in obj:
             raise ValueError("prime field JSON is missing the key 'p'")
-        return GF(int(obj["p"]))
+        if type(obj["p"]) is not int:
+            raise ValueError(f"prime field JSON key 'p' must be an int, not {obj['p']!r}")
+        return GF(obj["p"])
     if kind == "rationals":
         return QQ
     raise ValueError(f"unknown field kind {kind!r}")

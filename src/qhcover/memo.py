@@ -1,12 +1,27 @@
-"""One memo helper for every result cached on the object it describes.
+"""One memo helper for every cached result, shared by objects with equal content.
 
 ``memo(obj, key, build)`` returns ``build()``, computed on the first call for
-``(obj, key)`` and stored as ``obj``'s attribute ``key``.  Nothing else holds
-it, so a cached result lives exactly as long as its object.
+``(obj, key)`` and stored as ``obj``'s attribute ``key``.
+
+A class opts into sharing by defining ``memo_content()``, which returns
+``(owner, parts)``: a tuple ``parts`` of hashable values, built without
+copying them, that fixes every memo of the object (a module gives its
+algebra and ``(dim, *action)``).  Objects with one owner and equal parts are
+twins, and the first of them to ask is their representative.  A twin missing
+a key takes the representative's value, which is built there on the first
+ask, and stores it as its own attribute too.  Keys in the class's
+``own_memos`` stay per object.
+
+The owner keeps a weak-valued table from ``hash(parts)`` to representative,
+and every twin holds its representative, so a value lives as long as some
+object with its content lives and nothing global holds it.  A hit in the
+table is confirmed by ``==`` on the parts; a hash collision costs only a
+miss.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
@@ -23,11 +38,12 @@ class _Shared:
 
 
 def memo(obj, key: str, build: Callable[[], T]) -> T:
-    """``build()``, computed once per ``(obj, key)``, or once per shared slot."""
+    """``build()``, computed once per ``(obj, key)``, or once per shared slot or set of twins."""
     slots = vars(obj)
     value = slots.get(key, _EMPTY)
     if value is _EMPTY:
-        value = slots[key] = build()
+        rep = _representative(obj, key)
+        value = slots[key] = build() if rep is obj else memo(rep, key, build)
     elif type(value) is _Shared:
         if value.value is _EMPTY:
             value.value = build()
@@ -38,3 +54,19 @@ def memo(obj, key: str, build: Callable[[], T]) -> T:
 def share(a, b, key: str) -> None:
     """Give a and b one memo slot for ``key``, keeping a value ``a`` already has."""
     vars(a)[key] = vars(b)[key] = _Shared(vars(a).get(key, _EMPTY))
+
+
+def _representative(obj, key: str):
+    """The twin that holds obj's memo ``key``: obj itself unless the key is shared."""
+    content = getattr(obj, "memo_content", None)
+    if content is None or key in obj.own_memos:
+        return obj
+    slots = vars(obj)
+    rep = slots.get("_twin", _EMPTY)
+    if rep is _EMPTY:
+        owner, parts = content()
+        table = memo(owner, "_twins", weakref.WeakValueDictionary)
+        found = table.setdefault(hash(parts), obj)
+        # None stands for obj itself, which must not hold itself
+        rep = slots["_twin"] = None if found is obj or found.memo_content()[1] != parts else found
+    return obj if rep is None else rep

@@ -30,7 +30,17 @@ class ModuleError(ValueError):
 
 
 class Module:
-    """Left module over an Algebra: one action matrix per basis element."""
+    """Left module over an Algebra: one action matrix per basis element.
+
+    Modules over one algebra object with equal actions are twins: they share
+    every memo (End(M), cover, presentation, resolution, ...) but the ones
+    in ``own_memos``.
+    """
+
+    # memo keys kept per object: dual(dual(m)) is m itself, not a twin of
+    # it, and the stacked action costs less to rebuild than to fingerprint,
+    # which a module that only acts would otherwise pay
+    own_memos = frozenset({"_dual", "_stack", "_flat"})
 
     def __init__(self, algebra: Algebra, action: list[Mat], name: str = ""):
         self.algebra = algebra
@@ -46,6 +56,10 @@ class Module:
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"Module(dim={self.dim}{tag})"
+
+    def memo_content(self) -> tuple[Algebra, tuple]:
+        """What fixes every shared memo of the module (see ``memo``)."""
+        return self.algebra, (self.dim, *self.action)
 
     def stack(self) -> Mat:
         """The action matrices stacked: rows a*dim .. (a+1)*dim hold rho(b_a) (cached)."""
@@ -578,8 +592,8 @@ def corner_module(m: Module, e: Mat, corner: Algebra, corner_incl: Mat) -> Modul
 def endomorphism_algebra(m: Module) -> tuple[Algebra, list[ModuleMap]]:
     """End_A(M) with multiplication f * g = f o g, plus the basis maps.
 
-    Memoised on m, so every user of End(M) shares one algebra, one radical
-    and one set of primitive idempotents.
+    Memoised on m and its twins, so every user of End(M) shares one algebra,
+    one radical and one set of primitive idempotents.
     """
     return memo(m, "_end", lambda: _endomorphism_algebra(m))
 
@@ -606,16 +620,25 @@ def indecomposable_summands(m: Module) -> list[tuple[Module, ModuleMap, ModuleMa
 
     Returns (summand, inclusion, projection) triples with
     sum of incl o proj = identity.  An indecomposable m (End(M) local) is
-    returned as itself with identity maps, so its cached data is reused;
-    callers must not mutate a returned module.
+    returned as itself with identity maps, so its cached data is reused.
+    The split of a decomposable m is memoised, so m and its twins get the
+    same summands; callers must not mutate a returned module or list.
     """
     if m.dim == 0:
         return []
+    parts = memo(m, "_summands", lambda: _split(m))
+    if parts is None:
+        ident = Mat.identity(m.algebra.field, m.dim)
+        return [(m, ModuleMap(m, m, ident), ModuleMap(m, m, ident))]
+    return parts
+
+
+def _split(m: Module) -> Optional[list[tuple[Module, ModuleMap, ModuleMap]]]:
+    """The summand triples of m, or None when End(M) is local."""
     end, basis = endomorphism_algebra(m)
     prim = end.primitive_idempotents()
     if len(prim) == 1:
-        ident = Mat.identity(m.algebra.field, m.dim)
-        return [(m, ModuleMap(m, m, ident), ModuleMap(m, m, ident))]
+        return None
     out = []
     for e in prim.idempotents:
         mat = end_element_matrix(basis, e)

@@ -20,7 +20,6 @@ from typing import Optional
 from .algebra import Algebra, opposite
 from .homology import DimValue, minimal_projective_resolution, tor_dim
 from .linalg import Mat
-from .memo import memo
 from .modules import (
     Module,
     ModuleMap,
@@ -29,6 +28,7 @@ from .modules import (
     dual,
     dual_map,
     hom_space,
+    indecomposable_summands,
     is_isomorphic,
     regular_module,
     zero_module,
@@ -116,12 +116,6 @@ def left_add_approximation(q: Module, m: Module) -> ModuleMap:
     return dual_map(rap)
 
 
-def _indec_summand_list(q: Module) -> list[Module]:
-    from .modules import indecomposable_summands
-
-    return memo(q, "_indec_parts", lambda: [s for s, _, _ in indecomposable_summands(q)])
-
-
 def _split_off_add_q(m: Module, q: Module) -> Module:
     """Complement of the add(q)-part in a decomposition of m.
 
@@ -129,11 +123,9 @@ def _split_off_add_q(m: Module, q: Module) -> Module:
     direct-sum rule those contribute value infinity, so dropping them keeps
     the computed value and lets the chain terminate.
     """
-    from .modules import indecomposable_summands
-
     if m.dim == 0:
         return m
-    q_parts = _indec_summand_list(q)
+    q_parts = [t for t, _, _ in indecomposable_summands(q)]
     keep = []
     for s, _, _ in indecomposable_summands(m):
         if not any(is_isomorphic(s, t) is not None for t in q_parts):

@@ -55,7 +55,7 @@ def algebra_from_json(obj: dict) -> Algebra:
         if not (isinstance(t, list) and len(t) == 4):
             raise SerializeError(f"structure constant {t!r} is not [i, j, k, coefficient]")
         i, j, k, c = t
-        if not all(isinstance(x, int) and 0 <= x < dim for x in (i, j, k)):
+        if not all(type(x) is int and 0 <= x < dim for x in (i, j, k)):
             raise SerializeError(f"structure constant index ({i}, {j}, {k}) out of range for dim {dim}")
         entries[i * dim + j, k] = field.parse(str(c))
     one = [field.parse(str(c)) for c in _get(obj, "one", "algebra", list)]
@@ -123,11 +123,11 @@ def poset_from_json(obj: dict, algebra: Algebra) -> WeightPoset:
     prim = algebra.primitive_idempotents().idempotents
     simple_of = _get(obj, "simple_of", "poset", list)
     for k in simple_of:
-        if not (isinstance(k, int) and 0 <= k < len(prim)):
+        if not (type(k) is int and 0 <= k < len(prim)):
             raise SerializeError(f"simple_of index {k!r} out of range for {len(prim)} primitive idempotents")
     pairs = []
     for p in _get(obj, "less_than", "poset", list):
-        if not (isinstance(p, list) and len(p) == 2 and all(isinstance(i, int) and 0 <= i < len(labels) for i in p)):
+        if not (isinstance(p, list) and len(p) == 2 and all(type(i) is int and 0 <= i < len(labels) for i in p)):
             raise SerializeError(f"less_than entry {p!r} is not a pair of label indices below {len(labels)}")
         pairs.append(tuple(p))
     return WeightPoset(labels, pairs, [prim[k] for k in simple_of])

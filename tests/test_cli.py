@@ -1,9 +1,14 @@
 """CLI and JSON serialization round trips."""
 
+import contextlib
+import functools
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qhcover.cli import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main
 from qhcover.fields import GF, QQ
@@ -116,19 +121,31 @@ def test_cli_rejects_out_of_range_structure_constant(tmp_path, capsys, index):
     assert "out of range" in capsys.readouterr().err
 
 
+@functools.lru_cache(maxsize=None)
+def _am2_json() -> str:
+    g = build_am(2, F3)
+    return json.dumps(
+        {
+            "algebra": algebra_to_json(g.algebra),
+            "module": module_to_json(g.qh.projectives[1], algebra_ref="algebra.json"),
+            "poset": {"labels": ["1", "2"], "less_than": [[1, 0]], "simple_of": [0, 1]},
+        }
+    )
+
+
+def _write_inputs(tmp_path, blobs):
+    for name, blob in blobs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(blob))
+    return {name: str(tmp_path / f"{name}.json") for name in blobs}
+
+
 def _am2_input_files(tmp_path, algebra=None, module=None, poset=None):
     """A_2 over GF(3) as algebra, module (P(2)) and poset files, each optionally edited."""
-    g = build_am(2, F3)
-    blobs = {
-        "algebra.json": algebra_to_json(g.algebra),
-        "module.json": module_to_json(g.qh.projectives[1], algebra_ref="algebra.json"),
-        "poset.json": {"labels": ["1", "2"], "less_than": [[1, 0]], "simple_of": [0, 1]},
-    }
-    for name, edit in (("algebra.json", algebra), ("module.json", module), ("poset.json", poset)):
+    blobs = json.loads(_am2_json())
+    for name, edit in (("algebra", algebra), ("module", module), ("poset", poset)):
         if edit is not None:
             edit(blobs[name])
-        (tmp_path / name).write_text(json.dumps(blobs[name]))
-    return {name.split(".")[0]: str(tmp_path / name) for name in blobs}
+    return _write_inputs(tmp_path, blobs)
 
 
 def _qh_verify_argv(files):
@@ -203,6 +220,113 @@ def test_cli_malformed_json_is_input_error(tmp_path, capsys, argv, edit, message
     assert main(argv(files)) == EXIT_INPUT
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
+
+
+# -- fuzzed inputs: each mutation makes the A_2 files invalid -----------------------
+
+# (file, key path) of every required key, with the JSON type it must have
+_TYPED_KEYS = [
+    ("algebra", ("field",), dict),
+    ("algebra", ("field", "kind"), str),
+    ("algebra", ("field", "p"), int),
+    ("algebra", ("dim",), int),
+    ("algebra", ("mult",), list),
+    ("algebra", ("one",), list),
+    ("module", ("dim",), int),
+    ("module", ("action",), list),
+    ("poset", ("labels",), list),
+    ("poset", ("less_than",), list),
+    ("poset", ("simple_of",), list),
+]
+_VALUES = [None, True, 0, 7, -1, 1.5, "x", "3", [], [1], {}, {"kind": "prime"}]
+_BAD_COEFFICIENTS = ["1/0", "a/b", "", "1/", "/2", "x", "1.5", "1/3", "2/1/1", "0x1", "None"]
+_ARGV = {"algebra": _domdim_argv, "module": _relcodomdim_argv, "poset": _qh_verify_argv}
+
+
+def _parent(blob, path):
+    for key in path[:-1]:
+        blob = blob[key]
+    return blob
+
+
+def _drop_key(blobs, draw):
+    name, path, _ = draw(st.sampled_from(_TYPED_KEYS))
+    del _parent(blobs[name], path)[path[-1]]
+    return name
+
+
+def _wrong_type(blobs, draw):
+    name, path, want = draw(st.sampled_from(_TYPED_KEYS))
+    # the field kind is valid only as "prime" or "rationals", so any other string is wrong too
+    wrong = st.sampled_from(_VALUES).filter(lambda v: type(v) is not want or path[-1] == "kind")
+    _parent(blobs[name], path)[path[-1]] = draw(wrong)
+    return name
+
+
+def _bad_index(blobs, draw):
+    """An index entry out of range or not an int (JSON true is not 1)."""
+    not_int = [True, False, "0", 1.0, None]
+    where = draw(st.sampled_from(["mult", "simple_of", "less_than"]))
+    if where == "mult":
+        dim = blobs["algebra"]["dim"]
+        triplet = draw(st.sampled_from(blobs["algebra"]["mult"]))
+        triplet[draw(st.integers(0, 2))] = draw(st.sampled_from([-1, dim] + not_int))
+        return "algebra"
+    entries = blobs["poset"][where]
+    if where == "less_than":
+        entries = draw(st.sampled_from(entries))
+    # two labels and two primitive idempotents: 2 is out of range for both
+    entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from([-1, 2] + not_int))
+    return "poset"
+
+
+def _misshapen(blobs, draw):
+    """A ragged or short action matrix, a short unit or a short structure constant."""
+    kind = draw(st.sampled_from(["ragged", "short", "flat", "fewer matrices", "short one", "short triplet"]))
+    if kind == "short one":
+        blobs["algebra"]["one"].pop()
+        return "algebra"
+    if kind == "short triplet":
+        draw(st.sampled_from(blobs["algebra"]["mult"])).pop()
+        return "algebra"
+    action = blobs["module"]["action"]
+    g = action[draw(st.integers(0, len(action) - 1))]
+    if kind == "ragged":
+        g[draw(st.integers(0, len(g) - 1))].pop()
+    elif kind == "short":
+        g.pop()
+    elif kind == "flat":
+        action[0] = sum(g, [])[1:]
+    else:
+        action.pop()
+    return "module"
+
+
+def _bad_fraction(blobs, draw):
+    coefficient = draw(st.sampled_from(_BAD_COEFFICIENTS))
+    where = draw(st.sampled_from(["mult", "one", "action"]))
+    if where == "mult":
+        draw(st.sampled_from(blobs["algebra"]["mult"]))[3] = coefficient
+    elif where == "one":
+        one = blobs["algebra"]["one"]
+        one[draw(st.integers(0, len(one) - 1))] = coefficient
+    else:
+        g = draw(st.sampled_from(blobs["module"]["action"]))
+        draw(st.sampled_from(g))[draw(st.integers(0, len(g) - 1))] = coefficient
+    return "module" if where == "action" else "algebra"
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_fuzzed_inputs_are_input_errors(tmp_path, data):
+    blobs = json.loads(_am2_json())
+    mutate = data.draw(st.sampled_from([_drop_key, _wrong_type, _bad_index, _misshapen, _bad_fraction]))
+    name = mutate(blobs, data.draw)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(_ARGV[name](_write_inputs(tmp_path, blobs)))
+    assert code == EXIT_INPUT, (name, blobs[name], err.getvalue())
+    assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("input error: "), err.getvalue()
 
 
 def test_cli_rejects_module_not_multiplicative(tmp_path, capsys):

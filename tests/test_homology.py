@@ -157,9 +157,8 @@ def test_ext_additivity_on_sums(a2_gf3):
             assert ext_dim(both, n, i) == ext_dim(s1, n, i) + ext_dim(s2, n, i)
 
 
-def test_top_computed_once_per_module(monkeypatch):
-    # resolving to P5 presents the simple and its syzygies K1..K5 and covers
-    # K6: seven modules, each top computed once
+def _count_tops(monkeypatch) -> list:
+    """The modules whose top is computed from now on, one entry per computation."""
     from qhcover import modules
 
     seen = []
@@ -170,11 +169,35 @@ def test_top_computed_once_per_module(monkeypatch):
         return original(m)
 
     monkeypatch.setattr(modules, "_top_class_generators", counting)
+    return seen
+
+
+def test_top_computed_once_per_module(monkeypatch):
+    # resolving to P5 presents the simple and its syzygies K1..K5 and covers
+    # K6; all of them act by (1, 0), so they are one module and its top is
+    # computed once
+    seen = _count_tops(monkeypatch)
     simple = top(regular_module(gf2_dual_numbers()))[0]
     res = minimal_projective_resolution(simple, 5)
     assert res.length() == 5
-    assert len(seen) == 7
-    assert len({id(m) for m in seen}) == 7
+    kernels = [k for k, _ in res.kernels]
+    assert len(kernels) == 6 and all(k.action == simple.action for k in kernels)
+    assert len(seen) == 1
+
+
+def test_top_computed_once_per_distinct_module(monkeypatch):
+    # over GF(2)[x]/(x^3) the syzygies of the simple alternate between rad P
+    # (dim 2) and the simple again (dim 1): two modules, one top each
+    seen = _count_tops(monkeypatch)
+    mult = [[[int(i + j == k) for k in range(3)] for j in range(3)] for i in range(3)]
+    simple = top(regular_module(from_structure_constants(F2, 3, mult, [1, 0, 0])))[0]
+    res = minimal_projective_resolution(simple, 5)
+    assert res.length() == 5
+    objects = [simple] + [k for k, _ in res.kernels]
+    assert [m.dim for m in objects] == [1, 2, 1, 2, 1, 2, 1]
+    distinct = {(m.dim, *m.action) for m in objects}
+    assert len(distinct) == 2
+    assert len(seen) == 2 and {(m.dim, *m.action) for m in seen} == distinct
 
 
 def test_resolution_extends_in_place():

@@ -26,6 +26,7 @@ from qhcover.modules import (
     projective_cover,
     projective_cover_data,
     proj_sum,
+    quotient_module,
     regular_module,
     socle,
     submodule,
@@ -385,3 +386,121 @@ def test_indecomposable_is_its_own_summand(field):
     for _, incl, proj in parts:
         total = total + (incl.matrix @ proj.matrix)
     assert total == Mat.identity(field, reg.dim)
+
+
+# -- modules with equal content share one memo ------------------------------------
+
+
+def _p2_and_twins(a):
+    """P(2) of A_2 and three twins of it: the same actions, built other ways."""
+    p2 = max(indec_projectives(a), key=lambda p: p.dim)
+    field = a.field
+    full = submodule(p2, Subspace(field, p2.dim, Mat.identity(field, p2.dim)))[0]
+    by_zero = quotient_module(p2, Subspace(field, p2.dim))[0]
+    single = direct_sum([p2])[0]
+    return p2, [full, by_zero, single]
+
+
+def test_twins_share_end_and_presentation():
+    p2, twins = _p2_and_twins(make_am_algebra(2, F3))
+    for t in twins:
+        assert t is not p2 and t.action == p2.action
+    # a twin asks first, so the memos are built on a twin and reach p2 too
+    for t in twins + [p2]:
+        assert endomorphism_algebra(t) is endomorphism_algebra(twins[0])
+        assert projective_cover_data(t) is projective_cover_data(twins[0])
+        assert indecomposable_summands(t)[0][0] is t  # indecomposable: itself
+
+
+def test_twins_share_the_split_of_a_decomposable_module():
+    a = make_am_algebra(2, F3)
+    reg = regular_module(a)
+    twin = direct_sum([reg])[0]
+    parts = indecomposable_summands(reg)
+    assert len(parts) == 2 and indecomposable_summands(twin) is parts
+
+
+def test_equal_actions_over_two_algebras_share_nothing():
+    a, b = make_am_algebra(2, F3), make_am_algebra(2, F3)
+    m = regular_module(a)
+    n = Module(b, m.action)
+    assert endomorphism_algebra(m) is not endomorphism_algebra(n)
+    assert projective_cover_data(m) is not projective_cover_data(n)
+    assert indecomposable_summands(m) is not indecomposable_summands(n)
+
+
+def test_colliding_fingerprints_share_nothing(monkeypatch):
+    from qhcover.reldim import codomdim_chain, relative_codomdim
+
+    # every module of one dimension now lands on one table key
+    monkeypatch.setattr(Mat, "__hash__", lambda self: 0)
+    a = make_am_algebra(2, F3)
+    p1, p2 = sorted(indec_projectives(a), key=lambda p: p.dim)
+    s1, s2 = top(p1)[0], top(p2)[0]
+    assert s1.dim == s2.dim and s1.action != s2.action
+    assert endomorphism_algebra(s1) is not endomorphism_algebra(s2)
+    assert projective_cover_data(s1) is not projective_cover_data(s2)
+    # a twin of the key's first module still shares; one of s2 only misses
+    assert projective_cover_data(top(p1)[0]) is projective_cover_data(s1)
+    assert projective_cover_data(top(p2)[0]) is not projective_cover_data(s2)
+    reg = regular_module(a)
+    for q in [p1, p2, s2, direct_sum([p2, s2])[0]]:
+        for m in [p1, p2, s1, s2, reg, dual(dual(p1))]:
+            mv = relative_codomdim(q, m, 8).value
+            cv, _ = codomdim_chain(q, m, 8)
+            assert (mv.kind, mv.n) == (cv.kind, cv.n)
+
+
+def test_twin_table_empties_when_the_modules_die():
+    import gc
+    import weakref
+
+    from qhcover.homology import minimal_projective_resolution
+
+    # modules the algebra does not hold (its cached projectives would stay)
+    a = make_am_algebra(2, F3)
+    reg = regular_module(a)
+    mods = [reg, direct_sum([reg])[0]] + [top(s)[0] for s, _, _ in indecomposable_summands(reg)]
+    for m in mods:
+        endomorphism_algebra(m)
+        minimal_projective_resolution(m, 3)
+    table = vars(a)["_twins"]
+    assert len(table) > 0
+    refs = [weakref.ref(m) for m in mods]
+    del reg, mods, m
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert len(table) == 0
+
+
+def test_dual_stays_per_object():
+    p2, twins = _p2_and_twins(make_am_algebra(2, F3))
+    for t in twins:
+        projective_cover_data(t)
+        assert dual(dual(t)) is t
+        assert dual(t) is not dual(p2)
+    assert dual(dual(p2)) is p2
+
+
+def _a3_codomdim_reports(reverse: bool) -> list[dict]:
+    """Both oracles' reports, as ``relcodomdim --method both`` writes them, on
+    every pair of named A_3 modules, run in forward or reverse order."""
+    from qhcover.gallery import build_am
+    from qhcover.reldim import codomdim_chain, relative_codomdim
+
+    named = build_am(3, F3).named_modules()  # a new algebra: a cold memo
+    pairs = [(q, m) for q in named.values() for m in named.values()]
+    order = range(len(pairs) - 1, -1, -1) if reverse else range(len(pairs))
+    reports = {}
+    for i in order:
+        value, chain = codomdim_chain(*pairs[i], 6)
+        reports[i] = {
+            "mueller": relative_codomdim(*pairs[i], 6).to_json(),
+            "chain": {"value": value.to_json(), "witness": chain.to_json()},
+        }
+    return [reports[i] for i in range(len(pairs))]
+
+
+def test_a3_reports_do_not_depend_on_the_order_of_pairs():
+    # the reverse run reads memos that the forward run built later, and back
+    assert _a3_codomdim_reports(False) == _a3_codomdim_reports(True)
