@@ -17,6 +17,12 @@ and every twin holds its representative, so a value lives as long as some
 object with its content lives and nothing global holds it.  A hit in the
 table is confirmed by ``==`` on the parts; a hash collision costs only a
 miss.
+
+``memo_pair(a, b, key, build)`` memoises a result on a pair of objects, such
+as Hom(M, N): a weak-keyed table under ``key`` on a's representative maps
+b's representative to the value, so it is built once per pair of contents
+and dies with either content.  A pair value must not hold a or b, or its
+weak key would be kept alive by its own value.
 """
 
 from __future__ import annotations
@@ -54,6 +60,16 @@ def memo(obj, key: str, build: Callable[[], T]) -> T:
 def share(a, b, key: str) -> None:
     """Give a and b one memo slot for ``key``, keeping a value ``a`` already has."""
     vars(a)[key] = vars(b)[key] = _Shared(vars(a).get(key, _EMPTY))
+
+
+def memo_pair(a, b, key: str, build: Callable[[], T]) -> T:
+    """``build()``, computed once per ``(a, b, key)``, or once per pair of twins."""
+    table = memo(a, key, weakref.WeakKeyDictionary)
+    rep = _representative(b, key)
+    value = table.get(rep, _EMPTY)
+    if value is _EMPTY:
+        value = table[rep] = build()
+    return value
 
 
 def _representative(obj, key: str):

@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import Algebra, algebra_of_matrices, opposite
 from .fields import PrimeField
 from .linalg import Mat, MatrixBasis, Subspace
-from .memo import memo
+from .memo import memo, memo_pair
 
 
 class ModuleError(ValueError):
@@ -278,10 +278,11 @@ def socle(m: Module) -> tuple[Module, ModuleMap]:
 class ProjSummand:
     """One copy of A e inside an explicit direct sum of such modules."""
 
-    def __init__(self, class_index: int, idem: Mat, incl: Mat, offset: int, dim: int):
+    def __init__(self, class_index: int, idem: Mat, incl: Mat, gen: Mat, offset: int, dim: int):
         self.class_index = class_index
         self.idem = idem  # idempotent, coordinates in A
         self.incl = incl  # (A.dim x dim): basis of A e as columns
+        self.gen = gen  # (1 x dim): the idempotent in the basis incl
         self.offset = offset
         self.dim = dim
 
@@ -303,27 +304,20 @@ class ProjSum:
         return self.module.dim
 
     def generator_columns(self) -> list[Mat]:
-        cols = []
         field = self.module.algebra.field
-        a_dim = self.module.algebra.dim
-        for s in self.summands:
-            # incl columns are an echelonized basis of A e, so Subspace
-            # reconstruction reproduces exactly that basis
-            sub = Subspace(field, a_dim, s.incl.transpose())
-            gcoords = sub.coords(s.idem.transpose())
-            if gcoords is None:
-                raise ModuleError("idempotent not in its own projective summand")
-            entries = {(s.offset + i, 0): gcoords[0, i] for i in range(s.dim)}
-            cols.append(Mat.from_entries(field, self.module.dim, 1, entries))
-        return cols
+        return [
+            Mat.from_entries(field, self.dim, 1, {(s.offset + i, 0): s.gen[0, i] for i in range(s.dim)})
+            for s in self.summands
+        ]
 
 
-def _indec_projective(a: Algebra, class_index: int) -> tuple[Module, Mat, Mat]:
-    """A e for the class representative idempotent; returns (module, incl, e)."""
+def _indec_projective(a: Algebra, class_index: int) -> tuple[Module, Mat, Mat, Mat]:
+    """A e for the class representative idempotent; returns (module, incl, e, gen),
+    gen the coordinates of e in the basis incl."""
     return memo(a, f"_indec_projective{class_index}", lambda: _build_indec_projective(a, class_index))
 
 
-def _build_indec_projective(a: Algebra, class_index: int) -> tuple[Module, Mat, Mat]:
+def _build_indec_projective(a: Algebra, class_index: int) -> tuple[Module, Mat, Mat, Mat]:
     prim = a.primitive_idempotents()
     e = prim.idempotents[prim.class_reps[class_index]]
     span = Subspace.from_columns(a.right_mult_matrix(e))  # A e
@@ -334,7 +328,10 @@ def _build_indec_projective(a: Algebra, class_index: int) -> tuple[Module, Mat, 
     if coords is None:
         raise ModuleError("projective summand is not invariant")
     action = [coords.take_rows(range(i * d, (i + 1) * d)).transpose() for i in range(a.dim)]
-    return Module(a, action, name=f"P[{class_index}]"), w, e
+    gen = span.coords(e.transpose())
+    if gen is None:
+        raise ModuleError("idempotent not in its own projective summand")
+    return Module(a, action, name=f"P[{class_index}]"), w, e, gen
 
 
 def proj_sum(a: Algebra, class_indices: Sequence[int]) -> ProjSum:
@@ -343,9 +340,9 @@ def proj_sum(a: Algebra, class_indices: Sequence[int]) -> ProjSum:
     summands = []
     offset = 0
     for ci in class_indices:
-        mod, incl, e = _indec_projective(a, ci)
+        mod, incl, e, gen = _indec_projective(a, ci)
         mods.append(mod)
-        summands.append(ProjSummand(ci, e, incl, offset, mod.dim))
+        summands.append(ProjSummand(ci, e, incl, gen, offset, mod.dim))
         offset += mod.dim
     if not mods:
         return ProjSum(zero_module(a), [])
@@ -486,21 +483,29 @@ def _hom_values(d: Mat, p_from: ProjSum, p_to: ProjSum, n: Module, spans_to: lis
 
 
 def hom_space(m: Module, n: Module) -> HomSpace:
-    """Basis of Hom_A(M, N) via a projective presentation of M."""
+    """Basis of Hom_A(M, N) via a projective presentation of M.
+
+    The matrices are memoised per pair of contents; the maps are new, with
+    m and n themselves as source and target.
+    """
     if m.algebra is not n.algebra:
         raise ModuleError("hom_space: modules over different algebras")
     if m.dim == 0 or n.dim == 0:
         return HomSpace(m, n, [])
+    mats = memo_pair(m, n, "_hom", lambda: _hom_matrices(m, n))
+    return HomSpace(m, n, [ModuleMap(m, n, f) for f in mats])
+
+
+def _hom_matrices(m: Module, n: Module) -> list[Mat]:
     pres = projective_cover_data(m)
     spans = _slice_spans(n, pres.p0)
     total_w = sum(sp.dim for sp in spans)
     if total_w == 0:
-        return HomSpace(m, n, [])
+        return []
     # phi vanishes on d1(gen) for each generator of P1
     values = _hom_values(pres.d1, pres.p1, pres.p0, n, spans)
     sol = Mat.vstack(values).kernel() if values else Mat.identity(m.algebra.field, total_w)  # (total_w x h)
-    maps = _extract_hom_matrices(pres, n, spans, sol)
-    return HomSpace(m, n, [ModuleMap(m, n, f) for f in maps])
+    return _extract_hom_matrices(pres, n, spans, sol)
 
 
 def _extract_hom_matrices(pres: Presentation, n: Module, spans: list[Subspace], sol: Mat) -> list[Mat]:
@@ -651,14 +656,22 @@ def _split(m: Module) -> Optional[list[tuple[Module, ModuleMap, ModuleMap]]]:
     return out
 
 
-def is_isomorphic(m: Module, n: Module, seed: int = 1) -> Optional[ModuleMap]:
-    """An explicit isomorphism or None; decomposition-certified on failure."""
+def is_isomorphic(m: Module, n: Module) -> Optional[ModuleMap]:
+    """An explicit isomorphism or None; decomposition-certified on failure.
+
+    The answer is memoised per pair of contents, as its matrix or None.
+    """
     if m.algebra is not n.algebra:
         raise ModuleError("is_isomorphic: modules over different algebras")
     if m.dim != n.dim:
         return None
     if m.dim == 0:
         return ModuleMap(m, n, Mat.zeros(m.algebra.field, 0, 0))
+    iso = memo_pair(m, n, "_iso", lambda: _isomorphism_matrix(m, n))
+    return None if iso is None else ModuleMap(m, n, iso)
+
+
+def _isomorphism_matrix(m: Module, n: Module) -> Optional[Mat]:
     hs = hom_space(m, n)
     if hs.dim == 0:
         return None
@@ -666,8 +679,8 @@ def is_isomorphic(m: Module, n: Module, seed: int = 1) -> Optional[ModuleMap]:
     # cheap attempts: basis elements, then seeded random combinations
     for f in hs.maps:
         if f.matrix.is_invertible():
-            return f
-    rng = np.random.default_rng(seed)
+            return f.matrix
+    rng = np.random.default_rng(1)
     for _ in range(24):
         if isinstance(field, PrimeField):
             coeffs = [int(c) for c in rng.integers(0, field.p, size=hs.dim)]
@@ -675,7 +688,7 @@ def is_isomorphic(m: Module, n: Module, seed: int = 1) -> Optional[ModuleMap]:
             coeffs = [Fraction(int(c)) for c in rng.integers(-4, 5, size=hs.dim)]
         f = hs.combination(coeffs)
         if f.matrix.is_invertible():
-            return f
+            return f.matrix
     # certified path: match indecomposable summands
     return _isomorphism_by_decomposition(m, n)
 
@@ -706,7 +719,7 @@ def _indec_isomorphic(m: Module, n: Module) -> Optional[ModuleMap]:
     return None
 
 
-def _isomorphism_by_decomposition(m: Module, n: Module) -> Optional[ModuleMap]:
+def _isomorphism_by_decomposition(m: Module, n: Module) -> Optional[Mat]:
     msum = indecomposable_summands(m)
     nsum = indecomposable_summands(n)
     if len(msum) != len(nsum):
@@ -726,10 +739,9 @@ def _isomorphism_by_decomposition(m: Module, n: Module) -> Optional[ModuleMap]:
                 break
         if not found:
             return None
-    f = ModuleMap(m, n, total)
-    if not f.is_isomorphism():
+    if not total.is_invertible():
         raise ModuleError("assembled summand matching is not invertible")
-    return f
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +822,11 @@ def tensor_over(x: Module, y: Module) -> int:
 
 
 class CounitData:
-    """The counit chi_m: q tensor_B Hom_A(q, m) -> m, in presentation form."""
+    """The counit chi_m: q tensor_B Hom_A(q, m) -> m, in presentation form.
+
+    It holds B and the B-module Hom_A(q, m), never an A-module, and is shared
+    by every call on a pair with the same contents.
+    """
 
     def __init__(self, surjective: bool, bijective: bool, b: Algebra, hom_module: Module):
         self.surjective = surjective
@@ -820,7 +836,11 @@ class CounitData:
 
 
 def counit_analysis(q: Module, m: Module) -> CounitData:
-    """Surjectivity/bijectivity of the evaluation map q tensor_B Hom(q, m) -> m."""
+    """Surjectivity/bijectivity of the evaluation map q tensor_B Hom(q, m) -> m (memoised per pair)."""
+    return memo_pair(q, m, "_counit", lambda: _counit_analysis(q, m))
+
+
+def _counit_analysis(q: Module, m: Module) -> CounitData:
     b, bim, _ = end_algebra_with_bimodule(q)
     hmod, hom_basis = hom_module_over_endop(q, m)
     if hmod.dim == 0:

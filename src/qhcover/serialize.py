@@ -63,15 +63,30 @@ def algebra_from_json(obj: dict) -> Algebra:
 
 
 def quiver_from_json(obj: dict) -> QuiverPresentation:
-    n = int(obj["vertices"])
-    arrows = [Arrow(str(a["name"]), int(a["from"]) - 1, int(a["to"]) - 1) for a in obj.get("arrows", [])]
+    n = _get(obj, "vertices", "quiver", int)
+    if n < 1:
+        raise SerializeError(f"quiver JSON needs at least one vertex, not {n}")
+    obj = {"arrows": [], "relations": [], **obj}  # both optional
+    arrows = []
+    for a in _get(obj, "arrows", "quiver", list):
+        name = _get(a, "name", "arrow", str)
+        ends = [_get(a, end, "arrow", int) for end in ("from", "to")]
+        if not all(1 <= v <= n for v in ends):
+            raise SerializeError(f"arrow {name!r} has an endpoint outside the vertices 1..{n}")
+        arrows.append(Arrow(name, ends[0] - 1, ends[1] - 1))
     pres = QuiverPresentation(n, arrows, [])
+    names = {a.name for a in arrows}
     relations = []
-    for rel in obj.get("relations", []):
+    for rel in _get(obj, "relations", "quiver", list):
+        if not isinstance(rel, list):
+            raise SerializeError(f"relation {rel!r} is not a list of terms")
         terms = []
         for term in rel:
-            path = tuple(pres.arrow_index(nm) for nm in term["path"])
-            terms.append((term.get("coeff", "1"), path))
+            path = _get(term, "path", "relation term", list)
+            if not all(type(nm) is str and nm in names for nm in path):
+                raise SerializeError(f"relation path {path!r} names an unknown arrow")
+            coeff = _get({"coeff": "1", **term}, "coeff", "relation term", str)
+            terms.append((coeff, tuple(pres.arrow_index(nm) for nm in path)))
         relations.append(terms)
     pres.relations = relations
     return pres

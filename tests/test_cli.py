@@ -20,6 +20,7 @@ from qhcover.serialize import (
     module_to_json,
     poset_from_json,
     quiver_from_json,
+    SerializeError,
 )
 
 from conftest import broken_truncated_polynomial_module
@@ -50,18 +51,66 @@ def test_module_roundtrip():
     assert back.dim == 3
 
 
+_A2_QUIVER = {
+    "vertices": 2,
+    "arrows": [{"name": "a1", "from": 1, "to": 2}, {"name": "b1", "from": 2, "to": 1}],
+    "relations": [[{"path": ["b1", "a1"], "coeff": "1"}]],
+}
+
+
 def test_quiver_json():
-    pres = quiver_from_json(
-        {
-            "vertices": 2,
-            "arrows": [{"name": "a1", "from": 1, "to": 2}, {"name": "b1", "from": 2, "to": 1}],
-            "relations": [[{"path": ["b1", "a1"], "coeff": "1"}]],
-        }
-    )
+    pres = quiver_from_json(_A2_QUIVER)
     from qhcover.quiver import from_quiver
 
     alg = from_quiver(pres, F3)
     assert alg.dim == 5
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"vertices": 2, "arrows": [{"name": "a"}]},
+        {"vertices": None},
+        {"vertices": 2, "arrows": [{"name": "a", "from": 1, "to": 9}]},
+    ],
+)
+def test_quiver_json_rejects_malformed_input(blob):
+    with pytest.raises(SerializeError):
+        quiver_from_json(blob)
+
+
+# (key path, JSON type, required) of every key of the A_2 quiver; "arrows",
+# "relations" and "coeff" are optional, so they are never dropped
+_QUIVER_KEYS = [
+    (("vertices",), int, True),
+    (("arrows",), list, False),
+    (("relations",), list, False),
+    *[(("arrows", i, key), want, True) for i in (0, 1) for key, want in [("name", str), ("from", int), ("to", int)]],
+    (("relations", 0, 0, "path"), list, True),
+    (("relations", 0, 0, "coeff"), str, False),
+]
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_quiver_json_mutations_are_serialize_errors(data):
+    blob = json.loads(json.dumps(_A2_QUIVER))
+    kind = data.draw(st.sampled_from(["drop", "wrong type", "bad index", "unknown arrow"]))
+    if kind == "bad index":
+        # vertices are numbered 1..2, and JSON true is not 1
+        arrow = data.draw(st.sampled_from(blob["arrows"]))
+        arrow[data.draw(st.sampled_from(["from", "to"]))] = data.draw(st.sampled_from([0, 3, -1, True, "1", 1.0, None]))
+    elif kind == "unknown arrow":
+        steps = blob["relations"][0][0]["path"]
+        steps[data.draw(st.integers(0, len(steps) - 1))] = data.draw(st.sampled_from(["c1", "", 0, None, ["a1"]]))
+    elif kind == "drop":
+        path, _, _ = data.draw(st.sampled_from([k for k in _QUIVER_KEYS if k[2]]))
+        del _parent(blob, path)[path[-1]]
+    else:
+        path, want, _ = data.draw(st.sampled_from(_QUIVER_KEYS))
+        _parent(blob, path)[path[-1]] = data.draw(st.sampled_from(_VALUES).filter(lambda v: type(v) is not want))
+    with pytest.raises(SerializeError):
+        quiver_from_json(blob)
 
 
 def test_cli_domdim_am(capsys):

@@ -443,6 +443,10 @@ def test_colliding_fingerprints_share_nothing(monkeypatch):
     # a twin of the key's first module still shares; one of s2 only misses
     assert projective_cover_data(top(p1)[0]) is projective_cover_data(s1)
     assert projective_cover_data(top(p2)[0]) is not projective_cover_data(s2)
+    # the pair memos key by representative, so s1 and s2 miss there too
+    assert [hom_space(p1, s).dim for s in (s1, s2)] == [len(hom_space_naive(p1, s)) for s in (s1, s2)] == [1, 0]
+    assert [counit_analysis(p1, s).surjective for s in (s1, s2)] == [True, False]
+    assert is_isomorphic(s1, s1) is not None and is_isomorphic(s1, s2) is None
     reg = regular_module(a)
     for q in [p1, p2, s2, direct_sum([p2, s2])[0]]:
         for m in [p1, p2, s1, s2, reg, dual(dual(p1))]:
@@ -471,6 +475,77 @@ def test_twin_table_empties_when_the_modules_die():
     gc.collect()
     assert all(r() is None for r in refs)
     assert len(table) == 0
+
+
+# -- pairs of modules share one memo per pair of contents ----------------------------
+
+
+def test_twin_pairs_build_hom_counit_and_isomorphism_once(monkeypatch):
+    import qhcover.modules as modules
+
+    builds = dict.fromkeys(["_hom_matrices", "_counit_analysis", "_isomorphism_matrix"], 0)
+    for name in builds:
+
+        def counted(*args, name=name, build=getattr(modules, name)):
+            builds[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(modules, name, counted)
+    p2, twins = _p2_and_twins(make_am_algebra(2, F3))
+    s2 = top(p2)[0]
+    mods = [p2, *twins, s2, top(p2)[0]]  # two contents, P(2) and its top
+    for m in mods:
+        for n in mods:
+            hom_space(m, n)
+            counit_analysis(m, n)
+            is_isomorphic(m, n)
+    # one build per pair of contents; is_isomorphic skips pairs of unequal dimension
+    assert builds == {"_hom_matrices": 4, "_counit_analysis": 4, "_isomorphism_matrix": 2}
+
+
+def test_hom_and_isomorphism_of_twins_map_the_modules_asked():
+    p2, twins = _p2_and_twins(make_am_algebra(2, F3))
+    hom_space(p2, p2)
+    for m in twins:
+        for n in [p2, *twins]:
+            maps = hom_space(m, n).maps
+            assert maps and all(f.source is m and f.target is n for f in maps)
+            iso = is_isomorphic(m, n)
+            assert iso.source is m and iso.target is n
+
+
+def test_pair_entries_die_with_their_second_module():
+    import gc
+    import weakref
+
+    a = make_am_algebra(2, F3)
+    reg = regular_module(a)
+    n = direct_sum(indec_projectives(a)[::-1])[0]  # isomorphic to reg, other actions
+    assert n.dim == reg.dim and n.action != reg.action
+    assert hom_space(reg, n).dim == 5 and counit_analysis(reg, n).bijective
+    assert is_isomorphic(reg, n) is not None
+    tables = [vars(reg)[key] for key in ("_hom", "_counit", "_iso")]
+    assert all(n in table for table in tables)
+    ref = weakref.ref(n)
+    del n
+    gc.collect()
+    assert ref() is None
+    # Hom(reg, reg) stays: the counit's End(reg) asked for it
+    assert [list(table) for table in tables] == [[reg], [], []]
+
+
+def test_pair_memos_keep_their_guards():
+    a, b = make_am_algebra(2, F3), make_am_algebra(2, F3)
+    m = regular_module(a)
+    for f in (hom_space, is_isomorphic):
+        with pytest.raises(ModuleError, match="different algebras"):
+            f(m, Module(b, m.action))
+    z = zero_module(a)
+    assert hom_space(z, m).maps == [] and hom_space(m, z).maps == []
+    assert is_isomorphic(z, zero_module(a)).matrix.rows == 0 and is_isomorphic(z, m) is None
+    # the zero module and a dimension mismatch short-circuit before any table or fingerprint
+    for mod in (z, m):
+        assert not {"_hom", "_iso", "_twin"} & set(vars(mod))
 
 
 def test_dual_stays_per_object():
