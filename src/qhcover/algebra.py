@@ -1,11 +1,13 @@
 """Finite-dimensional associative unital algebras over exact fields.
 
 An algebra is given by structure constants c[i][j][k] (b_i b_j = sum_k
-c[i][j][k] b_k), passed as a (dim^2 x dim) Mat whose row i*dim + j holds the
-coordinates of b_i b_j, together with the coordinates of the unit.  Structural
-analysis lives here: Jacobson radical, Wedderburn decomposition of the
-semisimple quotient, complete sets of primitive orthogonal idempotents,
-corner algebras eAe, centralizer algebras and direct products.
+c[i][j][k] b_k) and the coordinates of the unit.  It stores only the nonzero
+constants, as COO triples (``linalg.Triples``): S_GF3(3,3) has 3,591 of
+165^3 = 4,492,125.  Every product, the radical chain's trace forms and the
+radical certificate read the triples.  Structural analysis lives here:
+Jacobson radical, Wedderburn decomposition of the semisimple quotient,
+complete sets of primitive orthogonal idempotents, corner algebras eAe,
+centralizer algebras and direct products.
 
 Radical: one descending chain of ideals for both fields on a faithful matrix
 representation, from the trace form (Dickson's criterion) and over GF(p)
@@ -24,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import Field, PrimeField
-from .linalg import _EXACT, Mat, MatrixBasis, Subspace, _reduce, matmul_mod
+from .linalg import _EXACT, Mat, MatrixBasis, Subspace, Triples, _mod, _reduce, _slots, matmul_mod
 from .memo import memo, share
 
 
@@ -35,14 +37,18 @@ class AlgebraError(ValueError):
 class Algebra:
     """Associative unital algebra given by structure constants.
 
-    ``structure`` is the (n^2 x n) Mat of structure constants (row i*n + j:
-    coordinates of b_i b_j).  ``mult`` is a read-only (n, n, n) view of its
-    stored array: c[i][j][k] over GF(p), the numerator of c[i][j][k] over
-    ``structure.den`` over QQ.  Products read the sparse form ``_coo``
-    instead.  ``one`` is a column Mat.  ``rep`` optionally holds a faithful
-    matrix representation, one matrix per basis element, smaller than the
-    regular one; the radical chain and its certificate work on it, and the
-    certificate refuses a rep that is not faithful on the radical.
+    ``triples`` (``linalg.Triples``) holds the nonzero constants c_ijk, their
+    only stored form; every product reads it through ``_contract``.
+    ``Algebra(field, dim, structure, one)`` converts a dense (n^2 x n) Mat
+    (row i*n + j: coordinates of b_i b_j), as a small hand-built algebra or
+    the products of a corner's basis give it; the other builders pass
+    triples to ``Algebra.from_triples``.  ``structure`` and
+    ``mult`` are dense forms built on every access for tests and the
+    benchmark harness; the library never reads them.  ``one`` is a column
+    Mat.  ``rep`` optionally holds a faithful matrix representation, one
+    matrix per basis element, smaller than the regular one; the radical
+    chain and its certificate work on it, and the certificate refuses a rep
+    that is not faithful on the radical.
     """
 
     def __init__(
@@ -54,18 +60,42 @@ class Algebra:
         provenance: str = "raw",
         rep: Optional[list[Mat]] = None,
     ):
-        self.field = field
-        self.dim = dim
         if (structure.rows, structure.cols) != (dim * dim, dim):
             raise AlgebraError(f"structure constants are {structure.rows}x{structure.cols}, not {dim * dim}x{dim}")
-        structure = Mat.from_reduced(field, np.ascontiguousarray(structure.data), structure.den)
-        self.mult = structure.data.reshape(dim, dim, dim)
-        self.structure = structure
+        self._setup(field, dim, Triples.from_rows(np.arange(dim * dim), structure, dim), one, provenance, rep)
+
+    @classmethod
+    def from_triples(
+        cls, field: Field, dim: int, triples: Triples, one: Mat, provenance: str = "raw", rep: Optional[list[Mat]] = None
+    ) -> "Algebra":
+        a = cls.__new__(cls)
+        a._setup(field, dim, triples, one, provenance, rep)
+        return a
+
+    def _setup(self, field: Field, dim: int, triples: Triples, one: Mat, provenance: str, rep: Optional[list[Mat]]) -> None:
         if one.rows != dim or one.cols != 1:
             raise AlgebraError("unit vector has wrong shape")
+        self.field = field
+        self.dim = dim
+        # read-only like a Mat's data: the memos and an opposite share them
+        for x in triples[:4]:
+            x.setflags(write=False)
+        self.triples = triples
         self.one = one
         self.provenance = provenance
         self._rep = rep
+
+    @property
+    def structure(self) -> Mat:
+        """The dense (n^2 x n) structure constants, built on every access."""
+        return self.triples.to_mat(self.field, self.dim)
+
+    @property
+    def mult(self) -> np.ndarray:
+        """The stored entries of ``structure`` as an (n, n, n) array: c_ijk
+        over GF(p), its numerator over ``structure.den`` over QQ."""
+        n = self.dim
+        return self.structure.data.reshape(n, n, n)
 
     # -- basic element arithmetic -----------------------------------------
     def basis_element(self, i: int) -> Mat:
@@ -90,7 +120,7 @@ class Algebra:
         row r*n + j is x_r b_j (side 0) or b_j x_r (side 1)."""
         n, r = self.dim, xs.cols
         t = self._contract(xs.data.T, side)
-        return Mat.from_reduced(self.field, t.reshape(r * n, n), xs.den * self.structure.den)
+        return Mat.from_reduced(self.field, t.reshape(r * n, n), xs.den * self.triples.den)
 
     def multiply_batches(self, xs: Mat, ys: Mat) -> Mat:
         """All pairwise products of column sets: column (r*s) order r-major."""
@@ -104,21 +134,26 @@ class Algebra:
             t = self._contract(ys.data.T, 1)  # t[s, i, k] = (b_i y_s)_k
             prod = self._matmul(xs.data.T, t.transpose(1, 0, 2).reshape(n, s * n)).reshape(r, s, n)
             out = prod.transpose(2, 0, 1)
-        return Mat.from_reduced(self.field, out.reshape(n, r * s), xs.den * ys.den * self.structure.den)
+        return Mat.from_reduced(self.field, out.reshape(n, r * s), xs.den * ys.den * self.triples.den)
 
     def left_regular_action(self) -> list[Mat]:
-        """Left multiplication matrices of the basis elements: L_{b_i}[k, j]
-        = c_ijk is block i of ``structure`` transposed (a view over GF(p))."""
-        n = self.dim
-        return [self.structure.take_rows(range(i * n, (i + 1) * n)).transpose() for i in range(n)]
+        """Left multiplication matrices of the basis elements, L_{b_i}[k, j]
+        = c_ijk: transposed views of one n^3 array c[i, j, k], the only
+        dense form of the constants that the library builds.  Their
+        transposes, the action of the dual module, are then row blocks, which
+        stack into a C-ordered array that reshapes without a copy."""
+        n, t = self.dim, self.triples
+        stack = np.zeros((n, n, n), t.data.dtype)
+        stack[t.i, t.j, t.k] = t.data
+        return [Mat.from_reduced(self.field, block, t.den).transpose() for block in stack]
 
     def _coo(self, side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Stored structure constants as COO arrays sorted for one contraction.
+        """The triples sorted for one contraction.
 
         Side 0 sums over i and keeps (j, k), side 1 sums over j and keeps
-        (i, k).  Returns (summed index, c_ijk, segment starts, kept index
-        j*n + k or i*n + k of each segment); the terms of one kept index are
-        contiguous.
+        (i, k), side 2 sums over k and keeps (i, j).  Returns (summed index,
+        c_ijk, segment starts, kept index j*n + k, i*n + k or i*n + j of each
+        segment); the terms of one kept index are contiguous.
         """
 
         def build():
@@ -129,29 +164,29 @@ class Algebra:
             # 64 GiB); Python ints over QQ have no bound
             if isinstance(self.field, PrimeField) and n * (self.field.p - 1) ** 2 >= _EXACT:
                 raise AlgebraError(f"dimension {n} is too large for exact products over GF({self.field.p})")
-            rows, k = np.nonzero(self.structure.data)
-            i, j = np.divmod(rows, n)
-            summed, kept = (i, j) if side == 0 else (j, i)
-            target = kept * n + k
+            t = self.triples
+            summed, outer, inner = [(t.i, t.j, t.k), (t.j, t.i, t.k), (t.k, t.i, t.j)][side]
+            target = outer * n + inner
             order = np.argsort(target, kind="stable")
             target = target[order]
             starts = np.flatnonzero(np.diff(target, prepend=-1))
-            return summed[order], self.structure.data[rows, k][order], starts, target[starts]
+            return summed[order], t.data[order], starts, target[starts]
 
         return memo(self, f"_coo{side}", build)
 
     def _contract(self, xs: np.ndarray, side: int) -> np.ndarray:
         """Stored rows xs (r x n) against the stored structure constants, as
         (r, n, n): side 0 gives t[r, j, k] = sum_i xs[r, i] c_ijk, side 1
-        t[r, i, k] = sum_j xs[r, j] c_ijk; reduced mod p over GF(p), over QQ
-        numerators over the product of the two denominators."""
+        t[r, i, k] = sum_j xs[r, j] c_ijk, side 2 t[r, i, j] = sum_k xs[r, k]
+        c_ijk; reduced mod p over GF(p), over QQ numerators over the product
+        of the two denominators."""
         summed, coeff, starts, target = self._coo(side)
         n, r = self.dim, xs.shape[0]
         out = np.zeros((r, n * n), xs.dtype)
         if starts.size:
             sums = np.add.reduceat(xs[:, summed] * coeff, starts, axis=1)
             # a segment sums at most n terms below (p-1)^2, checked in ``_coo``
-            out[:, target] = _reduce(sums, self.field.p) if isinstance(self.field, PrimeField) else sums
+            out[:, target] = _mod(self.field, sums)
         return out.reshape(r, n, n)
 
     def _matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -246,15 +281,19 @@ class PrimitiveDecomposition:
 def from_structure_constants(field: Field, dim: int, mult, one, provenance: str = "raw") -> Algebra:
     """Build and exhaustively validate an algebra from raw structure data.
 
-    ``mult`` is the (dim^2 x dim) structure Mat or nested lists c[i][j][k].
+    ``mult`` is Triples, the (dim^2 x dim) structure Mat or nested lists
+    c[i][j][k].
     """
-    if not isinstance(mult, Mat):
-        rows = [row for plane in mult for row in plane]
-        if len(mult) != dim or len(rows) != dim * dim:
-            raise AlgebraError(f"structure tensor is not {dim}x{dim}x{dim}")
-        mult = Mat(field, rows, cols=dim)
     one_mat = one if isinstance(one, Mat) else Mat.column(field, one)
-    a = Algebra(field, dim, mult, one_mat, provenance=provenance)
+    if isinstance(mult, Triples):
+        a = Algebra.from_triples(field, dim, mult, one_mat, provenance=provenance)
+    else:
+        if not isinstance(mult, Mat):
+            rows = [row for plane in mult for row in plane]
+            if len(mult) != dim or len(rows) != dim * dim:
+                raise AlgebraError(f"structure tensor is not {dim}x{dim}x{dim}")
+            mult = Mat(field, rows, cols=dim)
+        a = Algebra(field, dim, mult, one_mat, provenance=provenance)
     a.validate_unit()
     a.validate_associativity()
     return a
@@ -266,12 +305,11 @@ def opposite(a: Algebra) -> Algebra:
 
 
 def _opposite(a: Algebra) -> Algebra:
-    n = a.dim
-    mult = a.structure.take_rows([j * n + i for i in range(n) for j in range(n)])
+    t = a.triples
     rep = None
     if a._rep is not None:
         rep = [m.transpose() for m in a._rep]
-    opp = Algebra(a.field, n, mult, a.one, provenance=a.provenance, rep=rep)
+    opp = Algebra.from_triples(a.field, a.dim, t._replace(i=t.j, j=t.i), a.one, provenance=a.provenance, rep=rep)
     opp._op_link = a
     # A and A^op have one radical and one set of primitive idempotents,
     # computed by whichever side asks first
@@ -286,24 +324,21 @@ def direct_product(a: Algebra, b: Algebra) -> Algebra:
         raise AlgebraError("direct product of algebras over different fields")
     n, m = a.dim, b.dim
     field = a.field
-    # rows of a's constants, then b's, then one zero row for the mixed products
-    blocks = Mat.block_diag(field, [a.structure, b.structure, Mat.zeros(field, 1, 0)])
-
-    def row(i: int, j: int) -> int:
-        if i < n and j < n:
-            return i * n + j
-        if i >= n and j >= n:
-            return n * n + (i - n) * m + (j - n)
-        return n * n + m * m
-
-    mult = blocks.take_rows([row(i, j) for i in range(n + m) for j in range(n + m)])
+    # a's constants, then b's with every index shifted by n; mixed products are 0
+    ta, tb = a.triples, b.triples
+    den = math.lcm(ta.den, tb.den)
+    mult = Triples(
+        *(np.concatenate([x, y + n]) for x, y in ((ta.i, tb.i), (ta.j, tb.j), (ta.k, tb.k))),
+        np.concatenate([ta.data * (den // ta.den), tb.data * (den // tb.den)]),
+        den,
+    )
     one = Mat.vstack([a.one, b.one])
     rep = None
     if a._rep is not None and b._rep is not None:
         ra0, rb0 = a._rep[0], b._rep[0]
         za, zb = Mat.zeros(field, ra0.rows, ra0.cols), Mat.zeros(field, rb0.rows, rb0.cols)
         rep = [Mat.block_diag(field, [ra, zb]) for ra in a._rep] + [Mat.block_diag(field, [za, rb]) for rb in b._rep]
-    return Algebra(field, n + m, mult, one, provenance="product", rep=rep)
+    return Algebra.from_triples(field, n + m, mult, one, provenance="product", rep=rep)
 
 
 def corner_algebra(a: Algebra, e: Mat) -> tuple[Algebra, Mat]:
@@ -353,7 +388,7 @@ def algebra_of_matrices(basis: MatrixBasis, provenance: str) -> Algebra:
     The identity must lie in the span; the basis is the faithful ``rep``.
     """
     one = basis.coords(Mat.identity(basis.field, basis.shape[0]))
-    return Algebra(basis.field, len(basis), basis.product_coords(), one, provenance=provenance, rep=basis.mats)
+    return Algebra.from_triples(basis.field, len(basis), basis.product_coords(), one, provenance=provenance, rep=basis.mats)
 
 
 def centralizer_algebra(generators: Sequence[Mat]) -> tuple[Algebra, MatrixBasis]:
@@ -412,7 +447,8 @@ def _radical_chain(a: Algebra) -> Subspace:
     stack, m = _rep_stack(a)
 
     def form(psi: Mat) -> Mat:
-        return (a.structure @ psi).reshape(n, n)  # form[i, j] = psi(b_i b_j)
+        # form[i, j] = psi(b_i b_j), a sum over k for each (i, j) of the triples
+        return Mat.from_reduced(field, a._contract(psi.data.T, 2).reshape(n, n), psi.den * a.triples.den)
 
     # layer 0: psi = tr on all of A, as vec(X) . vec(1_m) = tr X
     traces = stack @ Mat.identity(field, m).reshape(m * m, 1)
@@ -430,15 +466,6 @@ def _radical_chain(a: Algebra) -> Subspace:
         if ker.cols < ideal.dim:
             ideal = Subspace(field, n, ker.transpose() @ ideal.basis)
     return ideal
-
-
-# The radical certificate forms the products b_i j and j b_i for a block of
-# basis vectors j of J at a time, of about this many entries (one j when a
-# single one has more).  2^20 entries are 8 MiB as float64; the block and its
-# reduction by J stay within a few tens of MiB on S_GF3(3,3), against 102 MiB
-# for all products at once.  An algebra whose 2 dim(J) n^2 products fit
-# runs as one block.
-_PAIR_BLOCK_ENTRIES = 2**20
 
 
 def _gamma_traces(zs: np.ndarray, p: int, layer: int) -> np.ndarray:
@@ -500,24 +527,30 @@ def _matmul_exact(x: np.ndarray, y: np.ndarray, mod: int) -> np.ndarray:
 def _assert_nilpotent_ideal(a: Algebra, rad: Subspace) -> None:
     """Certify the computed radical: a nilpotent two-sided ideal.
 
-    The products b_i j and j b_i are formed for a block of basis vectors j
-    of J at a time, about _PAIR_BLOCK_ENTRIES entries, and tested before the
-    next block is formed.  Nilpotency is read on the representation, checked
-    faithful on J (the rep matrices X_k of J's basis are independent): J^k
-    lies in J, so J^k = 0 exactly when rep(J)^k = 0, that is when the flag of
-    row spaces k^m >= k^m J >= k^m J^2 >= ... reaches 0, within m steps if
-    at all.
+    J is a two-sided ideal when W(b_i j) = W(j b_i) = 0 for every basis
+    vector j of J and every i, where W is the quotient-coordinate map of
+    k^n / J.  W(b_i j) = sum_(l,k) j_l c_ilk W(b_k), so for each i it is one
+    product of the columns l of J's basis with the rows c_ilk W(b_k) of the
+    triples with that i, and no product b_i j is formed.  Nilpotency is read
+    on the representation, checked faithful on J (the rep matrices X_k of
+    J's basis are independent): J^k lies in J, so J^k = 0 exactly when
+    rep(J)^k = 0, that is when the flag of row spaces k^m >= k^m J >= k^m J^2
+    >= ... reaches 0, within m steps if at all.
     """
     if rad.dim == 0:
         return
     field, n, r = a.field, a.dim, rad.dim
-    step = max(1, _PAIR_BLOCK_ENTRIES // (n * n))
-    basis_cols = rad.basis.transpose()
-    # two-sided ideal: every j b_i and every b_i j stays inside J
-    for c0 in range(0, r, step):
-        block = basis_cols.take_cols(range(c0, min(c0 + step, r)))
-        if not rad.contains(a._basis_products(block, 0)) or not rad.contains(a._basis_products(block, 1)):
-            raise AlgebraError("computed radical is not a two-sided ideal")
+    w = rad.quotient_coords(Mat.identity(field, n)).data  # row k: W(b_k)
+    # side 1 sums over the second index: b_i j; side 0 over the first: j b_i
+    for side in (1, 0):
+        summed, coeff, starts, target = a._coo(side)
+        kept, k = np.divmod(np.repeat(target, np.diff(starts, append=summed.size)), n)
+        # a row c W(b_k) is below (p-1)^2 before it is reduced
+        rows = _mod(field, coeff[:, None] * w[k])
+        bounds = np.searchsorted(kept, np.arange(n + 1))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if lo < hi and a._matmul(rad.basis.data[:, summed[lo:hi]], rows[lo:hi]).any():
+                raise AlgebraError("computed radical is not a two-sided ideal")
     stack, m = _rep_stack(a)
     xs = rad.basis @ stack  # row k: vec(X_k)
     if xs.rank() < r:
@@ -552,11 +585,22 @@ class QuotientAlgebra:
 def quotient_algebra(a: Algebra, ideal: Subspace) -> QuotientAlgebra:
     """A/I for a two-sided ideal I given as a subspace of coordinate space."""
     # projection = quotient coordinates, section = non-pivot coordinate vectors
-    ident = Mat.identity(a.field, a.dim)
+    field, n = a.field, a.dim
+    ident = Mat.identity(field, n)
     proj = ideal.quotient_coords(ident).transpose()
     sect = ident.take_cols(ideal.nonpivots)
-    mult = (proj @ a.multiply_batches(sect, sect)).transpose()  # row r*s + c: coords of sect_r sect_c
-    quot = Algebra(a.field, sect.cols, mult, proj @ a.one, provenance="quotient")
+    # sect_r sect_c = b_i b_j for the non-pivots i and j: the triples with
+    # both there, one row of constants per pair, projected
+    s, t = sect.cols, a.triples
+    position = np.full(n, -1)
+    position[ideal.nonpivots] = np.arange(s)
+    r, c = position[t.i], position[t.j]
+    keep = (r >= 0) & (c >= 0)
+    pairs, row = _slots(r[keep] * s + c[keep], s * s)
+    products = np.zeros((pairs.size, n), t.data.dtype)
+    products[row, t.k[keep]] = t.data[keep]
+    coords = Mat.from_reduced(field, products, t.den) @ proj.transpose()
+    quot = Algebra.from_triples(field, s, Triples.from_rows(pairs, coords, s), proj @ a.one, provenance="quotient")
     return QuotientAlgebra(a, quot, proj, sect)
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .algebra import Algebra, centralizer_algebra
 from .fields import Field
-from .linalg import Mat, MatrixBasis, Subspace
+from .linalg import Mat, MatrixBasis, Subspace, Triples
 from .memo import memo
 from .modules import Module, top
 from .qh import QHStructure, WeightPoset, verify_split_qh
@@ -194,8 +194,7 @@ def build_hecke(d: int, u, field: Field) -> HeckeGallery:
                 entries[i * n + j, index[rho]] = c
     ident = tuple(range(d))
     one = [field.one() if p == ident else field.zero() for p in perms]
-    mult = Mat.from_entries(field, n * n, n, entries)
-    alg = Algebra(field, n, mult, Mat.column(field, one), provenance="hecke")
+    alg = Algebra.from_triples(field, n, Triples.from_entries(field, n, entries), Mat.column(field, one), provenance="hecke")
     alg.validate_unit()
     q = field.mul(uinv, uinv)
     return HeckeGallery(d, u, q, alg, perms, index)

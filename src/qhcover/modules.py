@@ -323,11 +323,11 @@ def _build_indec_projective(a: Algebra, class_index: int) -> tuple[Module, Mat, 
     span = Subspace.from_columns(a.right_mult_matrix(e))  # A e
     w = span.basis.transpose()
     d = w.cols
-    # row i*d + t: coordinates of b_i w_t in the basis w
-    coords = span.coords(a.multiply_batches(Mat.identity(a.field, a.dim), w).transpose())
+    # row t*n + i: coordinates of b_i w_t in the basis w
+    coords = span.coords(a._basis_products(w, 1))
     if coords is None:
         raise ModuleError("projective summand is not invariant")
-    action = [coords.take_rows(range(i * d, (i + 1) * d)).transpose() for i in range(a.dim)]
+    action = [coords.take_rows(range(i, a.dim * d, a.dim)).transpose() for i in range(a.dim)]
     gen = span.coords(e.transpose())
     if gen is None:
         raise ModuleError("idempotent not in its own projective summand")

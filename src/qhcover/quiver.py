@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import Algebra, AlgebraError
 from .fields import Field
-from .linalg import Mat, Subspace
+from .linalg import Mat, Subspace, Triples
 
 
 @dataclass(frozen=True)
@@ -207,8 +207,8 @@ def from_quiver(q: QuiverPresentation, field: Field, degree_cap: int = 64) -> Al
     one = [0] * n
     for v in range(q.n_vertices):
         one[v] = 1
-    mult = Mat.from_entries(field, n * n, n, entries)
-    alg = Algebra(field, n, mult, Mat.column(field, [field.normalize(x) for x in one]), provenance="quiver")
+    mult = Triples.from_entries(field, n, entries)
+    alg = Algebra.from_triples(field, n, mult, Mat.column(field, [field.normalize(x) for x in one]), provenance="quiver")
     alg.quiver_data = {
         "presentation": q,
         "basis_paths": basis,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .algebra import Algebra, from_structure_constants
 from .fields import Field, field_from_json, field_to_json
-from .linalg import Mat
+from .linalg import Mat, Triples
 from .modules import Module
 from .qh import WeightPoset
 from .quiver import Arrow, QuiverPresentation
@@ -37,8 +37,7 @@ def _get(obj, key: str, kind: str, want: type | None = None):
 
 
 def algebra_to_json(a: Algebra) -> dict:
-    # row i*dim + j of the structure constants holds b_i b_j
-    triplets = [[r // a.dim, r % a.dim, k, _coeff_str(a.field, c)] for r, k, c in a.structure.nonzero_entries()]
+    triplets = [[i, j, k, _coeff_str(a.field, c)] for i, j, k, c in a.triples.entries(a.field)]
     return {
         "field": field_to_json(a.field),
         "dim": a.dim,
@@ -59,7 +58,7 @@ def algebra_from_json(obj: dict) -> Algebra:
             raise SerializeError(f"structure constant index ({i}, {j}, {k}) out of range for dim {dim}")
         entries[i * dim + j, k] = field.parse(str(c))
     one = [field.parse(str(c)) for c in _get(obj, "one", "algebra", list)]
-    return from_structure_constants(field, dim, Mat.from_entries(field, dim * dim, dim, entries), one)
+    return from_structure_constants(field, dim, Triples.from_entries(field, dim, entries), one)
 
 
 def quiver_from_json(obj: dict) -> QuiverPresentation:

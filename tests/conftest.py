@@ -1,5 +1,6 @@
 """Shared constructors for the test suite."""
 
+import numpy as np
 import pytest
 
 from qhcover.algebra import from_structure_constants
@@ -40,6 +41,26 @@ def broken_truncated_polynomial_module():
     a = from_structure_constants(GF(2), n, mult, [1, 0, 0, 0])
     action = regular_module(a).action[:3] + [Mat.zeros(a.field, n, n)]
     return a, Module(a, action)
+
+
+def stored_arrays(a):
+    """The arrays an algebra holds in its attributes, inside tuples and Mats
+    too, apart from its faithful representation ``_rep`` (a list of Mats)."""
+    found = []
+
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            found.append(x)
+        elif isinstance(x, Mat):
+            found.append(x.data)
+        elif isinstance(x, tuple):
+            for y in x:
+                walk(y)
+
+    for key, value in vars(a).items():
+        if key != "_rep":
+            walk(value)
+    return found
 
 
 @pytest.fixture(scope="session")

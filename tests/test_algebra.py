@@ -26,7 +26,7 @@ from qhcover.gallery import build_am, build_hecke, build_schur
 from qhcover.linalg import Mat, Subspace, matmul_mod
 from qhcover.quiver import Arrow, QuiverPresentation, arrow_ideal_dimension, from_quiver
 
-from conftest import make_am_algebra
+from conftest import make_am_algebra, stored_arrays
 
 F2, F3 = GF(2), GF(3)
 
@@ -410,8 +410,15 @@ def test_left_regular_action_is_left_multiplication(field):
     a = make_am_algebra(3, field)
     action = a.left_regular_action()
     assert action == [a.left_mult_matrix(a.basis_element(i)) for i in range(a.dim)]
-    if field == F3:
-        assert all(np.shares_memory(m.data, a.structure.data) for m in action)
+    # the algebra stores its nonzero constants only, never the dense n^3 form
+    nonzero = int(np.count_nonzero(a.mult))
+    assert nonzero < a.dim**3 and all(x.size <= nonzero for x in stored_arrays(a))
+    # the dual regular module acts by row blocks, so its stacked action
+    # reshapes without a copy (34 MiB on S_GF3(3,3))
+    from qhcover.modules import dual, regular_module
+
+    d = dual(regular_module(a))
+    assert np.shares_memory(d._flat_action().data, d.stack().data)
 
 
 # -- primitive idempotents -------------------------------------------------------
@@ -595,27 +602,22 @@ def test_radical_certificate_tests_both_sides(monkeypatch, field, rows):
 
 
 @pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
-def test_radical_certificate_in_one_column_blocks(monkeypatch, field):
+def test_radical_certificate_forms_no_products(monkeypatch, field):
     from qhcover import algebra
 
-    # a budget of one entry leaves one column per block: the true radical
-    # still passes, and a one-sided or a non-nilpotent ideal still fails
+    # the two-sided test reads the triples: the true radical passes without
+    # one product b_i j being formed (the only products are those of the
+    # basis with itself, the regular representation that nilpotency is read
+    # on), and a one-sided or a non-nilpotent ideal still fails
     a = make_am_algebra(3, field)
-    whole = algebra._radical(a)
-    monkeypatch.setattr(algebra, "_PAIR_BLOCK_ENTRIES", 1)
-    blocked = algebra._radical(make_am_algebra(3, field))
-    assert (blocked.basis, blocked.pivots) == (whole.basis, whole.pivots) and whole.dim > 1
-    # every radical basis vector is tested on both sides, one per block
-    blocks = []
-    basis_products = Algebra._basis_products
-
-    def recorded_products(self, xs, side):
-        blocks.append((side, xs.cols))
-        return basis_products(self, xs, side)
-
-    monkeypatch.setattr(Algebra, "_basis_products", recorded_products)
+    whole = algebra._radical_chain(a)
+    assert whole.dim > 1
+    products = []
+    for name in ("_basis_products", "multiply_batches"):
+        original = getattr(Algebra, name)
+        monkeypatch.setattr(Algebra, name, lambda self, *args, _f=original: products.append(args) or _f(self, *args))
     algebra._assert_nilpotent_ideal(a, whole)
-    assert blocks == [(side, 1) for _ in range(whole.dim) for side in (0, 1)]
+    assert all(args[0] == Mat.identity(field, a.dim) for args in products)
     m2 = matrix_algebra(field, 2)
     with pytest.raises(AlgebraError, match="two-sided"):
         algebra._assert_nilpotent_ideal(m2, Subspace(field, 4, Mat.identity(field, 4).take_rows([2, 0])))

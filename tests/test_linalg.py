@@ -484,7 +484,7 @@ def test_matrix_basis_product_coords(field):
     # upper triangular 2x2 matrices E11, E12, E22: closed under products
     units = [{(0, 0): 1}, {(0, 1): 1}, {(1, 1): 1}]
     basis = MatrixBasis([Mat.from_entries(field, 2, 2, u) for u in units])
-    structure = basis.product_coords()
+    structure = basis.product_coords().to_mat(field, 3)
     assert (structure.rows, structure.cols) == (9, 3)
     for i, j in itertools.product(range(3), repeat=2):
         product = basis.mats[i] @ basis.mats[j]
@@ -511,7 +511,7 @@ def test_product_coords_match_coordinates_of_all_products(field):
     for basis in bases:
         mats = basis.mats
         expected = basis.coords_many([a @ b for a in mats for b in mats]).transpose()
-        assert basis.product_coords() == expected
+        assert basis.product_coords().to_mat(field, len(mats)) == expected
 
 
 def test_take_rows_of_a_range_is_a_read_only_view():
@@ -656,7 +656,7 @@ def _operation_results(field, unit=1):
         Subspace(field, 4, a).basis,
         Subspace(field, 4, a).quotient_coords(b.transpose()),
         basis.coords(Mat(field, [[2, 5], [0, 2]])),
-        basis.product_coords(),
+        basis.product_coords().to_mat(field, 2),
     ]
 
 

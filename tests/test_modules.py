@@ -477,6 +477,26 @@ def test_twin_table_empties_when_the_modules_die():
     assert len(table) == 0
 
 
+def test_a_module_without_a_twin_is_never_hashed(monkeypatch):
+    from qhcover.gallery import build_schur
+    from qhcover.reldim import classical_domdim
+
+    # the counit of Q-codomdim D(A) meets the 165-dimensional dual regular
+    # module of S_GF3(3,3) alone: no other module of that dimension asks
+    # over A^op, so none of its 165 x 165 action matrices is hashed
+    a = build_schur(3, 3, 1, GF(3)).algebra
+    hashed = []
+    mat_hash = Mat.__hash__
+
+    def recorded(self):
+        hashed.append((self.rows, self.cols))
+        return mat_hash(self)
+
+    monkeypatch.setattr(Mat, "__hash__", recorded)
+    assert str(classical_domdim(a, 10)[0].value) == "Exact(4)"
+    assert hashed and (a.dim, a.dim) not in hashed
+
+
 # -- pairs of modules share one memo per pair of contents ----------------------------
 
 

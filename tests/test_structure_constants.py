@@ -1,0 +1,182 @@
+"""An algebra's stored triples against a dense reference built here.
+
+Every product, every constructor of a new algebra and
+``MatrixBasis.product_coords`` read or write the sparse triples.  These tests
+rebuild the dense (n, n, n) constants c_ijk from the triples by plain
+indexing (ints mod p over GF(p), Fractions over QQ) and check each operation
+against einsum on them.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from qhcover import algebra as algebra_module
+from qhcover.algebra import AlgebraError, corner_algebra, direct_product, opposite, quotient_algebra
+from qhcover.fields import GF, QQ
+from qhcover.gallery import build_am, build_hecke, build_schur
+from qhcover.linalg import Mat, MatrixBasis, Subspace
+from qhcover.quiver import Arrow, QuiverPresentation, from_quiver
+from qhcover.serialize import algebra_to_json, content_hash
+
+from conftest import make_am_algebra
+
+
+def _loop_and_arrow(field):
+    """A loop x at vertex 1 with x^3 = 0 and an arrow a: 1 -> 2."""
+    q = QuiverPresentation(2, [Arrow("x", 0, 0), Arrow("a", 0, 1)], [[(1, (0, 0, 0))]])
+    return from_quiver(q, field)
+
+
+BUILDS = {
+    "A2-QQ": lambda: (build_am(2, QQ).algebra, None),
+    "A2-GF3": lambda: (build_am(2, GF(3)).algebra, None),
+    "A3-QQ": lambda: (build_am(3, QQ).algebra, None),
+    "A3-GF3": lambda: (build_am(3, GF(3)).algebra, None),
+    "H3-QQ": lambda: (build_hecke(3, "1/2", QQ).algebra, None),
+    "S22-GF2": lambda: (lambda s: (s.algebra, s.matrix_basis))(build_schur(2, 2, 1, GF(2))),
+    "S23-GF3": lambda: (lambda s: (s.algebra, s.matrix_basis))(build_schur(2, 3, 1, GF(3))),
+    "S33-GF3": lambda: (lambda s: (s.algebra, s.matrix_basis))(build_schur(3, 3, 1, GF(3))),
+    "quiver-GF5": lambda: (_loop_and_arrow(GF(5)), None),
+}
+_built: dict = {}
+
+
+def _build(name):
+    if name not in _built:
+        _built[name] = BUILDS[name]()
+    return _built[name]
+
+
+@pytest.fixture(params=list(BUILDS))
+def built(request):
+    return _build(request.param)
+
+
+def _prime(field):
+    return field.kind == "prime"
+
+
+def _values(m: Mat) -> np.ndarray:
+    """The entries of a Mat: float64 integers over GF(p) (exact in every
+    product below), Fractions over QQ."""
+    if _prime(m.field):
+        return m.data.astype(np.float64)
+    return np.array([[Fraction(v, m.den) for v in row] for row in m.data.tolist()], dtype=object).reshape(m.rows, m.cols)
+
+
+def _dense(a) -> np.ndarray:
+    """c[i, j, k] from the stored triples."""
+    t, n = a.triples, a.dim
+    c = np.zeros((n, n, n), dtype=np.float64 if _prime(a.field) else object)
+    c[t.i, t.j, t.k] = t.data if _prime(a.field) else [Fraction(v, t.den) for v in t.data.tolist()]
+    return c
+
+
+def _same(field, got: np.ndarray, want: np.ndarray) -> bool:
+    if _prime(field):
+        return np.array_equal(got % field.p, want % field.p)
+    return got.shape == want.shape and all(x == y for x, y in zip(got.flat, want.flat))
+
+
+def _random_columns(field, n, cols, seed):
+    rng = np.random.default_rng(seed)
+    if _prime(field):
+        return Mat(field, rng.integers(0, field.p, size=(n, cols)))
+    return Mat(field, [[Fraction(int(x), int(d)) for x, d in zip(row, dens)] for row, dens in zip(rng.integers(-3, 4, size=(n, cols)), rng.integers(1, 4, size=(n, cols)))])
+
+
+def _pair_products(c, x, y):
+    """Column (r, s) of x and y multiplied: einsum over the dense constants."""
+    return np.einsum("ir,js,ijk->krs", x, y, c, optimize=True)
+
+
+def test_products_match_dense_einsum(built):
+    a, _ = built
+    n, c = a.dim, _dense(a)
+    xs, ys = _random_columns(a.field, n, 2, 1), _random_columns(a.field, n, 3, 2)
+    x, y = _values(xs), _values(ys)
+    for col in range(2):
+        want = np.einsum("i,ijk->kj", x[:, col], c)
+        assert _same(a.field, _values(a.left_mult_matrix(xs.take_cols([col]))), want)
+    for col in range(3):
+        want = np.einsum("j,ijk->ki", y[:, col], c)
+        assert _same(a.field, _values(a.right_mult_matrix(ys.take_cols([col]))), want)
+    for left, right, lv, rv in ((xs, ys, x, y), (ys, xs, y, x)):  # both contraction orders
+        want = _pair_products(c, lv, rv).reshape(n, left.cols * right.cols)
+        assert _same(a.field, _values(a.multiply_batches(left, right)), want)
+
+
+def test_opposite_swaps_the_stored_indices(built):
+    a, _ = built
+    opp = opposite(a)
+    assert _same(a.field, _dense(opp), _dense(a).transpose(1, 0, 2))
+    # the same arrays, not a copy, and read-only
+    assert opp.triples.i is a.triples.j and opp.triples.j is a.triples.i and opp.triples.data is a.triples.data
+    assert not any(x.flags.writeable for x in a.triples[:4])
+
+
+def test_corner_algebra_matches_dense_products(built):
+    a, _ = built
+    idems = a.primitive_idempotents().idempotents
+    e = idems[0] if len(idems) == 1 else idems[0] + idems[-1]
+    corner, incl = corner_algebra(a, e)
+    inc = _values(incl)
+    # products of the corner's basis in A, and the corner's constants carried back by incl
+    want = _pair_products(_dense(a), inc, inc)
+    got = np.einsum("rsm,km->krs", _dense(corner), inc, optimize=True)
+    assert corner.dim > 0 and _same(a.field, got, want)
+
+
+def test_quotient_algebra_matches_dense_products(built):
+    a, _ = built
+    quot = quotient_algebra(a, a.radical_subspace())
+    proj, sect = _values(quot.proj), _values(quot.sect)
+    want = np.einsum("krs,qk->rsq", _pair_products(_dense(a), sect, sect), proj, optimize=True)
+    assert _same(a.field, _dense(quot.quotient), want)
+
+
+def test_direct_product_is_block_diagonal(built):
+    a, _ = built
+    b = make_am_algebra(2, a.field)
+    n, m = a.dim, b.dim
+    want = np.zeros((n + m,) * 3, dtype=_dense(a).dtype)
+    want[:n, :n, :n], want[n:, n:, n:] = _dense(a), _dense(b)
+    assert _same(a.field, _dense(direct_product(a, b)), want)
+
+
+def test_product_coords_give_the_products(built):
+    a, basis = built
+    if basis is None:
+        # the regular representation is faithful: its constants are a's
+        basis = MatrixBasis(a.left_regular_action())
+        assert _same(a.field, _values(basis.product_coords().to_mat(a.field, a.dim)), _dense(a).reshape(a.dim**2, a.dim))
+    n, (t, _) = len(basis), basis.shape
+    c = _values(basis.product_coords().to_mat(a.field, n)).reshape(n, n, n)
+    mats = np.stack([_values(m) for m in basis.mats])
+    flat = mats.reshape(n, t * t)
+    # sum_k c_abk M_k = M_a M_b, for every b and a sample of a on S(3,3)
+    for i in range(0, n, max(1, n // 24)):
+        assert _same(a.field, c[i] @ flat, np.matmul(mats[i], mats).reshape(n, t * t))
+
+
+def test_certificate_refuses_a_mutated_radical_of_s33():
+    a, _ = _build("S33-GF3")
+    rad = a.radical_subspace()
+    others = rad.basis.take_rows(range(1, rad.dim))
+    # one radical basis vector replaced by the unit, or by a basis vector outside J
+    for intruder in (a.one.transpose(), a.basis_element(rad.nonpivots[0]).transpose()):
+        mutated = Subspace(a.field, a.dim, Mat.vstack([intruder, others]))
+        assert mutated.dim == rad.dim and not rad.contains(intruder)
+        with pytest.raises(AlgebraError, match="two-sided"):
+            algebra_module._assert_nilpotent_ideal(a, mutated)
+
+
+# content_hash(algebra_to_json(...)) as computed before the triples were stored
+PINNED_JSON_HASHES = {"S33-GF3": "51e5492e302d8ec3", "H3-QQ": "ef9f81dc473d8b72", "A3-QQ": "67638b57d759b400"}
+
+
+@pytest.mark.parametrize("name", list(PINNED_JSON_HASHES))
+def test_algebra_json_is_unchanged(name):
+    assert content_hash(algebra_to_json(_build(name)[0])) == PINNED_JSON_HASHES[name]
