@@ -33,8 +33,9 @@ from .modules import (
     quotient_module,
     projective_cover_data,
     regular_module,
+    trace_submodule,
 )
-from .qh import QHStructure, ringel_dual
+from .qh import QHStructure, ringel_dual, split_heredity_quotient
 from .reldim import relative_codomdim, relative_domdim
 
 
@@ -378,8 +379,6 @@ def module_over_quotient(m: Module, quot: Algebra, proj: Mat, sect: Mat) -> Modu
 
 def truncate_cover_check(qh: QHStructure, p: Module, lam_max: int, cap: int = 8) -> dict:
     """Compare hn of (A, P) with hn of (A/J, P/JP) along a heredity quotient."""
-    from .qh import split_heredity_quotient
-
     base_report = hn_dimension(qh, p, cap=cap)
     quot, proj, sub_qh = split_heredity_quotient(qh, lam_max)
     # P/JP: quotient by J.P, then restrict scalars along A -> A/J
@@ -411,8 +410,6 @@ def truncate_cover_check(qh: QHStructure, p: Module, lam_max: int, cap: int = 8)
 
 
 def _heredity_ideal_span(qh: QHStructure, lam: int) -> Subspace:
-    from .modules import trace_submodule
-
     reg = regular_module(qh.algebra)
     jmod, jincl = trace_submodule(qh.projectives[lam], reg)
     return Subspace(qh.algebra.field, qh.algebra.dim, jincl.matrix.transpose())

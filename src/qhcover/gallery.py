@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .algebra import Algebra, centralizer_algebra
+from .algebra import Algebra, centralizer_algebra, corner_algebra, opposite
 from .fields import Field
 from .linalg import Mat, MatrixBasis, Subspace, Triples
 from .memo import memo
-from .modules import Module, top
+from .modules import Module, _indec_projective, hom_space, top
 from .qh import QHStructure, WeightPoset, verify_split_qh
 from .quiver import Arrow, QuiverPresentation, from_quiver
 
@@ -243,8 +243,6 @@ def build_tensor_space(n: int, d: int, u, field: Field, hecke: Optional[HeckeGal
                 entries[index[swapped], col] = field.one()
         simple_action.append(Mat.from_entries(field, t_dim, t_dim, entries))
     # right action matrices for every T_sigma: M_sigma = M_{s_k} ... M_{s_1}
-    from .algebra import opposite
-
     hop = opposite(hecke.algebra)
     action = []
     ident = Mat.identity(field, t_dim)
@@ -382,8 +380,6 @@ def _schur_poset(schur: SchurGallery) -> WeightPoset:
     Each simple module is labeled by the dominance-maximal weight lambda
     with xi_lambda . L != 0; the labels must biject onto the partitions.
     """
-    from .modules import _indec_projective
-
     a = schur.algebra
     prim = a.primitive_idempotents()
     label_of_block: dict[int, tuple[int, ...]] = {}
@@ -451,8 +447,6 @@ class SchurWeylData:
 
 def schur_weyl_map(schur: SchurGallery) -> SchurWeylData:
     """psi: Hecke -> End_Schur(V^(tensor d))^op with image and kernel data."""
-    from .modules import hom_space
-
     tensor_action = schur.tensor.module.action  # matrices of T_sigma (right action)
     end_dim = hom_space(schur.tensor_module, schur.tensor_module).dim
     flat = Mat.hstack([m.reshape(m.rows * m.cols, 1) for m in tensor_action])
@@ -509,14 +503,12 @@ def schur_truncation_iso(big: SchurGallery, small: SchurGallery) -> TruncationIs
     corner elements to those rows/columns must land bijectively on the small
     Schur algebra.
     """
-    from .algebra import corner_algebra as _corner
-
     if big.d != small.d or big.field != small.field or big.u != small.u:
         raise GalleryError("truncation needs the same d, field and parameter")
     if small.n >= big.n:
         raise GalleryError("truncation goes from larger n to smaller n")
     f = truncation_idempotent(big, small.n)
-    corner, incl = _corner(big.algebra, f)
+    corner, incl = corner_algebra(big.algebra, f)
     if corner.dim != small.algebra.dim:
         raise GalleryError(f"corner dimension {corner.dim} != {small.algebra.dim}")
     word_rows = [i for i, w in enumerate(big.tensor.words) if all(x < small.n for x in w)]

@@ -4,8 +4,10 @@ Resolutions iterate projective covers of successive kernels, so they are
 minimal by construction; "terminated" is then equivalent to finite
 projective dimension, which the relative-dimension logic relies on.
 
-Ext and Tor are computed in slice coordinates: Hom(A e, N) = e N and
-(x tensor_B B e) = x e, so cochain/chain spaces stay small.
+Ext is computed in slice coordinates, Hom(A e, N) = e N, so cochain
+spaces stay small.  Tor is its k-dual: over a field D Tor_i^B(X, Y) is
+Ext^i_B(Y, DX) (Cartan and Eilenberg, Homological Algebra, VI.5), so one
+slice calculus serves both.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .algebra import opposite
 from .linalg import Mat
 from .memo import memo
 from .modules import (
@@ -22,9 +25,10 @@ from .modules import (
     ProjSum,
     _hom_values,
     _slice_spans,
-    _tensor_induced_matrix,
+    dual,
     proj_sum,
     projective_cover_data,
+    radical_span,
 )
 
 
@@ -110,8 +114,6 @@ class Resolution:
 
     def is_minimal(self) -> bool:
         """Verify im(d_{i+1}) lies inside rad(P_i)."""
-        from .modules import radical_span
-
         for i in range(1, len(self.steps)):
             rad = radical_span(self.steps[i - 1].module)
             if not rad.contains(self.diffs[i].transpose()):
@@ -163,8 +165,9 @@ def _hom_induced_matrix(d: Mat, p_from: ProjSum, p_to: ProjSum, n: Module, spans
     return Mat.vstack(blocks)
 
 
-def ext_space(m: Module, n: Module, degree: int, cap: int = 20) -> tuple[int, list[Mat]]:
-    """dim Ext^i(M, N) and a basis of cocycles in slice coordinates."""
+def ext_space(m: Module, n: Module, degree: int, cap: int = 20) -> tuple[int, Mat]:
+    """dim Ext^i(M, N) and the cocycles in slice coordinates: a matrix whose
+    columns are a basis of them (no columns when C^i is zero)."""
     if degree < 0:
         raise ValueError("ext degree must be nonnegative")
     if degree + 1 > cap:
@@ -181,7 +184,7 @@ def ext_space(m: Module, n: Module, degree: int, cap: int = 20) -> tuple[int, li
     spans = {i: _slice_spans(n, step(i)) for i in range(max(degree - 1, 0), degree + 2)}
     dim_i = sum(sp.dim for sp in spans[degree])
     if dim_i == 0:
-        return 0, []
+        return 0, Mat.zeros(n.algebra.field, 0, 0)
     # incoming d_{degree}: C^{degree-1} -> C^{degree}
     if degree == 0:
         img_rank = 0
@@ -192,8 +195,7 @@ def ext_space(m: Module, n: Module, degree: int, cap: int = 20) -> tuple[int, li
     d_out = _diff(res, degree + 1)
     mat_out = _hom_induced_matrix(d_out, step(degree + 1), step(degree), n, spans[degree + 1], spans[degree])
     kermat = mat_out.kernel()
-    ext_dim = kermat.cols - img_rank
-    return ext_dim, [kermat.take_cols([c]) for c in range(kermat.cols)]
+    return kermat.cols - img_rank, kermat
 
 
 def _diff(res: Resolution, i: int) -> Mat:
@@ -209,37 +211,18 @@ def ext_dim(m: Module, n: Module, degree: int, cap: int = 20) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Tor via slice chains
+# Tor as the k-dual of Ext
 # ---------------------------------------------------------------------------
 
 
 def tor_dim(x: Module, y: Module, degree: int, cap: int = 20) -> int:
-    """dim Tor_i^B(x, y) where x is a right B-module given over opposite(B)."""
+    """dim Tor_i^B(x, y) where x is a right B-module given over opposite(B).
+
+    Computed as dim Ext^i_B(y, D x), its k-dual, from the same minimal
+    resolution of y; the cap applies to that resolution as in ``ext_space``.
+    """
     if degree < 0:
         raise ValueError("tor degree must be nonnegative")
-    from .algebra import opposite
-
     if opposite(y.algebra) is not x.algebra:
         raise ModuleError("tor_dim: x must be a module over opposite of y's algebra")
-    if degree + 1 > cap:
-        res = minimal_projective_resolution(y, cap)
-        if not res.terminated:
-            raise CapExceeded(f"Tor_{degree} needs resolution degree {degree + 1} > cap {cap}")
-    res = minimal_projective_resolution(y, degree + 1)
-
-    def step(i: int) -> ProjSum:
-        if i <= res.length():
-            return res.steps[i]
-        return proj_sum(y.algebra, [])
-
-    spans = {i: _slice_spans(x, step(i)) for i in range(max(degree - 1, 0), degree + 2)}
-    dim_i = sum(sp.dim for sp in spans[degree])
-    if dim_i == 0:
-        return 0
-    if degree == 0:
-        ker_dim = dim_i
-    else:
-        mat_out = _tensor_induced_matrix(x, _diff(res, degree), step(degree), step(degree - 1), spans[degree], spans[degree - 1])
-        ker_dim = mat_out.kernel().cols
-    mat_in = _tensor_induced_matrix(x, _diff(res, degree + 1), step(degree + 1), step(degree), spans[degree + 1], spans[degree])
-    return ker_dim - mat_in.rank()
+    return ext_dim(y, dual(x), degree, cap)

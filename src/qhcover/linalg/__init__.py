@@ -371,14 +371,13 @@ class Mat:
         return _canonical(f, x - y, den)
 
     def scale(self, c) -> "Mat":
+        # a normalized GF(p) scalar is an int, its own numerator over 1
         f = self.field
-        if isinstance(f, PrimeField):
-            return _trusted(f, _reduce(self.data * float(f.normalize(c)), f.p))
-        c = as_fraction(c)
-        return _canonical(f, self.data * c.numerator, self.den * c.denominator)
+        c = f.normalize(c)
+        return _canonical(f, _mod(f, self.data * c.numerator), self.den * c.denominator)
 
     def __neg__(self) -> "Mat":
-        return self.scale(-1 if isinstance(self.field, RationalField) else self.field.p - 1)
+        return self.scale(-1)
 
     def reshape(self, rows: int, cols: int) -> "Mat":
         """The same entries read row-major into a rows x cols matrix."""
@@ -389,9 +388,7 @@ class Mat:
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product: with other r x c, entry (i*r + k, j*c + l) is self[i, j] * other[k, l]."""
         f = self.field
-        if isinstance(f, PrimeField):
-            return _trusted(f, _reduce(np.kron(self.data, other.data), f.p))
-        return _canonical(f, np.kron(self.data, other.data), self.den * other.den)
+        return _canonical(f, _mod(f, np.kron(self.data, other.data)), self.den * other.den)
 
     def transpose(self) -> "Mat":
         return _trusted(self.field, self.data.T, self.den)

@@ -454,8 +454,7 @@ class HomSpace:
 
 
 def _slice_spans(n: Module, p: ProjSum) -> list[Subspace]:
-    """The slices e_j . N of P's summands: Hom(P, N) is their product and,
-    for a right module N, N tensor P their sum."""
+    """The slices e_j . N of P's summands: Hom(P, N) is their product."""
     return [Subspace.from_columns(n.act(s.idem)) for s in p.summands]
 
 
@@ -520,18 +519,17 @@ def _extract_hom_matrices(pres: Presentation, n: Module, spans: list[Subspace], 
     if h == 0:
         return []
     stack = n.stack()
-    values, lifts = [], []
+    f = Mat.zeros(a.field, n.dim * h, pres.module.dim)  # row i*h + t: row i of map t
     offset = 0
     for s, span in zip(pres.p0.summands, spans):
         hw = span.dim
         if hw == 0:
             continue
         wsol = span.basis.transpose() @ sol.take_rows(range(offset, offset + hw))  # (n.dim x h): images of gen j
-        # column a, row i*h + t: (rho(b_a) w_t)_i
-        values.append((stack @ wsol).reshape(a.dim, n.dim * h).transpose())
-        lifts.append(_component(pres.section, s))  # (A.dim x M.dim)
+        # column a, row i*h + t: (rho(b_a) w_t)_i; times the summand's
+        # component of the section (A.dim x M.dim)
+        f = f + (stack @ wsol).reshape(a.dim, n.dim * h).transpose() @ _component(pres.section, s)
         offset += hw
-    f = Mat.hstack(values) @ Mat.vstack(lifts)  # row i*h + t: row i of map t
     return [f.take_rows(range(t, n.dim * h, h)) for t in range(h)]
 
 
@@ -777,55 +775,25 @@ def hom_module_over_endop(q: Module, m: Module) -> tuple[Module, list[ModuleMap]
     return Module(b, action, name=f"Hom({q.name},{m.name})" if q.name or m.name else ""), hs.maps
 
 
-def _tensor_induced_matrix(
-    x: Module, d: Mat, p_from: ProjSum, p_to: ProjSum, spans_from: list[Subspace], spans_to: list[Subspace]
-) -> Mat:
-    """Matrix of x tensor P_from -> x tensor P_to induced by d: P_from -> P_to."""
-    field = x.algebra.field
-    rows_total = sum(sp.dim for sp in spans_to)
-    cols_total = sum(sp.dim for sp in spans_from)
-    if rows_total == 0 or cols_total == 0:
-        return Mat.zeros(field, rows_total, cols_total)
-    gen_cols = p_from.generator_columns()
-    col_blocks = []
-    for k, spank in enumerate(spans_from):
-        if spank.dim == 0:
-            continue
-        u = d @ gen_cols[k]
-        wk = spank.basis.transpose()
-        blocks = []
-        for s0, spanj in zip(p_to.summands, spans_to):
-            if spanj.dim == 0:
-                blocks.append(Mat.zeros(field, 0, wk.cols))
-                continue
-            coords = spanj.coords((x.act(_component(u, s0)) @ wk).transpose())
-            if coords is None:
-                raise ModuleError("chain value escaped its slice (internal error)")
-            blocks.append(coords.transpose())
-        col_blocks.append(Mat.vstack(blocks))
-    return Mat.hstack(col_blocks)
-
-
 def tensor_over(x: Module, y: Module) -> int:
     """dim of the balanced tensor product of a right B-module with a left B-module.
 
-    ``x`` must be the left opposite(B)-encoding of the right module.  The
-    tensor space is the cokernel of x tensor P1 -> x tensor P0 for a
-    presentation of y.
+    ``x`` must be the left opposite(B)-encoding of the right module.  Over a
+    field D(x tensor_B y) is Hom_B(y, D x), so this is the dimension of that
+    Hom space.
     """
     if opposite(y.algebra) is not x.algebra:
         raise ModuleError("tensor_over: algebras do not match (x over opposite(B), y over B)")
-    pres = projective_cover_data(y)
-    spans = _slice_spans(x, pres.p0)
-    relation = _tensor_induced_matrix(x, pres.d1, pres.p1, pres.p0, _slice_spans(x, pres.p1), spans)
-    return sum(sp.dim for sp in spans) - relation.rank()
+    return hom_space(y, dual(x)).dim
 
 
 class CounitData:
-    """The counit chi_m: q tensor_B Hom_A(q, m) -> m, in presentation form.
+    """The counit chi_m: q tensor_B Hom_A(q, m) -> m.
 
-    It holds B and the B-module Hom_A(q, m), never an A-module, and is shared
-    by every call on a pair with the same contents.
+    Its image is the sum of the images of the maps q -> m, and its source has
+    the dimension ``tensor_over`` gives.  It holds B and the B-module
+    Hom_A(q, m), never an A-module, and is shared by every call on a pair
+    with the same contents.
     """
 
     def __init__(self, surjective: bool, bijective: bool, b: Algebra, hom_module: Module):
@@ -845,21 +813,8 @@ def _counit_analysis(q: Module, m: Module) -> CounitData:
     hmod, hom_basis = hom_module_over_endop(q, m)
     if hmod.dim == 0:
         return CounitData(m.dim == 0, m.dim == 0, b, hmod)
-    pres = projective_cover_data(hmod)
-    x = bim.right  # q as left module over opposite(B)
-    spans = _slice_spans(x, pres.p0)
-    # evaluation on x tensor P0: the slice x.e_j goes to m through the image of generator j
-    composite = Mat.hstack(
-        [
-            end_element_matrix(hom_basis, pres.cover @ g) @ span.basis.transpose()
-            for g, span in zip(pres.p0.generator_columns(), spans)
-        ]
-    )
-    relation = _tensor_induced_matrix(x, pres.d1, pres.p1, pres.p0, _slice_spans(x, pres.p1), spans)
-    if relation.cols and not (composite @ relation).is_zero():
-        raise ModuleError("counit relations do not die under evaluation (internal error)")
-    surjective = composite.rank() == m.dim
-    bijective = surjective and composite.kernel().cols == relation.rank()
+    surjective = Mat.hstack([h.matrix for h in hom_basis]).rank() == m.dim
+    bijective = surjective and tensor_over(bim.right, hmod) == m.dim
     return CounitData(surjective, bijective, b, hmod)
 
 

@@ -19,17 +19,22 @@ from typing import Optional
 
 from .algebra import Algebra, opposite
 from .homology import DimValue, minimal_projective_resolution, tor_dim
-from .linalg import Mat
+from .linalg import Mat, Subspace
 from .modules import (
     Module,
     ModuleMap,
+    _indec_projective,
     counit_analysis,
     direct_sum,
     dual,
     dual_map,
+    end_algebra_with_bimodule,
+    hom_into_q_as_right_module,
     hom_space,
     indecomposable_summands,
+    induced_map_on_hom_into_q,
     is_isomorphic,
+    quotient_module,
     regular_module,
     zero_module,
 )
@@ -183,22 +188,32 @@ def relative_codomdim(q: Module, m: Module, cap: int = 20) -> RelDimReport:
         return RelDimReport(DimValue.exact(0), "mueller", b_dim=b_dim)
     if not cd.bijective:
         return RelDimReport(DimValue.exact(1), "mueller", b_dim=b_dim)
-    from .modules import end_algebra_with_bimodule
-
     x = end_algebra_with_bimodule(q)[1].right  # q as module over opposite(B)
-    h = cd.hom_module
+    value, tor_dims = _tor_ladder(x, cd.hom_module, cap - 2, cap)
+    if value.kind == "exact":
+        value = DimValue.exact(value.n + 1)
+    return RelDimReport(value, "mueller", b_dim=b_dim, tor_dims=tor_dims)
+
+
+def _tor_ladder(x: Module, y: Module, last: int, cap: int) -> tuple[DimValue, list[int]]:
+    """The first degree i >= 1 with Tor_i(x, y) != 0, and the Tor dimensions read.
+
+    Infinite when the minimal resolution of y terminates before a nonzero
+    Tor; AtLeast(cap) when degree ``last`` is passed on a resolution that
+    has not terminated within ``cap`` steps.
+    """
     tor_dims: list[int] = []
     i = 1
     while True:
-        res = minimal_projective_resolution(h, min(i + 1, cap))
+        res = minimal_projective_resolution(y, min(i + 1, cap))
         if res.terminated and i > res.length():
-            return RelDimReport(DimValue.infinite(), "mueller", b_dim=b_dim, tor_dims=tor_dims)
-        if not res.terminated and i > cap - 2:
-            return RelDimReport(DimValue.at_least(cap), "mueller", b_dim=b_dim, tor_dims=tor_dims)
-        t = tor_dim(x, h, i, cap=max(cap, i + 1))
+            return DimValue.infinite(), tor_dims
+        if not res.terminated and i > last:
+            return DimValue.at_least(cap), tor_dims
+        t = tor_dim(x, y, i, cap=max(cap, i + 1))
         tor_dims.append(t)
         if t != 0:
-            return RelDimReport(DimValue.exact(i + 1), "mueller", b_dim=b_dim, tor_dims=tor_dims)
+            return DimValue.exact(i), tor_dims
         i += 1
 
 
@@ -210,8 +225,6 @@ def relative_domdim(q: Module, m: Module, cap: int = 20) -> RelDimReport:
 
 def find_projective_injectives(a: Algebra) -> Module:
     """Multiplicity-free direct sum of the projective-injective indecomposables."""
-    from .modules import _indec_projective
-
     prim = a.primitive_idempotents()
     aop = opposite(a)
     injectives = []
@@ -261,17 +274,7 @@ def reduced_cograde(x: Module, m: Module, cap: int = 20) -> DimValue:
     """
     if cap < 1:
         raise ValueError("cograde cap must be at least 1")
-    i = 1
-    while True:
-        res = minimal_projective_resolution(m, min(i + 1, cap))
-        if res.terminated and i > res.length():
-            return DimValue.infinite()
-        if not res.terminated and i > cap - 1:
-            return DimValue.at_least(cap)
-        t = tor_dim(x, m, i, cap=max(cap, i + 1))
-        if t != 0:
-            return DimValue.exact(i)
-        i += 1
+    return _tor_ladder(x, m, cap - 1, cap)[0]
 
 
 def cograde_cross_check(q: Module, y: Module, cap: int = 8):
@@ -282,15 +285,6 @@ def cograde_cross_check(q: Module, y: Module, cap: int = 8):
     End(q)^op-module, and returns (Q-domdim y, cograde_{DQ} X).  The theorem
     asserts domdim >= n iff cograde >= n + 1.
     """
-    from .modules import (
-        ModuleMap,
-        end_algebra_with_bimodule,
-        hom_into_q_as_right_module,
-        induced_map_on_hom_into_q,
-        quotient_module,
-    )
-    from .linalg import Subspace
-
     f1 = right_add_approximation(q, y)
     if not f1.is_surjective():
         return None

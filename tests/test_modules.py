@@ -519,8 +519,11 @@ def test_twin_pairs_build_hom_counit_and_isomorphism_once(monkeypatch):
             hom_space(m, n)
             counit_analysis(m, n)
             is_isomorphic(m, n)
-    # one build per pair of contents; is_isomorphic skips pairs of unequal dimension
-    assert builds == {"_hom_matrices": 4, "_counit_analysis": 4, "_isomorphism_matrix": 2}
+    # one build per pair of contents; is_isomorphic skips pairs of unequal dimension.
+    # The other three Hom builds are the counit's Hom_B(Hom(m, n), D m), one
+    # per pair of their contents: with m the top S of P(2), Hom(S, P(2)) and
+    # Hom(S, S) are twins over B = End(S)^op
+    assert builds == {"_hom_matrices": 7, "_counit_analysis": 4, "_isomorphism_matrix": 2}
 
 
 def test_hom_and_isomorphism_of_twins_map_the_modules_asked():
