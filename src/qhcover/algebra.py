@@ -34,6 +34,15 @@ class AlgebraError(ValueError):
     """Raised when algebra-level validation fails."""
 
 
+class SplitSearchError(AlgebraError):
+    """The search for a primitive idempotent of a simple block gave up.
+
+    The block may well be split: the search draws its candidates at random
+    and stops after a fixed number of tries, so this is a limit of the
+    engine, not a proof that the input is at fault.
+    """
+
+
 class Algebra:
     """Associative unital algebra given by structure constants.
 
@@ -372,6 +381,36 @@ def corner_algebra(a: Algebra, e: Mat) -> tuple[Algebra, Mat]:
     return corner, incl
 
 
+def basic_algebra(a: Algebra) -> tuple[Algebra, Mat]:
+    """The basic algebra B = eAe, Morita equivalent to a, and its inclusion matrix.
+
+    e is the sum of one primitive idempotent per class, so AeA = A and
+    M -> eM is an equivalence from A-modules to B-modules that takes A e_i to
+    B e_i.  When a is already basic (one idempotent per class), returns
+    ``(a, identity)`` and makes no copy.
+    """
+    return memo(a, "_basic", lambda: _basic_algebra(a))
+
+
+def _basic_algebra(a: Algebra) -> tuple[Algebra, Mat]:
+    prim = a.primitive_idempotents()
+    if prim.n_blocks == len(prim):
+        return a, Mat.identity(a.field, a.dim)
+    reps = [prim.idempotents[r] for r in prim.class_reps]
+    b, incl = corner_algebra(a, sum(reps[1:], reps[0]))
+    idems = [incl.solve(e) for e in reps]
+    # A's certificates carry over to B, so B's decomposition is seeded, with
+    # class i of B the class i of A.  The e_i stay orthogonal idempotents
+    # (checked again on B below) and sum to e = 1_B.  e e_i = e_i = e_i e
+    # gives e_i B e_i = e_i A e_i, local with residue field k, so each e_i is
+    # primitive in B.  For i != j, e_i B e_j = e_i A e_j: two e_i that are
+    # equivalent in B would be equivalent in A, and A's classes are distinct.
+    if not _orthogonal_idempotents(b, idems) or sum(idems[1:], idems[0]) != b.one:
+        raise AlgebraError("basic algebra: the class idempotents are not orthogonal idempotents summing to 1 in eAe")
+    memo(b, "_prim", lambda: PrimitiveDecomposition(idems, list(range(len(idems)))))
+    return b, incl
+
+
 def _combine_rep(a: Algebra, x: Mat) -> Mat:
     mats = a.rep_matrices()
     acc = Mat.zeros(a.field, mats[0].rows, mats[0].cols)
@@ -656,12 +695,17 @@ def central_primitive_idempotents(a: Algebra) -> list[Mat]:
                     e = left @ e - e.scale(mu)
                 new_blocks.append(e.scale(a.field.inv(math.prod(lam - mu for mu in others))))
         blocks = new_blocks
-    for i, e in enumerate(blocks):
-        if any(a.multiply(e, f) != (e if i == j else a.zero_element()) for j, f in enumerate(blocks)):
-            raise AlgebraError("central idempotents are not orthogonal idempotents")
+    if not _orthogonal_idempotents(a, blocks):
+        raise AlgebraError("central idempotents are not orthogonal idempotents")
     if sum(blocks[1:], blocks[0]) != a.one:
         raise AlgebraError("central idempotents do not sum to one")
     return blocks
+
+
+def _orthogonal_idempotents(a: Algebra, idems: list[Mat]) -> bool:
+    """e f = e when e is f, and 0 otherwise, for all e, f in idems."""
+    zero = a.zero_element()
+    return all(a.multiply(e, f) == (e if i == j else zero) for i, e in enumerate(idems) for j, f in enumerate(idems))
 
 
 def _roots(coeffs: list, field: Field) -> list:
@@ -749,7 +793,7 @@ def _primitive_idempotent_in_simple_block(a: Algebra, rng: np.random.Generator) 
         # refine inside the current smallest ideal with seeded random picks
         tries += 1
         if tries > 60:
-            raise AlgebraError("failed to locate a minimal left ideal (block not split?)")
+            raise SplitSearchError("failed to locate a minimal left ideal (block not split?)")
         ideal = _left_ideal(a, best_vec)
         if isinstance(a.field, PrimeField):
             coeff = rng.integers(0, a.field.p, size=ideal.dim)
@@ -777,7 +821,7 @@ def _primitive_idempotent_in_simple_block(a: Algebra, rng: np.random.Generator) 
             if not a.multiply(e, e) == e or e.is_zero():
                 raise AlgebraError("minimal-ideal idempotent construction failed")
             return e
-    raise AlgebraError("no usable element in minimal left ideal (L^2 = 0 in semisimple?)")
+    raise SplitSearchError("no usable element in minimal left ideal (L^2 = 0 in semisimple?)")
 
 
 def _left_ideal(a: Algebra, x: Mat) -> Subspace:
@@ -835,12 +879,8 @@ def _primitive_idempotents(a: Algebra) -> PrimitiveDecomposition:
     if not lifted and a.dim > 0:
         raise AlgebraError("no idempotents found in a nonzero algebra")
     # orthogonality and primitivity certificates
-    for i, e in enumerate(lifted):
-        for j, f in enumerate(lifted):
-            prod = a.multiply(e, f)
-            expected = e if i == j else a.zero_element()
-            if prod != expected:
-                raise AlgebraError("lifted idempotents are not orthogonal")
+    if not _orthogonal_idempotents(a, lifted):
+        raise AlgebraError("lifted idempotents are not orthogonal")
     rad = a.radical_subspace()
     for e in lifted:
         pe = a.left_mult_matrix(e) @ a.right_mult_matrix(e)

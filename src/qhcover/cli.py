@@ -5,7 +5,8 @@ ringel-dual, cover, gallery.  Inputs come either from JSON files or from
 the built-in gallery (--gallery am|hecke|schur with --m/--n/--d/--p/--u).
 
 Exit codes: 0 success, 2 input error, 3 internal cross-check failure,
-4 cap-limited inconclusive under --strict.
+4 inconclusive: cap-limited under --strict, or an engine limit (the search
+for primitive idempotents gave up on an input it could not rule out).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .algebra import SplitSearchError
 from .fields import GF, QQ
 from .homology import DimValue
 from .modules import Module, regular_module
@@ -391,6 +393,9 @@ def main(argv=None) -> int:
     except (CliError, SerializeError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except SplitSearchError as exc:
+        print(f"engine limit: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .algebra import Algebra, opposite
+from .algebra import Algebra, basic_algebra, opposite
 from .homology import DimValue, minimal_projective_resolution, tor_dim
 from .linalg import Mat, Subspace
 from .modules import (
@@ -223,32 +223,49 @@ def relative_domdim(q: Module, m: Module, cap: int = 20) -> RelDimReport:
     return RelDimReport(report.value, "mueller-dual", b_dim=report.b_dim, tor_dims=report.tor_dims)
 
 
-def find_projective_injectives(a: Algebra) -> Module:
-    """Multiplicity-free direct sum of the projective-injective indecomposables."""
-    prim = a.primitive_idempotents()
-    aop = opposite(a)
-    injectives = []
-    for ci in range(aop.primitive_idempotents().n_blocks):
-        pop = _indec_projective(aop, ci)[0]
-        injectives.append(dual(pop))
-    keep = []
-    for ci in range(prim.n_blocks):
-        p = _indec_projective(a, ci)[0]
-        if any(is_isomorphic(p, i) is not None for i in injectives):
-            keep.append(p)
+def _proj_inj_classes(x: Algebra) -> list[int]:
+    """The classes of x whose indecomposable projective is also injective."""
+    xop = opposite(x)
+    injectives = [dual(_indec_projective(xop, ci)[0]) for ci in range(xop.primitive_idempotents().n_blocks)]
+    projectives = (_indec_projective(x, ci)[0] for ci in range(x.primitive_idempotents().n_blocks))
+    return [ci for ci, p in enumerate(projectives) if any(is_isomorphic(p, i) is not None for i in injectives)]
+
+
+def _proj_inj_module(x: Algebra, classes: list[int]) -> Module:
+    keep = [_indec_projective(x, ci)[0] for ci in classes]
     if not keep:
-        return zero_module(a)
+        return zero_module(x)
     if len(keep) == 1:
         return keep[0]
     return direct_sum(keep, name="proj-inj")[0]
 
 
+def find_projective_injectives(a: Algebra) -> Module:
+    """Multiplicity-free direct sum of the projective-injective indecomposables.
+
+    The classes are found on the basic algebra B = eAe: A e_i is injective
+    exactly when its image B e_i under the Morita equivalence is.
+    """
+    return _proj_inj_module(a, _proj_inj_classes(basic_algebra(a)[0]))
+
+
 def classical_domdim(a: Algebra, cap: int = 20) -> tuple[RelDimReport, Module]:
-    """Dominant dimension of the algebra: relative to its projective-injective part."""
-    p = find_projective_injectives(a)
+    """Dominant dimension of the algebra: relative to its projective-injective part.
+
+    Dominant dimension depends only on add(P) and add(A), so it is computed
+    on the basic algebra B = eAe, relative to the projective-injective part
+    eP of B.  The value and ``b_dim`` are A's: End_B(eP) = End_A(P), and
+    add(eA) = add(B).  ``tor_dims`` are read over B, so they differ from A's
+    by the multiplicities of A's indecomposable projectives.  The module
+    returned is P, over A.
+    """
+    b = basic_algebra(a)[0]
+    classes = _proj_inj_classes(b)
+    p = _proj_inj_module(a, classes)
     if p.dim == 0:
         return RelDimReport(DimValue.exact(0), "mueller-dual", b_dim=0), p
-    return relative_domdim(p, regular_module(a), cap), p
+    pb = p if b is a else _proj_inj_module(b, classes)
+    return relative_domdim(pb, regular_module(b), cap), p
 
 
 def classical_domdim_of_module(a: Algebra, m: Module, cap: int = 20) -> RelDimReport:

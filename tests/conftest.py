@@ -5,6 +5,7 @@ import pytest
 
 from qhcover.algebra import from_structure_constants
 from qhcover.fields import GF, QQ
+from qhcover.gallery import build_schur
 from qhcover.linalg import Mat
 from qhcover.modules import Module, regular_module
 from qhcover.quiver import Arrow, QuiverPresentation, from_quiver
@@ -76,3 +77,13 @@ def a3_gf3():
 @pytest.fixture(scope="session")
 def a2_qq():
     return make_am_algebra(2, QQ)
+
+
+@pytest.fixture(scope="session")
+def schur33_gf3():
+    return build_schur(3, 3, 1, GF(3))
+
+
+@pytest.fixture(scope="session")
+def schur33_gf2():
+    return build_schur(3, 3, 1, GF(2))

@@ -78,16 +78,6 @@ def schur_small():
     }
 
 
-@pytest.fixture(scope="session")
-def schur33_gf3():
-    return build_schur(3, 3, 1, F3)
-
-
-@pytest.fixture(scope="session")
-def schur33_gf2():
-    return build_schur(3, 3, 1, F2)
-
-
 def named_modules_of(gallery_obj) -> dict:
     from qhcover.gallery import AmGallery, SchurGallery
 

@@ -13,6 +13,7 @@ from qhcover.algebra import (
     Algebra,
     AlgebraError,
     _batched_matrix_power_mod,
+    basic_algebra,
     central_primitive_idempotents,
     centralizer_algebra,
     corner_algebra,
@@ -686,6 +687,63 @@ def test_corner_non_idempotent_rejected():
     a = a2_quiver(F3)
     with pytest.raises(AlgebraError, match="idempotent"):
         corner_algebra(a, a.basis_element(2))
+
+
+# -- basic algebras ----------------------------------------------------------------
+
+
+def test_basic_algebra_dimensions(schur33_gf3, schur33_gf2):
+    # one idempotent per class: 11 idempotents in 3 classes over GF(3), 18 in 3 over GF(2)
+    for schur, n_idempotents, dim in ((schur33_gf3, 11, 9), (schur33_gf2, 18, 6)):
+        a = schur.algebra
+        prim = a.primitive_idempotents()
+        b, incl = basic_algebra(a)
+        assert (len(prim), prim.n_blocks, b.dim) == (n_idempotents, 3, dim)
+        assert (incl.rows, incl.cols) == (a.dim, b.dim)
+        assert basic_algebra(a)[0] is b
+
+
+def test_basic_algebra_seeds_the_class_representatives(schur33_gf3):
+    a = schur33_gf3.algebra
+    prim = a.primitive_idempotents()
+    b, incl = basic_algebra(a)
+    seeded = b.primitive_idempotents()
+    assert (len(seeded), seeded.n_blocks, seeded.block_of) == (3, 3, [0, 1, 2])
+    # class i of B is class i of A: the inclusion carries each back to A's representative
+    assert [incl @ f for f in seeded.idempotents] == [prim.idempotents[r] for r in prim.class_reps]
+    for i, f in enumerate(seeded.idempotents):
+        for j, g in enumerate(seeded.idempotents):
+            assert b.multiply(f, g) == (f if i == j else b.zero_element())
+    assert sum(seeded.idempotents[1:], seeded.idempotents[0]) == b.one
+
+
+@pytest.mark.parametrize("fixture", ["schur33_gf3", "schur33_gf2"])
+def test_basic_algebra_decomposes_as_basic_on_its_own(fixture, request):
+    a = request.getfixturevalue(fixture).algebra
+    b = basic_algebra(a)[0]
+    fresh = Algebra.from_triples(b.field, b.dim, b.triples, b.one)
+    fresh.validate_unit()
+    fresh.validate_associativity()
+    prim = fresh.primitive_idempotents()
+    assert prim.n_blocks == len(prim) == a.primitive_idempotents().n_blocks
+    assert fresh.dim - fresh.radical_subspace().dim == prim.n_blocks
+
+
+def cyclic_group_algebra(field, n):
+    mult = [[[int((i + j) % n == k) for k in range(n)] for j in range(n)] for i in range(n)]
+    return from_structure_constants(field, n, mult, [1] + [0] * (n - 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_am(3, QQ).algebra, lambda: cyclic_group_algebra(F3, 3), lambda: cyclic_group_algebra(QQ, 2)],
+    ids=["A3_QQ", "C3_GF3", "C2_QQ"],
+)
+def test_basic_algebra_of_a_basic_algebra_is_itself(build):
+    a = build()
+    b, incl = basic_algebra(a)
+    assert b is a
+    assert incl == Mat.identity(a.field, a.dim)
 
 
 # -- centralizer algebras ----------------------------------------------------------

@@ -137,6 +137,40 @@ def test_cli_reports_deterministic(tmp_path):
     assert f1.read_text() == f2.read_text()
 
 
+# the domdim --json reports of the parent of the reduction to the basic algebra
+@pytest.mark.parametrize(
+    "n, d, p, b_dim, proj_inj_dim, input_hash, value",
+    [
+        (3, 3, 3, 6, 27, "51e5492e302d8ec3", 4),
+        (3, 3, 2, 3, 19, "bc58a575551df464", 2),
+        (2, 2, 2, 2, 4, "486664048d4d360e", 2),
+    ],
+)
+def test_cli_domdim_schur_reports_are_pinned(capsys, n, d, p, b_dim, proj_inj_dim, input_hash, value):
+    rc = main(["domdim", "--gallery", "schur", "--n", str(n), "--d", str(d), "--p", str(p), "--json"])
+    assert rc == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "B_dim": b_dim,
+        "command": "domdim",
+        "input_hash": input_hash,
+        "proj_inj_dim": proj_inj_dim,
+        "seed": 0,
+        "value": f"Exact({value})",
+        "value_json": {"kind": "Exact", "n": value},
+        "version": "0.1.0",
+    }
+
+
+def test_cli_engine_limit_is_inconclusive_not_an_input_error(capsys):
+    # H(3) over QQ at u = 3 is split semisimple, but the random search for a
+    # minimal left ideal gives up on it
+    rc = main(["domdim", "--gallery", "hecke", "--d", "3", "--u", "3"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INCONCLUSIVE
+    assert err.count("\n") == 1 and err.startswith("engine limit: failed to locate a minimal left ideal"), err
+    assert "Traceback" not in err
+
+
 def test_cli_method_both_agreement(capsys):
     rc = main(["relcodomdim", "--gallery", "am", "--m", "2", "--p", "3", "--wrt", "tilting", "--module", "tilting", "--method", "both"])
     assert rc == EXIT_OK

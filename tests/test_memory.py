@@ -8,6 +8,8 @@ to 317 MiB, and forming the pivot entries of every product with a dense
 per basis vector of each ideal, not the pair products of the basis (447 MiB
 all at once, 31 MiB in blocks).  The radical's certificate reads the triples
 and forms no product; formed all at once, the products took it to 102 MiB.
+``classical_domdim`` runs on the 9-dimensional basic algebra eAe: 89 MiB
+on the 165-dimensional regular module and its dual, 14.4 MiB on eAe.
 """
 
 import tracemalloc
@@ -16,6 +18,7 @@ from qhcover import algebra as algebra_module
 from qhcover.algebra import opposite
 from qhcover.fields import GF
 from qhcover.gallery import build_schur
+from qhcover.reldim import classical_domdim
 
 from conftest import stored_arrays
 
@@ -77,3 +80,13 @@ def test_schur33_and_its_opposite_store_under_1_mib_of_arrays():
         assert {"_coo0", "_coo1"} <= set(vars(x))
         stored = sum(arr.nbytes for arr in stored_arrays(x))
         assert stored < 2**20, f"{stored / 2**20:.1f} MiB"
+
+
+def test_schur33_domdim_after_the_idempotents_stays_below_20_mib():
+    # A's idempotents are shared by both routes; what follows them once ran
+    # on the regular module of A (its action stack and its dual's, 34 MiB
+    # each), and now runs on the basic algebra eAe
+    a = build_schur(3, 3, 1, GF(3)).algebra
+    a.primitive_idempotents()
+    peak = _traced_peak(lambda: classical_domdim(a, 10))
+    assert peak < 20 * 2**20, f"domdim peak {peak / 2**20:.0f} MiB"

@@ -2,12 +2,16 @@
 
 import pytest
 
+from qhcover.algebra import basic_algebra, centralizer_algebra, opposite
 from qhcover.fields import GF, QQ
+from qhcover.gallery import build_am, build_hecke, build_schur
 from qhcover.homology import DimValue
+from qhcover.linalg import Mat
 from qhcover.modules import (
     direct_sum,
     dual,
     hom_space,
+    is_isomorphic,
     regular_module,
     top,
 )
@@ -152,6 +156,61 @@ def test_classical_domdim_semisimple_infinite():
     assert a.radical_subspace().dim == 0
     v, _ = classical_domdim(a, 8)
     assert v.value.is_infinite()
+
+
+def unreduced_domdim(a, cap):
+    """(value, b_dim, proj_inj_dim) of A computed on A itself, with no basic algebra:
+    the projectives of A isomorphic to duals of projectives of A^op, and
+    their domdim relative to the regular module of A."""
+    from qhcover.modules import _indec_projective
+
+    aop = opposite(a)
+    injectives = [dual(_indec_projective(aop, ci)[0]) for ci in range(aop.primitive_idempotents().n_blocks)]
+    keep = [p for p in indec_projectives(a) if any(is_isomorphic(p, i) is not None for i in injectives)]
+    if not keep:
+        return DimValue.exact(0), 0, 0
+    p = keep[0] if len(keep) == 1 else direct_sum(keep)[0]
+    report = relative_domdim(p, regular_module(a), cap)
+    return report.value, report.b_dim, p.dim
+
+
+def assert_morita_invariant(a, cap=10):
+    expected = unreduced_domdim(a, cap)
+    report, p = classical_domdim(a, cap)
+    assert (report.value, report.b_dim, p.dim) == expected
+    assert find_projective_injectives(a).dim == p.dim
+    return expected
+
+
+MORITA_CASES = {
+    "S_GF2(2,2)": lambda: build_schur(2, 2, 1, GF(2)),
+    "S_GF3(2,3)": lambda: build_schur(2, 3, 1, F3),
+    "S_QQ(2,3)": lambda: build_schur(2, 3, 1, QQ),
+    "S_GF2(3,2)": lambda: build_schur(3, 2, 1, GF(2)),
+    "S_GF2(2,4)": lambda: build_schur(2, 4, 1, GF(2)),
+    "S_GF5(2,5)": lambda: build_schur(2, 5, 1, GF(5)),
+    "S_GF5(3,2),u=2": lambda: build_schur(3, 2, 2, GF(5)),
+    "S_GF7(3,3),u=2": lambda: build_schur(3, 3, 2, GF(7)),
+    "H_GF2(3)": lambda: build_hecke(3, 1, GF(2)),
+    "H_GF3(3)": lambda: build_hecke(3, 1, F3),
+    "A3_QQ": lambda: build_am(3, QQ),
+}
+
+
+@pytest.mark.parametrize("name", list(MORITA_CASES))
+def test_classical_domdim_on_the_basic_algebra_matches_the_unreduced_one(name):
+    assert_morita_invariant(MORITA_CASES[name]().algebra)
+
+
+def test_classical_domdim_pins_on_schur33_and_m3(schur33_gf3, schur33_gf2):
+    m3 = centralizer_algebra([Mat.identity(GF(2), 3)])[0]
+    assert basic_algebra(m3)[0].dim == 1
+    assert assert_morita_invariant(m3) == (DimValue.infinite(), 1, 3)
+    assert assert_morita_invariant(schur33_gf3.algebra) == (DimValue.exact(4), 6, 27)
+    assert assert_morita_invariant(schur33_gf2.algebra) == (DimValue.exact(2), 3, 19)
+    # the exact value 4 on S_GF3(3,3) is read off B's Tor ladder: Tor_1 = Tor_2 = 0, Tor_3 != 0
+    tor_dims = classical_domdim(schur33_gf3.algebra, 10)[0].tor_dims
+    assert tor_dims[:2] == [0, 0] and tor_dims[2] > 0
 
 
 def test_domdim_s2_is_one(a2_gf3):
