@@ -14,14 +14,17 @@ representation, from the trace form (Dickson's criterion) and over GF(p)
 p-power trace functionals on integer lifts, correct in small characteristic.
 The result is certified: a nilpotent two-sided ideal, and A/J semisimple.
 A/J is split into blocks by roots in k of minimal polynomials of central
-elements and Lagrange idempotents, on one path for both fields.
+elements and Lagrange idempotents, on one path for both fields; the centre
+is one kernel of a system read off the triples, and the primitivity and
+block certificates are read on A/J.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -648,14 +651,27 @@ def semisimple_quotient(a: Algebra) -> QuotientAlgebra:
 
 
 def center_basis(a: Algebra) -> Mat:
-    """Columns spanning the center {x : xy = yx for all y}."""
-    rows = []
-    for j in a.generator_indices():
-        bj = a.basis_element(j)
-        rows.append(a.right_mult_matrix(bj) - a.left_mult_matrix(bj))
-    if not rows:
-        return Mat.identity(a.field, a.dim)
-    return Mat.vstack(rows).kernel()
+    """Columns spanning the center {x : xy = yx for all y}, echelon-normalized.
+
+    x = sum_i x_i b_i is central iff x b_j = b_j x for every j, that is iff
+    sum_i x_i (c_ijk - c_jik) = 0 for every (j, k).  Each triple c_ijk puts
+    +c at row j*n + k, column i and -c at row i*n + k, column j of that
+    system; only the rows some triple reaches are built, at most 2 nnz, and
+    one kernel is taken.  The echelon kernel depends only on the solution
+    space and the column order, so no basis of generators is needed.
+    """
+    field, n, t = a.field, a.dim, a.triples
+    rows, slot = _slots(np.concatenate([t.j * n + t.k, t.i * n + t.k]), n * n)
+    plus, minus = slot[: t.data.size], slot[t.data.size :]
+    # within each half no cell repeats: a triple (i, j, k) fixes its cell
+    system = np.zeros((rows.size, n), t.data.dtype)
+    system[plus, t.i] = t.data
+    if isinstance(field, PrimeField):
+        system[minus, t.j] += float(field.p) - t.data
+    else:
+        system[minus, t.j] -= t.data
+    system = _mod(field, system)
+    return Mat.from_reduced(field, system[system.any(axis=1)], t.den).kernel()
 
 
 _NOT_SPLIT = "field not splitting: simple block has a larger center (extend the base field)"
@@ -704,8 +720,13 @@ def central_primitive_idempotents(a: Algebra) -> list[Mat]:
 
 def _orthogonal_idempotents(a: Algebra, idems: list[Mat]) -> bool:
     """e f = e when e is f, and 0 otherwise, for all e, f in idems."""
-    zero = a.zero_element()
-    return all(a.multiply(e, f) == (e if i == j else zero) for i, e in enumerate(idems) for j, f in enumerate(idems))
+    r = len(idems)
+    if not r:
+        return True
+    e = Mat.hstack(idems)
+    # column i*r + j of the products is e_i e_j: e_i on the diagonal i*r + i
+    diagonal = Mat.from_entries(a.field, r, r * r, {(i, i * r + i): 1 for i in range(r)})
+    return a.multiply_batches(e, e) == e @ diagonal
 
 
 def _roots(coeffs: list, field: Field) -> list:
@@ -763,11 +784,12 @@ def _minimal_poly_in_corner(a: Algebra, z: Mat, eps: Mat) -> list:
         vecs.append(power)
 
 
-def _primitive_idempotent_in_simple_block(a: Algebra, rng: np.random.Generator) -> Mat:
+def _primitive_idempotent_in_simple_block(a: Algebra, rng: Callable[[], np.random.Generator]) -> Mat:
     """One primitive idempotent of a split simple algebra.
 
     Strategy: locate a minimal left ideal L (dimension sqrt(dim)), then the
     unique e in L with e z = z for suitable z in L is a primitive idempotent.
+    ``rng()`` gives the generator of the seeded refinement draws.
     """
     d = a.dim
     s = int(round(d**0.5))
@@ -776,7 +798,7 @@ def _primitive_idempotent_in_simple_block(a: Algebra, rng: np.random.Generator) 
     if d == 1:
         return a.one
     # find x with dim(Ax) == s (minimal left ideal)
-    best_vec, best_dim = None, None
+    ideal: Optional[Subspace] = None
     candidates = [a.basis_element(i) for i in range(d)]
     tries = 0
     while True:
@@ -784,28 +806,26 @@ def _primitive_idempotent_in_simple_block(a: Algebra, rng: np.random.Generator) 
             if x.is_zero():
                 continue
             lx = _left_ideal(a, x)
-            if lx.dim and (best_dim is None or lx.dim < best_dim):
-                best_vec, best_dim = x, lx.dim
-                if best_dim == s:
+            if lx.dim and (ideal is None or lx.dim < ideal.dim):
+                ideal = lx
+                if ideal.dim == s:
                     break
-        if best_dim == s:
+        if ideal is not None and ideal.dim == s:
             break
         # refine inside the current smallest ideal with seeded random picks
         tries += 1
         if tries > 60:
             raise SplitSearchError("failed to locate a minimal left ideal (block not split?)")
-        ideal = _left_ideal(a, best_vec)
         if isinstance(a.field, PrimeField):
-            coeff = rng.integers(0, a.field.p, size=ideal.dim)
+            coeff = rng().integers(0, a.field.p, size=ideal.dim)
         else:
-            coeff = rng.integers(-3, 4, size=ideal.dim)
+            coeff = rng().integers(-3, 4, size=ideal.dim)
         vec = Mat.zeros(a.field, d, 1)
         for i in range(ideal.dim):
             c = int(coeff[i])
             if c:
                 vec = vec + ideal.basis.take_rows([i]).transpose().scale(c)
         candidates = [vec]
-    ideal = _left_ideal(a, best_vec)
     # choose z in L with L z != 0, solve e z = z within L
     basis_cols = ideal.basis.transpose()
     for j in range(ideal.dim):
@@ -829,7 +849,7 @@ def _left_ideal(a: Algebra, x: Mat) -> Subspace:
     return Subspace.from_columns(a.right_mult_matrix(x))
 
 
-def _primitive_set_semisimple(a: Algebra, rng: np.random.Generator) -> tuple[list[Mat], list[int]]:
+def _primitive_set_semisimple(a: Algebra, rng: Callable[[], np.random.Generator]) -> tuple[list[Mat], list[int]]:
     """All primitive idempotents of a split semisimple algebra, with block ids."""
     if a.dim == 0:
         return [], []
@@ -837,9 +857,13 @@ def _primitive_set_semisimple(a: Algebra, rng: np.random.Generator) -> tuple[lis
     idems: list[Mat] = []
     blocks: list[int] = []
     for b_id, eps in enumerate(centrals):
+        # Z(eps A eps) = k eps needs no check.  Every basis element z of
+        # Z(A) acts on eps by a scalar l: the block z met had z e = l e
+        # (a minimal polynomial of degree 1) or was split into Lagrange
+        # parts with (z - l) e_l = 0, and eps is a polynomial in later
+        # central elements times that part.  For a central eps, Z(eps A
+        # eps) = Z(A) eps, which is then k eps.
         block, incl = corner_algebra(a, eps)
-        if center_basis(block).cols != 1:
-            raise AlgebraError(_NOT_SPLIT)
         while True:
             e = _primitive_idempotent_in_simple_block(block, rng)
             idems.append(incl @ e)
@@ -860,8 +884,10 @@ def _primitive_idempotents(a: Algebra) -> PrimitiveDecomposition:
     # field).
     if a.dim - a.radical_subspace().dim == 1:
         return PrimitiveDecomposition([a.one], [0])
-    rng = np.random.default_rng(20240 + a.dim)
     quot = semisimple_quotient(a)
+    # the refinement draws of _primitive_idempotent_in_simple_block, made
+    # when it first needs one: most splittings draw nothing
+    rng = functools.cache(lambda: np.random.default_rng(20240 + a.dim))
     bar_idems, blocks = _primitive_set_semisimple(quot.quotient, rng)
     lifted: list[Mat] = []
     total = a.zero_element()
@@ -881,12 +907,16 @@ def _primitive_idempotents(a: Algebra) -> PrimitiveDecomposition:
     # orthogonality and primitivity certificates
     if not _orthogonal_idempotents(a, lifted):
         raise AlgebraError("lifted idempotents are not orthogonal")
-    rad = a.radical_subspace()
-    for e in lifted:
-        pe = a.left_mult_matrix(e) @ a.right_mult_matrix(e)
-        corner_dim = Subspace.from_columns(pe).dim
-        rad_corner = Subspace.from_columns(pe @ rad.basis.transpose()).dim if rad.dim else 0
-        if corner_dim - rad_corner != 1:
+    # The corner certificates are read on A/J, through the images e' =
+    # proj e.  proj is a surjective algebra map with kernel J, so it maps
+    # e A f onto e' (A/J) f' with kernel (e A f) meet J = e J f.  Hence dim
+    # e A e - dim e J e = dim e' (A/J) e', and u v lies outside J for some
+    # u in e0 A e, v in e A e0 exactly when the products of e0' (A/J) e'
+    # with e' (A/J) e0' are not all zero.
+    q = quot.quotient
+    bars = [quot.proj @ e for e in lifted]
+    for e in bars:
+        if _peirce_basis(q, e, e).cols != 1:
             raise AlgebraError("field not splitting: corner of idempotent is not local of residue dimension 1")
     # Radical certificate, second half: A/J is semisimple, so J = rad A.  Each
     # e A e is k e + e J e (above); u v outside J for some u in e0 A e and
@@ -894,12 +924,12 @@ def _primitive_idempotents(a: Algebra) -> PrimitiveDecomposition:
     # block of A/J is a full matrix algebra; dim A/J = sum of n_b^2 then
     # leaves nothing between the blocks.
     n_b = [blocks.count(b) for b in set(blocks)]
-    if a.dim - rad.dim != sum(n * n for n in n_b):
-        raise AlgebraError(f"radical certificate failed: dim A/J = {a.dim - rad.dim}, but the blocks give {sum(n * n for n in n_b)}")
+    if q.dim != sum(n * n for n in n_b):
+        raise AlgebraError(f"radical certificate failed: dim A/J = {q.dim}, but the blocks give {sum(n * n for n in n_b)}")
     first: dict[int, Mat] = {}
-    for e, b in zip(lifted, blocks):
+    for e, b in zip(bars, blocks):
         e0 = first.setdefault(b, e)
-        if e0 is not e and rad.contains(a.multiply_batches(_peirce_basis(a, e0, e), _peirce_basis(a, e, e0)).transpose()):
+        if e0 is not e and q.multiply_batches(_peirce_basis(q, e0, e), _peirce_basis(q, e, e0)).is_zero():
             raise AlgebraError("radical certificate failed: idempotents of one block are not equivalent mod J")
     return PrimitiveDecomposition(lifted, blocks)
 

@@ -23,6 +23,7 @@ from .linalg import Mat, Subspace
 from .modules import (
     Module,
     ModuleMap,
+    _indec_isomorphic,
     _indec_projective,
     counit_analysis,
     direct_sum,
@@ -224,11 +225,16 @@ def relative_domdim(q: Module, m: Module, cap: int = 20) -> RelDimReport:
 
 
 def _proj_inj_classes(x: Algebra) -> list[int]:
-    """The classes of x whose indecomposable projective is also injective."""
+    """The classes of x whose indecomposable projective is also injective.
+
+    P_i = x e_i and I_j = D(e_j x) are indecomposable by construction, so
+    the certified local-ring test of ``_indec_isomorphic`` decides each pair
+    of equal dimension.
+    """
     xop = opposite(x)
     injectives = [dual(_indec_projective(xop, ci)[0]) for ci in range(xop.primitive_idempotents().n_blocks)]
     projectives = (_indec_projective(x, ci)[0] for ci in range(x.primitive_idempotents().n_blocks))
-    return [ci for ci, p in enumerate(projectives) if any(is_isomorphic(p, i) is not None for i in injectives)]
+    return [ci for ci, p in enumerate(projectives) if any(i.dim == p.dim and _indec_isomorphic(p, i) is not None for i in injectives)]
 
 
 def _proj_inj_module(x: Algebra, classes: list[int]) -> Module:

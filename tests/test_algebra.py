@@ -667,6 +667,81 @@ def test_radical_certificate_counts_the_blocks(monkeypatch, field):
         matrix_algebra(field, 2).primitive_idempotents()
 
 
+@pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
+def test_radical_certificate_tests_block_equivalence(monkeypatch, field):
+    from qhcover import algebra
+
+    # M_4(k) x k x k has six primitive idempotents in blocks of sizes 4, 1
+    # and 1; as two blocks of three they still give 3^2 + 3^2 = 18 = dim A/J,
+    # so only the equivalence mod J of the idempotents of a block can fail
+    original = algebra._primitive_set_semisimple
+
+    def two_blocks_of_three(a, rng):
+        idems, blocks = original(a, rng)
+        assert sorted(blocks.count(b) for b in set(blocks)) == [1, 1, 4]
+        return idems, [0, 0, 0, 1, 1, 1]
+
+    monkeypatch.setattr(algebra, "_primitive_set_semisimple", two_blocks_of_three)
+    a = direct_product(direct_product(matrix_algebra(field, 4), field_algebra(field)), field_algebra(field))
+    with pytest.raises(AlgebraError, match="idempotents of one block are not equivalent mod J"):
+        a.primitive_idempotents()
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
+def test_primitivity_certificate_rejects_a_sum_of_idempotents(monkeypatch, field):
+    from qhcover import algebra
+
+    # in M_2(k) x k the two idempotents of the M_2 block sum to its unit,
+    # whose corner M_2(k) is not local
+    original = algebra._primitive_set_semisimple
+
+    def merged(a, rng):
+        idems, blocks = original(a, rng)
+        i, j = (n for n, b in enumerate(blocks) if blocks.count(b) == 2)
+        return [idems[i] + idems[j]] + [e for n, e in enumerate(idems) if n not in (i, j)], [blocks[i]] + [b for n, b in enumerate(blocks) if n not in (i, j)]
+
+    monkeypatch.setattr(algebra, "_primitive_set_semisimple", merged)
+    with pytest.raises(AlgebraError, match="corner of idempotent is not local"):
+        direct_product(matrix_algebra(field, 2), field_algebra(field)).primitive_idempotents()
+
+
+def _naive_center(a):
+    """The center as the kernel of x -> (x b - b x) over every basis element b."""
+    return Mat.vstack([a.right_mult_matrix(a.basis_element(b)) - a.left_mult_matrix(a.basis_element(b)) for b in range(a.dim)]).kernel()
+
+
+CENTER_ALGEBRAS = [
+    pytest.param(lambda: build_am(3, F3).algebra, id="A3_GF3"),
+    pytest.param(lambda: build_am(3, QQ).algebra, id="A3_QQ"),
+    pytest.param(lambda: build_schur(2, 2, 1, F2).algebra, id="S22_GF2"),
+    pytest.param(lambda: build_schur(2, 3, 1, F3).algebra, id="S23_GF3"),
+    pytest.param(lambda: build_hecke(3, 2, QQ).algebra, id="H3_u2_QQ"),
+    pytest.param(lambda: matrix_algebra(F3, 3), id="M3_GF3"),
+    pytest.param(lambda: matrix_algebra(QQ, 3), id="M3_QQ"),
+    pytest.param(lambda: direct_product(a2_quiver(QQ), matrix_algebra(QQ, 2)), id="A2xM2_QQ"),
+]
+
+
+def _assert_center_matches_the_naive_center(a):
+    center = algebra_module.center_basis(a)
+    assert center == _naive_center(a)
+    # each central primitive idempotent of A/J cuts out a block with center k
+    q = semisimple_quotient(a).quotient
+    for eps in central_primitive_idempotents(q):
+        assert algebra_module.center_basis(corner_algebra(q, eps)[0]).cols == 1
+    return center
+
+
+@pytest.mark.parametrize("build", CENTER_ALGEBRAS)
+def test_center_from_the_triples_matches_the_naive_center(build):
+    _assert_center_matches_the_naive_center(build())
+
+
+def test_center_of_the_semisimple_quotient_of_schur33(schur33_gf3):
+    q = semisimple_quotient(schur33_gf3.algebra).quotient
+    assert _assert_center_matches_the_naive_center(q).cols == 3
+
+
 # -- corner algebras --------------------------------------------------------------
 
 

@@ -16,6 +16,7 @@ from qhcover.gallery import build_am
 from qhcover.serialize import (
     algebra_from_json,
     algebra_to_json,
+    content_hash,
     module_from_json,
     module_to_json,
     poset_from_json,
@@ -159,6 +160,31 @@ def test_cli_domdim_schur_reports_are_pinned(capsys, n, d, p, b_dim, proj_inj_di
         "value_json": {"kind": "Exact", "n": value},
         "version": "0.1.0",
     }
+
+
+# the input_hash of the algebra that gallery --out writes, the simple_of
+# indices of its poset into the primitive idempotents, and their block_of:
+# the order of the central idempotents, which another basis of the centre
+# would change, fixes both lists, and a poset JSON refers to simple_of
+@pytest.mark.parametrize(
+    "p, input_hash, simple_of, block_of",
+    [
+        (3, "51e5492e302d8ec3", [0, 3, 10], [0, 0, 0] + [1] * 7 + [2]),
+        (2, "bc58a575551df464", [0, 9, 17], [0] * 9 + [1] * 8 + [2]),
+    ],
+)
+def test_cli_gallery_schur33_simple_of_is_pinned(monkeypatch, tmp_path, p, input_hash, simple_of, block_of):
+    from qhcover import gallery
+
+    built = []
+    build_schur = gallery.build_schur
+    monkeypatch.setattr(gallery, "build_schur", lambda *args: built.append(build_schur(*args)) or built[-1])
+    assert main(["gallery", "--gallery", "schur", "--n", "3", "--d", "3", "--p", str(p), "--out", str(tmp_path)]) == EXIT_OK
+    assert content_hash(json.loads((tmp_path / "algebra.json").read_text())) == input_hash
+    (schur,) = built
+    prim = schur.algebra.primitive_idempotents()
+    assert [prim.idempotents.index(e) for e in schur.poset().idempotents] == simple_of
+    assert prim.block_of == block_of
 
 
 def test_cli_engine_limit_is_inconclusive_not_an_input_error(capsys):

@@ -37,16 +37,17 @@ def test_pyproject_depends_on_numpy_only():
 
 def test_splitting_runs_never_import_sympy():
     # domdim over QQ and a qh structure over GF(3) both split semisimple
-    # quotients into blocks
+    # quotients into blocks; neither draws a random number, so numpy.random
+    # (about 12 ms to import) stays unloaded
     script = (
         "import sys\n"
         "from qhcover import gallery, reldim\n"
         "from qhcover.fields import GF, QQ\n"
         "assert str(reldim.classical_domdim(gallery.build_am(3, QQ).algebra, 12)[0].value) == 'Exact(4)'\n"
         "gallery.build_schur(2, 3, 1, GF(3)).qh()\n"
-        "print('sympy' in sys.modules)\n"
+        "print('sympy' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
     # the child imports the package under test, wherever it was imported from
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
