@@ -348,23 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qhcover", description="Exact relative dominant dimension and quasi-hereditary cover computations")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--gallery", choices=["am", "hecke", "schur"])
-        p.add_argument("--m", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--d", type=int)
-        p.add_argument("--p", type=int, help="prime (omit for rationals)")
-        p.add_argument("--u", default="1", help="Hecke parameter (default 1)")
-        p.add_argument("--algebra", help="algebra JSON file")
-        p.add_argument("--poset", help="weight poset JSON file")
-        p.add_argument("--cap", type=int, default=20)
-        p.add_argument("--method", choices=["mueller", "chain", "both"], default="mueller")
-        p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--strict", action="store_true")
-        p.add_argument("--json", action="store_true", help="print the full JSON report")
-        p.add_argument("--random-checks", type=int, default=20)
-
+    relative = ("reldomdim", "relcodomdim")
     for name, fn in [
         ("domdim", cmd_domdim),
         ("reldomdim", cmd_reldomdim),
@@ -375,12 +359,32 @@ def build_parser() -> argparse.ArgumentParser:
         ("cover", cmd_cover),
         ("gallery", cmd_gallery),
     ]:
+        # each command takes the options it reads, so a stray one is an error
         p = sub.add_parser(name)
-        common(p)
-        if name in ("reldomdim", "relcodomdim", "cover"):
+        p.add_argument("--gallery", choices=["am", "hecke", "schur"])
+        p.add_argument("--m", type=int)
+        p.add_argument("--n", type=int)
+        p.add_argument("--d", type=int)
+        p.add_argument("--p", type=int, help="prime (omit for rationals)")
+        p.add_argument("--u", default="1", help="Hecke parameter (default 1)")
+        p.add_argument("--algebra", help="algebra JSON file")
+        p.add_argument("--out", help="output directory" if name == "gallery" else "write the JSON report here")
+        if name != "gallery":  # _emit writes the seed into every report
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--json", action="store_true", help="print the full JSON report")
+        if name in ("domdim", *relative, "cover"):
+            p.add_argument("--cap", type=int, default=20)
+        if name in ("domdim", *relative):
+            p.add_argument("--strict", action="store_true")
+        if name in ("qh-verify", "tilting", "ringel-dual", "cover"):
+            p.add_argument("--poset", help="weight poset JSON file")
+        if name in (*relative, "cover"):
             p.add_argument("--wrt", help="module file or gallery module name")
+        if name in relative:
             p.add_argument("--module", help="module file or gallery module name")
+            p.add_argument("--method", choices=["mueller", "chain", "both"], default="mueller")
         if name == "cover":
+            p.add_argument("--random-checks", type=int, default=20)
             p.add_argument("--ringel", action="store_true", help="verify the Ringel-dual cover theorem")
         p.set_defaults(func=fn)
     return ap

@@ -28,14 +28,12 @@ from .modules import (
     end_algebra_with_bimodule,
     hom_module_over_endop,
     hom_space,
-    indecomposable_summands,
-    is_isomorphic,
     quotient_module,
     projective_cover_data,
     regular_module,
-    trace_submodule,
+    summand_matches,
 )
-from .qh import QHStructure, ringel_dual, split_heredity_quotient
+from .qh import QHStructure, _heredity_quotient, ringel_dual
 from .reldim import relative_codomdim, relative_domdim
 
 
@@ -341,11 +339,12 @@ def verify_ringel_cover_theorem(qh: QHStructure, q: Module, cap: int = 10, rando
     return RingelCoverVerdict(n, report, False, True, "n <= 1 boundary: reported, not asserted")
 
 
-def _require_partial_tilting(qh: QHStructure, q: Module) -> None:
-    parts = qh.tiltings()
-    for s, _, _ in indecomposable_summands(q):
-        if not any(is_isomorphic(s, t) is not None for t in parts):
-            raise CoverError("module is not in add(T): not a partial tilting module")
+def _require_partial_tilting(qh: QHStructure, q: Module) -> set[int]:
+    """The labels whose T(l) is a summand of q; raises unless q is in add(T)."""
+    matches = [j for _, j in summand_matches(q, qh.tiltings())]
+    if None in matches:
+        raise CoverError("module is not in add(T): not a partial tilting module")
+    return set(matches)
 
 
 def wakamatsu_check(qh: QHStructure, q: Module, cap: int = 10) -> tuple[DimValue, bool, bool]:
@@ -353,16 +352,9 @@ def wakamatsu_check(qh: QHStructure, q: Module, cap: int = 10) -> tuple[DimValue
 
     Returns (Q-domdim A, add-equality, vacuous-or-holds).
     """
-    _require_partial_tilting(qh, q)
+    present = _require_partial_tilting(qh, q)
     value = relative_domdim(q, regular_module(qh.algebra), cap).value
-    parts = qh.tiltings()
-    q_parts = indecomposable_summands(q)
-    present = set()
-    for s, _, _ in q_parts:
-        for i, t in enumerate(parts):
-            if is_isomorphic(s, t) is not None:
-                present.add(i)
-    add_equal = present == set(range(len(parts)))
+    add_equal = present == set(range(qh.label_count()))
     holds = (not value.is_infinite()) or add_equal
     return value, add_equal, holds
 
@@ -372,27 +364,20 @@ def wakamatsu_check(qh: QHStructure, q: Module, cap: int = 10) -> tuple[DimValue
 # ---------------------------------------------------------------------------
 
 
-def module_over_quotient(m: Module, quot: Algebra, proj: Mat, sect: Mat) -> Module:
-    """Transport a module killed by the ideal to a module over A/I."""
+def module_over_quotient(m: Module, quot: Algebra, sect: Mat) -> Module:
+    """Transport a module killed by the ideal to a module over A/I along a
+    section of A -> A/I (any section: the ideal acts by zero)."""
     return Module(quot, m.act_many(sect))
 
 
 def truncate_cover_check(qh: QHStructure, p: Module, lam_max: int, cap: int = 8) -> dict:
     """Compare hn of (A, P) with hn of (A/J, P/JP) along a heredity quotient."""
     base_report = hn_dimension(qh, p, cap=cap)
-    quot, proj, sub_qh = split_heredity_quotient(qh, lam_max)
+    quotient, ideal, sub_qh = _heredity_quotient(qh, lam_max)
     # P/JP: quotient by J.P, then restrict scalars along A -> A/J
-    a = qh.algebra
-    jmod_basis = _heredity_ideal_span(qh, lam_max)
-    mats = p.act_many(jmod_basis.basis.transpose()) if jmod_basis.dim else []
-    field = a.field
-    if mats:
-        jp = Subspace.from_columns(Mat.hstack(mats))
-    else:
-        jp = Subspace(field, p.dim)
+    jp = Subspace.from_columns(Mat.hstack(p.act_many(ideal.basis.transpose())))
     pbar_over_a, _ = quotient_module(p, jp)
-    sect = _section_from(proj, a, quot)
-    pbar = module_over_quotient(pbar_over_a, quot, proj, sect)
+    pbar = module_over_quotient(pbar_over_a, quotient.quotient, quotient.sect)
     trunc_report = hn_dimension(sub_qh, pbar, cap=cap)
     ok = True
     if base_report.is_cover and base_report.hn is not None and base_report.hn.kind in ("exact", "at_least") and base_report.hn.n >= 0:
@@ -407,17 +392,3 @@ def truncate_cover_check(qh: QHStructure, p: Module, lam_max: int, cap: int = 8)
         "sub_qh": sub_qh,
         "p_truncated": pbar,
     }
-
-
-def _heredity_ideal_span(qh: QHStructure, lam: int) -> Subspace:
-    reg = regular_module(qh.algebra)
-    jmod, jincl = trace_submodule(qh.projectives[lam], reg)
-    return Subspace(qh.algebra.field, qh.algebra.dim, jincl.matrix.transpose())
-
-
-def _section_from(proj: Mat, a: Algebra, quot: Algebra) -> Mat:
-    # a right inverse of the projection A -> A/J
-    sol = proj.solve(Mat.identity(a.field, quot.dim))
-    if sol is None:
-        raise CoverError("quotient projection admits no section")
-    return sol

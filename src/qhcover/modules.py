@@ -14,13 +14,9 @@ independent oracle for the tests.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .algebra import Algebra, algebra_of_matrices, opposite
-from .fields import PrimeField
 from .linalg import Mat, MatrixBasis, Subspace
 from .memo import memo, memo_pair
 
@@ -311,27 +307,33 @@ class ProjSum:
         ]
 
 
-def _indec_projective(a: Algebra, class_index: int) -> tuple[Module, Mat, Mat, Mat]:
-    """A e for the class representative idempotent; returns (module, incl, e, gen),
-    gen the coordinates of e in the basis incl."""
-    return memo(a, f"_indec_projective{class_index}", lambda: _build_indec_projective(a, class_index))
-
-
-def _build_indec_projective(a: Algebra, class_index: int) -> tuple[Module, Mat, Mat, Mat]:
-    prim = a.primitive_idempotents()
-    e = prim.idempotents[prim.class_reps[class_index]]
-    span = Subspace.from_columns(a.right_mult_matrix(e))  # A e
+def projective_module(a: Algebra, e: Mat, name: str = "") -> tuple[Module, Mat, Mat]:
+    """A e for an idempotent e: (module, w, gen), w the basis of A e as
+    columns and gen the coordinates of e in the basis w."""
+    span = Subspace.from_columns(a.right_mult_matrix(e))
     w = span.basis.transpose()
-    d = w.cols
     # row t*n + i: coordinates of b_i w_t in the basis w
     coords = span.coords(a._basis_products(w, 1))
     if coords is None:
         raise ModuleError("projective summand is not invariant")
-    action = [coords.take_rows(range(i, a.dim * d, a.dim)).transpose() for i in range(a.dim)]
+    action = [coords.take_rows(range(i, coords.rows, a.dim)).transpose() for i in range(a.dim)]
     gen = span.coords(e.transpose())
     if gen is None:
         raise ModuleError("idempotent not in its own projective summand")
-    return Module(a, action, name=f"P[{class_index}]"), w, e, gen
+    return Module(a, action, name), w, gen
+
+
+def _indec_projective(a: Algebra, class_index: int) -> tuple[Module, Mat, Mat, Mat]:
+    """A e for the class representative idempotent; returns (module, incl, e, gen),
+    gen the coordinates of e in the basis incl."""
+
+    def build():
+        prim = a.primitive_idempotents()
+        e = prim.idempotents[prim.class_reps[class_index]]
+        mod, w, gen = projective_module(a, e, f"P[{class_index}]")
+        return mod, w, e, gen
+
+    return memo(a, f"_indec_projective{class_index}", build)
 
 
 def proj_sum(a: Algebra, class_indices: Sequence[int]) -> ProjSum:
@@ -655,9 +657,12 @@ def _split(m: Module) -> Optional[list[tuple[Module, ModuleMap, ModuleMap]]]:
 
 
 def is_isomorphic(m: Module, n: Module) -> Optional[ModuleMap]:
-    """An explicit isomorphism or None; decomposition-certified on failure.
+    """An explicit isomorphism or None, certified either way.
 
-    The answer is memoised per pair of contents, as its matrix or None.
+    By Krull-Schmidt, m and n are isomorphic iff their indecomposable
+    summands match up to isomorphism, and ``indecomposables_isomorphic``
+    decides each match exactly; nothing is drawn at random.  The answer is memoised per pair of
+    contents, as its matrix or None.
     """
     if m.algebra is not n.algebra:
         raise ModuleError("is_isomorphic: modules over different algebras")
@@ -670,76 +675,46 @@ def is_isomorphic(m: Module, n: Module) -> Optional[ModuleMap]:
 
 
 def _isomorphism_matrix(m: Module, n: Module) -> Optional[Mat]:
-    hs = hom_space(m, n)
-    if hs.dim == 0:
-        return None
-    field = m.algebra.field
-    # cheap attempts: basis elements, then seeded random combinations
-    for f in hs.maps:
-        if f.matrix.is_invertible():
-            return f.matrix
-    rng = np.random.default_rng(1)
-    for _ in range(24):
-        if isinstance(field, PrimeField):
-            coeffs = [int(c) for c in rng.integers(0, field.p, size=hs.dim)]
-        else:
-            coeffs = [Fraction(int(c)) for c in rng.integers(-4, 5, size=hs.dim)]
-        f = hs.combination(coeffs)
-        if f.matrix.is_invertible():
-            return f.matrix
-    # certified path: match indecomposable summands
-    return _isomorphism_by_decomposition(m, n)
-
-
-def _indec_isomorphic(m: Module, n: Module) -> Optional[ModuleMap]:
-    """Certified iso test for indecomposable modules of equal dimension.
-
-    m and n (indecomposable) are isomorphic iff some composite g o f with
-    f: m -> n, g: n -> m basis elements avoids the radical of End(m); such
-    an f is then itself an isomorphism.
-    """
-    fs = hom_space(m, n).maps
-    gs = hom_space(n, m).maps
-    if not fs or not gs:
-        return None
-    end, basis = endomorphism_algebra(m)
-    rad = end.radical_subspace()
-    end_basis = MatrixBasis([f.matrix for f in basis])
-    for f in fs:
-        for g in gs:
-            coords = end_basis.coords(g.matrix @ f.matrix)
-            if not rad.contains(coords.transpose()):
-                # g o f invertible in the local ring End(m), so f is injective
-                # and a dimension count makes it an isomorphism
-                if f.matrix.is_invertible():
-                    return f
-                raise ModuleError("local-ring certificate disagrees with rank")
-    return None
-
-
-def _isomorphism_by_decomposition(m: Module, n: Module) -> Optional[Mat]:
+    """Sum of summand isomorphisms incl_n o iso o proj_m over a matching, or None."""
     msum = indecomposable_summands(m)
-    nsum = indecomposable_summands(n)
-    if len(msum) != len(nsum):
+    rest = list(indecomposable_summands(n))
+    if len(msum) != len(rest):
         return None
-    used = [False] * len(nsum)
     total = Mat.zeros(m.algebra.field, n.dim, m.dim)
-    for sm, incl_m, proj_m in msum:
-        found = False
-        for j, (sn, incl_n, proj_n) in enumerate(nsum):
-            if used[j] or sn.dim != sm.dim:
-                continue
-            iso = _indec_isomorphic(sm, sn)
+    for sm, _, proj_m in msum:
+        for j, (sn, incl_n, _) in enumerate(rest):
+            iso = indecomposables_isomorphic(sm, sn) if sn.dim == sm.dim else None
             if iso is not None:
-                used[j] = True
                 total = total + (incl_n.matrix @ iso.matrix @ proj_m.matrix)
-                found = True
+                del rest[j]
                 break
-        if not found:
+        else:
             return None
     if not total.is_invertible():
         raise ModuleError("assembled summand matching is not invertible")
     return total
+
+
+def indecomposables_isomorphic(m: Module, n: Module) -> Optional[ModuleMap]:
+    """Certified iso test for an indecomposable m and an n of equal dimension.
+
+    End(m) is local (Fitting's lemma).  If f0: m -> n is an isomorphism,
+    u -> f0 o u maps End(m) onto Hom(m, n), and f0 o u is invertible
+    unless u lies in the proper subspace rad End(m).  A basis of Hom(m, n)
+    cannot lie in the image of that subspace, so m and n are isomorphic
+    iff some basis map is invertible.
+    """
+    return next((f for f in hom_space(m, n).maps if f.matrix.is_invertible()), None)
+
+
+def summand_matches(m: Module, parts: Sequence[Module]) -> list[tuple[Module, Optional[int]]]:
+    """Each indecomposable summand of m with the index of the first of
+    ``parts`` isomorphic to it, or None: m lies in add(parts) iff no index
+    is None, when the parts are indecomposable."""
+    return [
+        (s, next((j for j, t in enumerate(parts) if is_isomorphic(s, t) is not None), None))
+        for s, _, _ in indecomposable_summands(m)
+    ]
 
 
 # ---------------------------------------------------------------------------

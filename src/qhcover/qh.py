@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .algebra import Algebra, opposite, quotient_algebra
+from .algebra import Algebra, QuotientAlgebra, opposite, quotient_algebra
 from .homology import ext_dim
 from .linalg import Mat, MatrixBasis, Subspace
 from .memo import memo
@@ -27,11 +27,12 @@ from .modules import (
     hom_module_over_endop,
     hom_space,
     indecomposable_summands,
-    is_isomorphic,
     projective_cover_data,
+    projective_module,
     quotient_module,
     regular_module,
     submodule,
+    summand_matches,
     trace_submodule,
 )
 
@@ -143,9 +144,9 @@ class QHStructure:
         for e in self.poset.idempotents:
             if a.multiply(e, e) != e:
                 raise QHError("poset idempotent is not idempotent")
-            proj, incl = submodule(regular_module(a), Subspace.from_columns(a.right_mult_matrix(e)))
+            proj, incl, _ = projective_module(a, e)
             self.projectives.append(proj)
-            self.proj_incls.append(incl.matrix)
+            self.proj_incls.append(incl)
 
     def _build_standards(self) -> None:
         n = len(self.poset.labels)
@@ -470,12 +471,17 @@ def split_heredity_quotient(qh: QHStructure, lam: int):
     expected projective, and End(J) a split matrix algebra; returns the
     quotient algebra, the projection and the induced structure.
     """
+    quotient, _, sub_qh = _heredity_quotient(qh, lam)
+    return quotient.quotient, quotient.proj, sub_qh
+
+
+def _heredity_quotient(qh: QHStructure, lam: int) -> tuple[QuotientAlgebra, Subspace, QHStructure]:
+    """``split_heredity_quotient`` with the whole A -> A/J and J itself."""
     poset = qh.poset
     if any(poset.lt(lam, j) for j in range(qh.label_count())):
         raise QHError("split heredity quotient needs a maximal label")
     a = qh.algebra
-    reg = regular_module(a)
-    jmod, jincl = trace_submodule(qh.projectives[lam], reg)
+    jmod, jincl = trace_submodule(qh.projectives[lam], regular_module(a))
     span = Subspace(a.field, a.dim, jincl.matrix.transpose())
     # two-sided: closed under right multiplication
     cols = span.basis.transpose()
@@ -487,22 +493,14 @@ def split_heredity_quotient(qh: QHStructure, lam: int):
     if Subspace(a.field, a.dim, sq.transpose()).dim != span.dim:
         raise QHError("heredity ideal is not idempotent (J^2 != J)")
     # J projective with all summands P(lam)
-    for summand, _, _ in indecomposable_summands(jmod):
-        if is_isomorphic(summand, qh.projectives[lam]) is None:
-            raise QHError("heredity ideal is not a sum of copies of the expected projective")
+    if any(j is None for _, j in summand_matches(jmod, [qh.projectives[lam]])):
+        raise QHError("heredity ideal is not a sum of copies of the expected projective")
     # End(J) is a split matrix algebra
     endj, _ = endomorphism_algebra(jmod)
     mult_count = jmod.dim // qh.projectives[lam].dim
     if endj.radical_subspace().dim != 0 or endj.dim != mult_count * mult_count:
         raise QHError("End(J) is not a split matrix algebra")
     quotient = quotient_algebra(a, span)
-    quot, proj = quotient.quotient, quotient.proj
-    new_poset_idems = []
-    for i in range(qh.label_count()):
-        if i == lam:
-            continue
-        new_poset_idems.append(proj @ poset.idempotents[i])
     restricted = poset.restricted(lam)
-    new_poset = WeightPoset(restricted.labels, list(restricted.less), new_poset_idems)
-    sub_qh = QHStructure(quot, new_poset)
-    return quot, proj, sub_qh
+    new_poset = WeightPoset(restricted.labels, list(restricted.less), [quotient.proj @ e for e in restricted.idempotents])
+    return quotient, span, QHStructure(quotient.quotient, new_poset)

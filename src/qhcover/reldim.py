@@ -23,7 +23,6 @@ from .linalg import Mat, Subspace
 from .modules import (
     Module,
     ModuleMap,
-    _indec_isomorphic,
     _indec_projective,
     counit_analysis,
     direct_sum,
@@ -33,10 +32,11 @@ from .modules import (
     hom_into_q_as_right_module,
     hom_space,
     indecomposable_summands,
+    indecomposables_isomorphic,
     induced_map_on_hom_into_q,
-    is_isomorphic,
     quotient_module,
     regular_module,
+    summand_matches,
     zero_module,
 )
 
@@ -131,11 +131,7 @@ def _split_off_add_q(m: Module, q: Module) -> Module:
     """
     if m.dim == 0:
         return m
-    q_parts = [t for t, _, _ in indecomposable_summands(q)]
-    keep = []
-    for s, _, _ in indecomposable_summands(m):
-        if not any(is_isomorphic(s, t) is not None for t in q_parts):
-            keep.append(s)
+    keep = [s for s, j in summand_matches(m, [t for t, _, _ in indecomposable_summands(q)]) if j is None]
     if not keep:
         return zero_module(m.algebra)
     if len(keep) == 1:
@@ -228,13 +224,13 @@ def _proj_inj_classes(x: Algebra) -> list[int]:
     """The classes of x whose indecomposable projective is also injective.
 
     P_i = x e_i and I_j = D(e_j x) are indecomposable by construction, so
-    the certified local-ring test of ``_indec_isomorphic`` decides each pair
-    of equal dimension.
+    the certified test ``indecomposables_isomorphic`` decides each pair of
+    equal dimension.
     """
     xop = opposite(x)
     injectives = [dual(_indec_projective(xop, ci)[0]) for ci in range(xop.primitive_idempotents().n_blocks)]
     projectives = (_indec_projective(x, ci)[0] for ci in range(x.primitive_idempotents().n_blocks))
-    return [ci for ci, p in enumerate(projectives) if any(i.dim == p.dim and _indec_isomorphic(p, i) is not None for i in injectives)]
+    return [ci for ci, p in enumerate(projectives) if any(i.dim == p.dim and indecomposables_isomorphic(p, i) is not None for i in injectives)]
 
 
 def _proj_inj_module(x: Algebra, classes: list[int]) -> Module:

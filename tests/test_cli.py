@@ -221,6 +221,26 @@ def test_cli_input_error():
     assert rc == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("domdim", ["--method", "chain"]),
+        ("cover", ["--module", "regular"]),
+        ("qh-verify", ["--strict"]),
+        ("tilting", ["--random-checks", "3"]),
+        ("domdim", ["--poset", "poset.json"]),
+        ("gallery", ["--seed", "7"]),
+    ],
+    ids=["domdim-method", "cover-module", "qh-verify-strict", "tilting-random-checks", "domdim-poset", "gallery-seed"],
+)
+def test_cli_rejects_options_the_command_does_not_read(capsys, command, option):
+    # argparse exits with 2 before the command runs
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--gallery", "am", "--m", "2", "--p", "3", *option])
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("index", [[0, 2, 0], [0, 0, -1]])
 def test_cli_rejects_out_of_range_structure_constant(tmp_path, capsys, index):
     bad = {"field": {"kind": "prime", "p": 3}, "dim": 2, "mult": [[0, 0, 0, "1"], index + ["1"]], "one": ["1", "0"]}

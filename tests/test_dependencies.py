@@ -29,6 +29,24 @@ def test_package_imports_only_numpy_beyond_the_standard_library():
     assert third_party == {"numpy"}
 
 
+def test_package_imports_no_unused_names():
+    # every name an import binds is read in its module or listed in __all__
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.relative_to(PACKAGE)}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
 def test_pyproject_depends_on_numpy_only():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
@@ -37,14 +55,22 @@ def test_pyproject_depends_on_numpy_only():
 
 def test_splitting_runs_never_import_sympy():
     # domdim over QQ and a qh structure over GF(3) both split semisimple
-    # quotients into blocks; neither draws a random number, so numpy.random
-    # (about 12 ms to import) stays unloaded
+    # quotients into blocks, the chain oracle and the Ringel cover check
+    # match summands up to isomorphism; none of them draws a random number,
+    # so numpy.random (about 12 ms to import) stays unloaded
     script = (
         "import sys\n"
-        "from qhcover import gallery, reldim\n"
+        "from qhcover import covers, gallery, reldim\n"
         "from qhcover.fields import GF, QQ\n"
         "assert str(reldim.classical_domdim(gallery.build_am(3, QQ).algebra, 12)[0].value) == 'Exact(4)'\n"
         "gallery.build_schur(2, 3, 1, GF(3)).qh()\n"
+        "named = list(gallery.build_am(3, GF(3)).named_modules().values())\n"
+        "for q in named:\n"
+        "    for m in named:\n"
+        "        reldim.codomdim_chain(q, m, 6)\n"
+        "qh = gallery.build_am(3, QQ).qh\n"
+        "for _, q in qh.partial_tilting_combinations():\n"
+        "    covers.verify_ringel_cover_theorem(qh, q, cap=5)\n"
         "print('sympy' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
     # the child imports the package under test, wherever it was imported from

@@ -20,6 +20,7 @@ from qhcover.modules import (
     hom_space,
     hom_space_naive,
     indecomposable_summands,
+    indecomposables_isomorphic,
     injective_envelope,
     is_isomorphic,
     module_radical,
@@ -30,6 +31,7 @@ from qhcover.modules import (
     regular_module,
     socle,
     submodule,
+    summand_matches,
     tensor_over,
     top,
     trace_submodule,
@@ -357,6 +359,76 @@ def test_is_isomorphic_finds_conjugated_modules(a2_gf3):
         conj = Module(a2_gf3, [g @ m @ ginv for m in base.action])
         iso = is_isomorphic(base, conj)
         assert iso is not None and iso.is_isomorphism()
+
+
+def _conjugated(m, rng):
+    """m with its action conjugated by a random invertible matrix."""
+    while True:
+        g = Mat(m.algebra.field, rng.integers(0, 3, size=(m.dim, m.dim)))
+        if g.is_invertible():
+            break
+    ginv = g.inv()
+    return Module(m.algebra, [g @ x @ ginv for x in m.action])
+
+
+def test_is_isomorphic_matches_summands_of_decomposable_modules(a2_gf3):
+    p1, p2 = sorted(indec_projectives(a2_gf3), key=lambda p: p.dim)
+    m = direct_sum([p2, p2])[0]
+    pairs = [
+        (direct_sum([p1, p2])[0], direct_sum([p2, p1])[0]),
+        (m, _conjugated(m, np.random.default_rng(5))),
+    ]
+    for x, y in pairs:
+        iso = is_isomorphic(x, y)
+        assert iso is not None and iso.is_isomorphism()
+        iso.validate()
+
+
+def test_summand_matches_names_the_first_isomorphic_part(a2_gf3):
+    p1, p2 = sorted(indec_projectives(a2_gf3), key=lambda p: p.dim)
+    m = direct_sum([p2, top(p1)[0], p1])[0]
+    matches = summand_matches(m, [p1, p2, _conjugated(p2, np.random.default_rng(6))])
+    assert sorted((s.dim, j) for s, j in matches) == [(1, None), (2, 0), (3, 1)]
+    assert summand_matches(zero_module(a2_gf3), [p1]) == []
+
+
+def test_indecomposables_isomorphic_scans_the_whole_hom_basis(a3_gf3):
+    # isomorphic indecomposables have an invertible map in every Hom basis,
+    # though not always the first one
+    rng = np.random.default_rng(9)
+    projs = indec_projectives(a3_gf3)
+    first_invertible = []
+    for p in projs + [injective_envelope(top(p)[0]).target for p in projs]:
+        for _ in range(4):
+            conj = _conjugated(p, rng)
+            iso = indecomposables_isomorphic(p, conj)
+            assert iso is not None and iso.is_isomorphism()
+            iso.validate()
+            first_invertible.append(hom_space(p, conj).maps[0].matrix.is_invertible())
+    assert not all(first_invertible)
+
+
+def test_indecomposables_isomorphic_rejects_maps_both_ways(a2_gf3):
+    # P(1) = [1/2] and I(1) = [2/1] map to each other, each map onto a socle
+    p1 = min(indec_projectives(a2_gf3), key=lambda p: p.dim)
+    i1 = injective_envelope(top(p1)[0]).target
+    assert i1.dim == p1.dim and hom_space(p1, i1).dim and hom_space(i1, p1).dim
+    assert top(i1)[0].action != top(p1)[0].action
+    assert indecomposables_isomorphic(p1, i1) is None and is_isomorphic(p1, i1) is None
+    # each summand of one side is matched once: P(1) + P(1) is not P(1) + I(1)
+    assert is_isomorphic(direct_sum([p1, p1])[0], direct_sum([p1, i1])[0]) is None
+
+
+def test_is_isomorphic_rejects_modules_with_maps_both_ways(a2_gf3):
+    # P(1) + S(2) and S(1) + S(2) + S(2) share their composition factors and
+    # map to each other both ways, but only the first has a nonzero radical
+    p1 = min(indec_projectives(a2_gf3), key=lambda p: p.dim)
+    soc = module_radical(p1)[0]
+    x = direct_sum([p1, soc])[0]
+    y = direct_sum([top(p1)[0], soc, soc])[0]
+    assert x.dim == y.dim and module_radical(x)[0].dim != module_radical(y)[0].dim
+    assert hom_space(x, y).dim and hom_space(y, x).dim
+    assert is_isomorphic(x, y) is None and is_isomorphic(y, x) is None
 
 
 def test_validate_rejects_action_wrong_beyond_generator_pairs():

@@ -237,3 +237,55 @@ def test_tiltings_do_not_rename_standards(build):
         assert qh.standards[lam].name == f"Delta({label})"
         assert tilts[lam].name == f"T({label})"
         assert tilts[lam] is not qh.standards[lam]
+
+
+def test_qh_builds_projectives_without_the_regular_module(monkeypatch):
+    # A e comes from the products of the basis with a basis of A e; the
+    # n^3 left-regular action is never formed, for A or for A^op
+    from qhcover.algebra import Algebra
+    from qhcover.gallery import build_schur
+
+    s = build_schur(3, 3, 1, GF(2))
+    calls = []
+    original = Algebra.left_regular_action
+    monkeypatch.setattr(Algebra, "left_regular_action", lambda a: calls.append(a) or original(a))
+    qh = s.qh()
+    qh.opposite_structure()
+    assert calls == []
+    monkeypatch.undo()
+    _assert_projectives_match_the_regular_module(qh)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _am_structure(2, F3),
+        lambda: _am_structure(3, QQ),
+        lambda: _am_structure(4, QQ),
+        lambda: _schur_structure(2, 2, GF(2)),
+        _schur_23_structure,
+    ],
+    ids=["A2-GF3", "A3-QQ", "A4-QQ", "S22-GF2", "S23-GF3"],
+)
+def test_projectives_match_the_submodules_of_the_regular_module(build):
+    qh = build()
+    for s in (qh, qh.opposite_structure()):
+        _assert_projectives_match_the_regular_module(s)
+
+
+def _assert_projectives_match_the_regular_module(qh):
+    # oracle: A e as the invariant subspace of the left-regular module
+    from qhcover.linalg import Subspace
+    from qhcover.modules import regular_module, submodule
+
+    a = qh.algebra
+    reg = regular_module(a)
+    for e, proj, incl in zip(qh.poset.idempotents, qh.projectives, qh.proj_incls):
+        want, want_incl = submodule(reg, Subspace.from_columns(a.right_mult_matrix(e)))
+        assert proj.action == want.action and incl == want_incl.matrix
+
+
+def _schur_structure(n, d, field):
+    from qhcover.gallery import build_schur
+
+    return build_schur(n, d, 1, field).qh()
