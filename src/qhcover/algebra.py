@@ -15,16 +15,18 @@ p-power trace functionals on integer lifts, correct in small characteristic.
 The result is certified: a nilpotent two-sided ideal, and A/J semisimple.
 A/J is split into blocks by roots in k of minimal polynomials of central
 elements and Lagrange idempotents, on one path for both fields; the centre
-is one kernel of a system read off the triples, and the primitivity and
-block certificates are read on A/J.
+is one kernel of a system read off the triples.  Each block is split by a
+descent through zero divisors to a minimal left ideal and one solve for
+its matrix units, and the primitivity and block certificates are read on
+A/J.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,11 +40,12 @@ class AlgebraError(ValueError):
 
 
 class SplitSearchError(AlgebraError):
-    """The search for a primitive idempotent of a simple block gave up.
+    """The search for a zero divisor in a simple block found none.
 
-    The block may well be split: the search draws its candidates at random
-    and stops after a fixed number of tries, so this is a limit of the
-    engine, not a proof that the input is at fault.
+    The block may well be split: the search is deterministic but tries only
+    the elements e x e for x = b_i and b_i +- b_j, and deciding splitness
+    over GF(p) deterministically in every case is Ronyai's problem, so this
+    is a limit of the engine, not a proof that the input is at fault.
     """
 
 
@@ -733,7 +736,9 @@ def _roots(coeffs: list, field: Field) -> list:
     """The distinct roots in k of a monic polynomial (coefficients lowest
     first).  They come in the order in which sympy's factor list, used here
     before, gave the factors x - l, so that reports keep their order: over
-    GF(p) by (-l) mod p, over QQ by (b, -a) for l = a/b in lowest terms."""
+    GF(p) by (-l) mod p, over QQ by (b, -a) for l = a/b in lowest terms.
+    Over QQ a polynomial that is no product of distinct t - l may give only
+    some of its roots, the largest ones, or none."""
     if isinstance(field, PrimeField):
         # Horner on all of GF(p) at once: a value below p times x below p,
         # plus a coefficient, stays below p^2 + p < 2^51 (p <= 2^20)
@@ -784,96 +789,69 @@ def _minimal_poly_in_corner(a: Algebra, z: Mat, eps: Mat) -> list:
         vecs.append(power)
 
 
-def _primitive_idempotent_in_simple_block(a: Algebra, rng: Callable[[], np.random.Generator]) -> Mat:
-    """One primitive idempotent of a split simple algebra.
+def _primitive_set_semisimple(a: Algebra) -> tuple[list[Mat], list[int]]:
+    """All primitive idempotents of a split semisimple algebra, with block ids.
 
-    Strategy: locate a minimal left ideal L (dimension sqrt(dim)), then the
-    unique e in L with e z = z for suitable z in L is a primitive idempotent.
-    ``rng()`` gives the generator of the seeded refinement draws.
+    Each block eps A, isomorphic to M_s(k), takes two deterministic steps.  A descent
+    shrinks the left ideal A e, from e = eps, to a minimal one, of dimension
+    s: a zero divisor z of e A e (``_zero_divisor``) gives the proper left
+    ideal A z inside A e, and its idempotent is any f in A z with z f = z,
+    for f = a z gives f^2 = a z f = f, and z = z f puts A z inside A f.
+    The block then acts faithfully on the simple module L = A e, so the
+    s^2 x s^2 matrix phi taking a block element to its action on L (in a
+    basis w of L) is invertible, and the solutions of phi c = E_ii are s
+    orthogonal primitive idempotents summing to eps: the matrix units.
     """
-    d = a.dim
-    s = int(round(d**0.5))
-    if s * s != d:
-        raise AlgebraError("simple block is not split: dimension is not a perfect square")
-    if d == 1:
-        return a.one
-    # find x with dim(Ax) == s (minimal left ideal)
-    ideal: Optional[Subspace] = None
-    candidates = [a.basis_element(i) for i in range(d)]
-    tries = 0
-    while True:
-        for x in candidates:
-            if x.is_zero():
-                continue
-            lx = _left_ideal(a, x)
-            if lx.dim and (ideal is None or lx.dim < ideal.dim):
-                ideal = lx
-                if ideal.dim == s:
-                    break
-        if ideal is not None and ideal.dim == s:
-            break
-        # refine inside the current smallest ideal with seeded random picks
-        tries += 1
-        if tries > 60:
-            raise SplitSearchError("failed to locate a minimal left ideal (block not split?)")
-        if isinstance(a.field, PrimeField):
-            coeff = rng().integers(0, a.field.p, size=ideal.dim)
-        else:
-            coeff = rng().integers(-3, 4, size=ideal.dim)
-        vec = Mat.zeros(a.field, d, 1)
-        for i in range(ideal.dim):
-            c = int(coeff[i])
-            if c:
-                vec = vec + ideal.basis.take_rows([i]).transpose().scale(c)
-        candidates = [vec]
-    # choose z in L with L z != 0, solve e z = z within L
-    basis_cols = ideal.basis.transpose()
-    for j in range(ideal.dim):
-        z = basis_cols.take_cols([j])
-        lz = a.multiply_batches(basis_cols, z)
-        if not lz.is_zero():
-            rz = a.right_mult_matrix(z)
-            sys = rz @ basis_cols  # columns: w_i * z for basis w_i of L
-            sol = sys.solve(z)
-            if sol is None:
-                continue
-            e = basis_cols @ sol
-            if not a.multiply(e, e) == e or e.is_zero():
-                raise AlgebraError("minimal-ideal idempotent construction failed")
-            return e
-    raise SplitSearchError("no usable element in minimal left ideal (L^2 = 0 in semisimple?)")
-
-
-def _left_ideal(a: Algebra, x: Mat) -> Subspace:
-    # columns of R_x are the products b_i * x, so its column space is A x
-    return Subspace.from_columns(a.right_mult_matrix(x))
-
-
-def _primitive_set_semisimple(a: Algebra, rng: Callable[[], np.random.Generator]) -> tuple[list[Mat], list[int]]:
-    """All primitive idempotents of a split semisimple algebra, with block ids."""
     if a.dim == 0:
         return [], []
-    centrals = central_primitive_idempotents(a)
     idems: list[Mat] = []
     blocks: list[int] = []
-    for b_id, eps in enumerate(centrals):
+    for b_id, eps in enumerate(central_primitive_idempotents(a)):
         # Z(eps A eps) = k eps needs no check.  Every basis element z of
         # Z(A) acts on eps by a scalar l: the block z met had z e = l e
         # (a minimal polynomial of degree 1) or was split into Lagrange
         # parts with (z - l) e_l = 0, and eps is a polynomial in later
         # central elements times that part.  For a central eps, Z(eps A
-        # eps) = Z(A) eps, which is then k eps.
-        block, incl = corner_algebra(a, eps)
-        while True:
-            e = _primitive_idempotent_in_simple_block(block, rng)
-            idems.append(incl @ e)
-            blocks.append(b_id)
-            f = block.one - e
-            if f.is_zero():
-                break
-            block, sub_incl = corner_algebra(block, f)
-            incl = incl @ sub_incl
+        # eps) = Z(A) eps, which is then k eps, and eps A is M_s(k) when
+        # it splits at all.
+        block = Subspace.from_columns(a.left_mult_matrix(eps))
+        s = math.isqrt(block.dim)
+        e, ideal = eps, block
+        while ideal.dim > s:
+            z = _zero_divisor(a, e)
+            span = a.right_mult_matrix(z)  # columns b_i z, spanning A z
+            ideal = Subspace.from_columns(span)
+            e = span @ (a.left_mult_matrix(z) @ span).solve(z)
+        # row j*s + k of the coordinates is B_j w_k in the basis w, column k
+        # of the matrix M_j of B_j on L: column j of phi is M_j read column
+        # by column, with M_j[l, k] at k*s + l and E_ii at i*s + i
+        act = ideal.coords(a.multiply_batches(block.basis.transpose(), ideal.basis.transpose()).transpose())
+        diagonal = Mat.from_entries(a.field, s * s, s, {(i * s + i, i): 1 for i in range(s)})
+        units = block.basis.transpose() @ act.reshape(s * s, s * s).transpose().solve(diagonal)
+        idems += [units.take_cols([i]) for i in range(s)]
+        blocks += [b_id] * s
     return idems, blocks
+
+
+def _zero_divisor(a: Algebra, e: Mat) -> Mat:
+    """A nonzero zero divisor of the corner e A e, or SplitSearchError.
+
+    y = e x e runs over x = b_i and then b_i + b_j, b_i - b_j (i < j).  A
+    root l in k of the minimal polynomial m = (t - l) q of y in e A e, of
+    degree >= 2, gives z = y - l e with z q(y) = m(y) = 0 and q(y) != 0
+    (Eberly and Giesbrecht, J. Symbolic Comput. 37, 2004).  The search is
+    incomplete: finding a zero divisor of every split algebra over GF(p)
+    deterministically is Ronyai's problem (J. Symbolic Comput. 9, 1990).
+    """
+    corner = a.left_mult_matrix(e) @ a.right_mult_matrix(e)  # columns e b_i e
+    ys = [corner.take_cols([i]) for i in range(a.dim)]
+    sums = (w for n, u in enumerate(ys) for v in ys[n + 1 :] for w in (u + v, u - v))
+    for y in itertools.chain(ys, sums):
+        coeffs = _minimal_poly_in_corner(a, y, e)
+        roots = _roots(coeffs, a.field) if len(coeffs) > 2 else []
+        if roots:
+            return y - e.scale(roots[0])
+    raise SplitSearchError("found no zero divisor in a simple block: no e x e with x = b_i or b_i +- b_j has a minimal polynomial of degree >= 2 with a root in k")
 
 
 def _primitive_idempotents(a: Algebra) -> PrimitiveDecomposition:
@@ -885,10 +863,7 @@ def _primitive_idempotents(a: Algebra) -> PrimitiveDecomposition:
     if a.dim - a.radical_subspace().dim == 1:
         return PrimitiveDecomposition([a.one], [0])
     quot = semisimple_quotient(a)
-    # the refinement draws of _primitive_idempotent_in_simple_block, made
-    # when it first needs one: most splittings draw nothing
-    rng = functools.cache(lambda: np.random.default_rng(20240 + a.dim))
-    bar_idems, blocks = _primitive_set_semisimple(quot.quotient, rng)
+    bar_idems, blocks = _primitive_set_semisimple(quot.quotient)
     lifted: list[Mat] = []
     total = a.zero_element()
     nil_bound = a.dim + 1

@@ -5,8 +5,9 @@ ringel-dual, cover, gallery.  Inputs come either from JSON files or from
 the built-in gallery (--gallery am|hecke|schur with --m/--n/--d/--p/--u).
 
 Exit codes: 0 success, 2 input error, 3 internal cross-check failure,
-4 inconclusive: cap-limited under --strict, or an engine limit (the search
-for primitive idempotents gave up on an input it could not rule out).
+4 inconclusive: cap-limited under --strict, or an engine limit (the
+deterministic, incomplete search for a zero divisor in a simple block found
+none on an input it could not rule out).
 """
 
 from __future__ import annotations

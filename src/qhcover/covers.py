@@ -119,9 +119,12 @@ def cover_check(p: Module) -> tuple[bool, int]:
 
     Returns (is_cover, dim End_B(F_P A)).
     """
+    return _cover_check(p, *hom_module_over_endop(p, regular_module(p.algebra)))
+
+
+def _cover_check(p: Module, fa: Module, fa_basis: list[ModuleMap]) -> tuple[bool, int]:
+    """``cover_check`` on F_P A = Hom_A(P, A) and its basis, already built."""
     a = p.algebra
-    reg = regular_module(a)
-    fa, fa_basis = hom_module_over_endop(p, reg)
     if fa.dim == 0:
         return (a.dim == 0, 0)
     end_dim = hom_space(fa, fa).dim
@@ -165,10 +168,9 @@ def hn_dimension(qh: QHStructure, p: Module, cap: int = 10, random_checks: int =
     a = qh.algebra
     if not _is_projective(p):
         raise CoverError("hn_dimension requires a projective module")
-    reg = regular_module(a)
-    fa, fa_basis = hom_module_over_endop(p, reg)
+    fa, fa_basis = hom_module_over_endop(p, regular_module(a))
     b, _, _ = end_algebra_with_bimodule(p)
-    is_cover, end_dim = cover_check(p)
+    is_cover, _ = _cover_check(p, fa, fa_basis)
     dc = is_cover  # cover = double centralizer property on Hom_A(P, A)
     targets = list(qh.standards)
     eta_inj = True

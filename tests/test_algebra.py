@@ -13,6 +13,7 @@ from qhcover.algebra import (
     Algebra,
     AlgebraError,
     _batched_matrix_power_mod,
+    algebra_of_matrices,
     basic_algebra,
     central_primitive_idempotents,
     centralizer_algebra,
@@ -24,7 +25,7 @@ from qhcover.algebra import (
 )
 from qhcover.fields import GF, QQ
 from qhcover.gallery import build_am, build_hecke, build_schur
-from qhcover.linalg import Mat, Subspace, matmul_mod
+from qhcover.linalg import Mat, MatrixBasis, Subspace, matmul_mod
 from qhcover.quiver import Arrow, QuiverPresentation, arrow_ideal_dimension, from_quiver
 
 from conftest import make_am_algebra, stored_arrays
@@ -658,8 +659,8 @@ def test_radical_certificate_counts_the_blocks(monkeypatch, field):
     # leaves dim A/J = 4 against 1 + 1
     original = algebra._primitive_set_semisimple
 
-    def two_blocks(a, rng):
-        idems, blocks = original(a, rng)
+    def two_blocks(a):
+        idems, blocks = original(a)
         return idems, list(range(len(idems)))
 
     monkeypatch.setattr(algebra, "_primitive_set_semisimple", two_blocks)
@@ -676,8 +677,8 @@ def test_radical_certificate_tests_block_equivalence(monkeypatch, field):
     # so only the equivalence mod J of the idempotents of a block can fail
     original = algebra._primitive_set_semisimple
 
-    def two_blocks_of_three(a, rng):
-        idems, blocks = original(a, rng)
+    def two_blocks_of_three(a):
+        idems, blocks = original(a)
         assert sorted(blocks.count(b) for b in set(blocks)) == [1, 1, 4]
         return idems, [0, 0, 0, 1, 1, 1]
 
@@ -695,14 +696,41 @@ def test_primitivity_certificate_rejects_a_sum_of_idempotents(monkeypatch, field
     # whose corner M_2(k) is not local
     original = algebra._primitive_set_semisimple
 
-    def merged(a, rng):
-        idems, blocks = original(a, rng)
+    def merged(a):
+        idems, blocks = original(a)
         i, j = (n for n, b in enumerate(blocks) if blocks.count(b) == 2)
         return [idems[i] + idems[j]] + [e for n, e in enumerate(idems) if n not in (i, j)], [blocks[i]] + [b for n, b in enumerate(blocks) if n not in (i, j)]
 
     monkeypatch.setattr(algebra, "_primitive_set_semisimple", merged)
     with pytest.raises(AlgebraError, match="corner of idempotent is not local"):
         direct_product(matrix_algebra(field, 2), field_algebra(field)).primitive_idempotents()
+
+
+TWISTED_M2 = [[[1, 0], [0, 1]], [[0, 1], [2, 0]], [[0, 1], [3, 0]], [[1, 1], [-1, 0]]]
+
+
+@pytest.mark.parametrize(
+    "build, count, n_blocks",
+    [
+        pytest.param(lambda: build_hecke(3, 3, QQ).algebra, 4, 3, id="H3_u3_QQ"),
+        pytest.param(lambda: build_hecke(3, "5/7", QQ).algebra, 4, 3, id="H3_u5/7_QQ"),
+        pytest.param(lambda: build_hecke(3, "-3/5", QQ).algebra, 4, 3, id="H3_u-3/5_QQ"),
+        pytest.param(lambda: build_hecke(3, 5, GF(101)).algebra, 4, 3, id="H3_u5_GF101"),
+        pytest.param(lambda: build_hecke(3, 1, GF(P_MAX)).algebra, 4, 3, id="H3_u1_GF1048573"),
+        pytest.param(lambda: build_hecke(4, 2, QQ).algebra, 10, 5, id="H4_u2_QQ"),
+        pytest.param(lambda: build_schur(3, 3, 1, GF(P_MAX)).algebra, 19, 3, id="S33_GF1048573"),
+        pytest.param(lambda: build_hecke(3, "1/2", QQ).algebra, 4, 3, id="H3_u1/2_QQ"),
+        pytest.param(lambda: build_hecke(3, 2, QQ).algebra, 4, 3, id="H3_u2_QQ"),
+        pytest.param(lambda: algebra_of_matrices(MatrixBasis([Mat(QQ, m) for m in TWISTED_M2]), "M_2"), 2, 1, id="M2_twisted_QQ"),
+    ],
+)
+def test_split_blocks_descend_to_matrix_units(build, count, n_blocks):
+    # split Hecke and Schur algebras over QQ, a small GF(p) and the largest
+    # GF(p); in the twisted M_2(QQ) no basis element has a minimal
+    # polynomial of degree 2 with a rational root, so its zero divisor
+    # comes from a difference b_i - b_j
+    prim = build().primitive_idempotents()
+    assert (len(prim), prim.n_blocks) == (count, n_blocks)
 
 
 def _naive_center(a):

@@ -187,14 +187,27 @@ def test_cli_gallery_schur33_simple_of_is_pinned(monkeypatch, tmp_path, p, input
     assert prim.block_of == block_of
 
 
-def test_cli_engine_limit_is_inconclusive_not_an_input_error(capsys):
-    # H(3) over QQ at u = 3 is split semisimple, but the random search for a
-    # minimal left ideal gives up on it
-    rc = main(["domdim", "--gallery", "hecke", "--d", "3", "--u", "3"])
+def test_cli_engine_limit_is_inconclusive_not_an_input_error(tmp_path, capsys):
+    # Hamilton's quaternions over QQ: a division algebra, in which the
+    # search for a zero divisor finds none
+    units = {(1, 2): (3, 1), (2, 3): (1, 1), (3, 1): (2, 1)}  # ij = k, jk = i, ki = j
+    mult = [[0, x, x, "1"] for x in range(4)] + [[x, 0, x, "1"] for x in range(1, 4)] + [[x, x, 0, "-1"] for x in range(1, 4)]
+    mult += [t for (x, y), (z, c) in units.items() for t in ([x, y, z, str(c)], [y, x, z, str(-c)])]
+    path = tmp_path / "quaternions.json"
+    path.write_text(json.dumps({"field": {"kind": "rationals"}, "dim": 4, "mult": mult, "one": ["1", "0", "0", "0"]}))
+    rc = main(["domdim", "--algebra", str(path)])
     err = capsys.readouterr().err
     assert rc == EXIT_INCONCLUSIVE
-    assert err.count("\n") == 1 and err.startswith("engine limit: failed to locate a minimal left ideal"), err
+    assert err.count("\n") == 1 and err.startswith("engine limit: found no zero divisor"), err
     assert "Traceback" not in err
+
+
+def test_cli_splits_hecke_at_u3(capsys):
+    # H(3) over QQ at u = 3 is split semisimple, so its blocks split
+    rc = main(["domdim", "--gallery", "hecke", "--d", "3", "--u", "3", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == EXIT_OK
+    assert (report["value"], report["B_dim"], report["proj_inj_dim"]) == ("Infinite", 3, 4)
 
 
 def test_cli_method_both_agreement(capsys):

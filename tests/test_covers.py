@@ -3,6 +3,7 @@ Ringel-dual cover theorem, Wakamatsu check, truncation monotonicity."""
 
 import pytest
 
+from qhcover.algebra import Algebra
 from qhcover.covers import (
     CoverError,
     cover_check,
@@ -44,6 +45,18 @@ def test_double_centralizer_fails_unfaithful(am2):
 def test_double_centralizer_tensor_space():
     s = build_schur(2, 3, 1, F3)
     assert double_centralizer_check(s.tensor_module)
+
+
+def test_ringel_cover_check_builds_the_regular_module_once(monkeypatch):
+    # hn_dimension builds the regular module of the Ringel dual once and
+    # hands Hom_A(P, A) to the double centralizer check
+    s = build_schur(2, 3, 1, F3)
+    qh = s.qh()
+    calls = []
+    original = Algebra.left_regular_action
+    monkeypatch.setattr(Algebra, "left_regular_action", lambda self: calls.append(self) or original(self))
+    verdict = verify_ringel_cover_theorem(qh, s.tensor_module, cap=6)
+    assert verdict.holds and len(calls) == 1
 
 
 def test_cover_check_progenerator(am2):

@@ -55,15 +55,18 @@ def test_pyproject_depends_on_numpy_only():
 
 def test_splitting_runs_never_import_sympy():
     # domdim over QQ and a qh structure over GF(3) both split semisimple
-    # quotients into blocks, the chain oracle and the Ringel cover check
-    # match summands up to isomorphism; none of them draws a random number,
-    # so numpy.random (about 12 ms to import) stays unloaded
+    # quotients into blocks, and so does H(3) over QQ at u = 3, whose zero
+    # divisors come from minimal polynomials of the e b_i e alone; the chain
+    # oracle and the Ringel cover check match summands up to isomorphism;
+    # none of them draws a random number, so numpy.random (about 12 ms to
+    # import) stays unloaded
     script = (
         "import sys\n"
         "from qhcover import covers, gallery, reldim\n"
         "from qhcover.fields import GF, QQ\n"
         "assert str(reldim.classical_domdim(gallery.build_am(3, QQ).algebra, 12)[0].value) == 'Exact(4)'\n"
         "gallery.build_schur(2, 3, 1, GF(3)).qh()\n"
+        "assert len(gallery.build_hecke(3, 3, QQ).algebra.primitive_idempotents()) == 4\n"
         "named = list(gallery.build_am(3, GF(3)).named_modules().values())\n"
         "for q in named:\n"
         "    for m in named:\n"
