@@ -17,8 +17,10 @@ A/J is split into blocks by roots in k of minimal polynomials of central
 elements and Lagrange idempotents, on one path for both fields; the centre
 is one kernel of a system read off the triples.  Each block is split by a
 descent through zero divisors to a minimal left ideal and one solve for
-its matrix units, and the primitivity and block certificates are read on
-A/J.
+its matrix units E_ii, E_0i and E_i0.  Those units certify the split on
+A/J: E_0i E_i0 = E_00 and E_i0 E_0i = E_ii, and the dimension count dim
+A/J = sum s_b^2, prove each idempotent primitive, the blocks the
+equivalence classes and J = rad A.
 """
 
 from __future__ import annotations
@@ -737,8 +739,7 @@ def _roots(coeffs: list, field: Field) -> list:
     first).  They come in the order in which sympy's factor list, used here
     before, gave the factors x - l, so that reports keep their order: over
     GF(p) by (-l) mod p, over QQ by (b, -a) for l = a/b in lowest terms.
-    Over QQ a polynomial that is no product of distinct t - l may give only
-    some of its roots, the largest ones, or none."""
+    Each root is confirmed by evaluating the polynomial at it."""
     if isinstance(field, PrimeField):
         # Horner on all of GF(p) at once: a value below p times x below p,
         # plus a coefficient, stays below p^2 + p < 2^51 (p <= 2^20)
@@ -750,28 +751,43 @@ def _roots(coeffs: list, field: Field) -> list:
             _reduce(vals, p)
         return sorted((int(r) for r in np.flatnonzero(vals == 0)), key=lambda lam: -lam % p)
     # over QQ y = den x makes the polynomial a monic g with integer
-    # coefficients, whose rational roots are integers; search down from
-    # Cauchy's bound, 1 + max |g_i| > |y| for every complex root y
+    # coefficients, whose rational roots are integers, and |y| <= bound
+    # (Fujiwara).  Sturm's chain g, g', -rem(g, g'), ..., each scaled to
+    # integers by a positive factor, counts the distinct real roots in
+    # (m + 1/2, m' + 1/2] as the drop in its sign changes, so halving
+    # (-bound - 1/2, bound + 1/2] isolates each real root next to an integer
+    # m, and g(m) = 0 decides whether it is m
     den, deg = math.lcm(*(c.denominator for c in coeffs)), len(coeffs) - 1
     g = [int(c * den ** (deg - i)) for i, c in enumerate(coeffs)]
-    found, y = [], 1 + max(abs(c) for c in g[:-1])
-    while len(g) > 1:
-        vals, der = [0], 0
-        for c in reversed(g):  # Horner: vals[1:-1] is g / (t - y), highest first
-            der = der * y + vals[-1]
-            vals.append(vals[-1] * y + c)
-        val = vals[-1]
-        if val == 0:
-            found.append(y)
-            g, y = vals[-2:0:-1], y - 1
-        elif val > 0 and der > 0:
-            # above the largest root of a g whose roots are real and simple,
-            # g and g' are positive and the Newton step y - g/g' stays at or
-            # above that root, and so does this integer step; so a g or g'
-            # that is not positive means g is no product of distinct t - r
-            y -= max(1, val // der)
-        else:
+    bound = 2 * max(1 << -(-abs(c).bit_length() // (deg - i)) for i, c in enumerate(g[:-1]))
+    chain = [g, [i * c for i, c in enumerate(g)][1:]]
+    while len(chain[-1]) > 1:
+        rem, div = [Fraction(c) for c in chain[-2]], chain[-1]
+        while len(rem) >= len(div):  # subtract rem[-1] / div[-1] t^k div
+            k, q = len(rem) - len(div), rem[-1] / div[-1]
+            rem = rem[:k] + [r - q * c for r, c in zip(rem[k:-1], div)]
+        while rem and not rem[-1]:
+            rem.pop()
+        if not rem:
             break
+        scale = math.lcm(*(c.denominator for c in rem))
+        chain.append([int(-c * scale) for c in rem])
+
+    def changes(m: int) -> int:  # at m + 1/2, on 2^deg(h) h(m + 1/2)
+        signs = [v > 0 for h in chain if (v := sum(c * (2 * m + 1) ** i << len(h) - 1 - i for i, c in enumerate(h)))]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    found, todo = [], [(-bound - 1, bound, changes(-bound - 1), changes(bound))]
+    while todo:
+        lo, hi, at_lo, at_hi = todo.pop()
+        if at_lo == at_hi:
+            continue
+        if hi > lo + 1:
+            mid = (lo + hi) // 2
+            at_mid = changes(mid)
+            todo += [(lo, mid, at_lo, at_mid), (mid, hi, at_mid, at_hi)]
+        elif sum(c * hi**i for i, c in enumerate(g)) == 0:
+            found.append(hi)
     return sorted((Fraction(r, den) for r in found), key=lambda lam: (lam.denominator, -lam.numerator))
 
 
@@ -789,8 +805,9 @@ def _minimal_poly_in_corner(a: Algebra, z: Mat, eps: Mat) -> list:
         vecs.append(power)
 
 
-def _primitive_set_semisimple(a: Algebra) -> tuple[list[Mat], list[int]]:
-    """All primitive idempotents of a split semisimple algebra, with block ids.
+def _primitive_set_semisimple(a: Algebra) -> tuple[list[Mat], list[int], list[tuple[Mat, Mat]]]:
+    """All primitive idempotents of a split semisimple algebra, with block
+    ids and links.
 
     Each block eps A, isomorphic to M_s(k), takes two deterministic steps.  A descent
     shrinks the left ideal A e, from e = eps, to a minimal one, of dimension
@@ -800,12 +817,16 @@ def _primitive_set_semisimple(a: Algebra) -> tuple[list[Mat], list[int]]:
     The block then acts faithfully on the simple module L = A e, so the
     s^2 x s^2 matrix phi taking a block element to its action on L (in a
     basis w of L) is invertible, and the solutions of phi c = E_ii are s
-    orthogonal primitive idempotents summing to eps: the matrix units.
+    orthogonal primitive idempotents summing to eps: the matrix units.  The
+    same solve gives the links (u_i, v_i) = (E_0i, E_i0), which
+    ``_primitive_idempotents`` checks; a phi that leaves them unsolved is
+    singular, so A/J is not semisimple and the radical certificate fails.
     """
     if a.dim == 0:
-        return [], []
+        return [], [], []
     idems: list[Mat] = []
     blocks: list[int] = []
+    links: list[tuple[Mat, Mat]] = []
     for b_id, eps in enumerate(central_primitive_idempotents(a)):
         # Z(eps A eps) = k eps needs no check.  Every basis element z of
         # Z(A) acts on eps by a scalar l: the block z met had z e = l e
@@ -824,13 +845,18 @@ def _primitive_set_semisimple(a: Algebra) -> tuple[list[Mat], list[int]]:
             e = span @ (a.left_mult_matrix(z) @ span).solve(z)
         # row j*s + k of the coordinates is B_j w_k in the basis w, column k
         # of the matrix M_j of B_j on L: column j of phi is M_j read column
-        # by column, with M_j[l, k] at k*s + l and E_ii at i*s + i
+        # by column, with M_j[l, k] at k*s + l: E_ii at i*s + i, E_0i at
+        # i*s and E_i0 at i, the right-hand sides [E_ii | E_0i | E_i0]
         act = ideal.coords(a.multiply_batches(block.basis.transpose(), ideal.basis.transpose()).transpose())
-        diagonal = Mat.from_entries(a.field, s * s, s, {(i * s + i, i): 1 for i in range(s)})
-        units = block.basis.transpose() @ act.reshape(s * s, s * s).transpose().solve(diagonal)
+        targets = {(k, c * s + i): 1 for i in range(s) for c, k in enumerate((i * s + i, i * s, i))}
+        units = act.reshape(s * s, s * s).transpose().solve(Mat.from_entries(a.field, s * s, 3 * s, targets))
+        if units is None:
+            raise AlgebraError("radical certificate failed: a block of A/J does not act faithfully on its minimal left ideal")
+        units = block.basis.transpose() @ units
         idems += [units.take_cols([i]) for i in range(s)]
         blocks += [b_id] * s
-    return idems, blocks
+        links += [(units.take_cols([s + i]), units.take_cols([2 * s + i])) for i in range(s)]
+    return idems, blocks, links
 
 
 def _zero_divisor(a: Algebra, e: Mat) -> Mat:
@@ -863,65 +889,51 @@ def _primitive_idempotents(a: Algebra) -> PrimitiveDecomposition:
     if a.dim - a.radical_subspace().dim == 1:
         return PrimitiveDecomposition([a.one], [0])
     quot = semisimple_quotient(a)
-    bar_idems, blocks = _primitive_set_semisimple(quot.quotient)
+    bar_idems, blocks, links = _primitive_set_semisimple(quot.quotient)
     lifted: list[Mat] = []
     total = a.zero_element()
-    nil_bound = a.dim + 1
     for bar in bar_idems:
-        x = quot.sect @ bar
-        # project into the corner orthogonal to previously lifted idempotents
+        # lift sect(bar), cut down to the corner orthogonal to those lifted so far
         cmpl = a.one - total
-        x = a.multiply(cmpl, a.multiply(x, cmpl))
-        e = _lift_idempotent_element(a, x, nil_bound)
+        e = _lift_idempotent_element(a, a.multiply(cmpl, a.multiply(quot.sect @ bar, cmpl)), a.dim + 1)
         lifted.append(e)
         total = total + e
-    if lifted and total != a.one:
+    if total != a.one:
         raise AlgebraError("lifted idempotents do not sum to the unit")
-    if not lifted and a.dim > 0:
-        raise AlgebraError("no idempotents found in a nonzero algebra")
-    # orthogonality and primitivity certificates
     if not _orthogonal_idempotents(a, lifted):
         raise AlgebraError("lifted idempotents are not orthogonal")
-    # The corner certificates are read on A/J, through the images e' =
-    # proj e.  proj is a surjective algebra map with kernel J, so it maps
-    # e A f onto e' (A/J) f' with kernel (e A f) meet J = e J f.  Hence dim
-    # e A e - dim e J e = dim e' (A/J) e', and u v lies outside J for some
-    # u in e0 A e, v in e A e0 exactly when the products of e0' (A/J) e'
-    # with e' (A/J) e0' are not all zero.
+    # The certificate, read on A/J: the images e'_i = proj e_i are the split's
+    # e'_i, nonzero orthogonal idempotents summing to 1.  u_i v_i = e'_0 and
+    # v_i u_i = e'_i, for e'_0 first in e'_i's block b, make e'_i equivalent
+    # to e'_0 (e'_0 u_i e'_i and e'_i v_i e'_0 satisfy both too), so dim e'_i
+    # (A/J) e'_j = d_b >= 1 for all i, j in b, of s_b idempotents.  So the
+    # Peirce decomposition gives dim A/J >= sum_b s_b^2 d_b >= sum_b s_b^2,
+    # and equality forces:
+    # - d_b = 1: e'_i (A/J) e'_i = k e'_i, and as proj maps e A f onto e'
+    #   (A/J) f' with kernel e J f, e_i A e_i = k e_i + e_i J e_i is local
+    #   with residue field k: e_i is primitive and its corner split;
+    # - no Peirce component between blocks: idempotents are equivalent (mod
+    #   J, and so in A) exactly when they share a block;
+    # - each block is M_(s_b)(k), on the units v_i u_j: A/J is semisimple,
+    #   and J, a nilpotent ideal (``_radical``), is rad A.
     q = quot.quotient
-    bars = [quot.proj @ e for e in lifted]
-    for e in bars:
-        if _peirce_basis(q, e, e).cols != 1:
-            raise AlgebraError("field not splitting: corner of idempotent is not local of residue dimension 1")
-    # Radical certificate, second half: A/J is semisimple, so J = rad A.  Each
-    # e A e is k e + e J e (above); u v outside J for some u in e0 A e and
-    # v in e A e0 makes the idempotents of a block equivalent mod J, so each
-    # block of A/J is a full matrix algebra; dim A/J = sum of n_b^2 then
-    # leaves nothing between the blocks.
-    n_b = [blocks.count(b) for b in set(blocks)]
-    if q.dim != sum(n * n for n in n_b):
-        raise AlgebraError(f"radical certificate failed: dim A/J = {q.dim}, but the blocks give {sum(n * n for n in n_b)}")
-    first: dict[int, Mat] = {}
-    for e, b in zip(bars, blocks):
-        e0 = first.setdefault(b, e)
-        if e0 is not e and q.multiply_batches(_peirce_basis(q, e0, e), _peirce_basis(q, e, e0)).is_zero():
+    if any(bar.is_zero() or quot.proj @ e != bar for e, bar in zip(lifted, bar_idems)):
+        raise AlgebraError("lifted idempotents do not map to the split of A/J")
+    size = sum(blocks.count(b) ** 2 for b in set(blocks))
+    if q.dim != size:
+        raise AlgebraError(f"radical certificate failed: dim A/J = {q.dim}, but the blocks give {size}")
+    for bar, b, (u, v) in zip(bar_idems, blocks, links):
+        if q.multiply(u, v) != bar_idems[blocks.index(b)] or q.multiply(v, u) != bar:
             raise AlgebraError("radical certificate failed: idempotents of one block are not equivalent mod J")
     return PrimitiveDecomposition(lifted, blocks)
 
 
-def _peirce_basis(a: Algebra, e: Mat, f: Mat) -> Mat:
-    """Columns spanning e A f."""
-    return Subspace.from_columns(a.left_mult_matrix(e) @ a.right_mult_matrix(f)).basis.transpose()
-
-
-def _lift_idempotent_element(a: Algebra, x: Mat, nil_bound: int) -> Mat:
-    e = x
-    for _ in range(2 * max(nil_bound, 1)):
+def _lift_idempotent_element(a: Algebra, e: Mat, nil_bound: int) -> Mat:
+    """The idempotent that x -> 3x^2 - 2x^3 reaches from e, for e^2 - e
+    nilpotent of index at most nil_bound."""
+    for _ in range(2 * max(nil_bound, 1) + 1):
         e2 = a.multiply(e, e)
         if e2 == e:
             return e
         e = e2.scale(3) - a.multiply(e2, e).scale(2)
-    e2 = a.multiply(e, e)
-    if e2 == e:
-        return e
     raise AlgebraError("idempotent lifting did not stabilize")

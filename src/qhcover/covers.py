@@ -33,7 +33,7 @@ from .modules import (
     regular_module,
     summand_matches,
 )
-from .qh import QHStructure, _heredity_quotient, ringel_dual
+from .qh import QHStructure, _heredity_quotient, pushout_extension, ringel_dual
 from .reldim import relative_codomdim, relative_domdim
 
 
@@ -263,10 +263,7 @@ def _random_extension(qh: QHStructure, lam: int, x: Module, rng: np.random.Gener
     else:
         coeffs = [int(c) for c in rng.integers(-3, 4, size=homs_k.dim)]
     phi = homs_k.combination([field.normalize(c) for c in coeffs])
-    total, injs, projs = direct_sum([x, p0])
-    rel = injs[0].matrix @ phi.matrix - injs[1].matrix @ kincl.matrix
-    quot, _ = quotient_module(total, Subspace.from_columns(rel))
-    return quot
+    return pushout_extension(x, p0, kincl, [phi])[0]
 
 
 def _random_delta_filtered_checks(qh, p, fa, fa_basis, report: CoverReport, count: int, rng) -> bool:

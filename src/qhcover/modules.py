@@ -8,8 +8,8 @@ Hom spaces are computed through projective presentations rather than one
 big intertwining solve: Hom(A e, N) is the slice e N, so Hom(M, N) is the
 kernel of the induced map between slice spaces of a presentation
 P1 -> P0 -> M -> 0.  This keeps the Schur-algebra instances (dimension 165)
-inside small eliminations.  A naive intertwiner solve is kept as an
-independent oracle for the tests.
+inside small eliminations.  The test suite checks them against a naive
+intertwiner solve over the algebra's generators.
 """
 
 from __future__ import annotations
@@ -533,19 +533,6 @@ def _extract_hom_matrices(pres: Presentation, n: Module, spans: list[Subspace], 
         f = f + (stack @ wsol).reshape(a.dim, n.dim * h).transpose() @ _component(pres.section, s)
         offset += hw
     return [f.take_rows(range(t, n.dim * h, h)) for t in range(h)]
-
-
-def hom_space_naive(m: Module, n: Module) -> list[Mat]:
-    """Oracle: direct intertwiner solve over the algebra generators."""
-    a = m.algebra
-    t, s = n.dim, m.dim
-    if t == 0 or s == 0:
-        return []
-    id_t, id_s = Mat.identity(a.field, t), Mat.identity(a.field, s)
-    # rows: entries of F rho_M(g) - rho_N(g) F, unknowns vec(F) row-major
-    rows = [id_t.kron(m.act(g).transpose()) - n.act(g).kron(id_s) for g in a.generator_elements()]
-    ker = Mat.vstack(rows).kernel()
-    return [ker.take_cols([c]).reshape(t, s) for c in range(ker.cols)]
 
 
 # ---------------------------------------------------------------------------

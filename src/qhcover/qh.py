@@ -291,24 +291,23 @@ def _universal_extension(qh: QHStructure, mu: int, x: Module, incl: Mat, e: int)
     reps_idx = _complement_indices(sub, Mat.vstack([f.matrix.reshape(1, ambient) for f in homs_k.maps]))
     if len(reps_idx) != e:
         raise QHError("cocycle count does not match Ext dimension")
-    phis = [homs_k.maps[i] for i in reps_idx]
-    # pushout: (x + P0^e) / {(phi_i(k), ..., -incl(k) in slot i, ...)}
-    mods = [x] + [p0] * e
-    total, injs, projs = direct_sum(mods)
-    rel_cols = []
-    for i, phi in enumerate(phis):
-        block = injs[0].matrix @ phi.matrix - injs[1 + i].matrix @ kincl.matrix
-        rel_cols.append(block)
-    rel = Mat.hstack(rel_cols)
-    quot, projmap = quotient_module(total, Subspace.from_columns(rel))
-    newincl = projmap.matrix @ injs[0].matrix @ incl
-    x_new = quot
+    x_new, embed = pushout_extension(x, p0, kincl, [homs_k.maps[i] for i in reps_idx])
+    newincl = embed @ incl
     # sanity: the base stays embedded and dimensions add up
-    if Mat.hstack([newincl]).rank() != incl.cols:
+    if newincl.rank() != incl.cols:
         raise QHError("universal extension did not embed the standard module")
     if x_new.dim != x.dim + e * qh.standards[mu].dim:
         raise QHError("universal extension has the wrong dimension")
     return x_new, newincl
+
+
+def pushout_extension(x: Module, p0: Module, kincl: ModuleMap, phis: list[ModuleMap]) -> tuple[Module, Mat]:
+    """The extension 0 -> x -> x' -> (P0/K)^e -> 0 along cocycles phi_i: K -> x,
+    x' = (x + P0^e) / {(phi_i(k), -k in slot i)}, and the inclusion of x."""
+    total, injs, _ = direct_sum([x] + [p0] * len(phis))
+    rel = Mat.hstack([injs[0].matrix @ phi.matrix - injs[1 + i].matrix @ kincl.matrix for i, phi in enumerate(phis)])
+    quot, projmap = quotient_module(total, Subspace.from_columns(rel))
+    return quot, projmap.matrix @ injs[0].matrix
 
 
 def _complement_indices(sub: Subspace, vectors: Mat) -> list[int]:

@@ -44,6 +44,20 @@ def broken_truncated_polynomial_module():
     return a, Module(a, action)
 
 
+def hom_space_naive(m, n):
+    """Oracle for ``modules.hom_space``: one intertwiner solve over the
+    algebra generators, F rho_M(g) = rho_N(g) F, as a list of matrices."""
+    a = m.algebra
+    t, s = n.dim, m.dim
+    if t == 0 or s == 0:
+        return []
+    id_t, id_s = Mat.identity(a.field, t), Mat.identity(a.field, s)
+    # rows: entries of F rho_M(g) - rho_N(g) F, unknowns vec(F) row-major
+    rows = [id_t.kron(m.act(g).transpose()) - n.act(g).kron(id_s) for g in a.generator_elements()]
+    ker = Mat.vstack(rows).kernel()
+    return [ker.take_cols([c]).reshape(t, s) for c in range(ker.cols)]
+
+
 def stored_arrays(a):
     """The arrays an algebra holds in its attributes, inside tuples and Mats
     too, apart from its faithful representation ``_rep`` (a list of Mats)."""

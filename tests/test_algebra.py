@@ -529,6 +529,22 @@ def test_central_idempotents_are_lagrange_interpolants_in_factor_order(field, ro
 
 
 @pytest.mark.parametrize(
+    "coeffs, roots",
+    [
+        ([-10, -2, 5, 1], [-5]),
+        ([600, -200, -3, 1], [3]),
+        ([Fraction(-1, 3), Fraction(1, 6), Fraction(2, 3), Fraction(1, 6), 1], [Fraction(1, 2), Fraction(-2, 3)]),
+        ([2, -1, -2, 1], [2, 1, -1]),
+    ],
+    ids=["(t+5)(t2-2)", "(t-3)(t2-200)", "(t-1/2)(t+2/3)(t2+1)", "(t-2)(t-1)(t+1)"],
+)
+def test_rational_roots_between_irrational_ones(coeffs, roots):
+    # a rational root below an irrational one, or between two, is found, and
+    # the roots keep the factor order (b, -a) for l = a/b
+    assert algebra_module._roots([Fraction(c) for c in coeffs], QQ) == roots
+
+
+@pytest.mark.parametrize(
     "field, coeffs",
     [(QQ, [1, 0, 1]), (QQ, [-2, 0, 1]), (F3, [1, 0, 1]), (QQ, [2, -2, -1, 1]), (GF(5), [0, 3, 0, 1])],
     ids=["QQ-x2+1", "QQ-x2-2", "GF3-x2+1", "QQ-(x-1)(x2-2)", "GF5-x(x2-2)"],
@@ -583,7 +599,8 @@ def test_radical_certificate_rejects_a_smaller_nilpotent_ideal(monkeypatch, fiel
     assert a.radical_subspace().dim == 2 and prim.block_of == [0, 1]
     # J = 0 is a nilpotent ideal, and A itself passes for one split simple
     # block with two idempotents: 4 = 2^2.  Only the equivalence of the two
-    # idempotents mod J (a b = 0) is missing.
+    # idempotents mod J (a b = 0) is missing, so A does not act faithfully
+    # on A e_1 and the solve for the links E_01, E_10 has no solution.
     monkeypatch.setattr(algebra, "_radical_chain", lambda alg: Subspace(alg.field, alg.dim))
     with pytest.raises(AlgebraError, match="radical certificate"):
         two_cycle_radical_square_zero(field).primitive_idempotents()
@@ -660,8 +677,8 @@ def test_radical_certificate_counts_the_blocks(monkeypatch, field):
     original = algebra._primitive_set_semisimple
 
     def two_blocks(a):
-        idems, blocks = original(a)
-        return idems, list(range(len(idems)))
+        idems, blocks, links = original(a)
+        return idems, list(range(len(idems))), links
 
     monkeypatch.setattr(algebra, "_primitive_set_semisimple", two_blocks)
     with pytest.raises(AlgebraError, match="radical certificate failed: dim A/J = 4, but the blocks give 2"):
@@ -678,9 +695,9 @@ def test_radical_certificate_tests_block_equivalence(monkeypatch, field):
     original = algebra._primitive_set_semisimple
 
     def two_blocks_of_three(a):
-        idems, blocks = original(a)
+        idems, blocks, links = original(a)
         assert sorted(blocks.count(b) for b in set(blocks)) == [1, 1, 4]
-        return idems, [0, 0, 0, 1, 1, 1]
+        return idems, [0, 0, 0, 1, 1, 1], links
 
     monkeypatch.setattr(algebra, "_primitive_set_semisimple", two_blocks_of_three)
     a = direct_product(direct_product(matrix_algebra(field, 4), field_algebra(field)), field_algebra(field))
@@ -693,17 +710,43 @@ def test_primitivity_certificate_rejects_a_sum_of_idempotents(monkeypatch, field
     from qhcover import algebra
 
     # in M_2(k) x k the two idempotents of the M_2 block sum to its unit,
-    # whose corner M_2(k) is not local
+    # whose corner M_2(k) is not local: two one-idempotent blocks give
+    # 1 + 1 against dim A/J = 5, so the count refuses it
     original = algebra._primitive_set_semisimple
 
     def merged(a):
-        idems, blocks = original(a)
+        idems, blocks, links = original(a)
         i, j = (n for n, b in enumerate(blocks) if blocks.count(b) == 2)
-        return [idems[i] + idems[j]] + [e for n, e in enumerate(idems) if n not in (i, j)], [blocks[i]] + [b for n, b in enumerate(blocks) if n not in (i, j)]
+        rest = [n for n in range(len(idems)) if n not in (i, j)]
+        unit = idems[i] + idems[j]
+        return [unit] + [idems[n] for n in rest], [blocks[i]] + [blocks[n] for n in rest], [(unit, unit)] + [links[n] for n in rest]
 
     monkeypatch.setattr(algebra, "_primitive_set_semisimple", merged)
-    with pytest.raises(AlgebraError, match="corner of idempotent is not local"):
+    with pytest.raises(AlgebraError, match="radical certificate failed: dim A/J = 5, but the blocks give 2"):
         direct_product(matrix_algebra(field, 2), field_algebra(field)).primitive_idempotents()
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
+@pytest.mark.parametrize("wrong", ["swapped", "zero"])
+def test_radical_certificate_checks_the_links(monkeypatch, field, wrong):
+    from qhcover import algebra
+
+    # M_3(k) splits into E_00, E_11, E_22 with links (E_0i, E_i0): swapping
+    # a link gives E_i0 E_0i = E_ii != E_00, and a zero link gives 0
+    original = algebra._primitive_set_semisimple
+
+    def bad_link(a):
+        idems, blocks, links = original(a)
+        u, v = links[1]
+        links[1] = (v, u) if wrong == "swapped" else (a.zero_element(), a.zero_element())
+        return idems, blocks, links
+
+    a = matrix_algebra(field, 3)
+    _, _, links = original(a)
+    assert all(a.multiply(u, v) != a.multiply(v, u) for u, v in links[1:])
+    monkeypatch.setattr(algebra, "_primitive_set_semisimple", bad_link)
+    with pytest.raises(AlgebraError, match="not equivalent mod J"):
+        a.primitive_idempotents()
 
 
 TWISTED_M2 = [[[1, 0], [0, 1]], [[0, 1], [2, 0]], [[0, 1], [3, 0]], [[1, 1], [-1, 0]]]

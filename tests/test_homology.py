@@ -19,13 +19,14 @@ from qhcover.modules import (
     dual,
     end_algebra_with_bimodule,
     hom_space,
-    hom_space_naive,
     module_radical,
     regular_module,
     submodule,
     tensor_over,
     top,
 )
+
+from conftest import hom_space_naive
 
 F2, F3 = GF(2), GF(3)
 

@@ -18,7 +18,6 @@ from qhcover.modules import (
     end_algebra_with_bimodule,
     endomorphism_algebra,
     hom_space,
-    hom_space_naive,
     indecomposable_summands,
     indecomposables_isomorphic,
     injective_envelope,
@@ -38,7 +37,7 @@ from qhcover.modules import (
     zero_module,
 )
 
-from conftest import broken_truncated_polynomial_module, make_am_algebra
+from conftest import broken_truncated_polynomial_module, hom_space_naive, make_am_algebra
 
 F3 = GF(3)
 
