@@ -28,12 +28,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .fields import Field, PrimeField
-from .linalg import _EXACT, Mat, MatrixBasis, Subspace, Triples, _mod, _reduce, _slots, matmul_mod
+from .linalg import _EXACT, Mat, MatrixBasis, Subspace, Triples, _mod, _reduce, _slots, matmul_mod, restrict_action
 from .memo import memo, share
 
 
@@ -379,12 +379,14 @@ def corner_algebra(a: Algebra, e: Mat) -> tuple[Algebra, Mat]:
         raise AlgebraError("corner unit is not in the corner subspace")
     rep = None
     if a._rep is not None:
-        rep_e = _combine_rep(a, e)
-        img = Subspace.from_columns(rep_e)
+        flat, size = _rep_stack(a)
+        reps = Mat.hstack([e, incl]).transpose() @ flat  # row 0: rep(e), row 1 + c: rep(incl_c)
+        img = Subspace.from_columns(reps.take_rows([0]).reshape(size, size))
         if img.dim:
-            w = img.basis.transpose()  # columns: basis of e.V
-            wb = MatrixBasis([w.take_cols([j]) for j in range(w.cols)])
-            rep = [wb.flat_coords(_combine_rep(a, incl.take_cols([c])) @ w) for c in range(m)]
+            # x in eAe is e x e, so rep(x) maps e.V = image of rep(e) into itself
+            rep = restrict_action(reps.take_rows(range(1, m + 1)), img.basis, img.coords)
+            if rep is None:
+                raise AlgebraError("corner rep left the image of rep(e)")
     corner = Algebra(a.field, m, mult, one_coords.transpose(), provenance="corner", rep=rep)
     return corner, incl
 
@@ -417,16 +419,6 @@ def _basic_algebra(a: Algebra) -> tuple[Algebra, Mat]:
         raise AlgebraError("basic algebra: the class idempotents are not orthogonal idempotents summing to 1 in eAe")
     memo(b, "_prim", lambda: PrimitiveDecomposition(idems, list(range(len(idems)))))
     return b, incl
-
-
-def _combine_rep(a: Algebra, x: Mat) -> Mat:
-    mats = a.rep_matrices()
-    acc = Mat.zeros(a.field, mats[0].rows, mats[0].cols)
-    for i in range(a.dim):
-        xi = x[i, 0]
-        if xi != 0:
-            acc = acc + mats[i].scale(xi)
-    return acc
 
 
 def algebra_of_matrices(basis: MatrixBasis, provenance: str) -> Algebra:
@@ -619,14 +611,12 @@ def _assert_nilpotent_ideal(a: Algebra, rad: Subspace) -> None:
 # ---------------------------------------------------------------------------
 
 
-class QuotientAlgebra:
+class QuotientAlgebra(NamedTuple):
     """A/J with projection (quotient coords) and a linear section."""
 
-    def __init__(self, algebra: Algebra, quotient: Algebra, proj: Mat, sect: Mat):
-        self.parent = algebra
-        self.quotient = quotient
-        self.proj = proj  # (s x n)
-        self.sect = sect  # (n x s)
+    quotient: Algebra
+    proj: Mat  # (s x n)
+    sect: Mat  # (n x s)
 
 
 def quotient_algebra(a: Algebra, ideal: Subspace) -> QuotientAlgebra:
@@ -648,7 +638,7 @@ def quotient_algebra(a: Algebra, ideal: Subspace) -> QuotientAlgebra:
     products[row, t.k[keep]] = t.data[keep]
     coords = Mat.from_reduced(field, products, t.den) @ proj.transpose()
     quot = Algebra.from_triples(field, s, Triples.from_rows(pairs, coords, s), proj @ a.one, provenance="quotient")
-    return QuotientAlgebra(a, quot, proj, sect)
+    return QuotientAlgebra(quot, proj, sect)
 
 
 def semisimple_quotient(a: Algebra) -> QuotientAlgebra:

@@ -20,7 +20,6 @@ from .algebra import Algebra
 from .fields import PrimeField
 from .homology import DimValue, ext_dim
 from .linalg import Mat, MatrixBasis, Subspace
-from .memo import memo
 from .modules import (
     Module,
     ModuleMap,
@@ -97,8 +96,7 @@ def double_centralizer_check(q: Module) -> bool:
     b, bim, _ = end_algebra_with_bimodule(q)
     # the image of A lands in the commutant automatically; bijectivity is
     # injectivity of a -> rho_q(a) plus a dimension match with End_B(q)
-    flat = Mat.hstack([g.reshape(q.dim * q.dim, 1) for g in q.action])
-    injective = flat.rank() == a.dim
+    injective = q.flat_action().rank() == a.dim
     commutant_dim = hom_space(bim.right, bim.right).dim
     return injective and commutant_dim == a.dim
 
@@ -317,7 +315,7 @@ def verify_ringel_cover_theorem(qh: QHStructure, q: Module, cap: int = 10, rando
     _require_partial_tilting(qh, q)
     t = qh.characteristic_tilting()
     n = relative_codomdim(q, t, max(cap + 2, 4)).value
-    rd = memo(qh, "_ringel_dual", lambda: ringel_dual(qh))
+    rd = ringel_dual(qh)
     pq, _ = hom_module_over_endop(t, q)
     # sanity: End_{R(A)}(Hom(T, q))^op has the dimension of End_A(q)^op
     bq = hom_space(pq, pq).dim

@@ -447,9 +447,9 @@ class SchurWeylData:
 
 def schur_weyl_map(schur: SchurGallery) -> SchurWeylData:
     """psi: Hecke -> End_Schur(V^(tensor d))^op with image and kernel data."""
-    tensor_action = schur.tensor.module.action  # matrices of T_sigma (right action)
     end_dim = hom_space(schur.tensor_module, schur.tensor_module).dim
-    flat = Mat.hstack([m.reshape(m.rows * m.cols, 1) for m in tensor_action])
+    # column sigma: T_sigma (right action) read row-major
+    flat = schur.tensor.module.flat_action().transpose()
     image_dim = flat.rank()
     kernel = flat.kernel()
     return SchurWeylData(
@@ -463,12 +463,9 @@ def schur_weyl_map(schur: SchurGallery) -> SchurWeylData:
 
 def hecke_element_is_in_kernel(schur: SchurGallery, coeffs: dict) -> bool:
     """Does the Hecke element (permutation -> coefficient) act as zero?"""
-    field = schur.field
-    acc = Mat.zeros(field, schur.tensor_module.dim, schur.tensor_module.dim)
-    for sigma, c in coeffs.items():
-        idx = schur.hecke.index[tuple(sigma)]
-        acc = acc + schur.tensor.module.action[idx].scale(field.normalize(c))
-    return acc.is_zero()
+    module = schur.tensor.module
+    entries = {(schur.hecke.index[tuple(sigma)], 0): c for sigma, c in coeffs.items()}
+    return module.act(Mat.from_entries(schur.field, module.algebra.dim, 1, entries)).is_zero()
 
 
 # ---------------------------------------------------------------------------

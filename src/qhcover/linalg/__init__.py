@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -758,3 +758,20 @@ class Subspace:
         """Canonical coordinates of row vectors in k^n / S."""
         free = vecs.take_cols(self.nonpivots)
         return free if self.dim == 0 else free - self._spanned(vecs.take_cols(self.pivots))
+
+
+def restrict_action(flat: Mat, vecs: Mat, coords: Callable[[Mat], Optional[Mat]]) -> Optional[list[Mat]]:
+    """Square d x d matrices g_1..g_r, row i of ``flat`` holding g_i read
+    row-major, restricted to k row vectors v_t: matrix i has column t the
+    coordinates of g_i v_t.
+
+    Every image comes from one product and all coordinates from one call of
+    ``coords``: ``Subspace.coords`` of a subspace the v_t span (a
+    submodule), or ``Subspace.quotient_coords`` with v_t the section of a
+    quotient.  None when ``coords`` is None: the span is not invariant.
+    """
+    r, (k, d) = flat.rows, (vecs.rows, vecs.cols)
+    # [g_1^T | ... | g_r^T] is the transposed stack; row t*r + i: (g_i v_t)^T
+    images = (vecs @ flat.reshape(r * d, d).transpose()).reshape(k * r, d)
+    c = coords(images)
+    return None if c is None else [c.take_rows(range(i, k * r, r)).transpose() for i in range(r)]

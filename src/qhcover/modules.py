@@ -10,6 +10,11 @@ kernel of the induced map between slice spaces of a presentation
 P1 -> P0 -> M -> 0.  This keeps the Schur-algebra instances (dimension 165)
 inside small eliminations.  The test suite checks them against a naive
 intertwiner solve over the algebra's generators.
+
+Sub-, quotient and corner modules restrict a module's stacked action with
+one kernel, ``linalg.restrict_action``: one product forms every image and
+one coordinate call reads them all.  The test suite checks them against
+per-matrix oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .algebra import Algebra, algebra_of_matrices, opposite
-from .linalg import Mat, MatrixBasis, Subspace
+from .linalg import Mat, MatrixBasis, Subspace, restrict_action
 from .memo import memo, memo_pair
 
 
@@ -34,9 +39,10 @@ class Module:
     """
 
     # memo keys kept per object: dual(dual(m)) is m itself, not a twin of
-    # it, and the stacked action costs less to rebuild than to fingerprint,
-    # which a module that only acts would otherwise pay
-    own_memos = frozenset({"_dual", "_stack", "_flat"})
+    # it, as the summand triple of an indecomposable m names m itself; the
+    # stacked action costs less to rebuild than to fingerprint, which a
+    # module that only acts would otherwise pay
+    own_memos = frozenset({"_dual", "_stack", "_flat", "_whole"})
 
     def __init__(self, algebra: Algebra, action: list[Mat], name: str = ""):
         self.algebra = algebra
@@ -61,17 +67,17 @@ class Module:
         """The action matrices stacked: rows a*dim .. (a+1)*dim hold rho(b_a) (cached)."""
         return memo(self, "_stack", lambda: Mat.vstack(self.action))
 
-    def _flat_action(self) -> Mat:
+    def flat_action(self) -> Mat:
         """(A.dim x dim^2): row a is rho(b_a) read row-major (cached)."""
         return memo(self, "_flat", lambda: self.stack().reshape(self.algebra.dim, self.dim * self.dim))
 
     def act(self, x: Mat) -> Mat:
         """Action matrix of an algebra element (column vector of coords)."""
-        return (x.transpose() @ self._flat_action()).reshape(self.dim, self.dim)
+        return (x.transpose() @ self.flat_action()).reshape(self.dim, self.dim)
 
     def act_many(self, xs: Mat) -> list[Mat]:
         """Action matrices for several elements (columns of xs)."""
-        flat = xs.transpose() @ self._flat_action()  # row c: rho(x_c) row-major
+        flat = xs.transpose() @ self.flat_action()  # row c: rho(x_c) row-major
         return [flat.take_rows([c]).reshape(self.dim, self.dim) for c in range(xs.cols)]
 
     def validate(self) -> None:
@@ -170,26 +176,19 @@ def regular_module(a: Algebra) -> Module:
 
 def submodule(m: Module, span: Subspace) -> tuple[Module, ModuleMap]:
     """Module on an invariant subspace, with its inclusion map."""
-    w = span.basis.transpose()  # columns = basis
-    action = []
-    for g in m.action:
-        img = (g @ w).transpose()
-        coords = span.coords(img)
-        if coords is None:
-            raise ModuleError("subspace is not invariant under the action")
-        action.append(coords.transpose())
+    action = restrict_action(m.flat_action(), span.basis, span.coords)
+    if action is None:
+        raise ModuleError("subspace is not invariant under the action")
     sub = Module(m.algebra, action)
-    return sub, ModuleMap(sub, m, w)
+    return sub, ModuleMap(sub, m, span.basis.transpose())
 
 
 def quotient_module(m: Module, span: Subspace) -> tuple[Module, ModuleMap]:
     """Quotient by an invariant subspace, with its projection map."""
     ident = Mat.identity(m.algebra.field, m.dim)
-    proj = span.quotient_coords(ident).transpose()  # (q x t)
-    sect = ident.take_cols(span.nonpivots)
-    action = [proj @ (g @ sect) for g in m.action]
-    quot = Module(m.algebra, action)
-    return quot, ModuleMap(m, quot, proj)
+    sect = ident.take_rows(span.nonpivots)  # rows: the unit vectors off the pivots
+    quot = Module(m.algebra, restrict_action(m.flat_action(), sect, span.quotient_coords))
+    return quot, ModuleMap(m, quot, span.quotient_coords(ident).transpose())
 
 
 def direct_sum(mods: Sequence[Module], name: str = "") -> tuple[Module, list[ModuleMap], list[ModuleMap]]:
@@ -451,8 +450,10 @@ class HomSpace:
         return len(self.maps)
 
     def combination(self, coeffs: Sequence) -> ModuleMap:
+        rows, cols = self.target.dim, self.source.dim
+        flat = Mat.vstack([f.matrix.reshape(1, rows * cols) for f in self.maps])
         coords = Mat.column(self.source.algebra.field, coeffs)
-        return ModuleMap(self.source, self.target, end_element_matrix(self.maps, coords))
+        return ModuleMap(self.source, self.target, (coords.transpose() @ flat).reshape(rows, cols))
 
 
 def _slice_spans(n: Module, p: ProjSum) -> list[Subspace]:
@@ -564,15 +565,11 @@ def trace_submodule(x: Module, m: Module) -> tuple[Module, ModuleMap]:
 
 def corner_module(m: Module, e: Mat, corner: Algebra, corner_incl: Mat) -> Module:
     """e . M as a module over the corner algebra eAe."""
-    field = m.algebra.field
     span = Subspace.from_columns(m.act(e))
-    w = span.basis.transpose()
-    action = []
-    for rho in m.act_many(corner_incl):  # the corner basis as elements of A
-        coords = span.coords((rho @ w).transpose())
-        if coords is None:
-            raise ModuleError("corner action left the corner subspace")
-        action.append(coords.transpose())
+    # the corner basis as elements of A, acting on M, restricted to e . M
+    action = restrict_action(corner_incl.transpose() @ m.flat_action(), span.basis, span.coords)
+    if action is None:
+        raise ModuleError("corner action left the corner subspace")
     return Module(corner, action, name=f"e.{m.name}" if m.name else "")
 
 
@@ -597,16 +594,6 @@ def _endomorphism_algebra(m: Module) -> tuple[Algebra, list[ModuleMap]]:
     return algebra_of_matrices(MatrixBasis([f.matrix for f in basis]), "endomorphism"), basis
 
 
-def end_element_matrix(basis: list[ModuleMap], coords: Mat) -> Mat:
-    field = basis[0].matrix.field
-    acc = Mat.zeros(field, basis[0].matrix.rows, basis[0].matrix.cols)
-    for i, f in enumerate(basis):
-        c = coords[i, 0]
-        if c != 0:
-            acc = acc + f.matrix.scale(c)
-    return acc
-
-
 def indecomposable_summands(m: Module) -> list[tuple[Module, ModuleMap, ModuleMap]]:
     """Split into indecomposables via idempotents of End(M).
 
@@ -620,25 +607,26 @@ def indecomposable_summands(m: Module) -> list[tuple[Module, ModuleMap, ModuleMa
         return []
     parts = memo(m, "_summands", lambda: _split(m))
     if parts is None:
-        ident = Mat.identity(m.algebra.field, m.dim)
-        return [(m, ModuleMap(m, m, ident), ModuleMap(m, m, ident))]
+        def whole():
+            ident = ModuleMap(m, m, Mat.identity(m.algebra.field, m.dim))
+            return [(m, ident, ident)]
+        return memo(m, "_whole", whole)
     return parts
 
 
 def _split(m: Module) -> Optional[list[tuple[Module, ModuleMap, ModuleMap]]]:
     """The summand triples of m, or None when End(M) is local."""
-    end, basis = endomorphism_algebra(m)
+    end, _ = endomorphism_algebra(m)
     prim = end.primitive_idempotents()
     if len(prim) == 1:
         return None
     out = []
-    for e in prim.idempotents:
-        mat = end_element_matrix(basis, e)
+    # End(M) acts on M through its rep module: each idempotent as a matrix
+    for mat in end_algebra_with_bimodule(m)[1].right.act_many(Mat.hstack(prim.idempotents)):
         span = Subspace.from_columns(mat)
         summand, incl = submodule(m, span)
-        proj_mat = span.coords((mat).transpose())
         # projection onto the summand: first apply the idempotent, then coordinates
-        proj = proj_mat.transpose()
+        proj = span.coords(mat.transpose()).transpose()
         out.append((summand, incl, ModuleMap(m, summand, proj)))
     return out
 

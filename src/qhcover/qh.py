@@ -454,8 +454,9 @@ class RingelDual:
 
 
 def ringel_dual(qh: QHStructure) -> RingelDual:
-    """R(A) = End(T)^op with its split quasi-hereditary structure, verified."""
-    return RingelDual(qh)
+    """R(A) = End(T)^op with its split quasi-hereditary structure, verified
+    (memoised on qh)."""
+    return memo(qh, "_ringel_dual", lambda: RingelDual(qh))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 from qhcover.algebra import from_structure_constants
 from qhcover.fields import GF, QQ
 from qhcover.gallery import build_schur
-from qhcover.linalg import Mat
-from qhcover.modules import Module, regular_module
+from qhcover.linalg import Mat, MatrixBasis, Subspace
+from qhcover.modules import Module, ModuleError, ModuleMap, regular_module
 from qhcover.quiver import Arrow, QuiverPresentation, from_quiver
 
 
@@ -56,6 +56,52 @@ def hom_space_naive(m, n):
     rows = [id_t.kron(m.act(g).transpose()) - n.act(g).kron(id_s) for g in a.generator_elements()]
     ker = Mat.vstack(rows).kernel()
     return [ker.take_cols([c]).reshape(t, s) for c in range(ker.cols)]
+
+
+def submodule_naive(m, span):
+    """Oracle for ``modules.submodule``: each action matrix on its own, the
+    images g W of the span's basis W in coordinates of the span."""
+    w = span.basis.transpose()  # columns = basis
+    action = []
+    for g in m.action:
+        img = (g @ w).transpose()
+        coords = span.coords(img)
+        if coords is None:
+            raise ModuleError("subspace is not invariant under the action")
+        action.append(coords.transpose())
+    sub = Module(m.algebra, action)
+    return sub, ModuleMap(sub, m, w)
+
+
+def quotient_module_naive(m, span):
+    """Oracle for ``modules.quotient_module``: proj g sect for each action
+    matrix g, with the quotient coordinates and the non-pivot section."""
+    ident = Mat.identity(m.algebra.field, m.dim)
+    proj = span.quotient_coords(ident).transpose()  # (q x t)
+    sect = ident.take_cols(span.nonpivots)
+    quot = Module(m.algebra, [proj @ (g @ sect) for g in m.action])
+    return quot, ModuleMap(m, quot, proj)
+
+
+def combine_rep_naive(a, x):
+    """rep(x) = sum_i x_i rep(b_i), one scaled matrix per nonzero coordinate."""
+    mats = a.rep_matrices()
+    acc = Mat.zeros(a.field, mats[0].rows, mats[0].cols)
+    for i in range(a.dim):
+        if x[i, 0] != 0:
+            acc = acc + mats[i].scale(x[i, 0])
+    return acc
+
+
+def corner_rep_naive(a, e, incl):
+    """Oracle for the rep of ``algebra.corner_algebra(a, e)``: rep(incl_c)
+    on the image of rep(e), in the basis of its reduced rows, or None."""
+    img = Subspace.from_columns(combine_rep_naive(a, e))
+    if img.dim == 0:
+        return None
+    w = img.basis.transpose()  # columns: basis of e.V
+    wb = MatrixBasis([w.take_cols([j]) for j in range(w.cols)])
+    return [wb.flat_coords(combine_rep_naive(a, incl.take_cols([c])) @ w) for c in range(incl.cols)]
 
 
 def stored_arrays(a):

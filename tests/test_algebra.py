@@ -420,7 +420,7 @@ def test_left_regular_action_is_left_multiplication(field):
     from qhcover.modules import dual, regular_module
 
     d = dual(regular_module(a))
-    assert np.shares_memory(d._flat_action().data, d.stack().data)
+    assert np.shares_memory(d.flat_action().data, d.stack().data)
 
 
 # -- primitive idempotents -------------------------------------------------------

@@ -202,3 +202,16 @@ def test_hn_equals_domdim_tilting_minus_two_a2(am2):
     rep = hn_dimension(am2.qh, p2, cap=5)
     assert rep.is_cover and rep.eta_injective and not rep.eta_isomorphism
     assert rep.hn is not None and rep.hn.kind == "exact" and rep.hn.n == -1
+
+
+def test_ringel_dual_is_built_once_per_structure(monkeypatch):
+    from qhcover import qh as qh_module
+
+    qh = build_am(2, F3).qh  # a structure no other test has asked
+    built = []
+    init = qh_module.RingelDual.__init__
+    monkeypatch.setattr(qh_module.RingelDual, "__init__", lambda self, s: built.append(s) or init(self, s))
+    rd = qh_module.ringel_dual(qh)
+    assert qh_module.ringel_dual(qh) is rd
+    assert verify_ringel_cover_theorem(qh, qh.characteristic_tilting(), cap=5).holds
+    assert built == [qh]

@@ -47,6 +47,26 @@ def test_package_imports_no_unused_names():
     assert unused == []
 
 
+def test_package_has_no_dead_private_functions():
+    # every module-level function or method named _x is named again
+    # somewhere in the package: called, passed, imported or overridden
+    defined, named = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        for node in (n for body in bodies for n in body):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.endswith("__"):
+                defined.append((node.name, f"{path.relative_to(PACKAGE)}:{node.lineno}"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert [f"{where} {name}" for name, where in defined if name not in named] == []
+
+
 def test_pyproject_depends_on_numpy_only():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

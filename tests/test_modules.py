@@ -8,6 +8,7 @@ import pytest
 
 from qhcover.algebra import corner_algebra, opposite
 from qhcover.fields import GF, QQ
+from qhcover.gallery import build_schur
 from qhcover.linalg import Mat, Subspace
 from qhcover.modules import (
     Module,
@@ -27,6 +28,7 @@ from qhcover.modules import (
     projective_cover_data,
     proj_sum,
     quotient_module,
+    radical_span,
     regular_module,
     socle,
     submodule,
@@ -37,7 +39,14 @@ from qhcover.modules import (
     zero_module,
 )
 
-from conftest import broken_truncated_polynomial_module, hom_space_naive, make_am_algebra
+from conftest import (
+    broken_truncated_polynomial_module,
+    corner_rep_naive,
+    hom_space_naive,
+    make_am_algebra,
+    quotient_module_naive,
+    submodule_naive,
+)
 
 F3 = GF(3)
 
@@ -342,6 +351,62 @@ def test_random_submodule_homs_hypothesis(a2_gf3):
         assert hom_space(reg, sub).dim == len(hom_space_naive(reg, sub))
 
 
+# -- one restriction kernel for sub-, quotient and corner modules and corner reps --
+
+
+RESTRICTION_CASES = {
+    "A3-QQ": lambda: make_am_algebra(3, QQ),
+    "S_GF2(2,2)": lambda: build_schur(2, 2, 1, GF(2)).algebra,
+    "S_GF3(2,3)": lambda: build_schur(2, 3, 1, F3).algebra,
+}
+
+
+def _random_invariant_spans(m, rng, count):
+    """The zero and the whole subspace, then ``count`` submodules A.v, for v
+    random in M or, every other time, in rad(M) (smaller, mostly)."""
+    field = m.algebra.field
+    spans = [Subspace(field, m.dim), Subspace.from_columns(Mat.identity(field, m.dim))]
+    rad = radical_span(m).basis.transpose()
+    for i in range(count):
+        v = Mat(field, rng.integers(-2, 3, size=(m.dim, 1)).tolist())
+        if i % 2 and rad.cols:
+            v = rad @ Mat(field, rng.integers(-2, 3, size=(rad.cols, 1)).tolist())
+        spans.append(Subspace.from_columns(Mat.hstack([g @ v for g in m.action])))
+    return spans
+
+
+@pytest.mark.parametrize("case", list(RESTRICTION_CASES))
+def test_sub_and_quotient_modules_match_the_per_matrix_oracles(case):
+    a = RESTRICTION_CASES[case]()
+    rng = np.random.default_rng(23)
+    for m in [regular_module(a)] + indec_projectives(a):
+        for span in _random_invariant_spans(m, rng, 6):
+            sub, incl = submodule(m, span)
+            ref, ref_incl = submodule_naive(m, span)
+            assert sub.action == ref.action and incl.matrix == ref_incl.matrix
+            quot, proj = quotient_module(m, span)
+            ref, ref_proj = quotient_module_naive(m, span)
+            assert quot.action == ref.action and proj.matrix == ref_proj.matrix
+
+
+@pytest.mark.parametrize("case", list(RESTRICTION_CASES))
+def test_corner_reps_match_the_per_coordinate_formula(case):
+    a = RESTRICTION_CASES[case]()
+    if a._rep is None:  # A_3 carries no rep of its own; End(A) = A^op does
+        a = endomorphism_algebra(regular_module(a))[0]
+    prim = a.primitive_idempotents()
+    reps = [prim.idempotents[r] for r in prim.class_reps]
+    for e in [prim.idempotents[0], prim.idempotents[-1], sum(reps[1:], reps[0]), a.one]:
+        corner, incl = corner_algebra(a, e)
+        assert corner._rep is not None and corner._rep == corner_rep_naive(a, e, incl)
+
+
+def test_submodule_of_a_non_invariant_subspace_raises(a3_gf3):
+    # the unit generates A, so its line is not a submodule of A
+    with pytest.raises(ModuleError, match="subspace is not invariant under the action"):
+        submodule(regular_module(a3_gf3), Subspace.from_columns(a3_gf3.one))
+
+
 def test_is_isomorphic_finds_conjugated_modules(a2_gf3):
     # conjugating the action by a random base change gives an isomorphic module
     import numpy as np
@@ -457,6 +522,18 @@ def test_indecomposable_is_its_own_summand(field):
     for _, incl, proj in parts:
         total = total + (incl.matrix @ proj.matrix)
     assert total == Mat.identity(field, reg.dim)
+
+
+def test_an_indecomposable_module_builds_its_summand_triple_once(a3_gf3, monkeypatch):
+    p = indec_projectives(a3_gf3)[0]
+    parts = indecomposable_summands(p)
+    eyes = []
+    eye = np.eye
+    monkeypatch.setattr(np, "eye", lambda *args, **kwargs: eyes.append(args) or eye(*args, **kwargs))
+    assert indecomposable_summands(p) is parts and eyes == []
+    # a twin shares the verdict but gets a triple that names the twin
+    twin = Module(a3_gf3, list(p.action))
+    assert indecomposable_summands(twin)[0][0] is twin
 
 
 # -- modules with equal content share one memo ------------------------------------
