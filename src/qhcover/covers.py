@@ -19,10 +19,10 @@ import numpy as np
 from .algebra import Algebra
 from .fields import PrimeField
 from .homology import DimValue, ext_dim
-from .linalg import Mat, MatrixBasis, Subspace
+from .linalg import Mat, Subspace
 from .modules import (
+    HomSpace,
     Module,
-    ModuleMap,
     direct_sum,
     end_algebra_with_bimodule,
     hom_module_over_endop,
@@ -101,17 +101,6 @@ def double_centralizer_check(q: Module) -> bool:
     return injective and commutant_dim == a.dim
 
 
-def _right_a_action_on_hom(p: Module, fa_basis: list[ModuleMap]) -> list[Mat]:
-    """Matrices of the right A-action on F_P(A) = Hom(p, A): (g . a) = R_a o g."""
-    a = p.algebra
-    hom_basis = MatrixBasis([g.matrix for g in fa_basis])
-    out = []
-    for i in range(a.dim):
-        ra = a.right_mult_matrix(a.basis_element(i))
-        out.append(hom_basis.coords_many([ra @ g.matrix for g in fa_basis]))
-    return out
-
-
 def cover_check(p: Module) -> tuple[bool, int]:
     """Double centralizer on Hom_A(P, A): A = End_B(F_P A) canonically.
 
@@ -120,15 +109,17 @@ def cover_check(p: Module) -> tuple[bool, int]:
     return _cover_check(p, *hom_module_over_endop(p, regular_module(p.algebra)))
 
 
-def _cover_check(p: Module, fa: Module, fa_basis: list[ModuleMap]) -> tuple[bool, int]:
+def _cover_check(p: Module, fa: Module, fa_hom: HomSpace) -> tuple[bool, int]:
     """``cover_check`` on F_P A = Hom_A(P, A) and its basis, already built."""
     a = p.algebra
     if fa.dim == 0:
         return (a.dim == 0, 0)
     end_dim = hom_space(fa, fa).dim
-    # canonical map sends a to the right action of a on Hom(p, A)
-    acts = _right_a_action_on_hom(p, fa_basis)
-    injective = Mat.hstack([m.reshape(m.rows * m.cols, 1) for m in acts]).rank() == a.dim
+    # the canonical map sends b_i to g -> R_i o g on Hom(p, A); R_i[k, j] =
+    # L_j[k, i], so the transposed flat action of A holds the R_i side by side.
+    # Column i*h + t of acts holds the coordinates of R_i o g_t
+    acts = fa_hom.coords_of_products(fa_hom.target.flat_action().transpose(), fa_hom.side_by_side())
+    injective = acts.transpose().reshape(a.dim, fa.dim * fa.dim).rank() == a.dim
     return (injective and end_dim == a.dim, end_dim)
 
 
@@ -137,23 +128,19 @@ def _cover_check(p: Module, fa: Module, fa_basis: list[ModuleMap]) -> tuple[bool
 # ---------------------------------------------------------------------------
 
 
-def _eta_matrix(p: Module, fa: Module, fa_basis: list[ModuleMap], m: Module):
-    """eta_m: m -> Hom_B(F_P A, F_P m) as a matrix, plus dim Hom_B."""
-    fm, fm_basis = hom_module_over_endop(p, m)
+def _eta_matrix(p: Module, fa: Module, fa_hom: HomSpace, m: Module) -> tuple[Mat, int, Module]:
+    """eta_m: m -> Hom_B(F_P A, F_P m) as a matrix, dim Hom_B, and F_P m."""
+    fm, fm_hom = hom_module_over_endop(p, m)
     homb = hom_space(fa, fm)
     if homb.dim == 0:
-        return Mat.zeros(p.algebra.field, 0, m.dim), 0
-    homb_basis = MatrixBasis([f.matrix for f in homb.maps])
-    fm_hom_basis = MatrixBasis([f.matrix for f in fm_basis])
-    # eta(m_c): FA -> FM, g -> (x -> rho_m(g(x)) m_c), as a hom-coordinate matrix (fm.dim x fa.dim)
-    etas = [fm_hom_basis.coords_many([_module_elem_action(m, g.matrix, c) for g in fa_basis]) for c in range(m.dim)]
-    return homb_basis.coords_many(etas), homb.dim
-
-
-def _module_elem_action(m: Module, gm: Mat, c: int) -> Mat:
-    """Matrix p -> m of x -> rho_m(g(x)) . m_c, g given by its matrix gm."""
-    # column a of the transposed reshape is rho(b_a) m_c
-    return m.stack().take_cols([c]).reshape(m.algebra.dim, m.dim).transpose() @ gm
+        return Mat.zeros(p.algebra.field, 0, m.dim), 0, fm
+    # eta(m_c) sends g to x -> rho_m(g(x)) m_c = E_c g, where column i of E_c
+    # is rho_m(b_i) m_c: row n*m.dim + c of the transposed flat action is row
+    # n of E_c.  Column c*h + t of etas holds the coordinates of E_c g_t, so
+    # etas is the eta(m_c): F_P A -> F_P m side by side
+    etas = fm_hom.coords_of_products(m.flat_action().transpose(), fa_hom.side_by_side())
+    eta = homb.coords_of_products(etas.reshape(fm.dim * m.dim, fa.dim), Mat.identity(p.algebra.field, fa.dim))
+    return eta, homb.dim, fm
 
 
 def hn_dimension(qh: QHStructure, p: Module, cap: int = 10, random_checks: int = 0, seed: int = 11) -> CoverReport:
@@ -163,31 +150,17 @@ def hn_dimension(qh: QHStructure, p: Module, cap: int = 10, random_checks: int =
     for the 0-faithful threshold); optional seeded random Delta-filtered
     modules provide an extra certification layer.
     """
-    a = qh.algebra
+    _require_nonnegative(cap, random_checks)
     if not _is_projective(p):
         raise CoverError("hn_dimension requires a projective module")
-    fa, fa_basis = hom_module_over_endop(p, regular_module(a))
-    b, _, _ = end_algebra_with_bimodule(p)
-    is_cover, _ = _cover_check(p, fa, fa_basis)
-    dc = is_cover  # cover = double centralizer property on Hom_A(P, A)
-    targets = list(qh.standards)
-    eta_inj = True
-    eta_iso = True
-    for d in targets:
-        eta, homb_dim = _eta_matrix(p, fa, fa_basis, d)
-        if eta.rank() != d.dim:
-            eta_inj = False
-            eta_iso = False
-        elif homb_dim != d.dim:
-            eta_iso = False
-    report = CoverReport(
-        b_dim=b.dim,
-        double_centralizer=dc,
-        is_cover=is_cover,
-        eta_injective=eta_inj,
-        eta_isomorphism=eta_iso,
-        hn=None,
-    )
+    fa, fa_hom = hom_module_over_endop(p, regular_module(qh.algebra))
+    is_cover, _ = _cover_check(p, fa, fa_hom)
+    etas = [(d, *_eta_matrix(p, fa, fa_hom, d)) for d in qh.standards]
+    eta_inj = all(eta.rank() == d.dim for d, eta, _, _ in etas)
+    eta_iso = eta_inj and all(homb_dim == d.dim for d, _, homb_dim, _ in etas)
+    # a cover is the double centralizer property on Hom_A(P, A)
+    report = CoverReport(b_dim=end_algebra_with_bimodule(p)[0].dim, double_centralizer=is_cover, is_cover=is_cover,
+                         eta_injective=eta_inj, eta_isomorphism=eta_iso, hn=None)
     if not is_cover:
         return report
     if not eta_iso:
@@ -195,36 +168,38 @@ def hn_dimension(qh: QHStructure, p: Module, cap: int = 10, random_checks: int =
         return report
     # 0-faithful threshold certified additionally on a characteristic tilting module
     t = qh.characteristic_tilting()
-    eta_t, homb_t = _eta_matrix(p, fa, fa_basis, t)
+    eta_t, homb_t, _ = _eta_matrix(p, fa, fa_hom, t)
     if eta_t.rank() != t.dim or homb_t != t.dim:
         report.hn = DimValue.exact(-1)
         report.certified_on = "standards+tilting (eta on tilting failed)"
         return report
     report.certified_on = "standards+tilting"
     level = 0
-    profile = []
-    images = [schur_functor_image(p, d) for d in targets]
-    while level < cap:
-        j = level + 1
-        bad = False
-        for fd in images:
-            e = ext_dim(fa, fd, j, cap=max(12, j + 2))
-            profile.append(e)
-            if e:
-                bad = True
-                break
-        if bad:
-            break
+    while level < cap and _ext_vanishes(fa, [fd for *_, fd in etas], level + 1, report.ext_profile):
         level += 1
-    report.ext_profile = profile
     report.hn = DimValue.exact(level) if level < cap else DimValue.at_least(cap)
     if random_checks:
-        rng = np.random.default_rng(seed)
-        ok = _random_delta_filtered_checks(qh, p, fa, fa_basis, report, random_checks, rng)
         report.random_checks = random_checks
-        if not ok:
+        if not _random_delta_filtered_checks(qh, p, fa, fa_hom, min(report.hn.n, 3), random_checks, np.random.default_rng(seed)):
             raise CoverError("random Delta-filtered cross-check contradicts the standards certificate")
     return report
+
+
+def _ext_vanishes(fa: Module, images: list[Module], j: int, dims: list[int]) -> bool:
+    """Ext^j_B(F_P A, x) = 0 for each x of ``images``; appends each
+    dimension to ``dims``, up to the first nonzero one."""
+    for fx in images:
+        dims.append(ext_dim(fa, fx, j, cap=max(12, j + 2)))
+        if dims[-1]:
+            return False
+    return True
+
+
+def _require_nonnegative(cap: int, random_checks: int) -> None:
+    if cap < 0:
+        raise CoverError(f"cap must be nonnegative, not {cap}")
+    if random_checks < 0:
+        raise CoverError(f"random checks must be nonnegative, not {random_checks}")
 
 
 def _is_projective(p: Module) -> bool:
@@ -264,20 +239,14 @@ def _random_extension(qh: QHStructure, lam: int, x: Module, rng: np.random.Gener
     return pushout_extension(x, p0, kincl, [phi])[0]
 
 
-def _random_delta_filtered_checks(qh, p, fa, fa_basis, report: CoverReport, count: int, rng) -> bool:
-    hn = report.hn
-    upto = 0
-    if hn is not None and hn.kind in ("exact", "at_least"):
-        upto = max(0, min(hn.n, 3))
+def _random_delta_filtered_checks(qh, p, fa, fa_hom, upto: int, count: int, rng) -> bool:
+    """eta is an isomorphism on ``count`` random Delta-filtered x, and
+    Ext^j_B(F_P A, F_P x) = 0 for j = 1 .. upto."""
     for _ in range(count):
         x = random_delta_filtered(qh, rng)
-        eta, homb_dim = _eta_matrix(p, fa, fa_basis, x)
-        if eta.rank() != x.dim or homb_dim != x.dim:
+        eta, homb_dim, fx = _eta_matrix(p, fa, fa_hom, x)
+        if eta.rank() != x.dim or homb_dim != x.dim or not all(_ext_vanishes(fa, [fx], j, []) for j in range(1, upto + 1)):
             return False
-        fx = schur_functor_image(p, x)
-        for j in range(1, upto + 1):
-            if ext_dim(fa, fx, j, cap=max(12, j + 2)):
-                return False
     return True
 
 
@@ -312,6 +281,7 @@ def verify_ringel_cover_theorem(qh: QHStructure, q: Module, cap: int = 10, rando
     for n >= 2 the two numbers must satisfy h = n - 2 (equivalence over a
     field).  The n <= 1 boundary is reported without assertion.
     """
+    _require_nonnegative(cap, random_checks)
     _require_partial_tilting(qh, q)
     t = qh.characteristic_tilting()
     n = relative_codomdim(q, t, max(cap + 2, 4)).value

@@ -17,7 +17,8 @@ not overflow, so QQ arithmetic has no bound to check.  A product is one
 numerator product over den_a * den_b, and row reduction, ``_rref_qq``, is
 fraction-free on the numerators.  Other modules stay off the storage: they
 build and reshape matrices through Mat's field-neutral operations and take
-coordinates through MatrixBasis.
+coordinates through Subspace, MatrixBasis, or the free rows that
+``Mat.kernel_with_free`` reports.
 
 The public constructor ``Mat(...)`` checks data from outside the program: it
 reduces GF(p) entries mod p as integers, before they become float64, and
@@ -441,6 +442,12 @@ class Mat:
 
     def kernel(self) -> "Mat":
         """Basis of the right null space, as columns, echelon-normalized."""
+        return self.kernel_with_free()[0]
+
+    def kernel_with_free(self) -> tuple["Mat", list[int]]:
+        """``kernel`` and its free rows, from the same elimination: row
+        free[k] of the basis is the unit row e_k, so the coordinates of a
+        null vector in the basis are its entries on those rows."""
         red, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
@@ -456,7 +463,7 @@ class Mat:
                     ker[pivots] = _reduce(float(self.field.p) - block, self.field.p)
                 else:
                     ker[pivots] = -block
-        return _canonical(self.field, ker, red.den)
+        return _canonical(self.field, ker, red.den), free
 
     def solve(self, b: "Mat") -> Optional["Mat"]:
         """Some x with self @ x == b, or None when inconsistent."""
@@ -562,7 +569,9 @@ def _rationals_outside(data) -> tuple[np.ndarray, int]:
 
 
 class MatrixBasis:
-    """Coordinates with respect to a linearly independent family of matrices.
+    """Coordinates with respect to a linearly independent family of matrices,
+    the basis of a centralizer or End algebra, whose structure constants
+    ``product_coords`` reads (a Hom space reads its own, ``modules.HomSpace``).
 
     The matrices, all of one shape, are flattened row-major into the columns
     of ``flat``.  Its pivot rows (leftmost pivots of the transposed rref) and
@@ -592,10 +601,6 @@ class MatrixBasis:
     def coords(self, m: Mat) -> Mat:
         """Coordinate column of one matrix of the span."""
         return self.flat_coords(self._flatten(m))
-
-    def coords_many(self, mats: Sequence[Mat]) -> Mat:
-        """Coordinate columns of several matrices of the span, side by side."""
-        return self.flat_coords(Mat.hstack([self._flatten(m) for m in mats]))
 
     def product_coords(self) -> "Triples":
         """Structure constants of a basis closed under products: the triple
@@ -775,3 +780,13 @@ def restrict_action(flat: Mat, vecs: Mat, coords: Callable[[Mat], Optional[Mat]]
     images = (vecs @ flat.reshape(r * d, d).transpose()).reshape(k * r, d)
     c = coords(images)
     return None if c is None else [c.take_rows(range(i, k * r, r)).transpose() for i in range(r)]
+
+
+def stacked_products(a: Mat, b: Mat, count: int) -> Mat:
+    """Block k of a (count*r x x) times block k of b (count*x x s), for each
+    k < count, stacked the same way (count*r x s): one batched product."""
+    f, r, x, s = a.field, a.rows // count, a.cols, b.cols
+    lhs, rhs = a.data.reshape(count, r, x), b.data.reshape(count, x, s)
+    if isinstance(f, PrimeField):
+        return _trusted(f, matmul_mod(lhs, rhs, f.p).reshape(count * r, s))
+    return _canonical(f, np.matmul(lhs, rhs).reshape(count * r, s), a.den * b.den)

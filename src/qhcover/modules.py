@@ -15,6 +15,11 @@ Sub-, quotient and corner modules restrict a module's stacked action with
 one kernel, ``linalg.restrict_action``: one product forms every image and
 one coordinate call reads them all.  The test suite checks them against
 per-matrix oracles.
+
+A Hom space reads coordinates at the kernel's free rows (``_hom_frame``),
+so every action on one is a single ``HomSpace.coords_of_products`` call;
+only End algebras keep a MatrixBasis, for their structure constants.  The
+test suite checks each action against a per-pair MatrixBasis oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .algebra import Algebra, algebra_of_matrices, opposite
-from .linalg import Mat, MatrixBasis, Subspace, restrict_action
+from .linalg import Mat, Subspace, restrict_action, stacked_products
 from .memo import memo, memo_pair
 
 
@@ -438,22 +443,42 @@ def _evaluation_matrix(p: ProjSum, n: Module, targets: list[Mat]) -> Mat:
 
 
 class HomSpace:
-    """Basis of Hom_A(M, N) as explicit ModuleMaps."""
+    """Basis of Hom_A(M, N) as explicit ModuleMaps, and ``frame`` = (W, rows):
+    coordinate k of a map phi: M -> N is entry (rows[k], k) of phi W."""
 
-    def __init__(self, source: Module, target: Module, maps: list[ModuleMap]):
+    def __init__(self, source: Module, target: Module, maps: list[ModuleMap], frame: tuple[Mat, list[int]]):
         self.source = source
         self.target = target
         self.maps = maps
+        self.frame = frame
 
     @property
     def dim(self) -> int:
         return len(self.maps)
+
+    def side_by_side(self) -> Mat:
+        """The basis maps side by side: (N.dim x dim*M.dim)."""
+        return Mat.hstack([f.matrix for f in self.maps]) if self.maps else Mat.zeros(self.source.algebra.field, self.target.dim, 0)
 
     def combination(self, coeffs: Sequence) -> ModuleMap:
         rows, cols = self.target.dim, self.source.dim
         flat = Mat.vstack([f.matrix.reshape(1, rows * cols) for f in self.maps])
         coords = Mat.column(self.source.algebra.field, coeffs)
         return ModuleMap(self.source, self.target, (coords.transpose() @ flat).reshape(rows, cols))
+
+    def coords_of_products(self, left: Mat, right: Mat) -> Mat:
+        """Coordinate columns of the maps l_a r_b: M -> N in a nonzero Hom
+        space, column a*B + b for l_a r_b.  ``right`` holds the r_b (X x M.dim)
+        side by side; ``left`` holds the l_a (N.dim x X) side by side, read as
+        (N.dim*A x X).  Coordinate k of l_a r_b is row rows[k] of l_a times
+        r_b w_k: one gather and one stacked product over k read them all."""
+        w, rows = self.frame
+        h, x, m = self.dim, right.rows, self.source.dim
+        n_a, n_b = left.rows // self.target.dim, right.cols // m
+        # block k: the rows rows[k] of the l_a (row a), and the r_b w_k (column b)
+        lr = left.take_rows([r * n_a + a for r in rows for a in range(n_a)])
+        rw = (right.reshape(x * n_b, m) @ w).transpose().reshape(h * x, n_b)
+        return stacked_products(lr, rw, h).reshape(h, n_a * n_b)
 
 
 def _slice_spans(n: Module, p: ProjSum) -> list[Subspace]:
@@ -487,27 +512,34 @@ def _hom_values(d: Mat, p_from: ProjSum, p_to: ProjSum, n: Module, spans_to: lis
 def hom_space(m: Module, n: Module) -> HomSpace:
     """Basis of Hom_A(M, N) via a projective presentation of M.
 
-    The matrices are memoised per pair of contents; the maps are new, with
-    m and n themselves as source and target.
+    The matrices and the frame are memoised per pair of contents; the maps
+    are new, with m and n themselves as source and target.
     """
     if m.algebra is not n.algebra:
         raise ModuleError("hom_space: modules over different algebras")
     if m.dim == 0 or n.dim == 0:
-        return HomSpace(m, n, [])
-    mats = memo_pair(m, n, "_hom", lambda: _hom_matrices(m, n))
-    return HomSpace(m, n, [ModuleMap(m, n, f) for f in mats])
+        return HomSpace(m, n, [], (Mat.zeros(m.algebra.field, m.dim, 0), []))
+    mats, frame = memo_pair(m, n, "_hom", lambda: _hom_matrices(m, n))
+    return HomSpace(m, n, [ModuleMap(m, n, f) for f in mats], frame)
 
 
-def _hom_matrices(m: Module, n: Module) -> list[Mat]:
+def _hom_matrices(m: Module, n: Module) -> tuple[list[Mat], tuple[Mat, list[int]]]:
     pres = projective_cover_data(m)
     spans = _slice_spans(n, pres.p0)
     total_w = sum(sp.dim for sp in spans)
-    if total_w == 0:
-        return []
     # phi vanishes on d1(gen) for each generator of P1
-    values = _hom_values(pres.d1, pres.p1, pres.p0, n, spans)
-    sol = Mat.vstack(values).kernel() if values else Mat.identity(m.algebra.field, total_w)  # (total_w x h)
-    return _extract_hom_matrices(pres, n, spans, sol)
+    values = _hom_values(pres.d1, pres.p1, pres.p0, n, spans) if total_w else []
+    sol, free = Mat.vstack(values).kernel_with_free() if values else (Mat.identity(m.algebra.field, total_w), list(range(total_w)))
+    return _extract_hom_matrices(pres, n, spans, sol), _hom_frame(pres, spans, free)
+
+
+def _hom_frame(pres: Presentation, spans: list[Subspace], free: list[int]) -> tuple[Mat, list[int]]:
+    """W and rows of ``HomSpace.frame``: solution row (j, r), r a pivot of
+    slice j, is entry r of phi(cover(g_j)), g_j the j-th generator of P0, and
+    the kernel basis is the identity on its free rows (proof in the README)."""
+    slots = [(j, r) for j, span in enumerate(spans) for r in span.pivots]
+    tops = pres.cover @ Mat.hstack(pres.p0.generator_columns())
+    return tops.take_cols([slots[f][0] for f in free]), [slots[f][1] for f in free]
 
 
 def _extract_hom_matrices(pres: Presentation, n: Module, spans: list[Subspace], sol: Mat) -> list[Mat]:
@@ -555,12 +587,11 @@ def injective_envelope(m: Module) -> ModuleMap:
 
 def trace_submodule(x: Module, m: Module) -> tuple[Module, ModuleMap]:
     """Sum of images of all maps x -> m, as a submodule inclusion."""
-    maps = hom_space(x, m).maps
-    if not maps:
+    hs = hom_space(x, m)
+    if not hs.dim:
         z = zero_module(m.algebra)
         return z, ModuleMap(z, m, Mat.zeros(m.algebra.field, m.dim, 0))
-    cols = Mat.hstack([f.matrix for f in maps])
-    return submodule(m, Subspace.from_columns(cols))
+    return submodule(m, Subspace.from_columns(hs.side_by_side()))
 
 
 def corner_module(m: Module, e: Mat, corner: Algebra, corner_incl: Mat) -> Module:
@@ -588,6 +619,7 @@ def endomorphism_algebra(m: Module) -> tuple[Algebra, list[ModuleMap]]:
 
 
 def _endomorphism_algebra(m: Module) -> tuple[Algebra, list[ModuleMap]]:
+    from .linalg import MatrixBasis  # its sparse join reads End algebras: no other use here
     basis = hom_space(m, m).maps
     if not basis:
         raise ModuleError("endomorphism algebra of the zero module")
@@ -712,17 +744,17 @@ def _end_algebra_with_bimodule(q: Module) -> tuple[Algebra, Bimodule, list[Modul
     return opposite(end), Bimodule(left=q, right=right), basis
 
 
-def hom_module_over_endop(q: Module, m: Module) -> tuple[Module, list[ModuleMap]]:
-    """Hom_A(q, m) as a left module over B = End_A(q)^op (action h -> h o b)."""
+def hom_module_over_endop(q: Module, m: Module) -> tuple[Module, HomSpace]:
+    """Hom_A(q, m) as a left module over B = End_A(q)^op (action h -> h o b),
+    with its basis."""
     b, bim, end_basis = end_algebra_with_bimodule(q)
     hs = hom_space(q, m)
-    hdim = hs.dim
-    field = q.algebra.field
-    if hdim == 0:
-        return Module(b, [Mat.zeros(field, 0, 0) for _ in range(b.dim)]), []
-    hom_basis = MatrixBasis([h.matrix for h in hs.maps])
-    action = [hom_basis.coords_many([h.matrix @ f.matrix for h in hs.maps]) for f in end_basis]  # h o f
-    return Module(b, action, name=f"Hom({q.name},{m.name})" if q.name or m.name else ""), hs.maps
+    if hs.dim == 0:
+        return Module(b, [Mat.zeros(q.algebra.field, 0, 0)] * b.dim), hs
+    # column t*B + f: the coordinates of h_t o f
+    coords = hs.coords_of_products(hs.side_by_side().reshape(m.dim * hs.dim, q.dim), Mat.hstack([f.matrix for f in end_basis]))
+    action = [coords.take_cols(range(f, coords.cols, b.dim)) for f in range(b.dim)]
+    return Module(b, action, name=f"Hom({q.name},{m.name})" if q.name or m.name else ""), hs
 
 
 def tensor_over(x: Module, y: Module) -> int:
@@ -760,37 +792,35 @@ def counit_analysis(q: Module, m: Module) -> CounitData:
 
 def _counit_analysis(q: Module, m: Module) -> CounitData:
     b, bim, _ = end_algebra_with_bimodule(q)
-    hmod, hom_basis = hom_module_over_endop(q, m)
+    hmod, hs = hom_module_over_endop(q, m)
     if hmod.dim == 0:
         return CounitData(m.dim == 0, m.dim == 0, b, hmod)
-    surjective = Mat.hstack([h.matrix for h in hom_basis]).rank() == m.dim
+    surjective = hs.side_by_side().rank() == m.dim
     bijective = surjective and tensor_over(bim.right, hmod) == m.dim
     return CounitData(surjective, bijective, b, hmod)
 
 
-def hom_into_q_as_right_module(q: Module, m: Module) -> tuple[Module, list[ModuleMap]]:
-    """Hom_A(m, q) as a right module over B = End_A(q)^op.
+def hom_into_q_as_right_module(q: Module, m: Module) -> tuple[Module, HomSpace]:
+    """Hom_A(m, q) as a right module over B = End_A(q)^op, with its basis.
 
     The right action h . b = (b as endomorphism) o h is encoded, as usual,
     as a left module over opposite(B).
     """
-    b, bim, end_basis = end_algebra_with_bimodule(q)
-    bop = opposite(b)  # the plain endomorphism algebra, composition order
+    end, end_basis = endomorphism_algebra(q)  # opposite(B), composing as maps
     hs = hom_space(m, q)
-    hdim = hs.dim
-    field = q.algebra.field
-    if hdim == 0:
-        return Module(bop, [Mat.zeros(field, 0, 0) for _ in range(bop.dim)]), []
-    hom_basis = MatrixBasis([h.matrix for h in hs.maps])
-    action = [hom_basis.coords_many([f.matrix @ h.matrix for h in hs.maps]) for f in end_basis]  # f o h
-    return Module(bop, action), hs.maps
+    if hs.dim == 0:
+        return Module(end, [Mat.zeros(q.algebra.field, 0, 0)] * end.dim), hs
+    # column f*h + t: the coordinates of f o h_t
+    ends = Mat.hstack([f.matrix for f in end_basis]).reshape(q.dim * end.dim, q.dim)
+    coords = hs.coords_of_products(ends, hs.side_by_side())
+    action = [coords.take_cols(range(f * hs.dim, (f + 1) * hs.dim)) for f in range(end.dim)]
+    return Module(end, action), hs
 
 
-def induced_map_on_hom_into_q(q: Module, f: ModuleMap, src_data, tgt_data) -> Mat:
-    """Matrix of Hom(f, q): Hom(target(f), q) -> Hom(source(f), q)."""
-    tgt_mod, tgt_maps = src_data  # Hom(target, q)
-    src_mod, src_maps = tgt_data  # Hom(source, q)
-    field = q.algebra.field
-    if not tgt_maps or not src_maps:
-        return Mat.zeros(field, len(src_maps), len(tgt_maps))
-    return MatrixBasis([h.matrix for h in src_maps]).coords_many([h.matrix @ f.matrix for h in tgt_maps])
+def induced_map_on_hom_into_q(f: ModuleMap, hom_target: HomSpace, hom_source: HomSpace) -> Mat:
+    """Matrix of Hom(f, q): h -> h o f, from hom_target = Hom(target f, q) to
+    hom_source = Hom(source f, q), in their bases."""
+    if not hom_target.dim or not hom_source.dim:
+        return Mat.zeros(f.matrix.field, hom_source.dim, hom_target.dim)
+    homs = hom_target.side_by_side().reshape(hom_target.target.dim * hom_target.dim, f.target.dim)
+    return hom_source.coords_of_products(homs, f.matrix)

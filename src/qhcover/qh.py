@@ -15,7 +15,7 @@ from typing import Optional
 
 from .algebra import Algebra, QuotientAlgebra, opposite, quotient_algebra
 from .homology import ext_dim
-from .linalg import Mat, MatrixBasis, Subspace
+from .linalg import Mat, Subspace
 from .memo import memo
 from .modules import (
     Module,
@@ -24,7 +24,6 @@ from .modules import (
     dual,
     end_algebra_with_bimodule,
     endomorphism_algebra,
-    hom_module_over_endop,
     hom_space,
     indecomposable_summands,
     projective_cover_data,
@@ -154,15 +153,8 @@ class QHStructure:
             p = self.projectives[lam]
             higher = self.poset.higher(lam)
             # trace of the higher projectives = sum of all their hom images
-            cols = []
-            for mu in higher:
-                maps = hom_space(self.projectives[mu], p).maps
-                cols.extend(f.matrix for f in maps)
-            field = self.algebra.field
-            if cols:
-                span = Subspace.from_columns(Mat.hstack(cols))
-            else:
-                span = Subspace(field, p.dim)
+            cols = [hom_space(self.projectives[mu], p).side_by_side() for mu in higher]
+            span = Subspace.from_columns(Mat.hstack(cols)) if cols else Subspace(self.algebra.field, p.dim)
             delta, surj = quotient_module(p, span)
             delta.name = f"Delta({self.poset.labels[lam]})"
             self.standards.append(delta)
@@ -434,23 +426,18 @@ class RingelDual:
         self.base = qh
         t, injs, projs = qh.characteristic_tilting_data()
         self.tilting = t
-        b, bim, basis = end_algebra_with_bimodule(t)
+        b, _, _ = end_algebra_with_bimodule(t)
         self.algebra = b
-        self.end_basis = basis
-        # idempotents of R(A): projections onto the tilting summands
-        if len(injs) == 1:
-            idems = [b.one]
-        else:
-            end_basis = MatrixBasis([f.matrix for f in basis])
-            idems = [end_basis.coords(incl.matrix @ proj.matrix) for incl, proj in zip(injs, projs)]
+        # idempotents of R(A): projections onto the tilting summands, read in
+        # the basis of End(T), which is R(A)'s
+        projections = Mat.hstack([incl.matrix @ proj.matrix for incl, proj in zip(injs, projs)])
+        coords = hom_space(t, t).coords_of_products(projections.reshape(t.dim * len(injs), t.dim), Mat.identity(b.field, t.dim))
+        idems = [coords.take_cols([i]) for i in range(coords.cols)]
         reversed_pairs = [(j, i) for (i, j) in qh.poset.less]
         self.poset = WeightPoset(qh.poset.labels, reversed_pairs, idems)
         self.report, self.structure = verify_split_qh(b, self.poset)
         # consistency: standards of R(A) have the dimensions of Hom(T, Nabla(l))
-        self.standard_dims_via_hom = []
-        for l in range(qh.label_count()):
-            hmod, _ = hom_module_over_endop(t, qh.costandard(l))
-            self.standard_dims_via_hom.append(hmod.dim)
+        self.standard_dims_via_hom = [hom_space(t, qh.costandard(l)).dim for l in range(qh.label_count())]
 
 
 def ringel_dual(qh: QHStructure) -> RingelDual:

@@ -109,8 +109,7 @@ def right_add_approximation(q: Module, m: Module) -> ModuleMap:
     if hs.dim == 1:
         return hs.maps[0]
     source, _, _ = direct_sum([q] * hs.dim)
-    matrix = Mat.hstack([f.matrix for f in hs.maps])
-    return ModuleMap(source, m, matrix)
+    return ModuleMap(source, m, hs.side_by_side())
 
 
 def left_add_approximation(q: Module, m: Module) -> ModuleMap:
@@ -316,10 +315,9 @@ def cograde_cross_check(q: Module, y: Module, cap: int = 8):
         if not f2.is_surjective():
             return None
         f = ModuleMap(f2.source, f1.source, kincl.matrix @ f2.matrix)
-    hom_q0 = hom_into_q_as_right_module(q, f1.source)
-    hom_q1 = hom_into_q_as_right_module(q, f.source)
-    induced = induced_map_on_hom_into_q(q, f, hom_q0, hom_q1)
-    x_total = hom_q1[0]
+    # X = coker(Hom(Q0, q) -> Hom(Q1, q)), with Q0 = f1.source the target of f
+    x_total, hom_q1 = hom_into_q_as_right_module(q, f.source)
+    induced = induced_map_on_hom_into_q(f, hom_space(f1.source, q), hom_q1)
     span = Subspace.from_columns(induced)
     xmod, _ = quotient_module(x_total, span)
     b, bim, _ = end_algebra_with_bimodule(q)

@@ -7,7 +7,15 @@ from qhcover.algebra import from_structure_constants
 from qhcover.fields import GF, QQ
 from qhcover.gallery import build_schur
 from qhcover.linalg import Mat, MatrixBasis, Subspace
-from qhcover.modules import Module, ModuleError, ModuleMap, regular_module
+from qhcover.modules import (
+    Module,
+    ModuleError,
+    ModuleMap,
+    end_algebra_with_bimodule,
+    hom_space,
+    regular_module,
+    zero_module,
+)
 from qhcover.quiver import Arrow, QuiverPresentation, from_quiver
 
 
@@ -102,6 +110,82 @@ def corner_rep_naive(a, e, incl):
     w = img.basis.transpose()  # columns: basis of e.V
     wb = MatrixBasis([w.take_cols([j]) for j in range(w.cols)])
     return [wb.flat_coords(combine_rep_naive(a, incl.take_cols([c])) @ w) for c in range(incl.cols)]
+
+
+def named_modules(g):
+    """P, I, Delta, Nabla and T of each label of a gallery entry (and S for
+    A_m, V^d for Schur algebras), then the zero module."""
+    if hasattr(g, "named_modules"):
+        return list(g.named_modules().values()) + [zero_module(g.algebra)]
+    h = g.qh()
+    mods = [g.tensor_module]
+    for i in range(h.label_count()):
+        mods += [h.projectives[i], h.injective(i), h.standards[i], h.costandard(i), h.tiltings()[i]]
+    return mods + [zero_module(g.algebra)]
+
+
+def hom_coords_naive(hs, mats):
+    """Oracle for ``HomSpace.coords_of_products``: the coordinates of each
+    matrix of the span, from a MatrixBasis over the Hom basis, as columns."""
+    basis = MatrixBasis([f.matrix for f in hs.maps])
+    return Mat.hstack([basis.coords(m) for m in mats])
+
+
+def hom_module_action_naive(q, m):
+    """Oracle for the action of ``modules.hom_module_over_endop``: f in
+    End(q) acts on Hom(q, m) with column t the coordinates of h_t o f."""
+    _, _, end_basis = end_algebra_with_bimodule(q)
+    hs = hom_space(q, m)
+    if not hs.dim:
+        return [Mat.zeros(q.algebra.field, 0, 0) for _ in end_basis]
+    return [hom_coords_naive(hs, [h.matrix @ f.matrix for h in hs.maps]) for f in end_basis]
+
+
+def hom_into_q_action_naive(q, m):
+    """Oracle for the action of ``modules.hom_into_q_as_right_module``: f in
+    End(q) acts on Hom(m, q) with column t the coordinates of f o h_t."""
+    _, _, end_basis = end_algebra_with_bimodule(q)
+    hs = hom_space(m, q)
+    if not hs.dim:
+        return [Mat.zeros(q.algebra.field, 0, 0) for _ in end_basis]
+    return [hom_coords_naive(hs, [f.matrix @ h.matrix for h in hs.maps]) for f in end_basis]
+
+
+def induced_map_naive(f, q):
+    """Oracle for ``modules.induced_map_on_hom_into_q``: column t holds the
+    coordinates in Hom(source f, q) of h_t o f, for the basis h_t of
+    Hom(target f, q)."""
+    hom_target, hom_source = hom_space(f.target, q), hom_space(f.source, q)
+    if not hom_target.dim or not hom_source.dim:
+        return Mat.zeros(q.algebra.field, hom_source.dim, hom_target.dim)
+    return hom_coords_naive(hom_source, [h.matrix @ f.matrix for h in hom_target.maps])
+
+
+def right_a_action_naive(p):
+    """The right A-action on Hom(p, A) that ``covers.cover_check`` reads:
+    the matrix of b_i has column t the coordinates of R_(b_i) o g_t."""
+    a = p.algebra
+    hs = hom_space(p, regular_module(a))
+    return [hom_coords_naive(hs, [a.right_mult_matrix(a.basis_element(i)) @ g.matrix for g in hs.maps]) for i in range(a.dim)]
+
+
+def eta_naive(p, m):
+    """Oracle for ``covers._eta_matrix``: (eta_m, dim Hom_B(F_P A, F_P m)).
+    eta(m_c) sends g_t in F_P A to x -> rho_m(g_t(x)) m_c, read pair by pair
+    in Hom(p, m); column c of eta_m holds the coordinates of eta(m_c) in
+    Hom_B, with F_P A and F_P m built from their oracle actions."""
+    a = p.algebra
+    b, _, _ = end_algebra_with_bimodule(p)
+    fa_hom, fm_hom = hom_space(p, regular_module(a)), hom_space(p, m)
+    fa, fm = Module(b, hom_module_action_naive(p, regular_module(a))), Module(b, hom_module_action_naive(p, m))
+    homb = hom_space(fa, fm)
+    if not homb.dim:
+        return Mat.zeros(a.field, 0, m.dim), 0
+    etas = []
+    for c in range(m.dim):
+        e_c = m.stack().take_cols([c]).reshape(a.dim, m.dim).transpose()  # column i: rho_m(b_i) m_c
+        etas.append(hom_coords_naive(fm_hom, [e_c @ g.matrix for g in fa_hom.maps]))
+    return hom_coords_naive(homb, etas), homb.dim
 
 
 def stored_arrays(a):

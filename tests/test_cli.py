@@ -235,6 +235,20 @@ def test_cli_input_error():
 
 
 @pytest.mark.parametrize(
+    "option, message",
+    [(["--cap", "-5"], "cap must be nonnegative, not -5"), (["--random-checks", "-4"], "random checks must be nonnegative, not -4")],
+    ids=["cap", "random-checks"],
+)
+@pytest.mark.parametrize("ringel", [False, True], ids=["hn", "ringel"])
+def test_cli_cover_rejects_negative_counts(capsys, option, message, ringel):
+    argv = ["cover", "--gallery", "schur", "--n", "2", "--d", "3", "--p", "3"]
+    argv += ["--ringel", "--wrt", "tensor-space"] if ringel else ["--wrt", "P((2, 1))"]
+    assert main(argv + option) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "command, option",
     [
         ("domdim", ["--method", "chain"]),

@@ -15,10 +15,13 @@ from qhcover.covers import (
     verify_ringel_cover_theorem,
     wakamatsu_check,
 )
-from qhcover.fields import GF
+from qhcover.fields import GF, QQ
 from qhcover.gallery import build_am, build_schur
-from qhcover.modules import direct_sum, hom_space, regular_module, top
+from qhcover.linalg import Mat
+from qhcover.modules import direct_sum, hom_module_over_endop, hom_space, regular_module, top
 from qhcover.reldim import find_projective_injectives
+
+from conftest import eta_naive, named_modules, right_a_action_naive
 
 F3 = GF(3)
 
@@ -184,9 +187,9 @@ def test_eta_iso_beyond_standards_for_progenerator(am2):
     from qhcover.modules import hom_module_over_endop
 
     p = direct_sum(am2.qh.projectives)[0]
-    fa, fa_basis = hom_module_over_endop(p, regular_module(am2.algebra))
+    fa, fa_hom = hom_module_over_endop(p, regular_module(am2.algebra))
     for m in list(am2.named_modules().values()):
-        eta, homb_dim = _eta_matrix(p, fa, fa_basis, m)
+        eta, homb_dim, _ = _eta_matrix(p, fa, fa_hom, m)
         assert homb_dim == m.dim and eta.rank() == m.dim
 
 
@@ -215,3 +218,58 @@ def test_ringel_dual_is_built_once_per_structure(monkeypatch):
     assert qh_module.ringel_dual(qh) is rd
     assert verify_ringel_cover_theorem(qh, qh.characteristic_tilting(), cap=5).holds
     assert built == [qh]
+
+
+# -- eta and the right A-action against their per-pair oracles ---------------------
+
+ORACLE_CASES = {
+    "A2-GF3": lambda: build_am(2, F3),
+    "A2-QQ": lambda: build_am(2, QQ),
+    "A3-GF3": lambda: build_am(3, F3),
+    "A3-QQ": lambda: build_am(3, QQ),
+    "S_GF3(2,3)": lambda: build_schur(2, 3, 1, F3),
+}
+
+
+def _projectives_to_test(g):
+    """Each P(l), their sum and the projective-injective module."""
+    qh = g.qh() if callable(g.qh) else g.qh
+    return [*qh.projectives, direct_sum(qh.projectives)[0], find_projective_injectives(g.algebra)]
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_eta_matches_the_per_pair_oracle(case):
+    from qhcover.covers import _eta_matrix
+
+    g = ORACLE_CASES[case]()
+    mods = named_modules(g)
+    zero_homb = 0
+    for p in _projectives_to_test(g):
+        fa, fa_hom = hom_module_over_endop(p, regular_module(g.algebra))
+        for m in mods:
+            eta, homb_dim, fm = _eta_matrix(p, fa, fa_hom, m)
+            assert (eta, homb_dim) == eta_naive(p, m)
+            assert fm.action == hom_module_over_endop(p, m)[0].action
+            zero_homb += homb_dim == 0
+    assert zero_homb > 0
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_right_a_action_on_hom_p_a_matches_the_per_pair_oracle(case):
+    from qhcover.covers import _cover_check
+
+    g = ORACLE_CASES[case]()
+    a = g.algebra
+    # row k*n + i: row k of R_(b_i), as ``_cover_check`` reads them
+    rights = regular_module(a).flat_action().transpose()
+    verdicts = set()
+    for p in _projectives_to_test(g):
+        fa, fa_hom = hom_module_over_endop(p, regular_module(a))
+        acts = fa_hom.coords_of_products(rights, fa_hom.side_by_side())
+        h = fa_hom.dim
+        assert [acts.take_cols(range(i * h, (i + 1) * h)) for i in range(a.dim)] == right_a_action_naive(p)
+        flat = Mat.hstack([m.reshape(h * h, 1) for m in right_a_action_naive(p)])
+        is_cover, end_dim = _cover_check(p, fa, fa_hom)
+        assert is_cover == (flat.rank() == a.dim and end_dim == a.dim) and end_dim == hom_space(fa, fa).dim
+        verdicts.add(is_cover)
+    assert verdicts == {True, False}

@@ -29,6 +29,7 @@ from qhcover.linalg import (
     _chunk_length,
     _reduce,
     matmul_mod,
+    stacked_products,
 )
 
 F3 = GF(3)
@@ -119,8 +120,9 @@ def test_kernel_and_solve_match_entry_by_entry_form(p):
     ]
     assert cases[0].rank() == 0 and cases[1].rank() == 5 and cases[2].rank() == 4
     for m in cases:
-        ker = m.kernel()
-        assert ker == _kernel_entry_by_entry(m)
+        ker, free = m.kernel_with_free()
+        assert ker == m.kernel() == _kernel_entry_by_entry(m)
+        assert ker.take_rows(free) == Mat.identity(field, len(free))  # coordinates are read there
         assert (m @ ker).is_zero() and ker.cols == m.cols - m.rank()
         x = Mat(field, rng.integers(0, p, size=(m.cols, 3)))
         b = m @ x
@@ -145,8 +147,9 @@ def test_rank_nullity_and_product_zero():
 @settings(max_examples=60, deadline=None)
 def test_qq_kernel_property(rows):
     m = Mat(QQ, rows)
-    k = m.kernel()
-    assert m.rank() + k.cols == m.cols
+    k, free = m.kernel_with_free()
+    assert m.rank() + k.cols == m.cols and k == m.kernel()
+    assert k.take_rows(free) == Mat.identity(QQ, len(free))
     if k.cols:
         assert (m @ k).is_zero()
 
@@ -476,7 +479,7 @@ def test_matrix_basis_coords_agree_with_solve(field):
     assert basis.flat_coords(targets) == flat.solve(targets) == coeffs
     as_mats = [targets.take_cols([c]).reshape(2, 3) for c in range(3)]
     assert basis.coords(as_mats[1]) == coeffs.take_cols([1])
-    assert basis.coords_many(as_mats) == coeffs
+    assert Mat.hstack([basis.coords(m) for m in as_mats]) == coeffs
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -510,8 +513,21 @@ def test_product_coords_match_coordinates_of_all_products(field):
     bases += _centralizer_basis(field, 5, 11) + _centralizer_basis(field, 6, 12)
     for basis in bases:
         mats = basis.mats
-        expected = basis.coords_many([a @ b for a in mats for b in mats]).transpose()
+        expected = Mat.hstack([basis.coords(a @ b) for a in mats for b in mats]).transpose()
         assert basis.product_coords().to_mat(field, len(mats)) == expected
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(P_MAX), QQ], ids=["GF2", "GFmax", "QQ"])
+def test_stacked_products_multiply_block_by_block(field):
+    # at the largest prime an inner dimension of 2100 takes two chunks
+    rng = np.random.default_rng(5)
+    inner = 2100 if field == GF(P_MAX) else 4
+    a = Mat(field, rng.integers(-9, 10, size=(3 * 2, inner)).tolist())
+    b = Mat(field, rng.integers(-9, 10, size=(3 * inner, 5)).tolist())
+    if field == QQ:
+        a, b = a.scale(Fraction(1, 6)), b.scale(Fraction(5, 4))
+    blocks = [a.take_rows(range(2 * k, 2 * k + 2)) @ b.take_rows(range(inner * k, inner * (k + 1))) for k in range(3)]
+    assert stacked_products(a, b, 3) == Mat.vstack(blocks)
 
 
 def test_take_rows_of_a_range_is_a_read_only_view():
@@ -702,6 +718,28 @@ def test_storage_stays_behind_linalg():
                 offences.append(f"{rel}:{node.lineno} .{node.attr}")
             if isinstance(node, ast.ImportFrom) and any(a.name == "matmul_mod" for a in node.names):
                 offences.append(f"{rel}:{node.lineno} imports matmul_mod")
+    assert offences == []
+
+
+def test_hom_coordinates_come_from_the_hom_space_alone():
+    # A Hom space reads coordinates at its own free rows
+    # (``HomSpace.coords_of_products``).  MatrixBasis serves centralizer and
+    # End algebras: of the module layers only the End algebra's structure
+    # constants, in ``modules._endomorphism_algebra``, may name it.
+    import qhcover
+
+    package = Path(qhcover.__file__).parent
+    offences = []
+    for layer in ("covers", "qh", "reldim", "modules"):
+        tree = ast.parse((package / f"{layer}.py").read_text(), filename=f"{layer}.py")
+        allowed = set()
+        for node in tree.body:
+            if layer == "modules" and isinstance(node, ast.FunctionDef) and node.name == "_endomorphism_algebra":
+                allowed.update(id(n) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name == "MatrixBasis" and id(node) not in allowed:
+                offences.append(f"{layer}.py:{node.lineno}")
     assert offences == []
 
 

@@ -8,19 +8,23 @@ import pytest
 
 from qhcover.algebra import corner_algebra, opposite
 from qhcover.fields import GF, QQ
-from qhcover.gallery import build_schur
+from qhcover.gallery import build_am, build_schur
 from qhcover.linalg import Mat, Subspace
 from qhcover.modules import (
     Module,
     ModuleError,
+    ModuleMap,
     counit_analysis,
     direct_sum,
     dual,
     end_algebra_with_bimodule,
     endomorphism_algebra,
+    hom_into_q_as_right_module,
+    hom_module_over_endop,
     hom_space,
     indecomposable_summands,
     indecomposables_isomorphic,
+    induced_map_on_hom_into_q,
     injective_envelope,
     is_isomorphic,
     module_radical,
@@ -42,8 +46,13 @@ from qhcover.modules import (
 from conftest import (
     broken_truncated_polynomial_module,
     corner_rep_naive,
+    hom_coords_naive,
+    hom_into_q_action_naive,
+    hom_module_action_naive,
     hom_space_naive,
+    induced_map_naive,
     make_am_algebra,
+    named_modules,
     quotient_module_naive,
     submodule_naive,
 )
@@ -399,6 +408,63 @@ def test_corner_reps_match_the_per_coordinate_formula(case):
     for e in [prim.idempotents[0], prim.idempotents[-1], sum(reps[1:], reps[0]), a.one]:
         corner, incl = corner_algebra(a, e)
         assert corner._rep is not None and corner._rep == corner_rep_naive(a, e, incl)
+
+
+# -- Hom coordinates, read at the top generators ----------------------------------
+
+HOM_CASES = {
+    "A2-GF3": lambda: build_am(2, F3),
+    "A2-QQ": lambda: build_am(2, QQ),
+    "A3-GF3": lambda: build_am(3, F3),
+    "A3-QQ": lambda: build_am(3, QQ),
+    "S_GF3(2,3)": lambda: build_schur(2, 3, 1, F3),
+}
+
+
+@pytest.mark.parametrize("case", list(HOM_CASES))
+def test_hom_coordinates_match_a_matrix_basis_on_random_combinations(case):
+    mods = named_modules(HOM_CASES[case]())
+    rng = np.random.default_rng(24)
+    pairs = 0
+    for m in mods:
+        for n in mods:
+            hs = hom_space(m, n)
+            if not hs.dim:
+                continue
+            pairs += 1
+            field = m.algebra.field
+            coeffs = Mat(field, rng.integers(-3, 4, size=(hs.dim, 3)).tolist())  # column c: one combination
+            maps = [hs.combination([coeffs[t, c] for t in range(hs.dim)]).matrix for c in range(3)]
+            got = hs.coords_of_products(Mat.hstack(maps).reshape(n.dim * 3, m.dim), Mat.identity(field, m.dim))
+            assert got == coeffs == hom_coords_naive(hs, maps)
+    assert pairs > 20
+
+
+@pytest.mark.parametrize("case", list(HOM_CASES))
+def test_actions_on_hom_spaces_match_the_per_pair_oracles(case):
+    mods = named_modules(HOM_CASES[case]())
+    zero_homs = 0
+    for q in mods[:-1]:  # End of the zero module is no algebra
+        for m in mods:
+            hmod, hs = hom_module_over_endop(q, m)
+            assert hmod.action == hom_module_action_naive(q, m) and hs.dim == hmod.dim
+            rmod, rs = hom_into_q_as_right_module(q, m)
+            assert rmod.action == hom_into_q_action_naive(q, m) and rs.dim == rmod.dim
+            zero_homs += (hmod.dim == 0) + (rmod.dim == 0)
+    assert zero_homs > 0
+
+
+@pytest.mark.parametrize("case", list(HOM_CASES))
+def test_induced_maps_on_hom_into_q_match_the_per_pair_oracle(case):
+    mods = named_modules(HOM_CASES[case]())
+    zero = mods[-1]
+    # covers onto and envelopes out of each module, and the map from 0
+    maps = [projective_cover(m) for m in mods[:-1]] + [injective_envelope(m) for m in mods[:-1]]
+    maps.append(ModuleMap(zero, mods[0], Mat.zeros(zero.algebra.field, mods[0].dim, 0)))
+    for q in mods[:-1]:
+        for f in maps:
+            got = induced_map_on_hom_into_q(f, hom_space(f.target, q), hom_space(f.source, q))
+            assert got == induced_map_naive(f, q)
 
 
 def test_submodule_of_a_non_invariant_subspace_raises(a3_gf3):
