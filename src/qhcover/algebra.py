@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .fields import Field, PrimeField
-from .linalg import _EXACT, Mat, MatrixBasis, Subspace, Triples, _mod, _reduce, _slots, matmul_mod, restrict_action
+from .linalg import _EXACT, Mat, Subspace, Triples, _mod, _reduce, _slots, frame_products, matmul_mod, restrict_action
 from .memo import memo, share
 
 
@@ -421,20 +421,25 @@ def _basic_algebra(a: Algebra) -> tuple[Algebra, Mat]:
     return b, incl
 
 
-def algebra_of_matrices(basis: MatrixBasis, provenance: str) -> Algebra:
-    """The algebra spanned by a basis of square matrices closed under products.
-
-    The identity must lie in the span; the basis is the faithful ``rep``.
-    """
-    one = basis.coords(Mat.identity(basis.field, basis.shape[0]))
-    return Algebra.from_triples(basis.field, len(basis), basis.product_coords(), one, provenance=provenance, rep=basis.mats)
+Frame = tuple[Mat, list[int], list[int]]
 
 
-def centralizer_algebra(generators: Sequence[Mat]) -> tuple[Algebra, MatrixBasis]:
-    """Algebra of matrices commuting with all generators on a common space.
+def algebra_of_matrices(mats: Sequence[Mat], frame: Frame, provenance: str) -> Algebra:
+    """The algebra spanned by square matrices X_k closed under products, with
+    the identity in the span and the X_k as its faithful ``rep``.  Coordinate
+    k of an X in the span is entry (rows[k], cols[k]) of X G, for ``frame`` =
+    (G, rows, cols)."""
+    g, rows, cols = frame
+    stacked = Mat.vstack(mats)
+    one = Mat.column(g.field, [g[r, c] for r, c in zip(rows, cols)])
+    return Algebra.from_triples(g.field, len(mats), frame_products(stacked, stacked @ g, rows, cols), one, provenance=provenance, rep=list(mats))
 
-    Returns the abstract algebra plus its matrix basis, which is also the
-    algebra's faithful ``rep``.
+
+def centralizer_algebra(generators: Sequence[Mat]) -> tuple[Algebra, Frame]:
+    """Algebra of matrices commuting with all generators on a common space,
+    and its frame (I, rows, cols).  Its basis and faithful ``rep`` is the
+    kernel of the commutation equations in vec(M), the identity on its free
+    rows t*rows[k] + cols[k]: coordinate k of M is M[rows[k], cols[k]].
     """
     gens = list(generators)
     if not gens:
@@ -443,9 +448,9 @@ def centralizer_algebra(generators: Sequence[Mat]) -> tuple[Algebra, MatrixBasis
     ident = Mat.identity(gens[0].field, t)
     # rows: entries of G M - M G, unknowns vec(M) row-major
     sys = Mat.vstack([g.kron(ident) - ident.kron(g.transpose()) for g in gens])
-    kernel = sys.kernel()  # (t^2, dim) columns
-    basis = MatrixBasis([kernel.take_cols([c]).reshape(t, t) for c in range(kernel.cols)])
-    return algebra_of_matrices(basis, "centralizer"), basis
+    kernel, free = sys.kernel_with_free()  # (t^2, dim) columns
+    frame = (ident, [f // t for f in free], [f % t for f in free])
+    return algebra_of_matrices([kernel.take_cols([c]).reshape(t, t) for c in range(kernel.cols)], frame, "centralizer"), frame
 
 
 # ---------------------------------------------------------------------------

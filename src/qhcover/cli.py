@@ -63,21 +63,23 @@ def _gallery_context(args):
     field = _field_from_args(args)
     kind = args.gallery
     if kind == "am":
-        if not args.m:
+        if args.m is None:
             raise CliError("--gallery am needs --m")
         return G.build_am(args.m, field)
     if kind == "hecke":
-        if not args.d:
+        if args.d is None:
             raise CliError("--gallery hecke needs --d")
         return G.build_hecke(args.d, args.u, field)
     if kind == "schur":
-        if not (args.n and args.d):
+        if args.n is None or args.d is None:
             raise CliError("--gallery schur needs --n and --d")
         return G.build_schur(args.n, args.d, args.u, field)
     raise CliError(f"unknown gallery {kind!r}")
 
 
 def _algebra_from_args(args):
+    if args.gallery and args.algebra:
+        raise CliError("--algebra and --gallery exclude each other")
     if args.gallery:
         ctx = _gallery_context(args)
         return ctx.algebra, ctx
@@ -207,6 +209,8 @@ def _qh_from_args(args):
     from .qh import verify_split_qh
 
     a, ctx = _algebra_from_args(args)
+    if isinstance(ctx, (SchurGallery, AmGallery)) and args.poset:
+        raise CliError(f"--gallery {args.gallery} has its own weight poset: drop --poset")
     if isinstance(ctx, SchurGallery):
         return ctx.qh().verification, ctx.qh(), a, ctx
     if isinstance(ctx, AmGallery):

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .algebra import Algebra, centralizer_algebra, corner_algebra, opposite
+from .algebra import Algebra, Frame, centralizer_algebra, corner_algebra, opposite
 from .fields import Field
-from .linalg import Mat, MatrixBasis, Subspace, Triples
+from .linalg import Mat, Subspace, Triples
 from .memo import memo
 from .modules import Module, _indec_projective, hom_space, top
 from .qh import QHStructure, WeightPoset, verify_split_qh
@@ -33,14 +33,18 @@ MAX_TENSOR_DIM = 4096
 MAX_SCHUR_DIM = 4000
 
 
+def _check_size(name: str, value: int) -> None:
+    if value < 1:
+        raise GalleryError(f"{name} must be at least 1")
+
+
 # ---------------------------------------------------------------------------
 # zigzag algebras A_m
 # ---------------------------------------------------------------------------
 
 
 def zigzag_quiver(m: int) -> QuiverPresentation:
-    if m < 1:
-        raise GalleryError("m must be at least 1")
+    _check_size("m", m)
     if m == 1:
         return QuiverPresentation(1, [], [])
     arrows = [Arrow(f"a{i + 1}", i, i + 1) for i in range(m - 1)]
@@ -161,6 +165,7 @@ def build_hecke(d: int, u, field: Field) -> HeckeGallery:
     Multiplication is computed by reduced-word recursion on the defining
     relations; u = 1 recovers the group algebra of the symmetric group.
     """
+    _check_size("d", d)
     u = field.parse(u) if isinstance(u, str) else field.normalize(u)
     if u == field.zero():
         raise GalleryError("Hecke parameter u must be invertible")
@@ -217,6 +222,8 @@ class TensorSpaceGallery:
 
 def build_tensor_space(n: int, d: int, u, field: Field, hecke: Optional[HeckeGallery] = None, allow_large: bool = False) -> TensorSpaceGallery:
     """V^(tensor d) with the deformed place-permutation right Hecke-action."""
+    _check_size("n", n)
+    _check_size("d", d)
     if n**d > MAX_TENSOR_DIM and not allow_large:
         raise GalleryError(f"tensor space dimension {n**d} exceeds the guard; pass allow_large")
     if hecke is None:
@@ -314,7 +321,7 @@ class SchurGallery:
     tensor: TensorSpaceGallery
     algebra: Algebra
     tensor_module: Module  # V^(tensor d) as a left Schur-module
-    matrix_basis: MatrixBasis  # the algebra basis as tensor-space matrices
+    frame: Frame  # where the coordinates of a tensor-space matrix are read
     weights: list[tuple[int, ...]]
     partitions: list[tuple[int, ...]]
 
@@ -344,8 +351,9 @@ def _verified_qh(schur: SchurGallery) -> QHStructure:
 
 
 def _matrix_to_algebra_coords(schur: SchurGallery, mat: Mat) -> Mat:
-    coords = schur.matrix_basis.coords(mat)
-    # confirm the matrix really lies in the algebra
+    _, rows, cols = schur.frame
+    coords = Mat.column(schur.field, [mat[r, c] for r, c in zip(rows, cols)])
+    # the entries are coordinates only for a matrix of the algebra: confirm it
     if schur.tensor_module.act(coords) != mat:
         raise GalleryError("matrix does not lie in the Schur algebra")
     return coords
@@ -362,7 +370,7 @@ def build_schur(n: int, d: int, u, field: Field, allow_large: bool = False) -> S
     hecke = build_hecke(d, u, field)
     tensor = build_tensor_space(n, d, u, field, hecke=hecke, allow_large=allow_large)
     gens = tensor.simple_action if d > 1 else [Mat.identity(field, tensor.module.dim)]
-    alg, matrix_basis = centralizer_algebra(gens)
+    alg, frame = centralizer_algebra(gens)
     expected = comb(n * n + d - 1, d)
     if alg.dim != expected:
         raise GalleryError(f"Schur dimension {alg.dim} != orbit count {expected}")
@@ -371,7 +379,7 @@ def build_schur(n: int, d: int, u, field: Field, allow_large: bool = False) -> S
     tensor_module = Module(alg, alg.rep_matrices(), name=f"V^({d})|S({n},{d})")
     weights = compositions(n, d)
     parts = partitions_at_most(n, d)
-    return SchurGallery(n, d, u, field, hecke, tensor, alg, tensor_module, matrix_basis, weights, parts)
+    return SchurGallery(n, d, u, field, hecke, tensor, alg, tensor_module, frame, weights, parts)
 
 
 def _schur_poset(schur: SchurGallery) -> WeightPoset:

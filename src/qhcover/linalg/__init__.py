@@ -17,8 +17,10 @@ not overflow, so QQ arithmetic has no bound to check.  A product is one
 numerator product over den_a * den_b, and row reduction, ``_rref_qq``, is
 fraction-free on the numerators.  Other modules stay off the storage: they
 build and reshape matrices through Mat's field-neutral operations and take
-coordinates through Subspace, MatrixBasis, or the free rows that
-``Mat.kernel_with_free`` reports.
+coordinates through Subspace or the free rows that ``Mat.kernel_with_free``
+reports: a kernel basis is the identity on its free rows, so a span of
+matrices built as a kernel reads its coordinates at a frame of entries, and
+``frame_products`` reads its structure constants there.
 
 The public constructor ``Mat(...)`` checks data from outside the program: it
 reduces GF(p) entries mod p as integers, before they become float64, and
@@ -568,77 +570,48 @@ def _rationals_outside(data) -> tuple[np.ndarray, int]:
     return np.array([[x.numerator * (den // x.denominator) for x in row] for row in rows], dtype=object), den
 
 
-class MatrixBasis:
-    """Coordinates with respect to a linearly independent family of matrices,
-    the basis of a centralizer or End algebra, whose structure constants
-    ``product_coords`` reads (a Hom space reads its own, ``modules.HomSpace``).
+def frame_products(mats: Mat, mats_g: Mat, rows: Sequence[int], cols: Sequence[int]) -> "Triples":
+    """Structure constants of a basis X_0..X_(n-1) of m x m matrices closed
+    under products, whose coordinates are read at a frame: coordinate k of
+    an X in the span is entry (rows[k], cols[k]) of X G.  ``mats`` stacks
+    the X_a (n*m x m) and ``mats_g`` the X_b G (n*m x g); the triple
+    (a, b, k) holds coordinate k of X_a X_b.
 
-    The matrices, all of one shape, are flattened row-major into the columns
-    of ``flat``.  Its pivot rows (leftmost pivots of the transposed rref) and
-    the inverse of the square block on those rows are computed once, so the
-    coordinates of a matrix in the span cost one small product.  Membership
-    is not checked.
+    Entry (i, c) of X_a X_b G sums X_a[i, l] (X_b G)[l, c] over l.  So the
+    nonzero entries (a, i, l) of the X_a are joined with the nonzero entries
+    (b, l, c) of the X_b G on l, keeping the terms whose (i, c) is a frame
+    position; no product is formed whole.  Each term is reduced below p
+    before the terms of an entry, at most m of them, are added up: below
+    m p < 2^51 over GF(p).
     """
-
-    def __init__(self, mats: Sequence[Mat]):
-        self.mats = list(mats)
-        self.field = self.mats[0].field
-        self.shape = (self.mats[0].rows, self.mats[0].cols)
-        self.flat = Mat.hstack([self._flatten(m) for m in self.mats])
-        self.rows = self.flat.transpose().rref()[1]
-        self.square_inv = self.flat.take_rows(self.rows).inv()
-
-    def __len__(self) -> int:
-        return len(self.mats)
-
-    def _flatten(self, m: Mat) -> Mat:
-        return m.reshape(self.shape[0] * self.shape[1], 1)
-
-    def flat_coords(self, flat: Mat) -> Mat:
-        """Coordinate columns of the columns of ``flat`` (flattened matrices)."""
-        return self.square_inv @ flat.take_rows(self.rows)
-
-    def coords(self, m: Mat) -> Mat:
-        """Coordinate column of one matrix of the span."""
-        return self.flat_coords(self._flatten(m))
-
-    def product_coords(self) -> "Triples":
-        """Structure constants of a basis closed under products: the triple
-        (a, b, k) holds coordinate k of mats[a] @ mats[b].
-
-        Coordinates read only the pivot entries (i, k) of a product, and
-        entry (i, k) of mats[a] @ mats[b] sums M_a[i, l] M_b[l, k] over l.
-        So the nonzero entries (a, i, l) are joined with the nonzero entries
-        (b, l, k) on l, keeping the terms whose (i, k) is a pivot; only the
-        pairs (a, b) with such a term meet ``square_inv``.  Each term is
-        reduced below p before the terms of an entry, at most u of them, are
-        added up: below u p < 2^51 over GF(p).
-        """
-        n, u = len(self.mats), self.shape[1]
-        field, data = self.field, self.flat.data
-        pivot = np.full(data.shape[0], -1)
-        pivot[self.rows] = np.arange(n)
-        # the nonzero entries: entry e is (row[e], col[e]) of mats[mat[e]]
-        flat_row, mat = np.nonzero(data)
-        value = data[flat_row, mat]
-        row, col = np.divmod(flat_row, u)
-        # as a left factor (a, i, l), entry e meets the count[l] right factors
-        # (b, l, k), which sit at first[l] onwards in row order
-        by_row = np.argsort(row, kind="stable")
-        count = np.bincount(row, minlength=u)
-        first = np.cumsum(count) - count
-        reps = count[col]
-        left = np.repeat(np.arange(col.size), reps)
-        right = by_row[np.arange(left.size) - np.repeat(np.cumsum(reps) - reps, reps) + first[col[left]]]
-        target = pivot[row[left] * u + col[right]]
-        keep = target >= 0
-        left, right, target = left[keep], right[keep], target[keep]
-        # one row of pivot entries per pair (a, b) that has a term
-        pairs, slot = _slots(mat[left] * n + mat[right], n * n)
-        entries = np.zeros((pairs.size, n), data.dtype)
-        np.add.at(entries, (slot, target), _mod(field, value[left] * value[right]))
-        coords = _canonical(field, _mod(field, entries), self.flat.den**2) @ self.square_inv.transpose()
-        return Triples.from_rows(pairs, coords, n)
+    field, m, g = mats.field, mats.cols, mats_g.cols
+    n = mats.rows // m
+    frame = np.full(m * g, -1)
+    frame[np.asarray(rows, dtype=np.intp) * g + np.asarray(cols, dtype=np.intp)] = np.arange(n)
+    # entry e of the left is (row[e], inner[e]) of X_(mat[e]), entry f of
+    # the right is (inner_g[f], col_g[f]) of X_(mat_g[f]) G
+    flat_row, inner = np.nonzero(mats.data)
+    value = mats.data[flat_row, inner]
+    mat, row = np.divmod(flat_row, m)
+    flat_row_g, col_g = np.nonzero(mats_g.data)
+    value_g = mats_g.data[flat_row_g, col_g]
+    mat_g, inner_g = np.divmod(flat_row_g, m)
+    # left entry e meets the count[inner[e]] right entries of that inner
+    # index, which sit at first[inner[e]] onwards in order of inner index
+    by_inner = np.argsort(inner_g, kind="stable")
+    count = np.bincount(inner_g, minlength=m)
+    first = np.cumsum(count) - count
+    reps = count[inner]
+    left = np.repeat(np.arange(inner.size), reps)
+    right = by_inner[np.arange(left.size) - np.repeat(np.cumsum(reps) - reps, reps) + first[inner[left]]]
+    target = frame[row[left] * g + col_g[right]]
+    keep = target >= 0
+    left, right, target = left[keep], right[keep], target[keep]
+    # one row of frame entries per pair (a, b) that has a term
+    pairs, slot = _slots(mat[left] * n + mat_g[right], n * n)
+    entries = np.zeros((pairs.size, n), mats.data.dtype)
+    np.add.at(entries, (slot, target), _mod(field, value[left] * value_g[right]))
+    return Triples.from_rows(pairs, _canonical(field, _mod(field, entries), mats.den * mats_g.den), n)
 
 
 def _slots(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -17,16 +17,17 @@ one coordinate call reads them all.  The test suite checks them against
 per-matrix oracles.
 
 A Hom space reads coordinates at the kernel's free rows (``_hom_frame``),
-so every action on one is a single ``HomSpace.coords_of_products`` call;
-only End algebras keep a MatrixBasis, for their structure constants.  The
-test suite checks each action against a per-pair MatrixBasis oracle.
+so every action on one is a single ``HomSpace.coords_of_products`` call,
+and End(M) reads its structure constants at the same frame
+(``algebra.algebra_of_matrices``).  The test suite checks each action and
+each End algebra against a per-pair solve-based oracle.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebra import Algebra, algebra_of_matrices, opposite
+from .algebra import Algebra, Frame, algebra_of_matrices, opposite
 from .linalg import Mat, Subspace, restrict_action, stacked_products
 from .memo import memo, memo_pair
 
@@ -443,10 +444,10 @@ def _evaluation_matrix(p: ProjSum, n: Module, targets: list[Mat]) -> Mat:
 
 
 class HomSpace:
-    """Basis of Hom_A(M, N) as explicit ModuleMaps, and ``frame`` = (W, rows):
-    coordinate k of a map phi: M -> N is entry (rows[k], k) of phi W."""
+    """Basis of Hom_A(M, N) as explicit ModuleMaps, and ``frame`` = (V, rows,
+    cols): coordinate k of phi: M -> N is entry (rows[k], cols[k]) of phi V."""
 
-    def __init__(self, source: Module, target: Module, maps: list[ModuleMap], frame: tuple[Mat, list[int]]):
+    def __init__(self, source: Module, target: Module, maps: list[ModuleMap], frame: Frame):
         self.source = source
         self.target = target
         self.maps = maps
@@ -471,13 +472,14 @@ class HomSpace:
         space, column a*B + b for l_a r_b.  ``right`` holds the r_b (X x M.dim)
         side by side; ``left`` holds the l_a (N.dim x X) side by side, read as
         (N.dim*A x X).  Coordinate k of l_a r_b is row rows[k] of l_a times
-        r_b w_k: one gather and one stacked product over k read them all."""
-        w, rows = self.frame
+        r_b w_k, for W = V.take_cols(cols): one gather and one stacked product
+        over k read them all."""
+        v, rows, cols = self.frame
         h, x, m = self.dim, right.rows, self.source.dim
         n_a, n_b = left.rows // self.target.dim, right.cols // m
         # block k: the rows rows[k] of the l_a (row a), and the r_b w_k (column b)
         lr = left.take_rows([r * n_a + a for r in rows for a in range(n_a)])
-        rw = (right.reshape(x * n_b, m) @ w).transpose().reshape(h * x, n_b)
+        rw = (right.reshape(x * n_b, m) @ v.take_cols(cols)).transpose().reshape(h * x, n_b)
         return stacked_products(lr, rw, h).reshape(h, n_a * n_b)
 
 
@@ -518,12 +520,12 @@ def hom_space(m: Module, n: Module) -> HomSpace:
     if m.algebra is not n.algebra:
         raise ModuleError("hom_space: modules over different algebras")
     if m.dim == 0 or n.dim == 0:
-        return HomSpace(m, n, [], (Mat.zeros(m.algebra.field, m.dim, 0), []))
+        return HomSpace(m, n, [], (Mat.zeros(m.algebra.field, m.dim, 0), [], []))
     mats, frame = memo_pair(m, n, "_hom", lambda: _hom_matrices(m, n))
     return HomSpace(m, n, [ModuleMap(m, n, f) for f in mats], frame)
 
 
-def _hom_matrices(m: Module, n: Module) -> tuple[list[Mat], tuple[Mat, list[int]]]:
+def _hom_matrices(m: Module, n: Module) -> tuple[list[Mat], Frame]:
     pres = projective_cover_data(m)
     spans = _slice_spans(n, pres.p0)
     total_w = sum(sp.dim for sp in spans)
@@ -533,13 +535,13 @@ def _hom_matrices(m: Module, n: Module) -> tuple[list[Mat], tuple[Mat, list[int]
     return _extract_hom_matrices(pres, n, spans, sol), _hom_frame(pres, spans, free)
 
 
-def _hom_frame(pres: Presentation, spans: list[Subspace], free: list[int]) -> tuple[Mat, list[int]]:
-    """W and rows of ``HomSpace.frame``: solution row (j, r), r a pivot of
-    slice j, is entry r of phi(cover(g_j)), g_j the j-th generator of P0, and
-    the kernel basis is the identity on its free rows (proof in the README)."""
+def _hom_frame(pres: Presentation, spans: list[Subspace], free: list[int]) -> Frame:
+    """``HomSpace.frame``: solution row (j, r), r a pivot of slice j, is
+    entry r of phi(cover(g_j)), g_j the j-th generator of P0, and the kernel
+    basis is the identity on its free rows (proof in the README)."""
     slots = [(j, r) for j, span in enumerate(spans) for r in span.pivots]
     tops = pres.cover @ Mat.hstack(pres.p0.generator_columns())
-    return tops.take_cols([slots[f][0] for f in free]), [slots[f][1] for f in free]
+    return tops, [slots[f][1] for f in free], [slots[f][0] for f in free]
 
 
 def _extract_hom_matrices(pres: Presentation, n: Module, spans: list[Subspace], sol: Mat) -> list[Mat]:
@@ -619,11 +621,10 @@ def endomorphism_algebra(m: Module) -> tuple[Algebra, list[ModuleMap]]:
 
 
 def _endomorphism_algebra(m: Module) -> tuple[Algebra, list[ModuleMap]]:
-    from .linalg import MatrixBasis  # its sparse join reads End algebras: no other use here
-    basis = hom_space(m, m).maps
-    if not basis:
+    hs = hom_space(m, m)
+    if not hs.maps:
         raise ModuleError("endomorphism algebra of the zero module")
-    return algebra_of_matrices(MatrixBasis([f.matrix for f in basis]), "endomorphism"), basis
+    return algebra_of_matrices([f.matrix for f in hs.maps], hs.frame, "endomorphism"), hs.maps
 
 
 def indecomposable_summands(m: Module) -> list[tuple[Module, ModuleMap, ModuleMap]]:

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from qhcover.algebra import from_structure_constants
+from qhcover.algebra import Algebra, from_structure_constants
 from qhcover.fields import GF, QQ
 from qhcover.gallery import build_schur
-from qhcover.linalg import Mat, MatrixBasis, Subspace
+from qhcover.linalg import Mat, Subspace
 from qhcover.modules import (
     Module,
     ModuleError,
@@ -66,6 +66,24 @@ def hom_space_naive(m, n):
     return [ker.take_cols([c]).reshape(t, s) for c in range(ker.cols)]
 
 
+def span_coords_naive(mats, targets):
+    """Oracle for coordinates in the span of linearly independent matrices:
+    one solve of the flattened family against the flattened targets, the
+    coordinates of each target as a column (None if one lies outside)."""
+    size = mats[0].rows * mats[0].cols
+    return Mat.hstack([x.reshape(size, 1) for x in mats]).solve(Mat.hstack([x.reshape(size, 1) for x in targets]))
+
+
+def algebra_of_matrices_naive(mats, provenance="raw"):
+    """Oracle for ``algebra.algebra_of_matrices``: the coordinates of every
+    product X_a X_b and of the identity, by one solve each, as a dense
+    structure; the X_a are the rep."""
+    field, n = mats[0].field, len(mats)
+    structure = span_coords_naive(mats, [x @ y for x in mats for y in mats]).transpose()
+    one = span_coords_naive(mats, [Mat.identity(field, mats[0].rows)])
+    return Algebra(field, n, structure, one, provenance=provenance, rep=list(mats))
+
+
 def submodule_naive(m, span):
     """Oracle for ``modules.submodule``: each action matrix on its own, the
     images g W of the span's basis W in coordinates of the span."""
@@ -108,8 +126,7 @@ def corner_rep_naive(a, e, incl):
     if img.dim == 0:
         return None
     w = img.basis.transpose()  # columns: basis of e.V
-    wb = MatrixBasis([w.take_cols([j]) for j in range(w.cols)])
-    return [wb.flat_coords(combine_rep_naive(a, incl.take_cols([c])) @ w) for c in range(incl.cols)]
+    return [w.solve(combine_rep_naive(a, incl.take_cols([c])) @ w) for c in range(incl.cols)]
 
 
 def named_modules(g):
@@ -126,9 +143,8 @@ def named_modules(g):
 
 def hom_coords_naive(hs, mats):
     """Oracle for ``HomSpace.coords_of_products``: the coordinates of each
-    matrix of the span, from a MatrixBasis over the Hom basis, as columns."""
-    basis = MatrixBasis([f.matrix for f in hs.maps])
-    return Mat.hstack([basis.coords(m) for m in mats])
+    matrix of the span in the Hom basis, by one solve, as columns."""
+    return span_coords_naive([f.matrix for f in hs.maps], mats)
 
 
 def hom_module_action_naive(q, m):

@@ -13,7 +13,6 @@ from qhcover.algebra import (
     Algebra,
     AlgebraError,
     _batched_matrix_power_mod,
-    algebra_of_matrices,
     basic_algebra,
     central_primitive_idempotents,
     centralizer_algebra,
@@ -25,10 +24,10 @@ from qhcover.algebra import (
 )
 from qhcover.fields import GF, QQ
 from qhcover.gallery import build_am, build_hecke, build_schur
-from qhcover.linalg import Mat, MatrixBasis, Subspace, matmul_mod
+from qhcover.linalg import Mat, Subspace, matmul_mod
 from qhcover.quiver import Arrow, QuiverPresentation, arrow_ideal_dimension, from_quiver
 
-from conftest import make_am_algebra, stored_arrays
+from conftest import algebra_of_matrices_naive, make_am_algebra, stored_arrays
 
 F2, F3 = GF(2), GF(3)
 
@@ -764,7 +763,7 @@ TWISTED_M2 = [[[1, 0], [0, 1]], [[0, 1], [2, 0]], [[0, 1], [3, 0]], [[1, 1], [-1
         pytest.param(lambda: build_schur(3, 3, 1, GF(P_MAX)).algebra, 19, 3, id="S33_GF1048573"),
         pytest.param(lambda: build_hecke(3, "1/2", QQ).algebra, 4, 3, id="H3_u1/2_QQ"),
         pytest.param(lambda: build_hecke(3, 2, QQ).algebra, 4, 3, id="H3_u2_QQ"),
-        pytest.param(lambda: algebra_of_matrices(MatrixBasis([Mat(QQ, m) for m in TWISTED_M2]), "M_2"), 2, 1, id="M2_twisted_QQ"),
+        pytest.param(lambda: algebra_of_matrices_naive([Mat(QQ, m) for m in TWISTED_M2], "M_2"), 2, 1, id="M2_twisted_QQ"),
     ],
 )
 def test_split_blocks_descend_to_matrix_units(build, count, n_blocks):

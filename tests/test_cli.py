@@ -268,6 +268,42 @@ def test_cli_rejects_options_the_command_does_not_read(capsys, command, option):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        (["schur", "--n", "-1", "--d", "2"], "n must be at least 1"),
+        (["schur", "--n", "2", "--d", "-1"], "d must be at least 1"),
+        (["hecke", "--d", "-2"], "d must be at least 1"),
+        (["am", "--m", "0"], "m must be at least 1"),
+        (["schur", "--n", "0", "--d", "2"], "n must be at least 1"),
+        (["schur", "--n", "2", "--d", "0"], "d must be at least 1"),
+        (["hecke", "--d", "0"], "d must be at least 1"),
+    ],
+    ids=["schur-n-1", "schur-d-1", "hecke-d-2", "am-m0", "schur-n0", "schur-d0", "hecke-d0"],
+)
+def test_cli_rejects_gallery_sizes_below_one(capsys, sizes, message):
+    # a given zero is out of range, not a missing flag
+    assert main(["domdim", "--gallery", *sizes, "--p", "3"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["qh-verify", "--gallery", "am", "--m", "2", "--p", "3", "--poset", "bad.json"], "--gallery am has its own weight poset: drop --poset"),
+        (["tilting", "--gallery", "schur", "--n", "2", "--d", "2", "--p", "3", "--poset", "bad.json"], "--gallery schur has its own weight poset: drop --poset"),
+        (["domdim", "--gallery", "am", "--m", "3", "--p", "3", "--algebra", "bad.json"], "--algebra and --gallery exclude each other"),
+        (["qh-verify", "--gallery", "am", "--m", "2", "--p", "3", "--algebra", "bad.json"], "--algebra and --gallery exclude each other"),
+    ],
+    ids=["qh-verify-poset", "tilting-poset", "domdim-algebra", "qh-verify-algebra"],
+)
+def test_cli_rejects_file_inputs_beside_a_gallery(capsys, argv, message):
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {message}\n"
+
+
 @pytest.mark.parametrize("index", [[0, 2, 0], [0, 0, -1]])
 def test_cli_rejects_out_of_range_structure_constant(tmp_path, capsys, index):
     bad = {"field": {"kind": "prime", "p": 3}, "dim": 2, "mult": [[0, 0, 0, "1"], index + ["1"]], "one": ["1", "0"]}

@@ -98,6 +98,13 @@ def test_hecke_zero_u_rejected():
         build_hecke(2, 0, F3)
 
 
+@pytest.mark.parametrize("n, d, message", [(-1, 2, "n must be at least 1"), (2, 0, "d must be at least 1")])
+def test_tensor_space_sizes_below_one_are_rejected(n, d, message):
+    # the CLI tests reach the checks of build_am, build_hecke and build_schur
+    with pytest.raises(GalleryError, match=message):
+        build_tensor_space(n, d, 1, F3)
+
+
 # -- tensor space --------------------------------------------------------------
 
 
@@ -142,6 +149,18 @@ def test_schur_22_gf2_domdim():
     s = build_schur(2, 2, 1, F2)
     v, _ = classical_domdim(s.algebra, 8)
     assert str(v.value) == "Exact(2)"
+
+
+def test_matrix_outside_the_schur_algebra_is_rejected():
+    # E_11 on the word (0, 1) does not commute with the swap, which moves
+    # (0, 1) to (1, 0): its entries at the frame are no coordinates
+    from qhcover.gallery import _matrix_to_algebra_coords
+
+    s = build_schur(2, 2, 1, F3)
+    with pytest.raises(GalleryError, match="does not lie in the Schur algebra"):
+        _matrix_to_algebra_coords(s, Mat.from_entries(F3, 4, 4, {(1, 1): 1}))
+    xi = s.weight_idempotent((1, 1))  # E_11 + E_22 does commute
+    assert s.tensor_module.act(xi) == Mat.from_entries(F3, 4, 4, {(1, 1): 1, (2, 2): 1})
 
 
 def test_schur_dimension_formula():

@@ -24,13 +24,15 @@ from qhcover.gallery import build_hecke
 from qhcover.linalg import (
     _FMOD_MAX_SIZE,
     Mat,
-    MatrixBasis,
     Subspace,
     _chunk_length,
     _reduce,
+    frame_products,
     matmul_mod,
     stacked_products,
 )
+
+from conftest import algebra_of_matrices_naive, span_coords_naive
 
 F3 = GF(3)
 P_MAX = 1048573  # the largest prime below PrimeField.MAX_P
@@ -170,7 +172,7 @@ def _lift_m2(field, entries, nil_bound):
     matrices, where the coordinates of a 2 x 2 matrix are its entries read
     row-major."""
     units = [Mat.from_entries(field, 2, 2, {(i, j): 1}) for i in range(2) for j in range(2)]
-    a = algebra_of_matrices(MatrixBasis(units), "M_2")
+    a = algebra_of_matrices_naive(units, "M_2")
     return _lift_idempotent_element(a, Mat(field, entries).reshape(4, 1), nil_bound).reshape(2, 2)
 
 
@@ -456,65 +458,54 @@ def test_nonzero_entries_are_row_major_python_values(field):
     assert Mat.zeros(field, 2, 0).nonzero_entries() == []
 
 
-def _independent_matrices(field, rng, count, rows, cols):
-    mats = []
-    while len(mats) < count:
-        cand = Mat(field, rng.integers(-2, 3, size=(rows, cols)))
-        flat = Mat.hstack([m.reshape(rows * cols, 1) for m in mats + [cand]])
-        if flat.rank() == len(mats) + 1:
-            mats.append(cand)
-    return mats
+def _full_matrix_algebra(field, t):
+    """The unit matrices E_ij of M_t, row-major, and their frame: the
+    coordinates of a t x t matrix are its entries."""
+    units = [Mat.from_entries(field, t, t, {(i, j): 1}) for i in range(t) for j in range(t)]
+    return units, (Mat.identity(field, t), [i for i in range(t) for _ in range(t)], list(range(t)) * t)
 
 
-@pytest.mark.parametrize("field", FIELDS)
-def test_matrix_basis_coords_agree_with_solve(field):
-    rng = np.random.default_rng(3)
-    mats = _independent_matrices(field, rng, 4, 2, 3)
-    basis = MatrixBasis(mats)
-    flat = Mat.hstack([m.reshape(6, 1) for m in mats])
-    # pivot rows: leftmost pivots of the transposed family, as the callers chose them before
-    assert basis.rows == flat.transpose().rref()[1]
-    coeffs = Mat(field, rng.integers(-2, 3, size=(4, 3)))
-    targets = flat @ coeffs  # flattened combinations, one per column
-    assert basis.flat_coords(targets) == flat.solve(targets) == coeffs
-    as_mats = [targets.take_cols([c]).reshape(2, 3) for c in range(3)]
-    assert basis.coords(as_mats[1]) == coeffs.take_cols([1])
-    assert Mat.hstack([basis.coords(m) for m in as_mats]) == coeffs
-
-
-@pytest.mark.parametrize("field", FIELDS)
-def test_matrix_basis_product_coords(field):
-    # upper triangular 2x2 matrices E11, E12, E22: closed under products
-    units = [{(0, 0): 1}, {(0, 1): 1}, {(1, 1): 1}]
-    basis = MatrixBasis([Mat.from_entries(field, 2, 2, u) for u in units])
-    structure = basis.product_coords().to_mat(field, 3)
-    assert (structure.rows, structure.cols) == (9, 3)
-    for i, j in itertools.product(range(3), repeat=2):
-        product = basis.mats[i] @ basis.mats[j]
-        assert structure.take_rows([i * 3 + j]).transpose() == basis.coords(product)
-
-
-def _full_matrix_basis(field, t):
-    return MatrixBasis([Mat.from_entries(field, t, t, {(i, j): 1}) for i in range(t) for j in range(t)])
-
-
-def _centralizer_basis(field, t, seed):
+def _centralizers(field, t, seed):
     # a random matrix, and one with a repeated random block, whose centralizer is larger
     rng = np.random.default_rng(seed)
     g = Mat(field, rng.integers(0, 3, size=(t, t)))
     r = Mat(field, rng.integers(0, 3, size=(2, 2)))
     h = Mat.block_diag(field, [r, r, Mat(field, rng.integers(0, 3, size=(t - 4, t - 4)))])
-    return [centralizer_algebra([g])[1], centralizer_algebra([h])[1]]
+    return [centralizer_algebra([g]), centralizer_algebra([h])]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_matrix_basis_coords_agree_with_solve(field):
+    # a centralizer's basis is a kernel basis, so the coordinates of a
+    # combination of its matrices are entries at its frame
+    rng = np.random.default_rng(3)
+    for a, (g, rows, cols) in _centralizers(field, 5, 3):
+        mats = a.rep_matrices()
+        coeffs = Mat(field, rng.integers(-2, 3, size=(a.dim, 3)))
+        flat = Mat.hstack([m.reshape(25, 1) for m in mats])
+        combos = [(flat @ coeffs.take_cols([c])).reshape(5, 5) for c in range(3)]
+        read = Mat.hstack([Mat.column(field, [(x @ g)[r, c] for r, c in zip(rows, cols)]) for x in combos])
+        assert read == span_coords_naive(mats, combos) == coeffs
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_matrix_basis_product_coords(field):
+    # upper triangular 2x2 matrices E11, E12, E22: closed under products,
+    # with coordinates the entries (0, 0), (0, 1) and (1, 1)
+    mats = [Mat.from_entries(field, 2, 2, u) for u in ({(0, 0): 1}, {(0, 1): 1}, {(1, 1): 1})]
+    stacked = Mat.vstack(mats)
+    structure = frame_products(stacked, stacked, [0, 0, 1], [0, 1, 1]).to_mat(field, 3)
+    assert (structure.rows, structure.cols) == (9, 3)
+    assert structure == algebra_of_matrices_naive(mats).structure
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(P_MAX), QQ], ids=["GF2", "GF3", "GFmax", "QQ"])
 def test_product_coords_match_coordinates_of_all_products(field):
-    bases = [_full_matrix_basis(field, t) for t in (1, 2, 3)]
-    bases += _centralizer_basis(field, 5, 11) + _centralizer_basis(field, 6, 12)
-    for basis in bases:
-        mats = basis.mats
-        expected = Mat.hstack([basis.coords(a @ b) for a in mats for b in mats]).transpose()
-        assert basis.product_coords().to_mat(field, len(mats)) == expected
+    algebras = [algebra_of_matrices(*_full_matrix_algebra(field, t), "M_t") for t in (1, 2, 3)]
+    algebras += [a for a, _ in _centralizers(field, 5, 11) + _centralizers(field, 6, 12)]
+    for got in algebras:
+        want = algebra_of_matrices_naive(got.rep_matrices())
+        assert got.structure == want.structure and got.one == want.one
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(P_MAX), QQ], ids=["GF2", "GFmax", "QQ"])
@@ -646,7 +637,8 @@ def _operation_results(field, unit=1):
     a = Mat(field, rng.integers(-3, 4, size=(3, 4))).scale(unit)
     b = Mat(field, rng.integers(-3, 4, size=(4, 3))).scale(unit)
     sq = Mat(field, [[1, 2, 0], [0, 1, 0], [1, 0, 1]])
-    basis = MatrixBasis([Mat.identity(field, 2), Mat(field, [[0, 1], [0, 0]])])
+    # the span of 1 and a nilpotent, with coordinates the entries (0, 0) and (0, 1)
+    pair = Mat.vstack([Mat.identity(field, 2), Mat(field, [[0, 1], [0, 0]])])
     return [
         Mat.zeros(field, 2, 3),
         Mat.identity(field, 3),
@@ -671,8 +663,7 @@ def _operation_results(field, unit=1):
         sq.inv(),
         Subspace(field, 4, a).basis,
         Subspace(field, 4, a).quotient_coords(b.transpose()),
-        basis.coords(Mat(field, [[2, 5], [0, 2]])),
-        basis.product_coords().to_mat(field, 2),
+        frame_products(pair, pair, [0, 0], [0, 1]).to_mat(field, 2),
     ]
 
 
@@ -718,28 +709,6 @@ def test_storage_stays_behind_linalg():
                 offences.append(f"{rel}:{node.lineno} .{node.attr}")
             if isinstance(node, ast.ImportFrom) and any(a.name == "matmul_mod" for a in node.names):
                 offences.append(f"{rel}:{node.lineno} imports matmul_mod")
-    assert offences == []
-
-
-def test_hom_coordinates_come_from_the_hom_space_alone():
-    # A Hom space reads coordinates at its own free rows
-    # (``HomSpace.coords_of_products``).  MatrixBasis serves centralizer and
-    # End algebras: of the module layers only the End algebra's structure
-    # constants, in ``modules._endomorphism_algebra``, may name it.
-    import qhcover
-
-    package = Path(qhcover.__file__).parent
-    offences = []
-    for layer in ("covers", "qh", "reldim", "modules"):
-        tree = ast.parse((package / f"{layer}.py").read_text(), filename=f"{layer}.py")
-        allowed = set()
-        for node in tree.body:
-            if layer == "modules" and isinstance(node, ast.FunctionDef) and node.name == "_endomorphism_algebra":
-                allowed.update(id(n) for n in ast.walk(node))
-        for node in ast.walk(tree):
-            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name == "MatrixBasis" and id(node) not in allowed:
-                offences.append(f"{layer}.py:{node.lineno}")
     assert offences == []
 
 

@@ -44,6 +44,7 @@ from qhcover.modules import (
 )
 
 from conftest import (
+    algebra_of_matrices_naive,
     broken_truncated_polynomial_module,
     corner_rep_naive,
     hom_coords_naive,
@@ -438,6 +439,15 @@ def test_hom_coordinates_match_a_matrix_basis_on_random_combinations(case):
             got = hs.coords_of_products(Mat.hstack(maps).reshape(n.dim * 3, m.dim), Mat.identity(field, m.dim))
             assert got == coeffs == hom_coords_naive(hs, maps)
     assert pairs > 20
+
+
+@pytest.mark.parametrize("case", ["A3-GF3", "A3-QQ", "S_GF3(2,3)"])
+def test_end_algebras_match_the_solve_oracle(case):
+    # End(M) reads its structure constants and unit at the Hom frame
+    for m in named_modules(HOM_CASES[case]())[:-1]:  # End of the zero module is no algebra
+        end, basis = endomorphism_algebra(m)
+        want = algebra_of_matrices_naive([f.matrix for f in basis])
+        assert end.structure == want.structure and end.one == want.one
 
 
 @pytest.mark.parametrize("case", list(HOM_CASES))

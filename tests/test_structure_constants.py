@@ -1,7 +1,7 @@
 """An algebra's stored triples against a dense reference built here.
 
 Every product, every constructor of a new algebra and
-``MatrixBasis.product_coords`` read or write the sparse triples.  These tests
+``linalg.frame_products`` read or write the sparse triples.  These tests
 rebuild the dense (n, n, n) constants c_ijk from the triples by plain
 indexing (ints mod p over GF(p), Fractions over QQ) and check each operation
 against einsum on them.
@@ -16,11 +16,11 @@ from qhcover import algebra as algebra_module
 from qhcover.algebra import AlgebraError, corner_algebra, direct_product, opposite, quotient_algebra
 from qhcover.fields import GF, QQ
 from qhcover.gallery import build_am, build_hecke, build_schur
-from qhcover.linalg import Mat, MatrixBasis, Subspace
+from qhcover.linalg import Mat, Subspace, frame_products
 from qhcover.quiver import Arrow, QuiverPresentation, from_quiver
 from qhcover.serialize import algebra_to_json, content_hash
 
-from conftest import make_am_algebra
+from conftest import algebra_of_matrices_naive, make_am_algebra
 
 
 def _loop_and_arrow(field):
@@ -35,9 +35,9 @@ BUILDS = {
     "A3-QQ": lambda: (build_am(3, QQ).algebra, None),
     "A3-GF3": lambda: (build_am(3, GF(3)).algebra, None),
     "H3-QQ": lambda: (build_hecke(3, "1/2", QQ).algebra, None),
-    "S22-GF2": lambda: (lambda s: (s.algebra, s.matrix_basis))(build_schur(2, 2, 1, GF(2))),
-    "S23-GF3": lambda: (lambda s: (s.algebra, s.matrix_basis))(build_schur(2, 3, 1, GF(3))),
-    "S33-GF3": lambda: (lambda s: (s.algebra, s.matrix_basis))(build_schur(3, 3, 1, GF(3))),
+    "S22-GF2": lambda: (lambda s: (s.algebra, s.frame))(build_schur(2, 2, 1, GF(2))),
+    "S23-GF3": lambda: (lambda s: (s.algebra, s.frame))(build_schur(2, 3, 1, GF(3))),
+    "S33-GF3": lambda: (lambda s: (s.algebra, s.frame))(build_schur(3, 3, 1, GF(3))),
     "quiver-GF5": lambda: (_loop_and_arrow(GF(5)), None),
 }
 _built: dict = {}
@@ -147,14 +147,21 @@ def test_direct_product_is_block_diagonal(built):
 
 
 def test_product_coords_give_the_products(built):
-    a, basis = built
-    if basis is None:
-        # the regular representation is faithful: its constants are a's
-        basis = MatrixBasis(a.left_regular_action())
-        assert _same(a.field, _values(basis.product_coords().to_mat(a.field, a.dim)), _dense(a).reshape(a.dim**2, a.dim))
-    n, (t, _) = len(basis), basis.shape
-    c = _values(basis.product_coords().to_mat(a.field, n)).reshape(n, n, n)
-    mats = np.stack([_values(m) for m in basis.mats])
+    a, frame = built
+    if frame is None:
+        # the regular representation is faithful, and L_x 1 = x: its frame
+        # reads coordinate k of L_x at entry (k, 0) of L_x 1
+        mats, frame = a.left_regular_action(), (a.one, list(range(a.dim)), [0] * a.dim)
+    else:
+        mats = a.rep_matrices()
+    n, t, (g, rows, cols) = len(mats), mats[0].rows, frame
+    stacked = Mat.vstack(mats)
+    triples = frame_products(stacked, stacked @ g, rows, cols)
+    assert _same(a.field, _values(triples.to_mat(a.field, n)), _dense(a).reshape(n * n, n))
+    if n <= 20:
+        assert triples.to_mat(a.field, n) == algebra_of_matrices_naive(mats).structure
+    c = _values(triples.to_mat(a.field, n)).reshape(n, n, n)
+    mats = np.stack([_values(m) for m in mats])
     flat = mats.reshape(n, t * t)
     # sum_k c_abk M_k = M_a M_b, for every b and a sample of a on S(3,3)
     for i in range(0, n, max(1, n // 24)):
