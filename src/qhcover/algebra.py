@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .fields import Field, PrimeField
-from .linalg import _EXACT, Mat, Subspace, Triples, _mod, _reduce, _slots, frame_products, matmul_mod, restrict_action
+from .linalg import _EXACT, Mat, Subspace, Triples, _matmul, _mod, _negated, _reduce, _slots, frame_products, matmul_mod, restrict_action
 from .memo import memo, share
 
 
@@ -145,11 +145,11 @@ class Algebra:
         # contract the constants with the smaller side, then one product
         if r <= s:
             t = self._contract(xs.data.T, 0)  # t[r, j, k] = (x_r b_j)_k
-            prod = self._matmul(ys.data.T, t.transpose(1, 0, 2).reshape(n, r * n)).reshape(s, r, n)
+            prod = _matmul(self.field, ys.data.T, t.transpose(1, 0, 2).reshape(n, r * n)).reshape(s, r, n)
             out = prod.transpose(2, 1, 0)
         else:
             t = self._contract(ys.data.T, 1)  # t[s, i, k] = (b_i y_s)_k
-            prod = self._matmul(xs.data.T, t.transpose(1, 0, 2).reshape(n, s * n)).reshape(r, s, n)
+            prod = _matmul(self.field, xs.data.T, t.transpose(1, 0, 2).reshape(n, s * n)).reshape(r, s, n)
             out = prod.transpose(2, 0, 1)
         return Mat.from_reduced(self.field, out.reshape(n, r * s), xs.den * ys.den * self.triples.den)
 
@@ -205,10 +205,6 @@ class Algebra:
             # a segment sums at most n terms below (p-1)^2, checked in ``_coo``
             out[:, target] = _mod(self.field, sums)
         return out.reshape(r, n, n)
-
-    def _matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b on stored arrays: mod p over GF(p), on Python ints over QQ."""
-        return matmul_mod(a, b, self.field.p) if isinstance(self.field, PrimeField) else a @ b
 
     def rep_matrices(self) -> list[Mat]:
         """A faithful representation of the basis (left regular by default)."""
@@ -513,59 +509,34 @@ def _radical_chain(a: Algebra) -> Subspace:
 
 
 def _gamma_traces(zs: np.ndarray, p: int, layer: int) -> np.ndarray:
-    """gamma_layer (layer >= 1) for a batch of reduced matrices (entries in
-    [0, p)), as float64.
+    """gamma_layer (layer >= 1) for a batch of r reduced float64 matrices
+    (entries in [0, p)), as float64.
 
-    tr(z^e) is the sum of the entries of z^(e-1) * z^T, so the last product
-    is never formed.
+    tr(z^e) is vec(z^(e-1)) . vec(z^T), one batched product of shapes
+    (r, 1, m^2) and (r, m^2, 1), so the last power is never formed.
     """
     mod, e = p ** (layer + 1), p**layer
-    zs = _exact_dtype(zs, mod)
-    power = _batched_matrix_power_mod(zs, e - 1, mod)
-
-    # a term is below (mod-1) (p-1), so a row of m terms sums below
-    # m (mod-1)^2, the bound that chose the dtype; the m reduced row sums
-    # add up below m * mod, inside the same bound
-    def reduce(x):
-        return _reduce(x, mod) if x.dtype == np.float64 else x % mod
-
-    traces = reduce(reduce((power * zs.transpose(0, 2, 1)).sum(axis=2)).sum(axis=1))
+    r, m = zs.shape[0], zs.shape[-1]
+    power = _batched_matrix_power_mod(zs, e - 1, mod).reshape(r, 1, m * m)
+    traces = matmul_mod(power, zs.transpose(0, 2, 1).reshape(r, m * m, 1), mod).reshape(r)
     if np.any(traces % e):
         raise AlgebraError("p-power trace not divisible; radical layering failed")
-    return np.array(traces // e, dtype=np.float64)  # below mod / e = p
-
-
-def _exact_dtype(zs: np.ndarray, mod: int) -> np.ndarray:
-    """A batch of m x m matrices with entries in [0, mod), in a dtype whose
-    products modulo ``mod`` are exact: float64 (through ``matmul_mod``, in
-    one chunk) while m (mod-1)^2 < 2^51, int64 while m (mod-1)^2 < 2^63,
-    Python ints beyond.  The wide ones serve the moduli p^(l+1) at large p."""
-    bound = zs.shape[-1] * (mod - 1) ** 2
-    if bound < _EXACT:
-        return zs.astype(np.float64, copy=False)
-    wide = zs.astype(np.int64)
-    return wide if bound < 2**63 else wide.astype(object)
+    return traces // e  # below mod / e = p
 
 
 def _batched_matrix_power_mod(zs: np.ndarray, e: int, mod: int) -> np.ndarray:
-    """zs[a]^e mod ``mod``, e >= 1, for a batch of m x m matrices with
-    entries in [0, mod), in the dtype ``_exact_dtype`` gives them.
+    """zs[a]^e mod ``mod``, e >= 1, for a batch of m x m float64 matrices
+    with entries in [0, mod).
 
     Square-and-multiply from the highest bit, so no product with the
     identity.
     """
-    zs = _exact_dtype(zs, mod)
     result = zs
     for bit in bin(e)[3:]:
-        result = _matmul_exact(result, result, mod)
+        result = matmul_mod(result, result, mod)
         if bit == "1":
-            result = _matmul_exact(result, zs, mod)
+            result = matmul_mod(result, zs, mod)
     return result
-
-
-def _matmul_exact(x: np.ndarray, y: np.ndarray, mod: int) -> np.ndarray:
-    """x @ y mod ``mod`` for batches in the dtype ``_exact_dtype`` gives them."""
-    return matmul_mod(x, y, mod) if x.dtype == np.float64 else np.matmul(x, y) % mod
 
 
 def _assert_nilpotent_ideal(a: Algebra, rad: Subspace) -> None:
@@ -593,7 +564,7 @@ def _assert_nilpotent_ideal(a: Algebra, rad: Subspace) -> None:
         rows = _mod(field, coeff[:, None] * w[k])
         bounds = np.searchsorted(kept, np.arange(n + 1))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if lo < hi and a._matmul(rad.basis.data[:, summed[lo:hi]], rows[lo:hi]).any():
+            if lo < hi and _matmul(field, rad.basis.data[:, summed[lo:hi]], rows[lo:hi]).any():
                 raise AlgebraError("computed radical is not a two-sided ideal")
     stack, m = _rep_stack(a)
     xs = rad.basis @ stack  # row k: vec(X_k)
@@ -666,10 +637,7 @@ def center_basis(a: Algebra) -> Mat:
     # within each half no cell repeats: a triple (i, j, k) fixes its cell
     system = np.zeros((rows.size, n), t.data.dtype)
     system[plus, t.i] = t.data
-    if isinstance(field, PrimeField):
-        system[minus, t.j] += float(field.p) - t.data
-    else:
-        system[minus, t.j] -= t.data
+    system[minus, t.j] += _negated(field, t.data)
     system = _mod(field, system)
     return Mat.from_reduced(field, system[system.any(axis=1)], t.den).kernel()
 

@@ -51,16 +51,11 @@ class CliError(Exception):
     pass
 
 
-def _field_from_args(args):
-    if getattr(args, "p", None):
-        return GF(args.p)
-    return QQ
-
-
 def _gallery_context(args):
     from . import gallery as G
 
-    field = _field_from_args(args)
+    field = QQ if args.p is None else GF(args.p)
+    u = "1" if args.u is None else args.u
     kind = args.gallery
     if kind == "am":
         if args.m is None:
@@ -69,23 +64,31 @@ def _gallery_context(args):
     if kind == "hecke":
         if args.d is None:
             raise CliError("--gallery hecke needs --d")
-        return G.build_hecke(args.d, args.u, field)
+        return G.build_hecke(args.d, u, field)
     if kind == "schur":
         if args.n is None or args.d is None:
             raise CliError("--gallery schur needs --n and --d")
-        return G.build_schur(args.n, args.d, args.u, field)
+        return G.build_schur(args.n, args.d, u, field)
     raise CliError(f"unknown gallery {kind!r}")
+
+
+# the size and field flags each input reads
+_READS = {"am": "mp", "hecke": "dpu", "schur": "ndpu", None: ""}
 
 
 def _algebra_from_args(args):
     if args.gallery and args.algebra:
         raise CliError("--algebra and --gallery exclude each other")
+    if not (args.gallery or args.algebra):
+        raise CliError("need --gallery or --algebra")
+    source = f"--gallery {args.gallery}" if args.gallery else "--algebra"
+    for flag in "mndpu":
+        if flag not in _READS[args.gallery] and getattr(args, flag) is not None:
+            raise CliError(f"{source} does not read --{flag}")
     if args.gallery:
         ctx = _gallery_context(args)
         return ctx.algebra, ctx
-    if args.algebra:
-        return algebra_from_json(load_json(args.algebra)), None
-    raise CliError("need --gallery or --algebra")
+    return algebra_from_json(load_json(args.algebra)), None
 
 
 def _named_module(ctx, name: str) -> Module:
@@ -371,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int)
         p.add_argument("--d", type=int)
         p.add_argument("--p", type=int, help="prime (omit for rationals)")
-        p.add_argument("--u", default="1", help="Hecke parameter (default 1)")
+        p.add_argument("--u", help="Hecke parameter (default 1)")
         p.add_argument("--algebra", help="algebra JSON file")
         p.add_argument("--out", help="output directory" if name == "gallery" else "write the JSON report here")
         if name != "gallery":  # _emit writes the seed into every report

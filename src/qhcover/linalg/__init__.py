@@ -6,8 +6,10 @@ integer ``den``; its entries are data / den.
 GF(p) matrices are float64 arrays of integers in [0, p) with den = 1, as in
 FFLAS-FFPACK's ``Modular<double>`` (Dumas, Giorgi, Pernet, ACM TOMS 35(3),
 2008): products run on float64 BLAS with no conversion, and every reduction
-modulo p is one exact kernel, ``_reduce``.  Every GF(p) product goes through
-``matmul_mod``, and row reduction is one numpy routine, ``_rref_gfp``.
+modulo p is one exact kernel, ``_reduce``.  Every product of stored arrays
+goes through ``_matmul``: ``matmul_mod`` over GF(p), which also takes the
+radical chain's wider moduli, and the numerators' product over QQ.  Row
+reduction is one numpy routine, ``_rref_gfp``.
 
 QQ matrices are object arrays of Python-int numerators over one common
 denominator, as in Sage's ``Matrix_rational_dense`` and FLINT's ``fmpq_mat``.
@@ -113,19 +115,40 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
     reduced once (delayed reduction); beyond one chunk the reduced chunks
     are summed, below (number of chunks) * mod, and reduced again.  A stack
     of matrices multiplies matrix by matrix, as in ``np.matmul``.  Moduli
-    with (mod-1)^2 >= 2^51 raise: only the radical chain's moduli p^(l+1)
-    are that wide, and it multiplies those on integers itself.
+    with (mod-1)^2 >= 2^51 (the radical chain's p^(l+1) at large p) fit no
+    term in a chunk: they multiply on int64 while k (mod-1)^2 < 2^63, on
+    Python ints beyond, and return reduced as float64, which holds every
+    residue while mod <= 2^53; wider moduli raise.  The chain's stay below
+    m p^2 < 2^53 for a representation of dimension m < 2^13 at p < 2^20.
     """
     k = a.shape[-1]
     if k * (mod - 1) ** 2 < _EXACT:
         return _reduce(np.matmul(a, b), mod)
     step = _chunk_length(mod)
     if step < 1:
-        raise OverflowError(f"modulus {mod} is too wide for exact float64 products")
+        if mod > 2**53:
+            raise OverflowError(f"modulus {mod} is too wide for float64 residues")
+        # float64 -> object directly would give Python floats
+        a, b = a.astype(np.int64), b.astype(np.int64)
+        if k * (mod - 1) ** 2 >= 2**63:
+            a, b = a.astype(object), b.astype(object)
+        return (np.matmul(a, b) % mod).astype(np.float64)
     out = _reduce(np.matmul(a[..., :step], b[..., :step, :]), mod)
     for s in range(step, k, step):
         out += _reduce(np.matmul(a[..., s : s + step], b[..., s : s + step, :]), mod)
     return _reduce(out, mod)
+
+
+def _matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on stored arrays: ``matmul_mod`` over GF(p), the numerators'
+    product over QQ (its denominator is the product of theirs)."""
+    return matmul_mod(a, b, field.p) if isinstance(field, PrimeField) else np.matmul(a, b)
+
+
+def _negated(field: Field, x: np.ndarray) -> np.ndarray:
+    """-x on stored integers, as a new array: p - x over GF(p), in (0, p]
+    and not reduced; -x over QQ."""
+    return float(field.p) - x if isinstance(field, PrimeField) else -x
 
 
 # ---------------------------------------------------------------------------
@@ -353,25 +376,20 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         f = self.field
-        if isinstance(f, PrimeField):
-            return _trusted(f, matmul_mod(self.data, other.data, f.p))
-        return _canonical(f, self.data @ other.data, self.den * other.den)
+        return _canonical(f, _matmul(f, self.data, other.data), self.den * other.den)
 
     def __add__(self, other: "Mat") -> "Mat":
         f = self.field
-        if isinstance(f, PrimeField):
-            return _trusted(f, _reduce(self.data + other.data, f.p))
         den, (x, y) = _over_common_den([self, other])
-        return _canonical(f, x + y, den)
+        return _canonical(f, _mod(f, x + y), den)
 
     def __sub__(self, other: "Mat") -> "Mat":
         f = self.field
-        if isinstance(f, PrimeField):
-            diff = float(f.p) - other.data
-            diff += self.data
-            return _trusted(f, _reduce(diff, f.p))
         den, (x, y) = _over_common_den([self, other])
-        return _canonical(f, x - y, den)
+        # in place on the new array: x + _negated(f, y) holds one more temporary
+        diff = _negated(f, y)
+        diff += x
+        return _canonical(f, _mod(f, diff), den)
 
     def scale(self, c) -> "Mat":
         # a normalized GF(p) scalar is an int, its own numerator over 1
@@ -460,11 +478,7 @@ class Mat:
         if free:
             ker[free, np.arange(len(free))] = red.den
             if pivots:
-                block = red.data[: len(pivots), free]
-                if isinstance(self.field, PrimeField):
-                    ker[pivots] = _reduce(float(self.field.p) - block, self.field.p)
-                else:
-                    ker[pivots] = -block
+                ker[pivots] = _mod(self.field, _negated(self.field, red.data[: len(pivots), free]))
         return _canonical(self.field, ker, red.den), free
 
     def solve(self, b: "Mat") -> Optional["Mat"]:
@@ -760,6 +774,4 @@ def stacked_products(a: Mat, b: Mat, count: int) -> Mat:
     k < count, stacked the same way (count*r x s): one batched product."""
     f, r, x, s = a.field, a.rows // count, a.cols, b.cols
     lhs, rhs = a.data.reshape(count, r, x), b.data.reshape(count, x, s)
-    if isinstance(f, PrimeField):
-        return _trusted(f, matmul_mod(lhs, rhs, f.p).reshape(count * r, s))
-    return _canonical(f, np.matmul(lhs, rhs).reshape(count * r, s), a.den * b.den)
+    return _canonical(f, _matmul(f, lhs, rhs).reshape(count * r, s), a.den * b.den)

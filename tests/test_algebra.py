@@ -24,7 +24,7 @@ from qhcover.algebra import (
 )
 from qhcover.fields import GF, QQ
 from qhcover.gallery import build_am, build_hecke, build_schur
-from qhcover.linalg import Mat, Subspace, matmul_mod
+from qhcover.linalg import Mat, Subspace, Triples, matmul_mod
 from qhcover.quiver import Arrow, QuiverPresentation, arrow_ideal_dimension, from_quiver
 
 from conftest import algebra_of_matrices_naive, make_am_algebra, stored_arrays
@@ -255,11 +255,12 @@ def test_gamma_traces_match_python_ints(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_p_power_trace_depends_on_residue_only(p):
     # the radical chain powers the pairs a <= b only: tr(z^(p^l)) mod p^(l+1)
-    # is the same for any lift of z mod p, hence for XY and YX reduced mod p
+    # is the same for any lift of z mod p, hence for XY and YX reduced mod p;
+    # the matrices are float64, as the chain gives them
     rng = np.random.default_rng(p)
     for layer, m in ((1, 4), (2, 3)):
         mod, e = p ** (layer + 1), p**layer
-        x, y, lift = (rng.integers(0, bound, size=(20, m, m)) for bound in (p, p, mod))
+        x, y, lift = (rng.integers(0, bound, size=(20, m, m)).astype(float) for bound in (p, p, mod))
 
         def traces(z):
             return np.trace(_batched_matrix_power_mod(z, e, mod), axis1=1, axis2=2) % mod
@@ -525,6 +526,22 @@ def test_central_idempotents_are_lagrange_interpolants_in_factor_order(field, ro
                 coeffs = poly_mul_linear(field, coeffs, field.normalize(mu))
                 coeffs = [field.mul(c, field.inv(field.normalize(lam - mu))) for c in coeffs]
         assert e == Mat.column(field, coeffs)
+
+
+@pytest.mark.parametrize("n", [2048, 2049])
+def test_contraction_bound_at_the_largest_prime(n):
+    # a contraction with the constants sums up to n terms below (p-1)^2
+    # before one reduction: exact while n (p-1)^2 < 2^51, so up to n = 2048
+    # at P_MAX, and refused beyond.  The algebra has b_0 = 1 and every other
+    # product 0: 2n - 1 triples, in row-major order
+    field, rest = GF(P_MAX), np.arange(1, n)
+    i, j, k = np.concatenate([np.zeros(n, int), rest]), np.concatenate([np.arange(n), 0 * rest]), np.concatenate([np.arange(n), rest])
+    a = Algebra.from_triples(field, n, Triples(i, j, k, np.ones(2 * n - 1), 1), Mat.from_entries(field, n, 1, {(0, 0): 1}))
+    if n == 2048:
+        assert a.left_mult_matrix(a.one) == Mat.identity(field, n)
+    else:
+        with pytest.raises(AlgebraError, match="too large for exact products"):
+            a.left_mult_matrix(a.one)
 
 
 @pytest.mark.parametrize(

@@ -304,6 +304,38 @@ def test_cli_rejects_file_inputs_beside_a_gallery(capsys, argv, message):
     assert captured.out == "" and captured.err == f"input error: {message}\n"
 
 
+def test_cli_rejects_p_zero(capsys):
+    # --p 0 names no prime; it does not mean "no --p", which is QQ
+    assert main(["domdim", "--gallery", "am", "--m", "2", "--p", "0"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "input error: 0 is not prime\n"
+
+
+@pytest.mark.parametrize(
+    "inputs, flag, source",
+    [
+        (["--gallery", "am", "--m", "2"], ["--n", "5"], "--gallery am"),
+        (["--gallery", "am", "--m", "2"], ["--d", "7"], "--gallery am"),
+        (["--gallery", "am", "--m", "2"], ["--u", "1"], "--gallery am"),
+        (["--gallery", "hecke", "--d", "2"], ["--m", "9"], "--gallery hecke"),
+        (["--gallery", "hecke", "--d", "2"], ["--n", "3"], "--gallery hecke"),
+        (["--gallery", "schur", "--n", "2", "--d", "2"], ["--m", "9"], "--gallery schur"),
+        (["--algebra", "bad.json"], ["--m", "2"], "--algebra"),
+        (["--algebra", "bad.json"], ["--n", "2"], "--algebra"),
+        (["--algebra", "bad.json"], ["--d", "2"], "--algebra"),
+        (["--algebra", "bad.json"], ["--p", "3"], "--algebra"),
+        (["--algebra", "bad.json"], ["--u", "2"], "--algebra"),
+    ],
+    ids=["am-n", "am-d", "am-u", "hecke-m", "hecke-n", "schur-m", "algebra-m", "algebra-n", "algebra-d", "algebra-p", "algebra-u"],
+)
+def test_cli_rejects_flags_the_input_does_not_read(capsys, inputs, flag, source):
+    # a flag the chosen gallery or algebra file never reads is an error, not
+    # silently dropped; --u 1, the default, counts as given
+    assert main(["domdim", *inputs, *flag]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {source} does not read {flag[0]}\n"
+
+
 @pytest.mark.parametrize("index", [[0, 2, 0], [0, 0, -1]])
 def test_cli_rejects_out_of_range_structure_constant(tmp_path, capsys, index):
     bad = {"field": {"kind": "prime", "p": 3}, "dim": 2, "mult": [[0, 0, 0, "1"], index + ["1"]], "one": ["1", "0"]}

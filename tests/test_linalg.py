@@ -12,13 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhcover.algebra import (
-    _exact_dtype,
-    _lift_idempotent_element,
-    _matmul_exact,
-    algebra_of_matrices,
-    centralizer_algebra,
-)
+from qhcover.algebra import _lift_idempotent_element, algebra_of_matrices, centralizer_algebra
 from qhcover.fields import GF, QQ
 from qhcover.gallery import build_hecke
 from qhcover.linalg import (
@@ -304,28 +298,37 @@ def test_products_on_both_sides_of_the_size_threshold(monkeypatch, cols, dtype):
     assert got.data.tolist() == _matmul_reference(a, b, P_MAX)
 
 
-@pytest.mark.parametrize("mod", [9, 27, 81, P_MAX, P_MAX**2])
-def test_batched_products_are_exact(mod):
-    # a stack of 30 x 30 products in the radical chain's dtype for the
-    # modulus: float64 through matmul_mod for the chain moduli p^(l+1) = 9,
-    # 27, 81 and for p = P_MAX; Python ints for P_MAX^2, too wide for float64
+# the dtype matmul_mod multiplies a 30-term dot product in, by modulus
+_PRODUCT_DTYPES = {9: float, 27: float, 81: float, P_MAX: float, 20011**2: np.int64, P_MAX**2: object}
+
+
+@pytest.mark.parametrize("mod", list(_PRODUCT_DTYPES))
+def test_batched_products_are_exact(monkeypatch, mod):
+    # a stack of 30 x 30 products on float64, as the radical chain gives
+    # them: the chain moduli p^(l+1) = 9, 27, 81 and p = P_MAX on float64;
+    # 20011^2, where 30 (mod-1)^2 < 2^63, on int64; P_MAX^2 on Python ints
     rng = np.random.default_rng(mod % 1000)
     a, b = rng.integers(0, mod, size=(4, 30, 30)), rng.integers(0, mod, size=(4, 30, 30))
-    x, y = _exact_dtype(a, mod), _exact_dtype(b, mod)
-    assert x.dtype == y.dtype == (object if mod == P_MAX**2 else np.float64)
-    got = _matmul_exact(x, y, mod)
-    if mod < P_MAX**2:
-        assert got.tolist() == matmul_mod(a.astype(float), b.astype(float), mod).tolist()
+    dtypes = []
+    matmul = np.matmul
+
+    def recorded(x, y):
+        dtypes.append(x.dtype)
+        return matmul(x, y)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    got = matmul_mod(a.astype(float), b.astype(float), mod)
+    assert got.dtype == np.float64 and dtypes == [np.dtype(_PRODUCT_DTYPES[mod])]
     for u, w, g in zip(a, b, got):
         assert [[int(v) for v in row] for row in g] == _matmul_reference(u, w, mod)
 
 
 def test_products_refuse_moduli_too_wide_for_float64():
-    # (P_MAX^2 - 1)^2 >= 2^51: not even one term fits; the radical chain
-    # multiplies such moduli on integers itself
-    a = np.ones((2, 2))
+    # float64 holds every residue up to 2^53; one more and it cannot
+    top = np.full((2, 2), 2.0**53 - 1)
+    assert matmul_mod(top, top, 2**53).tolist() == _matmul_reference(top.astype(np.int64), top.astype(np.int64), 2**53)
     with pytest.raises(OverflowError):
-        matmul_mod(a, a, P_MAX**2)
+        matmul_mod(np.ones((2, 2)), np.ones((2, 2)), 2**53 + 1)
 
 
 # 49 = 7^2 (a radical-chain modulus) and the prime 107: without the + 0.5,
@@ -712,35 +715,49 @@ def test_storage_stays_behind_linalg():
     assert offences == []
 
 
-# Conversions and the fmod reduction belong to a few named places: the exact
-# reduction, the public constructor's integer reduction, and the radical
-# chain's wide-modulus helpers.  Anywhere else they would mean an
-# int64 <-> float64 round trip or a second reduction path.
-CONVERSION_SITES = {
-    "linalg/__init__.py": {"_reduce", "_reduce_outside"},
-    "algebra.py": {"_exact_dtype"},
-}
-
-
-def test_conversions_stay_in_their_named_places():
+def _attributes_by_function(names):
+    """(file, line, attribute, top-level function) for each use of an
+    attribute in ``names`` in the package source."""
     import qhcover
 
     package = Path(qhcover.__file__).parent
-    offences = []
+    found = []
 
     def visit(node, func, rel):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name if func is None else func
-        if isinstance(node, ast.Attribute) and node.attr in ("int64", "fmod", "astype"):
-            if func not in CONVERSION_SITES.get(str(rel), set()):
-                offences.append(f"{rel}:{node.lineno} .{node.attr} in {func}")
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((rel, node.lineno, node.attr, func))
         for child in ast.iter_child_nodes(node):
             visit(child, func, rel)
 
     for path in sorted(package.rglob("*.py")):
         rel = path.relative_to(package).as_posix()
         visit(ast.parse(path.read_text(), filename=str(path)), None, rel)
+    return found
+
+
+# Conversions and the fmod reduction belong to a few named places: the exact
+# reduction, the public constructor's integer reduction, and the product's
+# int64 and Python-int bands for wide moduli.  Anywhere else they would mean
+# an int64 <-> float64 round trip or a second reduction path.
+CONVERSION_SITES = {
+    "linalg/__init__.py": {"_reduce", "_reduce_outside", "matmul_mod"},
+}
+
+
+def test_conversions_stay_in_their_named_places():
+    found = _attributes_by_function(("int64", "fmod", "astype"))
+    offences = [f"{rel}:{line} .{attr} in {func}" for rel, line, attr, func in found if func not in CONVERSION_SITES.get(rel, set())]
     assert offences == []
+
+
+def test_products_stay_in_one_function_per_field():
+    # every exact product of stored arrays is formed by matmul_mod (any
+    # modulus) or _matmul (GF(p) through matmul_mod, QQ numerators), so each
+    # overflow bound is stated and enforced in one place
+    found = _attributes_by_function(("matmul",))
+    assert found and all((rel, func) in {("linalg/__init__.py", "matmul_mod"), ("linalg/__init__.py", "_matmul")} for rel, _, _, func in found), found
 
 
 # -- QQ storage against Fraction arithmetic ------------------------------------------
