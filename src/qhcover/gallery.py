@@ -29,6 +29,9 @@ class GalleryError(ValueError):
     """Raised on invalid gallery parameters."""
 
 
+# size guards, checked before anything is built: H(6) alone takes about a
+# minute and H(7) hours, and S(n, d) is solved over (n^d)^2 unknowns
+MAX_HECKE_DIM = 720
 MAX_TENSOR_DIM = 4096
 MAX_SCHUR_DIM = 4000
 
@@ -36,6 +39,24 @@ MAX_SCHUR_DIM = 4000
 def _check_size(name: str, value: int) -> None:
     if value < 1:
         raise GalleryError(f"{name} must be at least 1")
+
+
+def _check_hecke_size(d: int) -> None:
+    """d >= 1 and dim H(d) = d! within the guard; counting stops past the guard."""
+    _check_size("d", d)
+    dim = 1
+    for k in range(2, d + 1):
+        dim *= k
+        if dim > MAX_HECKE_DIM:
+            raise GalleryError(f"Hecke algebra dimension {d}! exceeds the guard {MAX_HECKE_DIM}")
+
+
+def _check_tensor_size(n: int, d: int) -> None:
+    """H(d) and V^(tensor d) of dimension n^d within their guards."""
+    _check_size("n", n)
+    _check_hecke_size(d)
+    if n**d > MAX_TENSOR_DIM:
+        raise GalleryError(f"tensor space dimension {n**d} exceeds the guard {MAX_TENSOR_DIM}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +186,7 @@ def build_hecke(d: int, u, field: Field) -> HeckeGallery:
     Multiplication is computed by reduced-word recursion on the defining
     relations; u = 1 recovers the group algebra of the symmetric group.
     """
-    _check_size("d", d)
+    _check_hecke_size(d)
     u = field.parse(u) if isinstance(u, str) else field.normalize(u)
     if u == field.zero():
         raise GalleryError("Hecke parameter u must be invertible")
@@ -220,12 +241,9 @@ class TensorSpaceGallery:
     simple_action: list[Mat]  # right action of T_{s_t}
 
 
-def build_tensor_space(n: int, d: int, u, field: Field, hecke: Optional[HeckeGallery] = None, allow_large: bool = False) -> TensorSpaceGallery:
+def build_tensor_space(n: int, d: int, u, field: Field, hecke: Optional[HeckeGallery] = None) -> TensorSpaceGallery:
     """V^(tensor d) with the deformed place-permutation right Hecke-action."""
-    _check_size("n", n)
-    _check_size("d", d)
-    if n**d > MAX_TENSOR_DIM and not allow_large:
-        raise GalleryError(f"tensor space dimension {n**d} exceeds the guard; pass allow_large")
+    _check_tensor_size(n, d)
     if hecke is None:
         hecke = build_hecke(d, u, field)
     u = field.parse(u) if isinstance(u, str) else field.normalize(u)
@@ -359,23 +377,24 @@ def _matrix_to_algebra_coords(schur: SchurGallery, mat: Mat) -> Mat:
     return coords
 
 
-def build_schur(n: int, d: int, u, field: Field, allow_large: bool = False) -> SchurGallery:
+def build_schur(n: int, d: int, u, field: Field) -> SchurGallery:
     """The (q-)Schur algebra as the centralizer of the Hecke action.
 
     The abstract algebra carries the tensor-space matrices as its faithful
     representation; the basis count is checked against the orbit count
-    C(n^2 + d - 1, d).
+    C(n^2 + d - 1, d), which the guards bound before anything is built.
     """
+    _check_tensor_size(n, d)
+    expected = comb(n * n + d - 1, d)
+    if expected > MAX_SCHUR_DIM:
+        raise GalleryError(f"Schur dimension {expected} exceeds the guard {MAX_SCHUR_DIM}")
     u = field.parse(u) if isinstance(u, str) else field.normalize(u)
     hecke = build_hecke(d, u, field)
-    tensor = build_tensor_space(n, d, u, field, hecke=hecke, allow_large=allow_large)
+    tensor = build_tensor_space(n, d, u, field, hecke=hecke)
     gens = tensor.simple_action if d > 1 else [Mat.identity(field, tensor.module.dim)]
     alg, frame = centralizer_algebra(gens)
-    expected = comb(n * n + d - 1, d)
     if alg.dim != expected:
         raise GalleryError(f"Schur dimension {alg.dim} != orbit count {expected}")
-    if alg.dim > MAX_SCHUR_DIM and not allow_large:
-        raise GalleryError(f"Schur dimension {alg.dim} exceeds the guard; pass allow_large")
     tensor_module = Module(alg, alg.rep_matrices(), name=f"V^({d})|S({n},{d})")
     weights = compositions(n, d)
     parts = partitions_at_most(n, d)

@@ -4,10 +4,12 @@ Resolutions iterate projective covers of successive kernels, so they are
 minimal by construction; "terminated" is then equivalent to finite
 projective dimension, which the relative-dimension logic relies on.
 
-Ext is computed in slice coordinates, Hom(A e, N) = e N, so cochain
-spaces stay small.  Tor is its k-dual: over a field D Tor_i^B(X, Y) is
-Ext^i_B(Y, DX) (Cartan and Eilenberg, Homological Algebra, VI.5), so one
-slice calculus serves both.
+A cochain phi in Hom(P_i, N) is its values on the generators of P_i, read
+in the slice bases of e_j N = Hom(A e_j, N), so cochain spaces stay small;
+each coboundary is one ``modules._slice_values`` call, the routine that
+also forms the Hom relations and maps.  Tor is the k-dual of Ext: over a
+field D Tor_i^B(X, Y) is Ext^i_B(Y, DX) (Cartan and Eilenberg, Homological
+Algebra, VI.5), so one slice calculus serves both.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from .modules import (
     ModuleError,
     Presentation,
     ProjSum,
-    _hom_values,
     _slice_spans,
+    _slice_values,
     dual,
-    proj_sum,
     projective_cover_data,
     radical_span,
 )
@@ -91,7 +92,6 @@ class Resolution:
         self.diffs: list[Mat] = []
         self.kernels: list = []  # (kernel module, inclusion into P_i)
         self.terminated = False
-        self.cap = 0  # largest length bound requested so far
         self._append(projective_cover_data(module), None)
 
     def _append(self, pres: Presentation, incl: Optional[Mat]) -> None:
@@ -107,7 +107,6 @@ class Resolution:
 
     def extend_to(self, length: int) -> None:
         """Ensure P_i exists for i <= length (or the resolution terminates)."""
-        self.cap = max(self.cap, length)
         while not self.terminated and self.length() < length:
             kmod, kincl = self.kernels[-1]
             self._append(projective_cover_data(kmod), kincl.matrix)
@@ -133,11 +132,8 @@ def minimal_projective_resolution(m: Module, cap: int) -> Resolution:
 def projective_dimension(m: Module, cap: int = 20) -> DimValue:
     res = minimal_projective_resolution(m, cap)
     if res.terminated:
-        # last nonzero step: strip trailing zero-dimensional projectives
-        ell = res.length()
-        while ell > 0 and res.steps[ell].dim == 0:
-            ell -= 1
-        return DimValue.exact(ell)
+        # each P_i with i >= 1 covers a nonzero kernel, so P_length is the last nonzero step
+        return DimValue.exact(res.length())
     return DimValue.at_least(cap + 1)
 
 
@@ -146,23 +142,27 @@ def projective_dimension(m: Module, cap: int = 20) -> DimValue:
 # ---------------------------------------------------------------------------
 
 
-def _hom_induced_matrix(d: Mat, p_from: ProjSum, p_to: ProjSum, n: Module, spans_from, spans_to) -> Mat:
-    """Matrix of Hom(P_to, N) -> Hom(P_from, N), phi -> phi o d.
+def _slice_bases(n: Module, p: ProjSum) -> list[Mat]:
+    """The bases of the slices e_j N of P's summands, as columns."""
+    return [span.basis.transpose() for span in _slice_spans(n, p)]
 
-    ``d`` maps P_from -> P_to; spans_* are slice spans of the two ends.
+
+def _coboundary(res: Resolution, n: Module, i: int, bases: list[Mat]) -> Mat:
+    """phi -> phi o d_{i+1} from C^i = Hom(P_i, N) in the slice ``bases``
+    to C^{i+1} read as the values phi(d_{i+1} g_k) in N, g_k the generators
+    of P_{i+1} (no rows when P_{i+1} does not exist).
+
+    Same kernel and rank as in slice coordinates of C^{i+1}: g_k = e_k g_k,
+    so phi(d_{i+1} g_k) lies in e_k N and is W_k y_k for its slice
+    coordinates y_k and slice basis W_k.  The matrix here is thus
+    diag(W_k) times the slice-coordinate one, and diag(W_k) is injective.
     """
-    field = n.algebra.field
-    rows_total = sum(sp.dim for sp in spans_from)
-    cols_total = sum(sp.dim for sp in spans_to)
-    if rows_total == 0 or cols_total == 0:
-        return Mat.zeros(field, rows_total, cols_total)
-    blocks = []
-    for val, spank in zip(_hom_values(d, p_from, p_to, n, spans_to), spans_from):
-        coords = spank.coords(val.transpose())
-        if coords is None:
-            raise ModuleError("cochain value escaped its slice (internal error)")
-        blocks.append(coords.transpose())
-    return Mat.vstack(blocks)
+    p = res.steps[i]
+    if i < res.length():
+        cols = res.diffs[i + 1] @ res.steps[i + 1].generators
+    else:
+        cols = Mat.zeros(n.algebra.field, p.dim, 0)
+    return _slice_values(n, p, cols, bases)
 
 
 def ext_space(m: Module, n: Module, degree: int, cap: int = 20) -> tuple[int, Mat]:
@@ -175,35 +175,12 @@ def ext_space(m: Module, n: Module, degree: int, cap: int = 20) -> tuple[int, Ma
         if not res.terminated:
             raise CapExceeded(f"Ext^{degree} needs resolution degree {degree + 1} > cap {cap}")
     res = minimal_projective_resolution(m, degree + 1)
-
-    def step(i: int) -> ProjSum:
-        if i <= res.length():
-            return res.steps[i]
-        return proj_sum(m.algebra, [])  # zero beyond a terminated resolution
-
-    spans = {i: _slice_spans(n, step(i)) for i in range(max(degree - 1, 0), degree + 2)}
-    dim_i = sum(sp.dim for sp in spans[degree])
-    if dim_i == 0:
+    bases = _slice_bases(n, res.steps[degree]) if degree <= res.length() else []
+    if not sum(w.cols for w in bases):
         return 0, Mat.zeros(n.algebra.field, 0, 0)
-    # incoming d_{degree}: C^{degree-1} -> C^{degree}
-    if degree == 0:
-        img_rank = 0
-    else:
-        d_in = _diff(res, degree)
-        mat_in = _hom_induced_matrix(d_in, step(degree), step(degree - 1), n, spans[degree], spans[degree - 1])
-        img_rank = mat_in.rank()
-    d_out = _diff(res, degree + 1)
-    mat_out = _hom_induced_matrix(d_out, step(degree + 1), step(degree), n, spans[degree + 1], spans[degree])
-    kermat = mat_out.kernel()
+    img_rank = _coboundary(res, n, degree - 1, _slice_bases(n, res.steps[degree - 1])).rank() if degree else 0
+    kermat = _coboundary(res, n, degree, bases).kernel()
     return kermat.cols - img_rank, kermat
-
-
-def _diff(res: Resolution, i: int) -> Mat:
-    if i <= res.length():
-        return res.diffs[i]
-    field = res.module.algebra.field
-    target_dim = res.steps[i - 1].dim if i - 1 <= res.length() else 0
-    return Mat.zeros(field, target_dim, 0)
 
 
 def ext_dim(m: Module, n: Module, degree: int, cap: int = 20) -> int:

@@ -11,6 +11,11 @@ P1 -> P0 -> M -> 0.  This keeps the Schur-algebra instances (dimension 165)
 inside small eliminations.  The test suite checks them against a naive
 intertwiner solve over the algebra's generators.
 
+One routine, ``_slice_values``, forms the value phi(c) of every map phi
+from a projective sum that sends one generator into a slice and the others
+to 0, with one product per summand: the cover, the Hom relations, the Hom
+maps and (in ``homology``) each Ext coboundary are such values.
+
 Sub-, quotient and corner modules restrict a module's stacked action with
 one kernel, ``linalg.restrict_action``: one product forms every image and
 one coordinate call reads them all.  The test suite checks them against
@@ -279,37 +284,29 @@ def socle(m: Module) -> tuple[Module, ModuleMap]:
 class ProjSummand:
     """One copy of A e inside an explicit direct sum of such modules."""
 
-    def __init__(self, class_index: int, idem: Mat, incl: Mat, gen: Mat, offset: int, dim: int):
-        self.class_index = class_index
+    def __init__(self, idem: Mat, incl: Mat, offset: int, dim: int):
         self.idem = idem  # idempotent, coordinates in A
         self.incl = incl  # (A.dim x dim): basis of A e as columns
-        self.gen = gen  # (1 x dim): the idempotent in the basis incl
         self.offset = offset
         self.dim = dim
 
 
 class ProjSum:
-    """Explicit realization of a direct sum of projectives A e_i.
+    """Explicit realization of a direct sum of projectives A e_j.
 
-    ``generators``: coordinates (in module basis) of the idempotent e of
-    each summand; the map f -> (f(gen_j))_j identifies Hom(P, N) with the
+    Column j of ``generators`` is the idempotent e_j of summand j in the
+    module basis; the map f -> (f(g_j))_j identifies Hom(P, N) with the
     product of slices e_j N.
     """
 
-    def __init__(self, module: Module, summands: list[ProjSummand]):
+    def __init__(self, module: Module, summands: list[ProjSummand], generators: Mat):
         self.module = module
         self.summands = summands
+        self.generators = generators
 
     @property
     def dim(self) -> int:
         return self.module.dim
-
-    def generator_columns(self) -> list[Mat]:
-        field = self.module.algebra.field
-        return [
-            Mat.from_entries(field, self.dim, 1, {(s.offset + i, 0): s.gen[0, i] for i in range(s.dim)})
-            for s in self.summands
-        ]
 
 
 def projective_module(a: Algebra, e: Mat, name: str = "") -> tuple[Module, Mat, Mat]:
@@ -345,19 +342,18 @@ def proj_sum(a: Algebra, class_indices: Sequence[int]) -> ProjSum:
     """Direct sum of indecomposable projectives for the given classes."""
     mods = []
     summands = []
+    gens = []
     offset = 0
     for ci in class_indices:
         mod, incl, e, gen = _indec_projective(a, ci)
         mods.append(mod)
-        summands.append(ProjSummand(ci, e, incl, gen, offset, mod.dim))
+        summands.append(ProjSummand(e, incl, offset, mod.dim))
+        gens.append(gen.transpose())
         offset += mod.dim
     if not mods:
-        return ProjSum(zero_module(a), [])
-    if len(mods) == 1:
-        total = mods[0]
-    else:
-        total, _, _ = direct_sum(mods)
-    return ProjSum(total, summands)
+        return ProjSum(zero_module(a), [], Mat.zeros(a.field, 0, 0))
+    total = mods[0] if len(mods) == 1 else direct_sum(mods)[0]
+    return ProjSum(total, summands, Mat.block_diag(a.field, gens))
 
 
 class Presentation:
@@ -399,7 +395,12 @@ def _cover(m: Module) -> tuple[ProjSum, Mat]:
     def build():
         gens = _top_class_generators(m)
         p0 = proj_sum(m.algebra, [ci for ci, _ in gens])
-        cover = _evaluation_matrix(p0, m, [v for _, v in gens])
+        field = m.algebra.field
+        # the cover sends basis vector c of P0 to the sum over j of phi_j(c),
+        # phi_j the map sending generator j to its vector
+        values = _slice_values(m, p0, Mat.identity(field, p0.dim), [v for _, v in gens])
+        ones = Mat.from_entries(field, len(gens), 1, {(j, 0): 1 for j in range(len(gens))})
+        cover = (values @ ones).reshape(p0.dim, m.dim).transpose()
         if cover.rank() != m.dim:
             raise ModuleError("projective cover is not surjective (top computation broken)")
         return p0, cover
@@ -424,18 +425,24 @@ def _presentation(m: Module) -> Presentation:
     return Presentation(m, p0, cover, section, p1, kincl.matrix @ kcover, (kmod, kincl))
 
 
-def _evaluation_matrix(p: ProjSum, n: Module, targets: list[Mat]) -> Mat:
-    """Matrix of the map P -> N sending the j-th generator to targets[j].
+def _slice_values(n: Module, p: ProjSum, cols: Mat, ws: list[Mat]) -> Mat:
+    """phi(c) for every column c of ``cols``, a vector of P, and every phi
+    that sends the generator of summand j to a column w of ws[j] and every
+    other generator to 0: entry (c*N.dim + i, column t of summand j's
+    block) is entry i of phi(c) for w = column t of ws[j].
 
-    On the summand A e_j the map is a e_j -> rho_N(a e_j) targets[j].
+    The block of c on summand j is an element x of A e_j, and
+    phi(c) = rho_N(x) w.  Row a of (stack @ ws[j]) read as
+    (A.dim x N.dim*|ws[j]|) holds the rho(b_a) w side by side, so one
+    product per summand forms every phi(c).
     """
-    a = p.module.algebra
-    if not p.summands:
-        return Mat.zeros(a.field, n.dim, 0)
-    # (stack @ v) reshaped has row a = rho(b_a) v, so its transpose maps the
-    # coordinates of a in A to rho(a) v
+    a = n.algebra
     stack = n.stack()
-    return Mat.hstack([(stack @ v).reshape(a.dim, n.dim).transpose() @ s.incl for s, v in zip(p.summands, targets)])
+    blocks = []
+    for s, w in zip(p.summands, ws):
+        x = s.incl @ cols.take_rows(range(s.offset, s.offset + s.dim))  # column c: c's block, in A
+        blocks.append((x.transpose() @ (stack @ w).reshape(a.dim, n.dim * w.cols)).reshape(cols.cols * n.dim, w.cols))
+    return Mat.hstack(blocks) if blocks else Mat.zeros(a.field, cols.cols * n.dim, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -488,29 +495,6 @@ def _slice_spans(n: Module, p: ProjSum) -> list[Subspace]:
     return [Subspace.from_columns(n.act(s.idem)) for s in p.summands]
 
 
-def _component(u: Mat, s: ProjSummand) -> Mat:
-    """The block of a column u of P on the summand s, as an element of A."""
-    return s.incl @ u.take_rows(range(s.offset, s.offset + s.dim))
-
-
-def _hom_values(d: Mat, p_from: ProjSum, p_to: ProjSum, n: Module, spans_to: list[Subspace]) -> list[Mat]:
-    """For each generator g_k of P_from, the (N.dim x total slice width)
-    block phi -> phi(d g_k) for phi in Hom(P_to, N) in slice coordinates.
-
-    ``d`` maps P_from -> P_to; zero-dimensional slices contribute no columns.
-    """
-    field = n.algebra.field
-    bases = [span.basis.transpose() for span in spans_to]
-    values = []
-    for g in p_from.generator_columns():
-        u = d @ g
-        blocks = []
-        for s, w in zip(p_to.summands, bases):
-            blocks.append(n.act(_component(u, s)) @ w if w.cols else Mat.zeros(field, n.dim, 0))
-        values.append(Mat.hstack(blocks))
-    return values
-
-
 def hom_space(m: Module, n: Module) -> HomSpace:
     """Basis of Hom_A(M, N) via a projective presentation of M.
 
@@ -526,13 +510,17 @@ def hom_space(m: Module, n: Module) -> HomSpace:
 
 
 def _hom_matrices(m: Module, n: Module) -> tuple[list[Mat], Frame]:
+    """phi in Hom(P0, N) is its values on the generators of P0 in the slice
+    bases; it factors through M iff it vanishes on d1 of each generator of
+    P1, and then it sends basis vector c of M to phi(section c)."""
     pres = projective_cover_data(m)
     spans = _slice_spans(n, pres.p0)
-    total_w = sum(sp.dim for sp in spans)
-    # phi vanishes on d1(gen) for each generator of P1
-    values = _hom_values(pres.d1, pres.p1, pres.p0, n, spans) if total_w else []
-    sol, free = Mat.vstack(values).kernel_with_free() if values else (Mat.identity(m.algebra.field, total_w), list(range(total_w)))
-    return _extract_hom_matrices(pres, n, spans, sol), _hom_frame(pres, spans, free)
+    bases = [span.basis.transpose() for span in spans]
+    sol, free = _slice_values(n, pres.p0, pres.d1 @ pres.p1.generators, bases).kernel_with_free()
+    # column t: the values of solution t on the columns of the section
+    values = _slice_values(n, pres.p0, pres.section, bases) @ sol
+    maps = [values.take_cols([t]).reshape(m.dim, n.dim).transpose() for t in range(sol.cols)]
+    return maps, _hom_frame(pres, spans, free)
 
 
 def _hom_frame(pres: Presentation, spans: list[Subspace], free: list[int]) -> Frame:
@@ -540,34 +528,7 @@ def _hom_frame(pres: Presentation, spans: list[Subspace], free: list[int]) -> Fr
     entry r of phi(cover(g_j)), g_j the j-th generator of P0, and the kernel
     basis is the identity on its free rows (proof in the README)."""
     slots = [(j, r) for j, span in enumerate(spans) for r in span.pivots]
-    tops = pres.cover @ Mat.hstack(pres.p0.generator_columns())
-    return tops, [slots[f][1] for f in free], [slots[f][0] for f in free]
-
-
-def _extract_hom_matrices(pres: Presentation, n: Module, spans: list[Subspace], sol: Mat) -> list[Mat]:
-    """Convert slice-coordinate solutions into (N.dim x M.dim) matrices.
-
-    Solution t sends basis vector c of M to rho_N(lift_c) w_t, summed over
-    the summands of P0, where w_t is the value on the summand's generator and
-    lift_c the summand's component of the section.
-    """
-    a = pres.module.algebra
-    h = sol.cols
-    if h == 0:
-        return []
-    stack = n.stack()
-    f = Mat.zeros(a.field, n.dim * h, pres.module.dim)  # row i*h + t: row i of map t
-    offset = 0
-    for s, span in zip(pres.p0.summands, spans):
-        hw = span.dim
-        if hw == 0:
-            continue
-        wsol = span.basis.transpose() @ sol.take_rows(range(offset, offset + hw))  # (n.dim x h): images of gen j
-        # column a, row i*h + t: (rho(b_a) w_t)_i; times the summand's
-        # component of the section (A.dim x M.dim)
-        f = f + (stack @ wsol).reshape(a.dim, n.dim * h).transpose() @ _component(pres.section, s)
-        offset += hw
-    return [f.take_rows(range(t, n.dim * h, h)) for t in range(h)]
+    return pres.cover @ pres.p0.generators, [slots[f][1] for f in free], [slots[f][0] for f in free]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -309,6 +310,32 @@ def test_cli_rejects_p_zero(capsys):
     assert main(["domdim", "--gallery", "am", "--m", "2", "--p", "0"]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "input error: 0 is not prime\n"
+
+
+@pytest.mark.parametrize(
+    "gallery, message",
+    [
+        (["hecke", "--d", "7"], "Hecke algebra dimension 7! exceeds the guard 720"),
+        (["schur", "--n", "2", "--d", "7"], "Hecke algebra dimension 7! exceeds the guard 720"),
+        (["schur", "--n", "4", "--d", "6"], "Schur dimension 54264 exceeds the guard 4000"),
+    ],
+    ids=["hecke-7", "schur-2-7", "schur-4-6"],
+)
+def test_cli_size_guards_act_before_the_build(capsys, monkeypatch, gallery, message):
+    # H(7) takes hours and S(4, 6) a system over 4096^2 unknowns; the guards
+    # reject both before a permutation or a tensor is formed
+    from qhcover import gallery as G
+
+    def no_build(*args):
+        raise AssertionError("built before the guard")
+
+    monkeypatch.setattr(G, "permutations_of", no_build)
+    monkeypatch.setattr(G, "centralizer_algebra", no_build)
+    start = time.perf_counter()
+    assert main(["domdim", "--gallery", *gallery]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize(

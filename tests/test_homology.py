@@ -5,7 +5,7 @@ import pytest
 
 from qhcover.algebra import from_structure_constants, opposite
 from qhcover.fields import GF, QQ
-from qhcover.gallery import build_am
+from qhcover.gallery import build_am, build_schur
 from qhcover.homology import (
     DimValue,
     ext_dim,
@@ -15,6 +15,7 @@ from qhcover.homology import (
 )
 from qhcover.linalg import Mat
 from qhcover.modules import (
+    _slice_spans,
     counit_analysis,
     dual,
     end_algebra_with_bimodule,
@@ -26,7 +27,7 @@ from qhcover.modules import (
     top,
 )
 
-from conftest import hom_space_naive
+from conftest import hom_space_naive, make_am_algebra
 
 F2, F3 = GF(2), GF(3)
 
@@ -93,11 +94,24 @@ def test_resolution_kernels_are_presentation_syzygies():
         assert nxt is projective_cover_data(prev[0]).syzygy
 
 
-def test_ext0_is_hom(a2_gf3):
-    mods = indec_projectives(a2_gf3) + [top(p)[0] for p in indec_projectives(a2_gf3)]
-    for m in mods:
-        for n in mods:
-            assert ext_dim(m, n, 0) == hom_space(m, n).dim
+@pytest.fixture(scope="module")
+def law_algebras(a2_gf3):
+    """The algebras the Ext laws run on, over both fields."""
+    return {"A2_GF3": a2_gf3, "A3_QQ": make_am_algebra(3, QQ), "S_GF2(2,2)": build_schur(2, 2, 1, F2).algebra}
+
+
+def law_modules(a):
+    """The indecomposable projectives, the simples and the radicals of the projectives."""
+    projectives = indec_projectives(a)
+    return projectives + [top(p)[0] for p in projectives] + [module_radical(p)[0] for p in projectives]
+
+
+def test_ext0_is_hom(law_algebras):
+    for name, a in law_algebras.items():
+        mods = law_modules(a)
+        for m in mods:
+            for n in mods:
+                assert ext_dim(m, n, 0) == hom_space(m, n).dim, name
 
 
 def test_ext1_delta2_delta1(a2_gf3):
@@ -106,21 +120,59 @@ def test_ext1_delta2_delta1(a2_gf3):
     assert ext_dim(s2, p1, 1) == 1  # Delta(1) = P(1)
 
 
-def test_ext1_from_projective_vanishes(a2_gf3):
-    for p in indec_projectives(a2_gf3):
-        for n in indec_projectives(a2_gf3):
-            assert ext_dim(p, n, 1) == 0
+def test_ext1_from_projective_vanishes(law_algebras):
+    for name, a in law_algebras.items():
+        for p in indec_projectives(a):
+            for n in law_modules(a):
+                for i in (1, 2):
+                    assert ext_dim(p, n, i) == 0, name
 
 
-def test_dimension_shift(a2_gf3):
+def test_dimension_shift(law_algebras):
     # Ext^i(M, N) = Ext^{i-1}(Omega M, N) for i >= 2
-    p1, p2 = sorted(indec_projectives(a2_gf3), key=lambda m: m.dim)
-    s1 = top(p1)[0]
-    res = minimal_projective_resolution(s1, 3)
-    omega, _ = res.kernels[0]
-    for n in [p1, p2, s1]:
-        for i in (2, 3):
-            assert ext_dim(s1, n, i) == ext_dim(omega, n, i - 1)
+    for name, a in law_algebras.items():
+        mods = law_modules(a)
+        for m in mods[len(mods) // 3 :]:  # the simples and the radicals
+            omega, _ = minimal_projective_resolution(m, 3).kernels[0]
+            for n in mods:
+                for i in (2, 3):
+                    assert ext_dim(m, n, i) == ext_dim(omega, n, i - 1), (name, i)
+
+
+def test_ext1_by_the_long_exact_sequence(law_algebras):
+    # 0 -> Hom(M, N) -> Hom(P0, N) -> Hom(Omega M, N) -> Ext^1(M, N) -> 0,
+    # with every Hom from the naive intertwiner solve, never through Ext
+    for name, a in law_algebras.items():
+        mods = law_modules(a)
+        for m in mods:
+            res = minimal_projective_resolution(m, 1)
+            omega, p0 = res.kernels[0][0], res.steps[0].module
+            for n in mods:
+                expected = len(hom_space_naive(omega, n)) - len(hom_space_naive(p0, n)) + len(hom_space_naive(m, n))
+                assert ext_dim(m, n, 1) == expected, name
+
+
+def test_ext_duality(law_algebras):
+    # Ext^i_A(M, N) = Ext^i_{A^op}(DN, DM): the right side resolves DN, not M
+    seen = {"nonzero": set(), "past the end": 0, "empty P_(i+1)": 0, "zero slice": 0}
+    for name, a in law_algebras.items():
+        mods = law_modules(a)
+        for m in mods:
+            for n in mods:
+                for i in range(3):
+                    e = ext_dim(m, n, i)
+                    assert e == ext_dim(dual(n), dual(m), i), (name, i)
+                    if e:
+                        seen["nonzero"].add(i)
+                    res = minimal_projective_resolution(m, i + 1)
+                    if i > res.length():
+                        seen["past the end"] += 1
+                        continue
+                    seen["empty P_(i+1)"] += i == res.length()
+                    seen["zero slice"] += any(sp.dim == 0 for sp in _slice_spans(n, res.steps[i]))
+    # the cases cover every branch of the coboundaries
+    assert seen["nonzero"] == {0, 1, 2}
+    assert all(seen[k] for k in ("past the end", "empty P_(i+1)", "zero slice")), seen
 
 
 def test_tor_projective_vanishes(a2_gf3):
