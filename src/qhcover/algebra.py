@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .fields import Field, PrimeField
-from .linalg import _EXACT, Mat, Subspace, Triples, _matmul, _mod, _negated, _reduce, _slots, frame_products, matmul_mod, restrict_action
+from .linalg import _EXACT, Mat, Subspace, Triples, _matmul, _mod, _negated, _reduce, _slots, block_diag_action, frame_products, matmul_mod, restrict_action, transposed_action
 from .memo import memo, share
 
 
@@ -62,10 +62,10 @@ class Algebra:
     triples to ``Algebra.from_triples``.  ``structure`` and
     ``mult`` are dense forms built on every access for tests and the
     benchmark harness; the library never reads them.  ``one`` is a column
-    Mat.  ``rep`` optionally holds a faithful matrix representation, one
-    matrix per basis element, smaller than the regular one; the radical
-    chain and its certificate work on it, and the certificate refuses a rep
-    that is not faithful on the radical.
+    Mat.  ``rep`` optionally holds a faithful matrix representation smaller
+    than the regular one, as an (n x m^2) Mat whose row b is rep(b_b) read
+    row-major; the radical chain and its certificate work on it, and the
+    certificate refuses a rep that is not faithful on the radical.
     """
 
     def __init__(
@@ -75,7 +75,7 @@ class Algebra:
         structure: Mat,
         one: Mat,
         provenance: str = "raw",
-        rep: Optional[list[Mat]] = None,
+        rep: Optional[Mat] = None,
     ):
         if (structure.rows, structure.cols) != (dim * dim, dim):
             raise AlgebraError(f"structure constants are {structure.rows}x{structure.cols}, not {dim * dim}x{dim}")
@@ -83,15 +83,17 @@ class Algebra:
 
     @classmethod
     def from_triples(
-        cls, field: Field, dim: int, triples: Triples, one: Mat, provenance: str = "raw", rep: Optional[list[Mat]] = None
+        cls, field: Field, dim: int, triples: Triples, one: Mat, provenance: str = "raw", rep: Optional[Mat] = None
     ) -> "Algebra":
         a = cls.__new__(cls)
         a._setup(field, dim, triples, one, provenance, rep)
         return a
 
-    def _setup(self, field: Field, dim: int, triples: Triples, one: Mat, provenance: str, rep: Optional[list[Mat]]) -> None:
+    def _setup(self, field: Field, dim: int, triples: Triples, one: Mat, provenance: str, rep: Optional[Mat]) -> None:
         if one.rows != dim or one.cols != 1:
             raise AlgebraError("unit vector has wrong shape")
+        if rep is not None and (rep.rows != dim or math.isqrt(rep.cols) ** 2 != rep.cols):
+            raise AlgebraError(f"a {rep.rows}x{rep.cols} rep is not (dim) x (rep dim)^2")
         self.field = field
         self.dim = dim
         # read-only like a Mat's data: the memos and an opposite share them
@@ -153,16 +155,15 @@ class Algebra:
             out = prod.transpose(2, 0, 1)
         return Mat.from_reduced(self.field, out.reshape(n, r * s), xs.den * ys.den * self.triples.den)
 
-    def left_regular_action(self) -> list[Mat]:
-        """Left multiplication matrices of the basis elements, L_{b_i}[k, j]
-        = c_ijk: transposed views of one n^3 array c[i, j, k], the only
-        dense form of the constants that the library builds.  Their
-        transposes, the action of the dual module, are then row blocks, which
-        stack into a C-ordered array that reshapes without a copy."""
+    def left_regular_action(self) -> Mat:
+        """The left multiplication matrices L_{b_i}[k, j] = c_ijk of the
+        basis elements, row i holding L_{b_i} read row-major: one n^3 array
+        filled at (i, k, j), the only dense form of the constants that the
+        library builds."""
         n, t = self.dim, self.triples
-        stack = np.zeros((n, n, n), t.data.dtype)
-        stack[t.i, t.j, t.k] = t.data
-        return [Mat.from_reduced(self.field, block, t.den).transpose() for block in stack]
+        flat = np.zeros((n, n, n), t.data.dtype)
+        flat[t.i, t.k, t.j] = t.data
+        return Mat.from_reduced(self.field, flat.reshape(n, n * n), t.den)
 
     def _coo(self, side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The triples sorted for one contraction.
@@ -206,8 +207,9 @@ class Algebra:
             out[:, target] = _mod(self.field, sums)
         return out.reshape(r, n, n)
 
-    def rep_matrices(self) -> list[Mat]:
-        """A faithful representation of the basis (left regular by default)."""
+    def rep_action(self) -> Mat:
+        """A faithful representation of the basis, row b holding rep(b_b)
+        read row-major (left regular by default)."""
         if self._rep is not None:
             return self._rep
         return self.left_regular_action()
@@ -237,8 +239,8 @@ class Algebra:
                 span = newspan
         return gens
 
-    def generator_elements(self) -> list[Mat]:
-        return [self.basis_element(i) for i in self.generator_indices()]
+    def generator_elements(self) -> tuple[Mat, ...]:
+        return memo(self, "_gen_elements", lambda: tuple(self.basis_element(i) for i in self.generator_indices()))
 
     # -- validation ----------------------------------------------------------
     def validate_unit(self) -> None:
@@ -319,9 +321,7 @@ def opposite(a: Algebra) -> Algebra:
 
 def _opposite(a: Algebra) -> Algebra:
     t = a.triples
-    rep = None
-    if a._rep is not None:
-        rep = [m.transpose() for m in a._rep]
+    rep = None if a._rep is None else transposed_action(a._rep)
     opp = Algebra.from_triples(a.field, a.dim, t._replace(i=t.j, j=t.i), a.one, provenance=a.provenance, rep=rep)
     opp._op_link = a
     # A and A^op have one radical and one set of primitive idempotents,
@@ -348,9 +348,8 @@ def direct_product(a: Algebra, b: Algebra) -> Algebra:
     one = Mat.vstack([a.one, b.one])
     rep = None
     if a._rep is not None and b._rep is not None:
-        ra0, rb0 = a._rep[0], b._rep[0]
-        za, zb = Mat.zeros(field, ra0.rows, ra0.cols), Mat.zeros(field, rb0.rows, rb0.cols)
-        rep = [Mat.block_diag(field, [ra, zb]) for ra in a._rep] + [Mat.block_diag(field, [za, rb]) for rb in b._rep]
+        za, zb = Mat.zeros(field, n, b._rep.cols), Mat.zeros(field, m, a._rep.cols)
+        rep = Mat.vstack([block_diag_action([a._rep, za]), block_diag_action([zb, b._rep])])
     return Algebra.from_triples(field, n + m, mult, one, provenance="product", rep=rep)
 
 
@@ -420,15 +419,16 @@ def _basic_algebra(a: Algebra) -> tuple[Algebra, Mat]:
 Frame = tuple[Mat, list[int], list[int]]
 
 
-def algebra_of_matrices(mats: Sequence[Mat], frame: Frame, provenance: str) -> Algebra:
-    """The algebra spanned by square matrices X_k closed under products, with
-    the identity in the span and the X_k as its faithful ``rep``.  Coordinate
-    k of an X in the span is entry (rows[k], cols[k]) of X G, for ``frame`` =
-    (G, rows, cols)."""
+def algebra_of_matrices(flat: Mat, frame: Frame, provenance: str) -> Algebra:
+    """The algebra spanned by square matrices X_k closed under products, row
+    k of ``flat`` holding X_k read row-major, with the identity in the span
+    and the X_k as its faithful ``rep``.  Coordinate k of an X in the span
+    is entry (rows[k], cols[k]) of X G, for ``frame`` = (G, rows, cols)."""
     g, rows, cols = frame
-    stacked = Mat.vstack(mats)
+    n, m = flat.rows, g.rows
+    stacked = flat.reshape(n * m, m)
     one = Mat.column(g.field, [g[r, c] for r, c in zip(rows, cols)])
-    return Algebra.from_triples(g.field, len(mats), frame_products(stacked, stacked @ g, rows, cols), one, provenance=provenance, rep=list(mats))
+    return Algebra.from_triples(g.field, n, frame_products(stacked, stacked @ g, rows, cols), one, provenance=provenance, rep=flat)
 
 
 def centralizer_algebra(generators: Sequence[Mat]) -> tuple[Algebra, Frame]:
@@ -446,7 +446,7 @@ def centralizer_algebra(generators: Sequence[Mat]) -> tuple[Algebra, Frame]:
     sys = Mat.vstack([g.kron(ident) - ident.kron(g.transpose()) for g in gens])
     kernel, free = sys.kernel_with_free()  # (t^2, dim) columns
     frame = (ident, [f // t for f in free], [f % t for f in free])
-    return algebra_of_matrices([kernel.take_cols([c]).reshape(t, t) for c in range(kernel.cols)], frame, "centralizer"), frame
+    return algebra_of_matrices(kernel.transpose(), frame, "centralizer"), frame
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +461,9 @@ def _radical(a: Algebra) -> Subspace:
 
 
 def _rep_stack(a: Algebra) -> tuple[Mat, int]:
-    """The rep matrices of the basis as the rows of an n x m^2 Mat (row b:
-    vec(rep(b_b)) row-major), and m."""
-    rep = a.rep_matrices()
-    m = rep[0].rows
-    return Mat.vstack([x.reshape(1, m * m) for x in rep]), m
+    """``rep_action`` (row b: vec(rep(b_b)) row-major) and the rep's dimension m."""
+    flat = a.rep_action()
+    return flat, math.isqrt(flat.cols)
 
 
 def _radical_chain(a: Algebra) -> Subspace:

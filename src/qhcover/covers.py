@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import Algebra
 from .fields import PrimeField
 from .homology import DimValue, ext_dim
-from .linalg import Mat, Subspace
+from .linalg import Mat
 from .modules import (
     HomSpace,
     Module,
@@ -27,6 +27,7 @@ from .modules import (
     end_algebra_with_bimodule,
     hom_module_over_endop,
     hom_space,
+    ideal_span,
     quotient_module,
     projective_cover_data,
     regular_module,
@@ -334,7 +335,7 @@ def wakamatsu_check(qh: QHStructure, q: Module, cap: int = 10) -> tuple[DimValue
 def module_over_quotient(m: Module, quot: Algebra, sect: Mat) -> Module:
     """Transport a module killed by the ideal to a module over A/I along a
     section of A -> A/I (any section: the ideal acts by zero)."""
-    return Module(quot, m.act_many(sect))
+    return Module(quot, sect.transpose() @ m.flat_action())
 
 
 def truncate_cover_check(qh: QHStructure, p: Module, lam_max: int, cap: int = 8) -> dict:
@@ -342,7 +343,7 @@ def truncate_cover_check(qh: QHStructure, p: Module, lam_max: int, cap: int = 8)
     base_report = hn_dimension(qh, p, cap=cap)
     quotient, ideal, sub_qh = _heredity_quotient(qh, lam_max)
     # P/JP: quotient by J.P, then restrict scalars along A -> A/J
-    jp = Subspace.from_columns(Mat.hstack(p.act_many(ideal.basis.transpose())))
+    jp = ideal_span(p, ideal)
     pbar_over_a, _ = quotient_module(p, jp)
     pbar = module_over_quotient(pbar_over_a, quotient.quotient, quotient.sect)
     trunc_report = hn_dimension(sub_qh, pbar, cap=cap)

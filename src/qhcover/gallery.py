@@ -277,7 +277,7 @@ def build_tensor_space(n: int, d: int, u, field: Field, hecke: Optional[HeckeGal
         for t in word:
             mat = simple_action[t] @ mat
         action.append(mat)
-    module = Module(hop, action, name=f"V^({d})")
+    module = Module.from_matrices(hop, action, name=f"V^({d})")
     return TensorSpaceGallery(n, d, hecke, module, words, simple_action)
 
 
@@ -395,7 +395,7 @@ def build_schur(n: int, d: int, u, field: Field) -> SchurGallery:
     alg, frame = centralizer_algebra(gens)
     if alg.dim != expected:
         raise GalleryError(f"Schur dimension {alg.dim} != orbit count {expected}")
-    tensor_module = Module(alg, alg.rep_matrices(), name=f"V^({d})|S({n},{d})")
+    tensor_module = Module(alg, alg.rep_action(), name=f"V^({d})|S({n},{d})")
     weights = compositions(n, d)
     parts = partitions_at_most(n, d)
     return SchurGallery(n, d, u, field, hecke, tensor, alg, tensor_module, frame, weights, parts)

@@ -167,6 +167,14 @@ def _rref_gfp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     # p^2, and the update a + c*(p - b) of a row by a column entry c and the
     # pivot row b is nonnegative and below p^2 <= 2^40 for p <= PrimeField.MAX_P,
     # inside ``_reduce``'s bound
+    #
+    # Only columns >= c change at pivot (r, c).  Rows r and below vanish left
+    # of c: each column left of c was cleared below its pivot, or had no
+    # nonzero entry at or below the row it was reached at, and every later
+    # step adds multiples of a pivot row that vanishes there too (this same
+    # argument, one step earlier).  So the pivot row vanishes left of c, and
+    # the update x + f*(p - 0) = x + f*p of an entry left of c reduces to x:
+    # skipping those columns gives bit-identical output.
     a = a.copy()
     rows, cols = a.shape
     pf = float(p)
@@ -175,22 +183,24 @@ def _rref_gfp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        row = a[r]  # a view: scaled in place
-        inv = pow(int(row[c]), p - 2, p)
+            top = a[r, c:].copy()
+            a[r, c:] = a[pr, c:]
+            a[pr, c:] = top
+        row = a[r, c:]  # a view: scaled in place
+        inv = pow(int(row[0]), p - 2, p)
         if inv != 1:
             row *= float(inv)
             _reduce(row, p)
         col = a[:, c].copy()
         col[r] = 0
-        nzrows = np.nonzero(col)[0]
+        nzrows = col.nonzero()[0]
         if nzrows.size:
-            a[nzrows] = _reduce(a[nzrows] + np.outer(col[nzrows], pf - row), p)
+            a[nzrows, c:] = _reduce(a[nzrows, c:] + col[nzrows, None] * (pf - row), p)
         pivots.append(c)
         r += 1
     return a, pivots
@@ -405,6 +415,15 @@ class Mat:
         if rows * cols != self.rows * self.cols:
             raise ValueError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
         return _trusted(self.field, self.data.reshape(rows, cols), self.den)
+
+    def permute(self, shape: Sequence[int], axes: Sequence[int]) -> "Mat":
+        """The entries read row-major as an array of ``shape``, its axes put
+        in the order ``axes`` and read back row-major, the first axis giving
+        the rows: shape (rows, cols) with axes (1, 0) gives the transpose.
+        The entries are moved, not changed, so the storage stays canonical;
+        the result is a copy unless the order is unchanged."""
+        arr = self.data.reshape(shape).transpose(axes)
+        return _trusted(self.field, arr.reshape(arr.shape[0], math.prod(arr.shape[1:])), self.den)
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product: with other r x c, entry (i*r + k, j*c + l) is self[i, j] * other[k, l]."""
@@ -752,10 +771,11 @@ class Subspace:
         return free if self.dim == 0 else free - self._spanned(vecs.take_cols(self.pivots))
 
 
-def restrict_action(flat: Mat, vecs: Mat, coords: Callable[[Mat], Optional[Mat]]) -> Optional[list[Mat]]:
+def restrict_action(flat: Mat, vecs: Mat, coords: Callable[[Mat], Optional[Mat]]) -> Optional[Mat]:
     """Square d x d matrices g_1..g_r, row i of ``flat`` holding g_i read
-    row-major, restricted to k row vectors v_t: matrix i has column t the
-    coordinates of g_i v_t.
+    row-major, restricted to k row vectors v_t: row i of the result is the
+    k x k matrix whose column t holds the coordinates of g_i v_t, read
+    row-major.
 
     Every image comes from one product and all coordinates from one call of
     ``coords``: ``Subspace.coords`` of a subspace the v_t span (a
@@ -766,7 +786,36 @@ def restrict_action(flat: Mat, vecs: Mat, coords: Callable[[Mat], Optional[Mat]]
     # [g_1^T | ... | g_r^T] is the transposed stack; row t*r + i: (g_i v_t)^T
     images = (vecs @ flat.reshape(r * d, d).transpose()).reshape(k * r, d)
     c = coords(images)
-    return None if c is None else [c.take_rows(range(i, k * r, r)).transpose() for i in range(r)]
+    # entry s of row t*r + i is entry (s, t) of restricted matrix i
+    return None if c is None else c.permute((k, r, k), (1, 2, 0))
+
+
+def transposed_action(flat: Mat) -> Mat:
+    """Each row of an (r x d^2) ``flat``, read as a d x d matrix, transposed:
+    one batched transpose."""
+    d = math.isqrt(flat.cols)
+    return flat.permute((flat.rows, d, d), (0, 2, 1))
+
+
+def block_diag_action(flats: Sequence[Mat]) -> Mat:
+    """Row i of the result is the block-diagonal matrix of the rows i of
+    ``flats``, each read as a square matrix, read row-major: every summand
+    is written into one (r, D, D) array."""
+    den, parts = _over_common_den(flats)
+    sizes = [math.isqrt(f.cols) for f in flats]
+    r, total = flats[0].rows, sum(sizes)
+    out = np.zeros((r, total, total), parts[0].dtype)
+    offset = 0
+    for part, d in zip(parts, sizes):
+        out[:, offset : offset + d, offset : offset + d] = part.reshape(r, d, d)
+        offset += d
+    return _trusted(flats[0].field, out.reshape(r, total * total), den)
+
+
+def unstack(flat: Mat) -> list[Mat]:
+    """The rows of an (r x d^2) ``flat`` as d x d matrices, read row-major."""
+    d = math.isqrt(flat.cols)
+    return [flat.take_rows(range(i, i + 1)).reshape(d, d) for i in range(flat.rows)]
 
 
 def stacked_products(a: Mat, b: Mat, count: int) -> Mat:

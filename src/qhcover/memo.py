@@ -6,11 +6,12 @@
 A class opts into sharing by defining ``memo_content()``, which returns
 ``(owner, parts)``: a tuple ``parts`` of hashable values, built without
 copying them, that fixes every memo of the object (a module gives its
-algebra and ``(dim, *action)``).  Objects with one owner and equal parts are
-twins, and the first of them to ask is their representative.  A twin missing
-a key takes the representative's value, which is built there on the first
-ask, and stores it as its own attribute too.  Keys in the class's
-``own_memos`` stay per object.
+algebra and ``(dim, flat action)``, so a lookup hashes one array and
+compares one).  Objects with one owner and equal parts are twins, and the
+first of them to ask is their representative.  A twin missing a key takes
+the representative's value, which is built there on the first ask, and
+stores it as its own attribute too.  Keys in the class's ``own_memos`` stay
+per object.
 
 The owner keeps a weak-valued table from ``hash(parts)`` to representative,
 and every twin holds its representative, so a value lives as long as some

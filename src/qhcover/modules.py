@@ -1,4 +1,4 @@
-"""Finite-dimensional left modules as tuples of action matrices.
+"""Finite-dimensional left modules, each action one flat matrix.
 
 Right modules are uniformly encoded as left modules over the opposite
 algebra; the standard duality D sends a left module to the left module over
@@ -16,10 +16,14 @@ from a projective sum that sends one generator into a slice and the others
 to 0, with one product per summand: the cover, the Hom relations, the Hom
 maps and (in ``homology``) each Ext coboundary are such values.
 
-Sub-, quotient and corner modules restrict a module's stacked action with
-one kernel, ``linalg.restrict_action``: one product forms every image and
-one coordinate call reads them all.  The test suite checks them against
-per-matrix oracles.
+A module holds its action as one (A.dim x dim^2) Mat, row a the matrix of
+b_a read row-major, and every constructor builds it with one array
+operation: sub-, quotient and corner modules restrict it with one kernel,
+``linalg.restrict_action`` (one product forms every image and one
+coordinate call reads them all), a direct sum writes each summand into one
+block array, a dual is one batched transpose, and projective and Hom
+modules permute the axes of one coordinate matrix.  The test suite checks
+each against per-matrix oracles.
 
 A Hom space reads coordinates at the kernel's free rows (``_hom_frame``),
 so every action on one is a single ``HomSpace.coords_of_products`` call,
@@ -30,10 +34,11 @@ each End algebra against a per-pair solve-based oracle.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from .algebra import Algebra, Frame, algebra_of_matrices, opposite
-from .linalg import Mat, Subspace, restrict_action, stacked_products
+from .linalg import Mat, Subspace, block_diag_action, restrict_action, stacked_products, transposed_action, unstack
 from .memo import memo, memo_pair
 
 
@@ -42,70 +47,84 @@ class ModuleError(ValueError):
 
 
 class Module:
-    """Left module over an Algebra: one action matrix per basis element.
+    """Left module over an Algebra, its action one (A.dim x dim^2) Mat: row
+    a is rho(b_a) read row-major.
 
-    Modules over one algebra object with equal actions are twins: they share
-    every memo (End(M), cover, presentation, resolution, ...) but the ones
-    in ``own_memos``.
+    ``Module(algebra, flat, name)`` takes that array as the library builds
+    it; ``Module.from_matrices`` checks a list of action matrices from
+    outside and stacks it.  Modules over one algebra object with equal
+    actions are twins: they share every memo (End(M), cover, presentation,
+    resolution, ...) but the ones in ``own_memos``.
     """
 
     # memo keys kept per object: dual(dual(m)) is m itself, not a twin of
-    # it, as the summand triple of an indecomposable m names m itself; the
-    # stacked action costs less to rebuild than to fingerprint, which a
-    # module that only acts would otherwise pay
-    own_memos = frozenset({"_dual", "_stack", "_flat", "_whole"})
+    # it, as the summand triple of an indecomposable m names m itself
+    own_memos = frozenset({"_dual", "_whole"})
 
-    def __init__(self, algebra: Algebra, action: list[Mat], name: str = ""):
+    def __init__(self, algebra: Algebra, flat: Mat, name: str = ""):
         self.algebra = algebra
-        self.action = action
-        self.dim = action[0].rows if action else 0
+        self.dim = math.isqrt(flat.cols)
         self.name = name
-        if len(action) != algebra.dim:
+        if flat.rows != algebra.dim or self.dim * self.dim != flat.cols:
+            raise ModuleError(f"a {flat.rows}x{flat.cols} action is not (algebra dim) x (module dim)^2")
+        self._flat = flat
+
+    @staticmethod
+    def from_matrices(algebra: Algebra, mats: Sequence[Mat], name: str = "") -> "Module":
+        """The module on one action matrix per algebra basis element."""
+        mats = list(mats)
+        if len(mats) != algebra.dim:
             raise ModuleError("need one action matrix per algebra basis element")
-        for m in action:
-            if m.rows != self.dim or m.cols != self.dim:
-                raise ModuleError("action matrices must be square of the module dimension")
+        d = mats[0].rows if mats else 0
+        if any(m.rows != d or m.cols != d for m in mats):
+            raise ModuleError("action matrices must be square of the module dimension")
+        return Module(algebra, Mat.vstack([m.reshape(1, d * d) for m in mats]), name)
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"Module(dim={self.dim}{tag})"
 
+    @property
+    def action(self) -> list[Mat]:
+        """The action matrices rho(b_a), built on every access."""
+        return unstack(self._flat)
+
     def memo_content(self) -> tuple[Algebra, tuple]:
         """What fixes every shared memo of the module (see ``memo``)."""
-        return self.algebra, (self.dim, *self.action)
+        return self.algebra, (self.dim, self._flat)
 
     def stack(self) -> Mat:
-        """The action matrices stacked: rows a*dim .. (a+1)*dim hold rho(b_a) (cached)."""
-        return memo(self, "_stack", lambda: Mat.vstack(self.action))
+        """The action matrices stacked: rows a*dim .. (a+1)*dim hold rho(b_a)."""
+        return self._flat.reshape(self.algebra.dim * self.dim, self.dim)
 
     def flat_action(self) -> Mat:
-        """(A.dim x dim^2): row a is rho(b_a) read row-major (cached)."""
-        return memo(self, "_flat", lambda: self.stack().reshape(self.algebra.dim, self.dim * self.dim))
+        """(A.dim x dim^2): row a is rho(b_a) read row-major."""
+        return self._flat
 
     def act(self, x: Mat) -> Mat:
         """Action matrix of an algebra element (column vector of coords)."""
-        return (x.transpose() @ self.flat_action()).reshape(self.dim, self.dim)
+        return (x.transpose() @ self._flat).reshape(self.dim, self.dim)
 
     def act_many(self, xs: Mat) -> list[Mat]:
         """Action matrices for several elements (columns of xs)."""
-        flat = xs.transpose() @ self.flat_action()  # row c: rho(x_c) row-major
-        return [flat.take_rows([c]).reshape(self.dim, self.dim) for c in range(xs.cols)]
+        return unstack(xs.transpose() @ self._flat)  # row c: rho(x_c) row-major
 
     def validate(self) -> None:
         """Representation axioms: rho(1) = 1 and rho(g b) = rho(g) rho(b) for
         every algebra generator g and basis element b.  This is complete: the
         x with rho(x y) = rho(x) rho(y) for all y form a unital subalgebra,
         and it contains the generators."""
-        a = self.algebra
-        ident = Mat.identity(a.field, self.dim)
-        if self.act(a.one) != ident:
+        a, d = self.algebra, self.dim
+        if self.act(a.one) != Mat.identity(a.field, d):
             raise ModuleError("unit does not act as identity")
+        # a flat action read as [rho(b_0) | ... | rho(b_n-1)], side by side
+        shape, axes = (a.dim, d, d), (1, 0, 2)
+        side = self._flat.permute(shape, axes)
         for g in a.generator_elements():
-            rho_g = self.act(g)
-            # column b of L_g is g b_b
-            for b, rho_gb in enumerate(self.act_many(a.left_mult_matrix(g))):
-                if rho_gb != rho_g @ self.action[b]:
-                    raise ModuleError("action is not multiplicative")
+            # column b of L_g is g b_b, so row b of this is rho(g b_b)
+            products = a.left_mult_matrix(g).transpose() @ self._flat
+            if products.permute(shape, axes) != self.act(g) @ side:
+                raise ModuleError("action is not multiplicative")
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -178,7 +197,7 @@ class Bimodule:
 
 
 def zero_module(a: Algebra) -> Module:
-    return Module(a, [Mat.zeros(a.field, 0, 0) for _ in range(a.dim)], name="0")
+    return Module(a, Mat.zeros(a.field, a.dim, 0), name="0")
 
 
 def regular_module(a: Algebra) -> Module:
@@ -187,10 +206,10 @@ def regular_module(a: Algebra) -> Module:
 
 def submodule(m: Module, span: Subspace) -> tuple[Module, ModuleMap]:
     """Module on an invariant subspace, with its inclusion map."""
-    action = restrict_action(m.flat_action(), span.basis, span.coords)
-    if action is None:
+    flat = restrict_action(m.flat_action(), span.basis, span.coords)
+    if flat is None:
         raise ModuleError("subspace is not invariant under the action")
-    sub = Module(m.algebra, action)
+    sub = Module(m.algebra, flat)
     return sub, ModuleMap(sub, m, span.basis.transpose())
 
 
@@ -210,8 +229,7 @@ def direct_sum(mods: Sequence[Module], name: str = "") -> tuple[Module, list[Mod
     a = mods[0].algebra
     if any(m.algebra is not a for m in mods):
         raise ModuleError("direct sum of modules over different algebras")
-    action = [Mat.block_diag(a.field, [m.action[i] for m in mods]) for i in range(a.dim)]
-    total = Module(a, action, name=name or "+".join(m.name or "?" for m in mods))
+    total = Module(a, block_diag_action([m.flat_action() for m in mods]), name=name or "+".join(m.name or "?" for m in mods))
     injections, projections = [], []
     offset = 0
     ident = Mat.identity(a.field, total.dim)
@@ -229,7 +247,7 @@ def dual(m: Module) -> Module:
 
 
 def _dual(m: Module) -> Module:
-    d = Module(opposite(m.algebra), [g.transpose() for g in m.action], name=f"D({m.name})" if m.name else "")
+    d = Module(opposite(m.algebra), transposed_action(m.flat_action()), name=f"D({m.name})" if m.name else "")
     d._dual = m
     return d
 
@@ -246,12 +264,15 @@ def dual_map(f: ModuleMap) -> ModuleMap:
 
 def radical_span(m: Module) -> Subspace:
     """J(A) . M as a subspace."""
-    a = m.algebra
-    rad = a.radical_subspace()
-    if rad.dim == 0 or m.dim == 0:
-        return Subspace(a.field, m.dim)
-    mats = m.act_many(rad.basis.transpose())
-    return Subspace.from_columns(Mat.hstack([g for g in mats]))
+    return ideal_span(m, m.algebra.radical_subspace())
+
+
+def ideal_span(m: Module, ideal: Subspace) -> Subspace:
+    """I . M as a subspace, for a subspace I of the algebra: the columns of
+    the actions of I's basis, side by side."""
+    if ideal.dim == 0 or m.dim == 0:
+        return Subspace(m.algebra.field, m.dim)
+    return Subspace.from_columns((ideal.basis @ m.flat_action()).permute((ideal.dim, m.dim, m.dim), (1, 0, 2)))
 
 
 def module_radical(m: Module) -> tuple[Module, ModuleMap]:
@@ -270,9 +291,8 @@ def socle(m: Module) -> tuple[Module, ModuleMap]:
     if rad.dim == 0 or m.dim == 0:
         ident = Mat.identity(a.field, m.dim)
         return submodule(m, Subspace(a.field, m.dim, ident))
-    mats = m.act_many(rad.basis.transpose())
-    stacked = Mat.vstack(mats)
-    ker = stacked.kernel()
+    # the actions of the radical's basis, stacked
+    ker = (rad.basis @ m.flat_action()).reshape(rad.dim * m.dim, m.dim).kernel()
     return submodule(m, Subspace(a.field, m.dim, ker.transpose()))
 
 
@@ -314,15 +334,14 @@ def projective_module(a: Algebra, e: Mat, name: str = "") -> tuple[Module, Mat, 
     columns and gen the coordinates of e in the basis w."""
     span = Subspace.from_columns(a.right_mult_matrix(e))
     w = span.basis.transpose()
-    # row t*n + i: coordinates of b_i w_t in the basis w
+    # row t*n + i: coordinates of b_i w_t in the basis w, entry (s, t) of rho(b_i)
     coords = span.coords(a._basis_products(w, 1))
     if coords is None:
         raise ModuleError("projective summand is not invariant")
-    action = [coords.take_rows(range(i, coords.rows, a.dim)).transpose() for i in range(a.dim)]
     gen = span.coords(e.transpose())
     if gen is None:
         raise ModuleError("idempotent not in its own projective summand")
-    return Module(a, action, name), w, gen
+    return Module(a, coords.permute((span.dim, a.dim, span.dim), (1, 2, 0)), name), w, gen
 
 
 def _indec_projective(a: Algebra, class_index: int) -> tuple[Module, Mat, Mat, Mat]:
@@ -561,10 +580,10 @@ def corner_module(m: Module, e: Mat, corner: Algebra, corner_incl: Mat) -> Modul
     """e . M as a module over the corner algebra eAe."""
     span = Subspace.from_columns(m.act(e))
     # the corner basis as elements of A, acting on M, restricted to e . M
-    action = restrict_action(corner_incl.transpose() @ m.flat_action(), span.basis, span.coords)
-    if action is None:
+    flat = restrict_action(corner_incl.transpose() @ m.flat_action(), span.basis, span.coords)
+    if flat is None:
         raise ModuleError("corner action left the corner subspace")
-    return Module(corner, action, name=f"e.{m.name}" if m.name else "")
+    return Module(corner, flat, name=f"e.{m.name}" if m.name else "")
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +604,8 @@ def _endomorphism_algebra(m: Module) -> tuple[Algebra, list[ModuleMap]]:
     hs = hom_space(m, m)
     if not hs.maps:
         raise ModuleError("endomorphism algebra of the zero module")
-    return algebra_of_matrices([f.matrix for f in hs.maps], hs.frame, "endomorphism"), hs.maps
+    flat = Mat.vstack([f.matrix for f in hs.maps]).reshape(hs.dim, m.dim * m.dim)
+    return algebra_of_matrices(flat, hs.frame, "endomorphism"), hs.maps
 
 
 def indecomposable_summands(m: Module) -> list[tuple[Module, ModuleMap, ModuleMap]]:
@@ -702,7 +722,8 @@ def end_algebra_with_bimodule(q: Module) -> tuple[Algebra, Bimodule, list[Module
 
 def _end_algebra_with_bimodule(q: Module) -> tuple[Algebra, Bimodule, list[ModuleMap]]:
     end, basis = endomorphism_algebra(q)
-    right = Module(end, [f.matrix for f in basis], name=f"{q.name}|B" if q.name else "")
+    # End(q) acts on q by application: its faithful rep, the basis maps
+    right = Module(end, end.rep_action(), name=f"{q.name}|B" if q.name else "")
     return opposite(end), Bimodule(left=q, right=right), basis
 
 
@@ -712,11 +733,11 @@ def hom_module_over_endop(q: Module, m: Module) -> tuple[Module, HomSpace]:
     b, bim, end_basis = end_algebra_with_bimodule(q)
     hs = hom_space(q, m)
     if hs.dim == 0:
-        return Module(b, [Mat.zeros(q.algebra.field, 0, 0)] * b.dim), hs
-    # column t*B + f: the coordinates of h_t o f
+        return Module(b, Mat.zeros(q.algebra.field, b.dim, 0)), hs
+    # column t*B + f: the coordinates of h_t o f, entry (s, t) of rho(f)
     coords = hs.coords_of_products(hs.side_by_side().reshape(m.dim * hs.dim, q.dim), Mat.hstack([f.matrix for f in end_basis]))
-    action = [coords.take_cols(range(f, coords.cols, b.dim)) for f in range(b.dim)]
-    return Module(b, action, name=f"Hom({q.name},{m.name})" if q.name or m.name else ""), hs
+    flat = coords.permute((hs.dim, hs.dim, b.dim), (2, 0, 1))
+    return Module(b, flat, name=f"Hom({q.name},{m.name})" if q.name or m.name else ""), hs
 
 
 def tensor_over(x: Module, y: Module) -> int:
@@ -771,12 +792,11 @@ def hom_into_q_as_right_module(q: Module, m: Module) -> tuple[Module, HomSpace]:
     end, end_basis = endomorphism_algebra(q)  # opposite(B), composing as maps
     hs = hom_space(m, q)
     if hs.dim == 0:
-        return Module(end, [Mat.zeros(q.algebra.field, 0, 0)] * end.dim), hs
-    # column f*h + t: the coordinates of f o h_t
+        return Module(end, Mat.zeros(q.algebra.field, end.dim, 0)), hs
+    # column f*h + t: the coordinates of f o h_t, entry (s, t) of rho(f)
     ends = Mat.hstack([f.matrix for f in end_basis]).reshape(q.dim * end.dim, q.dim)
     coords = hs.coords_of_products(ends, hs.side_by_side())
-    action = [coords.take_cols(range(f * hs.dim, (f + 1) * hs.dim)) for f in range(end.dim)]
-    return Module(end, action), hs
+    return Module(end, coords.permute((hs.dim, end.dim, hs.dim), (1, 0, 2))), hs
 
 
 def induced_map_on_hom_into_q(f: ModuleMap, hom_target: HomSpace, hom_source: HomSpace) -> Mat:

@@ -333,7 +333,7 @@ def _extract_tilting_summand(qh: QHStructure, lam: int, x: Module, incl: Mat):
     if mod is qh.standards[lam]:
         # no extension ran and Delta(lam) is its own summand: T(lam) gets an
         # object of its own, so naming it does not rename Delta(lam)
-        mod = Module(x.algebra, x.action)
+        mod = Module(x.algebra, x.flat_action())
     # sequence data: Delta(lam) -> T(lam) with cokernel filtered by lower standards
     delta_map = ModuleMap(qh.standards[lam], mod, proj.matrix @ incl)
     if not delta_map.is_injective():

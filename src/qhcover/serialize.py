@@ -92,10 +92,9 @@ def quiver_from_json(obj: dict) -> QuiverPresentation:
 
 
 def module_to_json(m: Module, algebra_ref: str | None = None) -> dict:
-    field = m.algebra.field
-    action = []
-    for g in m.action:
-        action.append([[_coeff_str(field, g[i, j]) for j in range(g.cols)] for i in range(g.rows)])
+    field, flat, d = m.algebra.field, m.flat_action(), m.dim
+    # row b of the flat action is rho(b_b) read row-major
+    action = [[[_coeff_str(field, flat[b, i * d + j]) for j in range(d)] for i in range(d)] for b in range(flat.rows)]
     out = {"dim": m.dim, "action": action}
     if algebra_ref is not None:
         out["algebra"] = {"file": algebra_ref}
@@ -127,7 +126,7 @@ def module_from_json(obj: dict, algebra: Algebra | None = None, base_dir: Path |
         if not (isinstance(g, list) and len(g) == dim and all(isinstance(row, list) and len(row) == dim for row in g)):
             raise SerializeError(f"action matrix {g!r} is not {dim} rows of {dim} entries")
         action.append(Mat(field, [[field.parse(str(x)) for x in row] for row in g], cols=dim))
-    mod = Module(algebra, action)
+    mod = Module.from_matrices(algebra, action)
     mod.validate()
     return mod
 

@@ -6,7 +6,7 @@ import pytest
 from qhcover.algebra import Algebra, from_structure_constants
 from qhcover.fields import GF, QQ
 from qhcover.gallery import build_schur
-from qhcover.linalg import Mat, Subspace
+from qhcover.linalg import Mat, Subspace, unstack
 from qhcover.modules import (
     Module,
     ModuleError,
@@ -49,7 +49,7 @@ def broken_truncated_polynomial_module():
     mult = [[[int(i + j == k) for k in range(n)] for j in range(n)] for i in range(n)]
     a = from_structure_constants(GF(2), n, mult, [1, 0, 0, 0])
     action = regular_module(a).action[:3] + [Mat.zeros(a.field, n, n)]
-    return a, Module(a, action)
+    return a, Module.from_matrices(a, action)
 
 
 def hom_space_naive(m, n):
@@ -81,7 +81,8 @@ def algebra_of_matrices_naive(mats, provenance="raw"):
     field, n = mats[0].field, len(mats)
     structure = span_coords_naive(mats, [x @ y for x in mats for y in mats]).transpose()
     one = span_coords_naive(mats, [Mat.identity(field, mats[0].rows)])
-    return Algebra(field, n, structure, one, provenance=provenance, rep=list(mats))
+    rep = Mat.vstack([x.reshape(1, x.rows * x.cols) for x in mats])
+    return Algebra(field, n, structure, one, provenance=provenance, rep=rep)
 
 
 def submodule_naive(m, span):
@@ -95,7 +96,7 @@ def submodule_naive(m, span):
         if coords is None:
             raise ModuleError("subspace is not invariant under the action")
         action.append(coords.transpose())
-    sub = Module(m.algebra, action)
+    sub = Module.from_matrices(m.algebra, action)
     return sub, ModuleMap(sub, m, w)
 
 
@@ -105,13 +106,13 @@ def quotient_module_naive(m, span):
     ident = Mat.identity(m.algebra.field, m.dim)
     proj = span.quotient_coords(ident).transpose()  # (q x t)
     sect = ident.take_cols(span.nonpivots)
-    quot = Module(m.algebra, [proj @ (g @ sect) for g in m.action])
+    quot = Module.from_matrices(m.algebra, [proj @ (g @ sect) for g in m.action])
     return quot, ModuleMap(m, quot, proj)
 
 
 def combine_rep_naive(a, x):
     """rep(x) = sum_i x_i rep(b_i), one scaled matrix per nonzero coordinate."""
-    mats = a.rep_matrices()
+    mats = unstack(a.rep_action())
     acc = Mat.zeros(a.field, mats[0].rows, mats[0].cols)
     for i in range(a.dim):
         if x[i, 0] != 0:
@@ -193,7 +194,7 @@ def eta_naive(p, m):
     a = p.algebra
     b, _, _ = end_algebra_with_bimodule(p)
     fa_hom, fm_hom = hom_space(p, regular_module(a)), hom_space(p, m)
-    fa, fm = Module(b, hom_module_action_naive(p, regular_module(a))), Module(b, hom_module_action_naive(p, m))
+    fa, fm = Module.from_matrices(b, hom_module_action_naive(p, regular_module(a))), Module.from_matrices(b, hom_module_action_naive(p, m))
     homb = hom_space(fa, fm)
     if not homb.dim:
         return Mat.zeros(a.field, 0, m.dim), 0
@@ -206,7 +207,7 @@ def eta_naive(p, m):
 
 def stored_arrays(a):
     """The arrays an algebra holds in its attributes, inside tuples and Mats
-    too, apart from its faithful representation ``_rep`` (a list of Mats)."""
+    too, apart from its faithful representation ``_rep``."""
     found = []
 
     def walk(x):

@@ -24,7 +24,7 @@ from qhcover.algebra import (
 )
 from qhcover.fields import GF, QQ
 from qhcover.gallery import build_am, build_hecke, build_schur
-from qhcover.linalg import Mat, Subspace, Triples, matmul_mod
+from qhcover.linalg import Mat, Subspace, Triples, matmul_mod, unstack
 from qhcover.quiver import Arrow, QuiverPresentation, arrow_ideal_dimension, from_quiver
 
 from conftest import algebra_of_matrices_naive, make_am_algebra, stored_arrays
@@ -323,7 +323,7 @@ def pairwise_chain_radical(a):
     used: at layer l the form gamma_l(X_a X_b) (tr at l = 0) on every pair of
     rep matrices of the current ideal's basis, and the next ideal its
     kernel.  GF(p) only."""
-    p, rep, n = a.field.p, a.rep_matrices(), a.dim
+    p, rep, n = a.field.p, unstack(a.rep_action()), a.dim
     m = rep[0].rows
     stack = np.stack([x.data for x in rep]).reshape(n, m * m)
     level = 0
@@ -399,7 +399,7 @@ def test_trace_form_radical_matches_pairwise_traces(build):
     # through the structure constants, gives the radical the n(n+1)/2
     # traces tr(L_i L_j) give
     a = build()
-    n, left = a.dim, a.left_regular_action()
+    n, left = a.dim, unstack(a.left_regular_action())
     gram = [[sum((left[i] @ left[j])[k, k] for k in range(n)) for j in range(n)] for i in range(n)]
     want = Subspace(QQ, n, Mat(QQ, gram).kernel().transpose())
     got = algebra_module._radical_chain(a)
@@ -411,12 +411,12 @@ def test_trace_form_radical_matches_pairwise_traces(build):
 def test_left_regular_action_is_left_multiplication(field):
     a = make_am_algebra(3, field)
     action = a.left_regular_action()
-    assert action == [a.left_mult_matrix(a.basis_element(i)) for i in range(a.dim)]
+    assert unstack(action) == [a.left_mult_matrix(a.basis_element(i)) for i in range(a.dim)]
     # the algebra stores its nonzero constants only, never the dense n^3 form
     nonzero = int(np.count_nonzero(a.mult))
     assert nonzero < a.dim**3 and all(x.size <= nonzero for x in stored_arrays(a))
-    # the dual regular module acts by row blocks, so its stacked action
-    # reshapes without a copy (34 MiB on S_GF3(3,3))
+    # a module's stacked action is its flat action reshaped, not a copy
+    # (34 MiB for the dual regular module of S_GF3(3,3))
     from qhcover.modules import dual, regular_module
 
     d = dual(regular_module(a))
@@ -676,7 +676,7 @@ def test_radical_certificate_needs_a_faithful_rep(field):
     # ideal acting nilpotently on k^1, and A/J = k would make A local; the
     # faithfulness check refuses it.
     product = two_points(field)
-    a = Algebra(field, 2, product.structure, product.one, rep=[Mat(field, [[1]]), Mat(field, [[0]])])
+    a = Algebra(field, 2, product.structure, product.one, rep=Mat(field, [[1], [0]]))
     assert algebra_module._radical_chain(a).dim == 1
     with pytest.raises(AlgebraError, match="not faithful"):
         a.radical_subspace()
@@ -945,6 +945,9 @@ def test_generators_small():
     a = group_algebra_s3(F3)
     gens = a.generator_indices()
     assert 1 <= len(gens) <= 3
+    # the generator elements are built once, as a tuple no caller can grow
+    elements = a.generator_elements()
+    assert elements is a.generator_elements() and elements == tuple(a.basis_element(i) for i in gens)
 
 
 @pytest.mark.parametrize("order", ["a-before-opposite", "a-after-opposite", "op-first"])

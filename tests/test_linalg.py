@@ -24,6 +24,7 @@ from qhcover.linalg import (
     frame_products,
     matmul_mod,
     stacked_products,
+    unstack,
 )
 
 from conftest import algebra_of_matrices_naive, span_coords_naive
@@ -463,9 +464,9 @@ def test_nonzero_entries_are_row_major_python_values(field):
 
 def _full_matrix_algebra(field, t):
     """The unit matrices E_ij of M_t, row-major, and their frame: the
-    coordinates of a t x t matrix are its entries."""
-    units = [Mat.from_entries(field, t, t, {(i, j): 1}) for i in range(t) for j in range(t)]
-    return units, (Mat.identity(field, t), [i for i in range(t) for _ in range(t)], list(range(t)) * t)
+    coordinates of a t x t matrix are its entries.  Read row-major, E_ij is
+    the unit row i*t + j, so the flat form of the E_ij is the identity."""
+    return Mat.identity(field, t * t), (Mat.identity(field, t), [i for i in range(t) for _ in range(t)], list(range(t)) * t)
 
 
 def _centralizers(field, t, seed):
@@ -483,7 +484,7 @@ def test_matrix_basis_coords_agree_with_solve(field):
     # combination of its matrices are entries at its frame
     rng = np.random.default_rng(3)
     for a, (g, rows, cols) in _centralizers(field, 5, 3):
-        mats = a.rep_matrices()
+        mats = unstack(a.rep_action())
         coeffs = Mat(field, rng.integers(-2, 3, size=(a.dim, 3)))
         flat = Mat.hstack([m.reshape(25, 1) for m in mats])
         combos = [(flat @ coeffs.take_cols([c])).reshape(5, 5) for c in range(3)]
@@ -507,7 +508,7 @@ def test_product_coords_match_coordinates_of_all_products(field):
     algebras = [algebra_of_matrices(*_full_matrix_algebra(field, t), "M_t") for t in (1, 2, 3)]
     algebras += [a for a, _ in _centralizers(field, 5, 11) + _centralizers(field, 6, 12)]
     for got in algebras:
-        want = algebra_of_matrices_naive(got.rep_matrices())
+        want = algebra_of_matrices_naive(unstack(got.rep_action()))
         assert got.structure == want.structure and got.one == want.one
 
 
@@ -715,6 +716,14 @@ def test_storage_stays_behind_linalg():
     assert offences == []
 
 
+def test_src_never_reads_the_per_matrix_action():
+    # a module stores its action as one flat Mat; ``Module.action`` builds
+    # the list of matrices on every access, for tests and users, so the
+    # package itself never reads it
+    found = _attributes_by_function(("action",))
+    assert [f"{rel}:{line} .action in {func}" for rel, line, _, func in found] == []
+
+
 def _attributes_by_function(names):
     """(file, line, attribute, top-level function) for each use of an
     attribute in ``names`` in the package source."""
@@ -905,7 +914,7 @@ def test_hecke_products_match_the_fraction_reference():
     assert _fractions(a.multiply_batches(Mat(QQ, xs), Mat(QQ, ys))) == want
     # the regular representation is multiplicative, by the reference product:
     # L_i L_j = sum_k c_ijk L_k
-    regular = [_fractions(m) for m in a.left_regular_action()]
+    regular = [_fractions(m) for m in unstack(a.left_regular_action())]
     for i, j in itertools.product(range(n), repeat=2):
         combo = [[sum(c[i][j][k] * regular[k][r][s] for k in range(n)) for s in range(n)] for r in range(n)]
         assert _ref_matmul(regular[i], regular[j], n) == combo

@@ -9,7 +9,7 @@ import pytest
 from qhcover.algebra import corner_algebra, opposite
 from qhcover.fields import GF, QQ
 from qhcover.gallery import build_am, build_schur
-from qhcover.linalg import Mat, Subspace
+from qhcover.linalg import Mat, Subspace, unstack
 from qhcover.modules import (
     Module,
     ModuleError,
@@ -408,7 +408,127 @@ def test_corner_reps_match_the_per_coordinate_formula(case):
     reps = [prim.idempotents[r] for r in prim.class_reps]
     for e in [prim.idempotents[0], prim.idempotents[-1], sum(reps[1:], reps[0]), a.one]:
         corner, incl = corner_algebra(a, e)
-        assert corner._rep is not None and corner._rep == corner_rep_naive(a, e, incl)
+        assert corner._rep is not None and unstack(corner.rep_action()) == corner_rep_naive(a, e, incl)
+
+
+# -- every constructor builds the flat action with one array operation -------------
+
+
+def _per_matrix(m):
+    """m's action read off one basis element at a time through ``act``."""
+    a = m.algebra
+    return [m.act(a.basis_element(i)) for i in range(a.dim)]
+
+
+def _flat_of(mats):
+    """The flat form of per-matrix actions: row a is mats[a] read row-major."""
+    d = mats[0].rows
+    return Mat.vstack([x.reshape(1, d * d) for x in mats])
+
+
+def _constructor_cases(field):
+    """Modules of A_3 over ``field``: the regular module, its projectives and
+    simples, and over QQ two conjugates of P(1) whose actions have
+    different denominators."""
+    a = make_am_algebra(3, field)
+    mods = [regular_module(a)] + indec_projectives(a) + simple_modules(a)
+    if field == QQ:
+        p = max(indec_projectives(a), key=lambda m: m.dim)
+        mods += [_conjugated(p, np.random.default_rng(seed)) for seed in (31, 32)]
+        assert len({x.flat_action().den for x in mods[-2:]} | {1}) == 3
+    return a, mods
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
+def test_flat_constructors_match_per_matrix_references(field):
+    from qhcover.modules import corner_module, projective_module
+
+    a, mods = _constructor_cases(field)
+    for m in mods:
+        assert m.flat_action() == _flat_of(m.action) and m.stack() == Mat.vstack(m.action)
+    # regular: left multiplication by each basis element
+    assert regular_module(a).action == [a.left_mult_matrix(a.basis_element(i)) for i in range(a.dim)]
+    # zero: an (A.dim x 0) flat action
+    z = zero_module(a)
+    assert (z.dim, z.flat_action().rows, z.flat_action().cols) == (0, a.dim, 0)
+    assert z.action == [Mat.zeros(field, 0, 0)] * a.dim
+    # direct sum: block-diagonal matrices, over a common denominator on QQ
+    for parts in [mods[:3], mods[-3:], [mods[-1], z, mods[-2]]]:
+        total = direct_sum(parts)[0]
+        refs = [Mat.block_diag(field, [p.action[i] for p in parts]) for i in range(a.dim)]
+        assert total.action == refs and total.flat_action() == _flat_of(refs)
+    # dual: transposed matrices over the opposite algebra
+    for m in mods + [z]:
+        d = dual(m)
+        assert d.algebra is opposite(a) and d.action == [x.transpose() for x in _per_matrix(m)]
+    # projective A e: b_i w_t in the basis w of A e, one solve per matrix
+    prim = a.primitive_idempotents()
+    for e in prim.idempotents + [a.one]:
+        p, w, gen = projective_module(a, e)
+        assert p.action == [w.solve(a.left_mult_matrix(a.basis_element(i)) @ w) for i in range(a.dim)]
+        assert w @ gen.transpose() == e
+    # corner e.M over eAe: each corner basis element restricted to e.M
+    e = prim.idempotents[0]
+    corner, incl = corner_algebra(a, e)
+    for m in mods:
+        c = corner_module(m, e, corner, incl)
+        span = Subspace.from_columns(m.act(e))
+        w = span.basis.transpose()
+        assert c.flat_action() == _flat_of([w.solve(m.act(incl.take_cols([k])) @ w) for k in range(corner.dim)])
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
+def test_flat_sub_and_quotient_modules_match_per_matrix_references(field):
+    _, mods = _constructor_cases(field)
+    rng = np.random.default_rng(33)
+    for m in mods:
+        for span in _random_invariant_spans(m, rng, 3):
+            sub, _ = submodule(m, span)
+            ref, _ = submodule_naive(m, span)
+            quot, _ = quotient_module(m, span)
+            ref_quot, _ = quotient_module_naive(m, span)
+            assert sub.flat_action() == _flat_of(ref.action) and quot.flat_action() == _flat_of(ref_quot.action)
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["GF3", "QQ"])
+def test_flat_hom_modules_match_per_matrix_references(field):
+    _, mods = _constructor_cases(field)
+    for q in mods[:4]:
+        for m in mods:
+            hmod, _ = hom_module_over_endop(q, m)
+            rmod, _ = hom_into_q_as_right_module(q, m)
+            assert hmod.action == hom_module_action_naive(q, m)
+            assert rmod.action == hom_into_q_action_naive(q, m)
+
+
+def test_module_from_matrices_checks_its_shapes(a2_gf3):
+    reg = regular_module(a2_gf3)
+    assert Module.from_matrices(a2_gf3, reg.action).flat_action() == reg.flat_action()
+    with pytest.raises(ModuleError, match="one action matrix per algebra basis element"):
+        Module.from_matrices(a2_gf3, reg.action[:-1])
+    with pytest.raises(ModuleError, match="square of the module dimension"):
+        Module.from_matrices(a2_gf3, reg.action[:-1] + [Mat.zeros(F3, reg.dim, reg.dim + 1)])
+    with pytest.raises(ModuleError, match="not \\(algebra dim\\)"):
+        Module(a2_gf3, Mat.zeros(F3, a2_gf3.dim, 3))
+
+
+def test_a_twin_lookup_compares_one_array(monkeypatch):
+    a = make_am_algebra(2, F3)
+    p2, twins = _p2_and_twins(a)
+    end = endomorphism_algebra(p2)
+    compared = []
+    mat_eq = Mat.__eq__
+
+    def recorded(self, other):
+        compared.append((self.rows, self.cols))
+        return mat_eq(self, other)
+
+    monkeypatch.setattr(Mat, "__eq__", recorded)
+    for t in twins:
+        compared.clear()
+        assert endomorphism_algebra(t) is end
+        # the whole action is one (A.dim x dim^2) array, compared once
+        assert compared == [(a.dim, p2.dim * p2.dim)]
 
 
 # -- Hom coordinates, read at the top generators ----------------------------------
@@ -496,7 +616,7 @@ def test_is_isomorphic_finds_conjugated_modules(a2_gf3):
             if g.is_invertible():
                 break
         ginv = g.inv()
-        conj = Module(a2_gf3, [g @ m @ ginv for m in base.action])
+        conj = Module.from_matrices(a2_gf3, [g @ m @ ginv for m in base.action])
         iso = is_isomorphic(base, conj)
         assert iso is not None and iso.is_isomorphism()
 
@@ -508,7 +628,7 @@ def _conjugated(m, rng):
         if g.is_invertible():
             break
     ginv = g.inv()
-    return Module(m.algebra, [g @ x @ ginv for x in m.action])
+    return Module.from_matrices(m.algebra, [g @ x @ ginv for x in m.action])
 
 
 def test_is_isomorphic_matches_summands_of_decomposable_modules(a2_gf3):
@@ -608,7 +728,7 @@ def test_an_indecomposable_module_builds_its_summand_triple_once(a3_gf3, monkeyp
     monkeypatch.setattr(np, "eye", lambda *args, **kwargs: eyes.append(args) or eye(*args, **kwargs))
     assert indecomposable_summands(p) is parts and eyes == []
     # a twin shares the verdict but gets a triple that names the twin
-    twin = Module(a3_gf3, list(p.action))
+    twin = Module.from_matrices(a3_gf3, p.action)
     assert indecomposable_summands(twin)[0][0] is twin
 
 
@@ -647,7 +767,7 @@ def test_twins_share_the_split_of_a_decomposable_module():
 def test_equal_actions_over_two_algebras_share_nothing():
     a, b = make_am_algebra(2, F3), make_am_algebra(2, F3)
     m = regular_module(a)
-    n = Module(b, m.action)
+    n = Module.from_matrices(b, m.action)
     assert endomorphism_algebra(m) is not endomorphism_algebra(n)
     assert projective_cover_data(m) is not projective_cover_data(n)
     assert indecomposable_summands(m) is not indecomposable_summands(n)
@@ -718,7 +838,7 @@ def test_a_module_without_a_twin_is_never_hashed(monkeypatch):
 
     monkeypatch.setattr(Mat, "__hash__", recorded)
     assert str(classical_domdim(a, 10)[0].value) == "Exact(4)"
-    assert hashed and (a.dim, a.dim) not in hashed
+    assert hashed and (a.dim, a.dim) not in hashed and (a.dim, a.dim * a.dim) not in hashed
 
 
 # -- pairs of modules share one memo per pair of contents ----------------------------
@@ -786,7 +906,7 @@ def test_pair_memos_keep_their_guards():
     m = regular_module(a)
     for f in (hom_space, is_isomorphic):
         with pytest.raises(ModuleError, match="different algebras"):
-            f(m, Module(b, m.action))
+            f(m, Module.from_matrices(b, m.action))
     z = zero_module(a)
     assert hom_space(z, m).maps == [] and hom_space(m, z).maps == []
     assert is_isomorphic(z, zero_module(a)).matrix.rows == 0 and is_isomorphic(z, m) is None

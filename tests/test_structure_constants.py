@@ -16,7 +16,7 @@ from qhcover import algebra as algebra_module
 from qhcover.algebra import AlgebraError, corner_algebra, direct_product, opposite, quotient_algebra
 from qhcover.fields import GF, QQ
 from qhcover.gallery import build_am, build_hecke, build_schur
-from qhcover.linalg import Mat, Subspace, frame_products
+from qhcover.linalg import Mat, Subspace, frame_products, unstack
 from qhcover.quiver import Arrow, QuiverPresentation, from_quiver
 from qhcover.serialize import algebra_to_json, content_hash
 
@@ -151,9 +151,9 @@ def test_product_coords_give_the_products(built):
     if frame is None:
         # the regular representation is faithful, and L_x 1 = x: its frame
         # reads coordinate k of L_x at entry (k, 0) of L_x 1
-        mats, frame = a.left_regular_action(), (a.one, list(range(a.dim)), [0] * a.dim)
+        mats, frame = unstack(a.left_regular_action()), (a.one, list(range(a.dim)), [0] * a.dim)
     else:
-        mats = a.rep_matrices()
+        mats = unstack(a.rep_action())
     n, t, (g, rows, cols) = len(mats), mats[0].rows, frame
     stacked = Mat.vstack(mats)
     triples = frame_products(stacked, stacked @ g, rows, cols)
