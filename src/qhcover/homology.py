@@ -2,32 +2,33 @@
 
 Resolutions iterate projective covers of successive kernels, so they are
 minimal by construction; "terminated" is then equivalent to finite
-projective dimension, which the relative-dimension logic relies on.
+projective dimension, which the relative-dimension logic relies on.  A
+resolution is the chain of memoised presentations of M and its syzygies.
 
-A cochain phi in Hom(P_i, N) is its values on the generators of P_i, read
-in the slice bases of e_j N = Hom(A e_j, N), so cochain spaces stay small;
-each coboundary is one ``modules._slice_values`` call, the routine that
-also forms the Hom relations and maps.  Tor is the k-dual of Ext: over a
-field D Tor_i^B(X, Y) is Ext^i_B(Y, DX) (Cartan and Eilenberg, Homological
-Algebra, VI.5), so one slice calculus serves both.
+Ext is Hom on syzygies: by the dimension shift (proof in ``ext_space``)
+dim Ext^i(M, N) is an alternating sum of the dimensions of the memoised
+Hom(Omega^i M, N), Hom(P_{i-1}, N) and Hom(Omega^{i-1} M, N).  Tor is the
+k-dual of Ext: over a field D Tor_i^B(X, Y) is Ext^i_B(Y, DX) (Cartan and
+Eilenberg, Homological Algebra, VI.5), so consecutive degrees of a Tor
+ladder share one Hom space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .algebra import opposite
-from .linalg import Mat
 from .memo import memo
 from .modules import (
+    HomSpace,
     Module,
     ModuleError,
+    ModuleMap,
     Presentation,
     ProjSum,
     _slice_spans,
-    _slice_values,
     dual,
+    hom_space,
     projective_cover_data,
     radical_span,
 )
@@ -79,45 +80,43 @@ class DimValue:
 
 
 class Resolution:
-    """Minimal projective resolution, extendable on demand.
+    """Minimal projective resolution, extendable on demand, read off the
+    chain of presentations of M = Omega^0 M, Omega^1 M, Omega^2 M, ...
 
-    steps[i] is the ProjSum P_i; diffs[0] is the cover P_0 -> M and diffs[i]
-    the differential P_i -> P_{i-1}.  ``terminated`` means some kernel was
-    zero, i.e. the resolution is finite and complete.
+    ``presentations[i]`` is projective_cover_data(Omega^i M): its p0 is
+    P_i, its syzygy Omega^{i+1} M with the inclusion into P_i, and its d1
+    the differential P_{i+1} -> P_i.  ``terminated`` means the last
+    syzygy is zero, i.e. the resolution is finite and complete.
     """
 
     def __init__(self, module: Module):
-        self.module = module
-        self.steps: list[ProjSum] = []
-        self.diffs: list[Mat] = []
-        self.kernels: list = []  # (kernel module, inclusion into P_i)
-        self.terminated = False
-        self._append(projective_cover_data(module), None)
+        self.presentations: list[Presentation] = [projective_cover_data(module)]
 
-    def _append(self, pres: Presentation, incl: Optional[Mat]) -> None:
-        """Add P_i = pres.p0, reaching P_{i-1} through ``incl`` (None at i = 0)."""
-        self.steps.append(pres.p0)
-        self.diffs.append(pres.cover if incl is None else incl @ pres.cover)
-        self.kernels.append(pres.syzygy)
-        if pres.syzygy[0].dim == 0:
-            self.terminated = True
+    @property
+    def steps(self) -> list[ProjSum]:
+        """P_0, ..., P_length."""
+        return [pres.p0 for pres in self.presentations]
+
+    @property
+    def kernels(self) -> list[tuple[Module, ModuleMap]]:
+        """Omega^{i+1} M as (kernel module, inclusion into P_i), i = 0..length."""
+        return [pres.syzygy for pres in self.presentations]
+
+    @property
+    def terminated(self) -> bool:
+        return self.presentations[-1].syzygy[0].dim == 0
 
     def length(self) -> int:
-        return len(self.steps) - 1
+        return len(self.presentations) - 1
 
     def extend_to(self, length: int) -> None:
         """Ensure P_i exists for i <= length (or the resolution terminates)."""
         while not self.terminated and self.length() < length:
-            kmod, kincl = self.kernels[-1]
-            self._append(projective_cover_data(kmod), kincl.matrix)
+            self.presentations.append(projective_cover_data(self.presentations[-1].syzygy[0]))
 
     def is_minimal(self) -> bool:
         """Verify im(d_{i+1}) lies inside rad(P_i)."""
-        for i in range(1, len(self.steps)):
-            rad = radical_span(self.steps[i - 1].module)
-            if not rad.contains(self.diffs[i].transpose()):
-                return False
-        return True
+        return all(radical_span(pres.p0.module).contains(pres.d1.transpose()) for pres in self.presentations[:-1])
 
 
 def minimal_projective_resolution(m: Module, cap: int) -> Resolution:
@@ -138,49 +137,39 @@ def projective_dimension(m: Module, cap: int = 20) -> DimValue:
 
 
 # ---------------------------------------------------------------------------
-# Ext via slice cochains
+# Ext by dimension shift
 # ---------------------------------------------------------------------------
 
 
-def _slice_bases(n: Module, p: ProjSum) -> list[Mat]:
-    """The bases of the slices e_j N of P's summands, as columns."""
-    return [span.basis.transpose() for span in _slice_spans(n, p)]
+def ext_space(m: Module, n: Module, degree: int, cap: int = 20) -> tuple[int, HomSpace]:
+    """dim Ext^i(M, N), and Hom(Omega^i M, N), which maps onto Ext^i: its
+    maps are the cocycles, as maps from the i-th syzygy (Omega^0 M = M).
 
-
-def _coboundary(res: Resolution, n: Module, i: int, bases: list[Mat]) -> Mat:
-    """phi -> phi o d_{i+1} from C^i = Hom(P_i, N) in the slice ``bases``
-    to C^{i+1} read as the values phi(d_{i+1} g_k) in N, g_k the generators
-    of P_{i+1} (no rows when P_{i+1} does not exist).
-
-    Same kernel and rank as in slice coordinates of C^{i+1}: g_k = e_k g_k,
-    so phi(d_{i+1} g_k) lies in e_k N and is W_k y_k for its slice
-    coordinates y_k and slice basis W_k.  The matrix here is thus
-    diag(W_k) times the slice-coordinate one, and diag(W_k) is injective.
+    As Ext^j(P, N) = 0 for projective P and j >= 1, Hom(-, N) turns
+    0 -> Omega^i M -> P_{i-1} -> Omega^{i-1} M -> 0 into the exact sequence
+    0 -> Hom(Omega^{i-1} M, N) -> Hom(P_{i-1}, N) -> Hom(Omega^i M, N)
+    -> Ext^1(Omega^{i-1} M, N) -> 0, and Ext^i(M, N) = Ext^1(Omega^{i-1} M, N)
+    (Cartan and Eilenberg, Homological Algebra, V-VI).  So for i >= 1
+    dim Ext^i(M, N) = dim Hom(Omega^i M, N) - dim Hom(P_{i-1}, N)
+    + dim Hom(Omega^{i-1} M, N), Hom(P_{i-1}, N) being the product of the
+    slices e_j N.  Past a terminated resolution Omega^i M = 0 and Ext^i = 0.
     """
-    p = res.steps[i]
-    if i < res.length():
-        cols = res.diffs[i + 1] @ res.steps[i + 1].generators
-    else:
-        cols = Mat.zeros(n.algebra.field, p.dim, 0)
-    return _slice_values(n, p, cols, bases)
-
-
-def ext_space(m: Module, n: Module, degree: int, cap: int = 20) -> tuple[int, Mat]:
-    """dim Ext^i(M, N) and the cocycles in slice coordinates: a matrix whose
-    columns are a basis of them (no columns when C^i is zero)."""
     if degree < 0:
         raise ValueError("ext degree must be nonnegative")
     if degree + 1 > cap:
         res = minimal_projective_resolution(m, cap)
         if not res.terminated:
             raise CapExceeded(f"Ext^{degree} needs resolution degree {degree + 1} > cap {cap}")
-    res = minimal_projective_resolution(m, degree + 1)
-    bases = _slice_bases(n, res.steps[degree]) if degree <= res.length() else []
-    if not sum(w.cols for w in bases):
-        return 0, Mat.zeros(n.algebra.field, 0, 0)
-    img_rank = _coboundary(res, n, degree - 1, _slice_bases(n, res.steps[degree - 1])).rank() if degree else 0
-    kermat = _coboundary(res, n, degree, bases).kernel()
-    return kermat.cols - img_rank, kermat
+    if degree == 0:
+        hs = hom_space(m, n)
+        return hs.dim, hs
+    res = minimal_projective_resolution(m, degree - 1)
+    if degree - 1 > res.length():
+        return 0, hom_space(res.presentations[-1].syzygy[0], n)  # from the zero syzygy
+    pres = res.presentations[degree - 1]  # P_{i-1} -> Omega^{i-1} M, syzygy Omega^i M
+    hs = hom_space(pres.syzygy[0], n)
+    p_dim = sum(span.dim for span in _slice_spans(n, pres.p0))
+    return hs.dim - p_dim + hom_space(pres.module, n).dim, hs
 
 
 def ext_dim(m: Module, n: Module, degree: int, cap: int = 20) -> int:

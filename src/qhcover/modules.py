@@ -13,8 +13,9 @@ intertwiner solve over the algebra's generators.
 
 One routine, ``_slice_values``, forms the value phi(c) of every map phi
 from a projective sum that sends one generator into a slice and the others
-to 0, with one product per summand: the cover, the Hom relations, the Hom
-maps and (in ``homology``) each Ext coboundary are such values.
+to 0, with one product per summand: the cover, the Hom relations and the
+Hom maps are such values.  Ext needs no values of its own: ``homology``
+reads it off Hom dimensions by the dimension shift.
 
 A module holds its action as one (A.dim x dim^2) Mat, row a the matrix of
 b_a read row-major, and every constructor builds it with one array

@@ -26,6 +26,7 @@ from .modules import (
     endomorphism_algebra,
     hom_space,
     indecomposable_summands,
+    induced_map_on_hom_into_q,
     projective_cover_data,
     projective_module,
     quotient_module,
@@ -267,20 +268,18 @@ def _universal_extension(qh: QHStructure, mu: int, x: Module, incl: Mat, e: int)
     ``incl`` tracks the embedding of the original standard module; returns
     the new module and updated embedding matrix.
     """
-    field = qh.algebra.field
     pres = projective_cover_data(qh.standards[mu])
     p0 = pres.p0.module
     kmod, kincl = pres.syzygy
     homs_k = hom_space(kmod, x)
-    homs_p = hom_space(p0, x)
-    # restriction Hom(P0, x) -> Hom(K, x); Ext^1 classes = cokernel representatives
     if homs_k.dim == 0:
         raise QHError("universal extension requested with no cocycles")
-    ambient = x.dim * kmod.dim  # flattened map space dimension
-    # restrictions of Hom(P0, x) and the basis of Hom(K, x), as flattened rows
-    restricted = [(f.matrix @ kincl.matrix).reshape(1, ambient) for f in homs_p.maps]
-    sub = Subspace(field, ambient, Mat.vstack(restricted) if restricted else None)
-    reps_idx = _complement_indices(sub, Mat.vstack([f.matrix.reshape(1, ambient) for f in homs_k.maps]))
+    # Ext^1 classes = cokernel of the restriction r: Hom(P0, x) -> Hom(K, x);
+    # the pivots past r's block in the rref of [r | I] pick, greedily, the
+    # basis maps of Hom(K, x) that span a complement of its image
+    r = induced_map_on_hom_into_q(kincl, hom_space(p0, x), homs_k)
+    pivots = Mat.hstack([r, Mat.identity(r.field, homs_k.dim)]).rref()[1]
+    reps_idx = [c - r.cols for c in pivots if c >= r.cols]
     if len(reps_idx) != e:
         raise QHError("cocycle count does not match Ext dimension")
     x_new, embed = pushout_extension(x, p0, kincl, [homs_k.maps[i] for i in reps_idx])
@@ -300,21 +299,6 @@ def pushout_extension(x: Module, p0: Module, kincl: ModuleMap, phis: list[Module
     rel = Mat.hstack([injs[0].matrix @ phi.matrix - injs[1 + i].matrix @ kincl.matrix for i, phi in enumerate(phis)])
     quot, projmap = quotient_module(total, Subspace.from_columns(rel))
     return quot, projmap.matrix @ injs[0].matrix
-
-
-def _complement_indices(sub: Subspace, vectors: Mat) -> list[int]:
-    """Indices of row vectors spanning a complement of sub inside the span."""
-    chosen = []
-    current = sub
-    total_dim = Subspace(sub.field, sub.ambient, Mat.vstack([sub.basis, vectors])).dim
-    for j in range(vectors.rows):
-        if current.dim >= total_dim:
-            break
-        v = vectors.take_rows([j])
-        if not current.contains(v):
-            chosen.append(j)
-            current = Subspace(sub.field, sub.ambient, Mat.vstack([current.basis, v]))
-    return chosen
 
 
 def _extract_tilting_summand(qh: QHStructure, lam: int, x: Module, incl: Mat):

@@ -27,7 +27,8 @@ class QuiverPresentation:
     """Vertices 0..n-1, named arrows, and homogeneous relations.
 
     A relation is a list of (coefficient, path) pairs where every path has
-    the same length (>= 2), the same source and the same target.
+    the same length (>= 2), the same source and the same target; a
+    coefficient is read from its string ("2", "-1/3"), as in the JSON schema.
     """
 
     n_vertices: int
@@ -139,7 +140,7 @@ def from_quiver(q: QuiverPresentation, field: Field, degree_cap: int = 64) -> Al
         for rel in rel_by_degree.get(degree, []):
             vec = {}
             for coeff, p in rel:
-                vec[index[p]] = field.normalize(coeff)
+                vec[index[p]] = field.parse(str(coeff))
             vectors.append(vec)
         entries = {(i, j): c for i, vec in enumerate(vectors) for j, c in vec.items()}
         ideal = Subspace(field, len(nxt), Mat.from_entries(field, len(vectors), len(nxt), entries))

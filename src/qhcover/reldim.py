@@ -144,6 +144,8 @@ def codomdim_chain(q: Module, m: Module, cap: int) -> tuple[DimValue, Approximat
     After each surjective step the split add(q)-part of the kernel is
     dropped (it has infinite value, and value of a direct sum is the min).
     """
+    if cap < 2:
+        raise ValueError("relative dimension cap must be at least 2")
     chain = ApproximationChain(base=m)
     current = _split_off_add_q(m, q)
     for step in range(cap):

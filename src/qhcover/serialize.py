@@ -56,6 +56,8 @@ def algebra_from_json(obj: dict) -> Algebra:
         i, j, k, c = t
         if not all(type(x) is int and 0 <= x < dim for x in (i, j, k)):
             raise SerializeError(f"structure constant index ({i}, {j}, {k}) out of range for dim {dim}")
+        if (i * dim + j, k) in entries:
+            raise SerializeError(f"structure constant index ({i}, {j}, {k}) is given twice")
         entries[i * dim + j, k] = field.parse(str(c))
     one = [field.parse(str(c)) for c in _get(obj, "one", "algebra", list)]
     return from_structure_constants(field, dim, Triples.from_entries(field, dim, entries), one)

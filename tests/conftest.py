@@ -6,13 +6,17 @@ import pytest
 from qhcover.algebra import Algebra, from_structure_constants
 from qhcover.fields import GF, QQ
 from qhcover.gallery import build_schur
+from qhcover.homology import minimal_projective_resolution
 from qhcover.linalg import Mat, Subspace, unstack
 from qhcover.modules import (
     Module,
     ModuleError,
     ModuleMap,
+    _slice_spans,
+    _slice_values,
     end_algebra_with_bimodule,
     hom_space,
+    projective_cover_data,
     regular_module,
     zero_module,
 )
@@ -64,6 +68,38 @@ def hom_space_naive(m, n):
     rows = [id_t.kron(m.act(g).transpose()) - n.act(g).kron(id_s) for g in a.generator_elements()]
     ker = Mat.vstack(rows).kernel()
     return [ker.take_cols([c]).reshape(t, s) for c in range(ker.cols)]
+
+
+def ext_dim_cochains(m, n, degree):
+    """Oracle for ``homology.ext_space``: dim Ext^i(M, N) as the cohomology
+    at C^i of the cochains C^i = Hom(P_i, N) of the minimal resolution.
+
+    A cochain phi is its values on the generators of P_i, read in the slice
+    bases W_j of e_j N.  The coboundary phi -> phi o d_{i+1} is read as the
+    values phi(d_{i+1} g_k) in N, g_k the generators of P_{i+1}: that is
+    diag(W_k) times the matrix in slice coordinates of C^{i+1}, and
+    diag(W_k) is injective, so kernel and rank are those of the coboundary.
+    """
+    res = minimal_projective_resolution(m, degree + 1)
+    if degree > res.length():
+        return 0
+
+    def bases(i):
+        return [span.basis.transpose() for span in _slice_spans(n, res.steps[i])]
+
+    def coboundary(i):
+        p = res.steps[i]
+        if i < res.length():
+            kmod, kincl = res.kernels[i]
+            cols = kincl.matrix @ projective_cover_data(kmod).cover @ res.steps[i + 1].generators
+        else:
+            cols = Mat.zeros(n.algebra.field, p.dim, 0)
+        return _slice_values(n, p, cols, bases(i))
+
+    if not sum(w.cols for w in bases(degree)):
+        return 0
+    image = coboundary(degree - 1).rank() if degree else 0
+    return coboundary(degree).kernel().cols - image
 
 
 def span_coords_naive(mats, targets):

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import time
@@ -66,6 +67,26 @@ def test_quiver_json():
 
     alg = from_quiver(pres, F3)
     assert alg.dim == 5
+
+
+def _a3_quiver(coeff):
+    """The zigzag A_3 with the commutativity relation b2 a2 + coeff a1 b1 = 0."""
+    arrows = [("a1", 1, 2), ("a2", 2, 3), ("b1", 2, 1), ("b2", 3, 2)]
+    zero = [[{"path": path}] for path in (["a2", "a1"], ["b1", "b2"], ["b1", "a1"])]
+    return {
+        "vertices": 3,
+        "arrows": [{"name": n, "from": s, "to": t} for n, s, t in arrows],
+        "relations": zero + [[{"path": ["b2", "a2"], "coeff": "1"}, {"path": ["a1", "b1"], "coeff": coeff}]],
+    }
+
+
+def test_quiver_json_fractional_coefficients():
+    from qhcover.quiver import from_quiver
+
+    # 1/2 is 2 in GF(3)
+    assert algebra_to_json(from_quiver(quiver_from_json(_a3_quiver("1/2")), F3)) == algebra_to_json(from_quiver(quiver_from_json(_a3_quiver("2")), F3))
+    with pytest.raises(ValueError, match="denominator divisible by 3"):
+        from_quiver(quiver_from_json(_a3_quiver("1/3")), F3)
 
 
 @pytest.mark.parametrize(
@@ -137,6 +158,53 @@ def test_cli_reports_deterministic(tmp_path):
         rc = main(["relcodomdim", "--gallery", "am", "--m", "2", "--p", "3", "--wrt", "T(1)", "--module", "regular", "--method", "both", "--seed", "7", "--out", str(f)])
         assert rc == EXIT_OK
     assert f1.read_text() == f2.read_text()
+
+
+_PINNED_ALGEBRAS = {
+    "A3_GF3": ["--gallery", "am", "--m", "3", "--p", "3"],
+    "A3_QQ": ["--gallery", "am", "--m", "3"],
+    "S_GF3(2,3)": ["--gallery", "schur", "--n", "2", "--d", "3", "--p", "3"],
+}
+_BOTH = ["--wrt", "tilting", "--module", "regular", "--method", "both"]
+
+# (algebra, command, exit code, first 16 hex digits of the sha256 of the
+# --json stdout), recorded before Ext was computed by the dimension shift
+_PINNED_REPORTS = [
+    ("A3_GF3", ["domdim"], 0, "da4a7b6470443aa8"),
+    ("A3_GF3", ["tilting"], 0, "81a154bd3c5ba268"),
+    ("A3_GF3", ["ringel-dual"], 0, "73fc11f9d6da04d2"),
+    ("A3_GF3", ["qh-verify"], 0, "51a664cef2bf7d4a"),
+    ("A3_GF3", ["relcodomdim", *_BOTH], 0, "a7b68f043f3e072c"),
+    ("A3_GF3", ["reldomdim", *_BOTH], 0, "c82c4490d85c25a9"),
+    ("A3_GF3", ["cover", "--wrt", "P(2)"], 0, "c83fe1562fadd779"),
+    ("A3_GF3", ["cover", "--ringel", "--wrt", "tilting"], 0, "594bcfe5539adf15"),
+    ("A3_QQ", ["domdim"], 0, "2cce9a1ec54577e4"),
+    ("A3_QQ", ["tilting"], 0, "3944679e247f94de"),
+    ("A3_QQ", ["ringel-dual"], 0, "faffc077cf1a57ed"),
+    ("A3_QQ", ["qh-verify"], 0, "22effd466891da3d"),
+    ("A3_QQ", ["relcodomdim", *_BOTH], 0, "57c2c5d569637214"),
+    ("A3_QQ", ["reldomdim", *_BOTH], 0, "749264b21f68a39e"),
+    ("A3_QQ", ["cover", "--wrt", "P(2)"], 0, "26ba1d35d2ce5b8f"),
+    ("A3_QQ", ["cover", "--ringel", "--wrt", "tilting"], 0, "58216e231dd7acfa"),
+    ("S_GF3(2,3)", ["domdim"], 0, "0f1dd351436b872e"),
+    ("S_GF3(2,3)", ["tilting"], 0, "6dd049e66893f91f"),
+    ("S_GF3(2,3)", ["ringel-dual"], 0, "0e6fa303caf16dce"),
+    ("S_GF3(2,3)", ["qh-verify"], 0, "3b6774e97d4340e6"),
+    ("S_GF3(2,3)", ["relcodomdim", *_BOTH], 0, "156ae0e240299f18"),
+    ("S_GF3(2,3)", ["reldomdim", *_BOTH], 0, "6e417d47c411752a"),
+    ("S_GF3(2,3)", ["cover", "--wrt", "P((2, 1))"], 0, "07a43b4985facdd0"),
+    ("S_GF3(2,3)", ["cover", "--ringel", "--wrt", "tensor-space"], 0, "c141c6dcbbd5f8e0"),
+]
+
+
+def test_reports_match_pinned_digests():
+    # reports are byte-identical across refactors: a change to any of these
+    # is a change of behaviour, to be made on purpose
+    for tag, command, code, digest in _PINNED_REPORTS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = main([command[0], *_PINNED_ALGEBRAS[tag], *command[1:], "--json"])
+        assert (rc, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]) == (code, digest), (tag, command)
 
 
 # the domdim --json reports of the parent of the reduction to the basic algebra
@@ -370,6 +438,28 @@ def test_cli_rejects_out_of_range_structure_constant(tmp_path, capsys, index):
     path.write_text(json.dumps(bad))
     assert main(["domdim", "--algebra", str(path)]) == EXIT_INPUT
     assert "out of range" in capsys.readouterr().err
+
+
+def test_cli_rejects_repeated_structure_constant(tmp_path, capsys):
+    # two entries for c_000: neither may silently win
+    bad = {"field": {"kind": "prime", "p": 3}, "dim": 1, "mult": [[0, 0, 0, "5"], [0, 0, 0, "1"]], "one": ["1"]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(SerializeError, match=r"\(0, 0, 0\) is given twice"):
+        algebra_from_json(bad)
+    assert main(["domdim", "--algebra", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "input error: structure constant index (0, 0, 0) is given twice\n"
+
+
+@pytest.mark.parametrize("command", ["reldomdim", "relcodomdim"])
+@pytest.mark.parametrize("method", ["mueller", "chain", "both"])
+def test_cli_relative_methods_reject_the_same_caps(capsys, command, method):
+    argv = [command, "--gallery", "am", "--m", "2", "--p", "3", "--wrt", "tilting", "--module", "regular", "--method", method]
+    assert main(argv + ["--cap", "-2"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "input error: relative dimension cap must be at least 2\n"
+    assert main(argv + ["--cap", "2"]) == EXIT_OK
 
 
 @functools.lru_cache(maxsize=None)

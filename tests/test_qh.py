@@ -239,6 +239,37 @@ def test_tiltings_do_not_rename_standards(build):
         assert tilts[lam] is not qh.standards[lam]
 
 
+def test_universal_extension_kills_ext1(qh_a3):
+    # 0 -> x -> x' -> Delta(mu)^e -> 0 is universal iff its connecting map
+    # hits all of Ext^1(Delta(mu), x), and then Ext^1(Delta(mu), x') = 0 as
+    # Ext^1(Delta(mu), Delta(mu)) = 0; on x with a projective summand the
+    # restriction from Hom(P0, x) is nonzero, so the chosen cocycles must
+    # avoid its image
+    from qhcover.homology import ext_dim
+    from qhcover.linalg import Mat
+    from qhcover.modules import direct_sum, induced_map_on_hom_into_q, projective_cover_data
+    from qhcover.qh import _universal_extension
+
+    qh = qh_a3
+    labels = range(qh.label_count())
+    mods = qh.projectives + qh.standards + [qh.costandard(l) for l in labels] + qh.tiltings()
+    selective = 0
+    for a in mods:
+        for b in mods:
+            x = direct_sum([a, b])[0]
+            for mu in labels:
+                e = ext_dim(qh.standards[mu], x, 1)
+                if not e:
+                    continue
+                pres = projective_cover_data(qh.standards[mu])
+                homs_k = hom_space(pres.syzygy[0], x)
+                restriction = induced_map_on_hom_into_q(pres.syzygy[1], hom_space(pres.p0.module, x), homs_k)
+                selective += homs_k.dim > e and restriction.rank() > 0
+                x_new, _ = _universal_extension(qh, mu, x, Mat.identity(F3, x.dim), e)
+                assert ext_dim(qh.standards[mu], x_new, 1) == 0
+    assert selective
+
+
 def test_qh_builds_projectives_without_the_regular_module(monkeypatch):
     # A e comes from the products of the basis with a basis of A e; the
     # n^3 left-regular action is never formed, for A or for A^op
