@@ -147,10 +147,6 @@ class ModuleMap:
             if self.matrix @ self.source.act(x) != self.target.act(x) @ self.matrix:
                 raise ModuleError("matrix does not intertwine the actions")
 
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self o other (apply other first)."""
-        return ModuleMap(other.source, self.target, self.matrix @ other.matrix)
-
     def is_surjective(self) -> bool:
         return self.matrix.rank() == self.target.dim
 

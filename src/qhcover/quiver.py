@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .algebra import Algebra, AlgebraError
 from .fields import Field
 from .linalg import Mat, Subspace, Triples
@@ -75,147 +77,88 @@ class QuiverPresentation:
 
 
 MAX_PATHS_PER_DEGREE = 200_000
+DEGREE_CAP = 64
 
 
-def from_quiver(q: QuiverPresentation, field: Field, degree_cap: int = 64) -> Algebra:
-    """Quotient of the path algebra by the (homogeneous) relation ideal.
+def from_quiver(q: QuiverPresentation, field: Field) -> Algebra:
+    """Quotient kQ/I of the path algebra by the ideal of the relations.
 
-    The basis is computed degree by degree; construction stops at the first
-    degree whose quotient component vanishes, and errors out at the cap.
+    Built degree by degree (Assem, Simson and Skowroński, *Elements of the
+    Representation Theory of Associative Algebras* I, ch. II): the degree-d
+    part of I is spanned by a x and x a for every arrow a and every x in its
+    degree-(d-1) part, and by the relations of length d; the paths of degree
+    d, in lexicographic order, off the pivots of that part are the basis
+    elements of degree d.  Construction stops at the first degree whose
+    quotient vanishes, and errors out if degree DEGREE_CAP has not.
+
+    A path is held as (arrows, target, source), a vertex v as ((), v, v), so
+    one rule composes vertices and paths.  A product of basis elements is a
+    path whose quotient coordinates in its degree are its constants.
     """
     q.validate()
-    # paths per degree, in lexicographic order of arrow index sequences
-    paths: list[list[tuple[int, ...]]] = [[("v", v) for v in range(q.n_vertices)]]  # type: ignore
-    arrow_paths = [tuple([i]) for i in range(len(q.arrows))]
-    reps: list[list] = [paths[0]]
-    ideals: list[Subspace] = [Subspace(field, q.n_vertices)]
-    rel_by_degree: dict[int, list[list[tuple[object, tuple[int, ...]]]]] = {}
-    for rel in q.relations:
-        rel_by_degree.setdefault(len(rel[0][1]), []).append(rel)
 
-    if q.arrows:
-        paths.append(sorted(arrow_paths))
-        ideals.append(Subspace(field, len(q.arrows)))
-        reps.append(paths[1])
+    def compose(p, r):
+        """p o r, or None when r does not end where p starts."""
+        return (p[0] + r[0], p[1], r[2]) if p[2] == r[1] else None
 
-    degree = 1
-    while degree < degree_cap:
-        if len(paths) <= degree or not reps[degree]:
-            break
-        prev = paths[degree]
-        nxt = []
-        for a in range(len(q.arrows)):
-            for p in prev:
-                if q.arrows[a].source == q.path_target(p):
-                    nxt.append((a,) + p)
-        nxt.sort()
+    arrows = [((a,), x.target, x.source) for a, x in enumerate(q.arrows)]
+    paths = [[((), v, v) for v in range(q.n_vertices)]]
+    ideals = [Subspace(field, q.n_vertices)]
+    while ideals[-1].nonpivots:
+        degree = len(paths)
+        if degree > DEGREE_CAP:
+            raise AlgebraError(f"not finite-dimensional: quotient alive at degree cap {DEGREE_CAP}")
+        prev, below = paths[-1], ideals[-1].basis
+        nxt = sorted(c for a in arrows for x in prev if (c := compose(a, x)))
         if not nxt:
             break
         if len(nxt) > MAX_PATHS_PER_DEGREE:
             raise AlgebraError("not finite-dimensional: path count explosion")
-        degree += 1
-        index = {p: i for i, p in enumerate(nxt)}
-        vectors: list[dict[int, object]] = []
-        # new-degree consequences: arrow * I(d-1), I(d-1) * arrow, relations of this degree
-        prev_ideal = ideals[degree - 1]
-        prev_paths = paths[degree - 1]
-        for r in range(prev_ideal.dim):
-            coeffs = prev_ideal.basis.take_rows([r])
-            for a in range(len(q.arrows)):
-                vec: dict[int, object] = {}
-                for j, p in enumerate(prev_paths):
-                    c = coeffs[0, j]
-                    if c != 0 and q.arrows[a].source == q.path_target(p):
-                        vec[index[(a,) + p]] = c
-                if vec:
-                    vectors.append(vec)
-            for a in range(len(q.arrows)):
-                vec = {}
-                for j, p in enumerate(prev_paths):
-                    c = coeffs[0, j]
-                    if c != 0 and q.path_source(p) == q.arrows[a].target:
-                        vec[index[p + (a,)]] = c
-                if vec:
-                    vectors.append(vec)
-        for rel in rel_by_degree.get(degree, []):
-            vec = {}
+        index = {p[0]: c for c, p in enumerate(nxt)}
+        # a x and x a for the rows x of the part below: the entry of x at the
+        # path y moves to a y in row block t = 2a and to y a in block t = 2a + 1
+        moves = [
+            [(t, index[c[0]]) for t, c in enumerate(compose(*pair) for a in arrows for pair in ((a, y), (y, a))) if c]
+            for y in prev
+        ]
+        rows: dict[tuple[int, int], int] = {}
+        entries: dict[tuple[int, int], object] = {}
+        for s, j, v in below.nonzero_entries():
+            for t, c in moves[j]:
+                entries[rows.setdefault((s, t), len(rows)), c] = v
+        # then the relations of this length, a path listed twice adding up
+        relations = [rel for rel in q.relations if len(rel[0][1]) == degree]
+        for r, rel in enumerate(relations, len(rows)):
             for coeff, p in rel:
-                vec[index[p]] = field.parse(str(coeff))
-            vectors.append(vec)
-        entries = {(i, j): c for i, vec in enumerate(vectors) for j, c in vec.items()}
-        ideal = Subspace(field, len(nxt), Mat.from_entries(field, len(vectors), len(nxt), entries))
-        alive = [p for j, p in enumerate(nxt) if j not in set(ideal.pivots)]
+                entries[r, index[p]] = entries.get((r, index[p]), 0) + field.parse(str(coeff))
         paths.append(nxt)
-        ideals.append(ideal)
-        reps.append(alive)
-        if not alive:
-            break
-    else:
-        raise AlgebraError(f"not finite-dimensional: quotient alive at degree cap {degree_cap}")
+        ideals.append(Subspace(field, len(nxt), Mat.from_entries(field, len(rows) + len(relations), len(nxt), entries)))
 
-    # global basis: representatives ordered by degree then lexicographically
-    basis: list = []
-    basis_degree: list[int] = []
-    for d, rlist in enumerate(reps):
-        for p in rlist:
-            basis.append(p)
-            basis_degree.append(d)
+    # basis: the non-pivot paths, by degree, each degree in lexicographic order
+    basis = [(d, paths[d][c]) for d, ideal in enumerate(ideals) for c in ideal.nonpivots]
     n = len(basis)
-    pos = {p: i for i, p in enumerate(basis)}
-    max_degree = len(reps) - 1
-
-    def reduce_path(p, d: int) -> dict[int, object]:
-        """Canonical form of a degree-d path as a combination of representatives."""
-        if d > max_degree or (d <= max_degree and not reps[d]):
-            return {}
-        plist = paths[d]
-        ideal = ideals[d]
-        row = Mat.from_entries(field, 1, len(plist), {(0, plist.index(p)): 1})
-        residue = ideal.reduce(row)
-        out = {}
-        for jj, pp in enumerate(plist):
-            c = residue[0, jj]
-            if c != 0:
-                out[pos[pp]] = c
-        return out
-
-    # structure constants: row i*n + j holds the coordinates of b_i b_j
-    entries: dict[tuple[int, int], object] = {}
-
-    def set_c(i, j, comb: dict[int, object]):
-        for k, c in comb.items():
-            entries[i * n + j, k] = c
-
-    for i, p in enumerate(basis):
-        di = basis_degree[i]
-        for j, r in enumerate(basis):
-            dj = basis_degree[j]
-            if di == 0 and dj == 0:
-                if p[1] == r[1]:
-                    set_c(i, j, {i: field.one()})
-            elif di == 0:
-                if q.path_target(r) == p[1]:
-                    set_c(i, j, {j: field.one()})
-            elif dj == 0:
-                if q.path_source(p) == r[1]:
-                    set_c(i, j, {i: field.one()})
-            else:
-                if q.path_source(p) == q.path_target(r):
-                    total = di + dj
-                    if total <= max_degree:
-                        set_c(i, j, reduce_path(p + r, total))
-
-    one = [0] * n
-    for v in range(q.n_vertices):
-        one[v] = 1
-    mult = Triples.from_entries(field, n, entries)
-    alg = Algebra.from_triples(field, n, mult, Mat.column(field, [field.normalize(x) for x in one]), provenance="quiver")
+    # b_i b_j is the path p_i o p_j: by degree, the key i*n + j and the path's column
+    columns = [{p: c for c, p in enumerate(plist)} for plist in paths]
+    products: list[list[tuple[int, int]]] = [[] for _ in paths]
+    for i, (di, p) in enumerate(basis):
+        for j, (dj, r) in enumerate(basis):
+            if di + dj < len(paths) and (c := compose(p, r)):
+                products[di + dj].append((i * n + j, columns[di + dj][c]))
+    units = [
+        Mat.from_entries(field, len(found), len(plist), {(t, c): 1 for t, (_, c) in enumerate(found)})
+        for found, plist in zip(products, paths)
+    ]
+    coords = Mat.block_diag(field, [ideal.quotient_coords(u) for ideal, u in zip(ideals, units)])
+    # into row-major order, sorted in Python: the first np.argsort call of a
+    # process raised the peak RSS of the zigzag benchmarks by 0.3-0.4 MB
+    keys = [key for found in products for key, _ in found]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    triples = Triples.from_rows(np.array(keys, dtype=np.intp)[order], coords.take_rows(order), n)
+    one = Mat.from_entries(field, n, 1, {(v, 0): 1 for v in range(q.n_vertices)})
+    alg = Algebra.from_triples(field, n, triples, one, provenance="quiver")
     alg.quiver_data = {
-        "presentation": q,
-        "basis_paths": basis,
-        "basis_degrees": basis_degree,
-        "vertex_indices": list(range(q.n_vertices)),
-        "arrow_indices": [pos[ap] for ap in sorted(arrow_paths)] if q.arrows else [],
+        "basis_paths": [p[0] or ("v", p[1]) for _, p in basis],
+        "basis_degrees": [d for d, _ in basis],
     }
     alg.validate_unit()
     return alg

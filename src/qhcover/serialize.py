@@ -71,6 +71,8 @@ def quiver_from_json(obj: dict) -> QuiverPresentation:
     arrows = []
     for a in _get(obj, "arrows", "quiver", list):
         name = _get(a, "name", "arrow", str)
+        if any(b.name == name for b in arrows):
+            raise SerializeError(f"arrow name {name!r} is given twice")
         ends = [_get(a, end, "arrow", int) for end in ("from", "to")]
         if not all(1 <= v <= n for v in ends):
             raise SerializeError(f"arrow {name!r} has an endpoint outside the vertices 1..{n}")

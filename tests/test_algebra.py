@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhcover import algebra as algebra_module
+from qhcover import quiver
 from qhcover.algebra import (
     Algebra,
     AlgebraError,
@@ -26,8 +27,9 @@ from qhcover.fields import GF, QQ
 from qhcover.gallery import build_am, build_hecke, build_schur
 from qhcover.linalg import Mat, Subspace, Triples, matmul_mod, unstack
 from qhcover.quiver import Arrow, QuiverPresentation, arrow_ideal_dimension, from_quiver
+from qhcover.serialize import algebra_to_json
 
-from conftest import algebra_of_matrices_naive, make_am_algebra, stored_arrays
+from conftest import algebra_of_matrices_naive, from_quiver_reference, make_am_algebra, stored_arrays
 
 F2, F3 = GF(2), GF(3)
 
@@ -173,7 +175,39 @@ def test_a3_quiver_dimension():
 def test_loop_quiver_infinite():
     q = QuiverPresentation(n_vertices=1, arrows=[Arrow("x", 0, 0)], relations=[])
     with pytest.raises(AlgebraError, match="not finite-dimensional"):
-        from_quiver(q, F3, degree_cap=16)
+        from_quiver(q, F3)
+
+
+@st.composite
+def bound_quivers(draw):
+    """At most 3 vertices and 3 arrows, and up to 3 relations, each a
+    combination of distinct composable paths of one length (2 or 3) with
+    common ends."""
+    n = draw(st.integers(1, 3))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    q = QuiverPresentation(n, [Arrow(f"x{i}", *draw(ends)) for i in range(draw(st.integers(0, 3)))])
+    paths = [p for length in (2, 3) for p in itertools.product(range(len(q.arrows)), repeat=length) if q.path_composable(p)]
+    for first in draw(st.lists(st.sampled_from(paths), max_size=3)) if paths else []:
+        alike = [p for p in paths if len(p) == len(first) and (q.path_source(p), q.path_target(p)) == (q.path_source(first), q.path_target(first))]
+        terms = draw(st.lists(st.sampled_from(alike), min_size=1, max_size=3, unique=True))
+        q.relations.append([(draw(st.sampled_from(["1", "-1", "2", "1/5"])), p) for p in terms])
+    return q
+
+
+@given(q=bound_quivers(), field=st.sampled_from([QQ, F2, F3]))
+@settings(max_examples=100, deadline=None)
+def test_from_quiver_matches_reference(q, field):
+    def outcome(build):
+        try:
+            a = build(q, field)
+        except AlgebraError as e:
+            return str(e)
+        return algebra_to_json(a), a.quiver_data["basis_paths"], a.quiver_data["basis_degrees"]
+
+    # at the cap of 64 an infinite quiver runs into the path-count guard
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quiver, "DEGREE_CAP", 6)
+        assert outcome(from_quiver) == outcome(from_quiver_reference)
 
 
 def test_quiver_radical_equals_arrow_ideal():

@@ -89,12 +89,26 @@ def test_quiver_json_fractional_coefficients():
         from_quiver(quiver_from_json(_a3_quiver("1/3")), F3)
 
 
+def test_quiver_json_repeated_terms_add_up():
+    # b2 a2 - b2 a2 + a1 b1 = 0 is a1 b1 = 0; a2 b2 = 0 keeps both finite
+    repeated, single = _a3_quiver("1"), _a3_quiver("1")
+    repeated["relations"][-1] = [{"path": ["b2", "a2"], "coeff": "1"}, {"path": ["b2", "a2"], "coeff": "-1"}, {"path": ["a1", "b1"], "coeff": "1"}]
+    single["relations"][-1] = [{"path": ["a1", "b1"], "coeff": "1"}]
+    for blob in (repeated, single):
+        blob["relations"].append([{"path": ["a2", "b2"]}])
+    from qhcover.quiver import from_quiver
+
+    for field in (F3, QQ):
+        assert algebra_to_json(from_quiver(quiver_from_json(repeated), field)) == algebra_to_json(from_quiver(quiver_from_json(single), field))
+
+
 @pytest.mark.parametrize(
     "blob",
     [
         {"vertices": 2, "arrows": [{"name": "a"}]},
         {"vertices": None},
         {"vertices": 2, "arrows": [{"name": "a", "from": 1, "to": 9}]},
+        {"vertices": 2, "arrows": [{"name": "a", "from": 1, "to": 2}, {"name": "a", "from": 2, "to": 1}]},
     ],
 )
 def test_quiver_json_rejects_malformed_input(blob):

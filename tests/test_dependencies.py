@@ -67,6 +67,28 @@ def test_package_has_no_dead_private_functions():
     assert [f"{where} {name}" for name, where in defined if name not in named] == []
 
 
+def test_every_function_is_named_somewhere():
+    # every function or method in the package is named again in the
+    # package, the tests or the benchmark harness: called, passed, imported,
+    # overridden or listed in a string such as the tracer's "Class.method"
+    defined, named = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__")):
+                defined.append((node.name, f"{path.relative_to(PACKAGE)}:{node.lineno}"))
+    for path in sorted(p for folder in (PACKAGE, ROOT / "tests", ROOT / "perfbench") for p in folder.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.update(node.value.split("."))
+    assert [f"{where} {name}" for name, where in defined if name not in named] == []
+
+
 def test_pyproject_depends_on_numpy_only():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
