@@ -3,20 +3,19 @@ algebras, Iwahori-Hecke algebras, tensor space, (q-)Schur algebras with
 their weight idempotents, and the Schur-Weyl map.
 
 Conventions: the Hecke parameter is u (invertible), with q = u^(-2); u = 1
-gives the group algebra of the symmetric group.  Schur algebra basis labels
-are the sorted orbit representatives of I(n,d) x I(n,d) under the diagonal
-place permutation action, and the weight poset is the dominance order on
-partitions of d with at most n parts.
+gives the group algebra of the symmetric group.  At u = 1 the Schur algebra
+basis is the orbit sums of I(n,d) x I(n,d) under the diagonal place
+permutation action, ordered by their last pairs, and the weight poset is the
+dominance order on partitions of d with at most n parts.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
-from typing import Optional
+from math import comb, isqrt
 
-from .algebra import Algebra, Frame, centralizer_algebra, corner_algebra, opposite
+from .algebra import Algebra, Frame, algebra_of_matrices, centralizer_algebra, corner_algebra, opposite
 from .fields import Field
 from .linalg import Mat, Subspace, Triples
 from .memo import memo
@@ -241,17 +240,33 @@ class TensorSpaceGallery:
     simple_action: list[Mat]  # right action of T_{s_t}
 
 
-def build_tensor_space(n: int, d: int, u, field: Field, hecke: Optional[HeckeGallery] = None) -> TensorSpaceGallery:
+def build_tensor_space(n: int, d: int, u, field: Field) -> TensorSpaceGallery:
     """V^(tensor d) with the deformed place-permutation right Hecke-action."""
     _check_tensor_size(n, d)
-    if hecke is None:
-        hecke = build_hecke(d, u, field)
+    hecke = build_hecke(d, u, field)
     u = field.parse(u) if isinstance(u, str) else field.normalize(u)
-    uinv = field.inv(u)
-    coeff = field.add(u, field.neg(uinv))
     words = sorted(itertools.product(range(n), repeat=d))
+    simple_action = _simple_action(words, u, field)
+    # right action matrices for every T_sigma: M_sigma = M_{s_k} ... M_{s_1}
+    hop = opposite(hecke.algebra)
+    action = []
+    ident = Mat.identity(field, len(words))
+    for sigma in hecke.perms:
+        word = reduced_word(sigma)
+        mat = ident
+        for t in word:
+            mat = simple_action[t] @ mat
+        action.append(mat)
+    module = Module.from_matrices(hop, action, name=f"V^({d})")
+    return TensorSpaceGallery(n, d, hecke, module, words, simple_action)
+
+
+def _simple_action(words: list[tuple[int, ...]], u, field: Field) -> list[Mat]:
+    """The right action of each T_{s_t} on the sorted word basis of
+    V^(tensor d): at u = 1 the place permutation of positions t and t + 1."""
     index = {w: i for i, w in enumerate(words)}
-    t_dim = len(words)
+    coeff = field.add(u, field.neg(field.inv(u)))
+    t_dim, d = len(words), len(words[0])
     simple_action = []
     for t in range(d - 1):
         entries = {}
@@ -267,18 +282,7 @@ def build_tensor_space(n: int, d: int, u, field: Field, hecke: Optional[HeckeGal
                 entries[index[w], col] = coeff
                 entries[index[swapped], col] = field.one()
         simple_action.append(Mat.from_entries(field, t_dim, t_dim, entries))
-    # right action matrices for every T_sigma: M_sigma = M_{s_k} ... M_{s_1}
-    hop = opposite(hecke.algebra)
-    action = []
-    ident = Mat.identity(field, t_dim)
-    for sigma in hecke.perms:
-        word = reduced_word(sigma)
-        mat = ident
-        for t in word:
-            mat = simple_action[t] @ mat
-        action.append(mat)
-    module = Module.from_matrices(hop, action, name=f"V^({d})")
-    return TensorSpaceGallery(n, d, hecke, module, words, simple_action)
+    return simple_action
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +339,21 @@ class SchurGallery:
     d: int
     u: object
     field: Field
-    hecke: HeckeGallery
-    tensor: TensorSpaceGallery
     algebra: Algebra
     tensor_module: Module  # V^(tensor d) as a left Schur-module
     frame: Frame  # where the coordinates of a tensor-space matrix are read
+    words: list[tuple[int, ...]]  # the tensor-space basis, sorted
     weights: list[tuple[int, ...]]
     partitions: list[tuple[int, ...]]
+
+    @property
+    def tensor(self) -> TensorSpaceGallery:
+        """V^(tensor d) with its Hecke action, built on the first read."""
+        return memo(self, "_tensor", lambda: build_tensor_space(self.n, self.d, self.u, self.field))
+
+    @property
+    def hecke(self) -> HeckeGallery:
+        return self.tensor.hecke
 
     def weight_idempotent(self, lam: tuple[int, ...]) -> Mat:
         """xi_lambda in algebra coordinates: projection onto the weight space."""
@@ -357,7 +369,7 @@ class SchurGallery:
 
 def _weight_idempotent(schur: SchurGallery, lam: tuple[int, ...]) -> Mat:
     t_dim = schur.tensor_module.dim
-    entries = {(i, i): 1 for i, w in enumerate(schur.tensor.words) if weight_of(w, schur.n) == lam}
+    entries = {(i, i): 1 for i, w in enumerate(schur.words) if weight_of(w, schur.n) == lam}
     return _matrix_to_algebra_coords(schur, Mat.from_entries(schur.field, t_dim, t_dim, entries))
 
 
@@ -383,22 +395,74 @@ def build_schur(n: int, d: int, u, field: Field) -> SchurGallery:
     The abstract algebra carries the tensor-space matrices as its faithful
     representation; the basis count is checked against the orbit count
     C(n^2 + d - 1, d), which the guards bound before anything is built.
+    At u = 1 the basis is the orbit sums (``_orbit_sum_algebra``); otherwise
+    the commutation equations of the T_{s_t} are solved.  Neither builds
+    H(d): ``SchurGallery.tensor`` does, when it is first read.
     """
     _check_tensor_size(n, d)
     expected = comb(n * n + d - 1, d)
     if expected > MAX_SCHUR_DIM:
         raise GalleryError(f"Schur dimension {expected} exceeds the guard {MAX_SCHUR_DIM}")
     u = field.parse(u) if isinstance(u, str) else field.normalize(u)
-    hecke = build_hecke(d, u, field)
-    tensor = build_tensor_space(n, d, u, field, hecke=hecke)
-    gens = tensor.simple_action if d > 1 else [Mat.identity(field, tensor.module.dim)]
-    alg, frame = centralizer_algebra(gens)
+    words = sorted(itertools.product(range(n), repeat=d))
+    if u == field.one():
+        alg, frame = _orbit_sum_algebra(words, field)
+    else:
+        alg, frame = centralizer_algebra(_simple_action(words, u, field) or [Mat.identity(field, len(words))])
     if alg.dim != expected:
         raise GalleryError(f"Schur dimension {alg.dim} != orbit count {expected}")
     tensor_module = Module(alg, alg.rep_action(), name=f"V^({d})|S({n},{d})")
-    weights = compositions(n, d)
-    parts = partitions_at_most(n, d)
-    return SchurGallery(n, d, u, field, hecke, tensor, alg, tensor_module, frame, weights, parts)
+    return SchurGallery(n, d, u, field, alg, tensor_module, frame, words, compositions(n, d), partitions_at_most(n, d))
+
+
+def _orbit_sum_algebra(words: list[tuple[int, ...]], field: Field) -> tuple[Algebra, Frame]:
+    """S(n, d) at u = 1 on the orbit sums xi: the 0/1 matrices of the
+    S_d-orbits on pairs of words (Green, *Polynomial Representations of
+    GL_n*, LNM 830, 2.3), a basis over every field.
+
+    Each orbit is labelled by its last row-major position f, the basis is
+    ordered by f, and the frame is (I, f // t, f % t).  The xi have disjoint
+    supports, so they are the identity on the positions f: they are the
+    echelon kernel of the commutation equations, which is unique for its
+    free positions, and rep and frame are those ``centralizer_algebra``
+    gives.  A certificate checks that every xi commutes with the place
+    permutations, so a wrong labelling raises.
+    """
+    t = len(words)
+    labels = _orbit_labels(words)
+    lasts = sorted(set(labels))
+    rank = {f: k for k, f in enumerate(lasts)}
+    flat = Mat.from_entries(field, len(lasts), t * t, {(rank[f], pos): 1 for pos, f in enumerate(labels)})
+    _assert_commutes(flat, _simple_action(words, field.one(), field))
+    frame = (Mat.identity(field, t), [f // t for f in lasts], [f % t for f in lasts])
+    return algebra_of_matrices(flat, frame, "centralizer"), frame
+
+
+def _assert_commutes(flat: Mat, gens: list[Mat]) -> None:
+    """Raise unless every row of ``flat``, read as a t x t matrix X, commutes
+    with every g in ``gens``: X g for every X is one product of the X
+    stacked (r t x t), and g X one product of the X side by side (t x r t)."""
+    r, t = flat.rows, isqrt(flat.cols)
+    stacked, side_by_side = flat.reshape(r * t, t), flat.permute((r, t, t), (1, 0, 2))
+    for g in gens:
+        if (stacked @ g).permute((r, t, t), (1, 0, 2)) != g @ side_by_side:
+            raise GalleryError("an orbit sum does not commute with the place permutations")
+
+
+def _orbit_labels(words: list[tuple[int, ...]]) -> list[int]:
+    """For each pair (i, j) of words, in row-major order, the row-major
+    position t i' + j' of the last pair (i', j') in its S_d-orbit.  Words
+    are sorted, so (i', j') is the pair whose letter pairs (i_k, j_k) are
+    sorted in decreasing order: i' is the largest rearrangement of i, and
+    j' the largest that keeps the letter pairs."""
+    t = len(words)
+    index = {w: k for k, w in enumerate(words)}
+    labels = []
+    for i in words:
+        for j in words:
+            last_i, last_j = zip(*sorted(zip(i, j), reverse=True))
+            labels.append(t * index[last_i] + index[last_j])
+    return labels
 
 
 def _schur_poset(schur: SchurGallery) -> WeightPoset:
@@ -535,7 +599,7 @@ def schur_truncation_iso(big: SchurGallery, small: SchurGallery) -> TruncationIs
     corner, incl = corner_algebra(big.algebra, f)
     if corner.dim != small.algebra.dim:
         raise GalleryError(f"corner dimension {corner.dim} != {small.algebra.dim}")
-    word_rows = [i for i, w in enumerate(big.tensor.words) if all(x < small.n for x in w)]
+    word_rows = [i for i, w in enumerate(big.words) if all(x < small.n for x in w)]
     if len(word_rows) != small.tensor_module.dim:
         raise GalleryError("truncated word count does not match the small tensor space")
     # verify f.V is exactly the span of those words

@@ -77,6 +77,9 @@ class QuiverPresentation:
 
 
 MAX_PATHS_PER_DEGREE = 200_000
+# the ideal of one degree is one dense (rows x paths) matrix: past this many
+# entries, 32 MiB of float64, the path count is taken to be exploding
+MAX_IDEAL_ENTRIES = 2**22
 DEGREE_CAP = 64
 
 
@@ -131,6 +134,8 @@ def from_quiver(q: QuiverPresentation, field: Field) -> Algebra:
         for r, rel in enumerate(relations, len(rows)):
             for coeff, p in rel:
                 entries[r, index[p]] = entries.get((r, index[p]), 0) + field.parse(str(coeff))
+        if (len(rows) + len(relations)) * len(nxt) > MAX_IDEAL_ENTRIES:
+            raise AlgebraError(f"not finite-dimensional: ideal of degree {degree} past {MAX_IDEAL_ENTRIES} entries")
         paths.append(nxt)
         ideals.append(Subspace(field, len(nxt), Mat.from_entries(field, len(rows) + len(relations), len(nxt), entries)))
 

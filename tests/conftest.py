@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qhcover import quiver
-from qhcover.algebra import Algebra, AlgebraError, from_structure_constants
+from qhcover.algebra import Algebra, AlgebraError, centralizer_algebra, from_structure_constants
 from qhcover.fields import GF, QQ
-from qhcover.gallery import build_schur
+from qhcover.gallery import build_schur, build_tensor_space
 from qhcover.homology import minimal_projective_resolution
 from qhcover.linalg import Mat, Subspace, Triples, unstack
 from qhcover.modules import (
@@ -189,6 +189,15 @@ def from_quiver_reference(q, field):
     }
     alg.validate_unit()
     return alg
+
+
+def build_schur_reference(n, d, u, field):
+    """Oracle for ``gallery.build_schur``'s algebra and frame at any u: H(d)
+    and the tensor space are built, and the centralizer of the T_{s_t} is
+    solved from the (d - 1) t^2 x t^2 commutation equations."""
+    tensor = build_tensor_space(n, d, u, field)
+    gens = tensor.simple_action if d > 1 else [Mat.identity(field, tensor.module.dim)]
+    return centralizer_algebra(gens)
 
 
 def broken_truncated_polynomial_module():

@@ -1,6 +1,7 @@
 """Algebra construction and structural analysis, checked against oracles."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,19 @@ def test_loop_quiver_infinite():
     q = QuiverPresentation(n_vertices=1, arrows=[Arrow("x", 0, 0)], relations=[])
     with pytest.raises(AlgebraError, match="not finite-dimensional"):
         from_quiver(q, F3)
+
+
+def test_exploding_ideal_is_rejected_before_it_is_formed():
+    # A_3 with a2 a1, b1 b2, b1 a1 and a1 b1 zero: the words in b2 a2 and
+    # a2 b2 keep the quotient alive while the paths and the ideal rows grow
+    # geometrically with the degree; unguarded, the dense ideal asked for
+    # 1 GiB while the path count was far below its guard
+    arrows = [Arrow("a1", 0, 1), Arrow("a2", 1, 2), Arrow("b1", 1, 0), Arrow("b2", 2, 1)]
+    q = QuiverPresentation(3, arrows, [[(1, (1, 0))], [(1, (2, 3))], [(1, (2, 0))], [(1, (0, 2))]])
+    start = time.perf_counter()
+    with pytest.raises(AlgebraError, match="not finite-dimensional: ideal of degree 18 past 4194304 entries"):
+        from_quiver(q, F3)
+    assert time.perf_counter() - start < 1.0
 
 
 @st.composite

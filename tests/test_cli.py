@@ -404,8 +404,9 @@ def test_cli_rejects_p_zero(capsys):
     ids=["hecke-7", "schur-2-7", "schur-4-6"],
 )
 def test_cli_size_guards_act_before_the_build(capsys, monkeypatch, gallery, message):
-    # H(7) takes hours and S(4, 6) a system over 4096^2 unknowns; the guards
-    # reject both before a permutation or a tensor is formed
+    # H(7) takes hours and S(4, 6) a system over 4096^2 unknowns (at u = 1,
+    # an orbit label for each of its 4096^2 pairs of words); the guards
+    # reject both before a permutation, an orbit or a tensor is formed
     from qhcover import gallery as G
 
     def no_build(*args):
@@ -413,6 +414,7 @@ def test_cli_size_guards_act_before_the_build(capsys, monkeypatch, gallery, mess
 
     monkeypatch.setattr(G, "permutations_of", no_build)
     monkeypatch.setattr(G, "centralizer_algebra", no_build)
+    monkeypatch.setattr(G, "_orbit_labels", no_build)
     start = time.perf_counter()
     assert main(["domdim", "--gallery", *gallery]) == EXIT_INPUT
     assert time.perf_counter() - start < 1.0

@@ -67,26 +67,68 @@ def test_package_has_no_dead_private_functions():
     assert [f"{where} {name}" for name, where in defined if name not in named] == []
 
 
+def _unnamed_functions(defining, naming):
+    """Every function and method defined in the files ``defining`` that no
+    file in ``naming`` names, as "file:line name".  A function is named by
+    a name, an attribute, an import or a part of a string such as the
+    tracer's "Class.method"; a method (a def in a class body) only by an
+    attribute or a "Class.method" string, so a dead method cannot hide
+    behind a local function of the same name."""
+    functions, methods = [], []
+    for path in defining:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        in_class = {id(item): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__")):
+                where = f"{path}:{node.lineno}"
+                if id(node) in in_class:
+                    methods.append((in_class[id(node)], node.name, where))
+                else:
+                    functions.append((node.name, where))
+    names, attributes, dotted = set(), set(), set()
+    for path in naming:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parts = node.value.split(".")
+                names.update(parts)
+                dotted.update(zip(parts, parts[1:]))
+    unnamed = [f"{where} {name}" for name, where in functions if name not in names | attributes]
+    return unnamed + [f"{where} {cls}.{name}" for cls, name, where in methods if name not in attributes and (cls, name) not in dotted]
+
+
 def test_every_function_is_named_somewhere():
     # every function or method in the package is named again in the
     # package, the tests or the benchmark harness: called, passed, imported,
     # overridden or listed in a string such as the tracer's "Class.method"
-    defined, named = [], set()
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__")):
-                defined.append((node.name, f"{path.relative_to(PACKAGE)}:{node.lineno}"))
-    for path in sorted(p for folder in (PACKAGE, ROOT / "tests", ROOT / "perfbench") for p in folder.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name.rpartition(".")[2])
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                named.update(node.value.split("."))
-    assert [f"{where} {name}" for name, where in defined if name not in named] == []
+    folders = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+    naming = sorted(p for folder in folders for p in folder.rglob("*.py"))
+    assert _unnamed_functions(sorted(PACKAGE.rglob("*.py")), naming) == []
+
+
+def test_dead_method_does_not_hide_behind_a_local_function(tmp_path):
+    path = tmp_path / "planted.py"
+    path.write_text(
+        "class Map:\n"
+        "    def compose(self, other):\n"
+        "        return self\n"
+        "\n"
+        "\n"
+        "def build():\n"
+        "    def compose(p, r):\n"
+        "        return p\n"
+        "\n"
+        "    return compose(1, 2)\n"
+        "\n"
+        "\n"
+        "build()\n"
+    )
+    assert _unnamed_functions([path], [path]) == [f"{path}:2 Map.compose"]
 
 
 def test_pyproject_depends_on_numpy_only():

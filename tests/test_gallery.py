@@ -4,6 +4,8 @@ from math import comb
 
 import pytest
 
+from qhcover import gallery as G
+from qhcover.algebra import centralizer_algebra
 from qhcover.fields import GF, QQ
 from qhcover.gallery import (
     GalleryError,
@@ -16,6 +18,7 @@ from qhcover.gallery import (
     hecke_element_is_in_kernel,
     partitions_at_most,
     permutations_of,
+    schur_truncation_iso,
     schur_weyl_map,
     truncation_idempotent,
     weight_of,
@@ -23,6 +26,9 @@ from qhcover.gallery import (
 from qhcover.linalg import Mat
 from qhcover.modules import is_isomorphic, top
 from qhcover.reldim import classical_domdim, relative_domdim
+from qhcover.serialize import algebra_to_json
+
+from conftest import build_schur_reference
 
 F2, F3 = GF(2), GF(3)
 
@@ -167,6 +173,79 @@ def test_schur_dimension_formula():
     for (n, d, p) in [(2, 2, 3), (2, 3, 3), (3, 2, 2)]:
         s = build_schur(n, d, 1, GF(p))
         assert s.algebra.dim == comb(n * n + d - 1, d)
+
+
+# every size the reference builds in a few seconds; S(3, 4) takes it 11 s
+_REFERENCE_SIZES = [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2)]
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, GF(5)], ids=["QQ", "GF2", "GF3", "GF5"])
+@pytest.mark.parametrize("n, d", _REFERENCE_SIZES, ids=[f"S({n},{d})" for n, d in _REFERENCE_SIZES])
+def test_schur_orbit_sums_match_the_centralizer_reference(n, d, field):
+    # the orbit sums ordered by their last positions are the echelon kernel
+    # of the commutation equations: the same rep, frame and constants
+    alg, (g, rows, cols) = build_schur_reference(n, d, 1, field)
+    s = build_schur(n, d, 1, field)
+    assert s.algebra.rep_action() == alg.rep_action()
+    assert (s.frame[0], list(s.frame[1]), list(s.frame[2])) == (g, list(rows), list(cols))
+    assert algebra_to_json(s.algebra) == algebra_to_json(alg)
+
+
+def test_schur_away_from_u1_solves_the_commutation_equations(monkeypatch):
+    # at u = 2 there are no orbit sums: the equations of the T_{s_t} are solved
+    solved = []
+
+    def centralizer(gens):
+        solved.append(len(gens))
+        return centralizer_algebra(gens)
+
+    def no_orbits(words):
+        raise AssertionError("labelled orbits away from u = 1")
+
+    monkeypatch.setattr(G, "centralizer_algebra", centralizer)
+    monkeypatch.setattr(G, "_orbit_labels", no_orbits)
+    s = build_schur(2, 3, 2, QQ)
+    assert solved == [2]
+    alg, frame = build_schur_reference(2, 3, 2, QQ)
+    assert s.algebra.rep_action() == alg.rep_action() and s.frame == frame
+    assert algebra_to_json(s.algebra) == algebra_to_json(alg)
+
+
+def test_schur_builds_the_hecke_algebra_only_when_read(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("built H(d) or solved the commutation equations")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(G, "build_hecke", no_build)
+        patched.setattr(G, "centralizer_algebra", no_build)
+        big, small = build_schur(2, 2, 1, F3), build_schur(1, 2, 1, F3)
+        assert schur_truncation_iso(big, small).is_isomorphism()
+        assert big.poset().labels == ["(2, 0)", "(1, 1)"]
+    assert "_tensor" not in vars(big)
+    assert big.tensor.words == big.words and big.hecke.algebra.dim == 2
+    assert big.tensor is big.tensor
+
+
+def _split_orbit(labels):
+    # the pair of words (0, 1) leaves its orbit: its xi no longer commutes
+    return labels[:1] + [1] + labels[2:]
+
+
+def _merge_orbits(labels):
+    # the orbit of the pair (0, 0) joins that of the last pair
+    return [labels[-1] if f == labels[0] else f for f in labels]
+
+
+@pytest.mark.parametrize(
+    "wrong, message",
+    [(_split_orbit, "does not commute with the place permutations"), (_merge_orbits, "Schur dimension 9 != orbit count 10")],
+    ids=["split", "merge"],
+)
+def test_schur_rejects_a_wrong_orbit_labelling(monkeypatch, wrong, message):
+    labels = G._orbit_labels
+    monkeypatch.setattr(G, "_orbit_labels", lambda words: wrong(labels(words)))
+    with pytest.raises(GalleryError, match=message):
+        build_schur(2, 2, 1, F3)
 
 
 def test_schur_qh_verifies():
