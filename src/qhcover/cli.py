@@ -155,12 +155,12 @@ def _value_exit(value: DimValue, args) -> int:
 
 def cmd_domdim(args) -> int:
     a, ctx = _algebra_from_args(args)
-    report_obj, p = classical_domdim(a, args.cap)
+    report_obj, proj_inj_dim = classical_domdim(a, args.cap)
     report = {
         "command": "domdim",
         "value": str(report_obj.value),
         "value_json": report_obj.value.to_json(),
-        "proj_inj_dim": p.dim,
+        "proj_inj_dim": proj_inj_dim,
         "B_dim": report_obj.b_dim,
         "input_hash": content_hash(algebra_to_json(a)),
     }

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb, isqrt, prod
 
 from .algebra import Algebra, Frame, algebra_of_matrices, centralizer_algebra, corner_algebra, opposite
 from .fields import Field
@@ -29,10 +29,16 @@ class GalleryError(ValueError):
 
 
 # size guards, checked before anything is built: H(6) alone takes about a
-# minute and H(7) hours, and S(n, d) is solved over (n^d)^2 unknowns
+# minute and H(7) hours, and S(n, d) at u != 1 is solved over (n^d)^2
+# unknowns.  The peak of the build at u = 1 is its product table
+# (``linalg.frame_products``): dim S(n, d) coordinates for each pair of
+# basis elements whose product can be nonzero, held twice as float64, so
+# about 16 bytes an entry.  S(4, 3), with 30M entries, peaks at 517 MiB
+# traced; S(8, 2), with 260M, took 4.1 GiB
 MAX_HECKE_DIM = 720
 MAX_TENSOR_DIM = 4096
 MAX_SCHUR_DIM = 4000
+MAX_SCHUR_PRODUCT_ENTRIES = 2**25
 
 
 def _check_size(name: str, value: int) -> None:
@@ -394,7 +400,8 @@ def build_schur(n: int, d: int, u, field: Field) -> SchurGallery:
 
     The abstract algebra carries the tensor-space matrices as its faithful
     representation; the basis count is checked against the orbit count
-    C(n^2 + d - 1, d), which the guards bound before anything is built.
+    C(n^2 + d - 1, d).  The guards bound it, and the product table's
+    entries, before anything is built.
     At u = 1 the basis is the orbit sums (``_orbit_sum_algebra``); otherwise
     the commutation equations of the T_{s_t} are solved.  Neither builds
     H(d): ``SchurGallery.tensor`` does, when it is first read.
@@ -403,6 +410,12 @@ def build_schur(n: int, d: int, u, field: Field) -> SchurGallery:
     expected = comb(n * n + d - 1, d)
     if expected > MAX_SCHUR_DIM:
         raise GalleryError(f"Schur dimension {expected} exceeds the guard {MAX_SCHUR_DIM}")
+    # a product of basis elements is 0 unless the column weight of the first
+    # is the row weight of the second, and the basis elements of column
+    # weight mu, the S_mu-orbits of words, number prod_k C(mu_k + n - 1, mu_k)
+    pairs = sum(prod(comb(m + n - 1, m) for m in mu) ** 2 for mu in compositions(n, d))
+    if expected * pairs > MAX_SCHUR_PRODUCT_ENTRIES:
+        raise GalleryError(f"Schur product table size {expected * pairs} exceeds the guard {MAX_SCHUR_PRODUCT_ENTRIES}")
     u = field.parse(u) if isinstance(u, str) else field.normalize(u)
     words = sorted(itertools.product(range(n), repeat=d))
     if u == field.one():

@@ -252,23 +252,39 @@ def find_projective_injectives(a: Algebra) -> Module:
     return _proj_inj_module(a, _proj_inj_classes(basic_algebra(a)[0]))
 
 
-def classical_domdim(a: Algebra, cap: int = 20) -> tuple[RelDimReport, Module]:
-    """Dominant dimension of the algebra: relative to its projective-injective part.
+def classical_domdim(a: Algebra, cap: int = 20) -> tuple[RelDimReport, int]:
+    """Dominant dimension of the algebra, relative to its projective-injective
+    part P, and dim P.
 
     Dominant dimension depends only on add(P) and add(A), so it is computed
     on the basic algebra B = eAe, relative to the projective-injective part
     eP of B.  The value and ``b_dim`` are A's: End_B(eP) = End_A(P), and
     add(eA) = add(B).  ``tor_dims`` are read over B, so they differ from A's
-    by the multiplicities of A's indecomposable projectives.  The module
-    returned is P, over A.
+    by the multiplicities of A's indecomposable projectives.
+
+    dim P is read on B too, and no module over A is built.  P is the sum of
+    the A e_i over the projective-injective classes i, and
+    dim A e_i = sum over classes c of s_c dim e_c B e_i, s_c the number of
+    A's primitive idempotents in class c and e_c B's class-c idempotent.
+    A's primitive idempotents f are orthogonal and sum to 1, so A e_i is the
+    sum of the f A e_i.  An f in class c is equivalent to e_c, so
+    dim f A e_i = dim Hom_A(A f, A e_i) = dim e_c A e_i.  And
+    e_c A e_i = e_c (eAe) e_i, as e e_c = e_c and e_i e = e_i.  B's class c
+    is A's class c (``basic_algebra`` seeds it so), and dim e_c B e_i is the
+    rank of e_c acting on B e_i.
     """
     b = basic_algebra(a)[0]
     classes = _proj_inj_classes(b)
-    p = _proj_inj_module(a, classes)
-    if p.dim == 0:
-        return RelDimReport(DimValue.exact(0), "mueller-dual", b_dim=0), p
-    pb = p if b is a else _proj_inj_module(b, classes)
-    return relative_domdim(pb, regular_module(b), cap), p
+    if not classes:
+        return RelDimReport(DimValue.exact(0), "mueller-dual", b_dim=0), 0
+    block_of = a.primitive_idempotents().block_of
+    prim = b.primitive_idempotents()
+    p_dim = sum(
+        block_of.count(c) * _indec_projective(b, i)[0].act(prim.idempotents[r]).rank()
+        for i in classes
+        for c, r in enumerate(prim.class_reps)
+    )
+    return relative_domdim(_proj_inj_module(b, classes), regular_module(b), cap), p_dim
 
 
 def classical_domdim_of_module(a: Algebra, m: Module, cap: int = 20) -> RelDimReport:

@@ -400,13 +400,18 @@ def test_cli_rejects_p_zero(capsys):
         (["hecke", "--d", "7"], "Hecke algebra dimension 7! exceeds the guard 720"),
         (["schur", "--n", "2", "--d", "7"], "Hecke algebra dimension 7! exceeds the guard 720"),
         (["schur", "--n", "4", "--d", "6"], "Schur dimension 54264 exceeds the guard 4000"),
+        (["schur", "--n", "3", "--d", "5"], "Schur product table size 121447755 exceeds the guard 33554432"),
+        (["schur", "--n", "4", "--d", "4"], "Schur product table size 1993953936 exceeds the guard 33554432"),
+        (["schur", "--n", "8", "--d", "2"], "Schur product table size 260116480 exceeds the guard 33554432"),
     ],
-    ids=["hecke-7", "schur-2-7", "schur-4-6"],
+    ids=["hecke-7", "schur-2-7", "schur-4-6", "schur-3-5", "schur-4-4", "schur-8-2"],
 )
 def test_cli_size_guards_act_before_the_build(capsys, monkeypatch, gallery, message):
     # H(7) takes hours and S(4, 6) a system over 4096^2 unknowns (at u = 1,
-    # an orbit label for each of its 4096^2 pairs of words); the guards
-    # reject both before a permutation, an orbit or a tensor is formed
+    # an orbit label for each of its 4096^2 pairs of words); S(3, 5) took
+    # 18.7 s and 3.0 GiB to build, S(8, 2) 6.9 s and 4.1 GiB, and S(4, 4)
+    # was killed for memory; the guards reject each before a permutation,
+    # an orbit or a tensor is formed
     from qhcover import gallery as G
 
     def no_build(*args):

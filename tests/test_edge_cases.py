@@ -76,8 +76,8 @@ def test_matrix_algebra_gf2_size3():
 def test_self_injective_group_algebra_domdim_infinite():
     # GF(2)[C_2] is self-injective: the regular module is projective-injective
     a = cyclic_group_algebra(F2, 2)
-    v, p = classical_domdim(a, 6)
-    assert p.dim == 2
+    v, p_dim = classical_domdim(a, 6)
+    assert p_dim == 2
     assert v.value.is_infinite()
 
 

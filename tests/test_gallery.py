@@ -248,6 +248,29 @@ def test_schur_rejects_a_wrong_orbit_labelling(monkeypatch, wrong, message):
         build_schur(2, 2, 1, F3)
 
 
+@pytest.mark.parametrize("u, field", [(1, QQ), (2, GF(5))], ids=["orbit-sums", "equations"])
+def test_schur_product_guard_counts_the_rows_of_the_product_table(monkeypatch, u, field):
+    # S(3, 3) has 2,973 pairs of basis elements of matching weights, and
+    # frame_products holds a row of 165 coordinates for each: the guard
+    # admits the build at exactly 165 * 2,973 entries and not one below
+    import qhcover.linalg as L
+
+    rows, slots = [], L._slots
+
+    def counted(keys, size):
+        out = slots(keys, size)
+        rows.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(L, "_slots", counted)
+    monkeypatch.setattr(G, "MAX_SCHUR_PRODUCT_ENTRIES", 165 * 2973)
+    build_schur(3, 3, u, field)
+    assert rows == [2973]
+    monkeypatch.setattr(G, "MAX_SCHUR_PRODUCT_ENTRIES", 165 * 2973 - 1)
+    with pytest.raises(GalleryError, match="Schur product table size 490545 exceeds the guard 490544"):
+        build_schur(3, 3, u, field)
+
+
 def test_schur_qh_verifies():
     s = build_schur(2, 3, 1, F3)
     qh = s.qh()

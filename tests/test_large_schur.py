@@ -6,12 +6,15 @@ The orbit-sum build forms neither the commutation equations nor H(d).
 Measured on a 2-core x86 VM with one BLAS thread:
 - S_GF3(3,4) builds in 0.5-0.8 s at a 194 MiB traced peak; solving its
   commutation equations took 11.0 s and 2.07 GB RSS.  ``classical_domdim``
-  then takes 1.7-2.3 s (238 MiB), ``qh()`` and the Ringel cover check
-  2.5-3.5 s (228 MiB) when run alone.
+  then takes 1.7-2.3 s (212 MiB, the idempotents' peak), of which the
+  steps after the idempotents take 0.1 s at 28 MiB (155 MiB while P was
+  built over A), and ``qh()`` and the Ringel cover check 2.5-3.5 s
+  (228 MiB) when run alone.
 - S_GF2(3,4): build, ``qh()`` and the cover check 4.7-5.4 s (388 MiB).
 - S_GF2(2,6) builds in 0.2 s at 14 MiB; H(6) alone took about 51 s.
 Each budget is about three times the time and 1.25 times the peak, as
-times on the VM vary by 15-30% between runs and more with BLAS threads.
+times on the VM vary by 15-30% between runs and more with BLAS threads;
+the 64 MiB after the idempotents is under half the 155 MiB it replaced.
 """
 
 import time
@@ -50,12 +53,35 @@ def test_schur34_gf3_builds_within_3_s_and_256_mib(schur34_gf3):
     assert peak < 256 * MIB, f"build peak {peak / MIB:.0f} MiB"
 
 
-def test_schur34_gf3_domdim_is_2_within_6_s_and_320_mib(schur34_gf3):
-    schur = schur34_gf3[0]
-    (value, _), seconds, peak = _measured(lambda: classical_domdim(schur.algebra, 10))
-    assert str(value.value) == "Exact(2)"
+@pytest.fixture(scope="module")
+def schur34_gf3_domdim(schur34_gf3):
+    """classical_domdim on S_GF3(3,4) with its idempotents: the report and
+    dim P, the wall time and traced peak of both, and the traced peak of
+    what follows the idempotents, over what they left allocated."""
+    a = schur34_gf3[0].algebra
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        a.primitive_idempotents()
+        kept, idempotents_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        value = classical_domdim(a, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+        return value, time.perf_counter() - start, max(idempotents_peak, peak), peak - kept
+    finally:
+        tracemalloc.stop()
+
+
+def test_schur34_gf3_domdim_is_2_within_6_s_and_320_mib(schur34_gf3_domdim):
+    (report, p_dim), seconds, peak, _ = schur34_gf3_domdim
+    assert (str(report.value), report.b_dim, p_dim) == ("Exact(2)", 4, 39)
     assert seconds < 6.0, f"domdim {seconds:.1f} s"
     assert peak < 320 * MIB, f"domdim peak {peak / MIB:.0f} MiB"
+
+
+def test_schur34_gf3_domdim_after_the_idempotents_stays_below_64_mib(schur34_gf3_domdim):
+    after_idempotents = schur34_gf3_domdim[3]
+    assert after_idempotents < 64 * MIB, f"domdim peak after the idempotents {after_idempotents / MIB:.0f} MiB"
 
 
 def test_schur34_gf3_ringel_cover_within_10_s_and_300_mib(schur34_gf3):

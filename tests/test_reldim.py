@@ -176,9 +176,9 @@ def unreduced_domdim(a, cap):
 
 def assert_morita_invariant(a, cap=10):
     expected = unreduced_domdim(a, cap)
-    report, p = classical_domdim(a, cap)
-    assert (report.value, report.b_dim, p.dim) == expected
-    assert find_projective_injectives(a).dim == p.dim
+    report, p_dim = classical_domdim(a, cap)
+    assert (report.value, report.b_dim, p_dim) == expected
+    assert find_projective_injectives(a).dim == p_dim
     return expected
 
 
@@ -211,6 +211,17 @@ def test_classical_domdim_pins_on_schur33_and_m3(schur33_gf3, schur33_gf2):
     # the exact value 4 on S_GF3(3,3) is read off B's Tor ladder: Tor_1 = Tor_2 = 0, Tor_3 != 0
     tor_dims = classical_domdim(schur33_gf3.algebra, 10)[0].tor_dims
     assert tor_dims[:2] == [0, 0] and tor_dims[2] > 0
+
+
+def test_classical_domdim_builds_no_module_over_a_non_basic_algebra():
+    # dim P = 27 on S_GF3(3,3) is read on the 9-dimensional basic algebra:
+    # no A e_i over the 165-dimensional A is built, and the reference builds P
+    a = build_schur(3, 3, 1, F3).algebra
+    report, p_dim = classical_domdim(a, 10)
+    assert basic_algebra(a)[0] is not a and (str(report.value), p_dim) == ("Exact(4)", 27)
+    built_over_a = lambda: [key for key in vars(a) if key.startswith("_indec_projective")]
+    assert not built_over_a()
+    assert find_projective_injectives(a).dim == 27 and built_over_a()
 
 
 def test_domdim_s2_is_one(a2_gf3):
