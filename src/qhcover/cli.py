@@ -288,7 +288,7 @@ def cmd_cover(args) -> int:
         raise CliError(f"structure is not split quasi-hereditary: {report.first_failure()}")
     if args.ringel:
         q = _module_from_args(args, "wrt", a, ctx)
-        verdict = verify_ringel_cover_theorem(qh, q, cap=args.cap, random_checks=args.random_checks)
+        verdict = verify_ringel_cover_theorem(qh, q, cap=args.cap, random_checks=args.random_checks, seed=args.seed)
         out = {
             "command": "cover",
             "value": f"n = {verdict.n}, hn = {verdict.cover_report.hn_str()}",

@@ -274,13 +274,14 @@ class RingelCoverVerdict:
         }
 
 
-def verify_ringel_cover_theorem(qh: QHStructure, q: Module, cap: int = 10, random_checks: int = 0) -> RingelCoverVerdict:
+def verify_ringel_cover_theorem(qh: QHStructure, q: Module, cap: int = 10, random_checks: int = 0, seed: int = 11) -> RingelCoverVerdict:
     """Check h = n - 2: cover quality of (R(A), Hom(T, q)) vs Q-codomdim T.
 
     ``n`` is computed by the relative-codominant-dimension engine over A and
     ``h`` independently as a Hemmer-Nakano dimension over the Ringel dual;
     for n >= 2 the two numbers must satisfy h = n - 2 (equivalence over a
-    field).  The n <= 1 boundary is reported without assertion.
+    field).  The n <= 1 boundary is reported without assertion.  ``seed``
+    draws the random Delta-filtered checks of ``hn_dimension``.
     """
     _require_nonnegative(cap, random_checks)
     _require_partial_tilting(qh, q)
@@ -293,7 +294,7 @@ def verify_ringel_cover_theorem(qh: QHStructure, q: Module, cap: int = 10, rando
     endq = hom_space(q, q).dim
     if bq != endq:
         raise CoverError("projectivization failed: End(Hom(T,q)) does not match End(q)")
-    report = hn_dimension(rd.structure, pq, cap=cap, random_checks=random_checks)
+    report = hn_dimension(rd.structure, pq, cap=cap, random_checks=random_checks, seed=seed)
     if n.kind == "exact" and n.n >= 2:
         expected = n.n - 2
         holds = report.is_cover and report.hn is not None and report.hn.kind == "exact" and report.hn.n == expected

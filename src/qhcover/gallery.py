@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, isqrt, prod
+from math import comb, factorial, isqrt, prod
 
 from .algebra import Algebra, Frame, algebra_of_matrices, centralizer_algebra, corner_algebra, opposite
 from .fields import Field
@@ -28,15 +28,18 @@ class GalleryError(ValueError):
     """Raised on invalid gallery parameters."""
 
 
-# size guards, checked before anything is built: H(6) alone takes about a
-# minute and H(7) hours, and S(n, d) at u != 1 is solved over (n^d)^2
-# unknowns.  The peak of the build at u = 1 is its product table
+# size guards, checked before anything is built: H(6) takes about 3 s and
+# H(7) would hold 5040^2 products in a dict, and S(n, d) at u != 1 is
+# solved over (n^d)^2 unknowns.  The tensor space holds a dense t x t
+# matrix, t = n^d, for each of the d! permutations: (4, 6) would need 97 GB
+# of them.  The peak of the Schur build at u = 1 is its product table
 # (``linalg.frame_products``): dim S(n, d) coordinates for each pair of
 # basis elements whose product can be nonzero, held twice as float64, so
 # about 16 bytes an entry.  S(4, 3), with 30M entries, peaks at 517 MiB
 # traced; S(8, 2), with 260M, took 4.1 GiB
 MAX_HECKE_DIM = 720
 MAX_TENSOR_DIM = 4096
+MAX_TENSOR_ACTION_ENTRIES = 2**25
 MAX_SCHUR_DIM = 4000
 MAX_SCHUR_PRODUCT_ENTRIES = 2**25
 
@@ -134,37 +137,44 @@ def permutations_of(d: int) -> list[tuple[int, ...]]:
     return sorted(itertools.permutations(range(d)))
 
 
-def inversions(sigma: tuple[int, ...]) -> int:
-    return sum(1 for i in range(len(sigma)) for j in range(i + 1, len(sigma)) if sigma[i] > sigma[j])
+def _parents(perms: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """For each sigma != id of the sorted ``perms``, in order: (index of
+    sigma s_t, t), t the first descent of sigma (sigma_t > sigma_(t+1)).
+
+    sigma s_t swaps the entries t and t + 1, so it has one inversion fewer
+    and T_sigma = T_(sigma s_t) T_(s_t) (Humphreys, *Reflection Groups and
+    Coxeter Groups*, 7.1-7.3).  It agrees with sigma before t and is smaller
+    at t, so its index is smaller: sorted order reaches every parent before
+    its children.
+    """
+    index = {p: i for i, p in enumerate(perms)}
+    out = []
+    for sigma in perms[1:]:
+        t = next(t for t in range(len(sigma) - 1) if sigma[t] > sigma[t + 1])
+        out.append((index[(*sigma[:t], sigma[t + 1], sigma[t], *sigma[t + 2 :])], t))
+    return out
 
 
-def reduced_word(sigma: tuple[int, ...]) -> list[int]:
-    """Adjacent transposition indices t (swapping t, t+1), applied left first."""
-    word: list[int] = []
-    arr = list(sigma)
-    d = len(arr)
-    changed = True
-    while changed:
-        changed = False
-        for t in range(d - 1):
-            if arr[t] > arr[t + 1]:
-                arr[t], arr[t + 1] = arr[t + 1], arr[t]
-                word.append(t)
-                changed = True
-    # arr is now the identity; sigma = s_{w_k} ... s_{w_1} in one-line terms.
-    word.reverse()
-    return word
-
-
-def compose_perm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """(p q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def adjacent_transposition(d: int, t: int) -> tuple[int, ...]:
-    out = list(range(d))
-    out[t], out[t + 1] = out[t + 1], out[t]
-    return tuple(out)
+def _times_simple(vec: dict, t: int, u, field: Field) -> dict:
+    """A combination of words (word -> coefficient) times T_(s_t) on the
+    right: w goes to w s_t, its letters t and t + 1 swapped, if w_t <
+    w_(t+1); to u w if they are equal; and to (u - u^-1) w + w s_t
+    otherwise.  On V^(tensor d) this is the q-permutation action (Dipper and
+    James, *Proc. LMS* 59, 1989); on the one-line words of S_d, whose letters
+    never repeat, it is T_w T_(s_t).  Zero coefficients are left out."""
+    coeff = field.add(u, field.neg(field.inv(u)))
+    zero = field.zero()
+    out: dict = {}
+    for w, c in vec.items():
+        a, b = w[t], w[t + 1]
+        if a == b:
+            out[w] = field.add(out.get(w, zero), field.mul(u, c))
+            continue
+        if a > b:
+            out[w] = field.add(out.get(w, zero), field.mul(coeff, c))
+        swapped = (*w[:t], b, a, *w[t + 2 :])
+        out[swapped] = field.add(out.get(swapped, zero), c)
+    return {w: c for w, c in out.items() if c != zero}
 
 
 # ---------------------------------------------------------------------------
@@ -188,47 +198,37 @@ class HeckeGallery:
 def build_hecke(d: int, u, field: Field) -> HeckeGallery:
     """Hecke algebra on the basis T_sigma with the quadratic/braid relations.
 
-    Multiplication is computed by reduced-word recursion on the defining
-    relations; u = 1 recovers the group algebra of the symmetric group.
+    The products T_sigma T_tau, for all sigma, are one ``_times_simple``
+    step from those of tau's parent (``_parents``); a parent's products are
+    dropped once its last child is built.  u = 1 recovers the group algebra
+    of the symmetric group.
     """
     _check_hecke_size(d)
     u = field.parse(u) if isinstance(u, str) else field.normalize(u)
     if u == field.zero():
         raise GalleryError("Hecke parameter u must be invertible")
-    uinv = field.inv(u)
-    coeff = field.add(u, field.neg(uinv))  # u - u^{-1}
     perms = permutations_of(d)
     index = {p: i for i, p in enumerate(perms)}
     n = len(perms)
-
-    def times_simple(vec: dict, t: int) -> dict:
-        """Multiply sum c_sigma T_sigma by T_{s_t} on the right."""
-        out: dict = {}
-        s = adjacent_transposition(d, t)
-        for sigma, c in vec.items():
-            sig_s = compose_perm(sigma, s)
-            if inversions(sig_s) > inversions(sigma):
-                out[sig_s] = field.add(out.get(sig_s, field.zero()), c)
-            else:
-                out[sigma] = field.add(out.get(sigma, field.zero()), field.mul(coeff, c))
-                out[sig_s] = field.add(out.get(sig_s, field.zero()), c)
-        return {k: v for k, v in out.items() if v != field.zero()}
-
-    entries = {}
-    for j, tau in enumerate(perms):
-        word = reduced_word(tau)
-        for i, sigma in enumerate(perms):
-            vec = {sigma: field.one()}
-            for t in word:
-                vec = times_simple(vec, t)
+    parents = _parents(perms)
+    last_child = {p: j for j, (p, _) in enumerate(parents, 1)}
+    # products[j][i] = T_(perms[i]) T_(perms[j]), held while perms[j] has a child to build
+    products = {0: [{sigma: field.one()} for sigma in perms]}
+    entries = {(i * n, i): field.one() for i in range(n)}
+    for j, (p, t) in enumerate(parents, 1):
+        row = [_times_simple(vec, t, u, field) for vec in products[p]]
+        if last_child[p] == j:
+            del products[p]
+        if j in last_child:
+            products[j] = row
+        for i, vec in enumerate(row):
             for rho, c in vec.items():
                 entries[i * n + j, index[rho]] = c
-    ident = tuple(range(d))
-    one = [field.one() if p == ident else field.zero() for p in perms]
+    one = [field.one() if i == 0 else field.zero() for i in range(n)]
     alg = Algebra.from_triples(field, n, Triples.from_entries(field, n, entries), Mat.column(field, one), provenance="hecke")
     alg.validate_unit()
-    q = field.mul(uinv, uinv)
-    return HeckeGallery(d, u, q, alg, perms, index)
+    uinv = field.inv(u)
+    return HeckeGallery(d, u, field.mul(uinv, uinv), alg, perms, index)
 
 
 # ---------------------------------------------------------------------------
@@ -247,46 +247,30 @@ class TensorSpaceGallery:
 
 
 def build_tensor_space(n: int, d: int, u, field: Field) -> TensorSpaceGallery:
-    """V^(tensor d) with the deformed place-permutation right Hecke-action."""
+    """V^(tensor d) with the deformed place-permutation right Hecke-action:
+    the matrix of T_tau is A_t M_(parent), A_t that of T_(s_t) (``_parents``)."""
     _check_tensor_size(n, d)
+    if factorial(d) * n ** (2 * d) > MAX_TENSOR_ACTION_ENTRIES:
+        raise GalleryError(f"tensor space action size {factorial(d) * n ** (2 * d)} exceeds the guard {MAX_TENSOR_ACTION_ENTRIES}")
     hecke = build_hecke(d, u, field)
-    u = field.parse(u) if isinstance(u, str) else field.normalize(u)
     words = sorted(itertools.product(range(n), repeat=d))
-    simple_action = _simple_action(words, u, field)
-    # right action matrices for every T_sigma: M_sigma = M_{s_k} ... M_{s_1}
-    hop = opposite(hecke.algebra)
-    action = []
-    ident = Mat.identity(field, len(words))
-    for sigma in hecke.perms:
-        word = reduced_word(sigma)
-        mat = ident
-        for t in word:
-            mat = simple_action[t] @ mat
-        action.append(mat)
-    module = Module.from_matrices(hop, action, name=f"V^({d})")
+    simple_action = _simple_action(words, hecke.u, field)
+    action = [Mat.identity(field, len(words))]
+    for p, t in _parents(hecke.perms):
+        action.append(simple_action[t] @ action[p])
+    module = Module.from_matrices(opposite(hecke.algebra), action, name=f"V^({d})")
     return TensorSpaceGallery(n, d, hecke, module, words, simple_action)
 
 
 def _simple_action(words: list[tuple[int, ...]], u, field: Field) -> list[Mat]:
-    """The right action of each T_{s_t} on the sorted word basis of
-    V^(tensor d): at u = 1 the place permutation of positions t and t + 1."""
+    """The right action of each T_(s_t) on the sorted word basis of
+    V^(tensor d), column w the words of ``_times_simple`` on w: at u = 1 the
+    place permutation of positions t and t + 1."""
     index = {w: i for i, w in enumerate(words)}
-    coeff = field.add(u, field.neg(field.inv(u)))
     t_dim, d = len(words), len(words[0])
     simple_action = []
     for t in range(d - 1):
-        entries = {}
-        for col, w in enumerate(words):
-            swapped = list(w)
-            swapped[t], swapped[t + 1] = swapped[t + 1], swapped[t]
-            swapped = tuple(swapped)
-            if w[t] < w[t + 1]:
-                entries[index[swapped], col] = field.one()
-            elif w[t] == w[t + 1]:
-                entries[index[w], col] = u
-            else:
-                entries[index[w], col] = coeff
-                entries[index[swapped], col] = field.one()
+        entries = {(index[x], col): c for col, w in enumerate(words) for x, c in _times_simple({w: field.one()}, t, u, field).items()}
         simple_action.append(Mat.from_entries(field, t_dim, t_dim, entries))
     return simple_action
 

@@ -17,10 +17,7 @@ The owner keeps a weak-valued table from ``hash(parts)`` to representative,
 and every twin holds its representative, so a value lives as long as some
 object with its content lives and nothing global holds it.  A hit in the
 table is confirmed by ``==`` on the parts; a hash collision costs only a
-miss.  ``parts[0]`` is a cheap key (a module's dimension): the first object
-with a given one is not hashed until a second asks, as a module with no
-twin, like the 165-dimensional dual regular module of S_GF3(3,3), would pay
-for hashing its whole action and gain nothing.
+miss.
 
 ``memo_pair(a, b, key, build)`` memoises a result on a pair of objects, such
 as Hom(M, N): a weak-keyed table under ``key`` on a's representative maps
@@ -85,20 +82,7 @@ def _representative(obj, key: str):
     rep = slots.get("_twin", _EMPTY)
     if rep is _EMPTY:
         owner, parts = content()
-        # parts[0] -> a weak reference to the one object that asked with it,
-        # or None once a second has asked and every such object is hashed
-        lone = memo(owner, "_lone", dict)
-        ref = lone.get(parts[0], _EMPTY)
-        first = None if ref is None or ref is _EMPTY else ref()
-        if ref is not None and first is None:
-            lone[parts[0]] = weakref.ref(obj)
-            slots["_twin"] = None
-            return obj
-        table = memo(owner, "_twins", weakref.WeakValueDictionary)
-        if first is not None:
-            lone[parts[0]] = None
-            table.setdefault(hash(first.memo_content()[1]), first)
-        found = table.setdefault(hash(parts), obj)
+        found = memo(owner, "_twins", weakref.WeakValueDictionary).setdefault(hash(parts), obj)
         # None stands for obj itself, which must not hold itself
         rep = slots["_twin"] = None if found is obj or found.memo_content()[1] != parts else found
     return obj if rep is None else rep

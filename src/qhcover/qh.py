@@ -132,7 +132,6 @@ class QHStructure:
         self.projectives: list[Module] = []
         self.proj_incls: list[Mat] = []
         self.standards: list[Module] = []
-        self.std_surjections: list[ModuleMap] = []
         self.std_kernels: list[Module] = []
         self.verification: Optional[VerificationReport] = None
         self._build_projectives()
@@ -156,10 +155,9 @@ class QHStructure:
             # trace of the higher projectives = sum of all their hom images
             cols = [hom_space(self.projectives[mu], p).side_by_side() for mu in higher]
             span = Subspace.from_columns(Mat.hstack(cols)) if cols else Subspace(self.algebra.field, p.dim)
-            delta, surj = quotient_module(p, span)
+            delta, _ = quotient_module(p, span)
             delta.name = f"Delta({self.poset.labels[lam]})"
             self.standards.append(delta)
-            self.std_surjections.append(surj)
             ker, _ = submodule(p, span)
             self.std_kernels.append(ker)
 
@@ -222,26 +220,31 @@ class QHStructure:
         return direct_sum(parts, name="T")
 
     def _build_tiltings(self) -> tuple[list[Module], list]:
+        """T(lambda) by universal extensions of Delta(lambda), in one walk
+        over ``lower_desc(lambda)``: at each mu with Ext^1(Delta(mu), x) != 0,
+        x becomes the universal extension 0 -> x -> x' -> Delta(mu)^e -> 0.
+
+        The walk leaves Ext^1(Delta(mu'), x) = 0 for every mu' it has passed.
+        mu itself: the connecting map Hom(Delta(mu), Delta(mu)^e) ->
+        Ext^1(Delta(mu), x) is onto, and Ext^1(Delta(mu), Delta(mu)) = 0, so
+        Ext^1(Delta(mu), x') = 0; this is checked.  An earlier mu': the order
+        is decreasing, so mu' is not below mu and Ext^1(Delta(mu'),
+        Delta(mu)) = 0; the exact Ext^1(Delta(mu'), x) -> Ext^1(Delta(mu'),
+        x') -> Ext^1(Delta(mu'), Delta(mu)^e) then keeps it 0.  So a rescan
+        from the top after each extension would make the same extensions in
+        the same order.
+        """
         tilts: list[Module] = []
         seqs = []
-        budget = self.label_count() * max(self.algebra.dim, 1)
         for lam in range(self.label_count()):
             x = self.standards[lam]
             incl = Mat.identity(self.algebra.field, x.dim)
-            rounds = 0
-            while True:
-                rounds += 1
-                if rounds > budget:
-                    raise QHError("universal extension process did not terminate (structure not quasi-hereditary?)")
-                extended = False
-                for mu in self.poset.lower_desc(lam):
-                    e = ext_dim(self.standards[mu], x, 1)
-                    if e:
-                        x, incl = _universal_extension(self, mu, x, incl, e)
-                        extended = True
-                        break
-                if not extended:
-                    break
+            for mu in self.poset.lower_desc(lam):
+                e = ext_dim(self.standards[mu], x, 1)
+                if e:
+                    x, incl = _universal_extension(self, mu, x, incl, e)
+                    if ext_dim(self.standards[mu], x, 1):
+                        raise QHError("universal extension left Ext^1 nonzero (structure not quasi-hereditary?)")
             tilt, seq = _extract_tilting_summand(self, lam, x, incl)
             tilt.name = f"T({self.poset.labels[lam]})"
             tilts.append(tilt)

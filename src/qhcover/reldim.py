@@ -66,14 +66,12 @@ class ApproximationChain:
     steps: list[ModuleMap] = dc_field(default_factory=list)
     surjective_flags: list[bool] = dc_field(default_factory=list)
 
-    def to_json(self, with_matrices: bool = True) -> dict:
+    def to_json(self) -> dict:
         steps = []
         for f, s in zip(self.steps, self.surjective_flags):
-            entry = {"source_dim": f.source.dim, "target_dim": f.target.dim, "surjective": s}
-            if with_matrices:
-                field = f.matrix.field
-                entry["matrix"] = [[field.to_str(f.matrix[i, j]) for j in range(f.matrix.cols)] for i in range(f.matrix.rows)]
-            steps.append(entry)
+            field = f.matrix.field
+            matrix = [[field.to_str(f.matrix[i, j]) for j in range(f.matrix.cols)] for i in range(f.matrix.rows)]
+            steps.append({"source_dim": f.source.dim, "target_dim": f.target.dim, "surjective": s, "matrix": matrix})
         return {"steps": steps}
 
 

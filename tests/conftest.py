@@ -1,12 +1,14 @@
 """Shared constructors for the test suite."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from qhcover import quiver
-from qhcover.algebra import Algebra, AlgebraError, centralizer_algebra, from_structure_constants
+from qhcover.algebra import Algebra, AlgebraError, centralizer_algebra, from_structure_constants, opposite
 from qhcover.fields import GF, QQ
-from qhcover.gallery import build_schur, build_tensor_space
+from qhcover.gallery import GalleryError, build_schur, build_tensor_space
 from qhcover.homology import minimal_projective_resolution
 from qhcover.linalg import Mat, Subspace, Triples, unstack
 from qhcover.modules import (
@@ -198,6 +200,111 @@ def build_schur_reference(n, d, u, field):
     tensor = build_tensor_space(n, d, u, field)
     gens = tensor.simple_action if d > 1 else [Mat.identity(field, tensor.module.dim)]
     return centralizer_algebra(gens)
+
+
+def inversions(sigma):
+    return sum(1 for i in range(len(sigma)) for j in range(i + 1, len(sigma)) if sigma[i] > sigma[j])
+
+
+def reduced_word(sigma):
+    """Adjacent transposition indices t (swapping t, t+1), applied left first."""
+    word = []
+    arr = list(sigma)
+    changed = True
+    while changed:
+        changed = False
+        for t in range(len(arr) - 1):
+            if arr[t] > arr[t + 1]:
+                arr[t], arr[t + 1] = arr[t + 1], arr[t]
+                word.append(t)
+                changed = True
+    # arr is now the identity; sigma = s_{w_k} ... s_{w_1} in one-line terms.
+    word.reverse()
+    return word
+
+
+def compose_perm(p, q):
+    """(p q)(i) = p(q(i))."""
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def adjacent_transposition(d, t):
+    out = list(range(d))
+    out[t], out[t + 1] = out[t + 1], out[t]
+    return tuple(out)
+
+
+def build_hecke_reference(d, u, field):
+    """Oracle for ``gallery.build_hecke``'s algebra: each product T_sigma
+    T_tau by multiplying T_sigma by T_(s_t) along a reduced word of tau,
+    with the length of sigma s_t read from its inversions."""
+    u = field.parse(u) if isinstance(u, str) else field.normalize(u)
+    if u == field.zero():
+        raise GalleryError("Hecke parameter u must be invertible")
+    coeff = field.add(u, field.neg(field.inv(u)))  # u - u^{-1}
+    perms = sorted(itertools.permutations(range(d)))
+    index = {p: i for i, p in enumerate(perms)}
+    n = len(perms)
+
+    def times_simple(vec, t):
+        """Multiply sum c_sigma T_sigma by T_{s_t} on the right."""
+        out = {}
+        s = adjacent_transposition(d, t)
+        for sigma, c in vec.items():
+            sig_s = compose_perm(sigma, s)
+            if inversions(sig_s) > inversions(sigma):
+                out[sig_s] = field.add(out.get(sig_s, field.zero()), c)
+            else:
+                out[sigma] = field.add(out.get(sigma, field.zero()), field.mul(coeff, c))
+                out[sig_s] = field.add(out.get(sig_s, field.zero()), c)
+        return {k: v for k, v in out.items() if v != field.zero()}
+
+    entries = {}
+    for j, tau in enumerate(perms):
+        word = reduced_word(tau)
+        for i, sigma in enumerate(perms):
+            vec = {sigma: field.one()}
+            for t in word:
+                vec = times_simple(vec, t)
+            for rho, c in vec.items():
+                entries[i * n + j, index[rho]] = c
+    one = [field.one() if i == 0 else field.zero() for i in range(n)]
+    alg = Algebra.from_triples(field, n, Triples.from_entries(field, n, entries), Mat.column(field, one), provenance="hecke")
+    alg.validate_unit()
+    return alg
+
+
+def tensor_action_reference(n, d, u, field):
+    """Oracle for the action of ``gallery.build_tensor_space``: the matrix
+    of each T_(s_t) written out case by case, and that of T_sigma as the
+    product M_(s_(w_k)) ... M_(s_(w_1)) along a reduced word of sigma, over
+    ``build_hecke_reference``; returns the module's flat action."""
+    u = field.parse(u) if isinstance(u, str) else field.normalize(u)
+    coeff = field.add(u, field.neg(field.inv(u)))
+    words = sorted(itertools.product(range(n), repeat=d))
+    index = {w: i for i, w in enumerate(words)}
+    simple = []
+    for t in range(d - 1):
+        entries = {}
+        for col, w in enumerate(words):
+            swapped = list(w)
+            swapped[t], swapped[t + 1] = swapped[t + 1], swapped[t]
+            swapped = tuple(swapped)
+            if w[t] < w[t + 1]:
+                entries[index[swapped], col] = field.one()
+            elif w[t] == w[t + 1]:
+                entries[index[w], col] = u
+            else:
+                entries[index[w], col] = coeff
+                entries[index[swapped], col] = field.one()
+        simple.append(Mat.from_entries(field, len(words), len(words), entries))
+    action = []
+    for sigma in sorted(itertools.permutations(range(d))):
+        mat = Mat.identity(field, len(words))
+        for t in reduced_word(sigma):
+            mat = simple[t] @ mat
+        action.append(mat)
+    return Module.from_matrices(opposite(build_hecke_reference(d, u, field)), action).flat_action()
 
 
 def broken_truncated_polynomial_module():

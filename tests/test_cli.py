@@ -331,6 +331,23 @@ def test_cli_cover_rejects_negative_counts(capsys, option, message, ringel):
     assert captured.out == "" and captured.err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_cli_cover_ringel_draws_its_random_checks_from_the_seed(capsys, monkeypatch, seed):
+    from qhcover import covers
+
+    seeds = []
+    hn_dimension = covers.hn_dimension
+
+    def spy(*args, seed, **kwargs):
+        seeds.append(seed)
+        return hn_dimension(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(covers, "hn_dimension", spy)
+    argv = ["cover", "--gallery", "am", "--m", "2", "--p", "3", "--ringel", "--wrt", "tilting", "--seed", str(seed), "--json"]
+    assert main(argv) == EXIT_OK
+    assert seeds == [seed] and json.loads(capsys.readouterr().out)["seed"] == seed
+
+
 @pytest.mark.parametrize(
     "command, option",
     [

@@ -1,5 +1,6 @@
 """Gallery constructors against the worked examples and combinatorial oracles."""
 
+import time
 from math import comb
 
 import pytest
@@ -13,7 +14,6 @@ from qhcover.gallery import (
     build_hecke,
     build_schur,
     build_tensor_space,
-    compose_perm,
     dominates,
     hecke_element_is_in_kernel,
     partitions_at_most,
@@ -28,7 +28,7 @@ from qhcover.modules import is_isomorphic, top
 from qhcover.reldim import classical_domdim, relative_domdim
 from qhcover.serialize import algebra_to_json
 
-from conftest import build_schur_reference
+from conftest import build_hecke_reference, build_schur_reference, inversions, tensor_action_reference
 
 F2, F3 = GF(2), GF(3)
 
@@ -81,8 +81,7 @@ def test_hecke_base_change_group_algebra():
     h = build_hecke(3, 1, QQ)
     for i, p in enumerate(h.perms):
         for j, q in enumerate(h.perms):
-            prod = compose_perm(p, q)
-            k = h.index[prod]
+            k = h.index[tuple(p[q[x]] for x in range(len(p)))]  # (p q)(x) = p(q(x))
             for t in range(len(h.perms)):
                 assert h.algebra.mult[i][j][t] == (1 if t == k else 0)
 
@@ -102,6 +101,54 @@ def test_hecke_quadratic_relation_generic_u():
 def test_hecke_zero_u_rejected():
     with pytest.raises(GalleryError, match="invertible"):
         build_hecke(2, 0, F3)
+
+
+def _hecke_inputs():
+    """(d, u, field) for d <= 5 over QQ, GF(2), GF(3), GF(5), at each u in
+    {1, 2, 1/2, 3} that is invertible there."""
+    for field in (QQ, F2, F3, GF(5)):
+        units = [u for u in (1, 2, "1/2", 3) if field is QQ or (u == "1/2" and field.p != 2) or (u != "1/2" and u % field.p)]
+        for d in range(1, 6):
+            for u in units:
+                yield pytest.param(d, u, field, id=f"H{d}-u{u}-{field}")
+
+
+@pytest.mark.parametrize("d, u, field", _hecke_inputs())
+def test_hecke_matches_the_reduced_word_reference(d, u, field):
+    assert algebra_to_json(build_hecke(d, u, field).algebra) == algebra_to_json(build_hecke_reference(d, u, field))
+
+
+@pytest.mark.parametrize("u", [1, 2])
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 4), (2, 5)])
+def test_tensor_space_action_matches_the_reduced_word_reference(n, d, u):
+    f = GF(5)  # u - u^-1 = 4 at u = 2; over GF(3) it would be 0
+    assert build_tensor_space(n, d, u, f).module.flat_action() == tensor_action_reference(n, d, u, f)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_each_parent_has_one_inversion_fewer_at_a_smaller_index(d):
+    perms = permutations_of(d)
+    parents = G._parents(perms)
+    assert len(parents) == len(perms) - 1
+    for j, (p, t) in enumerate(parents, 1):
+        sigma = perms[j]
+        assert p < j and sigma[t] > sigma[t + 1] and all(sigma[s] < sigma[s + 1] for s in range(t))
+        assert perms[p] == (*sigma[:t], sigma[t + 1], sigma[t], *sigma[t + 2 :])
+        assert inversions(perms[p]) == inversions(sigma) - 1
+
+
+def test_tensor_space_action_guard_acts_before_the_build(monkeypatch):
+    # (4, 6) passes the tensor dimension guard, but its 720 dense 4096 x 4096
+    # matrices would take 97 GB
+    def no_build(*args):
+        raise AssertionError("built before the guard")
+
+    monkeypatch.setattr(G, "permutations_of", no_build)
+    start = time.perf_counter()
+    for n, d in [(4, 6), (8, 4)]:
+        with pytest.raises(GalleryError, match="tensor space action size .* exceeds the guard 33554432"):
+            build_tensor_space(n, d, 1, F3)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("n, d, message", [(-1, 2, "n must be at least 1"), (2, 0, "d must be at least 1")])

@@ -821,13 +821,13 @@ def test_twin_table_empties_when_the_modules_die():
     assert len(table) == 0
 
 
-def test_a_module_without_a_twin_is_never_hashed(monkeypatch):
+def test_classical_domdim_of_schur33_hashes_no_165_square_matrix(monkeypatch):
     from qhcover.gallery import build_schur
     from qhcover.reldim import classical_domdim
 
-    # the counit of Q-codomdim D(A) meets the 165-dimensional dual regular
-    # module of S_GF3(3,3) alone: no other module of that dimension asks
-    # over A^op, so none of its 165 x 165 action matrices is hashed
+    # classical_domdim runs on the basic algebra B = eAe and builds no
+    # module over the 165-dimensional S_GF3(3,3), such as its dual regular
+    # module, so none of the 165 x 165 action matrices is hashed
     a = build_schur(3, 3, 1, GF(3)).algebra
     hashed = []
     mat_hash = Mat.__hash__
