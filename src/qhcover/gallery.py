@@ -155,14 +155,14 @@ def _parents(perms: list[tuple[int, ...]]) -> list[tuple[int, int]]:
     return out
 
 
-def _times_simple(vec: dict, t: int, u, field: Field) -> dict:
+def _times_simple(vec: dict, t: int, u, coeff, field: Field) -> dict:
     """A combination of words (word -> coefficient) times T_(s_t) on the
     right: w goes to w s_t, its letters t and t + 1 swapped, if w_t <
     w_(t+1); to u w if they are equal; and to (u - u^-1) w + w s_t
-    otherwise.  On V^(tensor d) this is the q-permutation action (Dipper and
-    James, *Proc. LMS* 59, 1989); on the one-line words of S_d, whose letters
-    never repeat, it is T_w T_(s_t).  Zero coefficients are left out."""
-    coeff = field.add(u, field.neg(field.inv(u)))
+    otherwise, ``coeff`` being u - u^-1.  On V^(tensor d) this is the
+    q-permutation action (Dipper and James, *Proc. LMS* 59, 1989); on the
+    one-line words of S_d, whose letters never repeat, it is T_w T_(s_t).
+    Zero coefficients are left out."""
     zero = field.zero()
     out: dict = {}
     for w, c in vec.items():
@@ -215,8 +215,9 @@ def build_hecke(d: int, u, field: Field) -> HeckeGallery:
     # products[j][i] = T_(perms[i]) T_(perms[j]), held while perms[j] has a child to build
     products = {0: [{sigma: field.one()} for sigma in perms]}
     entries = {(i * n, i): field.one() for i in range(n)}
+    coeff = field.add(u, field.neg(field.inv(u)))  # u - u^-1
     for j, (p, t) in enumerate(parents, 1):
-        row = [_times_simple(vec, t, u, field) for vec in products[p]]
+        row = [_times_simple(vec, t, u, coeff, field) for vec in products[p]]
         if last_child[p] == j:
             del products[p]
         if j in last_child:
@@ -268,9 +269,10 @@ def _simple_action(words: list[tuple[int, ...]], u, field: Field) -> list[Mat]:
     place permutation of positions t and t + 1."""
     index = {w: i for i, w in enumerate(words)}
     t_dim, d = len(words), len(words[0])
+    coeff = field.add(u, field.neg(field.inv(u)))  # u - u^-1
     simple_action = []
     for t in range(d - 1):
-        entries = {(index[x], col): c for col, w in enumerate(words) for x, c in _times_simple({w: field.one()}, t, u, field).items()}
+        entries = {(index[x], col): c for col, w in enumerate(words) for x, c in _times_simple({w: field.one()}, t, u, coeff, field).items()}
         simple_action.append(Mat.from_entries(field, t_dim, t_dim, entries))
     return simple_action
 

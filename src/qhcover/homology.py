@@ -38,9 +38,10 @@ class CapExceeded(RuntimeError):
     """A homological computation needed more resolution steps than the cap."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DimValue:
-    """Exact(n), AtLeast(n) or Infinite; the standard result of capped computations."""
+    """Exact(n), AtLeast(n) or Infinite; the standard result of capped
+    computations.  Frozen, as memoised results share one."""
 
     kind: str  # "exact" | "at_least" | "infinite"
     n: int = 0

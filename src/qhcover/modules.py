@@ -299,9 +299,11 @@ def socle(m: Module) -> tuple[Module, ModuleMap]:
 
 
 class ProjSummand:
-    """One copy of A e inside an explicit direct sum of such modules."""
+    """One copy of A e inside an explicit direct sum of such modules, e the
+    representative idempotent of class ``class_index``."""
 
-    def __init__(self, idem: Mat, incl: Mat, offset: int, dim: int):
+    def __init__(self, class_index: int, idem: Mat, incl: Mat, offset: int, dim: int):
+        self.class_index = class_index
         self.idem = idem  # idempotent, coordinates in A
         self.incl = incl  # (A.dim x dim): basis of A e as columns
         self.offset = offset
@@ -363,7 +365,7 @@ def proj_sum(a: Algebra, class_indices: Sequence[int]) -> ProjSum:
     for ci in class_indices:
         mod, incl, e, gen = _indec_projective(a, ci)
         mods.append(mod)
-        summands.append(ProjSummand(e, incl, offset, mod.dim))
+        summands.append(ProjSummand(ci, e, incl, offset, mod.dim))
         gens.append(gen.transpose())
         offset += mod.dim
     if not mods:
@@ -507,8 +509,9 @@ class HomSpace:
 
 
 def _slice_spans(n: Module, p: ProjSum) -> list[Subspace]:
-    """The slices e_j . N of P's summands: Hom(P, N) is their product."""
-    return [Subspace.from_columns(n.act(s.idem)) for s in p.summands]
+    """The slices e_j . N of P's summands: Hom(P, N) is their product.
+    Each is memoised on N and the summand's class."""
+    return [memo(n, f"_slice{s.class_index}", lambda s=s: Subspace.from_columns(n.act(s.idem))) for s in p.summands]
 
 
 def hom_space(m: Module, n: Module) -> HomSpace:

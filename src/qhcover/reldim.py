@@ -6,7 +6,9 @@ Two independent algorithms are provided and cross-checked in the tests:
   Q tensor_B Hom(Q, M) -> M and a ladder of Tor groups over B
   (cohomological characterization);
 * the chain method iterates surjective right add(Q)-approximations on
-  successive kernels and reports the witness chain.
+  successive kernels and reports the witness chain.  Its steps are
+  memoised per pair of contents and cap, as plain records that hold
+  neither module, so twins of (Q, M) walk the chain once.
 
 Infinity is only claimed when the minimal resolution over B terminates;
 otherwise the result is capped as AtLeast(cap).
@@ -15,11 +17,12 @@ otherwise the result is capped as AtLeast(cap).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import Algebra, basic_algebra, opposite
 from .homology import DimValue, minimal_projective_resolution, tor_dim
 from .linalg import Mat, Subspace
+from .memo import memo_pair
 from .modules import (
     Module,
     ModuleMap,
@@ -43,6 +46,7 @@ from .modules import (
 __all__ = [
     "DimValue",
     "ApproximationChain",
+    "ChainStep",
     "RelDimReport",
     "right_add_approximation",
     "left_add_approximation",
@@ -58,20 +62,33 @@ __all__ = [
 ]
 
 
+class ChainStep(NamedTuple):
+    """One approximation step q^h -> K, K the current kernel: its matrix,
+    the two dimensions and whether it is onto."""
+
+    matrix: Mat
+    source_dim: int
+    target_dim: int
+    surjective: bool
+
+
 @dataclass
 class ApproximationChain:
-    """Witness chain of approximation steps on successive kernels."""
+    """Witness chain of approximation steps on successive kernels of ``base``.
+
+    The steps are shared by every chain on a pair with the same contents
+    and cap; ``base`` is the module asked for.
+    """
 
     base: Module
-    steps: list[ModuleMap] = dc_field(default_factory=list)
-    surjective_flags: list[bool] = dc_field(default_factory=list)
+    steps: list[ChainStep] = dc_field(default_factory=list)
 
     def to_json(self) -> dict:
         steps = []
-        for f, s in zip(self.steps, self.surjective_flags):
+        for f in self.steps:
             field = f.matrix.field
             matrix = [[field.to_str(f.matrix[i, j]) for j in range(f.matrix.cols)] for i in range(f.matrix.rows)]
-            steps.append({"source_dim": f.source.dim, "target_dim": f.target.dim, "surjective": s, "matrix": matrix})
+            steps.append({"source_dim": f.source_dim, "target_dim": f.target_dim, "surjective": f.surjective, "matrix": matrix})
         return {"steps": steps}
 
 
@@ -141,23 +158,27 @@ def codomdim_chain(q: Module, m: Module, cap: int) -> tuple[DimValue, Approximat
 
     After each surjective step the split add(q)-part of the kernel is
     dropped (it has infinite value, and value of a direct sum is the min).
+    The value and the steps are memoised per pair of contents and cap.
     """
     if cap < 2:
         raise ValueError("relative dimension cap must be at least 2")
-    chain = ApproximationChain(base=m)
+    value, steps = memo_pair(q, m, f"_chain{cap}", lambda: _chain_steps(q, m, cap))
+    return value, ApproximationChain(base=m, steps=list(steps))
+
+
+def _chain_steps(q: Module, m: Module, cap: int) -> tuple[DimValue, tuple[ChainStep, ...]]:
+    steps: list[ChainStep] = []
     current = _split_off_add_q(m, q)
     for step in range(cap):
         if current.dim == 0:
-            return DimValue.infinite(), chain
+            return DimValue.infinite(), tuple(steps)
         f = right_add_approximation(q, current)
         surj = f.is_surjective()
-        chain.steps.append(f)
-        chain.surjective_flags.append(surj)
+        steps.append(ChainStep(f.matrix, f.source.dim, f.target.dim, surj))
         if not surj:
-            return DimValue.exact(step), chain
-        ker, _ = f.kernel_submodule()
-        current = _split_off_add_q(ker, q)
-    return DimValue.at_least(cap), chain
+            return DimValue.exact(step), tuple(steps)
+        current = _split_off_add_q(f.kernel_submodule()[0], q)
+    return DimValue.at_least(cap), tuple(steps)
 
 
 def domdim_chain(q: Module, m: Module, cap: int) -> tuple[DimValue, ApproximationChain]:

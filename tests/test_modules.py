@@ -735,14 +735,19 @@ def test_an_indecomposable_module_builds_its_summand_triple_once(a3_gf3, monkeyp
 # -- modules with equal content share one memo ------------------------------------
 
 
+def _twins(m):
+    """Three twins of m: the same actions, built other ways."""
+    field = m.algebra.field
+    full = submodule(m, Subspace(field, m.dim, Mat.identity(field, m.dim)))[0]
+    by_zero = quotient_module(m, Subspace(field, m.dim))[0]
+    single = direct_sum([m])[0]
+    return [full, by_zero, single]
+
+
 def _p2_and_twins(a):
-    """P(2) of A_2 and three twins of it: the same actions, built other ways."""
+    """P(2) of A_2 and three twins of it."""
     p2 = max(indec_projectives(a), key=lambda p: p.dim)
-    field = a.field
-    full = submodule(p2, Subspace(field, p2.dim, Mat.identity(field, p2.dim)))[0]
-    by_zero = quotient_module(p2, Subspace(field, p2.dim))[0]
-    single = direct_sum([p2])[0]
-    return p2, [full, by_zero, single]
+    return p2, _twins(p2)
 
 
 def test_twins_share_end_and_presentation():
@@ -870,6 +875,38 @@ def test_twin_pairs_build_hom_counit_and_isomorphism_once(monkeypatch):
     assert builds == {"_hom_matrices": 7, "_counit_analysis": 4, "_isomorphism_matrix": 2}
 
 
+def test_twin_pairs_build_each_chain_once(monkeypatch):
+    import qhcover.reldim as reldim
+
+    builds = []
+    build = reldim._chain_steps
+    monkeypatch.setattr(reldim, "_chain_steps", lambda q, m, cap: builds.append(cap) or build(q, m, cap))
+    p2, twins = _p2_and_twins(make_am_algebra(2, F3))
+    mods = [p2, *twins, top(p2)[0], top(p2)[0]]  # two contents, P(2) and its top
+    for cap in (6, 3):
+        for q in mods:
+            for m in mods:
+                reldim.codomdim_chain(q, m, cap)
+    # one build per pair of contents and cap
+    assert builds == [6] * 4 + [3] * 4
+
+
+def test_chains_of_twins_name_the_module_asked():
+    from qhcover.reldim import codomdim_chain
+
+    named = build_am(2, F3).named_modules()
+    q, m = named["T(1)"], named["I(1)"]
+    value, chain = codomdim_chain(q, m, 6)
+    # Hom(q, -) is a line at each step, so each step map starts at q itself,
+    # and the first ends at m itself: a stored map would hold the pair
+    assert str(value) == "Exact(2)" and [f.source_dim for f in chain.steps] == [q.dim] * 3
+    assert chain.steps[0].target_dim == m.dim
+    for twin in _twins(m):
+        twin_value, twin_chain = codomdim_chain(q, twin, 6)
+        assert twin_value == value and twin_chain.base is twin and chain.base is m
+        assert twin_chain.to_json() == chain.to_json() and twin_chain.steps is not chain.steps
+
+
 def test_hom_and_isomorphism_of_twins_map_the_modules_asked():
     p2, twins = _p2_and_twins(make_am_algebra(2, F3))
     hom_space(p2, p2)
@@ -885,23 +922,68 @@ def test_pair_entries_die_with_their_second_module():
     import gc
     import weakref
 
+    from qhcover.reldim import codomdim_chain
+
     a = make_am_algebra(2, F3)
     reg = regular_module(a)
     n = direct_sum(indec_projectives(a)[::-1])[0]  # isomorphic to reg, other actions
     assert n.dim == reg.dim and n.action != reg.action
     assert hom_space(reg, n).dim == 5 and counit_analysis(reg, n).bijective
     assert is_isomorphic(reg, n) is not None
-    tables = [vars(reg)[key] for key in ("_hom", "_counit", "_iso")]
+    assert str(codomdim_chain(reg, n, 6)[0]) == "Infinite"
+    tables = [vars(reg)[key] for key in ("_hom", "_counit", "_iso", "_chain6")]
     assert all(n in table for table in tables)
     ref = weakref.ref(n)
     del n
     gc.collect()
     assert ref() is None
     # Hom(reg, reg) stays: the counit's End(reg) asked for it
-    assert [list(table) for table in tables] == [[reg], [], []]
+    assert [list(table) for table in tables] == [[reg], [], [], []]
+
+
+def test_no_pair_memo_value_reaches_its_pair():
+    import gc
+    import types
+
+    from qhcover.algebra import Algebra
+    from qhcover.reldim import codomdim_chain, relative_codomdim
+
+    for m in (2, 3):
+        named = list(build_am(m, F3).named_modules().values())
+        for q in named:
+            for n in named:
+                relative_codomdim(q, n, 6)
+                codomdim_chain(q, n, 6)
+    objects = gc.get_objects()
+    # a twin table holds weak references only; classes and functions reach everything
+    skip = {id(vars(x)["_twins"]) for x in objects if isinstance(x, Algebra) and "_twins" in vars(x)}
+    opaque = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, types.MethodType)
+
+    def reached(value):
+        seen, todo = set(), [value]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or id(obj) in skip or isinstance(obj, opaque):
+                continue
+            seen.add(id(obj))
+            todo.extend(gc.get_referents(obj))
+        return seen
+
+    tables = 0
+    for owner in objects:
+        if not isinstance(owner, Module):
+            continue
+        for key, table in vars(owner).items():
+            if key in ("_hom", "_counit", "_iso") or key.startswith("_chain"):
+                tables += 1
+                for other, value in table.items():
+                    assert not {id(owner), id(other)} & reached(value), (key, owner, other)
+    assert tables > 100
 
 
 def test_pair_memos_keep_their_guards():
+    from qhcover.reldim import codomdim_chain
+
     a, b = make_am_algebra(2, F3), make_am_algebra(2, F3)
     m = regular_module(a)
     for f in (hom_space, is_isomorphic):
@@ -913,6 +995,12 @@ def test_pair_memos_keep_their_guards():
     # the zero module and a dimension mismatch short-circuit before any table or fingerprint
     for mod in (z, m):
         assert not {"_hom", "_iso", "_twin"} & set(vars(mod))
+    # a bad cap raises before the chain table is read, also after a good cap was stored
+    p = indec_projectives(a)[0]
+    codomdim_chain(p, m, 6)
+    assert m in vars(p)["_chain6"]
+    with pytest.raises(ValueError, match="at least 2"):
+        codomdim_chain(p, m, 1)
 
 
 def test_dual_stays_per_object():

@@ -15,6 +15,7 @@ from qhcover.modules import (
     dual_map,
     hom_space,
     regular_module,
+    submodule,
     top,
 )
 from qhcover.reldim import (
@@ -86,6 +87,12 @@ def _domdim_chain_witness(q, m, cap):
     return value, chain
 
 
+def _step_kernel(q, step):
+    """The kernel of a chain step q^h -> K, as a submodule of q^h."""
+    source = direct_sum([q] * (step.source_dim // q.dim))[0]
+    return submodule(source, Subspace(q.algebra.field, source.dim, step.matrix.kernel().transpose()))[0]
+
+
 def test_chain_continuation_bound(am4):
     # a chain of length n-1 that continues exactly by one more add(Q) term
     # certifies value >= n+1: check on prefixes of a long witness chain
@@ -98,7 +105,7 @@ def test_chain_continuation_bound(am4):
     assert str(chain_value) == "Exact(6)"
     # every surjective prefix of length k with one more term certifies >= k+1,
     # consistent with the final value
-    completed = sum(1 for s in chain.surjective_flags if s)
+    completed = sum(1 for s in chain.steps if s.surjective)
     for k in range(1, completed):
         assert value.at_least_value() >= k + 1
 
@@ -119,9 +126,9 @@ def test_cokernel_criterion(am3):
     # after 4 surjective steps the running kernel K satisfies Ext^{>0}(D K, q) = 0
     current = dual(reg)
     for step, f in enumerate(chain.steps):
-        if not chain.surjective_flags[step]:
+        if not f.surjective:
             break
-        ker, _ = f.kernel_submodule()
+        ker = _step_kernel(dual(q), f)
         current = ker
         if step + 1 == 4:
             cok = dual(ker) if ker.dim else None
@@ -142,11 +149,10 @@ def test_long_exact_sequence_additivity(am3, am4):
         value, chain = codomdim_chain(dual(q), dual(reg), 12)
         # cut the dual chain after t surjective steps: X = dual of the kernel
         kers = []
-        for step, f in enumerate(chain.steps):
-            if not chain.surjective_flags[step]:
+        for f in chain.steps:
+            if not f.surjective:
                 break
-            ker, _ = f.kernel_submodule()
-            kers.append(ker)
+            kers.append(_step_kernel(dual(q), f))
         for t in range(1, len(kers)):
             x = dual(kers[t - 1])
             if any(ext_dim(x, q, i) != 0 for i in range(1, t + 1)):
