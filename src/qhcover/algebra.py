@@ -423,12 +423,14 @@ def algebra_of_matrices(flat: Mat, frame: Frame, provenance: str) -> Algebra:
     """The algebra spanned by square matrices X_k closed under products, row
     k of ``flat`` holding X_k read row-major, with the identity in the span
     and the X_k as its faithful ``rep``.  Coordinate k of an X in the span
-    is entry (rows[k], cols[k]) of X G, for ``frame`` = (G, rows, cols)."""
+    is entry (rows[k], cols[k]) of X G, for ``frame`` = (G, rows, cols).
+    A G = I, as in the orbit-sum and centralizer frames, reads the X themselves."""
     g, rows, cols = frame
     n, m = flat.rows, g.rows
     stacked = flat.reshape(n * m, m)
     one = Mat.column(g.field, [g[r, c] for r, c in zip(rows, cols)])
-    return Algebra.from_triples(g.field, n, frame_products(stacked, stacked @ g, rows, cols), one, provenance=provenance, rep=flat)
+    stacked_g = stacked if g == Mat.identity(g.field, m) else stacked @ g
+    return Algebra.from_triples(g.field, n, frame_products(stacked, stacked_g, rows, cols), one, provenance=provenance, rep=flat)
 
 
 def centralizer_algebra(generators: Sequence[Mat]) -> tuple[Algebra, Frame]:

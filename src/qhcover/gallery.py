@@ -15,6 +15,8 @@ import itertools
 from dataclasses import dataclass
 from math import comb, factorial, isqrt, prod
 
+import numpy as np
+
 from .algebra import Algebra, Frame, algebra_of_matrices, centralizer_algebra, corner_algebra, opposite
 from .fields import Field
 from .linalg import Mat, Subspace, Triples
@@ -32,11 +34,15 @@ class GalleryError(ValueError):
 # H(7) would hold 5040^2 products in a dict, and S(n, d) at u != 1 is
 # solved over (n^d)^2 unknowns.  The tensor space holds a dense t x t
 # matrix, t = n^d, for each of the d! permutations: (4, 6) would need 97 GB
-# of them.  The peak of the Schur build at u = 1 is its product table
-# (``linalg.frame_products``): dim S(n, d) coordinates for each pair of
-# basis elements whose product can be nonzero, held twice as float64, so
-# about 16 bytes an entry.  S(4, 3), with 30M entries, peaks at 517 MiB
-# traced; S(8, 2), with 260M, took 4.1 GiB
+# of them.  The Schur product guard counts dim S(n, d) coordinates for each
+# pair of basis elements whose product can be nonzero.  No such table is
+# held: the u = 1 build keeps its rep and the nonzero product terms
+# (S(4, 3), 30M entries, peaks at 34 MiB traced), so the guard does not
+# follow the build's memory.  Of the inputs it refuses, S(8, 2) (260M)
+# builds in 0.14 s at 79 MiB and S(3, 5) (121M) in 2.4 s at 1.0 GiB, 583
+# MiB of it the rep (one BLAS thread, 2-core VM), and the rep of S(4, 4)
+# alone is 2.0 GB.  It stays to keep out the inputs on which domdim and
+# qh() have never been run
 MAX_HECKE_DIM = 720
 MAX_TENSOR_DIM = 4096
 MAX_TENSOR_ACTION_ENTRIES = 2**25
@@ -381,17 +387,9 @@ def _matrix_to_algebra_coords(schur: SchurGallery, mat: Mat) -> Mat:
     return coords
 
 
-def build_schur(n: int, d: int, u, field: Field) -> SchurGallery:
-    """The (q-)Schur algebra as the centralizer of the Hecke action.
-
-    The abstract algebra carries the tensor-space matrices as its faithful
-    representation; the basis count is checked against the orbit count
-    C(n^2 + d - 1, d).  The guards bound it, and the product table's
-    entries, before anything is built.
-    At u = 1 the basis is the orbit sums (``_orbit_sum_algebra``); otherwise
-    the commutation equations of the T_{s_t} are solved.  Neither builds
-    H(d): ``SchurGallery.tensor`` does, when it is first read.
-    """
+def _check_schur_size(n: int, d: int) -> int:
+    """dim S(n, d) = C(n^2 + d - 1, d), after the tensor-space guards and
+    those on the dimension and the product table."""
     _check_tensor_size(n, d)
     expected = comb(n * n + d - 1, d)
     if expected > MAX_SCHUR_DIM:
@@ -402,6 +400,21 @@ def build_schur(n: int, d: int, u, field: Field) -> SchurGallery:
     pairs = sum(prod(comb(m + n - 1, m) for m in mu) ** 2 for mu in compositions(n, d))
     if expected * pairs > MAX_SCHUR_PRODUCT_ENTRIES:
         raise GalleryError(f"Schur product table size {expected * pairs} exceeds the guard {MAX_SCHUR_PRODUCT_ENTRIES}")
+    return expected
+
+
+def build_schur(n: int, d: int, u, field: Field) -> SchurGallery:
+    """The (q-)Schur algebra as the centralizer of the Hecke action.
+
+    The abstract algebra carries the tensor-space matrices as its faithful
+    representation; the basis count is checked against the orbit count
+    C(n^2 + d - 1, d).  The guards (``_check_schur_size``) act before
+    anything is built.
+    At u = 1 the basis is the orbit sums (``_orbit_sum_algebra``); otherwise
+    the commutation equations of the T_{s_t} are solved.  Neither builds
+    H(d): ``SchurGallery.tensor`` does, when it is first read.
+    """
+    expected = _check_schur_size(n, d)
     u = field.parse(u) if isinstance(u, str) else field.normalize(u)
     words = sorted(itertools.product(range(n), repeat=d))
     if u == field.one():
@@ -429,22 +442,28 @@ def _orbit_sum_algebra(words: list[tuple[int, ...]], field: Field) -> tuple[Alge
     """
     t = len(words)
     labels = _orbit_labels(words)
+    _assert_labels_commute(labels, _simple_action(words, field.one(), field))
     lasts = sorted(set(labels))
     rank = {f: k for k, f in enumerate(lasts)}
     flat = Mat.from_entries(field, len(lasts), t * t, {(rank[f], pos): 1 for pos, f in enumerate(labels)})
-    _assert_commutes(flat, _simple_action(words, field.one(), field))
     frame = (Mat.identity(field, t), [f // t for f in lasts], [f % t for f in lasts])
     return algebra_of_matrices(flat, frame, "centralizer"), frame
 
 
-def _assert_commutes(flat: Mat, gens: list[Mat]) -> None:
-    """Raise unless every row of ``flat``, read as a t x t matrix X, commutes
-    with every g in ``gens``: X g for every X is one product of the X
-    stacked (r t x t), and g X one product of the X side by side (t x r t)."""
-    r, t = flat.rows, isqrt(flat.cols)
-    stacked, side_by_side = flat.reshape(r * t, t), flat.permute((r, t, t), (1, 0, 2))
+def _assert_labels_commute(labels: list[int], gens: list[Mat]) -> None:
+    """Raise unless every xi, the 0/1 matrix of one class of ``labels``
+    (the t x t positions in row-major order), commutes with every g in
+    ``gens``.  Each g must be a permutation matrix, g[i, pi(i)] = 1; then
+    (X g)[i, j] = X[i, pi^-1(j)] and (g X)[i, j] = X[pi(i), j], so every xi
+    commutes with g exactly when label(pi(i), pi(j)) = label(i, j)."""
+    t = isqrt(len(labels))
+    grid = np.array(labels).reshape(t, t)
     for g in gens:
-        if (stacked @ g).permute((r, t, t), (1, 0, 2)) != g @ side_by_side:
+        entries = g.nonzero_entries()
+        pi = [c for _, c, _ in entries]
+        if [(r, v) for r, _, v in entries] != [(r, 1) for r in range(t)] or sorted(pi) != list(range(t)):
+            raise GalleryError("a place permutation at u = 1 is not a permutation matrix")
+        if not np.array_equal(grid[np.ix_(pi, pi)], grid):
             raise GalleryError("an orbit sum does not commute with the place permutations")
 
 

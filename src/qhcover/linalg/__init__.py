@@ -607,15 +607,19 @@ def frame_products(mats: Mat, mats_g: Mat, rows: Sequence[int], cols: Sequence[i
     """Structure constants of a basis X_0..X_(n-1) of m x m matrices closed
     under products, whose coordinates are read at a frame: coordinate k of
     an X in the span is entry (rows[k], cols[k]) of X G.  ``mats`` stacks
-    the X_a (n*m x m) and ``mats_g`` the X_b G (n*m x g); the triple
-    (a, b, k) holds coordinate k of X_a X_b.
+    the X_a (n*m x m) and ``mats_g`` the X_b G (n*m x g), which may be
+    ``mats`` itself when G = I; the triple (a, b, k) holds coordinate k of
+    X_a X_b.
 
     Entry (i, c) of X_a X_b G sums X_a[i, l] (X_b G)[l, c] over l.  So the
     nonzero entries (a, i, l) of the X_a are joined with the nonzero entries
     (b, l, c) of the X_b G on l, keeping the terms whose (i, c) is a frame
-    position; no product is formed whole.  Each term is reduced below p
-    before the terms of an entry, at most m of them, are added up: below
-    m p < 2^51 over GF(p).
+    position; no product is formed whole.  Each kept term goes to its cell
+    (a n + b) n + k; one sort brings the terms of a cell together, in
+    row-major (a, b, k) order, one segment sum adds each run up and the
+    zero sums are dropped, so nothing larger than the terms is held.  Each
+    term is reduced below p first, and a cell has at most m terms, one for
+    each l: its sum stays below m p < 2^51 over GF(p).
     """
     field, m, g = mats.field, mats.cols, mats_g.cols
     n = mats.rows // m
@@ -626,9 +630,12 @@ def frame_products(mats: Mat, mats_g: Mat, rows: Sequence[int], cols: Sequence[i
     flat_row, inner = np.nonzero(mats.data)
     value = mats.data[flat_row, inner]
     mat, row = np.divmod(flat_row, m)
-    flat_row_g, col_g = np.nonzero(mats_g.data)
-    value_g = mats_g.data[flat_row_g, col_g]
-    mat_g, inner_g = np.divmod(flat_row_g, m)
+    if mats_g is mats:
+        mat_g, inner_g, col_g, value_g = mat, row, inner, value
+    else:
+        flat_row_g, col_g = np.nonzero(mats_g.data)
+        value_g = mats_g.data[flat_row_g, col_g]
+        mat_g, inner_g = np.divmod(flat_row_g, m)
     # left entry e meets the count[inner[e]] right entries of that inner
     # index, which sit at first[inner[e]] onwards in order of inner index
     by_inner = np.argsort(inner_g, kind="stable")
@@ -639,12 +646,16 @@ def frame_products(mats: Mat, mats_g: Mat, rows: Sequence[int], cols: Sequence[i
     right = by_inner[np.arange(left.size) - np.repeat(np.cumsum(reps) - reps, reps) + first[inner[left]]]
     target = frame[row[left] * g + col_g[right]]
     keep = target >= 0
-    left, right, target = left[keep], right[keep], target[keep]
-    # one row of frame entries per pair (a, b) that has a term
-    pairs, slot = _slots(mat[left] * n + mat_g[right], n * n)
-    entries = np.zeros((pairs.size, n), mats.data.dtype)
-    np.add.at(entries, (slot, target), _mod(field, value[left] * value_g[right]))
-    return Triples.from_rows(pairs, _canonical(field, _mod(field, entries), mats.den * mats_g.den), n)
+    left, right = left[keep], right[keep]
+    cell = (mat[left] * n + mat_g[right]) * n + target[keep]
+    order = np.argsort(cell)
+    cell = cell[order]
+    start = np.flatnonzero(np.diff(cell, prepend=-1))
+    sums = _mod(field, np.add.reduceat(_mod(field, value[left[order]] * value_g[right[order]]), start))
+    nonzero = sums != 0
+    coords = _canonical(field, sums[nonzero].reshape(1, -1), mats.den * mats_g.den)
+    ij, k = np.divmod(cell[start[nonzero]], n)
+    return Triples(*np.divmod(ij, n), k, coords.data[0], coords.den)
 
 
 def _slots(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

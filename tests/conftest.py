@@ -10,7 +10,7 @@ from qhcover.algebra import Algebra, AlgebraError, centralizer_algebra, from_str
 from qhcover.fields import GF, QQ
 from qhcover.gallery import GalleryError, build_schur, build_tensor_space
 from qhcover.homology import minimal_projective_resolution
-from qhcover.linalg import Mat, Subspace, Triples, unstack
+from qhcover.linalg import Mat, Subspace, Triples, _canonical, _mod, unstack
 from qhcover.modules import (
     Module,
     ModuleError,
@@ -200,6 +200,35 @@ def build_schur_reference(n, d, u, field):
     tensor = build_tensor_space(n, d, u, field)
     gens = tensor.simple_action if d > 1 else [Mat.identity(field, tensor.module.dim)]
     return centralizer_algebra(gens)
+
+
+def frame_products_reference(mats, mats_g, rows, cols):
+    """Oracle for ``linalg.frame_products``, its former dense table: the
+    same join of nonzero entries, with the terms added into a row of n
+    frame coordinates for every pair (a, b) that has a term."""
+    field, m, g = mats.field, mats.cols, mats_g.cols
+    n = mats.rows // m
+    frame = np.full(m * g, -1)
+    frame[np.asarray(rows, dtype=np.intp) * g + np.asarray(cols, dtype=np.intp)] = np.arange(n)
+    flat_row, inner = np.nonzero(mats.data)
+    value = mats.data[flat_row, inner]
+    mat, row = np.divmod(flat_row, m)
+    flat_row_g, col_g = np.nonzero(mats_g.data)
+    value_g = mats_g.data[flat_row_g, col_g]
+    mat_g, inner_g = np.divmod(flat_row_g, m)
+    by_inner = np.argsort(inner_g, kind="stable")
+    count = np.bincount(inner_g, minlength=m)
+    first = np.cumsum(count) - count
+    reps = count[inner]
+    left = np.repeat(np.arange(inner.size), reps)
+    right = by_inner[np.arange(left.size) - np.repeat(np.cumsum(reps) - reps, reps) + first[inner[left]]]
+    target = frame[row[left] * g + col_g[right]]
+    keep = target >= 0
+    left, right, target = left[keep], right[keep], target[keep]
+    pairs, slot = np.unique(mat[left] * n + mat_g[right], return_inverse=True)
+    entries = np.zeros((pairs.size, n), mats.data.dtype)
+    np.add.at(entries, (slot, target), _mod(field, value[left] * value_g[right]))
+    return Triples.from_rows(pairs, _canonical(field, _mod(field, entries), mats.den * mats_g.den), n)
 
 
 def inversions(sigma):

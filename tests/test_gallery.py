@@ -3,6 +3,7 @@
 import time
 from math import comb
 
+import numpy as np
 import pytest
 
 from qhcover import gallery as G
@@ -295,25 +296,37 @@ def test_schur_rejects_a_wrong_orbit_labelling(monkeypatch, wrong, message):
         build_schur(2, 2, 1, F3)
 
 
+def _not_a_permutation(g):
+    # a 0/1 matrix with one entry in each row, all in column 0
+    return Mat.from_entries(g.field, g.rows, g.cols, {(r, 0): 1 for r in range(g.rows)})
+
+
+@pytest.mark.parametrize("wrong", [lambda g: g.scale(2), _not_a_permutation], ids=["entries-2", "all-in-column-0"])
+def test_schur_rejects_a_place_permutation_that_is_not_a_permutation_matrix(monkeypatch, wrong):
+    # the labels are read through a permutation of the words, which each
+    # u = 1 T_(s_t) must be
+    simple_action = G._simple_action
+    monkeypatch.setattr(G, "_simple_action", lambda words, u, field: [wrong(g) for g in simple_action(words, u, field)])
+    with pytest.raises(GalleryError, match="not a permutation matrix"):
+        build_schur(2, 2, 1, F3)
+
+
 @pytest.mark.parametrize("u, field", [(1, QQ), (2, GF(5))], ids=["orbit-sums", "equations"])
-def test_schur_product_guard_counts_the_rows_of_the_product_table(monkeypatch, u, field):
+def test_schur_product_guard_admits_s33_at_its_weight_matched_pairs(monkeypatch, u, field):
     # S(3, 3) has 2,973 pairs of basis elements of matching weights, and
-    # frame_products holds a row of 165 coordinates for each: the guard
-    # admits the build at exactly 165 * 2,973 entries and not one below
-    import qhcover.linalg as L
-
-    rows, slots = [], L._slots
-
-    def counted(keys, size):
-        out = slots(keys, size)
-        rows.append(out[0].size)
-        return out
-
-    monkeypatch.setattr(L, "_slots", counted)
+    # 165 coordinates for each: the guard admits it at exactly 165 * 2,973
+    # entries and refuses it one below, before any build
     monkeypatch.setattr(G, "MAX_SCHUR_PRODUCT_ENTRIES", 165 * 2973)
-    build_schur(3, 3, u, field)
-    assert rows == [2973]
+    assert G._check_schur_size(3, 3) == 165
+    s = build_schur(3, 3, u, field)
+    if u == 1:
+        # the orbit sums have nonnegative integer constants, so over QQ every
+        # weight-matched pair has a nonzero product
+        t = s.algebra.triples
+        assert np.unique(t.i * 165 + t.j).size == 2973
     monkeypatch.setattr(G, "MAX_SCHUR_PRODUCT_ENTRIES", 165 * 2973 - 1)
+    monkeypatch.setattr(G, "_orbit_labels", lambda words: pytest.fail("built past the guard"))
+    monkeypatch.setattr(G, "centralizer_algebra", lambda gens: pytest.fail("built past the guard"))
     with pytest.raises(GalleryError, match="Schur product table size 490545 exceeds the guard 490544"):
         build_schur(3, 3, u, field)
 

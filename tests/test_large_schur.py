@@ -1,16 +1,19 @@
-"""S(3, 4) and S(2, 6) at u = 1, each under a stated wall-time and traced
-memory budget (tracemalloc, which numpy reports its arrays to, as in
-``test_memory.py``).
+"""S(3, 4), S(4, 3) and S(2, 6) at u = 1, each under a stated wall-time
+and traced memory budget (tracemalloc, which numpy reports its arrays to,
+as in ``test_memory.py``).
 
-The orbit-sum build forms neither the commutation equations nor H(d).
-Measured on a 2-core x86 VM with one BLAS thread:
-- S_GF3(3,4) builds in 0.5-0.8 s at a 194 MiB traced peak; solving its
-  commutation equations took 11.0 s and 2.07 GB RSS.  ``classical_domdim``
-  then takes 1.7-2.3 s (212 MiB, the idempotents' peak), of which the
+The orbit-sum build forms neither the commutation equations nor H(d), and
+holds no dense product table.  Measured on a 2-core x86 VM with one BLAS
+thread:
+- S_GF3(3,4) builds in 0.14-0.17 s at a 42 MiB traced peak (0.5-0.8 s and
+  194 MiB with the dense product table); solving its commutation
+  equations took 11.0 s and 2.07 GB RSS.  ``classical_domdim``
+  then takes 1.6-1.7 s (212 MiB, the idempotents' peak), of which the
   steps after the idempotents take 0.1 s at 28 MiB (155 MiB while P was
-  built over A), and ``qh()`` and the Ringel cover check 2.5-3.5 s
-  (228 MiB) when run alone.
-- S_GF2(3,4): build, ``qh()`` and the cover check 4.7-5.4 s (388 MiB).
+  built over A), and ``qh()`` and the Ringel cover check 1.6 s (199 MiB).
+- S_GF2(3,4): build, ``qh()`` and the cover check 5.7-5.9 s (387 MiB).
+- S_GF3(4,3) builds in 0.08-0.10 s at 34 MiB (0.7-1.0 s and 517 MiB
+  with the dense table).
 - S_GF2(2,6) builds in 0.2 s at 14 MiB; H(6) alone took about 51 s.
 Each budget is about three times the time and 1.25 times the peak, as
 times on the VM vary by 15-30% between runs and more with BLAS threads;
@@ -46,11 +49,18 @@ def schur34_gf3():
     return _measured(lambda: build_schur(3, 4, 1, GF(3)))
 
 
-def test_schur34_gf3_builds_within_3_s_and_256_mib(schur34_gf3):
+def test_schur34_gf3_builds_within_0_5_s_and_52_mib(schur34_gf3):
     schur, seconds, peak = schur34_gf3
     assert schur.algebra.dim == 495 and "_tensor" not in vars(schur)
-    assert seconds < 3.0, f"build {seconds:.1f} s"
-    assert peak < 256 * MIB, f"build peak {peak / MIB:.0f} MiB"
+    assert seconds < 0.5, f"build {seconds:.2f} s"
+    assert peak < 52 * MIB, f"build peak {peak / MIB:.0f} MiB"
+
+
+def test_schur43_gf3_builds_within_0_3_s_and_43_mib():
+    schur, seconds, peak = _measured(lambda: build_schur(4, 3, 1, GF(3)))
+    assert schur.algebra.dim == 816 and "_tensor" not in vars(schur)
+    assert seconds < 0.3, f"build {seconds:.2f} s"
+    assert peak < 43 * MIB, f"build peak {peak / MIB:.0f} MiB"
 
 
 @pytest.fixture(scope="module")

@@ -7,20 +7,23 @@ indexing (ints mod p over GF(p), Fractions over QQ) and check each operation
 against einsum on them.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qhcover import algebra as algebra_module
-from qhcover.algebra import AlgebraError, corner_algebra, direct_product, opposite, quotient_algebra
+from qhcover import gallery
+from qhcover.algebra import AlgebraError, centralizer_algebra, corner_algebra, direct_product, opposite, quotient_algebra
 from qhcover.fields import GF, QQ
 from qhcover.gallery import build_am, build_hecke, build_schur
 from qhcover.linalg import Mat, Subspace, frame_products, unstack
+from qhcover.modules import endomorphism_algebra
 from qhcover.quiver import Arrow, QuiverPresentation, from_quiver
 from qhcover.serialize import algebra_to_json, content_hash
 
-from conftest import algebra_of_matrices_naive, make_am_algebra
+from conftest import algebra_of_matrices_naive, frame_products_reference, make_am_algebra, named_modules
 
 
 def _loop_and_arrow(field):
@@ -187,3 +190,104 @@ PINNED_JSON_HASHES = {"S33-GF3": "51e5492e302d8ec3", "H3-QQ": "ef9f81dc473d8b72"
 @pytest.mark.parametrize("name", list(PINNED_JSON_HASHES))
 def test_algebra_json_is_unchanged(name):
     assert content_hash(algebra_to_json(_build(name)[0])) == PINNED_JSON_HASHES[name]
+
+
+# -- frame_products against the dense table it replaced -----------------------
+
+
+def _checked_against_the_dense_table(monkeypatch):
+    """Make every ``algebra_of_matrices`` compare its ``frame_products``
+    with ``frame_products_reference``: the same Triples, i, j, k, data and
+    den, in the same order.  Returns the number of terms of each call."""
+    sizes = []
+
+    def checked(mats, mats_g, rows, cols):
+        got, want = frame_products(mats, mats_g, rows, cols), frame_products_reference(mats, mats_g, rows, cols)
+        assert got.den == want.den
+        for name, x, y in zip("ijk", got, want):
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        assert got.data.dtype == want.data.dtype and got.data.tolist() == want.data.tolist()
+        sizes.append(got.i.size)
+        return got
+
+    monkeypatch.setattr(algebra_module, "frame_products", checked)
+    return sizes
+
+
+def _admitted_schur_sizes(max_entries):
+    """(n, d) that ``build_schur``'s guards admit with the product-table
+    guard lowered to ``max_entries``."""
+    sizes = []
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(gallery, "MAX_SCHUR_PRODUCT_ENTRIES", max_entries)
+        for n, d in itertools.product(range(1, 33), range(1, 7)):
+            try:
+                gallery._check_schur_size(n, d)
+            except gallery.GalleryError:
+                continue
+            sizes.append((n, d))
+    return sizes
+
+
+# every u = 1 input the guards admit whose dense table has at most 10M
+# entries: S(3, 4) has 9.3M, 144 MiB traced in the reference over GF(p);
+# S(26..32, 1), S(6, 2) and S(4, 3) are left out for their 180-530 MiB
+_SCHUR_SIZES = _admitted_schur_sizes(10**7)
+_FIELDS = [QQ, GF(2), GF(3), GF(5)]
+_FIELD_IDS = ["QQ", "GF2", "GF3", "GF5"]
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=_FIELD_IDS)
+@pytest.mark.parametrize("n, d", _SCHUR_SIZES, ids=[f"S({n},{d})" for n, d in _SCHUR_SIZES])
+def test_frame_products_match_the_dense_table_on_orbit_sums(monkeypatch, n, d, field):
+    terms = _checked_against_the_dense_table(monkeypatch)
+    build_schur(n, d, 1, field)
+    assert len(terms) == 1 and terms[0] > 0
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=_FIELD_IDS)
+def test_frame_products_match_the_dense_table_on_centralizers(monkeypatch, field):
+    # S(n, d) at u = 2 (none over GF(2), where 2 = 0), and the centralizers of
+    # a random matrix and of one with a repeated block
+    terms = _checked_against_the_dense_table(monkeypatch)
+    schur_sizes = [] if field == GF(2) else [(2, 2), (2, 3), (3, 2)]
+    for n, d in schur_sizes:
+        build_schur(n, d, 2, field)
+    rng = np.random.default_rng(7)
+    for t in (5, 6):
+        r = Mat(field, rng.integers(0, 3, size=(2, 2)))
+        centralizer_algebra([Mat(field, rng.integers(0, 3, size=(t, t)))])
+        centralizer_algebra([Mat.block_diag(field, [r, r, Mat(field, rng.integers(0, 3, size=(t - 4, t - 4)))])])
+    assert len(terms) == len(schur_sizes) + 4
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_am(2, GF(3)), lambda: build_am(3, GF(3)), lambda: build_am(2, QQ), lambda: build_am(3, QQ), lambda: build_schur(2, 3, 1, GF(3))],
+    ids=["A2-GF3", "A3-GF3", "A2-QQ", "A3-QQ", "S23-GF3"],
+)
+def test_frame_products_match_the_dense_table_on_end_algebras(monkeypatch, build):
+    terms = _checked_against_the_dense_table(monkeypatch)
+    modules = [m for m in named_modules(build()) if m.dim > 0]
+    before = len(terms)
+    for m in modules:
+        endomorphism_algebra(m)
+    assert len(terms) > before
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["QQ", "GF3", "GF5"])
+def test_frame_products_match_the_dense_table_on_small_spans(field):
+    half = field.inv(field.normalize(2))
+    two = Mat.identity(field, 2).scale(field.normalize(2))
+    # E12 alone: X X has no term at all, so there is no constant
+    e12 = Mat.from_entries(field, 2, 2, {(0, 1): 1})
+    # E11 / 2 and E12 / 2 over the frame G = 2 I, read at (0, 0) and (0, 1):
+    # over QQ the constants c_000 = c_011 = 1/2 need a denominator
+    halves = Mat.vstack([Mat.from_entries(field, 2, 2, {(0, c): half}) for c in (0, 1)])
+    cases = [(e12, e12, [0], [1]), (halves, halves @ two, [0, 0], [0, 1])]
+    got = [frame_products(*case) for case in cases]
+    for triples, case in zip(got, cases):
+        want = frame_products_reference(*case)
+        assert [x.tolist() for x in triples[:4]] == [x.tolist() for x in want[:4]] and triples.den == want.den
+    assert got[0].i.size == 0 and got[0].den == 1
+    assert got[1].entries(field) == [(0, 0, 0, half), (0, 1, 1, half)]
